@@ -79,7 +79,9 @@ let sweep_core_size = sweep "core_size" (fun () -> Sweeps.core_size ())
 let sweep_families = sweep "cbp_families" (fun () -> Sweeps.gehl_vs_tage ())
 
 let software_vs_hardware () =
-  print_string (timed "software_vs_hardware" (fun () -> Software_model.comparison_report ()))
+  print_string
+    (timed "software_vs_hardware" (fun () ->
+         Cobra_trace_replay.Software_model.comparison_report ()))
 
 (* --- energy (extension) ----------------------------------------------------- *)
 
@@ -567,11 +569,11 @@ let perf_snapshot () =
             (* O(1) evidence: snapshot/restore cost at two warmup depths *)
             let probe_depth branches =
               Cobra_trace_replay.Reader.with_file path (fun rd ->
-                  let pl = Designs.pipeline d in
-                  let ck, _ = Replay.warmup ~branches ~design:name ~trace:path pl rd in
-                  let snap_us = time_us (fun () -> ignore (Cobra.Pipeline.snapshot pl)) in
-                  let rest_us = time_us (fun () -> Replay.restore pl rd ck) in
-                  (Cobra.Pipeline.snapshot_cells pl, snap_us, rest_us))
+                  let sim = Replay.Sim.create `Interpreted d in
+                  let ck, _ = Replay.warmup ~branches ~design:name ~trace:path sim rd in
+                  let snap_us = time_us (fun () -> ignore (Replay.Sim.snapshot sim)) in
+                  let rest_us = time_us (fun () -> Replay.restore sim rd ck) in
+                  (Cobra_util.Slab.length ck.Replay.ck_slab, snap_us, rest_us))
             in
             let cells, snap_shallow, _ = probe_depth (warmup / 10) in
             let _, snap_deep, restore_us = probe_depth warmup in
@@ -580,13 +582,13 @@ let perf_snapshot () =
             let baseline_windows =
               List.init snapshot_windows (fun i ->
                   Reader.with_file path (fun rd ->
-                      let pl = Designs.pipeline d in
+                      let sim = Replay.Sim.create `Interpreted d in
                       let _ck, _skip =
                         Replay.warmup ~branches:(warmup + (i * window)) ~design:name
-                          ~trace:path pl rd
+                          ~trace:path sim rd
                       in
                       let _ck, r =
-                        Replay.warmup ~branches:window ~design:name ~trace:path pl rd
+                        Replay.warmup ~branches:window ~design:name ~trace:path sim rd
                       in
                       r))
             in
@@ -595,15 +597,15 @@ let perf_snapshot () =
             let t1 = Unix.gettimeofday () in
             let snapshot_windows_rs =
               Reader.with_file path (fun rd ->
-                  let pl = Designs.pipeline d in
+                  let sim = Replay.Sim.create `Interpreted d in
                   let ck0, _ =
-                    Replay.warmup ~branches:warmup ~design:name ~trace:path pl rd
+                    Replay.warmup ~branches:warmup ~design:name ~trace:path sim rd
                   in
                   let boundary = ref ck0 in
                   List.init snapshot_windows (fun _i ->
-                      Replay.restore pl rd !boundary;
+                      Replay.restore sim rd !boundary;
                       let ck, r =
-                        Replay.warmup ~branches:window ~design:name ~trace:path pl rd
+                        Replay.warmup ~branches:window ~design:name ~trace:path sim rd
                       in
                       boundary := ck;
                       r))

@@ -30,11 +30,11 @@ let () =
     Perf.pp hw;
 
   (* the same pipeline evaluated trace-based-style *)
-  let sw = Cobra_eval.Software_model.run ~insns:60_000 design entry in
+  let sw = Cobra_trace_replay.Software_model.run ~insns:60_000 design entry in
   Format.printf "@.software (trace-based) estimate of the same pipeline:@.";
   Format.printf "  branches=%d mispredicts=%d accuracy=%.2f%%@."
-    sw.Cobra_eval.Software_model.branches sw.Cobra_eval.Software_model.mispredicts
-    (100.0 *. Cobra_eval.Software_model.accuracy sw);
+    sw.Cobra_trace_replay.Replay.branches sw.Cobra_trace_replay.Replay.mispredicts
+    (100.0 *. Cobra_trace_replay.Replay.accuracy sw);
   Format.printf
     "@.The software model sees no fetch bubbles, no wrong-path fetch, no@.\
      speculative-history corruption and no repair traffic — its accuracy@.\

@@ -143,46 +143,17 @@ let storage_accounting (packed : Golden.packed) =
       (Printf.sprintf "component declares %d storage bits, independent formula gives %d"
          actual storage_bits)
 
-(* --- software-model step driver ------------------------------------------------ *)
+(* --- replay-protocol steps ------------------------------------------------------ *)
 
-(* [drive] plus the per-component metadata words, read from the history-file
-   entry between fire and commit — the window where the interpreted pipeline
-   still holds them. The compiled engine exposes the same array through
-   [Engine.metas]. *)
-let drive_with_metas pl ~width (b : Fuzz.branch) =
-  let tok = Pipeline.predict pl ~pc:b.Fuzz.br_pc ~max_len:1 in
-  let stages = Pipeline.stages pl tok in
-  let final = (stages.(Array.length stages - 1)).(0) in
-  let taken_pred =
-    match final.Types.o_taken with
-    | Some t -> t
-    | None -> Types.is_unconditional b.Fuzz.br_kind
-  in
-  let target_pred = Option.value final.Types.o_target ~default:(-1) in
-  let wrong =
-    taken_pred <> b.Fuzz.br_taken
-    || (b.Fuzz.br_taken
-       && Types.is_unconditional b.Fuzz.br_kind
-       && b.Fuzz.br_kind <> Types.Ret
-       && target_pred <> b.Fuzz.br_target)
-  in
-  let slots = Array.make width Types.no_branch in
-  slots.(0) <-
-    Types.resolved_branch ~kind:b.Fuzz.br_kind ~taken:taken_pred
-      ~target:(if taken_pred then b.Fuzz.br_target else 0);
-  let seq = Pipeline.fire pl tok ~slots ~packet_len:1 in
-  let metas = Array.copy (Pipeline.entry pl seq).History_file.e_metas in
-  let actual =
-    Types.resolved_branch ~kind:b.Fuzz.br_kind ~taken:b.Fuzz.br_taken ~target:b.Fuzz.br_target
-  in
-  if wrong then Pipeline.mispredict pl ~seq ~slot:0 actual
-  else Pipeline.resolve pl ~seq ~slot:0 actual;
-  Pipeline.commit pl;
-  (taken_pred, wrong, metas)
+module Btrace = Cobra_trace_replay.Btrace
+module Replay = Cobra_trace_replay.Replay
+module Sim = Replay.Sim
 
-let drive pl ~width (b : Fuzz.branch) =
-  let taken_pred, wrong, _metas = drive_with_metas pl ~width b in
-  (taken_pred, wrong)
+(* One replay-protocol transaction; the (direction, wrong) pair every
+   differential below compares. *)
+let step sim r =
+  let wrong = Sim.step sim r in
+  (Sim.last_taken_pred sim, wrong)
 
 (* --- twin-design differential --------------------------------------------------- *)
 
@@ -192,31 +163,30 @@ let twin ?(length = 400) ~seed (design : Designs.t) =
   match Golden.twin_design design with
   | exception Invalid_argument m -> fail ~check ~subject m
   | golden ->
-    let p_real = Designs.pipeline design in
-    let p_gold = Designs.pipeline golden in
-    let width = design.Designs.pipeline_config.Pipeline.fetch_width in
+    let s_real = Sim.create `Interpreted design in
+    let s_gold = Sim.create `Interpreted golden in
     let bs = Fuzz.branches { Fuzz.seed; shape = Fuzz.Mixed; length } in
     let bad = ref None in
     List.iteri
-      (fun i b ->
+      (fun i (b : Btrace.record) ->
         if !bad = None then begin
-          let tp_r, w_r = drive p_real ~width b in
-          let tp_g, w_g = drive p_gold ~width b in
+          let tp_r, w_r = step s_real b in
+          let tp_g, w_g = step s_gold b in
           if tp_r <> tp_g || w_r <> w_g then
             bad :=
               Some
                 (Printf.sprintf
                    "branch %d/%d (pc=0x%x %s taken=%b) seed=%d: real taken_pred=%b wrong=%b, \
                     golden taken_pred=%b wrong=%b (replay: cobra conform --seed %d)"
-                   i length b.Fuzz.br_pc (kind_name b.Fuzz.br_kind) b.Fuzz.br_taken seed tp_r
-                   w_r tp_g w_g seed)
+                   i length b.Btrace.b_pc (kind_name b.Btrace.b_kind) b.Btrace.b_taken seed
+                   tp_r w_r tp_g w_g seed)
         end)
       bs;
     (match !bad with
     | None -> pass ~check ~subject (Printf.sprintf "ok (%d branches, golden twin agrees)" length)
     | Some m -> fail ~check ~subject m)
 
-(* --- trace-replay engine vs the step driver and the golden twin ------------------ *)
+(* --- trace replay vs the golden twin -------------------------------------------- *)
 
 let replay_twin ?(length = 400) ~seed (design : Designs.t) =
   let check = "replay" in
@@ -225,21 +195,9 @@ let replay_twin ?(length = 400) ~seed (design : Designs.t) =
   | exception Invalid_argument m -> fail ~check ~subject m
   | golden ->
     let bs = Fuzz.branches { Fuzz.seed; shape = Fuzz.Mixed; length } in
-    let records =
-      List.map
-        (fun (b : Fuzz.branch) ->
-          {
-            Cobra_trace_replay.Btrace.b_pc = b.Fuzz.br_pc;
-            b_taken = b.Fuzz.br_taken;
-            b_kind = b.Fuzz.br_kind;
-            b_target = b.Fuzz.br_target;
-            b_gap = 0;
-          })
-        bs
-    in
-    (* the replay engine over the real design, observed per branch *)
+    (* the replay driver over the real design, observed per branch *)
     let observed = ref [] in
-    let remaining = ref records in
+    let remaining = ref bs in
     let source () =
       match !remaining with
       | [] -> None
@@ -248,53 +206,36 @@ let replay_twin ?(length = 400) ~seed (design : Designs.t) =
         Some r
     in
     let res =
-      Cobra_trace_replay.Replay.run
+      Replay.drive
         ~observe:(fun _ ~taken_pred ~wrong -> observed := (taken_pred, wrong) :: !observed)
-        ~design:subject ~trace:"fuzz" (Designs.pipeline design) source
+        ~design:subject ~trace:"fuzz" (Sim.create `Interpreted design) source
     in
-    let replay_obs = Array.of_list (List.rev !observed) in
-    (* the conformance step driver over a fresh real pipeline and the golden twin *)
-    let p_ref = Designs.pipeline design in
-    let p_gold = Designs.pipeline golden in
-    let width = design.Designs.pipeline_config.Pipeline.fetch_width in
     (* arrays, not lists: per-branch List.nth here made the comparison loop
        quadratic in the stream length *)
-    let ref_obs = Array.of_list (List.map (drive p_ref ~width) bs) in
-    let gold_obs = Array.of_list (List.map (drive p_gold ~width) bs) in
+    let replay_obs = Array.of_list (List.rev !observed) in
+    let gold_obs = Array.of_list (List.map (step (Sim.create `Interpreted golden)) bs) in
     let n_replay = Array.length replay_obs in
-    if n_replay <> length
-       || Array.length ref_obs <> length
-       || Array.length gold_obs <> length
-    then
+    if n_replay <> length then
       fail ~check ~subject
         (Printf.sprintf
-           "observation streams disagree on length: %d fuzzed branches, replay engine \
-            observed %d, step driver %d, golden twin %d"
-           length n_replay (Array.length ref_obs) (Array.length gold_obs))
+           "observation streams disagree on length: %d fuzzed branches, replay driver \
+            observed %d"
+           length n_replay)
     else begin
     let bad = ref None in
     List.iteri
-      (fun i (b : Fuzz.branch) ->
+      (fun i (b : Btrace.record) ->
         if !bad = None then begin
           let tp_y, w_y = replay_obs.(i) in
-          let tp_r, w_r = ref_obs.(i) in
           let tp_g, w_g = gold_obs.(i) in
-          if tp_y <> tp_r || w_y <> w_r then
+          if tp_y <> tp_g || w_y <> w_g then
             bad :=
               Some
                 (Printf.sprintf
-                   "branch %d/%d (pc=0x%x %s taken=%b) seed=%d: replay engine taken_pred=%b \
-                    wrong=%b, step driver taken_pred=%b wrong=%b"
-                   i length b.Fuzz.br_pc (kind_name b.Fuzz.br_kind) b.Fuzz.br_taken seed tp_y
-                   w_y tp_r w_r)
-          else if tp_y <> tp_g || w_y <> w_g then
-            bad :=
-              Some
-                (Printf.sprintf
-                   "branch %d/%d (pc=0x%x %s taken=%b) seed=%d: replay engine taken_pred=%b \
+                   "branch %d/%d (pc=0x%x %s taken=%b) seed=%d: replay taken_pred=%b \
                     wrong=%b, golden twin taken_pred=%b wrong=%b"
-                   i length b.Fuzz.br_pc (kind_name b.Fuzz.br_kind) b.Fuzz.br_taken seed tp_y
-                   w_y tp_g w_g)
+                   i length b.Btrace.b_pc (kind_name b.Btrace.b_kind) b.Btrace.b_taken seed
+                   tp_y w_y tp_g w_g)
         end)
       bs;
     let total_wrong =
@@ -302,17 +243,16 @@ let replay_twin ?(length = 400) ~seed (design : Designs.t) =
     in
     match !bad with
     | None ->
-      if res.Cobra_trace_replay.Replay.mispredicts <> total_wrong then
+      if res.Replay.mispredicts <> total_wrong then
         fail ~check ~subject
           (Printf.sprintf "replay counted %d mispredicts but observed %d wrong branches"
-             res.Cobra_trace_replay.Replay.mispredicts total_wrong)
-      else if res.Cobra_trace_replay.Replay.branches <> length then
+             res.Replay.mispredicts total_wrong)
+      else if res.Replay.branches <> length then
         fail ~check ~subject
-          (Printf.sprintf "replay consumed %d branches of %d"
-             res.Cobra_trace_replay.Replay.branches length)
+          (Printf.sprintf "replay consumed %d branches of %d" res.Replay.branches length)
       else
         pass ~check ~subject
-          (Printf.sprintf "ok (%d branches, replay = step driver = golden twin)" length)
+          (Printf.sprintf "ok (%d branches, replay = golden twin)" length)
     | Some m -> fail ~check ~subject m
     end
 
@@ -321,7 +261,7 @@ let replay_twin ?(length = 400) ~seed (design : Designs.t) =
 let repair_restore ?(length = 400) ~seed (design : Designs.t) =
   let check = "repair" in
   let subject = design.Designs.name in
-  let p_clean = Designs.pipeline design in
+  let s_clean = Sim.create `Interpreted design in
   let p_dirty = Designs.pipeline design in
   let width = design.Designs.pipeline_config.Pipeline.fetch_width in
   let rng = Rng.create ~seed:(seed lxor 0x0b5a5eed) in
@@ -340,16 +280,16 @@ let repair_restore ?(length = 400) ~seed (design : Designs.t) =
           done;
           Pipeline.squash_all_pending p_dirty
         end;
-        let tp_c, _ = drive p_clean ~width b in
+        let tp_c, _ = step s_clean b in
         (* dirty side, driven by hand so a fired wrong-path youngster can be
            injected ahead of a misprediction and unwound by the repair walk *)
-        let tok = Pipeline.predict p_dirty ~pc:b.Fuzz.br_pc ~max_len:1 in
+        let tok = Pipeline.predict p_dirty ~pc:b.Btrace.b_pc ~max_len:1 in
         let stages = Pipeline.stages p_dirty tok in
         let final = (stages.(Array.length stages - 1)).(0) in
         let tp_d =
           match final.Types.o_taken with
           | Some t -> t
-          | None -> Types.is_unconditional b.Fuzz.br_kind
+          | None -> Types.is_unconditional b.Btrace.b_kind
         in
         if tp_c <> tp_d then
           bad :=
@@ -357,25 +297,25 @@ let repair_restore ?(length = 400) ~seed (design : Designs.t) =
               (Printf.sprintf
                  "branch %d/%d (pc=0x%x) seed=%d: clean predicts taken=%b, excursion-disturbed \
                   pipeline predicts taken=%b (replay: cobra conform --seed %d)"
-                 i length b.Fuzz.br_pc seed tp_c tp_d seed)
+                 i length b.Btrace.b_pc seed tp_c tp_d seed)
         else begin
           let target_pred = Option.value final.Types.o_target ~default:(-1) in
           let wrong =
-            tp_d <> b.Fuzz.br_taken
-            || (b.Fuzz.br_taken
-               && Types.is_unconditional b.Fuzz.br_kind
-               && b.Fuzz.br_kind <> Types.Ret
-               && target_pred <> b.Fuzz.br_target)
+            tp_d <> b.Btrace.b_taken
+            || (b.Btrace.b_taken
+               && Types.is_unconditional b.Btrace.b_kind
+               && b.Btrace.b_kind <> Types.Ret
+               && target_pred <> b.Btrace.b_target)
           in
           let inject = wrong && Rng.chance rng 0.5 in
           let wtok =
-            if inject then Some (Pipeline.predict p_dirty ~pc:(b.Fuzz.br_pc + 0x40) ~max_len:1)
+            if inject then Some (Pipeline.predict p_dirty ~pc:(b.Btrace.b_pc + 0x40) ~max_len:1)
             else None
           in
           let slots = Array.make width Types.no_branch in
           slots.(0) <-
-            Types.resolved_branch ~kind:b.Fuzz.br_kind ~taken:tp_d
-              ~target:(if tp_d then b.Fuzz.br_target else 0);
+            Types.resolved_branch ~kind:b.Btrace.b_kind ~taken:tp_d
+              ~target:(if tp_d then b.Btrace.b_target else 0);
           let seq = Pipeline.fire p_dirty tok ~slots ~packet_len:1 in
           (match wtok with
           | None -> ()
@@ -389,15 +329,15 @@ let repair_restore ?(length = 400) ~seed (design : Designs.t) =
               wslots.(0) <-
                 Types.resolved_branch ~kind:Types.Cond ~taken:t
                   ~target:
-                    (if t then Option.value wfinal.Types.o_target ~default:(b.Fuzz.br_pc + 0x80)
+                    (if t then Option.value wfinal.Types.o_target ~default:(b.Btrace.b_pc + 0x80)
                      else 0)
             | None -> ());
             (* fired: components speculatively updated for a packet the
                imminent mispredict must walk back *)
             ignore (Pipeline.fire p_dirty wtok ~slots:wslots ~packet_len:1));
           let actual =
-            Types.resolved_branch ~kind:b.Fuzz.br_kind ~taken:b.Fuzz.br_taken
-              ~target:b.Fuzz.br_target
+            Types.resolved_branch ~kind:b.Btrace.b_kind ~taken:b.Btrace.b_taken
+              ~target:b.Btrace.b_target
           in
           if wrong then Pipeline.mispredict p_dirty ~seq ~slot:0 actual
           else Pipeline.resolve p_dirty ~seq ~slot:0 actual;
@@ -417,36 +357,34 @@ let repair_restore ?(length = 400) ~seed (design : Designs.t) =
 let snapshot_roundtrip ?(length = 400) ~seed (design : Designs.t) =
   let check = "snapshot" in
   let subject = design.Designs.name in
-  let width = design.Designs.pipeline_config.Pipeline.fetch_width in
   let bs = Array.of_list (Fuzz.branches { Fuzz.seed; shape = Fuzz.Mixed; length }) in
   let half = length / 2 in
-  let p = Designs.pipeline design in
+  let s = Sim.create `Interpreted design in
   for i = 0 to half - 1 do
-    ignore (drive p ~width bs.(i))
+    ignore (Sim.step s bs.(i))
   done;
-  let slab = Pipeline.snapshot p in
+  let slab = Sim.snapshot s in
   (* a fresh pipeline restored from the slab must shadow the original
      bit-for-bit over the rest of the stream *)
-  let p2 = Designs.pipeline design in
-  Pipeline.restore p2 slab;
+  let s2 = Sim.create `Interpreted design in
+  Sim.restore s2 slab;
   let bad = ref None in
   for i = half to length - 1 do
     if !bad = None then begin
       let b = bs.(i) in
-      let tp_a, w_a = drive p ~width b in
-      let tp_b, w_b = drive p2 ~width b in
+      let tp_a, w_a = step s b in
+      let tp_b, w_b = step s2 b in
       if tp_a <> tp_b || w_a <> w_b then
         bad :=
           Some
             (Printf.sprintf
                "branch %d/%d (pc=0x%x %s taken=%b) seed=%d: original taken_pred=%b wrong=%b, \
                 restored twin taken_pred=%b wrong=%b"
-               i length b.Fuzz.br_pc (kind_name b.Fuzz.br_kind) b.Fuzz.br_taken seed tp_a
+               i length b.Btrace.b_pc (kind_name b.Btrace.b_kind) b.Btrace.b_taken seed tp_a
                w_a tp_b w_b)
     end
   done;
-  if !bad = None && not (Cobra_util.Slab.equal (Pipeline.snapshot p) (Pipeline.snapshot p2))
-  then
+  if !bad = None && not (Cobra_util.Slab.equal (Sim.snapshot s) (Sim.snapshot s2)) then
     bad :=
       Some
         (Printf.sprintf
@@ -462,8 +400,6 @@ let snapshot_roundtrip ?(length = 400) ~seed (design : Designs.t) =
 
 (* --- compiled twin: the staged compiler vs the interpreted pipeline -------------- *)
 
-module Engine = Cobra_compile.Engine
-
 (* Per-branch lockstep of one interpreted pipeline against one compiled
    engine of the same (cfg, topology), fresh per shape: taken_pred, wrong,
    every component's metadata word, and the final snapshot slab must all be
@@ -471,9 +407,8 @@ module Engine = Cobra_compile.Engine
 let compiled_lockstep ~check ~subject ~shapes ~length ~seed ~cfg make_topo =
   let events = ref 0 in
   let run_shape shape =
-    let pl = Pipeline.create cfg (make_topo ()) in
-    let eng = Engine.create cfg (make_topo ()) in
-    let width = cfg.Pipeline.fetch_width in
+    let si = Sim.of_pipeline (Pipeline.create cfg (make_topo ())) in
+    let sc = Sim.of_engine (Cobra_compile.Engine.create cfg (make_topo ())) in
     let bs = Fuzz.branches { Fuzz.seed; shape; length } in
     let where i what =
       Printf.sprintf
@@ -481,14 +416,10 @@ let compiled_lockstep ~check ~subject ~shapes ~length ~seed ~cfg make_topo =
         (Fuzz.shape_name shape) i length seed what seed
     in
     List.iteri
-      (fun i (b : Fuzz.branch) ->
+      (fun i b ->
         incr events;
-        let tp_i, w_i, metas_i = drive_with_metas pl ~width b in
-        let w_c =
-          Engine.step eng ~pc:b.Fuzz.br_pc ~kind:b.Fuzz.br_kind ~taken:b.Fuzz.br_taken
-            ~target:b.Fuzz.br_target
-        in
-        let tp_c = Engine.last_taken_pred eng in
+        let tp_i, w_i = step si b in
+        let tp_c, w_c = step sc b in
         if tp_i <> tp_c || w_i <> w_c then
           raise
             (Mismatch
@@ -496,7 +427,7 @@ let compiled_lockstep ~check ~subject ~shapes ~length ~seed ~cfg make_topo =
                   (Printf.sprintf
                      "interpreted taken_pred=%b wrong=%b, compiled taken_pred=%b wrong=%b"
                      tp_i w_i tp_c w_c)));
-        let metas_c = Engine.metas eng in
+        let metas_i = Sim.metas si and metas_c = Sim.metas sc in
         if Array.length metas_i <> Array.length metas_c then
           raise
             (Mismatch
@@ -514,7 +445,7 @@ let compiled_lockstep ~check ~subject ~shapes ~length ~seed ~cfg make_topo =
                          id (Bits.to_string m) (Bits.to_string metas_c.(id))))))
           metas_i)
       bs;
-    if not (Cobra_util.Slab.equal (Pipeline.snapshot pl) (Engine.snapshot eng)) then
+    if not (Cobra_util.Slab.equal (Sim.snapshot si) (Sim.snapshot sc)) then
       raise
         (Mismatch
            (Printf.sprintf

@@ -28,16 +28,16 @@ val storage_accounting : Golden.packed -> verdict
 
 val twin : ?length:int -> seed:int -> Cobra_eval.Designs.t -> verdict
 (** End-to-end differential: the design and its {!Golden.twin_design} are
-    driven through the same branch stream (software-model protocol) and
+    stepped through the same branch stream
+    ([Cobra_trace_replay.Replay.Sim.step], the software-model protocol) and
     must make identical predictions on every branch. *)
 
 val replay_twin : ?length:int -> seed:int -> Cobra_eval.Designs.t -> verdict
-(** Certifies the trace-replay fast path: the same fuzz branch stream
-    (as gap-0 trace records) is run through
-    [Cobra_trace_replay.Replay.run], the conformance step driver and the
-    design's {!Golden.twin_design}; all three must agree on every
-    per-branch [(taken_pred, wrong)] decision, and the replay totals must
-    match the observation count. *)
+(** Certifies the trace-replay driver: the fuzz branch stream is run
+    through [Cobra_trace_replay.Replay.drive] on the design and stepped
+    through its {!Golden.twin_design}; both must agree on every per-branch
+    [(taken_pred, wrong)] decision, and the replay totals must match the
+    observation count. *)
 
 val repair_restore : ?length:int -> seed:int -> Cobra_eval.Designs.t -> verdict
 (** Metamorphic check: a pipeline subjected to speculative excursions

@@ -1,5 +1,6 @@
 module Bits = Cobra_util.Bits
 module Rng = Cobra_util.Rng
+module Btrace = Cobra_trace_replay.Btrace
 open Cobra
 
 type shape =
@@ -50,13 +51,6 @@ type packet = {
   pk_pred_in : Types.prediction list;
   pk_slots : Types.resolved array;
   pk_path : path;
-}
-
-type branch = {
-  br_pc : int;
-  br_kind : Types.branch_kind;
-  br_taken : bool;
-  br_target : int;
 }
 
 (* History widths used by every generated context; wide enough for the
@@ -291,8 +285,9 @@ let branches sc =
         match kind with Types.Cond -> direction eng sc.shape pc | _ -> true
       in
       {
-        br_pc = pc;
-        br_kind = kind;
-        br_taken = taken;
-        br_target = (if taken then pick_target eng pc else 0);
+        Btrace.b_pc = pc;
+        b_kind = kind;
+        b_taken = taken;
+        b_target = (if taken then pick_target eng pc else 0);
+        b_gap = 0;
       })

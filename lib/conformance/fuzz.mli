@@ -58,14 +58,9 @@ val packets : scenario -> arity:int -> fetch_width:int -> packet list
 
 (* --- pipeline-level branch streams ----------------------------------------- *)
 
-type branch = {
-  br_pc : int;
-  br_kind : Types.branch_kind;
-  br_taken : bool;
-  br_target : int;
-}
-
-val branches : scenario -> branch list
-(** One branch at a time (the [Software_model] regime), same shapes. Feeds
-    the twin-design differential and the repair-restores-state metamorphic
-    check. *)
+val branches : scenario -> Cobra_trace_replay.Btrace.record list
+(** One branch at a time, as trace records with no gap, for the replay
+    protocol's {!Cobra_trace_replay.Replay.Sim.step}; same shapes. Targets
+    are always known. Feeds the twin-design differential, the replay and
+    snapshot checks, the compiled twin and the repair-restores-state
+    metamorphic check. *)

@@ -59,9 +59,9 @@ let measure ~(target : Target.t) ~(probe : Pattern.t) ~level ~seed =
     end
   in
   let (_ : Replay.result) =
-    Replay.run ~observe ~design:target.Target.t_name
+    Replay.drive ~observe ~design:target.Target.t_name
       ~trace:(Printf.sprintf "probe:%s@%d" probe.Pattern.p_name level)
-      pl (Pattern.source stream)
+      (Replay.Sim.of_pipeline pl) (Pattern.source stream)
   in
   let s = !samples and m = !misses in
   {
@@ -326,9 +326,9 @@ let timing_series ?(width = 128) ?(penalty = 20) ~(target : Target.t)
     Interval.sample iv ~insns:!insns ~cycles:(!insns + (penalty * !mis)) ~mispredicts:!mis
   in
   let (_ : Replay.result) =
-    Replay.run ~observe ~design:target.Target.t_name
+    Replay.drive ~observe ~design:target.Target.t_name
       ~trace:(Printf.sprintf "probe:%s@%d" probe.Pattern.p_name level)
-      pl (Pattern.source stream)
+      (Replay.Sim.of_pipeline pl) (Pattern.source stream)
   in
   Interval.flush iv ~insns:!insns ~cycles:(!insns + (penalty * !mis)) ~mispredicts:!mis;
   Json.Obj

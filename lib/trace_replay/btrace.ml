@@ -218,3 +218,16 @@ let of_event ~gap (ev : Cobra_isa.Trace.event) =
         b_target = info.Cobra_isa.Trace.target;
         b_gap = gap;
       }
+
+let of_stream ?(max_insns = max_int) stream =
+  let consumed = ref 0 in
+  let rec next gap =
+    if !consumed >= max_insns then None
+    else
+      match stream () with
+      | None -> None
+      | Some ev -> (
+        incr consumed;
+        match of_event ~gap ev with None -> next (gap + 1) | some -> some)
+  in
+  fun () -> next 0

@@ -88,3 +88,8 @@ val record_of_line : ?lnum:int -> string -> record option
 val of_event : gap:int -> Cobra_isa.Trace.event -> record option
 (** [Some record] when the event is a branch, with [gap] non-branch
     instructions credited to it; [None] otherwise. *)
+
+val of_stream : ?max_insns:int -> Cobra_isa.Trace.stream -> unit -> record option
+(** The stream's branches as records, each crediting the non-branch events
+    before it to its [gap]. Reads at most [max_insns] events (default
+    unbounded); events after the last branch produce no record. *)

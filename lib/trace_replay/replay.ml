@@ -51,96 +51,6 @@ let summary r =
     (100.0 *. accuracy r)
     r.elapsed_s (branches_per_sec r)
 
-(* The per-branch protocol below must stay in lockstep with
-   Cobra_eval.Software_model.run and the conformance kit's twin driver: the
-   replay-vs-pipeline MPKI equality guarantee is exactly this. *)
-let run ?(max_branches = max_int) ?(max_insns = max_int) ?deadline ?observe ?progress
-    ?(progress_every = 262_144) ~design ~trace pl source =
-  if progress_every < 1 then invalid_arg "Replay.run: progress_every < 1";
-  let width = (Pipeline.config pl).Pipeline.fetch_width in
-  let slots = Array.make width Types.no_branch in
-  let instructions = ref 0 in
-  let branches = ref 0 in
-  let cond_branches = ref 0 in
-  let mispredicts = ref 0 in
-  let cond_mispredicts = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  let continue_ = ref true in
-  while !continue_ do
-    (* amortized deadline check: a poisoned or huge trace cannot wedge a
-       serving domain past its budget *)
-    (match deadline with
-    | Some d when !branches land 2047 = 0 && Unix.gettimeofday () > d ->
-      raise (Timeout { branches = !branches; deadline_s = d })
-    | _ -> ());
-    match source () with
-    | None -> continue_ := false
-    | Some r ->
-      if !branches >= max_branches || !instructions + Btrace.insns r > max_insns then
-        continue_ := false
-      else begin
-        instructions := !instructions + Btrace.insns r;
-        incr branches;
-        let kind = r.Btrace.b_kind in
-        let is_cond = Types.equal_branch_kind kind Types.Cond in
-        if is_cond then incr cond_branches;
-        let tok = Pipeline.predict pl ~pc:r.Btrace.b_pc ~max_len:1 in
-        let stages = Pipeline.stages pl tok in
-        let final = (stages.(Array.length stages - 1)).(0) in
-        let taken_pred =
-          match final.Types.o_taken with
-          | Some t -> t
-          | None -> Types.is_unconditional kind
-        in
-        let target_pred = Option.value final.Types.o_target ~default:(-1) in
-        let known_target = r.Btrace.b_target >= 0 in
-        let wrong =
-          taken_pred <> r.Btrace.b_taken
-          || (r.Btrace.b_taken
-             && Types.is_unconditional kind
-             && (not (Types.equal_branch_kind kind Types.Ret))
-             && known_target
-             && target_pred <> r.Btrace.b_target)
-        in
-        if wrong then begin
-          incr mispredicts;
-          if is_cond then incr cond_mispredicts
-        end;
-        (match observe with Some f -> f r ~taken_pred ~wrong | None -> ());
-        let target = if known_target then r.Btrace.b_target else 0 in
-        slots.(0) <-
-          Types.resolved_branch ~kind ~taken:taken_pred
-            ~target:(if taken_pred then target else 0);
-        let seq = Pipeline.fire pl tok ~slots ~packet_len:1 in
-        let actual = Types.resolved_branch ~kind ~taken:r.Btrace.b_taken ~target in
-        if wrong then Pipeline.mispredict pl ~seq ~slot:0 actual
-        else Pipeline.resolve pl ~seq ~slot:0 actual;
-        (* immediate commit: predictor-only replay has no backend to wait on *)
-        Pipeline.commit pl;
-        match progress with
-        | Some f when !branches mod progress_every = 0 ->
-          f ~branches:!branches ~insns:!instructions
-        | _ -> ()
-      end
-  done;
-  {
-    design;
-    trace;
-    instructions = !instructions;
-    branches = !branches;
-    cond_branches = !cond_branches;
-    mispredicts = !mispredicts;
-    cond_mispredicts = !cond_mispredicts;
-    elapsed_s = Unix.gettimeofday () -. t0;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Compiled engine: the same loop over the staged-compilation product of
-   the design. [Engine.step] is the whole per-branch transaction (fused
-   predict/fire/resolve/commit), so the loop body reduces to counter
-   bookkeeping; the compiled_twin conformance checks certify that every
-   per-branch decision and every state bit matches [run] above. *)
-
 module Engine = Cobra_compile.Engine
 
 type engine_kind = [ `Interpreted | `Compiled ]
@@ -155,9 +65,98 @@ let engine_of_string = function
 let compiled (d : Cobra_eval.Designs.t) =
   Engine.create d.Cobra_eval.Designs.pipeline_config (d.Cobra_eval.Designs.make ())
 
-let run_compiled ?(max_branches = max_int) ?(max_insns = max_int) ?deadline ?observe
-    ?progress ?(progress_every = 262_144) ~design ~trace eng source =
-  if progress_every < 1 then invalid_arg "Replay.run_compiled: progress_every < 1";
+(* ------------------------------------------------------------------ *)
+(* One replay simulator, either engine. The interpreted [step] is the only
+   written-out copy of the replay protocol's per-branch transaction;
+   [Engine.step] is its fused compiled form, and the compiled_twin
+   conformance checks certify that every per-branch decision, metadata word
+   and state bit of the two agree. *)
+
+module Sim = struct
+  type interpreted = {
+    pl : Pipeline.t;
+    slots : Types.resolved array;
+    mutable metas : Cobra_util.Bits.t array;
+    mutable taken_pred : bool;
+  }
+
+  type t = Interpreted of interpreted | Compiled of Engine.t
+
+  let of_pipeline pl =
+    Interpreted
+      {
+        pl;
+        slots = Array.make (Pipeline.config pl).Pipeline.fetch_width Types.no_branch;
+        metas = [||];
+        taken_pred = false;
+      }
+
+  let of_engine eng = Compiled eng
+
+  let create (engine : engine_kind) d =
+    match engine with
+    | `Interpreted -> of_pipeline (Cobra_eval.Designs.pipeline d)
+    | `Compiled -> of_engine (compiled d)
+
+  let step_interpreted s (r : Btrace.record) =
+    let pl = s.pl and kind = r.Btrace.b_kind in
+    let tok = Pipeline.predict pl ~pc:r.Btrace.b_pc ~max_len:1 in
+    let stages = Pipeline.stages pl tok in
+    let final = (stages.(Array.length stages - 1)).(0) in
+    let taken_pred =
+      match final.Types.o_taken with
+      | Some t -> t
+      | None -> Types.is_unconditional kind
+    in
+    let target_pred = Option.value final.Types.o_target ~default:(-1) in
+    let known_target = r.Btrace.b_target >= 0 in
+    let wrong =
+      taken_pred <> r.Btrace.b_taken
+      || (r.Btrace.b_taken
+         && Types.is_unconditional kind
+         && (not (Types.equal_branch_kind kind Types.Ret))
+         && known_target
+         && target_pred <> r.Btrace.b_target)
+    in
+    let target = if known_target then r.Btrace.b_target else 0 in
+    s.slots.(0) <-
+      Types.resolved_branch ~kind ~taken:taken_pred ~target:(if taken_pred then target else 0);
+    let seq = Pipeline.fire pl tok ~slots:s.slots ~packet_len:1 in
+    s.metas <- (Pipeline.entry pl seq).History_file.e_metas;
+    let actual = Types.resolved_branch ~kind ~taken:r.Btrace.b_taken ~target in
+    if wrong then Pipeline.mispredict pl ~seq ~slot:0 actual
+    else Pipeline.resolve pl ~seq ~slot:0 actual;
+    (* immediate commit: predictor-only replay has no backend to wait on *)
+    Pipeline.commit pl;
+    s.taken_pred <- taken_pred;
+    wrong
+
+  let step t r =
+    match t with
+    | Interpreted s -> step_interpreted s r
+    | Compiled eng ->
+      Engine.step eng ~pc:r.Btrace.b_pc ~kind:r.Btrace.b_kind ~taken:r.Btrace.b_taken
+        ~target:r.Btrace.b_target
+
+  let last_taken_pred = function
+    | Interpreted s -> s.taken_pred
+    | Compiled eng -> Engine.last_taken_pred eng
+
+  let metas = function Interpreted s -> s.metas | Compiled eng -> Engine.metas eng
+
+  let snapshot = function
+    | Interpreted s -> Pipeline.snapshot s.pl
+    | Compiled eng -> Engine.snapshot eng
+
+  let restore t slab =
+    match t with
+    | Interpreted s -> Pipeline.restore s.pl slab
+    | Compiled eng -> Engine.restore eng slab
+end
+
+let drive ?(max_branches = max_int) ?(max_insns = max_int) ?deadline ?observe ?progress
+    ?(progress_every = 262_144) ~design ~trace sim source =
+  if progress_every < 1 then invalid_arg "Replay.drive: progress_every < 1";
   let instructions = ref 0 in
   let branches = ref 0 in
   let cond_branches = ref 0 in
@@ -166,37 +165,36 @@ let run_compiled ?(max_branches = max_int) ?(max_insns = max_int) ?deadline ?obs
   let t0 = Unix.gettimeofday () in
   let continue_ = ref true in
   while !continue_ do
+    (* amortized deadline check: a poisoned or huge trace cannot wedge a
+       serving domain past its budget *)
     (match deadline with
     | Some d when !branches land 2047 = 0 && Unix.gettimeofday () > d ->
       raise (Timeout { branches = !branches; deadline_s = d })
     | _ -> ());
-    match source () with
-    | None -> continue_ := false
-    | Some r ->
-      if !branches >= max_branches || !instructions + Btrace.insns r > max_insns then
-        continue_ := false
-      else begin
+    (* the branch cap is checked before reading, so a capped replay leaves
+       the source on the boundary record *)
+    if !branches >= max_branches then continue_ := false
+    else
+      match source () with
+      | None -> continue_ := false
+      | Some r when !instructions + Btrace.insns r > max_insns -> continue_ := false
+      | Some r ->
         instructions := !instructions + Btrace.insns r;
         incr branches;
-        let kind = r.Btrace.b_kind in
-        let is_cond = Types.equal_branch_kind kind Types.Cond in
+        let is_cond = Types.equal_branch_kind r.Btrace.b_kind Types.Cond in
         if is_cond then incr cond_branches;
-        let wrong =
-          Engine.step eng ~pc:r.Btrace.b_pc ~kind ~taken:r.Btrace.b_taken
-            ~target:r.Btrace.b_target
-        in
+        let wrong = Sim.step sim r in
         if wrong then begin
           incr mispredicts;
           if is_cond then incr cond_mispredicts
         end;
         (match observe with
-        | Some f -> f r ~taken_pred:(Engine.last_taken_pred eng) ~wrong
+        | Some f -> f r ~taken_pred:(Sim.last_taken_pred sim) ~wrong
         | None -> ());
         match progress with
         | Some f when !branches mod progress_every = 0 ->
           f ~branches:!branches ~insns:!instructions
         | _ -> ()
-      end
   done;
   {
     design;
@@ -209,11 +207,21 @@ let run_compiled ?(max_branches = max_int) ?(max_insns = max_int) ?deadline ?obs
     elapsed_s = Unix.gettimeofday () -. t0;
   }
 
+let run ?max_branches ?max_insns ?deadline ?observe ?progress ?progress_every ~design ~trace
+    pl =
+  drive ?max_branches ?max_insns ?deadline ?observe ?progress ?progress_every ~design ~trace
+    (Sim.of_pipeline pl)
+
+let run_compiled ?max_branches ?max_insns ?deadline ?observe ?progress ?progress_every
+    ~design ~trace eng =
+  drive ?max_branches ?max_insns ?deadline ?observe ?progress ?progress_every ~design ~trace
+    (Sim.of_engine eng)
+
 (* ------------------------------------------------------------------ *)
-(* Warmup checkpoints and time-sliced parallel replay, built on the flat
-   whole-design snapshots: a quiesced pipeline (which a replay loop is
-   between any two records — every branch commits immediately) checkpoints
-   into one slab, and the reader's byte offset pins the stream position. *)
+(* Warmup checkpoints, built on the flat whole-design snapshots: a replay
+   loop is quiesced between any two records (every branch commits
+   immediately), so the design checkpoints into one slab, and the reader's
+   byte offset pins the stream position. *)
 
 type checkpoint = {
   ck_slab : Cobra_util.Slab.t;
@@ -222,56 +230,28 @@ type checkpoint = {
   ck_insns : int;
 }
 
-(* A source that consumes {e exactly} [branches] records from the reader.
-   [run ~max_branches] is not suitable for checkpointing: it reads one
-   record past the cap and drops it, so the reader would no longer sit on
-   the boundary. *)
-let capped_source rd ~branches =
-  let taken = ref 0 in
-  fun () ->
-    if !taken >= branches then None
-    else
-      match Reader.next rd with
-      | None -> None
-      | Some r ->
-        incr taken;
-        Some r
-
-let checkpoint pl rd ~branches ~insns =
+let checkpoint sim rd ~branches ~insns =
   {
-    ck_slab = Pipeline.snapshot pl;
+    ck_slab = Sim.snapshot sim;
     ck_offset = Reader.offset rd;
     ck_branches = branches;
     ck_insns = insns;
   }
 
-let warmup ?deadline ~branches ~design ~trace pl rd =
-  let res = run ?deadline ~design ~trace pl (capped_source rd ~branches) in
-  (checkpoint pl rd ~branches:res.branches ~insns:res.instructions, res)
+let warmup ?deadline ~branches ~design ~trace sim rd =
+  let res =
+    drive ?deadline ~max_branches:branches ~design ~trace sim (fun () -> Reader.next rd)
+  in
+  (checkpoint sim rd ~branches:res.branches ~insns:res.instructions, res)
 
-let restore pl rd ck =
-  Pipeline.restore pl ck.ck_slab;
+let restore sim rd ck =
+  Sim.restore sim ck.ck_slab;
   Reader.seek rd ck.ck_offset
-
-(* Compiled-engine checkpointing: the engine snapshots in the exact
-   [Pipeline.snapshot] layout, so checkpoints interchange freely between
-   the two engines of one design. *)
-
-let checkpoint_compiled eng rd ~branches ~insns =
-  {
-    ck_slab = Engine.snapshot eng;
-    ck_offset = Reader.offset rd;
-    ck_branches = branches;
-    ck_insns = insns;
-  }
 
 let warmup_compiled ?deadline ~branches ~design ~trace eng rd =
-  let res = run_compiled ?deadline ~design ~trace eng (capped_source rd ~branches) in
-  (checkpoint_compiled eng rd ~branches:res.branches ~insns:res.instructions, res)
+  warmup ?deadline ~branches ~design ~trace (Sim.of_engine eng) rd
 
-let restore_compiled eng rd ck =
-  Engine.restore eng ck.ck_slab;
-  Reader.seek rd ck.ck_offset
+let restore_compiled eng rd ck = restore (Sim.of_engine eng) rd ck
 
 let counters_equal a b =
   a.instructions = b.instructions
@@ -280,143 +260,12 @@ let counters_equal a b =
   && a.mispredicts = b.mispredicts
   && a.cond_mispredicts = b.cond_mispredicts
 
-let sum_counters ~design ~trace ~elapsed_s rs =
-  List.fold_left
-    (fun acc r ->
-      {
-        acc with
-        instructions = acc.instructions + r.instructions;
-        branches = acc.branches + r.branches;
-        cond_branches = acc.cond_branches + r.cond_branches;
-        mispredicts = acc.mispredicts + r.mispredicts;
-        cond_mispredicts = acc.cond_mispredicts + r.cond_mispredicts;
-      })
-    {
-      design;
-      trace;
-      instructions = 0;
-      branches = 0;
-      cond_branches = 0;
-      mispredicts = 0;
-      cond_mispredicts = 0;
-      elapsed_s;
-    }
-    rs
-
-type sliced = {
-  sl_total : result;
-  sl_slices : result list;
-  sl_serial : result list;
-  sl_boundary_s : float;
-  sl_parallel_s : float;
-}
-
-(* One replay simulator, either engine, behind a uniform driver so the
-   sliced scaffolding (and serve's windowed sweeps) is written once. *)
-type sim = {
-  sim_run : source -> result;
-  sim_checkpoint : Reader.t -> branches:int -> insns:int -> checkpoint;
-  sim_restore : Reader.t -> checkpoint -> unit;
-}
-
-let make_sim ?deadline (engine : engine_kind) (d : Cobra_eval.Designs.t) ~trace =
-  let design = d.Cobra_eval.Designs.name in
-  match engine with
-  | `Interpreted ->
-    let pl = Cobra_eval.Designs.pipeline d in
-    {
-      sim_run = (fun src -> run ?deadline ~design ~trace pl src);
-      sim_checkpoint = (fun rd ~branches ~insns -> checkpoint pl rd ~branches ~insns);
-      sim_restore = (fun rd ck -> restore pl rd ck);
-    }
-  | `Compiled ->
-    let eng = compiled d in
-    {
-      sim_run = (fun src -> run_compiled ?deadline ~design ~trace eng src);
-      sim_checkpoint =
-        (fun rd ~branches ~insns -> checkpoint_compiled eng rd ~branches ~insns);
-      sim_restore = (fun rd ck -> restore_compiled eng rd ck);
-    }
-
-let run_sliced ?buffer_size ?jobs ?(slice_branches = 262_144) ?(engine = `Interpreted)
+let run_design ?max_branches ?max_insns ?deadline ?buffer_size ?(engine = `Interpreted)
     (d : Cobra_eval.Designs.t) ~path =
-  if slice_branches < 1 then invalid_arg "Replay.run_sliced: slice_branches < 1";
-  let name = d.Cobra_eval.Designs.name in
-  (* Pass 1 (serial): replay slice by slice, snapshotting each boundary as
-     it is crossed. *)
-  let t0 = Unix.gettimeofday () in
-  let boundaries = ref [] and serial = ref [] in
-  let sim = make_sim engine d ~trace:path in
+  let sim = Sim.create engine d in
   Reader.with_file ?buffer_size path (fun rd ->
-      let cum_branches = ref 0 and cum_insns = ref 0 in
-      let continue_ = ref true in
-      while !continue_ do
-        let ck = sim.sim_checkpoint rd ~branches:!cum_branches ~insns:!cum_insns in
-        let r = sim.sim_run (capped_source rd ~branches:slice_branches) in
-        if r.branches = 0 then continue_ := false
-        else begin
-          boundaries := ck :: !boundaries;
-          serial := r :: !serial;
-          cum_branches := !cum_branches + r.branches;
-          cum_insns := !cum_insns + r.instructions;
-          if r.branches < slice_branches then continue_ := false
-        end
-      done);
-  let boundaries = List.rev !boundaries and serial = List.rev !serial in
-  let boundary_s = Unix.gettimeofday () -. t0 in
-  (* Pass 2 (parallel): each slice in its own domain with a fresh simulator
-     and reader; predictor state is handed off via the boundary snapshot. *)
-  let t1 = Unix.gettimeofday () in
-  let outcomes =
-    Cobra_runner.Pool.map ?jobs
-      (List.map
-         (fun ck () ->
-           let sim = make_sim engine d ~trace:path in
-           Reader.with_file ?buffer_size path (fun rd ->
-               sim.sim_restore rd ck;
-               sim.sim_run (capped_source rd ~branches:slice_branches)))
-         boundaries)
-  in
-  let slices =
-    List.mapi
-      (fun i -> function
-        | Ok r -> r
-        | Error (e : Cobra_runner.Pool.error) ->
-          failwith (Printf.sprintf "Replay.run_sliced: slice %d failed: %s" i e.message))
-      outcomes
-  in
-  let parallel_s = Unix.gettimeofday () -. t1 in
-  List.iteri
-    (fun i (par, ser) ->
-      if not (counters_equal par ser) then
-        failwith
-          (Printf.sprintf
-             "Replay.run_sliced: slice %d diverged from the serial pass (parallel %d/%d \
-              mispredicts/branches vs serial %d/%d)"
-             i par.mispredicts par.branches ser.mispredicts ser.branches))
-    (List.combine slices serial);
-  {
-    sl_total = sum_counters ~design:name ~trace:path ~elapsed_s:parallel_s slices;
-    sl_slices = slices;
-    sl_serial = serial;
-    sl_boundary_s = boundary_s;
-    sl_parallel_s = parallel_s;
-  }
-
-let run_design ?max_branches ?max_insns ?deadline ?buffer_size
-    ?(engine = `Interpreted) (d : Cobra_eval.Designs.t) ~path =
-  let name = d.Cobra_eval.Designs.name in
-  match engine with
-  | `Interpreted ->
-    let pl = Cobra_eval.Designs.pipeline d in
-    Reader.with_file ?buffer_size path (fun rd ->
-        run ?max_branches ?max_insns ?deadline ~design:name ~trace:path pl (fun () ->
-            Reader.next rd))
-  | `Compiled ->
-    let eng = compiled d in
-    Reader.with_file ?buffer_size path (fun rd ->
-        run_compiled ?max_branches ?max_insns ?deadline ~design:name ~trace:path eng
-          (fun () -> Reader.next rd))
+      drive ?max_branches ?max_insns ?deadline ~design:d.Cobra_eval.Designs.name ~trace:path
+        sim (fun () -> Reader.next rd))
 
 let run_design_with_stats ?max_branches ?max_insns ?deadline ?buffer_size ?(top = 20)
     (d : Cobra_eval.Designs.t) ~path =
@@ -432,8 +281,9 @@ let run_design_with_stats ?max_branches ?max_insns ?deadline ?buffer_size ?(top 
   in
   let res =
     Reader.with_file ?buffer_size path (fun rd ->
-        run ?max_branches ?max_insns ?deadline ~observe
-          ~design:d.Cobra_eval.Designs.name ~trace:path pl (fun () -> Reader.next rd))
+        drive ?max_branches ?max_insns ?deadline ~observe
+          ~design:d.Cobra_eval.Designs.name ~trace:path (Sim.of_pipeline pl) (fun () ->
+            Reader.next rd))
   in
   Cobra_stats.Collector.flush coll ~insns:res.instructions ~cycles:0
     ~mispredicts:res.mispredicts;

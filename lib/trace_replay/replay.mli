@@ -1,18 +1,20 @@
 (** Predictor-only trace replay — the fast path of the trace frontend.
 
-    Drives a composed {!Cobra.Pipeline} (any [Topology.spec]) through the
+    Drives a composed design (any [Topology.spec]) through the
     predict/fire/resolve/commit contract one retired branch at a time,
     without instantiating the uarch core model: no scoreboard, no wrong-path
     fetch, no cycle accounting. This is the standard ChampSim/CBP
-    predict/update replay idiom, and it follows {e exactly} the protocol of
-    [Cobra_eval.Software_model] (and of the conformance kit's twin driver),
-    so for a trace exported from a workload the mispredict counters — and
-    hence MPKI — are bit-identical to driving the full pipeline composer
-    over the original stream, while running an order of magnitude faster
-    than the uarch model (pinned in BENCH_PR6.json).
+    predict/update replay idiom: one {!Sim.step} per branch behind one
+    simulator interface, and one loop, {!drive}, around it. The software
+    model ({!Software_model}) and the conformance kit call this driver and
+    its simulator rather than mirroring them, so for a trace exported from
+    a workload the mispredict counters — and hence MPKI — are bit-identical
+    to driving the full pipeline composer over the original stream, while
+    running an order of magnitude faster than the uarch model (pinned in
+    BENCH_PR6.json).
 
-    The hot loop allocates O(1) state up front (one reusable slot vector)
-    and streams records from the source, so a multi-million-branch trace
+    The loop allocates O(1) state up front (one reusable slot vector) and
+    streams records from the source, so a multi-million-branch trace
     replays in constant memory. *)
 
 type source = unit -> Btrace.record option
@@ -30,7 +32,7 @@ type result = {
 }
 
 exception Timeout of { branches : int; deadline_s : float }
-(** Raised from {!run} when a [deadline] passes mid-replay — the per-request
+(** Raised from {!drive} when a [deadline] passes mid-replay — the per-request
     isolation mechanism of [cobra serve]. *)
 
 val mpki : result -> float
@@ -48,33 +50,14 @@ val to_perf : result -> Cobra_uarch.Perf.t
 val summary : result -> string
 (** One human-readable line. *)
 
-val run :
-  ?max_branches:int ->
-  ?max_insns:int ->
-  ?deadline:float ->
-  ?observe:(Btrace.record -> taken_pred:bool -> wrong:bool -> unit) ->
-  ?progress:(branches:int -> insns:int -> unit) ->
-  ?progress_every:int ->
-  design:string ->
-  trace:string ->
-  Cobra.Pipeline.t ->
-  source ->
-  result
-(** Replay [source] through the pipeline. [deadline] is an absolute
-    [Unix.gettimeofday] time checked every 2048 branches; [observe] fires
-    per branch with the final-stage direction decision before state update
-    (the conformance lockstep hook); [progress] fires every
-    [progress_every] branches (default 262144). [design]/[trace] are labels
-    carried into the result. *)
-
-(** {1 Compiled engine}
+(** {1 Simulators}
 
     The staged topology compiler ([Cobra_compile]) specializes a design
-    into a fused per-branch kernel; [run_compiled] is {!run} over that
-    engine. Counters, per-branch decisions and snapshot slabs are
-    bit-identical to the interpreted loop — certified by the
-    [compiled_twin] conformance checks — so every caller may pick the
-    engine freely per [engine_kind]. *)
+    into a fused per-branch kernel. Counters, per-branch decisions,
+    metadata and snapshot slabs of the compiled engine are bit-identical to
+    the interpreted pipeline's — certified by the [compiled_twin]
+    conformance checks — so every caller may pick the engine freely per
+    [engine_kind]. *)
 
 type engine_kind = [ `Interpreted | `Compiled ]
 
@@ -84,9 +67,48 @@ val engine_of_string : string -> engine_kind
 
 val compiled : Cobra_eval.Designs.t -> Cobra_compile.Engine.t
 (** Compile a fresh engine for the design (topology elaborated anew, like
-    {!run_design} elaborates a fresh pipeline). *)
+    {!Cobra_eval.Designs.pipeline} elaborates a fresh pipeline). *)
 
-val run_compiled :
+(** One replay simulator: an interpreted {!Cobra.Pipeline} or a compiled
+    {!Cobra_compile.Engine}. *)
+module Sim : sig
+  type t
+
+  val of_pipeline : Cobra.Pipeline.t -> t
+  (** The interpreted simulator over a pipeline the caller may also
+      observe (e.g. with a [Cobra_stats.Collector]). *)
+
+  val of_engine : Cobra_compile.Engine.t -> t
+
+  val create : engine_kind -> Cobra_eval.Designs.t -> t
+  (** A fresh simulator of the design on the chosen engine. *)
+
+  val step : t -> Btrace.record -> bool
+  (** The replay protocol's per-record transaction: predict the branch
+      (one branch per packet, final-stage decision), fire, resolve or
+      mispredict against the recorded outcome, then commit at once.
+      Returns whether the prediction was wrong: the wrong direction, or a
+      wrong target on a taken non-return unconditional whose target the
+      trace knows. *)
+
+  val last_taken_pred : t -> bool
+  (** Predicted direction of the most recent {!step}. *)
+
+  val metas : t -> Cobra_util.Bits.t array
+  (** Metadata words of the most recent {!step}, indexed by component id.
+      Valid until the next {!step}. *)
+
+  val snapshot : t -> Cobra_util.Slab.t
+  (** Whole-design snapshot in the [Pipeline.snapshot] layout, which both
+      engines share: slabs interchange between the engines of one design.
+      Raises [Invalid_argument] on an interpreted pipeline that is not
+      quiesced. *)
+
+  val restore : t -> Cobra_util.Slab.t -> unit
+  (** Raises [Invalid_argument] on a cell-count mismatch. *)
+end
+
+val drive :
   ?max_branches:int ->
   ?max_insns:int ->
   ?deadline:float ->
@@ -95,11 +117,19 @@ val run_compiled :
   ?progress_every:int ->
   design:string ->
   trace:string ->
-  Cobra_compile.Engine.t ->
+  Sim.t ->
   source ->
   result
-(** {!run} over a compiled engine — same caps, deadline, observer and
-    progress contract. *)
+(** Replay [source] through the simulator, one {!Sim.step} per record.
+    [max_branches] is checked before a record is read, so a capped replay
+    leaves the source exactly on the boundary record. [max_insns] stops
+    before the first record that would overflow it, which means it has to
+    read that record: checkpoints cap on branches, not instructions.
+    [deadline] is an absolute [Unix.gettimeofday] time checked every 2048
+    branches; [observe] fires per branch after its step, with the
+    final-stage direction decision and whether it was wrong; [progress]
+    fires every [progress_every] branches (default 262144). [design] and
+    [trace] are labels carried into the result. *)
 
 (** {1 Checkpoints}
 
@@ -107,88 +137,38 @@ val run_compiled :
     resolves and commits immediately), so the whole design checkpoints into
     one flat slab at any record boundary; together with the reader's byte
     offset that is enough to resume the replay mid-trace on any identically
-    configured pipeline — the warm-state reuse behind [cobra serve] sweeps
-    and {!run_sliced}. *)
+    configured simulator of either engine — the warm-state reuse behind
+    [cobra serve] sweeps. *)
 
 type checkpoint = {
-  ck_slab : Cobra_util.Slab.t;  (** {!Cobra.Pipeline.snapshot} of the design *)
+  ck_slab : Cobra_util.Slab.t;  (** {!Sim.snapshot} of the design *)
   ck_offset : int;  (** {!Reader.offset} at the boundary *)
   ck_branches : int;  (** branches replayed up to the boundary *)
   ck_insns : int;  (** instructions represented up to the boundary *)
 }
 
-val checkpoint :
-  Cobra.Pipeline.t -> Reader.t -> branches:int -> insns:int -> checkpoint
-(** Capture the current pipeline state and stream position.
-    [branches]/[insns] are carried as labels. Raises [Invalid_argument]
-    when the pipeline is not quiesced. *)
+val checkpoint : Sim.t -> Reader.t -> branches:int -> insns:int -> checkpoint
+(** Capture the current simulator state and stream position.
+    [branches]/[insns] are carried as labels. *)
 
 val warmup :
   ?deadline:float ->
   branches:int ->
   design:string ->
   trace:string ->
-  Cobra.Pipeline.t ->
+  Sim.t ->
   Reader.t ->
   checkpoint * result
 (** Replay exactly [branches] records (fewer at end of trace) and
-    checkpoint the boundary. Unlike [run ~max_branches], no record past
-    the cap is consumed, so the checkpoint resumes exactly where the
-    warmup stopped. *)
+    checkpoint the boundary. *)
 
-val restore : Cobra.Pipeline.t -> Reader.t -> checkpoint -> unit
-(** Overwrite the pipeline state from the checkpoint's slab (one memcpy
+val restore : Sim.t -> Reader.t -> checkpoint -> unit
+(** Overwrite the simulator state from the checkpoint's slab (one memcpy
     per region) and seek the reader back to the boundary. *)
-
-val checkpoint_compiled :
-  Cobra_compile.Engine.t -> Reader.t -> branches:int -> insns:int -> checkpoint
-(** {!checkpoint} for a compiled engine. The slab layout is identical to
-    the interpreted pipeline's, so checkpoints taken by either engine
-    restore into either engine of the same design. *)
-
-val warmup_compiled :
-  ?deadline:float ->
-  branches:int ->
-  design:string ->
-  trace:string ->
-  Cobra_compile.Engine.t ->
-  Reader.t ->
-  checkpoint * result
-(** {!warmup} for a compiled engine. *)
-
-val restore_compiled : Cobra_compile.Engine.t -> Reader.t -> checkpoint -> unit
-(** {!restore} for a compiled engine. *)
 
 val counters_equal : result -> result -> bool
 (** All five counters equal (wall-clock ignored) — the bit-identity
     predicate used by the snapshot verification paths. *)
-
-(** {1 Time-sliced parallel replay} *)
-
-type sliced = {
-  sl_total : result;  (** summed counters; [elapsed_s] = parallel wall-clock *)
-  sl_slices : result list;  (** per-slice results from the parallel pass *)
-  sl_serial : result list;  (** per-slice results from the boundary pass *)
-  sl_boundary_s : float;  (** wall-clock of the serial boundary pass *)
-  sl_parallel_s : float;  (** wall-clock of the parallel pass *)
-}
-
-val run_sliced :
-  ?buffer_size:int ->
-  ?jobs:int ->
-  ?slice_branches:int ->
-  ?engine:engine_kind ->
-  Cobra_eval.Designs.t ->
-  path:string ->
-  sliced
-(** Split one long trace into [slice_branches]-sized slices (default
-    262144): a serial boundary pass replays the trace once, snapshotting
-    the design at every slice boundary, then the parallel pass re-replays
-    every slice concurrently across {!Cobra_runner.Pool} domains, each
-    from its boundary snapshot on a fresh simulator and reader. [engine]
-    (default [`Interpreted]) selects the simulator for both passes. Raises
-    [Failure] if any parallel slice's counters diverge from the serial
-    pass — the handoff is certified bit-identical on every run. *)
 
 val run_design :
   ?max_branches:int ->
@@ -212,7 +192,54 @@ val run_design_with_stats :
   Cobra_eval.Designs.t ->
   path:string ->
   result * Cobra_stats.Report.t
-(** Like {!run_design} with a [Cobra_stats.Collector] attached: the report
-    carries per-component mispredict attribution, arbitration tallies,
-    hard-branch tables and the interval MPKI series (interval cycle counts
-    are zero — replay has no timing model). *)
+(** Like {!run_design} with a [Cobra_stats.Collector] attached to an
+    interpreted pipeline: the report carries per-component mispredict
+    attribution, arbitration tallies, hard-branch tables and the interval
+    MPKI series (interval cycle counts are zero — replay has no timing
+    model). *)
+
+(** {1 Kept for the benchmark}
+
+    The benchmark under [perfbench/] calls these names; each is {!drive},
+    {!warmup} or {!restore} on the matching simulator. *)
+
+val run :
+  ?max_branches:int ->
+  ?max_insns:int ->
+  ?deadline:float ->
+  ?observe:(Btrace.record -> taken_pred:bool -> wrong:bool -> unit) ->
+  ?progress:(branches:int -> insns:int -> unit) ->
+  ?progress_every:int ->
+  design:string ->
+  trace:string ->
+  Cobra.Pipeline.t ->
+  source ->
+  result
+(** {!drive} on [Sim.of_pipeline]. *)
+
+val run_compiled :
+  ?max_branches:int ->
+  ?max_insns:int ->
+  ?deadline:float ->
+  ?observe:(Btrace.record -> taken_pred:bool -> wrong:bool -> unit) ->
+  ?progress:(branches:int -> insns:int -> unit) ->
+  ?progress_every:int ->
+  design:string ->
+  trace:string ->
+  Cobra_compile.Engine.t ->
+  source ->
+  result
+(** {!drive} on [Sim.of_engine]. *)
+
+val warmup_compiled :
+  ?deadline:float ->
+  branches:int ->
+  design:string ->
+  trace:string ->
+  Cobra_compile.Engine.t ->
+  Reader.t ->
+  checkpoint * result
+(** {!warmup} on [Sim.of_engine]. *)
+
+val restore_compiled : Cobra_compile.Engine.t -> Reader.t -> checkpoint -> unit
+(** {!restore} on [Sim.of_engine]. *)

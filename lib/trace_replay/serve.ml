@@ -305,50 +305,36 @@ let windowed_replay cfg ?(use_cache = true) ?(engine = `Compiled)
   | None ->
     let wk = warm_key d ~trace_digest ~warmup_branches:wopts.warmup_branches in
     Reader.with_file trace (fun rd ->
-        let sim_warmup, sim_restore =
-          match (engine : Replay.engine_kind) with
-          | `Interpreted ->
-            let pl = Cobra_eval.Designs.pipeline d in
-            ( (fun ~branches rd ->
-                Replay.warmup ?deadline ~branches ~design:name ~trace pl rd),
-              fun rd ck -> Replay.restore pl rd ck )
-          | `Compiled ->
-            let eng = Replay.compiled d in
-            ( (fun ~branches rd ->
-                Replay.warmup_compiled ?deadline ~branches ~design:name ~trace eng rd),
-              fun rd ck -> Replay.restore_compiled eng rd ck )
-        in
+        let sim = Replay.Sim.create engine d in
         let warm_cached =
           match warm_find wk with
           | Some ck ->
-            sim_restore rd ck;
+            Replay.restore sim rd ck;
             true
           | None ->
-            let ck, _warm_res = sim_warmup ~branches:wopts.warmup_branches rd in
+            let ck, _warm_res =
+              Replay.warmup ?deadline ~branches:wopts.warmup_branches ~design:name ~trace
+                sim rd
+            in
             warm_store wk ck;
             false
         in
-        let results = ref [] in
-        for _w = 1 to wopts.windows do
-          let _next_ck, r = sim_warmup ~branches:wopts.window_branches rd in
-          results := r :: !results
-        done;
-        let results = List.rev !results in
+        let replay ~branches sim rd =
+          Replay.drive ?deadline ~max_branches:branches ~design:name ~trace sim (fun () ->
+              Reader.next rd)
+        in
+        let results =
+          List.init wopts.windows (fun _ -> replay ~branches:wopts.window_branches sim rd)
+        in
         if wopts.verify then begin
           (* the non-snapshot oracle: a fresh pipeline replays warmup plus
              every window from the top of the trace *)
           Reader.with_file trace (fun rd2 ->
-              let pl2 = Cobra_eval.Designs.pipeline d in
-              let _ck, _warm =
-                Replay.warmup ?deadline ~branches:wopts.warmup_branches ~design:name
-                  ~trace pl2 rd2
-              in
+              let sim2 = Replay.Sim.create `Interpreted d in
+              let _warm = replay ~branches:wopts.warmup_branches sim2 rd2 in
               List.iteri
                 (fun w (snap : Replay.result) ->
-                  let _ck, fresh =
-                    Replay.warmup ?deadline ~branches:wopts.window_branches
-                      ~design:name ~trace pl2 rd2
-                  in
+                  let fresh = replay ~branches:wopts.window_branches sim2 rd2 in
                   if not (Replay.counters_equal snap fresh) then
                     failwith
                       (Printf.sprintf

@@ -6,34 +6,26 @@
     with the final (deepest-stage) prediction always available, updates
     applied immediately at the next event, no speculative execution, no
     wrong-path fetch, no in-flight history corruption, no pipeline-latency
-    effects and no repair traffic.
+    effects and no repair traffic. That regime is exactly trace replay, so
+    the model is a source adapter: it turns a workload's instruction stream
+    into branch records and feeds them to {!Replay.drive} on an interpreted
+    pipeline.
 
     Comparing its accuracy estimates with the hardware-guided core model's
     measurements reproduces the paper's motivating observation: software
     simulation systematically mis-estimates predictor behaviour, and the
     error differs per design, so it can even mis-rank candidates. *)
 
-type result = {
-  design : string;
-  workload : string;
-  branches : int;
-  mispredicts : int;
-}
-
-val accuracy : result -> float
-val mpki_proxy : result -> instructions:int -> float
-
 val run :
   ?insns:int ->
-  ?observe:(Cobra_isa.Trace.event -> taken_pred:bool -> unit) ->
-  Designs.t ->
+  ?observe:(Btrace.record -> taken_pred:bool -> wrong:bool -> unit) ->
+  Cobra_eval.Designs.t ->
   Cobra_workloads.Suite.entry ->
-  result
-(** Simulate [insns] instructions' worth of trace through the design's
-    composed pipeline, trace-based-style. [observe] fires per branch event
-    with the model's direction prediction before any update — the hook
-    differential tests use to compare this model prediction-for-prediction
-    against an independent reference. *)
+  Replay.result
+(** Simulate [insns] instructions' worth of the workload's stream (default
+    [Experiment.default_insns ()]) through the design's composed pipeline,
+    trace-based-style. The result is labelled with the design and workload
+    names; [observe] is {!Replay.drive}'s per-branch hook. *)
 
 val comparison_report : ?insns:int -> unit -> string
 (** Per design x benchmark subset: software-model accuracy vs the

@@ -53,27 +53,19 @@ let export_stream ?format ?max_branches ?max_insns ~path stream =
     invalid_arg "Writer.export_stream: need max_branches and/or max_insns (streams are infinite)"
   | _ -> ());
   let branch_cap = Option.value max_branches ~default:max_int in
-  let insn_cap = Option.value max_insns ~default:max_int in
+  let records = Btrace.of_stream ?max_insns stream in
   with_file ?format path (fun t ->
-      let consumed = ref 0 in
-      let gap = ref 0 in
-      let branches = ref 0 in
-      let insns_at_last_branch = ref 0 in
+      let branches = ref 0 and insns = ref 0 in
       let continue_ = ref true in
-      while !continue_ && !branches < branch_cap && !consumed < insn_cap do
-        match stream () with
+      while !continue_ && !branches < branch_cap do
+        match records () with
         | None -> continue_ := false
-        | Some ev -> (
-          incr consumed;
-          match Btrace.of_event ~gap:!gap ev with
-          | None -> incr gap
-          | Some r ->
-            add t r;
-            gap := 0;
-            incr branches;
-            insns_at_last_branch := !consumed)
+        | Some r ->
+          add t r;
+          incr branches;
+          insns := !insns + Btrace.insns r
       done;
-      (!branches, !insns_at_last_branch))
+      (!branches, !insns))
 
 let export_workload ?format ?max_branches ?max_insns ~path
     (entry : Cobra_workloads.Suite.entry) =

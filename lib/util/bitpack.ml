@@ -65,9 +65,14 @@ module Packer = struct
     if t.pos + bits > t.width then
       invalid_arg
         (Printf.sprintf "Bitpack.Packer.add: fields overflow declared width %d" t.width);
-    let j = t.pos / limb_bits and k = t.pos mod limb_bits in
-    t.scratch.(j) <- t.scratch.(j) lor ((v lsl k) land limb_mask);
-    if k + bits > limb_bits then t.scratch.(j + 1) <- t.scratch.(j + 1) lor (v lsr (limb_bits - k));
+    (* a 0-bit field writes nothing: at pos = width = 62k its limb index
+       would be past the end of the scratch array *)
+    if bits > 0 then begin
+      let j = t.pos / limb_bits and k = t.pos mod limb_bits in
+      t.scratch.(j) <- t.scratch.(j) lor ((v lsl k) land limb_mask);
+      if k + bits > limb_bits then
+        t.scratch.(j + 1) <- t.scratch.(j + 1) lor (v lsr (limb_bits - k))
+    end;
     t.pos <- t.pos + bits
 
   let finish t =

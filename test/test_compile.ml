@@ -2,16 +2,13 @@
 
    - a seeded property over {e random} well-formed topology specs (random
      component subsets and arbitration orders, random geometry knobs,
-     including path_bits = 0 and predecode correction off): the compiled
-     engine must agree with the interpreted pipeline branch-for-branch on
-     direction and mispredict decisions and end with a bit-identical
-     snapshot slab, with shrinking and COBRA_SEED replay hints via
-     {!Prop};
+     including path_bits = 0 and predecode correction off) and over
+     streams with unknown targets: the compiled engine must agree with the
+     interpreted pipeline branch-for-branch on direction and mispredict
+     decisions and end with a bit-identical snapshot slab, with shrinking
+     and COBRA_SEED replay hints via {!Prop};
    - checkpoint interchange: slabs taken by either engine restore into the
      other and reproduce the non-snapshot oracle window bit-for-bit;
-   - [Replay.run_sliced ~engine:`Compiled]: slice boundaries handed off
-     through compiled warmup/restore, totals equal to a single interpreted
-     pass;
    - windowed [cobra serve] sweeps on the compiled engine, including
      [verify] (interpreted recomputation) and the warm-checkpoint reuse
      path;
@@ -62,6 +59,7 @@ type tcase = {
   t_shape : Fuzz.shape;
   t_len : int;
   t_sseed : int;  (** branch-stream seed, independent of the driver seed *)
+  t_no_target : bool;  (** every other record's target is [Btrace.no_target] *)
 }
 
 let show_idx = function
@@ -85,9 +83,10 @@ let rec show_node = function
     Printf.sprintf "tourney(2^%d) > [%s; %s]" e (show_node a) (show_node b)
 
 let show_tcase tc =
-  Printf.sprintf "ghist=%d lhist=%dx%d path=%d predecode=%b shape=%s len=%d sseed=%d %s"
+  Printf.sprintf
+    "ghist=%d lhist=%dx%d path=%d predecode=%b shape=%s len=%d sseed=%d no_target=%b %s"
     tc.t_ghist tc.t_lhist_bits tc.t_lhist_entries tc.t_path tc.t_predecode
-    (Fuzz.shape_name tc.t_shape) tc.t_len tc.t_sseed (show_node tc.t_topo)
+    (Fuzz.shape_name tc.t_shape) tc.t_len tc.t_sseed tc.t_no_target (show_node tc.t_topo)
 
 let gen_comp st ~ghist ~lhist_bits ~path =
   let ri n = Random.State.int st n in
@@ -138,6 +137,7 @@ let gen_tcase st =
         .(Random.State.int st 6);
     t_len = 20 + Random.State.int st 141;
     t_sseed = Random.State.int st 10_000;
+    t_no_target = Random.State.bool st;
   }
 
 (* Shrink the topology structurally (replace a node by a sub-tree), then the
@@ -154,6 +154,7 @@ let shrink_tcase tc =
   @ (if tc.t_len > 4 then [ { tc with t_len = tc.t_len / 2 }; { tc with t_len = 4 } ]
      else [])
   @ (if tc.t_predecode then [] else [ { tc with t_predecode = true } ])
+  @ (if tc.t_no_target then [ { tc with t_no_target = false } ] else [])
   @ if tc.t_path = 0 then [] else [ { tc with t_path = 0 } ]
 
 let tcase_arb = Prop.make ~shrink:shrink_tcase ~show:show_tcase gen_tcase
@@ -235,57 +236,27 @@ let config_of tc =
     predecode_history_correction = tc.t_predecode;
   }
 
-(* The conformance step driver (replay protocol, one branch per packet). *)
-let drive pl (b : Fuzz.branch) =
-  let tok = Pipeline.predict pl ~pc:b.Fuzz.br_pc ~max_len:1 in
-  let stages = Pipeline.stages pl tok in
-  let final = (stages.(Array.length stages - 1)).(0) in
-  let taken_pred =
-    match final.Types.o_taken with
-    | Some t -> t
-    | None -> Types.is_unconditional b.Fuzz.br_kind
-  in
-  let target_pred = Option.value final.Types.o_target ~default:(-1) in
-  let wrong =
-    taken_pred <> b.Fuzz.br_taken
-    || (b.Fuzz.br_taken
-       && Types.is_unconditional b.Fuzz.br_kind
-       && b.Fuzz.br_kind <> Types.Ret
-       && target_pred <> b.Fuzz.br_target)
-  in
-  let slots = Array.make width Types.no_branch in
-  slots.(0) <-
-    Types.resolved_branch ~kind:b.Fuzz.br_kind ~taken:taken_pred
-      ~target:(if taken_pred then b.Fuzz.br_target else 0);
-  let seq = Pipeline.fire pl tok ~slots ~packet_len:1 in
-  let actual =
-    Types.resolved_branch ~kind:b.Fuzz.br_kind ~taken:b.Fuzz.br_taken ~target:b.Fuzz.br_target
-  in
-  if wrong then Pipeline.mispredict pl ~seq ~slot:0 actual
-  else Pipeline.resolve pl ~seq ~slot:0 actual;
-  Pipeline.commit pl;
-  (taken_pred, wrong)
-
 let compile_equiv tc =
   let cfg = config_of tc in
-  let pl = Pipeline.create cfg (build_topo tc.t_topo) in
-  let eng = Engine.create cfg (build_topo tc.t_topo) in
+  let si = Replay.Sim.of_pipeline (Pipeline.create cfg (build_topo tc.t_topo)) in
+  let sc = Replay.Sim.of_engine (Engine.create cfg (build_topo tc.t_topo)) in
   let bs = Fuzz.branches { Fuzz.seed = tc.t_sseed; shape = tc.t_shape; length = tc.t_len } in
   List.iteri
-    (fun i (b : Fuzz.branch) ->
-      let tp_i, w_i = drive pl b in
-      let w_c =
-        Engine.step eng ~pc:b.Fuzz.br_pc ~kind:b.Fuzz.br_kind ~taken:b.Fuzz.br_taken
-          ~target:b.Fuzz.br_target
+    (fun i (r : Btrace.record) ->
+      let r =
+        if tc.t_no_target && i land 1 = 1 then { r with Btrace.b_target = Btrace.no_target }
+        else r
       in
-      let tp_c = Engine.last_taken_pred eng in
+      let w_i = Replay.Sim.step si r in
+      let w_c = Replay.Sim.step sc r in
+      let tp_i = Replay.Sim.last_taken_pred si and tp_c = Replay.Sim.last_taken_pred sc in
       if tp_i <> tp_c || w_i <> w_c then
         Alcotest.failf
-          "branch %d/%d (pc=0x%x taken=%b): interpreted taken_pred=%b wrong=%b, compiled \
-           taken_pred=%b wrong=%b"
-          i tc.t_len b.Fuzz.br_pc b.Fuzz.br_taken tp_i w_i tp_c w_c)
+          "branch %d/%d %s: interpreted taken_pred=%b wrong=%b, compiled taken_pred=%b \
+           wrong=%b"
+          i tc.t_len (Btrace.show_record r) tp_i w_i tp_c w_c)
     bs;
-  if not (Slab.equal (Pipeline.snapshot pl) (Engine.snapshot eng)) then
+  if not (Slab.equal (Replay.Sim.snapshot si) (Replay.Sim.snapshot sc)) then
     Alcotest.fail "final snapshot slabs differ between interpreted and compiled"
 
 let test_random_topologies () =
@@ -296,14 +267,7 @@ let test_random_topologies () =
 
 let fuzz_records length =
   List.map
-    (fun (b : Fuzz.branch) ->
-      {
-        Btrace.b_pc = b.Fuzz.br_pc;
-        b_taken = b.Fuzz.br_taken;
-        b_kind = b.Fuzz.br_kind;
-        b_target = b.Fuzz.br_target;
-        b_gap = 2;
-      })
+    (fun r -> { r with Btrace.b_gap = 2 })
     (Fuzz.branches { Fuzz.seed; shape = Fuzz.Mixed; length })
 
 let with_trace length f =
@@ -321,60 +285,30 @@ let test_checkpoint_interchange () =
   let d = Designs.tourney in
   let name = d.Designs.name in
   let len = 400 and warm = 250 in
+  let warmup ~branches sim rd = Replay.warmup ~branches ~design:name ~trace:"fuzz" sim rd in
   with_trace len (fun path ->
       let oracle =
         Reader.with_file path (fun rd ->
-            let pl = Designs.pipeline d in
-            let _ck, _w = Replay.warmup ~branches:warm ~design:name ~trace:path pl rd in
-            let _ck, r =
-              Replay.warmup ~branches:(len - warm) ~design:name ~trace:path pl rd
-            in
-            r)
+            let sim = Replay.Sim.create `Interpreted d in
+            let _ck, _w = warmup ~branches:warm sim rd in
+            snd (warmup ~branches:(len - warm) sim rd))
       in
-      (* interpreted warm checkpoint -> compiled engine *)
-      let ck_i =
-        Reader.with_file path (fun rd ->
-            let pl = Designs.pipeline d in
-            let ck, _w = Replay.warmup ~branches:warm ~design:name ~trace:path pl rd in
-            ck)
-      in
-      Reader.with_file path (fun rd ->
-          let eng = Replay.compiled d in
-          Replay.restore_compiled eng rd ck_i;
-          let _ck, r =
-            Replay.warmup_compiled ~branches:(len - warm) ~design:name ~trace:path eng rd
+      List.iter
+        (fun (from, into) ->
+          let ck =
+            Reader.with_file path (fun rd ->
+                fst (warmup ~branches:warm (Replay.Sim.create from d) rd))
           in
-          check Alcotest.bool "interpreted checkpoint drives the compiled engine" true
-            (Replay.counters_equal r oracle));
-      (* compiled warm checkpoint -> interpreted pipeline *)
-      let ck_c =
-        Reader.with_file path (fun rd ->
-            let eng = Replay.compiled d in
-            let ck, _w =
-              Replay.warmup_compiled ~branches:warm ~design:name ~trace:path eng rd
-            in
-            ck)
-      in
-      Reader.with_file path (fun rd ->
-          let pl = Designs.pipeline d in
-          Replay.restore pl rd ck_c;
-          let _ck, r =
-            Replay.warmup ~branches:(len - warm) ~design:name ~trace:path pl rd
-          in
-          check Alcotest.bool "compiled checkpoint drives the interpreted pipeline" true
-            (Replay.counters_equal r oracle)))
-
-(* run_sliced itself raises if any compiled slice diverges from the compiled
-   serial boundary pass; comparing its total against a plain interpreted
-   replay closes the loop across engines. *)
-let test_run_sliced_compiled () =
-  let d = Designs.tourney in
-  with_trace 350 (fun path ->
-      let whole = Replay.run_design d ~path in
-      let sliced = Replay.run_sliced ~jobs:2 ~slice_branches:100 ~engine:`Compiled d ~path in
-      check Alcotest.int "slice count" 4 (List.length sliced.Replay.sl_slices);
-      check Alcotest.bool "compiled sliced totals equal the interpreted single pass" true
-        (Replay.counters_equal sliced.Replay.sl_total whole))
+          Reader.with_file path (fun rd ->
+              let sim = Replay.Sim.create into d in
+              Replay.restore sim rd ck;
+              let _ck, r = warmup ~branches:(len - warm) sim rd in
+              check Alcotest.bool
+                (Printf.sprintf "%s checkpoint drives the %s engine" (Replay.engine_name from)
+                   (Replay.engine_name into))
+                true
+                (Replay.counters_equal r oracle)))
+        [ (`Interpreted, `Compiled); (`Compiled, `Interpreted) ])
 
 (* --- windowed serve sweeps on the compiled engine -------------------------------- *)
 
@@ -480,7 +414,6 @@ let () =
         [
           Alcotest.test_case "checkpoint interchange across engines" `Quick
             test_checkpoint_interchange;
-          Alcotest.test_case "time-sliced compiled replay" `Quick test_run_sliced_compiled;
         ] );
       ( "serve",
         [

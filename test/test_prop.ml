@@ -18,6 +18,9 @@ module Counter = Cobra_util.Counter
 module Hashing = Cobra_util.Hashing
 module Trace = Cobra_isa.Trace
 module Suite = Cobra_workloads.Suite
+module Btrace = Cobra_trace_replay.Btrace
+module Replay = Cobra_trace_replay.Replay
+module Software_model = Cobra_trace_replay.Software_model
 open Cobra_eval
 
 let check = Alcotest.check
@@ -360,17 +363,15 @@ let reference_predictions branches =
 
 let model_predictions branches =
   let preds = ref [] in
-  let observe (ev : Trace.event) ~taken_pred =
-    match ev.Trace.branch with
-    | Some b when b.Trace.kind = Types.Cond -> preds := taken_pred :: !preds
-    | Some _ | None -> ()
+  let observe (r : Btrace.record) ~taken_pred ~wrong:_ =
+    if r.Btrace.b_kind = Types.Cond then preds := taken_pred :: !preds
   in
   let r =
     Software_model.run ~insns:(List.length branches) ~observe (gshare_design ())
       (workload_of_events (events_of_branches branches))
   in
   check Alcotest.int "model consumed every branch" (List.length branches)
-    r.Software_model.branches;
+    r.Replay.branches;
   List.rev !preds
 
 let test_gshare_differential () =

@@ -2,7 +2,7 @@
    undetectable. Per real component and per reference design, a twin
    restored from a mid-stream snapshot must track the original
    bit-for-bit over the rest of a fuzzed stream; the replay checkpoints
-   built on top (warmup reuse, time-sliced parallel replay) must
+   built on top (warmup reuse, the branch cap's stream boundary) must
    reproduce the single-pass counters exactly. Plus regression tests for
    the PR's bugfix sites (raising env knobs, ragged figure rows). *)
 
@@ -105,14 +105,7 @@ let test_snapshot_guards () =
 
 let fuzz_records length =
   List.map
-    (fun (b : Fuzz.branch) ->
-      {
-        Btrace.b_pc = b.Fuzz.br_pc;
-        b_taken = b.Fuzz.br_taken;
-        b_kind = b.Fuzz.br_kind;
-        b_target = b.Fuzz.br_target;
-        b_gap = 2;
-      })
+    (fun r -> { r with Btrace.b_gap = 2 })
     (Fuzz.branches { Fuzz.seed; shape = Fuzz.Mixed; length })
 
 let with_trace length f =
@@ -144,26 +137,26 @@ let test_warmup_restore_window () =
       (* oracle: one continuous non-snapshot replay, split at the boundary *)
       let oracle_window =
         Reader.with_file path (fun rd ->
-            let pl = Designs.pipeline d in
+            let sim = Replay.Sim.create `Interpreted d in
             let _ck, _w =
-              Replay.warmup ~branches:warm ~design:d.Designs.name ~trace:path pl rd
+              Replay.warmup ~branches:warm ~design:d.Designs.name ~trace:path sim rd
             in
             let _ck, r =
-              Replay.warmup ~branches:(len - warm) ~design:d.Designs.name ~trace:path pl
+              Replay.warmup ~branches:(len - warm) ~design:d.Designs.name ~trace:path sim
                 rd
             in
             r)
       in
       (* snapshot path: warm once, then restore per "sweep point" *)
       Reader.with_file path (fun rd ->
-          let pl = Designs.pipeline d in
+          let sim = Replay.Sim.create `Interpreted d in
           let ck, _w =
-            Replay.warmup ~branches:warm ~design:d.Designs.name ~trace:path pl rd
+            Replay.warmup ~branches:warm ~design:d.Designs.name ~trace:path sim rd
           in
           for _point = 1 to 3 do
-            Replay.restore pl rd ck;
+            Replay.restore sim rd ck;
             let _ck, r =
-              Replay.warmup ~branches:(len - warm) ~design:d.Designs.name ~trace:path pl
+              Replay.warmup ~branches:(len - warm) ~design:d.Designs.name ~trace:path sim
                 rd
             in
             Alcotest.(check bool)
@@ -171,16 +164,29 @@ let test_warmup_restore_window () =
               (Replay.counters_equal r oracle_window)
           done))
 
-let test_run_sliced () =
-  let d = Designs.tourney in
-  with_trace 350 (fun path ->
-      let whole = Replay.run_design d ~path in
-      (* run_sliced itself raises on any slice divergence *)
-      let sliced = Replay.run_sliced ~jobs:2 ~slice_branches:100 d ~path in
-      Alcotest.(check int) "slice count" 4 (List.length sliced.Replay.sl_slices);
-      Alcotest.(check bool)
-        "sliced totals equal the single-pass replay" true
-        (Replay.counters_equal sliced.Replay.sl_total whole))
+(* The branch cap is checked before a record is read: a capped replay on
+   either engine leaves the reader on the boundary record, which is what
+   lets a checkpoint resume exactly where the warmup stopped. *)
+let test_cap_stops_on_boundary () =
+  let d = Designs.tourney and n = 37 in
+  with_trace 100 (fun path ->
+      let records = Array.of_list (fuzz_records 100) in
+      List.iter
+        (fun engine ->
+          Reader.with_file path (fun rd ->
+              let r =
+                Replay.drive ~max_branches:n ~design:d.Designs.name ~trace:path
+                  (Replay.Sim.create engine d) (fun () -> Reader.next rd)
+              in
+              let what = Replay.engine_name engine in
+              Alcotest.(check int) (what ^ ": capped branch count") n r.Replay.branches;
+              match Reader.next rd with
+              | Some next ->
+                Alcotest.(check string)
+                  (what ^ ": next record is record n")
+                  (Btrace.show_record records.(n)) (Btrace.show_record next)
+              | None -> Alcotest.failf "%s: reader exhausted after %d records" what n))
+        [ `Interpreted; `Compiled ])
 
 (* --- bugfix regressions -------------------------------------------------------- *)
 
@@ -234,8 +240,8 @@ let test_harmonic_row () =
       Cobra_eval.Figures.harmonic_row ~series [ ("w1", [ 2.0; 4.0 ]); ("w2", [ 2.0 ]) ])
 
 let test_replay_twin_arrays () =
-  (* the replay/step-driver/golden comparison now walks arrays; the check
-     must still pass end to end on a reference design *)
+  (* the replay/golden comparison walks arrays; the check must still pass
+     end to end on a reference design *)
   assert_verdict (Crosscheck.replay_twin ~length:200 ~seed Designs.b2)
 
 (* --- registration --------------------------------------------------------------- *)
@@ -267,7 +273,8 @@ let () =
         [
           Alcotest.test_case "reader seek" `Quick test_reader_seek;
           Alcotest.test_case "warmup restore window" `Quick test_warmup_restore_window;
-          Alcotest.test_case "time-sliced parallel replay" `Quick test_run_sliced;
+          Alcotest.test_case "branch cap stops on the boundary" `Quick
+            test_cap_stops_on_boundary;
         ] );
       ( "bugfix_regressions",
         [

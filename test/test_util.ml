@@ -206,28 +206,39 @@ let prop_bitpack_roundtrip =
    including fields straddling the 62-bit limb boundary (hence widths that
    push the total past 62). The same packer/cursor pair is reused across
    rounds, as the component hot paths do. *)
+let packer_agrees fields =
+  let fields = List.map (fun (v, w) -> (v land ((1 lsl w) - 1), w)) fields in
+  let layout = List.map snd fields in
+  let width = Bitpack.width_of layout in
+  let packer = Bitpack.Packer.create ~width in
+  let cursor = Bitpack.Cursor.create () in
+  List.for_all
+    (fun _round ->
+      List.iter (fun (v, bits) -> Bitpack.Packer.add packer v ~bits) fields;
+      let incremental = Bitpack.Packer.finish packer in
+      let listwise = Bitpack.pack ~width fields in
+      Bits.equal incremental listwise
+      && begin
+           Bitpack.Cursor.reset cursor incremental;
+           List.for_all (fun (v, bits) -> Bitpack.Cursor.take cursor ~bits = v) fields
+         end)
+    [ 1; 2; 3 ]
+
 let prop_packer_cursor_equivalence =
   QCheck.Test.make ~name:"Packer/Cursor agree with pack/unpack" ~count:300
     QCheck.(list_of_size (Gen.int_range 1 16) (pair (int_bound 100000) (int_range 0 20)))
-    (fun fields ->
-      let fields = List.map (fun (v, w) -> (v land ((1 lsl w) - 1), w)) fields in
-      let layout = List.map snd fields in
-      let width = Bitpack.width_of layout in
-      let packer = Bitpack.Packer.create ~width in
-      let cursor = Bitpack.Cursor.create () in
-      List.for_all
-        (fun _round ->
-          List.iter (fun (v, bits) -> Bitpack.Packer.add packer v ~bits) fields;
-          let incremental = Bitpack.Packer.finish packer in
-          let listwise = Bitpack.pack ~width fields in
-          Bits.equal incremental listwise
-          && begin
-               Bitpack.Cursor.reset cursor incremental;
-               List.for_all
-                 (fun (v, bits) -> Bitpack.Cursor.take cursor ~bits = v)
-                 fields
-             end)
-        [ 1; 2; 3 ])
+    packer_agrees
+
+(* A 0-bit field right after earlier fields fill whole limbs sits at a limb
+   index one past the scratch array. *)
+let test_packer_zero_width_at_limb_boundary () =
+  List.iter
+    (fun widths ->
+      let fields = List.mapi (fun i w -> (i + 1, w)) (widths @ [ 0 ]) in
+      check Alcotest.bool
+        (Printf.sprintf "%d bits, then a 0-bit field" (Bitpack.width_of widths))
+        true (packer_agrees fields))
+    [ [ 20; 20; 22 ]; [ 30; 40; 54 ] ]
 
 (* --- Stats --------------------------------------------------------------- *)
 
@@ -301,6 +312,8 @@ let () =
           Alcotest.test_case "overflow" `Quick test_bitpack_overflow;
           qcheck prop_bitpack_roundtrip;
           qcheck prop_packer_cursor_equivalence;
+          Alcotest.test_case "Packer 0-bit field at a limb boundary" `Quick
+            test_packer_zero_width_at_limb_boundary;
         ] );
       ( "stats",
         [
