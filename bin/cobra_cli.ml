@@ -558,6 +558,7 @@ let serve_cmd =
         Printf.eprintf "cobra serve: listening on %s (%d jobs)\n%!" socket cfg.Serve.jobs;
         (match Serve.serve cfg with
         | () -> Ok ()
+        | exception Failure m -> Error (`Msg m)
         | exception Unix.Unix_error (e, fn, arg) ->
           Error
             (`Msg (Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e))))

@@ -24,7 +24,7 @@ val tage_l : t
 
 val gshare_only : t
 (** A single-component gshare design — the minimum-work floor of the
-    [bench perf] regression suite. Not part of {!all} (it is not one of the
+    benchmark's replay designs. Not part of {!all} (it is not one of the
     paper's designs). *)
 
 val all : t list

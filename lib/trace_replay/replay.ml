@@ -27,11 +27,8 @@ let accuracy r =
   if r.branches = 0 then 1.0
   else 1.0 -. (float_of_int r.mispredicts /. float_of_int r.branches)
 
-let per_sec count elapsed =
-  float_of_int count /. (if elapsed > 0.0 then elapsed else epsilon_float)
-
-let branches_per_sec r = per_sec r.branches r.elapsed_s
-let insns_per_sec r = per_sec r.instructions r.elapsed_s
+let branches_per_sec r =
+  float_of_int r.branches /. (if r.elapsed_s > 0.0 then r.elapsed_s else epsilon_float)
 
 let to_perf r =
   let p = Cobra_uarch.Perf.create () in

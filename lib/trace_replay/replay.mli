@@ -39,8 +39,6 @@ val mpki : result -> float
 (** Mispredicts per kilo-instruction represented by the trace. *)
 
 val accuracy : result -> float
-val branches_per_sec : result -> float
-val insns_per_sec : result -> float
 
 val to_perf : result -> Cobra_uarch.Perf.t
 (** The replay counters as a [Perf.t] (cycle counters zero — replay has no

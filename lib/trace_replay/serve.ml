@@ -594,9 +594,29 @@ let handle_connection cfg stopping fd =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     loop
 
+(* Only a stale socket, one that refuses connections, is ours to replace: a
+   path that is not a socket belongs to someone else, and a socket that
+   accepts belongs to a live daemon that would become unreachable. *)
+let claim_socket path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | { Unix.st_kind = Unix.S_SOCK; _ } ->
+    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let live =
+      Fun.protect
+        ~finally:(fun () -> Unix.close probe)
+        (fun () ->
+          match Unix.connect probe (Unix.ADDR_UNIX path) with
+          | () -> true
+          | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> false)
+    in
+    if live then failwith (Printf.sprintf "%s: a daemon is already listening there" path);
+    Unix.unlink path
+  | _ -> failwith (Printf.sprintf "%s exists and is not a socket; not replacing it" path)
+
 let serve cfg =
   ignore_sigpipe ();
-  if Sys.file_exists cfg.socket then Unix.unlink cfg.socket;
+  claim_socket cfg.socket;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind sock (Unix.ADDR_UNIX cfg.socket);
   Unix.listen sock 16;

@@ -66,10 +66,12 @@ val default_config : socket:string -> config
 (** No timeout, no log, no extra ops, pool-default jobs. *)
 
 val serve : config -> unit
-(** Bind (unlinking any stale socket first), then accept-loop until a
-    [shutdown] request arrives. Each connection is handled on its own
-    thread; [SIGPIPE] is ignored so a client hanging up mid-stream only
-    ends that connection. *)
+(** Bind, then accept-loop until a [shutdown] request arrives. An existing
+    socket path is replaced only when it is a stale socket that refuses
+    connections; raises [Failure] naming the path when the path is not a
+    socket, or when a daemon is already listening on it. Each connection is
+    handled on its own thread; [SIGPIPE] is ignored so a client hanging up
+    mid-stream only ends that connection. *)
 
 (** {1 Client side} *)
 

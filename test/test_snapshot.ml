@@ -130,39 +130,49 @@ let test_reader_seek () =
           Alcotest.(check bool) "same dir after seek" r1.Btrace.b_taken r2.Btrace.b_taken;
           Alcotest.(check int) "offset restored" (Reader.offset rd) (Reader.offset rd)))
 
+(* A windowed sweep on checkpoints, per design and engine: the warmup's
+   checkpoint restored once per sweep point, then a 0.6n warmup and 8
+   windows of 0.05n, each restored into a fresh simulator from the previous
+   window's checkpoint. Every window must count exactly what an interpreted
+   replay from the top of the trace counts over the same records. *)
 let test_warmup_restore_window () =
-  let d = Designs.tourney in
-  let len = 400 and warm = 250 in
+  let len = 400 and warm = 240 and window = 20 in
   with_trace len (fun path ->
-      (* oracle: one continuous non-snapshot replay, split at the boundary *)
-      let oracle_window =
-        Reader.with_file path (fun rd ->
-            let sim = Replay.Sim.create `Interpreted d in
-            let _ck, _w =
-              Replay.warmup ~branches:warm ~design:d.Designs.name ~trace:path sim rd
-            in
-            let _ck, r =
-              Replay.warmup ~branches:(len - warm) ~design:d.Designs.name ~trace:path sim
-                rd
-            in
-            r)
-      in
-      (* snapshot path: warm once, then restore per "sweep point" *)
-      Reader.with_file path (fun rd ->
-          let sim = Replay.Sim.create `Interpreted d in
-          let ck, _w =
-            Replay.warmup ~branches:warm ~design:d.Designs.name ~trace:path sim rd
+      List.iter
+        (fun (d : Designs.t) ->
+          let design = d.Designs.name in
+          let replay sim rd branches = Replay.warmup ~branches ~design ~trace:path sim rd in
+          let from_top skip =
+            Reader.with_file path (fun rd ->
+                let sim = Replay.Sim.create `Interpreted d in
+                ignore (replay sim rd skip);
+                snd (replay sim rd window))
           in
-          for _point = 1 to 3 do
-            Replay.restore sim rd ck;
-            let _ck, r =
-              Replay.warmup ~branches:(len - warm) ~design:d.Designs.name ~trace:path sim
-                rd
-            in
-            Alcotest.(check bool)
-              "restored window counters match the non-snapshot oracle" true
-              (Replay.counters_equal r oracle_window)
-          done))
+          List.iter
+            (fun engine ->
+              let check_window i r =
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s/%s: window %d matches the oracle" design
+                     (Replay.engine_name engine) i)
+                  true
+                  (Replay.counters_equal r (from_top (warm + (i * window))))
+              in
+              Reader.with_file path (fun rd ->
+                  let sim = Replay.Sim.create engine d in
+                  let ck = ref (fst (replay sim rd warm)) in
+                  for _point = 1 to 3 do
+                    Replay.restore sim rd !ck;
+                    check_window 0 (snd (replay sim rd window))
+                  done;
+                  for i = 0 to ((len - warm) / window) - 1 do
+                    let sim = Replay.Sim.create engine d in
+                    Replay.restore sim rd !ck;
+                    let next, r = replay sim rd window in
+                    ck := next;
+                    check_window i r
+                  done))
+            [ `Interpreted; `Compiled ])
+        [ Designs.tourney; Designs.tage_l ])
 
 (* The branch cap is checked before a record is read: a capped replay on
    either engine leaves the reader on the boundary record, which is what

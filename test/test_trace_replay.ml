@@ -11,13 +11,14 @@
      same records as the default 64 KiB window;
    - pinned fixtures: the two committed traces under test/fixtures decode to
      known record/instruction totals, and replaying them through the
-     reference designs reproduces pinned mispredict counters;
+     reference designs on either engine reproduces pinned counters;
    - replay-vs-pipeline equality: exporting a workload to a trace and
-     replaying it gives counters bit-identical to {!Software_model}
-     driving the same composed pipeline over the original stream;
+     replaying it on either engine gives counters bit-identical to
+     {!Software_model} driving the same pipeline over the original stream;
    - {!Serve}: protocol handling through [handle_line] (ping, replay,
      cached repeat, malformed request, unknown op, shutdown) plus a live
-     daemon on a Unix socket answering concurrent clients. *)
+     daemon on a Unix socket answering concurrent clients and claiming
+     only a missing path or a stale socket. *)
 
 open Cobra_trace_replay
 module Designs = Cobra_eval.Designs
@@ -268,14 +269,17 @@ let h2p_fixture () =
 
 (* Replaying the committed fixtures through the reference designs is a
    behavioural pin: predictor semantics, trace decoding and the replay
-   drive contract all feed these counters. *)
+   drive contract all feed these counters, on either engine. *)
 let replay_pin ~design ~path ~branches ~cond ~insns ~mispredicts ~cond_mispredicts () =
-  let r = Replay.run_design (find_design design) ~path in
-  check Alcotest.int "branches" branches r.Replay.branches;
-  check Alcotest.int "cond branches" cond r.Replay.cond_branches;
-  check Alcotest.int "instructions" insns r.Replay.instructions;
-  check Alcotest.int "mispredicts" mispredicts r.Replay.mispredicts;
-  check Alcotest.int "cond mispredicts" cond_mispredicts r.Replay.cond_mispredicts
+  List.iter
+    (fun engine ->
+      let r = Replay.run_design ~engine (find_design design) ~path in
+      check
+        Alcotest.(list int)
+        (Replay.engine_name engine ^ ": branches, cond, insns, mispredicts, cond mispredicts")
+        [ branches; cond; insns; mispredicts; cond_mispredicts ]
+        Replay.[ r.branches; r.cond_branches; r.instructions; r.mispredicts; r.cond_mispredicts ])
+    [ `Interpreted; `Compiled ]
 
 let small_buffer_equivalence () =
   let path = fixture "h2p_mix_256.trace" in
@@ -391,20 +395,25 @@ let prop_decoder_never_misdecodes () =
 
 (* --- replay vs full-pipeline equality ---------------------------------------- *)
 
-(* Export a workload to a trace, replay it, and demand counters
-   bit-identical to Software_model driving the same composed pipeline over
-   the original stream — the acceptance criterion's MPKI equality. *)
+(* Export a workload to a trace, replay it on each engine, and demand
+   counters bit-identical to Software_model driving the same composed
+   pipeline over the original stream — the acceptance criterion's MPKI
+   equality. *)
 let replay_equals_pipeline ~design_name ~workload ~insns () =
   let design = find_design design_name in
   let entry = Suite.find workload in
   with_temp (fun path ->
       let branches, traced_insns = Writer.export_workload ~max_insns:insns ~path entry in
       let sw = Software_model.run ~insns design entry in
-      let rp = Replay.run_design design ~path in
-      check Alcotest.int "exported branch count" branches rp.Replay.branches;
-      check Alcotest.int "traced instruction count" traced_insns rp.Replay.instructions;
-      check Alcotest.bool "software model over the stream = replay of the file" true
-        (Replay.counters_equal sw rp))
+      List.iter
+        (fun engine ->
+          let rp = Replay.run_design ~engine design ~path in
+          let what = Replay.engine_name engine in
+          check Alcotest.(pair int int) (what ^ ": exported branches and instructions")
+            (branches, traced_insns) (rp.Replay.branches, rp.Replay.instructions);
+          check Alcotest.bool (what ^ ": software model over the stream = replay of the file")
+            true (Replay.counters_equal sw rp))
+        [ `Interpreted; `Compiled ])
 
 let replay_with_stats () =
   let path = fixture "h2p_mix_256.trace" in
@@ -628,32 +637,35 @@ let temp_socket () =
   Sys.remove path;
   path
 
-let wait_for_socket path =
-  let rec go n =
-    if n = 0 then Alcotest.fail "serve socket never appeared";
-    if not (Sys.file_exists path) then begin
-      Thread.delay 0.05;
-      go (n - 1)
-    end
-  in
-  go 100
+(* Ping until the daemon answers: its socket path appears at bind, before
+   it listens, and a stale one is there before it starts. *)
+let rec ping_when_up ?(tries = 100) socket =
+  match Serve.request ~timeout_s:5.0 ~socket {|{"op": "ping"}|} with
+  | lines -> joined lines
+  | exception Failure _ when tries > 0 ->
+    Thread.delay 0.05;
+    ping_when_up ~tries:(tries - 1) socket
+
+(* Shut down the daemon on [socket] and join its thread; a daemon that can
+   no longer be reached is left running rather than joined forever. *)
+let stop_daemon socket t =
+  match Serve.shutdown ~timeout_s:5.0 ~socket () with
+  | () -> Thread.join t
+  | exception Failure _ -> ()
+
+(* Run [f] against a daemon serving [cfg] on a thread, then shut it down. *)
+let with_daemon cfg f =
+  let server = Thread.create Serve.serve cfg in
+  Fun.protect ~finally:(fun () -> stop_daemon cfg.Serve.socket server) f
 
 let serve_live_daemon () =
   let socket = temp_socket () in
   let cfg =
     { (Serve.default_config ~socket) with Serve.jobs = 2; timeout_s = Some 30.0 }
   in
-  let server = Thread.create (fun () -> Serve.serve cfg) () in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Serve.shutdown ~socket () with _ -> ());
-      Thread.join server;
-      try Sys.remove socket with Sys_error _ -> ())
-    (fun () ->
-      wait_for_socket socket;
+  with_daemon cfg (fun () ->
       (* liveness *)
-      let pong = Serve.request ~socket {|{"op": "ping"}|} in
-      check_contains "live ping" (joined pong) {|"event": "pong"|};
+      check_contains "live ping" (ping_when_up socket) {|"event": "pong"|};
       (* concurrent clients, each its own connection *)
       let replies = Array.make 4 [] in
       let clients =
@@ -682,6 +694,52 @@ let serve_live_daemon () =
       check_contains "live malformed -> error" (joined err) {|"event": "error"|};
       let pong2 = Serve.request ~socket {|{"op": "ping"}|} in
       check_contains "alive after malformed" (joined pong2) {|"event": "pong"|})
+
+(* Run [Serve.serve] on a thread and return the message of the [Failure]
+   it refuses [socket] with. A daemon that starts instead is shut down and
+   the test fails. *)
+let expect_refusal socket =
+  let refusal = Atomic.make None in
+  let t =
+    Thread.create
+      (fun () ->
+        try Serve.serve (Serve.default_config ~socket)
+        with Failure m -> Atomic.set refusal (Some m))
+      ()
+  in
+  let rec wait tries =
+    match Atomic.get refusal with
+    | Some m -> m
+    | None when tries > 0 ->
+      Thread.delay 0.05;
+      wait (tries - 1)
+    | None ->
+      stop_daemon socket t;
+      Alcotest.failf "serve did not refuse %s" socket
+  in
+  wait 100
+
+let serve_socket_path_guard () =
+  (* a regular file is not a stale socket: it stays intact *)
+  with_temp ~suffix:".sock" (fun file ->
+      Out_channel.with_open_text file (fun oc -> output_string oc "keep me");
+      check_contains "refusal names the path" (expect_refusal file) file;
+      check Alcotest.string "regular file intact" "keep me"
+        (In_channel.with_open_text file In_channel.input_all));
+  (* a live daemon's socket is not taken over *)
+  let socket = temp_socket () in
+  with_daemon (Serve.default_config ~socket) (fun () ->
+      check_contains "first daemon up" (ping_when_up socket) {|"event": "pong"|};
+      check_contains "second daemon refused" (expect_refusal socket) "already listening";
+      check_contains "first daemon still answers" (ping_when_up ~tries:0 socket)
+        {|"event": "pong"|});
+  (* a stale socket, bound and closed without an unlink, is replaced *)
+  let stale = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind stale (Unix.ADDR_UNIX socket);
+  Unix.close stale;
+  with_daemon (Serve.default_config ~socket) (fun () ->
+      check_contains "daemon on a stale socket answers" (ping_when_up socket)
+        {|"event": "pong"|})
 
 (* ----------------------------------------------------------------------------- *)
 
@@ -753,5 +811,7 @@ let () =
           Alcotest.test_case "probe trace sweeps end to end" `Quick serve_probe_trace_sweep;
           Alcotest.test_case "shutdown handshake" `Quick serve_shutdown;
           Alcotest.test_case "live daemon, concurrent clients" `Quick serve_live_daemon;
+          Alcotest.test_case "socket path: foreign file, live daemon, stale socket" `Quick
+            serve_socket_path_guard;
         ] );
     ]
