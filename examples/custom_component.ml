@@ -29,27 +29,29 @@ let make_gshare ~name ~index_bits ~history_length ~fetch_width =
   in
   (* metadata: the counters read at predict time (2 bits per slot), so the
      update never re-reads the table *)
-  let layout = List.init fetch_width (fun _ -> 2) in
-  let meta_bits = Bitpack.width_of layout in
-  let predict ctx ~pred_in:_ =
-    let counters = Array.init fetch_width (fun slot -> table.(index ctx ~slot)) in
-    let pred =
-      Array.map
-        (fun c -> { Types.empty_opinion with Types.o_taken = Some (Counter.is_taken ~bits:2 c) })
-        counters
-    in
-    let meta =
-      Bitpack.pack ~width:meta_bits (Array.to_list (Array.map (fun c -> (c, 2)) counters))
-    in
-    (pred, meta)
+  let meta_bits = 2 * fetch_width in
+  let packer = Bitpack.Packer.create ~owner:name ~width:meta_bits in
+  (* The host owns both buffers: [out] arrives all-silent and we fill the
+     slots we have an opinion on; [meta] is sealed from the packer. Slots
+     past [live_slots] are never used, so we skip them (zero metadata). *)
+  let predict ctx ~pred_in:_ ~out ~meta =
+    let live = Context.live_bound ctx fetch_width in
+    for slot = 0 to live - 1 do
+      let c = table.(index ctx ~slot) in
+      Bitpack.Packer.add packer c ~bits:2;
+      out.(slot) <- Types.direction_hint ~taken:(Counter.is_taken ~bits:2 c)
+    done;
+    Bitpack.Packer.add_zeros packer ~bits:(2 * (fetch_width - live));
+    Bitpack.Packer.finish_into packer meta
   in
   let update (ev : Component.event) =
-    List.iteri
-      (fun slot c ->
-        let r = ev.Component.slots.(slot) in
-        if r.Types.r_is_branch && r.Types.r_kind = Types.Cond then
-          table.(index ev.Component.ctx ~slot) <- Counter.update ~bits:2 c ~taken:r.Types.r_taken)
-      (Bitpack.unpack ev.Component.meta layout)
+    for slot = 0 to fetch_width - 1 do
+      let r = ev.Component.slots.(slot) in
+      if Types.cond_branch r then begin
+        let c = Bits.extract_int ev.Component.meta ~lo:(2 * slot) ~len:2 in
+        table.(index ev.Component.ctx ~slot) <- Counter.update ~bits:2 c ~taken:r.Types.r_taken
+      end
+    done
   in
   Component.make ~name ~family:Component.Counter_table ~latency:2 ~meta_bits
     ~storage:(Storage.make ~sram_bits:(entries * 2) ())

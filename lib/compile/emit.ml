@@ -3,19 +3,11 @@ module Bits = Cobra_util.Bits
 module Slab = Cobra_util.Slab
 
 type t = {
-  eval : Context.t -> Bits.t array -> Types.prediction array;
+  eval : Context.t -> Types.prediction array;
+  metas : Bits.t array;
   snapshot_state : Slab.t -> unit;
   restore_state : Slab.t -> unit;
 }
-
-(* Same diagnostic as Pipeline.check_meta: a component lying about its
-   metadata width corrupts the history file, so both engines refuse it with
-   the same message. *)
-let check_meta (c : Component.t) ~declared meta =
-  if Bits.width meta <> declared then
-    invalid_arg
-      (Printf.sprintf "component %s returned %d metadata bits, declared %d"
-         c.Component.name (Bits.width meta) declared)
 
 let stage (plan : Plan.t) =
   let width = plan.Plan.cfg.Pipeline.fetch_width in
@@ -35,8 +27,6 @@ let stage (plan : Plan.t) =
         else Array.init depth (fun _ -> Array.make width Types.empty_opinion))
   in
   let overlay_into ~dst ~latency src (pred : Types.prediction) =
-    if Array.length pred <> width then
-      invalid_arg "Types.merge: prediction width mismatch";
     let dreg = regs.(dst) in
     if Array.for_all (fun o -> o == Types.empty_opinion) pred then
       (* silent: the composite below shows through unchanged *)
@@ -61,25 +51,27 @@ let stage (plan : Plan.t) =
     end
   in
   let steps = plan.Plan.steps in
-  let meta_widths = plan.Plan.meta_widths in
-  let eval ctx (metas : Bits.t array) =
+  (* The host buffers of the component contract, allocated once: one
+     opinion vector per step (refilled with [empty_opinion] before each
+     predict; the register bank copies opinions out of it, never the
+     array) and one metadata vector per component, exactly its declared
+     width. *)
+  let outs = Array.map (fun _ -> Types.no_prediction ~width) steps in
+  let metas = Array.map Bits.zero plan.Plan.meta_widths in
+  let eval ctx =
     for i = 0 to Array.length steps - 1 do
+      let out = outs.(i) in
+      Array.fill out 0 width Types.empty_opinion;
       match steps.(i) with
       | Plan.Predict { comp; id; stage; latency; src; dst } ->
-        let pred, meta =
-          comp.Component.predict ctx ~pred_in:[ regs.(src).(stage) ]
-        in
-        check_meta comp ~declared:meta_widths.(id) meta;
-        metas.(id) <- meta;
-        overlay_into ~dst ~latency regs.(src) pred
+        comp.Component.predict ctx ~pred_in:[ regs.(src).(stage) ] ~out ~meta:metas.(id);
+        overlay_into ~dst ~latency regs.(src) out
       | Plan.Select { comp; id; stage; latency; srcs; dst } ->
         let n = Array.length srcs in
         let rec gather k = if k >= n then [] else regs.(srcs.(k)).(stage) :: gather (k + 1) in
-        let pred, meta = comp.Component.predict ctx ~pred_in:(gather 0) in
-        check_meta comp ~declared:meta_widths.(id) meta;
-        metas.(id) <- meta;
+        comp.Component.predict ctx ~pred_in:(gather 0) ~out ~meta:metas.(id);
         (* the selector overrides the default (first) sub-path's composite *)
-        overlay_into ~dst ~latency regs.(srcs.(0)) pred
+        overlay_into ~dst ~latency regs.(srcs.(0)) out
     done;
     regs.(plan.Plan.root)
   in
@@ -100,4 +92,4 @@ let stage (plan : Plan.t) =
         if n > 0 then Component.restore c (Slab.sub slab offsets.(i) n))
       comps
   in
-  { eval; snapshot_state; restore_state }
+  { eval; metas; snapshot_state; restore_state }

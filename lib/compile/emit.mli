@@ -13,12 +13,16 @@
     induction, and all consumed values are bit-identical. *)
 
 type t = {
-  eval : Cobra.Context.t -> Cobra_util.Bits.t array -> Cobra.Types.prediction array;
-      (** [eval ctx metas] runs every component's [predict] in the plan's
-          schedule order, stores each metadata word into [metas] by
-          component id, and returns the root register's per-stage
-          composites. The returned array and its rows are reused across
-          calls: consume them before the next [eval]. *)
+  eval : Cobra.Context.t -> Cobra.Types.prediction array;
+      (** [eval ctx] runs every component's [predict] in the plan's
+          schedule order — each into its step's preallocated opinion vector
+          and its own {!metas} buffer — and returns the root register's
+          per-stage composites. The returned array and its rows are reused
+          across calls: consume them before the next [eval]. *)
+  metas : Cobra_util.Bits.t array;
+      (** The per-component metadata buffers, indexed by component id and
+          exactly each component's declared width; every [eval] overwrites
+          them in place. *)
   snapshot_state : Cobra_util.Slab.t -> unit;
       (** Blit every component's state slab into a whole-design snapshot at
           the plan's precomputed offsets ([Pipeline.snapshot] layout). *)

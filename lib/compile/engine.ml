@@ -6,20 +6,19 @@ module Hashing = Cobra_util.Hashing
 type t = {
   plan : Plan.t;
   emitted : Emit.t;
-  width : int;
   depth : int;
   correction : bool;
   path_bits : int;
-  ghist_bits : int;
-  mutable ghist : Bits.t;
-  mutable phist : Bits.t;  (** provider-width [max 1 path_bits] register *)
-  phist_empty : Bits.t;  (** zero-width vector handed to contexts when disabled *)
+  ghist : Bits.t;  (** history buffers, shifted in place after each step's events *)
+  phist : Bits.t;  (** provider-width [max 1 path_bits] register *)
   lhist : Lhist_provider.t;
+  ctx : Context.t;  (** the one context, {!Context.reset} per step *)
   mutable next_token : int;
-  metas : Bits.t array;
-  lhists_buf : Bits.t array;
   pred_slots : Types.resolved array;
   eff_slots : Types.resolved array;
+  fire_evs : Component.event array;  (** per component, built once *)
+  mispredict_evs : Component.event array;
+  update_evs : Component.event array;
   mutable last_taken_pred : bool;
 }
 
@@ -31,27 +30,41 @@ let create (cfg : Pipeline.config) topo =
     Lhist_provider.create ~entries:cfg.Pipeline.lhist_entries
       ~bits:cfg.Pipeline.lhist_bits
   in
+  let ghist = Bits.zero cfg.Pipeline.ghist_bits in
+  let phist = Bits.zero plan.Plan.path_width in
   (* Dead tail slots of the lhist context vector: the replay protocol pins
      live_slots to 1, so slots past 0 read as all-zero history — the same
-     value the interpreter's lazy shared dead vector provides. *)
-  let lhist_dead = Bits.zero cfg.Pipeline.lhist_bits in
+     value the interpreter's lazy shared dead vector provides. Slot 0 is
+     pointed at the branch's table entry every step. *)
+  let lhists = Array.make width (Bits.zero cfg.Pipeline.lhist_bits) in
+  let ctx =
+    Context.make ~pc:0 ~fetch_width:width ~live_slots:1 ~ghist ~lhists
+      ~phist:(if cfg.Pipeline.path_bits = 0 then Bits.zero 0 else phist)
+      ()
+  in
+  let pred_slots = Array.make width Types.no_branch in
+  let eff_slots = Array.make width Types.no_branch in
+  (* The event records never change: the context, each component's
+     metadata buffer and the two slot vectors are all rewritten in place. *)
+  let events slots culprit =
+    Array.map (fun meta -> { Component.ctx; meta; slots; culprit }) emitted.Emit.metas
+  in
   {
     plan;
     emitted;
-    width;
     depth = plan.Plan.depth;
     correction = cfg.Pipeline.predecode_history_correction;
     path_bits = cfg.Pipeline.path_bits;
-    ghist_bits = cfg.Pipeline.ghist_bits;
-    ghist = Bits.zero cfg.Pipeline.ghist_bits;
-    phist = Bits.zero plan.Plan.path_width;
-    phist_empty = Bits.zero 0;
+    ghist;
+    phist;
     lhist;
+    ctx;
     next_token = 0;
-    metas = Array.make (Array.length plan.Plan.comps) (Bits.zero 0);
-    lhists_buf = Array.make width lhist_dead;
-    pred_slots = Array.make width Types.no_branch;
-    eff_slots = Array.make width Types.no_branch;
+    pred_slots;
+    eff_slots;
+    fire_evs = events pred_slots None;
+    mispredict_evs = events eff_slots (Some 0);
+    update_evs = events eff_slots None;
     last_taken_pred = false;
   }
 
@@ -59,7 +72,7 @@ let config t = t.plan.Plan.cfg
 let plan t = t.plan
 let describe t = Plan.describe t.plan
 let last_taken_pred t = t.last_taken_pred
-let metas t = t.metas
+let metas t = t.emitted.Emit.metas
 let next_token t = t.next_token
 let snapshot_cells t = t.plan.Plan.snapshot_cells
 
@@ -72,20 +85,54 @@ let push_path t target =
       ~bits:Pipeline.path_bits_per_branch
   in
   for k = 0 to Pipeline.path_bits_per_branch - 1 do
-    t.phist <- Bits.shift_in_lsb t.phist ((folded lsr k) land 1 = 1)
+    Bits.shift_in_lsb_in_place t.phist ((folded lsr k) land 1 = 1)
   done
 
-let culprit0 = Some 0
+let push_direction t ~pc taken =
+  Bits.shift_in_lsb_in_place t.ghist taken;
+  Lhist_provider.push_in_place t.lhist ~pc taken
+
+(* Fused history update: the net effect of predict-time speculation,
+   fire-time predecode correction, the mispredict restore (when wrong) and
+   the immediate commit, collapsed per the protocol. Runs after the step's
+   events, which read the predict-time histories through the context. *)
+let update_histories t ~pc ~kind ~taken ~tgt ~taken_pred ~wrong (stages : Types.prediction array) =
+  let is_cond = match kind with Types.Cond -> true | _ -> false in
+  if t.correction then begin
+    (* Predecode rewrites the speculative bits from the true branch
+       positions, and a wrong conditional restores to the actual
+       direction; either way one [b_taken] bit lands per conditional. *)
+    if is_cond then push_direction t ~pc taken;
+    if t.path_bits > 0 && (if wrong then taken else taken_pred) then push_path t tgt
+  end
+  else if wrong then begin
+    (* No predecode correction: a wrong prediction restores from the
+       actual outcome... *)
+    if is_cond then push_direction t ~pc taken;
+    if t.path_bits > 0 && taken then push_path t tgt
+  end
+  else begin
+    (* ...and a right one commits the predict-time speculative bits, read
+       off the Fetch-1 composite's slot-0 opinion, unchanged. *)
+    let op = stages.(0).(0) in
+    let op_branch =
+      match op.Types.o_branch with Some true -> true | Some false | None -> false
+    in
+    let op_condish =
+      match op.Types.o_kind with None | Some Types.Cond -> true | Some _ -> false
+    in
+    let op_taken =
+      match op.Types.o_taken with Some true -> true | Some false | None -> false
+    in
+    if op_branch && op_condish then push_direction t ~pc op_taken;
+    if t.path_bits > 0 && op_branch && op_taken then
+      push_path t (match op.Types.o_target with Some v -> v | None -> 0)
+  end
 
 let step t ~pc ~kind ~taken ~target =
-  t.lhists_buf.(0) <- Lhist_provider.read t.lhist ~pc;
-  let ctx =
-    Context.make ~pc ~fetch_width:t.width ~live_slots:1 ~ghist:t.ghist
-      ~lhists:t.lhists_buf
-      ~phist:(if t.path_bits = 0 then t.phist_empty else t.phist)
-      ()
-  in
-  let stages = t.emitted.Emit.eval ctx t.metas in
+  Context.reset t.ctx ~pc;
+  t.ctx.Context.lhists.(0) <- Lhist_provider.read t.lhist ~pc;
+  let stages = t.emitted.Emit.eval t.ctx in
   let final = stages.(t.depth - 1).(0) in
   let taken_pred =
     match final.Types.o_taken with Some b -> b | None -> Types.is_unconditional kind
@@ -100,51 +147,7 @@ let step t ~pc ~kind ~taken ~target =
        && (not (Types.equal_branch_kind kind Types.Ret))
        && known_target && target_pred <> target
   in
-  let is_cond = match kind with Types.Cond -> true | _ -> false in
   t.next_token <- t.next_token + 1;
-  (* Fused history update: the net effect of predict-time speculation,
-     fire-time predecode correction, the mispredict restore (when wrong)
-     and the immediate commit, collapsed per the protocol. *)
-  if t.correction then begin
-    (* Predecode rewrites the speculative bits from the true branch
-       positions, and a wrong conditional restores to the actual
-       direction; either way one [b_taken] bit lands per conditional. *)
-    if is_cond then begin
-      t.ghist <- Bits.shift_in_lsb t.ghist taken;
-      Lhist_provider.push t.lhist ~pc taken
-    end;
-    if t.path_bits > 0 && (if wrong then taken else taken_pred) then push_path t tgt
-  end
-  else begin
-    (* No predecode correction: the predict-time speculative bits (read off
-       the Fetch-1 composite's slot-0 opinion) commit unchanged on a right
-       prediction; a wrong one restores from the actual outcome. *)
-    if wrong then begin
-      if is_cond then begin
-        t.ghist <- Bits.shift_in_lsb t.ghist taken;
-        Lhist_provider.push t.lhist ~pc taken
-      end;
-      if t.path_bits > 0 && taken then push_path t tgt
-    end
-    else begin
-      let op = stages.(0).(0) in
-      let op_branch =
-        match op.Types.o_branch with Some true -> true | Some false | None -> false
-      in
-      let op_condish =
-        match op.Types.o_kind with None | Some Types.Cond -> true | Some _ -> false
-      in
-      let op_taken =
-        match op.Types.o_taken with Some true -> true | Some false | None -> false
-      in
-      if op_branch && op_condish then begin
-        t.ghist <- Bits.shift_in_lsb t.ghist op_taken;
-        Lhist_provider.push t.lhist ~pc op_taken
-      end;
-      if t.path_bits > 0 && op_branch && op_taken then
-        push_path t (match op.Types.o_target with Some v -> v | None -> 0)
-    end
-  end;
   (* Event dispatch in component order: fire with the predicted outcomes,
      then — on a wrong prediction — the culprit's fast mispredict update,
      then commit-time training, all with the resolved outcome. *)
@@ -154,18 +157,16 @@ let step t ~pc ~kind ~taken ~target =
   let comps = t.plan.Plan.comps in
   let n = Array.length comps in
   for i = 0 to n - 1 do
-    comps.(i).Component.fire
-      { Component.ctx; meta = t.metas.(i); slots = t.pred_slots; culprit = None }
+    comps.(i).Component.fire t.fire_evs.(i)
   done;
   if wrong then
     for i = 0 to n - 1 do
-      comps.(i).Component.mispredict
-        { Component.ctx; meta = t.metas.(i); slots = t.eff_slots; culprit = culprit0 }
+      comps.(i).Component.mispredict t.mispredict_evs.(i)
     done;
   for i = 0 to n - 1 do
-    comps.(i).Component.update
-      { Component.ctx; meta = t.metas.(i); slots = t.eff_slots; culprit = None }
+    comps.(i).Component.update t.update_evs.(i)
   done;
+  update_histories t ~pc ~kind ~taken ~tgt ~taken_pred ~wrong stages;
   t.last_taken_pred <- taken_pred;
   wrong
 
@@ -178,10 +179,13 @@ let write_bits slab ~pos v =
   done;
   pos + n
 
-let read_bits slab ~pos ~width =
-  let n = Bits.limbs_for width in
-  let limbs = Array.init n (fun i -> Slab.get slab (pos + i)) in
-  (Bits.of_limbs ~width limbs, pos + n)
+(* Restore writes into the live buffers: the context points at them. *)
+let load_bits slab ~pos dst =
+  let n = Bits.limb_count dst in
+  for i = 0 to n - 1 do
+    Bits.set_limb dst i (Slab.get slab (pos + i))
+  done;
+  pos + n
 
 let snapshot t =
   let slab = Slab.create t.plan.Plan.snapshot_cells in
@@ -204,16 +208,9 @@ let restore t slab =
          (Slab.length slab) expect);
   t.next_token <- Slab.get slab 0;
   let pos = ref 1 in
-  let gh, p = read_bits slab ~pos:!pos ~width:t.ghist_bits in
-  pos := p;
-  t.ghist <- gh;
-  let ph, p = read_bits slab ~pos:!pos ~width:t.plan.Plan.path_width in
-  pos := p;
-  t.phist <- ph;
-  let lw = Lhist_provider.bits t.lhist in
+  pos := load_bits slab ~pos:!pos t.ghist;
+  pos := load_bits slab ~pos:!pos t.phist;
   for i = 0 to Lhist_provider.entries t.lhist - 1 do
-    let v, p = read_bits slab ~pos:!pos ~width:lw in
-    pos := p;
-    Lhist_provider.set_nth t.lhist i v
+    pos := load_bits slab ~pos:!pos (Lhist_provider.nth t.lhist i)
   done;
   t.emitted.Emit.restore_state slab

@@ -16,7 +16,12 @@
     - the speculative local-history push and its predecode unwind cancel,
       leaving one net push per conditional branch;
     - the history file holds at most one entry, so the ring buffer reduces
-      to a sequence counter and the per-branch metadata array.
+      to a sequence counter and the per-branch metadata array;
+    - every per-branch buffer is the engine's own, allocated once: one
+      context ({!Cobra.Context.reset} per step), one opinion vector per plan
+      step, one metadata vector per component, the event records built
+      over them, and the global/path/local history buffers, shifted in
+      place after each step's events are dispatched.
 
     Predictions, metadata, counters and snapshot slabs are bit-identical to
     the interpreted [Pipeline] run under the same protocol; the
@@ -44,7 +49,8 @@ val last_taken_pred : t -> bool
 
 val metas : t -> Cobra_util.Bits.t array
 (** Metadata words of the most recent {!step}, indexed by component id.
-    The array is reused: read it before the next {!step}. *)
+    The array and the vectors in it are the engine's buffers, valid until
+    the next {!step}: copy what must outlive it. *)
 
 val next_token : t -> int
 (** Packets predicted so far (continues across {!restore}), mirroring the

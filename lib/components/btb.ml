@@ -1,4 +1,5 @@
 module Bitpack = Cobra_util.Bitpack
+module Bits = Cobra_util.Bits
 module Bitops = Cobra_util.Bitops
 module Hashing = Cobra_util.Hashing
 module Slab = Cobra_util.Slab
@@ -17,10 +18,6 @@ let default ~name =
   { name; latency = 2; sets = 512; ways = 4; tag_bits = 14; fetch_width = 4 }
 
 let entries cfg = cfg.sets * cfg.ways
-
-(* Metadata layout: per slot, hit flag + hit way. *)
-let way_bits cfg = max 1 (Bitops.bits_needed cfg.ways)
-let meta_layout cfg = List.concat_map (fun _ -> [ 1; way_bits cfg ]) (List.init cfg.fetch_width Fun.id)
 
 let target_bits = 48
 
@@ -42,8 +39,8 @@ let make cfg =
   let e_kind off = Types.branch_kind_of_int (Slab.unsafe_get state (off + 3)) in
   let set_of pc = Hashing.pc_index ~pc ~bits:set_bits in
   let tag_of pc = Hashing.fold_int (Hashing.mix2 (Hashing.pc_bits pc) 0) ~width:62 ~bits:cfg.tag_bits in
-  (* A ref-based scan: an inner recursive closure would heap-allocate per
-     lookup, and this runs per slot per predict. *)
+  (* The hit way, or -1. A ref-based scan: an inner recursive closure would
+     heap-allocate per lookup, and this runs per slot per predict. *)
   let lookup pc =
     let s = set_of pc and tag = tag_of pc in
     let hit = ref (-1) in
@@ -53,49 +50,47 @@ let make cfg =
       if e_valid off && e_tag off = tag then hit := !w;
       incr w
     done;
-    if !hit < 0 then None else Some !hit
+    !hit
   in
-  let meta_bits = Bitpack.width_of (meta_layout cfg) in
-  let packer = Bitpack.Packer.create ~width:meta_bits in
-  let cursor = Bitpack.Cursor.create () in
-  let predict (ctx : Context.t) ~pred_in:_ =
-    let pred = Array.make cfg.fetch_width Types.empty_opinion in
+  (* Metadata layout, one word per slot: hit flag (bit 0), hit way above. *)
+  let way_bits = max 1 (Bitops.bits_needed cfg.ways) in
+  let slot_bits = 1 + way_bits in
+  let meta_bits = cfg.fetch_width * slot_bits in
+  let packer = Bitpack.Packer.create ~owner:cfg.name ~width:meta_bits in
+  let predict (ctx : Context.t) ~pred_in:_ ~out ~meta =
     let live = Context.live_bound ctx cfg.fetch_width in
-    for slot = 0 to cfg.fetch_width - 1 do
+    for slot = 0 to live - 1 do
       let pc = Context.slot_pc ctx slot in
-      match (if slot < live then lookup pc else None) with
-      | Some w ->
-        Bitpack.Packer.add packer 1 ~bits:1;
-        Bitpack.Packer.add packer w ~bits:(way_bits cfg);
+      let w = lookup pc in
+      if w < 0 then Bitpack.Packer.add packer 0 ~bits:slot_bits
+      else begin
+        Bitpack.Packer.add packer (1 lor (Bitpack.field w ~bits:way_bits lsl 1)) ~bits:slot_bits;
         let off = entry_off (set_of pc) w in
         let kind = e_kind off in
-        pred.(slot) <-
+        out.(slot) <-
           {
             Types.o_branch = Some true;
             o_kind = Some kind;
             o_taken = (if Types.is_unconditional kind then Some true else None);
             o_target = Some (e_target off);
           }
-      | None ->
-        Bitpack.Packer.add packer 0 ~bits:1;
-        Bitpack.Packer.add packer 0 ~bits:(way_bits cfg)
+      end
     done;
-    (pred, Bitpack.Packer.finish packer)
+    Bitpack.Packer.add_zeros packer ~bits:((cfg.fetch_width - live) * slot_bits);
+    Bitpack.Packer.finish_into packer meta
   in
   let update (ev : Component.event) =
-    Bitpack.Cursor.reset cursor ev.meta;
     for slot = 0 to cfg.fetch_width - 1 do
-      let hit = Bitpack.Cursor.take cursor ~bits:1 in
-      let way = Bitpack.Cursor.take cursor ~bits:(way_bits cfg) in
       let (r : Types.resolved) = ev.slots.(slot) in
       (* Allocate/refresh entries for branches observed taken; a branch the
          BTB has never seen taken cannot redirect fetch and need not
          occupy a way. *)
       if r.r_is_branch && r.r_taken then begin
+        let word = Bits.extract_int ev.meta ~lo:(slot * slot_bits) ~len:slot_bits in
         let pc = Context.slot_pc ev.ctx slot in
         let set_idx = set_of pc in
         let w =
-          if hit = 1 then way
+          if word land 1 = 1 then word lsr 1
           else begin
             (* Prefer an invalid way, else round-robin replacement. *)
             let invalid = ref (-1) in

@@ -49,23 +49,22 @@ let make cfg =
       lxor Hashing.fold_int (Hashing.mix2 table 41) ~width:62 ~bits:cfg.table_bits
   in
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
-  let predict (ctx : Context.t) ~pred_in =
+  let predict (ctx : Context.t) ~pred_in ~out ~meta =
     let base = match pred_in with [ p ] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
     let fields = ref [] in
-    let pred =
-      Array.init cfg.fetch_width (fun slot ->
-          let sum = ref 0 in
-          (* ascending table order: update's List.iteri pairs field [t] with
-             bank [t], so the pack order must match *)
-          for t = 0 to ntables - 1 do
-            let c = Slab.get state ((t * bank_size) + index ctx ~slot ~table:t) in
-            sum := !sum + c;
-            fields := (c + bias, cfg.counter_bits + 1) :: !fields
-          done;
-          if Types.unconditional_in base slot then Types.empty_opinion
-          else { Types.empty_opinion with o_taken = Some (!sum >= 0) })
-    in
-    (pred, Bitpack.pack ~width:meta_bits (List.rev !fields))
+    for slot = 0 to cfg.fetch_width - 1 do
+      let sum = ref 0 in
+      (* ascending table order: update's List.iteri pairs field [t] with
+         bank [t], so the pack order must match *)
+      for t = 0 to ntables - 1 do
+        let c = Slab.get state ((t * bank_size) + index ctx ~slot ~table:t) in
+        sum := !sum + c;
+        fields := (c + bias, cfg.counter_bits + 1) :: !fields
+      done;
+      if not (Types.unconditional_in base slot) then
+        out.(slot) <- Types.direction_hint ~taken:(!sum >= 0)
+    done;
+    Bitpack.store ~owner:cfg.name (Bitpack.pack ~width:meta_bits (List.rev !fields)) ~dst:meta
   in
   let update (ev : Component.event) =
     let fields = Bitpack.unpack ev.meta (meta_layout cfg) in

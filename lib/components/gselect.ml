@@ -31,21 +31,18 @@ let make cfg =
     (pc_part lsl cfg.history_bits) lor hist_part
   in
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
-  let predict ctx ~pred_in =
+  let predict ctx ~pred_in ~out ~meta =
     let base = match pred_in with [ p ] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
     let counters = Array.init cfg.fetch_width (fun slot -> Slab.get state (index ctx ~slot)) in
-    let pred =
-      Array.mapi
-        (fun slot c ->
-          if Types.unconditional_in base slot then Types.empty_opinion
-          else
-            { Types.empty_opinion with
-              o_taken = Some (Counter.is_taken ~bits:cfg.counter_bits c) })
-        counters
-    in
-    ( pred,
-      Bitpack.pack ~width:meta_bits
-        (Array.to_list (Array.map (fun c -> (c, cfg.counter_bits)) counters)) )
+    Array.iteri
+      (fun slot c ->
+        if not (Types.unconditional_in base slot) then
+          out.(slot) <- Types.direction_hint ~taken:(Counter.is_taken ~bits:cfg.counter_bits c))
+      counters;
+    Bitpack.store ~owner:cfg.name
+      (Bitpack.pack ~width:meta_bits
+         (Array.to_list (Array.map (fun c -> (c, cfg.counter_bits)) counters)))
+      ~dst:meta
   in
   let update (ev : Component.event) =
     List.iteri

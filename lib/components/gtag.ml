@@ -1,4 +1,5 @@
 module Bitpack = Cobra_util.Bitpack
+module Bits = Cobra_util.Bits
 module Bitops = Cobra_util.Bitops
 module Counter = Cobra_util.Counter
 module Hashing = Cobra_util.Hashing
@@ -26,10 +27,6 @@ let default ~name =
     fetch_width = 4;
   }
 
-(* Metadata: per slot, hit flag + the counter read at predict time. *)
-let meta_layout cfg =
-  List.concat_map (fun _ -> [ 1; cfg.counter_bits ]) (List.init cfg.fetch_width Fun.id)
-
 let make cfg =
   if not (Bitops.is_power_of_two cfg.entries) then
     invalid_arg (cfg.name ^ ": entries must be a power of two");
@@ -39,74 +36,68 @@ let make cfg =
   let e_valid i = Slab.unsafe_get state (3 * i) = 1 in
   let e_tag i = Slab.unsafe_get state ((3 * i) + 1) in
   let e_ctr i = Slab.unsafe_get state ((3 * i) + 2) in
-  let index (ctx : Context.t) ~slot =
-    let pc = Context.slot_pc ctx slot in
-    Hashing.combine ~bits:index_bits
-      [
-        Hashing.pc_index ~pc ~bits:index_bits;
-        Hashing.folded_history ctx.ghist ~len:cfg.history_length ~bits:index_bits;
-      ]
+  let cb = cfg.counter_bits in
+  let taken_at = Counter.weakly_taken ~bits:cb in
+  let index_mask = (1 lsl index_bits) - 1 in
+  (* The history folds are slot-independent: one pair per event, passed to
+     the per-slot index and tag. [index] is [Hashing.combine] of the PC and
+     history parts, unrolled so that no list is built per slot. *)
+  let index (ctx : Context.t) ~slot ~h_idx =
+    Hashing.pc_index ~pc:(Context.slot_pc ctx slot) ~bits:index_bits land index_mask
+    lxor (h_idx land index_mask)
   in
-  let tag (ctx : Context.t) ~slot =
-    let pc = Context.slot_pc ctx slot in
+  let tag (ctx : Context.t) ~slot ~h_tag =
     Hashing.fold_int
-      (Hashing.mix2 (Hashing.pc_bits pc)
-         (Hashing.folded_history ctx.ghist ~len:cfg.history_length ~bits:cfg.tag_bits))
+      (Hashing.mix2 (Hashing.pc_bits (Context.slot_pc ctx slot)) h_tag)
       ~width:62 ~bits:cfg.tag_bits
   in
-  let meta_bits = Bitpack.width_of (meta_layout cfg) in
-  let predict (ctx : Context.t) ~pred_in =
+  let h_idx_of (ctx : Context.t) =
+    Hashing.folded_history ctx.ghist ~len:cfg.history_length ~bits:index_bits
+  in
+  let h_tag_of (ctx : Context.t) =
+    Hashing.folded_history ctx.ghist ~len:cfg.history_length ~bits:cfg.tag_bits
+  in
+  (* Metadata, one word per slot: hit flag (bit 0), then the counter read
+     at predict time. *)
+  let slot_bits = 1 + cb in
+  let meta_bits = cfg.fetch_width * slot_bits in
+  let packer = Bitpack.Packer.create ~owner:cfg.name ~width:meta_bits in
+  let predict (ctx : Context.t) ~pred_in ~out ~meta =
     let base = match pred_in with [ p ] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
-    let fields = ref [] in
     let live = Context.live_bound ctx cfg.fetch_width in
-    let pred =
-      Array.init cfg.fetch_width (fun slot ->
-          if slot >= live then begin
-            (* dead slot: keep the declared meta layout *)
-            fields := (0, cfg.counter_bits) :: (0, 1) :: !fields;
-            Types.empty_opinion
-          end
-          else begin
-            let i = index ctx ~slot in
-            if (not (Types.unconditional_in base slot)) && e_valid i && e_tag i = tag ctx ~slot
-            then begin
-              fields := (e_ctr i, cfg.counter_bits) :: (1, 1) :: !fields;
-              { Types.empty_opinion with
-                o_taken = Some (Counter.is_taken ~bits:cfg.counter_bits (e_ctr i)) }
-            end
-            else begin
-              fields := (0, cfg.counter_bits) :: (0, 1) :: !fields;
-              Types.empty_opinion
-            end
-          end)
-    in
-    (pred, Bitpack.pack ~width:meta_bits (List.rev !fields))
+    let h_idx = h_idx_of ctx and h_tag = h_tag_of ctx in
+    for slot = 0 to live - 1 do
+      let i = index ctx ~slot ~h_idx in
+      if (not (Types.unconditional_in base slot)) && e_valid i && e_tag i = tag ctx ~slot ~h_tag
+      then begin
+        let c = e_ctr i in
+        Bitpack.Packer.add packer (1 lor (Bitpack.field c ~bits:cb lsl 1)) ~bits:slot_bits;
+        out.(slot) <- Types.direction_hint ~taken:(c >= taken_at)
+      end
+      else Bitpack.Packer.add packer 0 ~bits:slot_bits
+    done;
+    (* dead slots: keep the declared meta layout *)
+    Bitpack.Packer.add_zeros packer ~bits:((cfg.fetch_width - live) * slot_bits);
+    Bitpack.Packer.finish_into packer meta
   in
   let update (ev : Component.event) =
-    let fields = Bitpack.unpack ev.meta (meta_layout cfg) in
-    let rec per_slot slot = function
-      | hit :: ctr :: rest ->
-        let (r : Types.resolved) = ev.slots.(slot) in
-        if Types.cond_branch r then begin
-          let i = index ev.ctx ~slot in
-          if hit = 1 then
-            Slab.unsafe_set state ((3 * i) + 2)
-              (Counter.update ~bits:cfg.counter_bits ctr ~taken:r.r_taken)
-          else begin
-            (* Allocate on miss, seeding the counter weakly in the observed
-               direction. *)
-            Slab.unsafe_set state (3 * i) 1;
-            Slab.unsafe_set state ((3 * i) + 1) (tag ev.ctx ~slot);
-            Slab.unsafe_set state ((3 * i) + 2)
-              (if r.r_taken then Counter.weakly_taken ~bits:cfg.counter_bits
-               else Counter.weakly_not_taken ~bits:cfg.counter_bits)
-          end
-        end;
-        per_slot (slot + 1) rest
-      | [] -> ()
-      | _ -> assert false
-    in
-    per_slot 0 fields
+    for slot = 0 to cfg.fetch_width - 1 do
+      let (r : Types.resolved) = ev.slots.(slot) in
+      if Types.cond_branch r then begin
+        let w = Bits.extract_int ev.meta ~lo:(slot * slot_bits) ~len:slot_bits in
+        let i = index ev.ctx ~slot ~h_idx:(h_idx_of ev.ctx) in
+        if w land 1 = 1 then
+          Slab.unsafe_set state ((3 * i) + 2) (Counter.update ~bits:cb (w lsr 1) ~taken:r.r_taken)
+        else begin
+          (* Allocate on miss, seeding the counter weakly in the observed
+             direction. *)
+          Slab.unsafe_set state (3 * i) 1;
+          Slab.unsafe_set state ((3 * i) + 1) (tag ev.ctx ~slot ~h_tag:(h_tag_of ev.ctx));
+          Slab.unsafe_set state ((3 * i) + 2)
+            (if r.r_taken then Counter.weakly_taken ~bits:cb else Counter.weakly_not_taken ~bits:cb)
+        end
+      end
+    done
   in
   let entry_bits = 1 + cfg.tag_bits + cfg.counter_bits in
   let storage =

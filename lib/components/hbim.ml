@@ -1,5 +1,6 @@
 module Counter = Cobra_util.Counter
 module Bitpack = Cobra_util.Bitpack
+module Bits = Cobra_util.Bits
 module Bitops = Cobra_util.Bitops
 module Slab = Cobra_util.Slab
 open Cobra
@@ -16,52 +17,45 @@ type config = {
 let default ~name ~indexing =
   { name; latency = 2; entries = 2048; counter_bits = 2; indexing; fetch_width = 4 }
 
-(* Metadata layout: per slot, the counter value read at predict time. *)
-let meta_layout cfg = List.init cfg.fetch_width (fun _ -> cfg.counter_bits)
-
 let make_inspectable cfg =
   if not (Bitops.is_power_of_two cfg.entries) then
     invalid_arg (cfg.name ^ ": entries must be a power of two");
   let index_bits = Bitops.log2_exact cfg.entries in
+  let cb = cfg.counter_bits in
   (* slab layout: one counter per cell, entry i at cell i *)
   let state = Slab.create cfg.entries in
-  Slab.fill state (Counter.weakly_not_taken ~bits:cfg.counter_bits);
+  Slab.fill state (Counter.weakly_not_taken ~bits:cb);
+  let taken_at = Counter.weakly_taken ~bits:cb in
   let slot_index ctx ~slot = Indexing.index cfg.indexing ctx ~slot ~bits:index_bits in
-  let meta_bits = Bitpack.width_of (meta_layout cfg) in
-  let packer = Bitpack.Packer.create ~width:meta_bits in
-  let cursor = Bitpack.Cursor.create () in
-  let predict ctx ~pred_in =
+  (* Metadata layout: per slot, the counter value read at predict time. *)
+  let meta_bits = cfg.fetch_width * cb in
+  let packer = Bitpack.Packer.create ~owner:cfg.name ~width:meta_bits in
+  let predict ctx ~pred_in ~out ~meta =
     let base = match pred_in with [ p ] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
-    let pred = Array.make cfg.fetch_width Types.empty_opinion in
     let live = Context.live_bound ctx cfg.fetch_width in
-    for slot = 0 to cfg.fetch_width - 1 do
-      if slot < live then begin
-        let c = Slab.unsafe_get state (slot_index ctx ~slot) in
-        Bitpack.Packer.add packer c ~bits:cfg.counter_bits;
-        (* never override a known always-taken direction (jump/call/ret) *)
-        if not (Types.unconditional_in base slot) then
-          pred.(slot) <-
-            Types.direction_hint ~taken:(Counter.is_taken ~bits:cfg.counter_bits c)
-      end
-      else
-        (* dead slot: keep the declared meta layout *)
-        Bitpack.Packer.add packer 0 ~bits:cfg.counter_bits
+    for slot = 0 to live - 1 do
+      let c = Slab.unsafe_get state (slot_index ctx ~slot) in
+      Bitpack.Packer.add packer c ~bits:cb;
+      (* never override a known always-taken direction (jump/call/ret) *)
+      if not (Types.unconditional_in base slot) then
+        out.(slot) <- Types.direction_hint ~taken:(c >= taken_at)
     done;
-    (pred, Bitpack.Packer.finish packer)
+    (* dead slots: keep the declared meta layout *)
+    Bitpack.Packer.add_zeros packer ~bits:((cfg.fetch_width - live) * cb);
+    Bitpack.Packer.finish_into packer meta
   in
   let update (ev : Component.event) =
-    Bitpack.Cursor.reset cursor ev.meta;
     for slot = 0 to cfg.fetch_width - 1 do
-      let c = Bitpack.Cursor.take cursor ~bits:cfg.counter_bits in
       let (r : Types.resolved) = ev.slots.(slot) in
-      if Types.cond_branch r then
+      if Types.cond_branch r then begin
         (* Write back the updated predict-time counter: no second read. *)
-        Slab.unsafe_set state (slot_index ev.ctx ~slot)
-          (Counter.update ~bits:cfg.counter_bits c ~taken:r.r_taken)
+        let c = Bits.extract_int ev.meta ~lo:(slot * cb) ~len:cb in
+        Slab.unsafe_set state (slot_index ev.ctx ~slot) (Counter.update ~bits:cb c ~taken:r.r_taken)
+      end
     done
   in
   let storage =
-    Storage.make ~sram_bits:(cfg.entries * cfg.counter_bits)
+    Storage.make ~sram_bits:(cfg.entries * cb)
       ~logic_gates:(cfg.fetch_width * 40) ()
   in
   let component =

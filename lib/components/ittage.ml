@@ -83,24 +83,22 @@ let make cfg =
     scan (ntables - 1)
   in
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
-  let predict (ctx : Context.t) ~pred_in:_ =
+  let predict (ctx : Context.t) ~pred_in:_ ~out ~meta =
     let fields = ref [] in
-    let pred =
-      Array.init cfg.fetch_width (fun slot ->
-          match find_provider ctx ~slot with
-          | Some (t, off) ->
-            fields := (t, 3) :: (1, 1) :: !fields;
-            {
-              Types.o_branch = Some true;
-              o_kind = Some Types.Ind;
-              o_taken = Some true;
-              o_target = Some (e_target off);
-            }
-          | None ->
-            fields := (0, 3) :: (0, 1) :: !fields;
-            Types.empty_opinion)
-    in
-    (pred, Bitpack.pack ~width:meta_bits (List.rev !fields))
+    for slot = 0 to cfg.fetch_width - 1 do
+      match find_provider ctx ~slot with
+      | Some (t, off) ->
+        fields := (t, 3) :: (1, 1) :: !fields;
+        out.(slot) <-
+          {
+            Types.o_branch = Some true;
+            o_kind = Some Types.Ind;
+            o_taken = Some true;
+            o_target = Some (e_target off);
+          }
+      | None -> fields := (0, 3) :: (0, 1) :: !fields
+    done;
+    Bitpack.store ~owner:cfg.name (Bitpack.pack ~width:meta_bits (List.rev !fields)) ~dst:meta
   in
   let update (ev : Component.event) =
     let fields = Bitpack.unpack ev.meta (meta_layout cfg) in

@@ -1,4 +1,5 @@
 module Bitpack = Cobra_util.Bitpack
+module Bits = Cobra_util.Bits
 module Bitops = Cobra_util.Bitops
 module Hashing = Cobra_util.Hashing
 module Slab = Cobra_util.Slab
@@ -27,11 +28,6 @@ let default ~name =
     fetch_width = 4;
   }
 
-(* Metadata layout, per slot: hit(1), predict-time c_count, offered a
-   prediction(1), predicted direction(1). *)
-let slot_layout cfg = [ 1; cfg.count_bits; 1; 1 ]
-let meta_layout cfg = List.concat_map (fun _ -> slot_layout cfg) (List.init cfg.fetch_width Fun.id)
-
 let make cfg =
   if not (Bitops.is_power_of_two cfg.entries) then
     invalid_arg (cfg.name ^ ": entries must be a power of two");
@@ -53,74 +49,72 @@ let make cfg =
   let set_c_count off v = Slab.unsafe_set state (off + 3) v in
   let set_conf off v = Slab.unsafe_set state (off + 4) v in
   let set_dir off b = Slab.unsafe_set state (off + 5) (if b then 1 else 0) in
+  (* The matching entry's slab offset, or -1. *)
   let lookup pc =
     let off = 6 * index pc in
-    if e_valid off && e_tag off = tag_of pc then Some off else None
+    if e_valid off && e_tag off = tag_of pc then off else -1
   in
   let count_max = (1 lsl cfg.count_bits) - 1 in
   let conf_max = (1 lsl cfg.conf_bits) - 1 in
-  let meta_bits = Bitpack.width_of (meta_layout cfg) in
-  let packer = Bitpack.Packer.create ~width:meta_bits in
-  let cursor = Bitpack.Cursor.create () in
-  let predict (ctx : Context.t) ~pred_in:_ =
-    let pred = Types.no_prediction ~width:cfg.fetch_width in
+  (* Metadata layout, one word per slot: hit (bit 0), predict-time c_count,
+     offered a prediction, predicted direction. *)
+  let pv_lo = 1 + cfg.count_bits in
+  let slot_bits = pv_lo + 2 in
+  if slot_bits > 62 then invalid_arg (cfg.name ^ ": per-slot metadata wider than 62 bits");
+  let meta_bits = cfg.fetch_width * slot_bits in
+  let packer = Bitpack.Packer.create ~owner:cfg.name ~width:meta_bits in
+  let predict (ctx : Context.t) ~pred_in:_ ~out ~meta =
     let live = Context.live_bound ctx cfg.fetch_width in
-    for slot = 0 to cfg.fetch_width - 1 do
-      let hit, c, pv, pd =
-        match (if slot < live then lookup (Context.slot_pc ctx slot) else None) with
-        | Some off ->
+    for slot = 0 to live - 1 do
+      let off = lookup (Context.slot_pc ctx slot) in
+      if off < 0 then Bitpack.Packer.add packer 0 ~bits:slot_bits
+      else begin
+        let c = Bitpack.field (e_c_count off) ~bits:cfg.count_bits in
+        let offered =
           if e_conf off >= cfg.conf_threshold && e_p_count off > 0 then begin
-            let taken =
-              if e_c_count off >= e_p_count off then not (e_dir off) else e_dir off
-            in
-            pred.(slot) <- Types.direction_hint ~taken;
-            (1, e_c_count off, 1, if taken then 1 else 0)
+            let taken = if e_c_count off >= e_p_count off then not (e_dir off) else e_dir off in
+            out.(slot) <- Types.direction_hint ~taken;
+            if taken then 3 else 1
           end
-          else (1, e_c_count off, 0, 0)
-        | None -> (0, 0, 0, 0)
-      in
-      Bitpack.Packer.add packer hit ~bits:1;
-      Bitpack.Packer.add packer c ~bits:cfg.count_bits;
-      Bitpack.Packer.add packer pv ~bits:1;
-      Bitpack.Packer.add packer pd ~bits:1
+          else 0
+        in
+        Bitpack.Packer.add packer (1 lor (c lsl 1) lor (offered lsl pv_lo)) ~bits:slot_bits
+      end
     done;
-    (pred, Bitpack.Packer.finish packer)
+    Bitpack.Packer.add_zeros packer ~bits:((cfg.fetch_width - live) * slot_bits);
+    Bitpack.Packer.finish_into packer meta
   in
-  (* Scratch decode of the per-slot metadata, refilled at the top of each
-     event; the handlers need random access, so cursor reads land in these
-     preallocated arrays. pv/pd are predict-time outputs no handler reads. *)
-  let m_hit = Array.make cfg.fetch_width false in
-  let m_count = Array.make cfg.fetch_width 0 in
-  let decode_meta (ev : Component.event) =
-    Bitpack.Cursor.reset cursor ev.meta;
-    for slot = 0 to cfg.fetch_width - 1 do
-      m_hit.(slot) <- Bitpack.Cursor.take cursor ~bits:1 = 1;
-      m_count.(slot) <- Bitpack.Cursor.take cursor ~bits:cfg.count_bits;
-      Bitpack.Cursor.skip cursor ~bits:2
-    done
-  in
+  (* A slot's predict-time word; pv/pd are predict-time outputs no handler
+     reads. Dead slots hold zero words, so handlers that walk every slot
+     stop at the packet's live bound. *)
+  let word (ev : Component.event) slot = Bits.extract_int ev.meta ~lo:(slot * slot_bits) ~len:slot_bits in
+  let w_hit w = w land 1 = 1 in
+  let w_count w = (w lsr 1) land count_max in
   let entry_for (ev : Component.event) slot = lookup (Context.slot_pc ev.ctx slot) in
   (* Speculative per-slot iteration counting when the packet proceeds. *)
   let fire (ev : Component.event) =
-    decode_meta ev;
     for slot = 0 to cfg.fetch_width - 1 do
-      if m_hit.(slot) then
-        match entry_for ev slot with
-        | Some off ->
-          let (r : Types.resolved) = ev.slots.(slot) in
-          if Types.cond_branch r then
-            if r.r_taken = e_dir off then set_c_count off (min count_max (e_c_count off + 1))
-            else set_c_count off 0
-        | None -> ()
+      let (r : Types.resolved) = ev.slots.(slot) in
+      if Types.cond_branch r && w_hit (word ev slot) then begin
+        let off = entry_for ev slot in
+        if off >= 0 then
+          if r.r_taken = e_dir off then begin
+            let c = e_c_count off + 1 in
+            set_c_count off (if c < count_max then c else count_max)
+          end
+          else set_c_count off 0
+      end
     done
   in
   let restore_slot ev slot =
-    if m_hit.(slot) then
-      match entry_for ev slot with Some off -> set_c_count off m_count.(slot) | None -> ()
+    let w = word ev slot in
+    if w_hit w then begin
+      let off = entry_for ev slot in
+      if off >= 0 then set_c_count off (w_count w)
+    end
   in
   let repair (ev : Component.event) =
-    decode_meta ev;
-    for slot = 0 to cfg.fetch_width - 1 do
+    for slot = 0 to Context.live_bound ev.ctx cfg.fetch_width - 1 do
       restore_slot ev slot
     done
   in
@@ -128,19 +122,22 @@ let make cfg =
     match ev.culprit with
     | None -> ()
     | Some culprit ->
-      decode_meta ev;
       (* Rewind speculative counts from the culprit onward, then apply the
          culprit's actual direction. *)
-      for slot = cfg.fetch_width - 1 downto culprit do
+      for slot = Context.live_bound ev.ctx cfg.fetch_width - 1 downto culprit do
         restore_slot ev slot
       done;
       let (r : Types.resolved) = ev.slots.(culprit) in
       if Types.cond_branch r then begin
-        match (m_hit.(culprit), entry_for ev culprit) with
-        | true, Some off ->
-          if r.r_taken = e_dir off then set_c_count off (min count_max (m_count.(culprit) + 1))
+        let w = word ev culprit in
+        let off = if w_hit w then entry_for ev culprit else -1 in
+        if off >= 0 then
+          if r.r_taken = e_dir off then begin
+            let c = w_count w + 1 in
+            set_c_count off (if c < count_max then c else count_max)
+          end
           else set_c_count off 0
-        | _ ->
+        else begin
           (* An untracked mispredicting conditional branch: start tracking,
              assuming the misprediction was a loop exit. *)
           let pc = Context.slot_pc ev.ctx culprit in
@@ -151,38 +148,44 @@ let make cfg =
           set_c_count off 0;
           set_conf off 0;
           set_dir off (not r.r_taken)
+        end
       end
   in
   let update (ev : Component.event) =
-    decode_meta ev;
     for slot = 0 to cfg.fetch_width - 1 do
-      if m_hit.(slot) then
-        match entry_for ev slot with
-        | Some off ->
-          let (r : Types.resolved) = ev.slots.(slot) in
-          let c = m_count.(slot) in
-          if Types.cond_branch r then
-            if r.r_taken <> e_dir off then begin
-              (* Committed loop exit after [c] body iterations. *)
-              if c = 0 then begin
-                (* Two consecutive exits: the learned body direction is
-                   the branch's minority direction — flip it. *)
-                set_dir off (not (e_dir off));
-                set_p_count off 0;
-                set_conf off 0
+      let (r : Types.resolved) = ev.slots.(slot) in
+      if Types.cond_branch r then begin
+        let w = word ev slot in
+        let off = if w_hit w then entry_for ev slot else -1 in
+        if off >= 0 then begin
+          let c = w_count w in
+          if r.r_taken <> e_dir off then begin
+            (* Committed loop exit after [c] body iterations. *)
+            if c = 0 then begin
+              (* Two consecutive exits: the learned body direction is
+                 the branch's minority direction — flip it. *)
+              set_dir off (not (e_dir off));
+              set_p_count off 0;
+              set_conf off 0
+            end
+            else if c < count_max then begin
+              if e_p_count off = c then begin
+                let k = e_conf off + 1 in
+                set_conf off (if k < conf_max then k else conf_max)
               end
-              else if c < count_max then begin
-                if e_p_count off = c then set_conf off (min conf_max (e_conf off + 1))
-                else begin
-                  set_p_count off c;
-                  set_conf off (if e_conf off >= cfg.conf_threshold then 0 else 1)
-                end
+              else begin
+                set_p_count off c;
+                set_conf off (if e_conf off >= cfg.conf_threshold then 0 else 1)
               end
             end
-            else if e_p_count off > 0 && c >= e_p_count off then
-              (* Ran past the learned trip count without exiting. *)
-              set_conf off (max 0 (e_conf off - 1))
-        | None -> ()
+          end
+          else if e_p_count off > 0 && c >= e_p_count off then begin
+            (* Ran past the learned trip count without exiting. *)
+            let k = e_conf off - 1 in
+            set_conf off (if k > 0 then k else 0)
+          end
+        end
+      end
     done
   in
   let entry_bits = 1 + cfg.tag_bits + (2 * cfg.count_bits) + cfg.conf_bits + 1 in

@@ -43,20 +43,16 @@ let make cfg =
   let threshold = (2 * cfg.history_length) + 14 (* Jimenez's 1.93h + 14 ~ 2h + 14 *) in
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
   let clamp_sum s = min ((1 lsl sum_bits) - 1) (abs s) in
-  let predict (ctx : Context.t) ~pred_in =
+  let predict (ctx : Context.t) ~pred_in ~out ~meta =
     let base = match pred_in with [ p ] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
-    let pred =
-      Array.init cfg.fetch_width (fun _ -> Types.empty_opinion)
-    in
     let fields = ref [] in
-    Array.iteri
-      (fun slot _ ->
-        let sum = dot ctx (index ctx ~slot) in
-        fields := ((if sum >= 0 then 1 else 0), 1) :: (clamp_sum sum, sum_bits) :: !fields;
-        if not (Types.unconditional_in base slot) then
-          pred.(slot) <- { Types.empty_opinion with o_taken = Some (sum >= 0) })
-      pred;
-    (pred, Bitpack.pack ~width:meta_bits (List.rev !fields))
+    for slot = 0 to cfg.fetch_width - 1 do
+      let sum = dot ctx (index ctx ~slot) in
+      fields := ((if sum >= 0 then 1 else 0), 1) :: (clamp_sum sum, sum_bits) :: !fields;
+      if not (Types.unconditional_in base slot) then
+        out.(slot) <- Types.direction_hint ~taken:(sum >= 0)
+    done;
+    Bitpack.store ~owner:cfg.name (Bitpack.pack ~width:meta_bits (List.rev !fields)) ~dst:meta
   in
   let update (ev : Component.event) =
     let fields = Bitpack.unpack ev.meta (meta_layout cfg) in

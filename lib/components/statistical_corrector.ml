@@ -44,30 +44,26 @@ let make cfg =
       ]
   in
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
-  let predict (ctx : Context.t) ~pred_in =
+  let predict (ctx : Context.t) ~pred_in ~out ~meta =
     let base =
       match pred_in with
       | [ p ] -> p
       | _ -> invalid_arg (cfg.name ^ ": expected exactly one predict_in")
     in
     let fields = ref [] in
-    let pred =
-      Array.init cfg.fetch_width (fun slot ->
-          match base.(slot).Types.o_taken with
-          | None ->
-            fields := (bias, cfg.counter_bits + 1) :: (0, 1) :: (0, 1) :: !fields;
-            Types.empty_opinion
-          | Some incoming ->
-            let c = Slab.get state (index ctx ~slot ~incoming) in
-            fields :=
-              (c + bias, cfg.counter_bits + 1) :: ((if incoming then 1 else 0), 1) :: (1, 1)
-              :: !fields;
-            if -c > cfg.threshold then
-              (* the counter has saturated against the incoming prediction *)
-              { Types.empty_opinion with o_taken = Some (not incoming) }
-            else Types.empty_opinion)
-    in
-    (pred, Bitpack.pack ~width:meta_bits (List.rev !fields))
+    for slot = 0 to cfg.fetch_width - 1 do
+      match base.(slot).Types.o_taken with
+      | None -> fields := (bias, cfg.counter_bits + 1) :: (0, 1) :: (0, 1) :: !fields
+      | Some incoming ->
+        let c = Slab.get state (index ctx ~slot ~incoming) in
+        fields :=
+          (c + bias, cfg.counter_bits + 1) :: ((if incoming then 1 else 0), 1) :: (1, 1)
+          :: !fields;
+        if -c > cfg.threshold then
+          (* the counter has saturated against the incoming prediction *)
+          out.(slot) <- Types.direction_hint ~taken:(not incoming)
+    done;
+    Bitpack.store ~owner:cfg.name (Bitpack.pack ~width:meta_bits (List.rev !fields)) ~dst:meta
   in
   let update (ev : Component.event) =
     let fields = Bitpack.unpack ev.meta (meta_layout cfg) in

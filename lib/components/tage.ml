@@ -1,4 +1,5 @@
 module Bitpack = Cobra_util.Bitpack
+module Bits = Cobra_util.Bits
 module Counter = Cobra_util.Counter
 module Hashing = Cobra_util.Hashing
 module Rng = Cobra_util.Rng
@@ -35,12 +36,6 @@ let storage_bits cfg =
   List.fold_left
     (fun acc t -> acc + ((1 lsl t.index_bits) * (1 + t.tag_bits + cfg.counter_bits + cfg.u_bits)))
     0 cfg.tables
-
-(* Metadata layout per slot:
-   hit(1) provider(4) provider_ctr(3) alt_valid(1) alt_dir(1) provider_u(2)
-   base_valid(1) base_dir(1). *)
-let slot_layout cfg = [ 1; 4; cfg.counter_bits; 1; 1; cfg.u_bits; 1; 1 ]
-let meta_layout cfg = List.concat_map (fun _ -> slot_layout cfg) (List.init cfg.fetch_width Fun.id)
 
 let make cfg =
   let ntables = List.length cfg.tables in
@@ -116,11 +111,15 @@ let make cfg =
       out.(by_len.(q)) <- fold_scratch.(q)
     done
   in
-  (* The context snapshot travels with the packet, so its update/repair
-     events carry the record predict already folded for: physical equality
-     makes the refill free when no other packet was predicted in between
-     (always true for single-packet hosts like trace replay). *)
-  let last_folded : Context.t option ref = ref None in
+  (* The context travels with the packet, so its update events carry the
+     record predict already folded for: keyed on (context, stamp), the
+     refill is free when no other packet was predicted in between (always
+     true for single-packet hosts like trace replay, which reuse one
+     context and bump its stamp per branch). *)
+  let last_ctx =
+    ref (Context.make ~pc:0 ~fetch_width:1 ~ghist:(Bits.zero 0) ~lhists:[| Bits.zero 0 |] ())
+  in
+  let last_stamp = ref (-1) in
   let fill_folds_uncached (ctx : Context.t) =
     if uniform_fold_idx_bits then fill_batched ctx ~bits:specs.(0).index_bits fold_idx
     else
@@ -139,11 +138,11 @@ let make cfg =
       done
   in
   let fill_folds (ctx : Context.t) =
-    match !last_folded with
-    | Some c when c == ctx -> ()
-    | _ ->
-      last_folded := Some ctx;
+    if not (!last_ctx == ctx && !last_stamp = ctx.stamp) then begin
+      last_ctx := ctx;
+      last_stamp := ctx.stamp;
       fill_folds_uncached ctx
+    end
   in
   let uniform_index_bits =
     Array.for_all (fun s -> s.index_bits = specs.(0).index_bits) specs
@@ -173,79 +172,76 @@ let make cfg =
   let e_tag off = Slab.unsafe_get state (off + 1) in
   let e_ctr off = Slab.unsafe_get state (off + 2) in
   let e_u off = Slab.unsafe_get state (off + 3) in
+  (* The hit entry's slab offset, or -1. *)
   let lookup ctx ~slot ~pcv ~table =
     let off = entry_off ~table (index ctx ~slot ~pcv ~table) in
-    if e_valid off && e_tag off = tag_hash ctx ~slot ~table then Some off else None
+    if e_valid off && e_tag off = tag_hash ctx ~slot ~table then off else -1
   in
-  (* Longest-history hit and the next one below it. The scan threads all
-     its state through arguments so no closure is allocated per slot. *)
-  let rec provider_scan lookup pcv ctx slot t provider alt =
-    if t < 0 then (provider, alt)
-    else
-      match lookup ctx ~slot ~pcv ~table:t with
-      | Some off -> (
-        match provider with
-        | None -> provider_scan lookup pcv ctx slot (t - 1) (Some (t, off)) alt
-        | Some _ -> (provider, Some (t, off)))
-      | None -> provider_scan lookup pcv ctx slot (t - 1) provider alt
-  in
-  let find_provider pcv ctx ~slot = provider_scan lookup pcv ctx slot (ntables - 1) None None in
-  let meta_bits = Bitpack.width_of (meta_layout cfg) in
-  let packer = Bitpack.Packer.create ~width:meta_bits in
-  let cursor = Bitpack.Cursor.create () in
-  let taken_of_ctr c = Counter.is_taken ~bits:cfg.counter_bits c in
-  let predict (ctx : Context.t) ~pred_in =
+  let cb = cfg.counter_bits and ub = cfg.u_bits in
+  let taken_at = Counter.weakly_taken ~bits:cb in
+  let u_max = Counter.max_value ~bits:ub in
+  (* Metadata layout, one word per slot, low bits first: hit(1)
+     provider(4) provider_ctr(cb) alt_valid(1) alt_dir(1) provider_u(ub)
+     base_valid(1) base_dir(1). *)
+  let provider_lo = 1 in
+  let ctr_lo = provider_lo + 4 in
+  let alt_lo = ctr_lo + cb in
+  let u_lo = alt_lo + 2 in
+  let base_lo = u_lo + ub in
+  let slot_bits = base_lo + 2 in
+  if slot_bits > 62 then invalid_arg (cfg.name ^ ": per-slot metadata wider than 62 bits");
+  let ctr_mask = (1 lsl cb) - 1 and u_mask = (1 lsl ub) - 1 in
+  let meta_bits = cfg.fetch_width * slot_bits in
+  let packer = Bitpack.Packer.create ~owner:cfg.name ~width:meta_bits in
+  let predict (ctx : Context.t) ~pred_in ~out ~meta =
     let base =
       match pred_in with
       | [ p ] -> p
       | _ -> invalid_arg (cfg.name ^ ": expected exactly one predict_in")
     in
     fill_folds ctx;
-    let pred = Array.make cfg.fetch_width Types.empty_opinion in
     let live = Context.live_bound ctx cfg.fetch_width in
-    for slot = 0 to cfg.fetch_width - 1 do
-      let bit = function Some true -> 1 | _ -> 0 in
-      let valid = function Some _ -> 1 | None -> 0 in
-      if slot >= live then begin
-        (* dead slot: keep the declared meta layout *)
-        Bitpack.Packer.add packer 0 ~bits:1;
-        Bitpack.Packer.add packer 0 ~bits:4;
-        Bitpack.Packer.add packer 0 ~bits:cfg.counter_bits;
-        Bitpack.Packer.add packer 0 ~bits:1;
-        Bitpack.Packer.add packer 0 ~bits:1;
-        Bitpack.Packer.add packer 0 ~bits:cfg.u_bits;
-        Bitpack.Packer.add packer 0 ~bits:1;
-        Bitpack.Packer.add packer 0 ~bits:1
-      end
-      else begin
+    for slot = 0 to live - 1 do
       let pcv = pc_fold ctx ~slot in
-      let provider, alt = find_provider pcv ctx ~slot in
-      let base_dir = base.(slot).Types.o_taken in
-      match provider with
-      | Some (p, off) ->
-        let alt_dir = Option.map (fun (_, a_off) -> taken_of_ctr (e_ctr a_off)) alt in
-        Bitpack.Packer.add packer 1 ~bits:1;
-        Bitpack.Packer.add packer p ~bits:4;
-        Bitpack.Packer.add packer (e_ctr off) ~bits:cfg.counter_bits;
-        Bitpack.Packer.add packer (valid alt_dir) ~bits:1;
-        Bitpack.Packer.add packer (bit alt_dir) ~bits:1;
-        Bitpack.Packer.add packer (e_u off) ~bits:cfg.u_bits;
-        Bitpack.Packer.add packer (valid base_dir) ~bits:1;
-        Bitpack.Packer.add packer (bit base_dir) ~bits:1;
+      (* Longest-history hit (the provider) and the next one below it. *)
+      let provider = ref (-1) and p_off = ref (-1) and a_off = ref (-1) in
+      let t = ref (ntables - 1) in
+      while !a_off < 0 && !t >= 0 do
+        let off = lookup ctx ~slot ~pcv ~table:!t in
+        if off >= 0 then
+          if !provider < 0 then begin
+            provider := !t;
+            p_off := off
+          end
+          else a_off := off;
+        decr t
+      done;
+      let base_word =
+        match base.(slot).Types.o_taken with
+        | Some true -> 3
+        | Some false -> 1
+        | None -> 0
+      in
+      if !provider < 0 then Bitpack.Packer.add packer (base_word lsl base_lo) ~bits:slot_bits
+      else begin
+        let off = !p_off in
+        let ctr = e_ctr off in
+        let alt_word = if !a_off < 0 then 0 else if e_ctr !a_off >= taken_at then 3 else 1 in
+        Bitpack.Packer.add packer
+          (1
+          lor (Bitpack.field !provider ~bits:4 lsl provider_lo)
+          lor (Bitpack.field ctr ~bits:cb lsl ctr_lo)
+          lor (alt_word lsl alt_lo)
+          lor (Bitpack.field (e_u off) ~bits:ub lsl u_lo)
+          lor (base_word lsl base_lo))
+          ~bits:slot_bits;
         if not (Types.unconditional_in base slot) then
-          pred.(slot) <- Types.direction_hint ~taken:(taken_of_ctr (e_ctr off))
-      | None ->
-        Bitpack.Packer.add packer 0 ~bits:1;
-        Bitpack.Packer.add packer 0 ~bits:4;
-        Bitpack.Packer.add packer 0 ~bits:cfg.counter_bits;
-        Bitpack.Packer.add packer 0 ~bits:1;
-        Bitpack.Packer.add packer 0 ~bits:1;
-        Bitpack.Packer.add packer 0 ~bits:cfg.u_bits;
-        Bitpack.Packer.add packer (valid base_dir) ~bits:1;
-        Bitpack.Packer.add packer (bit base_dir) ~bits:1
+          out.(slot) <- Types.direction_hint ~taken:(ctr >= taken_at)
       end
     done;
-    (pred, Bitpack.Packer.finish packer)
+    (* dead slots: keep the declared meta layout *)
+    Bitpack.Packer.add_zeros packer ~bits:((cfg.fetch_width - live) * slot_bits);
+    Bitpack.Packer.finish_into packer meta
   in
   let graceful_u_decay () =
     Array.iteri
@@ -256,92 +252,81 @@ let make cfg =
         done)
       specs
   in
-  let allocate pcv ev ~slot ~above ~taken =
+  let allocate pcv (ctx : Context.t) ~slot ~above ~taken =
     (* Find a non-useful entry in a longer-history table; throttle with the
        PRNG so allocations spread across tables (Seznec 2011). If every
-       candidate is useful, age them all instead. *)
-    let candidates = ref [] in
+       candidate is useful, age them all instead. Only the two shortest
+       candidates matter. *)
+    let first = ref (-1) and next = ref (-1) in
     for t = above to ntables - 1 do
-      let off = entry_off ~table:t (index ev.Component.ctx ~slot ~pcv ~table:t) in
-      if (not (e_valid off)) || e_u off = 0 then candidates := t :: !candidates
+      let off = entry_off ~table:t (index ctx ~slot ~pcv ~table:t) in
+      if (not (e_valid off)) || e_u off = 0 then
+        if !first < 0 then first := t else if !next < 0 then next := t
     done;
-    match List.rev !candidates with
-    | [] ->
+    if !first < 0 then
       for t = above to ntables - 1 do
-        let off = entry_off ~table:t (index ev.Component.ctx ~slot ~pcv ~table:t) in
-        Slab.unsafe_set state (off + 3) (max 0 (e_u off - 1))
+        let off = entry_off ~table:t (index ctx ~slot ~pcv ~table:t) in
+        let u = e_u off - 1 in
+        Slab.unsafe_set state (off + 3) (if u > 0 then u else 0)
       done
-    | first :: rest ->
-      let chosen =
-        (* Prefer the shortest candidate but sometimes skip ahead. *)
-        match rest with
-        | next :: _ when rng_chance 0.33 -> next
-        | _ -> first
-      in
-      let off = entry_off ~table:chosen (index ev.Component.ctx ~slot ~pcv ~table:chosen) in
+    else begin
+      (* Prefer the shortest candidate but sometimes skip ahead. *)
+      let chosen = if !next >= 0 && rng_chance 0.33 then !next else !first in
+      let off = entry_off ~table:chosen (index ctx ~slot ~pcv ~table:chosen) in
       Slab.unsafe_set state off 1;
-      Slab.unsafe_set state (off + 1) (tag_hash ev.Component.ctx ~slot ~table:chosen);
+      Slab.unsafe_set state (off + 1) (tag_hash ctx ~slot ~table:chosen);
       Slab.unsafe_set state (off + 2)
-        (if taken then Counter.weakly_taken ~bits:cfg.counter_bits
-         else Counter.weakly_not_taken ~bits:cfg.counter_bits);
+        (if taken then Counter.weakly_taken ~bits:cb else Counter.weakly_not_taken ~bits:cb);
       Slab.unsafe_set state (off + 3) 0
+    end
   in
   let update (ev : Component.event) =
-    Bitpack.Cursor.reset cursor ev.meta;
-    (* The scratch folds are only needed (and only filled) when the packet
-       holds a conditional branch; the memoized context makes the refill a
-       lookup, not a recomputation. *)
-    let folds_filled = ref false in
     for slot = 0 to cfg.fetch_width - 1 do
-      let hit = Bitpack.Cursor.take cursor ~bits:1 in
-      let provider = Bitpack.Cursor.take cursor ~bits:4 in
-      let pctr = Bitpack.Cursor.take cursor ~bits:cfg.counter_bits in
-      let alt_valid = Bitpack.Cursor.take cursor ~bits:1 in
-      let alt_dir = Bitpack.Cursor.take cursor ~bits:1 in
-      let pu = Bitpack.Cursor.take cursor ~bits:cfg.u_bits in
-      let base_valid = Bitpack.Cursor.take cursor ~bits:1 in
-      let base_dir = Bitpack.Cursor.take cursor ~bits:1 in
       let (r : Types.resolved) = ev.slots.(slot) in
       if Types.cond_branch r then begin
+        let w = Bits.extract_int ev.meta ~lo:(slot * slot_bits) ~len:slot_bits in
+        let hit = w land 1 = 1 in
+        let provider = (w lsr provider_lo) land 15 in
+        let pctr = (w lsr ctr_lo) land ctr_mask in
+        let alt_valid = (w lsr alt_lo) land 1 = 1 in
+        let alt_dir = (w lsr (alt_lo + 1)) land 1 = 1 in
+        let pu = (w lsr u_lo) land u_mask in
+        let base_valid = (w lsr base_lo) land 1 = 1 in
+        let base_dir = (w lsr (base_lo + 1)) land 1 = 1 in
         Slab.set state 0 (Slab.get state 0 + 1);
         if Slab.get state 0 mod cfg.u_reset_period = 0 then graceful_u_decay ();
-        if not !folds_filled then begin
-          fill_folds ev.ctx;
-          folds_filled := true
-        end;
+        (* The scratch folds are only needed (and only filled) when the
+           packet holds a conditional branch; the cache keyed on the
+           packet's context makes the refill a no-op. *)
+        fill_folds ev.ctx;
         let taken = r.r_taken in
-        let provider_pred = if hit = 1 then Some (taken_of_ctr pctr) else None in
-        let effective =
-          match provider_pred with
-          | Some d -> Some d
-          | None -> if base_valid = 1 then Some (base_dir = 1) else None
-        in
         let pcv = pc_fold ev.ctx ~slot in
-        (match provider_pred with
-        | Some pdir ->
-          let off = entry_off ~table:provider (index ev.ctx ~slot ~pcv ~table:provider) in
-          if e_valid off && e_tag off = tag_hash ev.ctx ~slot ~table:provider then begin
-            Slab.unsafe_set state (off + 2) (Counter.update ~bits:cfg.counter_bits pctr ~taken);
-            (* Usefulness trains when provider and altpred disagreed. *)
-            let altpred =
-              if alt_valid = 1 then Some (alt_dir = 1)
-              else if base_valid = 1 then Some (base_dir = 1)
-              else None
-            in
-            match altpred with
-            | Some a when a <> pdir ->
-              Slab.unsafe_set state (off + 3)
-                (if pdir = taken then min (Counter.max_value ~bits:cfg.u_bits) (pu + 1)
-                 else max 0 (pu - 1))
-            | _ -> ()
+        (* the effective prediction: the provider's, else the base's *)
+        let wrong =
+          if hit then begin
+            let pdir = pctr >= taken_at in
+            let off = entry_off ~table:provider (index ev.ctx ~slot ~pcv ~table:provider) in
+            if e_valid off && e_tag off = tag_hash ev.ctx ~slot ~table:provider then begin
+              Slab.unsafe_set state (off + 2) (Counter.update ~bits:cb pctr ~taken);
+              (* Usefulness trains when provider and altpred disagreed. *)
+              let alt_known = alt_valid || base_valid in
+              let alt = if alt_valid then alt_dir else base_dir in
+              if alt_known && alt <> pdir then
+                Slab.unsafe_set state (off + 3)
+                  (if pdir = taken then (if pu + 1 < u_max then pu + 1 else u_max)
+                   else if pu - 1 > 0 then pu - 1
+                   else 0)
+            end;
+            pdir <> taken
           end
-        | None -> ());
+          else if base_valid then base_dir <> taken
+          else true
+        in
         (* Allocate on a wrong effective prediction, in tables above the
            provider (or anywhere when nothing hit). *)
-        let wrong = match effective with Some d -> d <> taken | None -> true in
-        let can_extend = hit = 0 || provider < ntables - 1 in
+        let can_extend = (not hit) || provider < ntables - 1 in
         if wrong && can_extend then
-          allocate pcv ev ~slot ~above:(if hit = 1 then provider + 1 else 0) ~taken
+          allocate pcv ev.ctx ~slot ~above:(if hit then provider + 1 else 0) ~taken
       end
     done
   in

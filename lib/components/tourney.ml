@@ -1,4 +1,5 @@
 module Bitpack = Cobra_util.Bitpack
+module Bits = Cobra_util.Bits
 module Bitops = Cobra_util.Bitops
 module Counter = Cobra_util.Counter
 module Hashing = Cobra_util.Hashing
@@ -17,14 +18,12 @@ type config = {
 let default ~name =
   { name; latency = 3; entries = 1024; counter_bits = 2; history_length = 12; fetch_width = 4 }
 
-(* Metadata: per slot, validity and direction of each sub-prediction plus
-   the chooser counter read at predict time. *)
-let meta_layout cfg =
-  List.concat_map (fun _ -> [ 1; 1; 1; 1; cfg.counter_bits ]) (List.init cfg.fetch_width Fun.id)
-
 (* Returns the field itself: re-building [Some taken] would allocate a
    fresh option per slot per predict. *)
 let dir_of (op : Types.opinion) = op.o_taken
+
+(* A sub-prediction's direction as a (valid, bit) field pair. *)
+let dir_word = function Some true -> 3 | Some false -> 1 | None -> 0
 
 let make cfg =
   if not (Bitops.is_power_of_two cfg.entries) then
@@ -39,10 +38,14 @@ let make cfg =
     Hashing.pc_index ~pc:(Context.slot_pc ctx slot) ~bits:index_bits
     lxor Context.folded_ghist ctx ~len:cfg.history_length ~bits:index_bits
   in
-  let meta_bits = Bitpack.width_of (meta_layout cfg) in
-  let packer = Bitpack.Packer.create ~width:meta_bits in
-  let cursor = Bitpack.Cursor.create () in
-  let predict (ctx : Context.t) ~pred_in =
+  let cb = cfg.counter_bits in
+  let taken_at = Counter.weakly_taken ~bits:cb in
+  (* Metadata, one word per slot, low bits first: validity and direction of
+     each sub-prediction, then the chooser counter read at predict time. *)
+  let slot_bits = 4 + cb in
+  let meta_bits = cfg.fetch_width * slot_bits in
+  let packer = Bitpack.Packer.create ~owner:cfg.name ~width:meta_bits in
+  let predict (ctx : Context.t) ~pred_in ~out ~meta =
     let p0, p1 =
       match pred_in with
       | [ a; b ] -> (a, b)
@@ -51,59 +54,38 @@ let make cfg =
           (Printf.sprintf "%s: tournament selector needs exactly 2 predict_in, got %d" cfg.name
              (List.length l))
     in
-    let pred = Array.make cfg.fetch_width Types.empty_opinion in
     let live = Context.live_bound ctx cfg.fetch_width in
-    for slot = 0 to cfg.fetch_width - 1 do
-      if slot >= live then begin
-        (* dead slot: keep the declared meta layout *)
-        Bitpack.Packer.add packer 0 ~bits:1;
-        Bitpack.Packer.add packer 0 ~bits:1;
-        Bitpack.Packer.add packer 0 ~bits:1;
-        Bitpack.Packer.add packer 0 ~bits:1;
-        Bitpack.Packer.add packer 0 ~bits:cfg.counter_bits
-      end
-      else begin
-        let d0 = dir_of p0.(slot) and d1 = dir_of p1.(slot) in
-        let ctr = Slab.unsafe_get state (index ctx ~slot) in
-        let bit = function Some true -> 1 | _ -> 0 in
-        let valid = function Some _ -> 1 | None -> 0 in
-        Bitpack.Packer.add packer (valid d0) ~bits:1;
-        Bitpack.Packer.add packer (bit d0) ~bits:1;
-        Bitpack.Packer.add packer (valid d1) ~bits:1;
-        Bitpack.Packer.add packer (bit d1) ~bits:1;
-        Bitpack.Packer.add packer ctr ~bits:cfg.counter_bits;
-        let chosen =
-          if Counter.is_taken ~bits:cfg.counter_bits ctr then
-            (match d1 with Some _ -> d1 | None -> d0)
-          else match d0 with Some _ -> d0 | None -> d1
-        in
-        match chosen with
-        | Some taken when not (Types.unconditional_in p0 slot) ->
-          pred.(slot) <- Types.direction_hint ~taken
-        | Some _ | None -> ()
-      end
+    for slot = 0 to live - 1 do
+      let d0 = dir_of p0.(slot) and d1 = dir_of p1.(slot) in
+      let ctr = Slab.unsafe_get state (index ctx ~slot) in
+      Bitpack.Packer.add packer
+        (dir_word d0 lor (dir_word d1 lsl 2) lor (Bitpack.field ctr ~bits:cb lsl 4))
+        ~bits:slot_bits;
+      let chosen =
+        if ctr >= taken_at then (match d1 with Some _ -> d1 | None -> d0)
+        else match d0 with Some _ -> d0 | None -> d1
+      in
+      match chosen with
+      | Some taken when not (Types.unconditional_in p0 slot) ->
+        out.(slot) <- Types.direction_hint ~taken
+      | Some _ | None -> ()
     done;
-    (pred, Bitpack.Packer.finish packer)
+    (* dead slots: keep the declared meta layout *)
+    Bitpack.Packer.add_zeros packer ~bits:((cfg.fetch_width - live) * slot_bits);
+    Bitpack.Packer.finish_into packer meta
   in
   let update (ev : Component.event) =
-    Bitpack.Cursor.reset cursor ev.meta;
     for slot = 0 to cfg.fetch_width - 1 do
-      let v0 = Bitpack.Cursor.take cursor ~bits:1 in
-      let b0 = Bitpack.Cursor.take cursor ~bits:1 in
-      let v1 = Bitpack.Cursor.take cursor ~bits:1 in
-      let b1 = Bitpack.Cursor.take cursor ~bits:1 in
-      let ctr = Bitpack.Cursor.take cursor ~bits:cfg.counter_bits in
       let (r : Types.resolved) = ev.slots.(slot) in
-      (* Train the chooser only when the sub-predictors disagreed. *)
-      if
-        r.r_is_branch
-        && (match r.r_kind with Types.Cond -> true | _ -> false)
-        && v0 = 1 && v1 = 1 && b0 <> b1
-      then begin
-        let actual = if r.r_taken then 1 else 0 in
-        let toward_p1 = b1 = actual in
-        Slab.unsafe_set state (index ev.ctx ~slot)
-          (Counter.update ~bits:cfg.counter_bits ctr ~taken:toward_p1)
+      if Types.cond_branch r then begin
+        let w = Bits.extract_int ev.meta ~lo:(slot * slot_bits) ~len:slot_bits in
+        (* Train the chooser only when the sub-predictors disagreed: both
+           valid (bits 0 and 2), directions (bits 1 and 3) differ. *)
+        if w land 5 = 5 && (w lsr 1) land 1 <> (w lsr 3) land 1 then begin
+          let toward_p1 = (w lsr 3) land 1 = 1 = r.r_taken in
+          Slab.unsafe_set state (index ev.ctx ~slot)
+            (Counter.update ~bits:cb (w lsr 4) ~taken:toward_p1)
+        end
       end
     done
   in

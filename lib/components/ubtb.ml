@@ -1,4 +1,5 @@
 module Bitpack = Cobra_util.Bitpack
+module Bits = Cobra_util.Bits
 module Bitops = Cobra_util.Bitops
 module Counter = Cobra_util.Counter
 module Hashing = Cobra_util.Hashing
@@ -11,10 +12,6 @@ let default ~name = { name; entries = 32; counter_bits = 2; fetch_width = 4 }
 
 let tag_bits = 30
 let target_bits = 48
-
-let way_bits cfg = max 1 (Bitops.bits_needed cfg.entries)
-let meta_layout cfg =
-  List.concat_map (fun _ -> [ 1; way_bits cfg; cfg.counter_bits ]) (List.init cfg.fetch_width Fun.id)
 
 let make cfg =
   if cfg.entries < 1 then invalid_arg (cfg.name ^ ": entries < 1");
@@ -37,9 +34,12 @@ let make cfg =
   let e_target i = Slab.unsafe_get state ((5 * i) + 2) in
   let e_kind i = Types.branch_kind_of_int (Slab.unsafe_get state ((5 * i) + 3)) in
   let e_ctr i = Slab.unsafe_get state ((5 * i) + 4) in
+  let cb = cfg.counter_bits in
+  let taken_at = Counter.weakly_taken ~bits:cb in
   let tag_of pc = Hashing.fold_int (Hashing.pc_bits pc) ~width:62 ~bits:tag_bits in
   (* The CAM match is modelled with a tag index kept in sync with the
-     entry array — same observable behaviour as hardware. *)
+     entry array — same observable behaviour as hardware. The bound entry
+     index, or -1. *)
   let cam_find tag =
     let n = Slab.get state cam_count_cell in
     let found = ref (-1) in
@@ -48,7 +48,7 @@ let make cfg =
       if Slab.unsafe_get state (cam_base + (2 * !k)) = tag then found := !k;
       incr k
     done;
-    if !found < 0 then None else Some (Slab.unsafe_get state (cam_base + (2 * !found) + 1))
+    if !found < 0 then -1 else Slab.unsafe_get state (cam_base + (2 * !found) + 1)
   in
   let cam_remove tag =
     let n = Slab.get state cam_count_cell in
@@ -84,62 +84,62 @@ let make cfg =
       Slab.set state cam_count_cell (n + 1)
     end
   in
+  (* The matching entry index, or -1. *)
   let lookup pc =
-    match cam_find (tag_of pc) with
-    | Some i when e_valid i && e_pc_tag i = tag_of pc -> Some i
-    | Some _ | None -> None
+    let tag = tag_of pc in
+    let i = cam_find tag in
+    if i >= 0 && e_valid i && e_pc_tag i = tag then i else -1
   in
   let install i tag =
     (if e_valid i then cam_remove (e_pc_tag i));
     cam_replace tag i
   in
-  let meta_bits = Bitpack.width_of (meta_layout cfg) in
-  let packer = Bitpack.Packer.create ~width:meta_bits in
-  let cursor = Bitpack.Cursor.create () in
-  let predict (ctx : Context.t) ~pred_in:_ =
-    let pred = Array.make cfg.fetch_width Types.empty_opinion in
+  (* Metadata layout, one word per slot: hit flag (bit 0), entry index,
+     then the counter read at predict time. *)
+  let way_bits = max 1 (Bitops.bits_needed cfg.entries) in
+  let ctr_lo = 1 + way_bits in
+  let slot_bits = ctr_lo + cb in
+  let meta_bits = cfg.fetch_width * slot_bits in
+  let packer = Bitpack.Packer.create ~owner:cfg.name ~width:meta_bits in
+  let predict (ctx : Context.t) ~pred_in:_ ~out ~meta =
     let live = Context.live_bound ctx cfg.fetch_width in
-    for slot = 0 to cfg.fetch_width - 1 do
-      let pc = Context.slot_pc ctx slot in
-      match (if slot < live then lookup pc else None) with
-      | Some i ->
-        Bitpack.Packer.add packer 1 ~bits:1;
-        Bitpack.Packer.add packer i ~bits:(way_bits cfg);
-        Bitpack.Packer.add packer (e_ctr i) ~bits:cfg.counter_bits;
+    for slot = 0 to live - 1 do
+      let i = lookup (Context.slot_pc ctx slot) in
+      if i < 0 then Bitpack.Packer.add packer 0 ~bits:slot_bits
+      else begin
+        let ctr = e_ctr i in
+        Bitpack.Packer.add packer
+          (1
+          lor (Bitpack.field i ~bits:way_bits lsl 1)
+          lor (Bitpack.field ctr ~bits:cb lsl ctr_lo))
+          ~bits:slot_bits;
         let kind = e_kind i in
-        let taken =
-          if Types.is_unconditional kind then true
-          else Counter.is_taken ~bits:cfg.counter_bits (e_ctr i)
-        in
-        pred.(slot) <-
+        let taken = Types.is_unconditional kind || ctr >= taken_at in
+        out.(slot) <-
           {
             Types.o_branch = Some true;
             o_kind = Some kind;
             o_taken = Some taken;
             o_target = Some (e_target i);
           }
-      | None ->
-        Bitpack.Packer.add packer 0 ~bits:1;
-        Bitpack.Packer.add packer 0 ~bits:(way_bits cfg);
-        Bitpack.Packer.add packer 0 ~bits:cfg.counter_bits
+      end
     done;
-    (pred, Bitpack.Packer.finish packer)
+    Bitpack.Packer.add_zeros packer ~bits:((cfg.fetch_width - live) * slot_bits);
+    Bitpack.Packer.finish_into packer meta
   in
   let update (ev : Component.event) =
-    Bitpack.Cursor.reset cursor ev.meta;
     for slot = 0 to cfg.fetch_width - 1 do
-      let hit = Bitpack.Cursor.take cursor ~bits:1 in
-      let way = Bitpack.Cursor.take cursor ~bits:(way_bits cfg) in
-      let ctr = Bitpack.Cursor.take cursor ~bits:cfg.counter_bits in
       let (r : Types.resolved) = ev.slots.(slot) in
       if r.r_is_branch then begin
-        if hit = 1 then begin
+        let word = Bits.extract_int ev.meta ~lo:(slot * slot_bits) ~len:slot_bits in
+        if word land 1 = 1 then begin
           (* The entry may have been replaced since predict; only train a
              still-matching entry, as the hardware tag check would. *)
+          let way = (word lsr 1) land ((1 lsl way_bits) - 1) in
           let pc = Context.slot_pc ev.ctx slot in
           if e_valid way && e_pc_tag way = tag_of pc then begin
             Slab.unsafe_set state ((5 * way) + 4)
-              (Counter.update ~bits:cfg.counter_bits ctr ~taken:r.r_taken);
+              (Counter.update ~bits:cb (word lsr ctr_lo) ~taken:r.r_taken);
             if r.r_taken then Slab.unsafe_set state ((5 * way) + 2) r.r_target
           end
         end
@@ -151,7 +151,7 @@ let make cfg =
           Slab.unsafe_set state ((5 * i) + 1) (tag_of (Context.slot_pc ev.ctx slot));
           Slab.unsafe_set state ((5 * i) + 2) r.r_target;
           Slab.unsafe_set state ((5 * i) + 3) (Types.branch_kind_to_int r.r_kind);
-          Slab.unsafe_set state ((5 * i) + 4) (Counter.weakly_taken ~bits:cfg.counter_bits)
+          Slab.unsafe_set state ((5 * i) + 4) (Counter.weakly_taken ~bits:cb)
         end
       end
     done

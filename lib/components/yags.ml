@@ -59,27 +59,25 @@ let make cfg =
       ~width:62 ~bits:cfg.tag_bits
   in
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
-  let predict (ctx : Context.t) ~pred_in =
+  let predict (ctx : Context.t) ~pred_in ~out ~meta =
     let base = match pred_in with [ p ] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
     let fields = ref [] in
-    let pred =
-      Array.init cfg.fetch_width (fun slot ->
-          let ch = Slab.unsafe_get state (choice_index ctx ~slot) in
-          let bias_taken = Counter.is_taken ~bits:cfg.counter_bits ch in
-          (* consult the cache holding exceptions to the bias *)
-          let base_off = if bias_taken then nt_base else t_base in
-          let off = base_off + (3 * cache_index ctx ~slot) in
-          let hit = ce_valid off && ce_tag off = cache_tag ctx ~slot in
-          let taken =
-            if hit then Counter.is_taken ~bits:cfg.counter_bits (ce_ctr off) else bias_taken
-          in
-          fields :=
-            ((if hit then ce_ctr off else 0), cfg.counter_bits) :: ((if hit then 1 else 0), 1)
-            :: (ch, cfg.counter_bits) :: !fields;
-          if Types.unconditional_in base slot then Types.empty_opinion
-          else { Types.empty_opinion with o_taken = Some taken })
-    in
-    (pred, Bitpack.pack ~width:meta_bits (List.rev !fields))
+    for slot = 0 to cfg.fetch_width - 1 do
+      let ch = Slab.unsafe_get state (choice_index ctx ~slot) in
+      let bias_taken = Counter.is_taken ~bits:cfg.counter_bits ch in
+      (* consult the cache holding exceptions to the bias *)
+      let base_off = if bias_taken then nt_base else t_base in
+      let off = base_off + (3 * cache_index ctx ~slot) in
+      let hit = ce_valid off && ce_tag off = cache_tag ctx ~slot in
+      let taken =
+        if hit then Counter.is_taken ~bits:cfg.counter_bits (ce_ctr off) else bias_taken
+      in
+      fields :=
+        ((if hit then ce_ctr off else 0), cfg.counter_bits) :: ((if hit then 1 else 0), 1)
+        :: (ch, cfg.counter_bits) :: !fields;
+      if not (Types.unconditional_in base slot) then out.(slot) <- Types.direction_hint ~taken
+    done;
+    Bitpack.store ~owner:cfg.name (Bitpack.pack ~width:meta_bits (List.rev !fields)) ~dst:meta
   in
   let update (ev : Component.event) =
     let fields = Bitpack.unpack ev.meta (meta_layout cfg) in

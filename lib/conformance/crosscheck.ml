@@ -52,6 +52,29 @@ let zoo_fetch_width = 4
 
 exception Mismatch of string
 
+(* One predict of a real component into fresh host buffers. *)
+let predict_real (c : Component.t) (ctx : Context.t) ~pred_in =
+  let out = Types.no_prediction ~width:ctx.Context.fetch_width in
+  let meta = Bits.zero c.Component.meta_bits in
+  c.Component.predict ctx ~pred_in ~out ~meta;
+  (out, meta)
+
+(* The events a fuzz packet drives after its predict, with [meta] from that
+   predict. *)
+let drive (pk : Fuzz.packet) ~fire ~mispredict ~repair ~update meta =
+  let ev culprit = { Component.ctx = pk.Fuzz.pk_ctx; meta; slots = pk.Fuzz.pk_slots; culprit } in
+  fire (ev None);
+  match pk.Fuzz.pk_path with
+  | Fuzz.Commit -> update (ev None)
+  | Fuzz.Wrong_path -> repair (ev None)
+  | Fuzz.Storm culprit ->
+    mispredict (ev (Some culprit));
+    update (ev None)
+
+let drive_real (c : Component.t) pk meta =
+  drive pk ~fire:c.Component.fire ~mispredict:c.Component.mispredict
+    ~repair:c.Component.repair ~update:c.Component.update meta
+
 let lockstep ?(length = 300) ?(shapes = Fuzz.all_shapes) ~seed (packed : Golden.packed) =
   let subject = Golden.packed_name packed in
   let check = "lockstep" in
@@ -71,7 +94,7 @@ let lockstep ?(length = 300) ?(shapes = Fuzz.all_shapes) ~seed (packed : Golden.
       (fun i (pk : Fuzz.packet) ->
         incr events;
         let gp, gmeta = inst.Golden.i_predict pk.Fuzz.pk_ctx ~pred_in:pk.Fuzz.pk_pred_in in
-        let rp, rmeta = real.Component.predict pk.Fuzz.pk_ctx ~pred_in:pk.Fuzz.pk_pred_in in
+        let rp, rmeta = predict_real real pk.Fuzz.pk_ctx ~pred_in:pk.Fuzz.pk_pred_in in
         if Bits.width gmeta <> real.Component.meta_bits then
           raise
             (Mismatch
@@ -90,33 +113,9 @@ let lockstep ?(length = 300) ?(shapes = Fuzz.all_shapes) ~seed (packed : Golden.
                (where i
                   (Printf.sprintf "metadata mismatch: golden %s vs real %s"
                      (Bits.to_string gmeta) (Bits.to_string rmeta))));
-        let gev culprit =
-          {
-            Component.ctx = pk.Fuzz.pk_ctx;
-            meta = gmeta;
-            slots = pk.Fuzz.pk_slots;
-            culprit;
-          }
-        in
-        let rev culprit = { (gev culprit) with Component.meta = rmeta } in
-        (match pk.Fuzz.pk_path with
-        | Fuzz.Commit ->
-          inst.Golden.i_fire (gev None);
-          real.Component.fire (rev None);
-          inst.Golden.i_update (gev None);
-          real.Component.update (rev None)
-        | Fuzz.Wrong_path ->
-          inst.Golden.i_fire (gev None);
-          real.Component.fire (rev None);
-          inst.Golden.i_repair (gev None);
-          real.Component.repair (rev None)
-        | Fuzz.Storm c ->
-          inst.Golden.i_fire (gev None);
-          real.Component.fire (rev None);
-          inst.Golden.i_mispredict (gev (Some c));
-          real.Component.mispredict (rev (Some c));
-          inst.Golden.i_update (gev None);
-          real.Component.update (rev None));
+        drive pk ~fire:inst.Golden.i_fire ~mispredict:inst.Golden.i_mispredict
+          ~repair:inst.Golden.i_repair ~update:inst.Golden.i_update gmeta;
+        drive_real real pk rmeta;
         if i land 31 = 0 then
           match inst.Golden.i_invariant () with
           | Ok () -> ()
@@ -127,6 +126,72 @@ let lockstep ?(length = 300) ?(shapes = Fuzz.all_shapes) ~seed (packed : Golden.
   | () ->
     pass ~check ~subject
       (Printf.sprintf "ok (%d packets across %d shapes)" !events (List.length shapes))
+  | exception Mismatch m -> fail ~check ~subject m
+
+(* --- live slots: the dead-slot half of the context contract ------------------------ *)
+
+(* Metamorphic: on unchanged state, predicting with [live_slots = k] must
+   agree with the all-live predict on every slot [< k] — opinion and
+   metadata slot word — and on every slot [>= k] either skip it (no
+   opinion, zero word) or compute it anyway (the all-live opinion and
+   word). Components lay their metadata out as [fetch_width] equal slot
+   words. The golden lockstep always predicts all-live, and both sides of
+   [compiled_twin] run the same kernel, so nothing else compares the
+   dead-slot path. *)
+let live_slots ?(length = 300) ?(shapes = Fuzz.all_shapes) ~seed (packed : Golden.packed) =
+  let subject = Golden.packed_name packed in
+  let check = "live_slots" in
+  let (Golden.P { model; make_real; _ }) = packed in
+  let fw = zoo_fetch_width in
+  let calls = ref 0 in
+  let run_shape shape =
+    let real = make_real () in
+    let slot_bits = real.Component.meta_bits / fw in
+    let word meta slot = Bits.extract meta ~lo:(slot * slot_bits) ~len:slot_bits in
+    let sc = { Fuzz.seed; shape; length } in
+    let where i k slot what =
+      Printf.sprintf
+        "shape=%s packet=%d/%d live_slots=%d slot %d seed=%d: %s (replay: cobra conform --seed %d)"
+        (Fuzz.shape_name shape) i length k slot seed what seed
+    in
+    List.iteri
+      (fun i (pk : Fuzz.packet) ->
+        let ctx = pk.Fuzz.pk_ctx and pred_in = pk.Fuzz.pk_pred_in in
+        let all_p, all_m = predict_real real ctx ~pred_in in
+        for k = 1 to fw do
+          incr calls;
+          let ctx_k =
+            Context.make ~pc:ctx.Context.pc ~fetch_width:fw ~live_slots:k
+              ~ghist:ctx.Context.ghist ~lhists:ctx.Context.lhists ~phist:ctx.Context.phist ()
+          in
+          let p, m = predict_real real ctx_k ~pred_in in
+          for slot = 0 to fw - 1 do
+            let op = p.(slot) and w = word m slot in
+            let same_op = Types.equal_opinion op all_p.(slot) in
+            let same_w = Bits.equal w (word all_m slot) in
+            let fail what = raise (Mismatch (where i k slot what)) in
+            let show () =
+              Printf.sprintf "opinion %s word %s, all-live opinion %s word %s" (show_opinion op)
+                (Bits.to_string w) (show_opinion all_p.(slot))
+                (Bits.to_string (word all_m slot))
+            in
+            if slot < k then begin
+              if not (same_op && same_w) then fail ("live slot differs: " ^ show ())
+            end
+            else if
+              not
+                ((same_op && same_w)
+                || (op == Types.empty_opinion && Bits.popcount w = 0))
+            then fail ("dead slot neither skipped nor computed: " ^ show ())
+          done
+        done;
+        drive_real real pk all_m)
+      (Fuzz.packets sc ~arity:model.Golden.arity ~fetch_width:fw)
+  in
+  match List.iter run_shape shapes with
+  | () ->
+    pass ~check ~subject
+      (Printf.sprintf "ok (%d predicts across %d shapes)" !calls (List.length shapes))
   | exception Mismatch m -> fail ~check ~subject m
 
 (* --- storage accounting -------------------------------------------------------- *)
@@ -546,7 +611,9 @@ let run_all ?(length = 300) ?(shapes = Fuzz.all_shapes) ?(engine = `Both) ~seed 
     if not compiled then []
     else List.map (compiled_twin ~length ~shapes ~seed) (Designs.all @ [ Designs.gshare_only ])
   in
-  per_component @ twins @ replays @ repairs @ snapshots @ compiled_zoos @ compiled_twins
+  (* engine-independent: the component contract itself *)
+  let live = List.map (live_slots ~length ~shapes ~seed) zoo in
+  per_component @ live @ twins @ replays @ repairs @ snapshots @ compiled_zoos @ compiled_twins
   @ table1_pins ()
 
 let render vs =

@@ -22,6 +22,15 @@ val lockstep : ?length:int -> ?shapes:Fuzz.shape list -> seed:int -> Golden.pack
     metadata must have the declared width, and the model's structural
     invariant must hold throughout. *)
 
+val live_slots : ?length:int -> ?shapes:Fuzz.shape list -> seed:int -> Golden.packed -> verdict
+(** Metamorphic check of the [live_slots] half of the context contract on
+    the real component, along the same {!Fuzz.packets} scripts: before each
+    packet's events, predicting with [live_slots = k] (every [k] in
+    [1..fetch_width]) on the unchanged state must give the all-live
+    predict's opinions and metadata slot words on slots [< k]; on slots
+    [>= k] it must either skip (no opinion, a zero slot word) or agree with
+    the all-live predict. *)
+
 val storage_accounting : Golden.packed -> verdict
 (** The real component's [Storage.total_bits] must equal the textbook
     formula recomputed independently in {!Golden}. *)
@@ -84,6 +93,7 @@ val run_all :
   unit ->
   verdict list
 (** Everything above: per-component lockstep + storage over {!Golden.zoo},
+    {!live_slots} over the zoo (engine-independent, so always run),
     twin and replay-engine differentials over the reference designs (plus
     gshare-only), repair-restores-state over [Designs.all], snapshot
     round-trips, the compiled-engine differentials ({!compiled_zoo} over
@@ -91,7 +101,7 @@ val run_all :
     gshare-only), and the Table-I pins. [shapes] restricts the fuzz shapes (default:
     all, including the probe-derived ladder / alias-stress / loop-scan);
     [engine] (default [`Both]) restricts which simulator engines are
-    certified — the Table-I pins always run. *)
+    certified — the live-slot checks and Table-I pins always run. *)
 
 val all_pass : verdict list -> bool
 val failures : verdict list -> verdict list

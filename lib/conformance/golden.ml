@@ -1586,13 +1586,23 @@ let instantiate (P { model; _ }) =
         fun () -> state := saved);
   }
 
+(* The model stays pure; the adapter copies its fresh (prediction, meta)
+   pair into the host's buffers. *)
 let to_component (P { model; make_real; _ }) =
   let real = make_real () in
+  let name = real.Component.name in
   let state = ref model.init in
-  Component.make ~name:real.Component.name ~family:real.Component.family
+  Component.make ~name ~family:real.Component.family
     ~latency:real.Component.latency ~meta_bits:real.Component.meta_bits
     ~storage:real.Component.storage
-    ~predict:(fun ctx ~pred_in -> model.predict !state ctx ~pred_in)
+    ~predict:(fun ctx ~pred_in ~out ~meta ->
+      let pred, m = model.predict !state ctx ~pred_in in
+      if Array.length pred <> Array.length out then
+        invalid_arg
+          (Printf.sprintf "component %s returned %d opinions for a %d-slot packet" name
+             (Array.length pred) (Array.length out));
+      Array.blit pred 0 out 0 (Array.length pred);
+      Bitpack.store ~owner:name m ~dst:meta)
     ~fire:(fun ev -> state := model.fire !state ev)
     ~mispredict:(fun ev -> state := model.mispredict !state ev)
     ~repair:(fun ev -> state := model.repair !state ev)

@@ -2,10 +2,12 @@
 
     Each model is a small, obviously-correct specification of one component
     in [lib/components/], written against the documented metadata layouts and
-    hash functions but independently of the optimized [Bitpack.Packer] /
-    [Bitpack.Cursor] hot path: state is an immutable value, every event
-    handler is a pure [state -> event -> state] function, and metadata is
-    assembled with the plain [Bitpack.pack] reference packer. The
+    hash functions but independently of the optimized per-slot-word
+    [Bitpack.Packer] hot path: state is an immutable value, every event
+    handler is a pure [state -> event -> state] function, metadata is
+    assembled with the plain [Bitpack.pack] reference packer and read back
+    with [Bitpack.unpack], and [predict] returns a fresh
+    [(prediction, meta)] pair instead of writing host buffers. The
     cross-check driver ({!Crosscheck}) replays identical event streams
     through a model and the real component and demands bit-identical
     predictions and metadata. *)
@@ -89,7 +91,9 @@ val to_component : packed -> Component.t
 (** Wrap the golden model as a real [Component.t] (same name, family,
     latency, metadata width and storage declaration as the component it
     models) so it can be composed by [Topology] / [Pipeline] — the basis of
-    the end-to-end twin-design differential. *)
+    the end-to-end twin-design differential. The model stays pure: the
+    wrapper copies each [(prediction, meta)] it returns into the host's
+    buffers. *)
 
 val zoo : unit -> packed list
 (** One deliberately small-tabled instance of every component: heavy

@@ -59,7 +59,11 @@ type t = {
   storage : Storage.t;
   state : Cobra_util.Slab.t;
   predict :
-    Context.t -> pred_in:Types.prediction list -> Types.prediction * Cobra_util.Bits.t;
+    Context.t ->
+    pred_in:Types.prediction list ->
+    out:Types.prediction ->
+    meta:Cobra_util.Bits.t ->
+    unit;
   fire : event -> unit;
   mispredict : event -> unit;
   repair : event -> unit;

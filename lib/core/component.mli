@@ -3,9 +3,9 @@
     A sub-component is a stateful object with a declared pipeline latency, a
     declared metadata width, and handlers for the five prediction events:
 
-    - [predict] — begin a prediction for a fetch PC; returns the component's
-      own (possibly partial, possibly empty) opinion vector plus a metadata
-      bitvector of exactly [meta_bits] bits;
+    - [predict] — begin a prediction for a fetch PC: write the component's
+      own (possibly partial, possibly empty) opinion vector and its metadata
+      into buffers the host owns;
     - [fire] — the fetch packet proceeded; speculatively update local state
       (slots carry the {e predicted} outcomes);
     - [mispredict] — fast update at branch resolution (slots carry resolved
@@ -14,14 +14,36 @@
       packet (issued during the composer's forwards-walk);
     - [update] — slow commit-time training in program order.
 
-    The metadata returned from [predict] is stored in the generated history
+    The metadata written at [predict] is stored in the generated history
     file and handed back verbatim in every subsequent event for the same
     packet, together with the predict-time context — exactly the paper's
-    metadata contract (Section III-D/E). *)
+    metadata contract (Section III-D/E).
+
+    {b Caller-owned buffers.} The host owns every per-packet buffer, in the
+    [predict(ip)] / [update(ip, taken)] style of ChampSim/CBP predictors:
+
+    - [out] arrives as a [fetch_width] array filled with
+      {!Types.empty_opinion}; the component writes its non-empty opinions
+      into it and leaves silent slots alone;
+    - [meta] arrives exactly [meta_bits] wide; the component overwrites all
+      of it, normally by sealing a {!Cobra_util.Bitpack.Packer} into it with
+      [finish_into]. A component whose metadata is not [meta_bits] wide is
+      refused on both engines with an [Invalid_argument] naming it and both
+      widths;
+    - a handler keeps no reference to [out], [meta] or an [event] after it
+      returns: the compiled engine reuses all of them for the next branch,
+      and its events are built once per component.
+
+    {b Live slots.} A component may skip every slot at or past
+    [ctx.live_slots] (see {!Context.t}): no opinion, zero metadata. Hot
+    kernels pack one word per live slot and decode, in their event
+    handlers, only the slots they act on. *)
 
 type event = {
   ctx : Context.t;  (** predict-time context (PC and histories) *)
-  meta : Cobra_util.Bits.t;  (** this component's metadata from predict time *)
+  meta : Cobra_util.Bits.t;
+      (** this component's metadata from predict time (the host's buffer:
+          valid for the duration of the handler) *)
   slots : Types.resolved array;  (** per-slot outcomes (predicted or resolved) *)
   culprit : int option;  (** mispredicted slot, for [mispredict]/[repair] *)
 }
@@ -65,7 +87,11 @@ type t = private {
       (** the component's complete mutable state, as one flat slab (empty
           for stateless components); see {!snapshot}/{!restore} *)
   predict :
-    Context.t -> pred_in:Types.prediction list -> Types.prediction * Cobra_util.Bits.t;
+    Context.t ->
+    pred_in:Types.prediction list ->
+    out:Types.prediction ->
+    meta:Cobra_util.Bits.t ->
+    unit;
   fire : event -> unit;
   mispredict : event -> unit;
   repair : event -> unit;
@@ -80,7 +106,11 @@ val make :
   storage:Storage.t ->
   ?state:Cobra_util.Slab.t ->
   predict:
-    (Context.t -> pred_in:Types.prediction list -> Types.prediction * Cobra_util.Bits.t) ->
+    (Context.t ->
+    pred_in:Types.prediction list ->
+    out:Types.prediction ->
+    meta:Cobra_util.Bits.t ->
+    unit) ->
   ?fire:(event -> unit) ->
   ?mispredict:(event -> unit) ->
   ?repair:(event -> unit) ->

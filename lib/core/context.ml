@@ -1,5 +1,6 @@
 type t = {
-  pc : int;
+  mutable pc : int;
+  mutable stamp : int;
   fetch_width : int;
   live_slots : int;
   ghist : Cobra_util.Bits.t;
@@ -7,9 +8,10 @@ type t = {
   phist : Cobra_util.Bits.t;
   (* Folded-history memo: every component folding the same history to the
      same (len, bits) shape gets the predict-time result back, including at
-     update/repair time (the context snapshot travels with the packet, and
-     the histories it holds are immutable). Flat parallel arrays + linear
-     scan: the population is a handful of distinct shapes per design. *)
+     update/repair time (the context travels with the packet, and its
+     histories do not change until the host resets it). Flat parallel
+     arrays + linear scan: the population is a handful of distinct shapes
+     per design. *)
   mutable memo_keys : int array;
   mutable memo_vals : int array;
   mutable memo_count : int;
@@ -30,6 +32,7 @@ let make ~pc ~fetch_width ?live_slots ~ghist ~lhists ?(phist = Cobra_util.Bits.z
   in
   {
     pc;
+    stamp = 0;
     fetch_width;
     live_slots;
     ghist;
@@ -39,6 +42,11 @@ let make ~pc ~fetch_width ?live_slots ~ghist ~lhists ?(phist = Cobra_util.Bits.z
     memo_vals = [||];
     memo_count = 0;
   }
+
+let reset t ~pc =
+  t.pc <- pc;
+  t.stamp <- t.stamp + 1;
+  t.memo_count <- 0
 
 let live_bound t width = if t.live_slots < width then t.live_slots else width
 

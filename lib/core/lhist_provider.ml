@@ -14,13 +14,15 @@ let create ~entries ~bits =
     let rec log2 acc n = if n <= 1 then acc else log2 (acc + 1) (n lsr 1) in
     log2 0 entries
   in
-  { index_bits; hist_bits = bits; table = Array.make entries (Bits.zero bits) }
+  (* one vector per entry: the compiled engine shifts entries in place *)
+  { index_bits; hist_bits = bits; table = Array.init entries (fun _ -> Bits.zero bits) }
 
 let entries t = Array.length t.table
 let bits t = t.hist_bits
 let index t ~pc = Hashing.pc_index ~pc ~bits:t.index_bits
 let read t ~pc = t.table.(index t ~pc)
 let push t ~pc b = t.table.(index t ~pc) <- Bits.shift_in_lsb t.table.(index t ~pc) b
+let push_in_place t ~pc b = Bits.shift_in_lsb_in_place t.table.(index t ~pc) b
 
 let nth t i = t.table.(i)
 

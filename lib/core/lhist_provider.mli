@@ -19,7 +19,15 @@ val read : t -> pc:int -> Cobra_util.Bits.t
 
 val push : t -> pc:int -> bool -> unit
 (** Speculatively shift a predicted direction into the history of [pc]'s
-    entry. *)
+    entry. The entry is replaced by a fresh vector: one returned by an
+    earlier {!read} keeps its value. *)
+
+val push_in_place : t -> pc:int -> bool -> unit
+(** Like {!push}, but shifts the entry's vector itself — no allocation.
+    Every vector an earlier {!read} or {!nth} returned for that entry sees
+    the new value; other entries never do (entries share no storage). For
+    hosts that, like the compiled engine, push only after the packet's
+    last reader is done. *)
 
 val restore : t -> pc:int -> Cobra_util.Bits.t -> unit
 (** Write back a snapshot (repair). *)

@@ -141,12 +141,6 @@ let storage t =
 
 (* --- topology evaluation ------------------------------------------------ *)
 
-let check_meta (c : Component.t) meta =
-  if Bits.width meta <> c.meta_bits then
-    invalid_arg
-      (Printf.sprintf "component %s returned %d metadata bits, declared %d" c.name
-         (Bits.width meta) c.meta_bits)
-
 let is_silent pred = Array.for_all (fun o -> o == Types.empty_opinion) pred
 
 (* Consecutive stages usually share the same composite array (the bottom
@@ -188,29 +182,32 @@ let overlay below ~latency pred =
    below it; an arbitration selector's first sub-topology provides the
    running prediction until the selector responds. [below] is the running
    array of composites, indexed by stage-1. *)
+(* One component's predict into fresh host buffers: the history file keeps
+   [meta] and an observer keeps [out], so neither can be reused. Top level,
+   with everything passed in, so that no closure is built per packet. *)
+let call t ctx metas raw (c : Component.t) ~pred_in =
+  let out = Types.no_prediction ~width:t.cfg.fetch_width in
+  let meta = Bits.zero c.meta_bits in
+  c.predict ctx ~pred_in ~out ~meta;
+  let id = component_id t c in
+  metas.(id) <- meta;
+  (match raw with Some r -> r.(id) <- out | None -> ());
+  out
+
 let evaluate t (ctx : Context.t) =
   let metas = Array.make (Array.length t.comps) (Bits.zero 0) in
   let raw = if observed t then Some (Array.make (Array.length t.comps) [||]) else None in
-  let record id pred = match raw with Some r -> r.(id) <- pred | None -> () in
   let clamp_stage latency = min latency t.depth - 1 in
   let rec eval topo (below : Types.prediction array) : Types.prediction array =
     match topo with
     | Topology.Node c ->
-      let pred, meta = c.predict ctx ~pred_in:[ below.(clamp_stage c.latency) ] in
-      check_meta c meta;
-      let id = component_id t c in
-      metas.(id) <- meta;
-      record id pred;
+      let pred = call t ctx metas raw c ~pred_in:[ below.(clamp_stage c.latency) ] in
       overlay below ~latency:c.latency pred
     | Topology.Override (hi, lo) -> eval hi (eval lo below)
     | Topology.Arbitrate (sel, subs) ->
       let sub_arrays = List.map (fun s -> eval s below) subs in
       let pred_in = List.map (fun a -> a.(clamp_stage sel.Component.latency)) sub_arrays in
-      let pred, meta = sel.predict ctx ~pred_in in
-      check_meta sel meta;
-      let sel_id = component_id t sel in
-      metas.(sel_id) <- meta;
-      record sel_id pred;
+      let pred = call t ctx metas raw sel ~pred_in in
       (* The selector overrides the fields it has opinions on (the chosen
          direction); everything else — e.g. a BTB target on the default
          path — keeps showing through from the first sub-topology. *)

@@ -1,6 +1,7 @@
 (* Bitvectors are stored little-endian in 62-bit limbs, so every limb fits a
    non-negative OCaml [int]. Values are immutable; updates copy the (tiny)
-   limb array. *)
+   limb array. The [_in_place] functions, [blit] and [set_limb] are the one
+   exception: they rewrite a buffer its owner never shares as a value. *)
 
 let limb_bits = 62
 let limb_mask = (1 lsl limb_bits) - 1
@@ -65,6 +66,31 @@ let set t i b =
   if b then limbs.(j) <- limbs.(j) lor (1 lsl k)
   else limbs.(j) <- limbs.(j) land (lnot (1 lsl k));
   { t with limbs }
+
+let set_limb t i v =
+  if i < 0 || i >= limbs_for t.w then
+    invalid_arg (Printf.sprintf "Bits.set_limb: limb %d out of [0,%d)" i (limbs_for t.w));
+  if v < 0 then invalid_arg "Bits.set_limb: negative limb";
+  t.limbs.(i) <- v land limb_mask;
+  if i = limbs_for t.w - 1 then ignore (normalize t)
+
+let blit ~src ~dst =
+  if src.w <> dst.w then
+    invalid_arg (Printf.sprintf "Bits.blit: width %d into width %d" src.w dst.w);
+  Array.blit src.limbs 0 dst.limbs 0 (limbs_for src.w)
+
+let shift_in_lsb_in_place t b =
+  let n = limbs_for t.w in
+  if n > 0 then begin
+    let limbs = t.limbs in
+    let carry = ref (if b then 1 else 0) in
+    for j = 0 to n - 1 do
+      let v = Array.unsafe_get limbs j in
+      Array.unsafe_set limbs j (((v lsl 1) lor !carry) land limb_mask);
+      carry := (v lsr (limb_bits - 1)) land 1
+    done;
+    ignore (normalize t)
+  end
 
 let shift_in_lsb t b =
   if t.w = 0 then t
@@ -140,14 +166,15 @@ let logxor a b =
 
 let fold_xor_sub t ~len n =
   if n < 1 || n > limb_bits then invalid_arg "Bits.fold_xor: bits out of [1,62]";
-  let len = min len t.w in
+  let len = if len < t.w then len else t.w in
   let limbs = t.limbs in
   let nlimbs = Array.length limbs in
   (* track the limb position incrementally to avoid divisions *)
   let acc = ref 0 in
   let i = ref 0 and j = ref 0 and k = ref 0 in
   while !i < len do
-    let chunk = min n (len - !i) in
+    let rest = len - !i in
+    let chunk = if n < rest then n else rest in
     let low = if !j >= nlimbs then 0 else limbs.(!j) lsr !k in
     let v =
       if !k + chunk <= limb_bits || !j + 1 >= nlimbs then low
@@ -165,6 +192,17 @@ let fold_xor_sub t ~len n =
 
 let fold_xor t n = fold_xor_sub t ~len:t.w n
 
+(* Raw [n]-bit chunk at bit offset [i]. Top level, with the limbs passed
+   in: a local closure over them would be allocated on every fold. *)
+let chunk_at limbs nlimbs n i =
+  let j = i / limb_bits and k = i mod limb_bits in
+  let low = if j >= nlimbs then 0 else limbs.(j) lsr k in
+  let v =
+    if k + n <= limb_bits || j + 1 >= nlimbs then low
+    else low lor (limbs.(j + 1) lsl (limb_bits - k))
+  in
+  v land ((1 lsl n) - 1)
+
 (* Shared-prefix batch fold: [fold_xor_sub t ~len n] for ascending [lens]
    visits the same leading chunks over and over; one pass with running
    prefix state answers every length. Must stay bit-identical to
@@ -177,16 +215,6 @@ let fold_xor_sub_multi t ~lens n ~out =
     invalid_arg "Bits.fold_xor_sub_multi: out length must match lens";
   let limbs = t.limbs in
   let nlimbs = Array.length limbs in
-  (* raw n-bit chunk at bit offset [i] *)
-  let chunk_at i =
-    let j = i / limb_bits and k = i mod limb_bits in
-    let low = if j >= nlimbs then 0 else limbs.(j) lsr k in
-    let v =
-      if k + n <= limb_bits || j + 1 >= nlimbs then low
-      else low lor (limbs.(j + 1) lsl (limb_bits - k))
-    in
-    v land ((1 lsl n) - 1)
-  in
   let prefix = ref 0 in
   let pos = ref 0 in
   let prev_len = ref 0 in
@@ -194,15 +222,15 @@ let fold_xor_sub_multi t ~lens n ~out =
     if lens.(q) < !prev_len then
       invalid_arg "Bits.fold_xor_sub_multi: lens must be ascending";
     prev_len := lens.(q);
-    let len = min lens.(q) t.w in
+    let len = if lens.(q) < t.w then lens.(q) else t.w in
     while !pos + n <= len do
-      prefix := !prefix lxor chunk_at !pos;
+      prefix := !prefix lxor chunk_at limbs nlimbs n !pos;
       pos := !pos + n
     done;
     let rem = len - !pos in
     out.(q) <-
       (if rem <= 0 then !prefix
-       else !prefix lxor (chunk_at !pos land ((1 lsl rem) - 1)))
+       else !prefix lxor (chunk_at limbs nlimbs n !pos land ((1 lsl rem) - 1)))
   done
 
 let popcount t =

@@ -1,8 +1,14 @@
-(** Fixed-width immutable bitvectors.
+(** Fixed-width bitvectors.
 
     Branch histories, tags and the COBRA metadata field are all modelled as
     honest bitvectors with a declared width, so that storage accounting (and
-    hence the area model) reflects what an RTL implementation would flop. *)
+    hence the area model) reflects what an RTL implementation would flop.
+
+    Vectors are values: every function returns a fresh vector and leaves its
+    arguments alone — except {!set_limb}, {!blit} and
+    {!shift_in_lsb_in_place}, which rewrite a {e buffer} in place. Use them
+    only on vectors their owner never hands out as values: a host's
+    history registers and the metadata buffers it lends to components. *)
 
 type t
 
@@ -28,8 +34,16 @@ val get_limb : t -> int -> int
 val of_limbs : width:int -> int array -> t
 (** [of_limbs ~width limbs] adopts [limbs] (little-endian, 62 bits per limb)
     as the backing store — the caller must not mutate the array afterwards.
-    Raises [Invalid_argument] when the limb count does not match [width].
-    This is the zero-copy constructor behind {!Bitpack.Packer}. *)
+    Raises [Invalid_argument] when the limb count does not match [width]. *)
+
+val set_limb : t -> int -> int -> unit
+(** [set_limb t i v] overwrites limb [i] of the buffer [t] with the low 62
+    bits of [v >= 0] (bits above the width are cleared). Raises
+    [Invalid_argument] when out of range. *)
+
+val blit : src:t -> dst:t -> unit
+(** [blit ~src ~dst] copies [src] into the buffer [dst]. Raises
+    [Invalid_argument] unless the widths are equal. *)
 
 val of_int : width:int -> int -> t
 (** [of_int ~width v] keeps the low [width] bits of [v] ([v >= 0]). *)
@@ -47,6 +61,9 @@ val set : t -> int -> bool -> t
 val shift_in_lsb : t -> bool -> t
 (** [shift_in_lsb h b] shifts the vector left by one, inserting [b] at bit 0
     and dropping the MSB — the canonical history-register update. *)
+
+val shift_in_lsb_in_place : t -> bool -> unit
+(** {!shift_in_lsb} applied to the buffer itself: no allocation. *)
 
 val extract : t -> lo:int -> len:int -> t
 (** [extract t ~lo ~len] is bits [lo .. lo+len-1] as a fresh [len]-wide

@@ -19,8 +19,15 @@ let confidence ~bits v =
   let mid = weakly_taken ~bits in
   if v >= mid then v - mid else mid - 1 - v
 
-let increment ~bits v = min (max_value ~bits) (v + 1)
-let decrement ~bits v = ignore (check_bits bits); max 0 (v - 1)
+(* Int-typed comparisons throughout: [Stdlib.min]/[max] are polymorphic,
+   an out-of-line compare on every counter update. *)
+let increment ~bits v =
+  let top = max_value ~bits in
+  if v + 1 < top then v + 1 else top
+
+let decrement ~bits v =
+  check_bits bits;
+  if v - 1 > 0 then v - 1 else 0
 
 let update ~bits v ~taken = if taken then increment ~bits v else decrement ~bits v
 
@@ -33,8 +40,12 @@ let signed_max ~bits =
   (1 lsl (bits - 1)) - 1
 
 let update_signed ~bits v ~dir =
-  if dir > 0 then min (signed_max ~bits) (v + 1)
-  else if dir < 0 then max (signed_min ~bits) (v - 1)
+  if dir > 0 then
+    let top = signed_max ~bits in
+    if v + 1 < top then v + 1 else top
+  else if dir < 0 then
+    let bottom = signed_min ~bits in
+    if v - 1 > bottom then v - 1 else bottom
   else v
 
 let is_valid ~bits v = v >= 0 && v <= max_value ~bits

@@ -9,7 +9,7 @@ let fold_int v ~width ~bits =
   else begin
     let mask = (1 lsl bits) - 1 in
     let acc = ref 0 in
-    let v = ref (v land ((1 lsl min width 62) - 1)) in
+    let v = ref (v land ((1 lsl (if width < 62 then width else 62)) - 1)) in
     let remaining = ref width in
     while !remaining > 0 do
       acc := !acc lxor (!v land mask);

@@ -14,7 +14,8 @@
      path;
    - the warm-cache LRU regression: with [COBRA_WARM_CACHE] at 2, three
      distinct warm regions must evict down to the cap and bump the
-     eviction counter. *)
+     eviction counter;
+   - the compiled replay's allocation budget per reference design. *)
 
 open Cobra
 module Slab = Cobra_util.Slab
@@ -400,6 +401,40 @@ let test_warm_cache_lru () =
           check Alcotest.bool "entries capped at COBRA_WARM_CACHE" true (entries <= 2);
           check Alcotest.bool "evictions counted" true (evictions > evictions0)))
 
+(* --- allocation budget -------------------------------------------------------------- *)
+
+(* Steady-state minor-heap allocation of compiled replay, per branch, over a
+   seeded fuzz stream after a warm-up stretch. Allocation is deterministic
+   (unlike wall-clock), so a regression in the engine or a component kernel
+   — a per-step context or event record, a tuple-returning lookup, a
+   closure in a hot loop — fails here. Ceilings carry at least 25% headroom
+   over the rates measured when they were set (GShare 121, Tourney 603,
+   B2 426, TAGE-L 786 B/branch); what still allocates is the opinion
+   records of target providers and merges, [pred_in] lists and resolved
+   outcomes. *)
+let alloc_ceilings = [ ("GShare", 160.); ("Tourney", 760.); ("B2", 540.); ("TAGE-L", 990.) ]
+
+let test_alloc_budget (name, ceiling) () =
+  let d = if name = "GShare" then Designs.gshare_only else Designs.find name in
+  let recs = Fuzz.branches { Fuzz.seed; shape = Fuzz.Mixed; length = 12_000 } in
+  let warm = List.filteri (fun i _ -> i < 4_000) recs in
+  let measured = List.filteri (fun i _ -> i >= 4_000) recs in
+  let eng = Replay.compiled d in
+  let run recs =
+    let sim = Replay.Sim.of_engine eng in
+    List.iter (fun r -> ignore (Replay.Sim.step sim r)) recs
+  in
+  run warm;
+  let w0 = Gc.minor_words () in
+  run measured;
+  let per_branch =
+    (Gc.minor_words () -. w0) *. float_of_int (Sys.word_size / 8)
+    /. float_of_int (List.length measured)
+  in
+  if per_branch > ceiling then
+    Alcotest.failf "%s compiled replay allocates %.1f B/branch (ceiling %.0f)" name per_branch
+      ceiling
+
 (* --- registration ----------------------------------------------------------------- *)
 
 let () =
@@ -423,4 +458,9 @@ let () =
             test_serve_unknown_engine;
           Alcotest.test_case "warm cache LRU cap" `Quick test_warm_cache_lru;
         ] );
+      ( "allocation",
+        List.map
+          (fun ((name, _) as c) ->
+            Alcotest.test_case (name ^ " compiled replay budget") `Quick (test_alloc_budget c))
+          alloc_ceilings );
     ]

@@ -167,10 +167,8 @@ let test_gtag_learns_with_history () =
 let constant_direction ~name ~taken =
   Component.make ~name ~family:Component.Static ~latency:2 ~meta_bits:0
     ~storage:Storage.zero
-    ~predict:(fun _ ~pred_in:_ ->
-      let p = Types.no_prediction ~width in
-      Array.iteri (fun i _ -> p.(i) <- { Types.empty_opinion with o_taken = Some taken }) p;
-      (p, Bits.zero 0))
+    ~predict:(fun _ ~pred_in:_ ~out ~meta:_ ->
+      Array.iteri (fun i _ -> out.(i) <- { Types.empty_opinion with o_taken = Some taken }) out)
     ()
 
 let test_tourney_learns_better_side () =

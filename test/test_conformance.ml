@@ -1,8 +1,8 @@
 (* The differential conformance kit as a tier-1 gate: golden-model lockstep
-   fuzzing, storage accounting, twin-design differentials and the
-   repair-restores-state metamorphic check, plus direct behavioural coverage
-   (through the golden instances) for the components that previously had no
-   test of their own. COBRA_SEED replays any failure. *)
+   fuzzing, storage accounting, twin-design differentials and the live-slot
+   and repair-restores-state metamorphic checks, plus direct behavioural
+   coverage (through the golden instances) for the components that
+   previously had no test of their own. COBRA_SEED replays any failure. *)
 
 open Cobra
 module Bits = Cobra_util.Bits
@@ -27,6 +27,7 @@ let assert_verdict (v : Crosscheck.verdict) =
 (* --- kit-level checks ------------------------------------------------------- *)
 
 let test_lockstep packed () = assert_verdict (Crosscheck.lockstep ~length:150 ~seed packed)
+let test_live_slots packed () = assert_verdict (Crosscheck.live_slots ~length:150 ~seed packed)
 let test_storage packed () = assert_verdict (Crosscheck.storage_accounting packed)
 let test_twin design () = assert_verdict (Crosscheck.twin ~length:250 ~seed design)
 
@@ -239,6 +240,11 @@ let () =
         Alcotest.test_case (Golden.packed_name p) `Quick (test_lockstep p))
       zoo
   in
+  let live_slot_cases =
+    List.map
+      (fun p -> Alcotest.test_case (Golden.packed_name p) `Quick (test_live_slots p))
+      zoo
+  in
   let storage_cases =
     List.map
       (fun p -> Alcotest.test_case (Golden.packed_name p) `Quick (test_storage p))
@@ -281,6 +287,7 @@ let () =
   Alcotest.run "conformance"
     [
       ("lockstep", lockstep_cases);
+      ("live-slots", live_slot_cases);
       ("storage", storage_cases);
       ("twin", twin_cases);
       ("repair-restore", repair_cases);

@@ -1,5 +1,6 @@
 open Cobra
 module Bits = Cobra_util.Bits
+module Bitpack = Cobra_util.Bitpack
 
 let check = Alcotest.check
 
@@ -12,8 +13,9 @@ type log_entry = Fired | Mispredicted of int option | Repaired | Updated
 
 let stub ?(latency = 1) ?(meta_bits = 8) ?(meta_value = 0xAB) ~name behaviour =
   let log = ref [] in
-  let predict ctx ~pred_in =
-    (behaviour ctx pred_in, Bits.of_int ~width:meta_bits meta_value)
+  let predict ctx ~pred_in ~out ~meta =
+    Array.blit (behaviour ctx pred_in) 0 out 0 width;
+    Bitpack.store ~owner:name (Bits.of_int ~width:meta_bits meta_value) ~dst:meta
   in
   let push e (_ : Component.event) = log := e :: !log in
   let component =
@@ -237,7 +239,8 @@ let test_metadata_roundtrip () =
   let spy =
     Component.make ~name:"SPY" ~family:Component.Static ~latency:1 ~meta_bits:4
       ~storage:Storage.zero
-      ~predict:(fun _ ~pred_in:_ -> (Types.no_prediction ~width, Bits.of_int ~width:4 0x9))
+      ~predict:(fun _ ~pred_in:_ ~out:_ ~meta ->
+        Bitpack.store ~owner:"SPY" (Bits.of_int ~width:4 0x9) ~dst:meta)
       ~update:(fun ev -> seen := Bits.to_int ev.meta :: !seen)
       ()
   in
@@ -346,17 +349,25 @@ let test_fire_backpressure () =
   Pipeline.commit pl;
   check Alcotest.bool "commit frees" true (Pipeline.can_fire pl)
 
+(* A component declaring 8 metadata bits but packing 4 is refused by both
+   engines, by name, when it seals its packer into the host's 8-bit buffer. *)
 let test_meta_width_enforced () =
-  let bad =
+  let bad () =
+    let packer = Bitpack.Packer.create ~owner:"BAD" ~width:4 in
     Component.make ~name:"BAD" ~family:Component.Static ~latency:1 ~meta_bits:8
       ~storage:Storage.zero
-      ~predict:(fun _ ~pred_in:_ -> (Types.no_prediction ~width, Bits.zero 4))
+      ~predict:(fun _ ~pred_in:_ ~out:_ ~meta ->
+        Bitpack.Packer.add packer 0 ~bits:4;
+        Bitpack.Packer.finish_into packer meta)
       ()
   in
-  let pl = Pipeline.create cfg (Topology.node bad) in
-  Alcotest.check_raises "width mismatch"
-    (Invalid_argument "component BAD returned 4 metadata bits, declared 8") (fun () ->
-      ignore (Pipeline.predict pl ~pc:0 ~max_len:4))
+  let refused = Invalid_argument "component BAD returned 4 metadata bits, declared 8" in
+  let pl = Pipeline.create cfg (Topology.node (bad ())) in
+  Alcotest.check_raises "interpreted" refused (fun () ->
+      ignore (Pipeline.predict pl ~pc:0 ~max_len:4));
+  let eng = Cobra_compile.Engine.create cfg (Topology.node (bad ())) in
+  Alcotest.check_raises "compiled" refused (fun () ->
+      ignore (Cobra_compile.Engine.step eng ~pc:0 ~kind:Types.Cond ~taken:true ~target:64))
 
 (* --- history providers: property tests against reference models ---------- *)
 
@@ -436,6 +447,39 @@ let prop_lhist_push_restore_roundtrip =
       in
       List.iter (fun (pc, prior) -> Lhist_provider.restore l ~pc prior) (List.rev saved);
       List.for_all (fun (pc, _) -> Bits.to_int (Lhist_provider.read l ~pc) = 0) pushes)
+
+(* Regression: the table once shared one zero vector across all entries,
+   harmless while pushes replaced entries, an aliasing bug once the compiled
+   engine shifts them in place. *)
+let test_lhist_entries_distinct () =
+  let l = Lhist_provider.create ~entries:16 ~bits:8 in
+  let pc = 0x40 in
+  let mine = Lhist_provider.index l ~pc in
+  Lhist_provider.push_in_place l ~pc true;
+  Lhist_provider.push_in_place l ~pc true;
+  check Alcotest.int "pushed entry" 0b11 (Bits.to_int (Lhist_provider.nth l mine));
+  for i = 0 to Lhist_provider.entries l - 1 do
+    if i <> mine then
+      check Alcotest.int (Printf.sprintf "entry %d untouched" i) 0
+        (Bits.to_int (Lhist_provider.nth l i))
+  done
+
+(* A reused context names a new packet after [reset]: new PC, bumped
+   stamp, empty fold memo (its history buffers changed in between). *)
+let test_context_reset () =
+  let ghist = Bits.zero 16 in
+  let ctx =
+    Context.make ~pc:0x40 ~fetch_width:width ~live_slots:1 ~ghist
+      ~lhists:(Array.make width (Bits.zero 8)) ()
+  in
+  check Alcotest.int "folds the zero history" 0 (Context.folded_ghist ctx ~len:16 ~bits:4);
+  Bits.shift_in_lsb_in_place ghist true;
+  let stamp = ctx.Context.stamp in
+  Context.reset ctx ~pc:0x80;
+  check Alcotest.int "new pc" 0x80 ctx.Context.pc;
+  check Alcotest.bool "stamp bumped" true (ctx.Context.stamp <> stamp);
+  check Alcotest.int "memo cleared: refolds the shifted buffer" 1
+    (Context.folded_ghist ctx ~len:16 ~bits:4)
 
 (* --- path history provider ------------------------------------------------ *)
 
@@ -556,6 +600,8 @@ let () =
           Alcotest.test_case "mispredict repair" `Quick test_mispredict_repair;
           Alcotest.test_case "mispredict truncates packet" `Quick test_mispredict_truncates_packet;
           Alcotest.test_case "lhist speculation" `Quick test_lhist_speculation_and_squash;
+          Alcotest.test_case "lhist entries distinct" `Quick test_lhist_entries_distinct;
+          Alcotest.test_case "context reset" `Quick test_context_reset;
           Alcotest.test_case "fire backpressure" `Quick test_fire_backpressure;
           Alcotest.test_case "meta width enforced" `Quick test_meta_width_enforced;
           Alcotest.test_case "storage accounting" `Quick test_storage_accounting;

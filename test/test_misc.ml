@@ -170,7 +170,7 @@ let test_component_label () =
   let c =
     Component.make ~name:"X" ~family:Component.Static ~latency:2 ~meta_bits:0
       ~storage:Storage.zero
-      ~predict:(fun _ ~pred_in:_ -> (Types.no_prediction ~width:4, Cobra_util.Bits.zero 0))
+      ~predict:(fun _ ~pred_in:_ ~out:_ ~meta:_ -> ())
       ()
   in
   check Alcotest.string "paper notation" "X_2" (Component.label c);
@@ -180,8 +180,7 @@ let test_component_label () =
       ignore
         (Component.make ~name:"Y" ~family:Component.Static ~latency:0 ~meta_bits:0
            ~storage:Cobra.Storage.zero
-           ~predict:(fun _ ~pred_in:_ ->
-             (Cobra.Types.no_prediction ~width:4, Cobra_util.Bits.zero 0))
+           ~predict:(fun _ ~pred_in:_ ~out:_ ~meta:_ -> ())
            ()))
 
 let () =

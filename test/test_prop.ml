@@ -128,18 +128,24 @@ let test_meta_width_contract () =
      trained table too, not only on the reset state *)
   let instances = List.map (fun (n, mk) -> (n, mk ())) component_zoo in
   let st = Random.State.make [| 7 |] in
-  Prop.check ~name:"predict returns exactly meta_bits of metadata" case
+  Prop.check ~name:"predict seals exactly meta_bits of metadata" case
     (fun (name, _salt) ->
       let c = List.assoc name instances in
       let ctx = random_ctx st in
       let pred_in = [ Array.make width Types.empty_opinion ] in
-      let pred, meta = c.Component.predict ctx ~pred_in in
-      check Alcotest.int
-        (Printf.sprintf "%s meta width" name)
-        c.Component.meta_bits (Bits.width meta);
+      (* the host's buffer of the declared width is accepted... *)
+      let out = Types.no_prediction ~width in
+      c.Component.predict ctx ~pred_in ~out ~meta:(Bits.zero c.Component.meta_bits);
       check Alcotest.int
         (Printf.sprintf "%s opinion vector width" name)
-        width (Array.length pred))
+        width (Array.length out);
+      (* ...and one of any other width is refused *)
+      match
+        c.Component.predict ctx ~pred_in ~out:(Types.no_prediction ~width)
+          ~meta:(Bits.zero (c.Component.meta_bits + 1))
+      with
+      | () -> Alcotest.failf "%s accepted a %d-bit metadata buffer" name (c.Component.meta_bits + 1)
+      | exception Invalid_argument _ -> ())
 
 (* --- storage accounting matches geometry ------------------------------------ *)
 

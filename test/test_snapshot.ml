@@ -30,7 +30,9 @@ let assert_verdict (v : Crosscheck.verdict) =
 (* --- per-component: restore (snapshot t) mid-script -------------------------- *)
 
 let drive_packet (c : Component.t) (pk : Fuzz.packet) =
-  let p, meta = c.Component.predict pk.Fuzz.pk_ctx ~pred_in:pk.Fuzz.pk_pred_in in
+  let p = Types.no_prediction ~width in
+  let meta = Bits.zero c.Component.meta_bits in
+  c.Component.predict pk.Fuzz.pk_ctx ~pred_in:pk.Fuzz.pk_pred_in ~out:p ~meta;
   let ev culprit =
     { Component.ctx = pk.Fuzz.pk_ctx; meta; slots = pk.Fuzz.pk_slots; culprit }
   in

@@ -179,6 +179,33 @@ let prop_cb_set_get =
       List.iter (fun s -> Circular_buffer.set cb s (Circular_buffer.get cb s * 2)) seqs;
       List.for_all2 (fun s v -> Circular_buffer.get cb s = v * 2) seqs values)
 
+(* The in-place forms rewrite only the buffer they are given: the same
+   values as the functional [shift_in_lsb], across limb boundaries. *)
+let prop_shift_in_place =
+  QCheck.Test.make ~name:"shift_in_lsb_in_place agrees with shift_in_lsb" ~count:200
+    QCheck.(pair (int_range 1 130) (list_of_size (Gen.int_range 0 200) bool))
+    (fun (w, bits) ->
+      let buf = Bits.zero w in
+      let copy = Bits.zero w in
+      let v =
+        List.fold_left
+          (fun v b ->
+            Bits.shift_in_lsb_in_place buf b;
+            Bits.shift_in_lsb v b)
+          (Bits.zero w) bits
+      in
+      Bits.blit ~src:buf ~dst:copy;
+      Bits.shift_in_lsb_in_place buf true;
+      Bits.equal copy v && Bits.equal buf (Bits.shift_in_lsb v true))
+
+let test_bits_set_limb () =
+  let b = Bits.zero 70 in
+  Bits.set_limb b 1 0xFFFF;
+  check Alcotest.string "top limb masked to the width" (String.make 8 '1' ^ String.make 62 '0')
+    (Bits.to_string b);
+  Alcotest.check_raises "width mismatch" (Invalid_argument "Bits.blit: width 70 into width 8")
+    (fun () -> Bits.blit ~src:b ~dst:(Bits.zero 8))
+
 (* --- Bitpack ------------------------------------------------------------- *)
 
 let test_bitpack_roundtrip () =
@@ -201,33 +228,73 @@ let prop_bitpack_roundtrip =
       let width = Bitpack.width_of layout in
       Bitpack.unpack (Bitpack.pack ~width fields) layout = List.map fst fields)
 
-(* The incremental Packer must produce bit-identical vectors to the
-   list-based pack, and the Cursor must read back exactly what unpack does —
-   including fields straddling the 62-bit limb boundary (hence widths that
-   push the total past 62). The same packer/cursor pair is reused across
-   rounds, as the component hot paths do. *)
+(* The incremental Packer must seal bit-identical vectors to the list-based
+   pack into the caller's buffer, and per-field [extract_int] must read back
+   exactly what unpack does — including fields straddling the 62-bit limb
+   boundary (hence widths that push the total past 62). The same packer and
+   buffer are reused across rounds, as the component hot paths do, with a
+   stale pattern left in the buffer between rounds. *)
 let packer_agrees fields =
   let fields = List.map (fun (v, w) -> (v land ((1 lsl w) - 1), w)) fields in
   let layout = List.map snd fields in
   let width = Bitpack.width_of layout in
-  let packer = Bitpack.Packer.create ~width in
-  let cursor = Bitpack.Cursor.create () in
+  let packer = Bitpack.Packer.create ~owner:"test" ~width in
+  let buf = Bits.zero width in
   List.for_all
     (fun _round ->
       List.iter (fun (v, bits) -> Bitpack.Packer.add packer v ~bits) fields;
-      let incremental = Bitpack.Packer.finish packer in
+      Bitpack.Packer.finish_into packer buf;
       let listwise = Bitpack.pack ~width fields in
-      Bits.equal incremental listwise
-      && begin
-           Bitpack.Cursor.reset cursor incremental;
-           List.for_all (fun (v, bits) -> Bitpack.Cursor.take cursor ~bits = v) fields
-         end)
+      let same = Bits.equal buf listwise in
+      let pos = ref 0 in
+      let read_back =
+        List.for_all
+          (fun (v, bits) ->
+            let got = Bits.extract_int buf ~lo:!pos ~len:bits in
+            pos := !pos + bits;
+            got = v)
+          fields
+      in
+      for j = 0 to Bits.limb_count buf - 1 do
+        Bits.set_limb buf j 0x2AAAAAAAAAAAAAAA
+      done;
+      same && read_back)
     [ 1; 2; 3 ]
 
-let prop_packer_cursor_equivalence =
-  QCheck.Test.make ~name:"Packer/Cursor agree with pack/unpack" ~count:300
+let prop_packer_equivalence =
+  QCheck.Test.make ~name:"Packer agrees with pack/unpack" ~count:300
     QCheck.(list_of_size (Gen.int_range 1 16) (pair (int_bound 100000) (int_range 0 20)))
     packer_agrees
+
+(* Dead slots: [add_zeros] spans any number of bits, limb boundaries
+   included, and composes with [field]-built words. *)
+let test_packer_zeros_and_words () =
+  let packer = Bitpack.Packer.create ~owner:"test" ~width:100 in
+  let buf = Bits.init 100 (fun _ -> true) in
+  let word = Bitpack.field 5 ~bits:3 lor (Bitpack.field 2 ~bits:2 lsl 3) in
+  Bitpack.Packer.add packer word ~bits:5;
+  Bitpack.Packer.add_zeros packer ~bits:90;
+  Bitpack.Packer.add packer 0x1F ~bits:5;
+  Bitpack.Packer.finish_into packer buf;
+  check Alcotest.bool "same as the list form" true
+    (Bits.equal buf
+       (Bitpack.pack ~width:100 [ (5, 3); (2, 2); (0, 45); (0, 45); (0x1F, 5) ]))
+
+(* The width check names the component and both widths, and leaves the
+   packer reset for the next cycle. *)
+let test_packer_width_refused () =
+  let packer = Bitpack.Packer.create ~owner:"P" ~width:4 in
+  Bitpack.Packer.add packer 9 ~bits:4;
+  Alcotest.check_raises "refused"
+    (Invalid_argument "component P returned 4 metadata bits, declared 8") (fun () ->
+      Bitpack.Packer.finish_into packer (Bits.zero 8));
+  Bitpack.Packer.add packer 6 ~bits:4;
+  let buf = Bits.zero 4 in
+  Bitpack.Packer.finish_into packer buf;
+  check Alcotest.int "next cycle" 6 (Bits.to_int buf);
+  Alcotest.check_raises "field overflow"
+    (Invalid_argument "Bitpack.field: value 4 does not fit in 2 bits") (fun () ->
+      ignore (Bitpack.field 4 ~bits:2))
 
 (* A 0-bit field right after earlier fields fill whole limbs sits at a limb
    index one past the scratch array. *)
@@ -285,6 +352,8 @@ let () =
           qcheck prop_bits_string_roundtrip;
           qcheck prop_bits_set_get;
           qcheck prop_shift_in_window;
+          qcheck prop_shift_in_place;
+          Alcotest.test_case "set_limb and blit" `Quick test_bits_set_limb;
         ] );
       ( "counter",
         [
@@ -311,7 +380,9 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_bitpack_roundtrip;
           Alcotest.test_case "overflow" `Quick test_bitpack_overflow;
           qcheck prop_bitpack_roundtrip;
-          qcheck prop_packer_cursor_equivalence;
+          qcheck prop_packer_equivalence;
+          Alcotest.test_case "Packer zeros and composed words" `Quick test_packer_zeros_and_words;
+          Alcotest.test_case "Packer width refused" `Quick test_packer_width_refused;
           Alcotest.test_case "Packer 0-bit field at a limb boundary" `Quick
             test_packer_zero_width_at_limb_boundary;
         ] );
