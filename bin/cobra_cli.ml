@@ -61,14 +61,13 @@ let list_cmd =
       List.iter
         (fun (name, desc) -> Printf.printf "  %-10s %s\n" name desc)
         [
-          ("HBIM", "bimodal counter table, parameterised indexing (PC/ghist/lhist/hash)");
+          ("HBIM", "counter table indexed by PC/ghist/lhist/phist/hash/concat (gshare, gselect)");
           ("BTB", "set-associative branch target buffer, 2-cycle");
           ("UBTB", "small fully-associative micro-BTB, 1-cycle");
           ("GTAG", "partially-tagged global-history counter table");
           ("TAGE", "multi-table tagged geometric-history predictor");
           ("LOOP", "loop trip-count predictor with speculative counting + repair");
           ("TOURNEY", "tournament selector over two predict_in inputs");
-          ("GSHARE", "global-history xor-indexed counter table (extension)");
           ("YAGS", "taken/not-taken exception caches (extension)");
           ("PERCEPTRON", "history-dot-weights predictor (extension)");
           ("ITTAGE", "tagged indirect-target predictor (extension)");
@@ -234,7 +233,9 @@ let replay_cmd =
     let* d = lookup_design design in
     match Cobra_trace_replay.Reader.detect path with
     | Cobra_trace_replay.Reader.Branch_binary | Cobra_trace_replay.Reader.Branch_text ->
-      (* predictor-only fast path: no uarch core, constant memory *)
+      (* predictor-only fast path: no uarch core, constant memory; the
+         compiled engine unless --stats asks for the collector, which needs
+         an interpreted pipeline *)
       if stats then begin
         let res, report =
           Cobra_trace_replay.Replay.run_design_with_stats ?max_branches:branches

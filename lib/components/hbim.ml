@@ -17,16 +17,18 @@ type config = {
 let default ~name ~indexing =
   { name; latency = 2; entries = 2048; counter_bits = 2; indexing; fetch_width = 4 }
 
-let make_inspectable cfg =
+let make cfg =
   if not (Bitops.is_power_of_two cfg.entries) then
     invalid_arg (cfg.name ^ ": entries must be a power of two");
-  let index_bits = Bitops.log2_exact cfg.entries in
+  let slot_index =
+    try Indexing.index cfg.indexing ~bits:(Bitops.log2_exact cfg.entries)
+    with Invalid_argument m -> invalid_arg (cfg.name ^ ": " ^ m)
+  in
   let cb = cfg.counter_bits in
   (* slab layout: one counter per cell, entry i at cell i *)
   let state = Slab.create cfg.entries in
   Slab.fill state (Counter.weakly_not_taken ~bits:cb);
   let taken_at = Counter.weakly_taken ~bits:cb in
-  let slot_index ctx ~slot = Indexing.index cfg.indexing ctx ~slot ~bits:index_bits in
   (* Metadata layout: per slot, the counter value read at predict time. *)
   let meta_bits = cfg.fetch_width * cb in
   let packer = Bitpack.Packer.create ~owner:cfg.name ~width:meta_bits in
@@ -58,10 +60,5 @@ let make_inspectable cfg =
     Storage.make ~sram_bits:(cfg.entries * cb)
       ~logic_gates:(cfg.fetch_width * 40) ()
   in
-  let component =
-    Component.make ~name:cfg.name ~family:Component.Counter_table ~latency:cfg.latency
-      ~meta_bits ~storage ~state ~predict ~update ()
-  in
-  (component, fun ctx ~slot -> Slab.get state (slot_index ctx ~slot))
-
-let make cfg = fst (make_inspectable cfg)
+  Component.make ~name:cfg.name ~family:Component.Counter_table ~latency:cfg.latency
+    ~meta_bits ~storage ~state ~predict ~update ()

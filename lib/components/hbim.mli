@@ -2,7 +2,12 @@
 
     A superscalar table of saturating direction counters: every fetch-packet
     slot reads its own entry, indexed by PC, global history, local history
-    or any hashed combination. The counter values read at predict time are
+    or any hashed or concatenated combination ({!Indexing}). This is the
+    library's one counter table: gshare is
+    [{entries = 1 lsl b; indexing = Hash [Pc; Ghist h]}] and gselect is
+    [{entries = 1 lsl (p + h); indexing = Concat [(Pc, p); (Ghist h, h)]}].
+    {!make} stages the indexing once, so the per-slot index does no match
+    and allocates nothing. The counter values read at predict time are
     stored in the metadata field so that the commit-time update never
     re-reads the table — the paper's flagship use of metadata (III-D).
 
@@ -23,7 +28,6 @@ val default : name:string -> indexing:Indexing.t -> config
 (** 2048 entries, 2-bit counters, latency 2, 4-wide. *)
 
 val make : config -> Cobra.Component.t
-
-val make_inspectable : config -> Cobra.Component.t * (Cobra.Context.t -> slot:int -> int)
-(** Like {!make} but also returns a reader for the counter a slot would see
-    — used by unit tests to observe training. *)
+(** Raises [Invalid_argument], naming the component, when [entries] is not
+    a power of two or a [Concat] indexing's widths do not add up to
+    [log2 entries]. *)

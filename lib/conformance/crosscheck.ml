@@ -220,37 +220,6 @@ let step sim r =
   let wrong = Sim.step sim r in
   (Sim.last_taken_pred sim, wrong)
 
-(* --- twin-design differential --------------------------------------------------- *)
-
-let twin ?(length = 400) ~seed (design : Designs.t) =
-  let check = "twin" in
-  let subject = design.Designs.name in
-  match Golden.twin_design design with
-  | exception Invalid_argument m -> fail ~check ~subject m
-  | golden ->
-    let s_real = Sim.create `Interpreted design in
-    let s_gold = Sim.create `Interpreted golden in
-    let bs = Fuzz.branches { Fuzz.seed; shape = Fuzz.Mixed; length } in
-    let bad = ref None in
-    List.iteri
-      (fun i (b : Btrace.record) ->
-        if !bad = None then begin
-          let tp_r, w_r = step s_real b in
-          let tp_g, w_g = step s_gold b in
-          if tp_r <> tp_g || w_r <> w_g then
-            bad :=
-              Some
-                (Printf.sprintf
-                   "branch %d/%d (pc=0x%x %s taken=%b) seed=%d: real taken_pred=%b wrong=%b, \
-                    golden taken_pred=%b wrong=%b (replay: cobra conform --seed %d)"
-                   i length b.Btrace.b_pc (kind_name b.Btrace.b_kind) b.Btrace.b_taken seed
-                   tp_r w_r tp_g w_g seed)
-        end)
-      bs;
-    (match !bad with
-    | None -> pass ~check ~subject (Printf.sprintf "ok (%d branches, golden twin agrees)" length)
-    | Some m -> fail ~check ~subject m)
-
 (* --- trace replay vs the golden twin -------------------------------------------- *)
 
 let replay_twin ?(length = 400) ~seed (design : Designs.t) =
@@ -589,10 +558,6 @@ let run_all ?(length = 300) ?(shapes = Fuzz.all_shapes) ?(engine = `Both) ~seed 
     else
       List.concat_map (fun p -> [ lockstep ~length ~shapes ~seed p; storage_accounting p ]) zoo
   in
-  let twins =
-    if not interpreted then []
-    else List.map (twin ~length ~seed) (Designs.all @ [ Designs.gshare_only ])
-  in
   let repairs =
     if not interpreted then [] else List.map (repair_restore ~length ~seed) Designs.all
   in
@@ -613,7 +578,7 @@ let run_all ?(length = 300) ?(shapes = Fuzz.all_shapes) ?(engine = `Both) ~seed 
   in
   (* engine-independent: the component contract itself *)
   let live = List.map (live_slots ~length ~shapes ~seed) zoo in
-  per_component @ live @ twins @ replays @ repairs @ snapshots @ compiled_zoos @ compiled_twins
+  per_component @ live @ replays @ repairs @ snapshots @ compiled_zoos @ compiled_twins
   @ table1_pins ()
 
 let render vs =

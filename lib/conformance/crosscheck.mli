@@ -9,7 +9,7 @@
     are pure functions of the seed, so one integer reproduces the run. *)
 
 type verdict = {
-  v_check : string;  (** lockstep / storage / twin / repair / table1 *)
+  v_check : string;  (** lockstep / live_slots / storage / replay / repair / ... *)
   v_subject : string;  (** component or design under test *)
   v_pass : bool;
   v_detail : string;  (** "ok (...)" or a replayable failure description *)
@@ -35,16 +35,11 @@ val storage_accounting : Golden.packed -> verdict
 (** The real component's [Storage.total_bits] must equal the textbook
     formula recomputed independently in {!Golden}. *)
 
-val twin : ?length:int -> seed:int -> Cobra_eval.Designs.t -> verdict
-(** End-to-end differential: the design and its {!Golden.twin_design} are
-    stepped through the same branch stream
-    ([Cobra_trace_replay.Replay.Sim.step], the software-model protocol) and
-    must make identical predictions on every branch. *)
-
 val replay_twin : ?length:int -> seed:int -> Cobra_eval.Designs.t -> verdict
-(** Certifies the trace-replay driver: the fuzz branch stream is run
+(** The end-to-end twin differential: the fuzz branch stream is run
     through [Cobra_trace_replay.Replay.drive] on the design and stepped
-    through its {!Golden.twin_design}; both must agree on every per-branch
+    ([Cobra_trace_replay.Replay.Sim.step]) through its
+    {!Golden.twin_design}; both must agree on every per-branch
     [(taken_pred, wrong)] decision, and the replay totals must match the
     observation count. *)
 
@@ -94,7 +89,7 @@ val run_all :
   verdict list
 (** Everything above: per-component lockstep + storage over {!Golden.zoo},
     {!live_slots} over the zoo (engine-independent, so always run),
-    twin and replay-engine differentials over the reference designs (plus
+    the replay-vs-golden-twin differential over the reference designs (plus
     gshare-only), repair-restores-state over [Designs.all], snapshot
     round-trips, the compiled-engine differentials ({!compiled_zoo} over
     the whole zoo and {!compiled_twin} over the reference designs plus

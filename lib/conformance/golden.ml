@@ -105,8 +105,12 @@ let rec source_index (src : C.Indexing.t) (ctx : Context.t) ~slot ~bits =
   | C.Indexing.Phist n -> Hashing.folded_history ctx.phist ~len:n ~bits
   | C.Indexing.Hash srcs ->
     Hashing.combine ~bits (List.map (fun s -> source_index s ctx ~slot ~bits) srcs)
+  | C.Indexing.Concat parts ->
+    List.fold_left
+      (fun acc (s, w) -> (acc lsl w) lor source_index s ctx ~slot ~bits:w)
+      0 parts
 
-(* --- counter-table family: gshare / gselect / hbim -------------------------- *)
+(* --- counter table: hbim, which gshare and gselect are indexings of ----------- *)
 
 (* One saturating counter per slot index; the counter read at predict time
    rides in the metadata and is the value trained at update time. *)
@@ -151,35 +155,6 @@ let counter_table ~name ~fetch_width ~counter_bits ~index =
       check_cells ~name ~what:"direction counter"
         (fun c -> Counter.is_valid ~bits:counter_bits c);
   }
-
-let gshare (cfg : C.Gshare.config) =
-  let index (ctx : Context.t) ~slot =
-    Hashing.pc_index ~pc:(Context.slot_pc ctx slot) ~bits:cfg.index_bits
-    lxor Hashing.folded_history ctx.ghist ~len:cfg.history_length ~bits:cfg.index_bits
-  in
-  P
-    {
-      model =
-        counter_table ~name:cfg.name ~fetch_width:cfg.fetch_width
-          ~counter_bits:cfg.counter_bits ~index;
-      make_real = (fun () -> C.Gshare.make cfg);
-      storage_bits = (1 lsl cfg.index_bits) * cfg.counter_bits;
-    }
-
-let gselect (cfg : C.Gselect.config) =
-  let index (ctx : Context.t) ~slot =
-    let pc_part = Hashing.pc_index ~pc:(Context.slot_pc ctx slot) ~bits:cfg.pc_bits in
-    let hist_part = Bits.extract_int ctx.ghist ~lo:0 ~len:cfg.history_bits in
-    (pc_part lsl cfg.history_bits) lor hist_part
-  in
-  P
-    {
-      model =
-        counter_table ~name:cfg.name ~fetch_width:cfg.fetch_width
-          ~counter_bits:cfg.counter_bits ~index;
-      make_real = (fun () -> C.Gselect.make cfg);
-      storage_bits = (1 lsl (cfg.pc_bits + cfg.history_bits)) * cfg.counter_bits;
-    }
 
 let hbim (cfg : C.Hbim.config) =
   let index_bits = Bitops.log2_exact cfg.entries in
@@ -1616,8 +1591,20 @@ let zoo () =
   let tage_spec h = { C.Tage.history_length = h; index_bits = 4; tag_bits = 5 } in
   let ittage_spec h = { C.Ittage.history_length = h; index_bits = 4; tag_bits = 5 } in
   [
-    gshare { (C.Gshare.default ~name:"zGSHARE") with index_bits = 6; history_length = 8 };
-    gselect { (C.Gselect.default ~name:"zGSELECT") with pc_bits = 3; history_bits = 4 };
+    hbim
+      {
+        (C.Hbim.default ~name:"zGSHARE"
+           ~indexing:(C.Indexing.Hash [ C.Indexing.Pc; C.Indexing.Ghist 8 ]))
+        with
+        entries = 64;
+      };
+    hbim
+      {
+        (C.Hbim.default ~name:"zGSELECT"
+           ~indexing:(C.Indexing.Concat [ (C.Indexing.Pc, 3); (C.Indexing.Ghist 4, 4) ]))
+        with
+        entries = 128;
+      };
     hbim
       {
         (C.Hbim.default ~name:"zGBIM"
@@ -1734,7 +1721,16 @@ let twin_design (d : Cobra_eval.Designs.t) =
           (Topology.over tage_c
              (Topology.over btb_c (Topology.over bim (Topology.node ubtb_c))))
     | "GShare" ->
-      fun () -> Topology.node (to_component (gshare (C.Gshare.default ~name:"GSHARE")))
+      fun () ->
+        Topology.node
+          (to_component
+             (hbim
+                {
+                  (C.Hbim.default ~name:"GSHARE"
+                     ~indexing:(C.Indexing.Hash [ C.Indexing.Pc; C.Indexing.Ghist 12 ]))
+                  with
+                  entries = 4096;
+                }))
     | n -> invalid_arg ("Golden.twin_design: unsupported design " ^ n)
   in
   { d with Cobra_eval.Designs.name = d.Cobra_eval.Designs.name ^ "(golden)"; make }

@@ -47,9 +47,9 @@ val packed_name : packed -> string
 
 (* --- model constructors (one per component in lib/components/) ------------- *)
 
-val gshare : Cobra_components.Gshare.config -> packed
-val gselect : Cobra_components.Gselect.config -> packed
 val hbim : Cobra_components.Hbim.config -> packed
+(** Also the gshare and gselect models: they are HBIM indexings. *)
+
 val gtag : Cobra_components.Gtag.config -> packed
 val gehl : Cobra_components.Gehl.config -> packed
 val yags : Cobra_components.Yags.config -> packed

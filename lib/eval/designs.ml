@@ -138,7 +138,14 @@ let tage_l_with_latency latency = make_tage_l ~tage_latency:latency
 (* --- GShare: a single counter table, the perf-bench floor --------------------- *)
 
 let gshare_only =
-  let make () = Topology.node (Gshare.make (Gshare.default ~name:"GSHARE")) in
+  let make () =
+    Topology.node
+      (Hbim.make
+         {
+           (Hbim.default ~name:"GSHARE" ~indexing:Indexing.(Hash [ Pc; Ghist 12 ])) with
+           entries = 4096;
+         })
+  in
   {
     name = "GShare";
     paper_storage_kb = 1.0;

@@ -350,7 +350,13 @@ let gehl_vs_tage ?insns () =
   in
   let contenders =
     [
-      ("GSHARE_2", fun () -> Gshare.make (Gshare.default ~name:"GSHARE"));
+      ( "GSHARE_2",
+        fun () ->
+          Hbim.make
+            {
+              (Hbim.default ~name:"GSHARE" ~indexing:Indexing.(Hash [ Pc; Ghist 12 ])) with
+              entries = 4096;
+            } );
       ("YAGS_2", fun () -> Yags.make (Yags.default ~name:"YAGS"));
       ("PERCEPTRON_3", fun () -> Perceptron.make (Perceptron.default ~name:"PERC"));
       ("GEHL_3", fun () -> Gehl.make (Gehl.default ~name:"GEHL"));

@@ -169,11 +169,10 @@ let lbim_target =
   }
 
 let gshare_small ~name ~index_bits ~history_length =
-  Gshare.make
+  Hbim.make
     {
-      (Gshare.default ~name) with
-      Gshare.index_bits;
-      history_length;
+      (Hbim.default ~name ~indexing:Indexing.(Hash [ Pc; Ghist history_length ])) with
+      Hbim.entries = 1 lsl index_bits;
       fetch_width = fw;
     }
 
@@ -196,7 +195,7 @@ let gshare12_target =
     t_family = "gshare-like";
     t_doc = "default gshare geometry: 12-bit history, 4K entries";
     t_demo = false;
-    t_make = (fun () -> Topology.node (Gshare.make (Gshare.default ~name:"GSHARE")));
+    t_make = (fun () -> Topology.node (gshare_small ~name:"GSHARE" ~index_bits:h ~history_length:h));
     t_config = std_config;
     t_expect = history_expect ~h;
   }
@@ -224,8 +223,12 @@ let gselect_target =
     t_make =
       (fun () ->
         Topology.node
-          (Gselect.make
-             { (Gselect.default ~name:"GSELECT") with Gselect.pc_bits = 3; history_bits = h }));
+          (Hbim.make
+             {
+               (Hbim.default ~name:"GSELECT" ~indexing:Indexing.(Concat [ (Pc, 3); (Ghist h, h) ]))
+               with
+               Hbim.entries = 1 lsl (3 + h);
+             }));
     t_config = std_config;
     t_expect = history_expect ~h;
   }

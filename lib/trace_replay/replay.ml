@@ -151,9 +151,8 @@ module Sim = struct
     | Compiled eng -> Engine.restore eng slab
 end
 
-let drive ?(max_branches = max_int) ?(max_insns = max_int) ?deadline ?observe ?progress
-    ?(progress_every = 262_144) ~design ~trace sim source =
-  if progress_every < 1 then invalid_arg "Replay.drive: progress_every < 1";
+let drive ?(max_branches = max_int) ?(max_insns = max_int) ?deadline ?observe ~design ~trace
+    sim source =
   let instructions = ref 0 in
   let branches = ref 0 in
   let cond_branches = ref 0 in
@@ -185,13 +184,9 @@ let drive ?(max_branches = max_int) ?(max_insns = max_int) ?deadline ?observe ?p
           incr mispredicts;
           if is_cond then incr cond_mispredicts
         end;
-        (match observe with
+        match observe with
         | Some f -> f r ~taken_pred:(Sim.last_taken_pred sim) ~wrong
-        | None -> ());
-        match progress with
-        | Some f when !branches mod progress_every = 0 ->
-          f ~branches:!branches ~insns:!instructions
-        | _ -> ()
+        | None -> ()
   done;
   {
     design;
@@ -204,15 +199,11 @@ let drive ?(max_branches = max_int) ?(max_insns = max_int) ?deadline ?observe ?p
     elapsed_s = Unix.gettimeofday () -. t0;
   }
 
-let run ?max_branches ?max_insns ?deadline ?observe ?progress ?progress_every ~design ~trace
-    pl =
-  drive ?max_branches ?max_insns ?deadline ?observe ?progress ?progress_every ~design ~trace
-    (Sim.of_pipeline pl)
+let run ?max_branches ?max_insns ?deadline ?observe ~design ~trace pl =
+  drive ?max_branches ?max_insns ?deadline ?observe ~design ~trace (Sim.of_pipeline pl)
 
-let run_compiled ?max_branches ?max_insns ?deadline ?observe ?progress ?progress_every
-    ~design ~trace eng =
-  drive ?max_branches ?max_insns ?deadline ?observe ?progress ?progress_every ~design ~trace
-    (Sim.of_engine eng)
+let run_compiled ?max_branches ?max_insns ?deadline ?observe ~design ~trace eng =
+  drive ?max_branches ?max_insns ?deadline ?observe ~design ~trace (Sim.of_engine eng)
 
 (* ------------------------------------------------------------------ *)
 (* Warmup checkpoints, built on the flat whole-design snapshots: a replay
@@ -257,15 +248,14 @@ let counters_equal a b =
   && a.mispredicts = b.mispredicts
   && a.cond_mispredicts = b.cond_mispredicts
 
-let run_design ?max_branches ?max_insns ?deadline ?buffer_size ?(engine = `Interpreted)
+let run_design ?max_branches ?max_insns ?deadline ?(engine = `Compiled)
     (d : Cobra_eval.Designs.t) ~path =
   let sim = Sim.create engine d in
-  Reader.with_file ?buffer_size path (fun rd ->
+  Reader.with_file path (fun rd ->
       drive ?max_branches ?max_insns ?deadline ~design:d.Cobra_eval.Designs.name ~trace:path
         sim (fun () -> Reader.next rd))
 
-let run_design_with_stats ?max_branches ?max_insns ?deadline ?buffer_size ?(top = 20)
-    (d : Cobra_eval.Designs.t) ~path =
+let run_design_with_stats ?max_branches ?max_insns ?deadline (d : Cobra_eval.Designs.t) ~path =
   let pl = Cobra_eval.Designs.pipeline d in
   let coll =
     Cobra_stats.Collector.create ~interval_width:(Cobra_stats.Env.interval ()) pl
@@ -277,7 +267,7 @@ let run_design_with_stats ?max_branches ?max_insns ?deadline ?buffer_size ?(top 
     Cobra_stats.Collector.sample coll ~insns:!insns_seen ~cycles:0 ~mispredicts:!mis_seen
   in
   let res =
-    Reader.with_file ?buffer_size path (fun rd ->
+    Reader.with_file path (fun rd ->
         drive ?max_branches ?max_insns ?deadline ~observe
           ~design:d.Cobra_eval.Designs.name ~trace:path (Sim.of_pipeline pl) (fun () ->
             Reader.next rd))
@@ -289,6 +279,6 @@ let run_design_with_stats ?max_branches ?max_insns ?deadline ?buffer_size ?(top 
     Cobra_stats.Collector.report ~design:res.design
       ~workload:(Filename.basename path)
       ~perf:(Cobra_uarch.Perf.counters (to_perf res))
-      ~top coll
+      coll
   in
   (res, report)

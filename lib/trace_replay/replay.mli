@@ -111,8 +111,6 @@ val drive :
   ?max_insns:int ->
   ?deadline:float ->
   ?observe:(Btrace.record -> taken_pred:bool -> wrong:bool -> unit) ->
-  ?progress:(branches:int -> insns:int -> unit) ->
-  ?progress_every:int ->
   design:string ->
   trace:string ->
   Sim.t ->
@@ -125,8 +123,7 @@ val drive :
     read that record: checkpoints cap on branches, not instructions.
     [deadline] is an absolute [Unix.gettimeofday] time checked every 2048
     branches; [observe] fires per branch after its step, with the
-    final-stage direction decision and whether it was wrong; [progress]
-    fires every [progress_every] branches (default 262144). [design] and
+    final-stage direction decision and whether it was wrong. [design] and
     [trace] are labels carried into the result. *)
 
 (** {1 Checkpoints}
@@ -172,29 +169,26 @@ val run_design :
   ?max_branches:int ->
   ?max_insns:int ->
   ?deadline:float ->
-  ?buffer_size:int ->
   ?engine:engine_kind ->
   Cobra_eval.Designs.t ->
   path:string ->
   result
 (** Elaborate a fresh simulator for the design ([engine] defaults to
-    [`Interpreted]) and stream the trace file at [path] through it
-    ({!Reader} errors propagate). *)
+    [`Compiled], the fast engine) and stream the trace file at [path]
+    through it ({!Reader} errors propagate). *)
 
 val run_design_with_stats :
   ?max_branches:int ->
   ?max_insns:int ->
   ?deadline:float ->
-  ?buffer_size:int ->
-  ?top:int ->
   Cobra_eval.Designs.t ->
   path:string ->
   result * Cobra_stats.Report.t
-(** Like {!run_design} with a [Cobra_stats.Collector] attached to an
-    interpreted pipeline: the report carries per-component mispredict
-    attribution, arbitration tallies, hard-branch tables and the interval
-    MPKI series (interval cycle counts are zero — replay has no timing
-    model). *)
+(** Like {!run_design} with a [Cobra_stats.Collector] attached, which needs
+    an interpreted pipeline: this always runs the interpreted engine. The
+    report carries per-component mispredict attribution, arbitration
+    tallies, hard-branch tables and the interval MPKI series (interval
+    cycle counts are zero — replay has no timing model). *)
 
 (** {1 Kept for the benchmark}
 
@@ -206,8 +200,6 @@ val run :
   ?max_insns:int ->
   ?deadline:float ->
   ?observe:(Btrace.record -> taken_pred:bool -> wrong:bool -> unit) ->
-  ?progress:(branches:int -> insns:int -> unit) ->
-  ?progress_every:int ->
   design:string ->
   trace:string ->
   Cobra.Pipeline.t ->
@@ -220,8 +212,6 @@ val run_compiled :
   ?max_insns:int ->
   ?deadline:float ->
   ?observe:(Btrace.record -> taken_pred:bool -> wrong:bool -> unit) ->
-  ?progress:(branches:int -> insns:int -> unit) ->
-  ?progress_every:int ->
   design:string ->
   trace:string ->
   Cobra_compile.Engine.t ->

@@ -170,13 +170,13 @@ let build_topo node =
   in
   let build_comp = function
     | CGshare { index_bits; hist; lat } ->
-      C.Gshare.make
+      C.Hbim.make
         {
-          C.Gshare.name = name ();
+          C.Hbim.name = name ();
           latency = lat;
-          index_bits;
+          entries = 1 lsl index_bits;
           counter_bits = 2;
-          history_length = hist;
+          indexing = C.Indexing.(Hash [ Pc; Ghist hist ]);
           fetch_width = width;
         }
     | CHbim { entries_l2; idx; lat } ->

@@ -29,7 +29,7 @@ let assert_verdict (v : Crosscheck.verdict) =
 let test_lockstep packed () = assert_verdict (Crosscheck.lockstep ~length:150 ~seed packed)
 let test_live_slots packed () = assert_verdict (Crosscheck.live_slots ~length:150 ~seed packed)
 let test_storage packed () = assert_verdict (Crosscheck.storage_accounting packed)
-let test_twin design () = assert_verdict (Crosscheck.twin ~length:250 ~seed design)
+let test_twin design () = assert_verdict (Crosscheck.replay_twin ~length:250 ~seed design)
 
 let test_repair_restore design () =
   assert_verdict (Crosscheck.repair_restore ~length:250 ~seed design)

@@ -1,5 +1,6 @@
-(* Tests for the extension components (GShare, GSelect, YAGS, perceptron,
-   statistical corrector, static predictors). *)
+(* Tests for the extension components (YAGS, perceptron, statistical
+   corrector, static predictors) and the gshare and gselect indexings of
+   HBIM. *)
 
 open Cobra
 open Cobra_components
@@ -7,6 +8,18 @@ module Bits = Cobra_util.Bits
 
 let check = Alcotest.check
 let width = 4
+
+(* 4K-entry gshare (12 history bits) and gselect (6 PC ++ 6 history bits). *)
+let gshare ~name =
+  Hbim.make
+    { (Hbim.default ~name ~indexing:Indexing.(Hash [ Pc; Ghist 12 ])) with entries = 4096 }
+
+let gselect ~name =
+  Hbim.make
+    {
+      (Hbim.default ~name ~indexing:Indexing.(Concat [ (Pc, 6); (Ghist 6, 6) ])) with
+      entries = 4096;
+    }
 
 let cfg =
   {
@@ -62,7 +75,7 @@ let test_gselect_concatenation_distinct () =
      it must beat bimodal on the TTN pattern *)
   let acc_hist =
     accuracy_on_pattern
-      (Topology.node (Gselect.make (Gselect.default ~name:"GSEL")))
+      (Topology.node (gselect ~name:"GSEL"))
       ~pattern:[ true; true; false ] ~rounds:300 ~warmup:100
   in
   check Alcotest.bool "learns pattern" true (acc_hist > 0.9)
@@ -202,8 +215,8 @@ let test_extension_storage_positive () =
       check Alcotest.bool (name ^ " storage") true
         (Storage.total_bits c.Component.storage > 0))
     [
-      ("gshare", Gshare.make (Gshare.default ~name:"G"));
-      ("gselect", Gselect.make (Gselect.default ~name:"GS"));
+      ("gshare", gshare ~name:"G");
+      ("gselect", gselect ~name:"GS");
       ("yags", Yags.make (Yags.default ~name:"Y"));
       ("perceptron", Perceptron.make (Perceptron.default ~name:"P"));
       ("sc", Statistical_corrector.make (Statistical_corrector.default ~name:"S"));
@@ -216,7 +229,7 @@ let () =
     [
       ( "learning",
         [
-          pattern_test "gshare" (fun () -> Gshare.make (Gshare.default ~name:"GSHARE"));
+          pattern_test "gshare" (fun () -> gshare ~name:"GSHARE");
           Alcotest.test_case "gselect" `Quick test_gselect_concatenation_distinct;
           Alcotest.test_case "yags" `Quick test_yags_exception_cache;
           Alcotest.test_case "perceptron" `Quick test_perceptron_linearly_separable;

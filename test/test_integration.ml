@@ -249,7 +249,11 @@ let test_mixed_custom_topology_end_to_end () =
     Topology.over
       (Statistical_corrector.make (Statistical_corrector.default ~name:"SC"))
       (Topology.over
-         (Gshare.make (Gshare.default ~name:"GSHARE"))
+         (Hbim.make
+            {
+              (Hbim.default ~name:"GSHARE" ~indexing:Indexing.(Hash [ Pc; Ghist 12 ])) with
+              entries = 4096;
+            })
          (Topology.over
             (Btb.make (Btb.default ~name:"BTB"))
             (Topology.node (Ubtb.make (Ubtb.default ~name:"UBTB")))))

@@ -150,7 +150,9 @@ let test_indexing_describe () =
   check Alcotest.string "pc" "pc" (describe Pc);
   check Alcotest.string "hash" "hash(pc^ghist[8])" (describe (Hash [ Pc; Ghist 8 ]));
   check Alcotest.string "phist" "phist[6]" (describe (Phist 6));
-  check Alcotest.string "lhist" "lhist[4]" (describe (Lhist 4))
+  check Alcotest.string "lhist" "lhist[4]" (describe (Lhist 4));
+  check Alcotest.string "concat" "concat(pc:3++ghist[4]:4)"
+    (describe (Concat [ (Pc, 3); (Ghist 4, 4) ]))
 
 (* --- Storage arithmetic ---------------------------------------------------------------- *)
 

@@ -9,7 +9,9 @@
      ("update-after-repair idempotence");
    - a gshare-only topology driven through the real {!Cobra.Pipeline} by
      {!Software_model} agrees prediction-for-prediction with an independent
-     straight-line reference model on randomized traces. *)
+     straight-line reference model on randomized traces;
+   - the staged gshare and gselect indexings compute the classic index
+     formulas and allocate nothing per call. *)
 
 open Cobra
 open Cobra_components
@@ -36,6 +38,18 @@ let cfg =
     path_bits = 16;
     predecode_history_correction = true;
   }
+
+(* gshare (2^bits entries) and gselect (pc_bits ++ hist bits) as HBIM indexings *)
+let gshare ?(bits = 12) ?(hist = 12) name =
+  Hbim.make
+    { (Hbim.default ~name ~indexing:Indexing.(Hash [ Pc; Ghist hist ])) with entries = 1 lsl bits }
+
+let gselect ?(pc_bits = 6) ?(hist = 6) name =
+  Hbim.make
+    {
+      (Hbim.default ~name ~indexing:Indexing.(Concat [ (Pc, pc_bits); (Ghist hist, hist) ])) with
+      entries = 1 lsl (pc_bits + hist);
+    }
 
 (* --- saturating counters --------------------------------------------------- *)
 
@@ -110,8 +124,8 @@ let component_zoo =
       fun () -> Hbim.make (Hbim.default ~name:"BIM" ~indexing:Indexing.Pc) );
     ( "HBIM/ghist",
       fun () -> Hbim.make (Hbim.default ~name:"GBIM" ~indexing:Indexing.(Hash [ Pc; Ghist 12 ])) );
-    ("GSHARE", fun () -> Gshare.make (Gshare.default ~name:"GSHARE"));
-    ("GSELECT", fun () -> Gselect.make (Gselect.default ~name:"GSELECT"));
+    ("GSHARE", fun () -> gshare "GSHARE");
+    ("GSELECT", fun () -> gselect "GSELECT");
     ("GTAG", fun () -> Gtag.make (Gtag.default ~name:"GTAG"));
     ("LOOP", fun () -> Loop_pred.make (Loop_pred.default ~name:"LOOP"));
     ("BTB", fun () -> Btb.make (Btb.default ~name:"BTB"));
@@ -162,13 +176,6 @@ let test_storage_matches_geometry () =
       check Alcotest.int "HBIM sram = entries * counter_bits"
         (entries * counter_bits)
         hbim.Component.storage.Storage.sram_bits;
-      let gshare =
-        Gshare.make
-          { (Gshare.default ~name:"G") with Gshare.index_bits = log2_entries; counter_bits }
-      in
-      check Alcotest.int "GSHARE sram = 2^index_bits * counter_bits"
-        (entries * counter_bits)
-        gshare.Component.storage.Storage.sram_bits;
       let tag_bits = 5 + counter_bits in
       let gtag =
         Gtag.make { (Gtag.default ~name:"T") with Gtag.entries; tag_bits; counter_bits }
@@ -237,7 +244,7 @@ let repairable_zoo =
   [
     ( "HBIM/ghist",
       fun () -> Hbim.make (Hbim.default ~name:"GBIM" ~indexing:Indexing.(Hash [ Pc; Ghist 12 ])) );
-    ("GSHARE", fun () -> Gshare.make (Gshare.default ~name:"GSHARE"));
+    ("GSHARE", fun () -> gshare "GSHARE");
     ("GTAG", fun () -> Gtag.make (Gtag.default ~name:"GTAG"));
     ("LOOP", fun () -> Loop_pred.make (Loop_pred.default ~name:"LOOP"));
   ]
@@ -311,15 +318,17 @@ let test_update_after_repair_idempotent () =
 
 (* --- differential: Pipeline vs Software_model on a gshare-only design -------- *)
 
-let gshare_cfg =
-  { (Gshare.default ~name:"GSHARE") with Gshare.index_bits = 8; history_length = 8 }
+(* 256 entries of 2-bit counters, 8 bits of global history *)
+let gshare_bits = 8
+let gshare_hist = 8
+let gshare_counter_bits = 2
 
 let gshare_design () : Designs.t =
   {
     Designs.name = "GSHARE-only";
     paper_storage_kb = 0.0;
     paper_rows = [];
-    make = (fun () -> Topology.node (Gshare.make gshare_cfg));
+    make = (fun () -> Topology.node (gshare ~bits:gshare_bits ~hist:gshare_hist "GSHARE"));
     pipeline_config = cfg;
   }
 
@@ -350,9 +359,7 @@ let events_of_branches branches =
    through predict/fire/mispredict/repair/commit with in-flight metadata; this
    one is ~10 lines of textbook code. They must agree branch-for-branch. *)
 let reference_predictions branches =
-  let bits = gshare_cfg.Gshare.index_bits in
-  let cbits = gshare_cfg.Gshare.counter_bits in
-  let hlen = gshare_cfg.Gshare.history_length in
+  let bits = gshare_bits and cbits = gshare_counter_bits and hlen = gshare_hist in
   let table = Array.make (1 lsl bits) (Counter.weakly_not_taken ~bits:cbits) in
   let ghist = ref (Bits.zero cfg.Pipeline.ghist_bits) in
   List.map
@@ -478,6 +485,89 @@ let test_trace_file_rejection_prop () =
             if not (contains msg expected) then
               Alcotest.failf "error %S does not name %S" msg expected))
 
+(* --- staged indexing: gshare and gselect as HBIM indexings --------------------- *)
+
+type index_case = {
+  ic_pc : int;
+  ic_ghist : Bits.t;  (** 64 random bits *)
+  ic_slot : int;
+  ic_a : int;  (** gshare: index bits; gselect: PC bits *)
+  ic_h : int;  (** history bits *)
+}
+
+let index_case_arb ~a_range:(a_lo, a_hi) ~h_range:(h_lo, h_hi) =
+  Prop.make
+    ~show:(fun c ->
+      Printf.sprintf "pc=0x%x slot=%d a=%d h=%d ghist=%s" c.ic_pc c.ic_slot c.ic_a c.ic_h
+        (Bits.to_string c.ic_ghist))
+    (fun st ->
+      {
+        ic_pc = Random.State.bits st lsl 2;
+        ic_ghist = Bits.init 64 (fun _ -> Random.State.bool st);
+        ic_slot = Random.State.int st width;
+        ic_a = a_lo + Random.State.int st (a_hi - a_lo + 1);
+        ic_h = h_lo + Random.State.int st (h_hi - h_lo + 1);
+      })
+
+let index_ctx ~pc ~ghist =
+  Context.make ~pc ~fetch_width:width ~ghist ~lhists:(Array.make width (Bits.zero 8)) ()
+
+let test_gshare_indexing () =
+  Prop.check ~name:"Hash [Pc; Ghist h] = the gshare formula"
+    (index_case_arb ~a_range:(1, 20) ~h_range:(1, 64))
+    (fun c ->
+      let bits = c.ic_a and h = c.ic_h and slot = c.ic_slot in
+      let ctx = index_ctx ~pc:c.ic_pc ~ghist:c.ic_ghist in
+      let staged = Indexing.(index (Hash [ Pc; Ghist h ])) ~bits in
+      let expected =
+        Hashing.pc_index ~pc:(Context.slot_pc ctx slot) ~bits
+        lxor Hashing.folded_history c.ic_ghist ~len:h ~bits
+      in
+      check Alcotest.int "index" expected (staged ctx ~slot))
+
+let test_gselect_indexing () =
+  Prop.check ~name:"Concat [(Pc, p); (Ghist h, h)] = the gselect formula"
+    (index_case_arb ~a_range:(0, 12) ~h_range:(0, 16))
+    (fun c ->
+      let p = c.ic_a and h = c.ic_h and slot = c.ic_slot in
+      let ctx = index_ctx ~pc:c.ic_pc ~ghist:c.ic_ghist in
+      let staged = Indexing.(index (Concat [ (Pc, p); (Ghist h, h) ])) ~bits:(p + h) in
+      let expected =
+        (Hashing.pc_index ~pc:(Context.slot_pc ctx slot) ~bits:p lsl h)
+        lor Bits.extract_int c.ic_ghist ~lo:0 ~len:h
+      in
+      check Alcotest.int "index" expected (staged ctx ~slot))
+
+(* The per-slot index runs once per slot per event; staging hoists the
+   source-tree walk out of it, so a call must not allocate at all. *)
+let test_staged_index_allocates_nothing () =
+  let ctx = index_ctx ~pc:0x4000 ~ghist:(Bits.init 64 (fun i -> i mod 3 = 0)) in
+  List.iter
+    (fun (src, bits) ->
+      let f = Indexing.index src ~bits in
+      (* warm-up: the context's fold memo is created on first use *)
+      let acc = ref (f ctx ~slot:0) in
+      let w0 = Gc.minor_words () in
+      for i = 1 to 10_000 do
+        acc := !acc lxor f ctx ~slot:(i land (width - 1))
+      done;
+      let words = Gc.minor_words () -. w0 in
+      ignore (Sys.opaque_identity !acc);
+      check (Alcotest.float 0.) (Indexing.describe src ^ " minor words") 0. words)
+    Indexing.[ (Hash [ Pc; Ghist 12 ], 12); (Concat [ (Pc, 6); (Ghist 6, 6) ], 12) ]
+
+let test_concat_width_refused () =
+  let cfg =
+    {
+      (Hbim.default ~name:"GSEL" ~indexing:Indexing.(Concat [ (Pc, 3); (Ghist 4, 4) ])) with
+      entries = 64;
+    }
+  in
+  match Hbim.make cfg with
+  | _ -> Alcotest.fail "a 7-bit concat over a 6-bit index was accepted"
+  | exception Invalid_argument m ->
+    check Alcotest.bool ("error names the component: " ^ m) true (contains m "GSEL")
+
 (* --- steady-state allocation budget ------------------------------------------ *)
 
 (* The gshare-only hot path is the tightest loop in the simulator; this pins
@@ -533,4 +623,12 @@ let () =
         ] );
       ( "allocation",
         [ Alcotest.test_case "gshare alloc budget" `Quick test_gshare_alloc_budget ] );
+      ( "indexing",
+        [
+          Alcotest.test_case "gshare formula" `Quick test_gshare_indexing;
+          Alcotest.test_case "gselect formula" `Quick test_gselect_indexing;
+          Alcotest.test_case "staged index allocates nothing" `Quick
+            test_staged_index_allocates_nothing;
+          Alcotest.test_case "concat width refused" `Quick test_concat_width_refused;
+        ] );
     ]
