@@ -1,11 +1,11 @@
 open Cobra
 module Bits = Cobra_util.Bits
-module Slab = Cobra_util.Slab
 module Hashing = Cobra_util.Hashing
 
 type t = {
-  plan : Plan.t;
-  emitted : Emit.t;
+  cfg : Pipeline.config;
+  composer : Composer.t;
+  comps : Component.t array;
   depth : int;
   correction : bool;
   path_bits : int;
@@ -23,15 +23,15 @@ type t = {
 }
 
 let create (cfg : Pipeline.config) topo =
-  let plan = Plan.build cfg topo in
-  let emitted = Emit.stage plan in
+  let composer = Composer.create ~fetch_width:cfg.Pipeline.fetch_width topo in
+  if cfg.Pipeline.ghist_bits < 1 then invalid_arg "Engine.create: ghist_bits < 1";
   let width = cfg.Pipeline.fetch_width in
   let lhist =
     Lhist_provider.create ~entries:cfg.Pipeline.lhist_entries
       ~bits:cfg.Pipeline.lhist_bits
   in
   let ghist = Bits.zero cfg.Pipeline.ghist_bits in
-  let phist = Bits.zero plan.Plan.path_width in
+  let phist = Bits.zero (max 1 cfg.Pipeline.path_bits) in
   (* Dead tail slots of the lhist context vector: the replay protocol pins
      live_slots to 1, so slots past 0 read as all-zero history — the same
      value the interpreter's lazy shared dead vector provides. Slot 0 is
@@ -47,12 +47,13 @@ let create (cfg : Pipeline.config) topo =
   (* The event records never change: the context, each component's
      metadata buffer and the two slot vectors are all rewritten in place. *)
   let events slots culprit =
-    Array.map (fun meta -> { Component.ctx; meta; slots; culprit }) emitted.Emit.metas
+    Array.map (fun meta -> { Component.ctx; meta; slots; culprit }) (Composer.metas composer)
   in
   {
-    plan;
-    emitted;
-    depth = plan.Plan.depth;
+    cfg;
+    composer;
+    comps = Composer.components composer;
+    depth = Composer.depth composer;
     correction = cfg.Pipeline.predecode_history_correction;
     path_bits = cfg.Pipeline.path_bits;
     ghist;
@@ -68,13 +69,8 @@ let create (cfg : Pipeline.config) topo =
     last_taken_pred = false;
   }
 
-let config t = t.plan.Plan.cfg
-let plan t = t.plan
-let describe t = Plan.describe t.plan
 let last_taken_pred t = t.last_taken_pred
-let metas t = t.emitted.Emit.metas
-let next_token t = t.next_token
-let snapshot_cells t = t.plan.Plan.snapshot_cells
+let metas t = Composer.metas t.composer
 
 (* Fold a taken branch's target into the path history — the closed form of
    [Pipeline.path_bits_of_target] followed by the provider's oldest-first
@@ -132,7 +128,7 @@ let update_histories t ~pc ~kind ~taken ~tgt ~taken_pred ~wrong (stages : Types.
 let step t ~pc ~kind ~taken ~target =
   Context.reset t.ctx ~pc;
   t.ctx.Context.lhists.(0) <- Lhist_provider.read t.lhist ~pc;
-  let stages = t.emitted.Emit.eval t.ctx in
+  let stages = Composer.eval t.composer t.ctx in
   let final = stages.(t.depth - 1).(0) in
   let taken_pred =
     match final.Types.o_taken with Some b -> b | None -> Types.is_unconditional kind
@@ -154,7 +150,7 @@ let step t ~pc ~kind ~taken ~target =
   t.pred_slots.(0) <-
     Types.resolved_branch ~kind ~taken:taken_pred ~target:(if taken_pred then tgt else 0);
   t.eff_slots.(0) <- Types.resolved_branch ~kind ~taken ~target:tgt;
-  let comps = t.plan.Plan.comps in
+  let comps = t.comps in
   let n = Array.length comps in
   for i = 0 to n - 1 do
     comps.(i).Component.fire t.fire_evs.(i)
@@ -170,47 +166,14 @@ let step t ~pc ~kind ~taken ~target =
   t.last_taken_pred <- taken_pred;
   wrong
 
-(* --- whole-design snapshots (Pipeline.snapshot layout) ------------------- *)
-
-let write_bits slab ~pos v =
-  let n = Bits.limb_count v in
-  for i = 0 to n - 1 do
-    Slab.set slab (pos + i) (Bits.get_limb v i)
-  done;
-  pos + n
-
-(* Restore writes into the live buffers: the context points at them. *)
-let load_bits slab ~pos dst =
-  let n = Bits.limb_count dst in
-  for i = 0 to n - 1 do
-    Bits.set_limb dst i (Slab.get slab (pos + i))
-  done;
-  pos + n
+(* --- whole-design snapshots (the pipeline's slab layout) ------------------- *)
 
 let snapshot t =
-  let slab = Slab.create t.plan.Plan.snapshot_cells in
-  Slab.set slab 0 t.next_token;
-  let pos = ref 1 in
-  pos := write_bits slab ~pos:!pos t.ghist;
-  pos := write_bits slab ~pos:!pos t.phist;
-  for i = 0 to Lhist_provider.entries t.lhist - 1 do
-    pos := write_bits slab ~pos:!pos (Lhist_provider.nth t.lhist i)
-  done;
-  assert (!pos = t.plan.Plan.mgmt_cells);
-  t.emitted.Emit.snapshot_state slab;
-  slab
+  Pipeline.write_slab t.cfg t.comps ~next_token:t.next_token ~ghist:t.ghist ~path:t.phist
+    t.lhist
 
+(* Loads into the live buffers: the context points at them. *)
 let restore t slab =
-  let expect = t.plan.Plan.snapshot_cells in
-  if Slab.length slab <> expect then
-    invalid_arg
-      (Printf.sprintf "Engine.restore: snapshot has %d cells, engine needs %d"
-         (Slab.length slab) expect);
-  t.next_token <- Slab.get slab 0;
-  let pos = ref 1 in
-  pos := load_bits slab ~pos:!pos t.ghist;
-  pos := load_bits slab ~pos:!pos t.phist;
-  for i = 0 to Lhist_provider.entries t.lhist - 1 do
-    pos := load_bits slab ~pos:!pos (Lhist_provider.nth t.lhist i)
-  done;
-  t.emitted.Emit.restore_state slab
+  t.next_token <-
+    Pipeline.read_slab ~engine:"engine" t.cfg t.comps slab ~ghist:t.ghist ~path:t.phist
+      t.lhist

@@ -1,11 +1,11 @@
 (** The compiled simulator: a fused predict/fire/resolve/commit kernel for
     the trace-replay protocol.
 
-    An engine is the staged-compilation product of a topology and a
-    pipeline configuration: {!Plan} resolves the schedule and slab geometry,
-    {!Emit} closes the evaluation and state-blit kernels over them, and the
-    engine adds the per-branch driver. It implements exactly the replay
-    protocol ([Pipeline.predict ~max_len:1], [fire ~packet_len:1], then
+    An engine evaluates its topology through the same {!Cobra.Composer} as
+    the interpreted pipeline and snapshots through the pipeline's slab
+    writer and reader; what it adds is the per-branch driver. It implements
+    exactly the replay protocol ([Pipeline.predict ~max_len:1],
+    [fire ~packet_len:1], then
     [mispredict] or [resolve], then [commit] — one branch per packet, fully
     committed before the next), which lets the whole sequence collapse into
     closed-form history updates:
@@ -18,25 +18,24 @@
     - the history file holds at most one entry, so the ring buffer reduces
       to a sequence counter and the per-branch metadata array;
     - every per-branch buffer is the engine's own, allocated once: one
-      context ({!Cobra.Context.reset} per step), one opinion vector per plan
-      step, one metadata vector per component, the event records built
-      over them, and the global/path/local history buffers, shifted in
-      place after each step's events are dispatched.
+      context ({!Cobra.Context.reset} per step), the composer's register
+      bank and per-component opinion and metadata vectors, the event
+      records built over them, and the global/path/local history buffers,
+      shifted in place after each step's events are dispatched.
 
     Predictions, metadata, counters and snapshot slabs are bit-identical to
     the interpreted [Pipeline] run under the same protocol; the
     [compiled_twin] conformance checks and [test/test_compile.ml] certify
-    this for every component, reference design and random topology. *)
+    this fused protocol for every component, reference design and random
+    topology. The composer both engines share is certified separately,
+    against the plain recursive semantics of [Golden.compose]. *)
 
 type t
 
 val create : Cobra.Pipeline.config -> Cobra.Topology.t -> t
-(** Compile a specialized engine. Validates like [Pipeline.create] and
-    raises [Invalid_argument] on the same inputs. *)
-
-val config : t -> Cobra.Pipeline.config
-val plan : t -> Plan.t
-val describe : t -> string
+(** Build an engine. Validates like [Pipeline.create] and raises
+    [Invalid_argument] on the same inputs: [fetch_width < 1], an invalid
+    topology, [ghist_bits < 1]. *)
 
 val step : t -> pc:int -> kind:Cobra.Types.branch_kind -> taken:bool -> target:int -> bool
 (** Predict one branch, resolve it against the actual outcome, train, and
@@ -52,16 +51,11 @@ val metas : t -> Cobra_util.Bits.t array
     The array and the vectors in it are the engine's buffers, valid until
     the next {!step}: copy what must outlive it. *)
 
-val next_token : t -> int
-(** Packets predicted so far (continues across {!restore}), mirroring the
-    interpreted pipeline's token counter — snapshot cell 0. *)
-
-val snapshot_cells : t -> int
-
 val snapshot : t -> Cobra_util.Slab.t
-(** Whole-design snapshot in the exact [Pipeline.snapshot] layout: slabs
+(** Whole-design snapshot, written by [Pipeline.write_slab]: slabs
     interchange freely between compiled and interpreted engines of the
-    same design. *)
+    same design. Cell 0 counts the branches stepped so far, as the
+    interpreted pipeline's token counter does. *)
 
 val restore : t -> Cobra_util.Slab.t -> unit
 (** Raises [Invalid_argument] on a cell-count mismatch. *)

@@ -194,6 +194,53 @@ let live_slots ?(length = 300) ?(shapes = Fuzz.all_shapes) ~seed (packed : Golde
       (Printf.sprintf "ok (%d predicts across %d shapes)" !calls (List.length shapes))
   | exception Mismatch m -> fail ~check ~subject m
 
+(* --- topology composition: the shared composer vs the recursive semantics ---------- *)
+
+(* Both engines evaluate topologies through one [Composer], so the
+   compiled-vs-interpreted differential cannot see its bugs: here every
+   packet's per-stage composites must equal [Golden.compose] run over the
+   same context and component state, before the packet's events train the
+   components with the composer's metadata. *)
+let compose ?(length = 300) ?(shapes = Fuzz.all_shapes) ~seed ~name ~fetch_width topo =
+  let check = "compose" in
+  let composer = Composer.create ~fetch_width topo in
+  let comps = Composer.components composer in
+  let packets = ref 0 in
+  let run_shape shape =
+    let sc = { Fuzz.seed; shape; length } in
+    let where i what =
+      Printf.sprintf "shape=%s packet=%d/%d seed=%d: %s (replay: cobra conform --seed %d)"
+        (Fuzz.shape_name shape) i length seed what seed
+    in
+    List.iteri
+      (fun i (pk : Fuzz.packet) ->
+        incr packets;
+        let ctx = pk.Fuzz.pk_ctx in
+        let rows = Composer.eval composer ctx in
+        let golden =
+          Golden.compose ~fetch_width topo ~predict:(fun c ~pred_in ->
+              fst (predict_real c ctx ~pred_in))
+        in
+        Array.iteri
+          (fun s row ->
+            if not (Types.equal_prediction row golden.(s)) then
+              raise
+                (Mismatch
+                   (where i
+                      (Printf.sprintf "Fetch-%d composite: composer %s, golden %s" (s + 1)
+                         (show_prediction row) (show_prediction golden.(s))))))
+          rows;
+        let metas = Composer.metas composer in
+        Array.iteri (fun id c -> drive_real c pk metas.(id)) comps)
+      (Fuzz.packets sc ~arity:0 ~fetch_width)
+  in
+  match List.iter run_shape shapes with
+  | () ->
+    pass ~check ~subject:name
+      (Printf.sprintf "ok (%d packets across %d shapes, composer = golden)" !packets
+         (List.length shapes))
+  | exception Mismatch m -> fail ~check ~subject:name m
+
 (* --- storage accounting -------------------------------------------------------- *)
 
 let storage_accounting (packed : Golden.packed) =
@@ -576,10 +623,18 @@ let run_all ?(length = 300) ?(shapes = Fuzz.all_shapes) ?(engine = `Both) ~seed 
     if not compiled then []
     else List.map (compiled_twin ~length ~shapes ~seed) (Designs.all @ [ Designs.gshare_only ])
   in
-  (* engine-independent: the component contract itself *)
+  (* engine-independent: the component contract itself, and the composer
+     both engines share *)
   let live = List.map (live_slots ~length ~shapes ~seed) zoo in
-  per_component @ live @ replays @ repairs @ snapshots @ compiled_zoos @ compiled_twins
-  @ table1_pins ()
+  let composes =
+    List.map
+      (fun (d : Designs.t) ->
+        compose ~length ~shapes ~seed ~name:d.Designs.name
+          ~fetch_width:d.Designs.pipeline_config.Pipeline.fetch_width (d.Designs.make ()))
+      (Designs.all @ [ Designs.gshare_only ])
+  in
+  per_component @ live @ composes @ replays @ repairs @ snapshots @ compiled_zoos
+  @ compiled_twins @ table1_pins ()
 
 let render vs =
   let rows =

@@ -31,6 +31,23 @@ val live_slots : ?length:int -> ?shapes:Fuzz.shape list -> seed:int -> Golden.pa
     [>= k] it must either skip (no opinion, a zero slot word) or agree with
     the all-live predict. *)
 
+val compose :
+  ?length:int ->
+  ?shapes:Fuzz.shape list ->
+  seed:int ->
+  name:string ->
+  fetch_width:int ->
+  Cobra.Topology.t ->
+  verdict
+(** The shared topology evaluator against its reference: a
+    [Cobra.Composer] of [topo] is evaluated on every {!Fuzz.packets}
+    context across every shape (or just [shapes]), and its per-stage
+    composites must equal {!Golden.compose}'s over the same context and
+    component state; the packet's events then train [topo]'s components
+    with the composer's metadata. [name] is the verdict's subject. Both
+    engines run this evaluator, so the compiled-vs-interpreted checks
+    cannot catch its bugs. *)
+
 val storage_accounting : Golden.packed -> verdict
 (** The real component's [Storage.total_bits] must equal the textbook
     formula recomputed independently in {!Golden}. *)
@@ -88,7 +105,8 @@ val run_all :
   unit ->
   verdict list
 (** Everything above: per-component lockstep + storage over {!Golden.zoo},
-    {!live_slots} over the zoo (engine-independent, so always run),
+    {!live_slots} over the zoo and {!compose} over the reference designs
+    plus gshare-only (engine-independent, so always run),
     the replay-vs-golden-twin differential over the reference designs (plus
     gshare-only), repair-restores-state over [Designs.all], snapshot
     round-trips, the compiled-engine differentials ({!compiled_zoo} over
@@ -96,7 +114,8 @@ val run_all :
     gshare-only), and the Table-I pins. [shapes] restricts the fuzz shapes (default:
     all, including the probe-derived ladder / alias-stress / loop-scan);
     [engine] (default [`Both]) restricts which simulator engines are
-    certified — the live-slot checks and Table-I pins always run. *)
+    certified — the live-slot and composition checks and the Table-I pins
+    always run. *)
 
 val all_pass : verdict list -> bool
 val failures : verdict list -> verdict list

@@ -1655,6 +1655,32 @@ let zoo () =
     static_btfn ~name:"zBTFN" ~fetch_width:fw;
   ]
 
+(* --- topology composition: the composer's reference ------------------------------ *)
+
+(* The override rule read straight off the topology, as a recursive walk
+   over fresh rows: a node's opinions override the composite below it from
+   its latency on; an arbitration selector, fed each sub-topology's
+   composite at its latency, overrides the first sub-topology's. *)
+let compose ~fetch_width topo ~predict =
+  let depth = Topology.max_latency topo in
+  let at latency (rows : Types.prediction array) = rows.(min latency depth - 1) in
+  let overlay (below : Types.prediction array) (c : Component.t) pred =
+    Array.mapi
+      (fun s row -> if s + 1 < c.latency then row else Types.merge ~strong:pred ~weak:row)
+      below
+  in
+  let rec eval topo below =
+    match topo with
+    | Topology.Node c -> overlay below c (predict c ~pred_in:[ at c.latency below ])
+    | Topology.Override (hi, lo) ->
+      let lo = eval lo below in
+      eval hi lo
+    | Topology.Arbitrate (sel, subs) ->
+      let subs = List.map (fun sub -> eval sub below) subs in
+      overlay (List.hd subs) sel (predict sel ~pred_in:(List.map (at sel.latency) subs))
+  in
+  eval topo (Array.init depth (fun _ -> Types.no_prediction ~width:fetch_width))
+
 (* --- twin designs: reference topologies built from golden components ------------- *)
 
 (* The component configurations below are copied from [Designs]; the twin

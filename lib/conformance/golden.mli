@@ -95,6 +95,20 @@ val to_component : packed -> Component.t
     wrapper copies each [(prediction, meta)] it returns into the host's
     buffers. *)
 
+val compose :
+  fetch_width:int ->
+  Topology.t ->
+  predict:(Component.t -> pred_in:Types.prediction list -> Types.prediction) ->
+  Types.prediction array
+(** The plain recursive Override/Arbitrate semantics over {!Types.merge}:
+    the reference the shared {!Cobra.Composer} is checked against. [predict
+    c ~pred_in] is component [c]'s opinion vector on the wanted
+    [predict_in]. Returns the per-stage composites, [depth] rows of fresh
+    arrays: a node's opinions override the composite below it from its
+    latency on, reading [predict_in] at stage [min latency depth]; an
+    arbitration selector reads each sub-topology's composite at its
+    latency and overrides the first sub-topology's. *)
+
 val zoo : unit -> packed list
 (** One deliberately small-tabled instance of every component: heavy
     aliasing, frequent allocation and fast saturation, which is what the

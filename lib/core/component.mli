@@ -31,8 +31,9 @@
       refused on both engines with an [Invalid_argument] naming it and both
       widths;
     - a handler keeps no reference to [out], [meta] or an [event] after it
-      returns: the compiled engine reuses all of them for the next branch,
-      and its events are built once per component.
+      returns: the {!Composer} both engines predict through reuses [out]
+      and [meta] for the next packet, and the compiled engine builds its
+      events once per component.
 
     {b Live slots.} A component may skip every slot at or past
     [ctx.live_slots] (see {!Context.t}): no opinion, zero metadata. Hot

@@ -31,7 +31,6 @@ type token = int
 type pending = {
   p_token : token;
   p_pc : int;
-  p_max_len : int;
   p_ctx : Context.t;
   p_metas : Bits.t array;
   p_raw : Types.prediction array option;
@@ -66,45 +65,34 @@ type observation =
 type t = {
   cfg : config;
   topo : Topology.t;
+  composer : Composer.t;
   comps : Component.t array;
   depth : int;
   ghist : Ghist_provider.t;
   path : Ghist_provider.t;  (* the path history reuses the shift-register provider *)
   lhist : Lhist_provider.t;
   hf : History_file.t;
-  bottom : Types.prediction array;
-      (* all-silent stage composites below the topology, shared across
-         predicts: opinions are immutable and [evaluate] never writes
-         through it, so one allocation at elaboration serves every cycle *)
   mutable pending : pending list; (* oldest first *)
   mutable next_token : token;
   mutable observer : (observation -> unit) option;
 }
 
-let component_id t (c : Component.t) =
-  let rec find i = if t.comps.(i) == c then i else find (i + 1) in
-  find 0
-
 let create cfg topo =
-  if cfg.fetch_width < 1 then invalid_arg "Pipeline.create: fetch_width < 1";
-  (match Topology.validate topo with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Pipeline.create: invalid topology: " ^ msg));
-  let comps = Array.of_list (Topology.components topo) in
+  let composer = Composer.create ~fetch_width:cfg.fetch_width topo in
+  let comps = Composer.components composer in
   let meta_bits = Array.map (fun (c : Component.t) -> c.meta_bits) comps in
-  let depth = Topology.max_latency topo in
   {
     cfg;
     topo;
+    composer;
     comps;
-    depth;
+    depth = Composer.depth composer;
     ghist = Ghist_provider.create ~bits:cfg.ghist_bits;
     path = Ghist_provider.create ~bits:(max 1 cfg.path_bits);
     lhist = Lhist_provider.create ~entries:cfg.lhist_entries ~bits:cfg.lhist_bits;
     hf =
       History_file.create ~capacity:cfg.history_entries ~meta_bits ~fetch_width:cfg.fetch_width
         ~ghist_bits:cfg.ghist_bits ~lhist_bits:cfg.lhist_bits;
-    bottom = Array.make depth (Types.no_prediction ~width:cfg.fetch_width);
     pending = [];
     next_token = 0;
     observer = None;
@@ -138,83 +126,6 @@ let storage t =
   Storage.add
     (Storage.sum (Array.to_list (Array.map (fun (c : Component.t) -> c.storage) t.comps)))
     (management_storage t)
-
-(* --- topology evaluation ------------------------------------------------ *)
-
-let is_silent pred = Array.for_all (fun o -> o == Types.empty_opinion) pred
-
-(* Consecutive stages usually share the same composite array (the bottom
-   is one shared array, and every merge below preserves the sharing) —
-   merging pointer-equal weak inputs yields equal results, so reuse the
-   previous stage's merge instead of recomputing it. The previous
-   (weak, merged) pair threads through arguments: no closure, no refs. *)
-let rec overlay_fill out below ~latency pred i prev_w prev_m =
-  if i < Array.length below then begin
-    let b = below.(i) in
-    if i + 1 < latency then begin
-      out.(i) <- b;
-      overlay_fill out below ~latency pred (i + 1) prev_w prev_m
-    end
-    else if b == prev_w then begin
-      out.(i) <- prev_m;
-      overlay_fill out below ~latency pred (i + 1) prev_w prev_m
-    end
-    else begin
-      let m = Types.merge ~strong:pred ~weak:b in
-      out.(i) <- m;
-      overlay_fill out below ~latency pred (i + 1) b m
-    end
-  end
-
-let overlay below ~latency pred =
-  if is_silent pred then below
-  else begin
-    let out = Array.make (Array.length below) below.(0) in
-    (* [pred] is non-silent, so it can never be the weak side's merge
-       result: using it as the initial "previous weak" sentinel is safe. *)
-    overlay_fill out below ~latency pred 0 pred pred;
-    out
-  end
-
-(* Evaluate every component once (tables are read with predict-time state),
-   wiring predict_in per the topology, and build the per-stage composites:
-   a node's opinion becomes visible at its latency and overrides everything
-   below it; an arbitration selector's first sub-topology provides the
-   running prediction until the selector responds. [below] is the running
-   array of composites, indexed by stage-1. *)
-(* One component's predict into fresh host buffers: the history file keeps
-   [meta] and an observer keeps [out], so neither can be reused. Top level,
-   with everything passed in, so that no closure is built per packet. *)
-let call t ctx metas raw (c : Component.t) ~pred_in =
-  let out = Types.no_prediction ~width:t.cfg.fetch_width in
-  let meta = Bits.zero c.meta_bits in
-  c.predict ctx ~pred_in ~out ~meta;
-  let id = component_id t c in
-  metas.(id) <- meta;
-  (match raw with Some r -> r.(id) <- out | None -> ());
-  out
-
-let evaluate t (ctx : Context.t) =
-  let metas = Array.make (Array.length t.comps) (Bits.zero 0) in
-  let raw = if observed t then Some (Array.make (Array.length t.comps) [||]) else None in
-  let clamp_stage latency = min latency t.depth - 1 in
-  let rec eval topo (below : Types.prediction array) : Types.prediction array =
-    match topo with
-    | Topology.Node c ->
-      let pred = call t ctx metas raw c ~pred_in:[ below.(clamp_stage c.latency) ] in
-      overlay below ~latency:c.latency pred
-    | Topology.Override (hi, lo) -> eval hi (eval lo below)
-    | Topology.Arbitrate (sel, subs) ->
-      let sub_arrays = List.map (fun s -> eval s below) subs in
-      let pred_in = List.map (fun a -> a.(clamp_stage sel.Component.latency)) sub_arrays in
-      let pred = call t ctx metas raw sel ~pred_in in
-      (* The selector overrides the fields it has opinions on (the chosen
-         direction); everything else — e.g. a BTB target on the default
-         path — keeps showing through from the first sub-topology. *)
-      overlay (List.hd sub_arrays) ~latency:sel.Component.latency pred
-  in
-  let stages = eval t.topo t.bottom in
-  (stages, metas, raw)
 
 (* --- frontend side ------------------------------------------------------ *)
 
@@ -303,7 +214,14 @@ let predict t ~pc ~max_len =
       ~phist:(if t.cfg.path_bits = 0 then Bits.zero 0 else Ghist_provider.value t.path)
       ()
   in
-  let stages, metas, raw = evaluate t ctx in
+  (* The composer's buffers are overwritten by the next predict: the packet
+     keeps copies of its rows and metadata, and of the raw opinions only
+     while an observer is attached. *)
+  let stages = Array.map Array.copy (Composer.eval t.composer ctx) in
+  let metas = Array.map Bits.copy (Composer.metas t.composer) in
+  let raw =
+    if observed t then Some (Array.map Array.copy (Composer.opinions t.composer)) else None
+  in
   let stage1 = stages.(0) in
   let nf = Types.next_fetch stage1 ~pc ~max_len in
   let dir_bits = Types.direction_bits stage1 ~packet_len:nf.Types.packet_len in
@@ -317,7 +235,6 @@ let predict t ~pc ~max_len =
     {
       p_token = token;
       p_pc = pc;
-      p_max_len = max_len;
       p_ctx = ctx;
       p_metas = metas;
       p_raw = raw;
@@ -351,8 +268,6 @@ let pending_depth t token =
 
 let stages t token = (find_pending t token).p_stages
 let context t token = (find_pending t token).p_ctx
-let token_pc t token = (find_pending t token).p_pc
-let token_max_len t token = (find_pending t token).p_max_len
 let applied_dir_bits t token = (find_pending t token).p_dir_bits
 
 let revise_dir_bits t token bits =
@@ -585,46 +500,87 @@ let entry t seq = History_file.get t.hf seq
 
 (* ------------------------------------------------------------------ *)
 (* Whole-design snapshot: one flat slab covering the management state
-   plus every component's state slab.
+   plus every component's state slab. Both engines write and read it
+   through [write_slab]/[read_slab], so slabs interchange between them.
 
    Layout (cells):
      [0]                          next_token
-     [1 .. ]                      ghist base limbs   (Bits.limbs_for ghist_bits)
-     then                         path  base limbs   (Bits.limbs_for path width)
+     [1 .. ]                      ghist limbs        (Bits.limbs_for ghist_bits)
+     then                         path  limbs        (Bits.limbs_for (max 1 path_bits))
      then, per lhist entry        its history limbs  (Bits.limbs_for lhist_bits)
      then, per component in order its state slab     (Component.state_cells)
 
-   Snapshots are only taken of a quiesced pipeline (no pending packets,
-   empty history file): that is the natural state between replay windows,
-   and it means the speculative value of each history provider equals its
+   The pipeline is only snapshotted quiesced (no pending packets, empty
+   history file): that is the natural state between replay windows, and
+   it means the speculative value of each history provider equals its
    base, so the base limbs capture everything. *)
 
 module Slab = Cobra_util.Slab
 
 let quiesced t = t.pending = [] && History_file.length t.hf = 0
 
-let mgmt_cells t =
-  let ghist_limbs = Bits.limbs_for (Ghist_provider.width t.ghist) in
-  let path_limbs = Bits.limbs_for (Ghist_provider.width t.path) in
-  let lhist_limbs = Bits.limbs_for (Lhist_provider.bits t.lhist) in
-  1 + ghist_limbs + path_limbs + (Lhist_provider.entries t.lhist * lhist_limbs)
-
-let snapshot_cells t =
+let slab_cells cfg comps =
   Array.fold_left
-    (fun acc (c : Component.t) -> acc + Component.state_cells c)
-    (mgmt_cells t) t.comps
+    (fun acc c -> acc + Component.state_cells c)
+    (1 + Bits.limbs_for cfg.ghist_bits
+    + Bits.limbs_for (max 1 cfg.path_bits)
+    + (cfg.lhist_entries * Bits.limbs_for cfg.lhist_bits))
+    comps
 
-let write_bits slab ~pos v =
-  let n = Bits.limb_count v in
-  for i = 0 to n - 1 do
-    Slab.set slab (pos + i) (Bits.get_limb v i)
+let snapshot_cells t = slab_cells t.cfg t.comps
+
+let write_slab cfg comps ~next_token ~ghist ~path lhist =
+  let slab = Slab.create (slab_cells cfg comps) in
+  Slab.set slab 0 next_token;
+  let pos = ref 1 in
+  let put v =
+    for i = 0 to Bits.limb_count v - 1 do
+      Slab.set slab (!pos + i) (Bits.get_limb v i)
+    done;
+    pos := !pos + Bits.limb_count v
+  in
+  put ghist;
+  put path;
+  for i = 0 to Lhist_provider.entries lhist - 1 do
+    put (Lhist_provider.nth lhist i)
   done;
-  pos + n
+  Array.iter
+    (fun c ->
+      let n = Component.state_cells c in
+      if n > 0 then begin
+        Slab.blit ~src:c.Component.state ~dst:(Slab.sub slab !pos n);
+        pos := !pos + n
+      end)
+    comps;
+  slab
 
-let read_bits slab ~pos ~width =
-  let n = Bits.limbs_for width in
-  let limbs = Array.init n (fun i -> Slab.get slab (pos + i)) in
-  (Bits.of_limbs ~width limbs, pos + n)
+let read_slab ~engine cfg comps slab ~ghist ~path lhist =
+  let expect = slab_cells cfg comps in
+  if Slab.length slab <> expect then
+    invalid_arg
+      (Printf.sprintf "%s.restore: snapshot has %d cells, %s needs %d"
+         (String.capitalize_ascii engine) (Slab.length slab) engine expect);
+  let pos = ref 1 in
+  let get v =
+    for i = 0 to Bits.limb_count v - 1 do
+      Bits.set_limb v i (Slab.get slab (!pos + i))
+    done;
+    pos := !pos + Bits.limb_count v
+  in
+  get ghist;
+  get path;
+  for i = 0 to Lhist_provider.entries lhist - 1 do
+    get (Lhist_provider.nth lhist i)
+  done;
+  Array.iter
+    (fun c ->
+      let n = Component.state_cells c in
+      if n > 0 then begin
+        Component.restore c (Slab.sub slab !pos n);
+        pos := !pos + n
+      end)
+    comps;
+  Slab.get slab 0
 
 let snapshot t =
   if not (quiesced t) then
@@ -632,52 +588,24 @@ let snapshot t =
       (Printf.sprintf
          "Pipeline.snapshot: pipeline not quiesced (%d pending packets, %d in-flight entries)"
          (List.length t.pending) (History_file.length t.hf));
-  let slab = Slab.create (snapshot_cells t) in
-  Slab.set slab 0 t.next_token;
-  let pos = ref 1 in
-  pos := write_bits slab ~pos:!pos (Ghist_provider.base t.ghist);
-  pos := write_bits slab ~pos:!pos (Ghist_provider.base t.path);
-  for i = 0 to Lhist_provider.entries t.lhist - 1 do
-    pos := write_bits slab ~pos:!pos (Lhist_provider.nth t.lhist i)
-  done;
-  Array.iter
-    (fun (c : Component.t) ->
-      let n = Component.state_cells c in
-      if n > 0 then begin
-        Slab.blit ~src:c.Component.state ~dst:(Slab.sub slab !pos n);
-        pos := !pos + n
-      end)
-    t.comps;
-  slab
+  write_slab t.cfg t.comps ~next_token:t.next_token ~ghist:(Ghist_provider.base t.ghist)
+    ~path:(Ghist_provider.base t.path) t.lhist
 
 let restore t slab =
   if History_file.length t.hf <> 0 then
     invalid_arg "Pipeline.restore: history file not empty";
-  let expect = snapshot_cells t in
-  if Slab.length slab <> expect then
-    invalid_arg
-      (Printf.sprintf "Pipeline.restore: snapshot has %d cells, pipeline needs %d"
-         (Slab.length slab) expect);
+  (* Into fresh vectors: history values handed out earlier (contexts,
+     [lhist_value]) keep theirs. *)
+  let ghist = Bits.zero (Ghist_provider.width t.ghist) in
+  let path = Bits.zero (Ghist_provider.width t.path) in
+  let lhist =
+    Lhist_provider.create ~entries:(Lhist_provider.entries t.lhist)
+      ~bits:(Lhist_provider.bits t.lhist)
+  in
+  t.next_token <- read_slab ~engine:"pipeline" t.cfg t.comps slab ~ghist ~path lhist;
   t.pending <- [];
-  t.next_token <- Slab.get slab 0;
-  let pos = ref 1 in
-  let gh, p = read_bits slab ~pos:!pos ~width:(Ghist_provider.width t.ghist) in
-  pos := p;
-  Ghist_provider.restore t.ghist gh;
-  let ph, p = read_bits slab ~pos:!pos ~width:(Ghist_provider.width t.path) in
-  pos := p;
-  Ghist_provider.restore t.path ph;
-  let lw = Lhist_provider.bits t.lhist in
-  for i = 0 to Lhist_provider.entries t.lhist - 1 do
-    let v, p = read_bits slab ~pos:!pos ~width:lw in
-    pos := p;
-    Lhist_provider.set_nth t.lhist i v
-  done;
-  Array.iter
-    (fun (c : Component.t) ->
-      let n = Component.state_cells c in
-      if n > 0 then begin
-        Component.restore c (Slab.sub slab !pos n);
-        pos := !pos + n
-      end)
-    t.comps
+  Ghist_provider.restore t.ghist ghist;
+  Ghist_provider.restore t.path path;
+  for i = 0 to Lhist_provider.entries lhist - 1 do
+    Lhist_provider.set_nth t.lhist i (Lhist_provider.nth lhist i)
+  done

@@ -1,9 +1,10 @@
-(** The COBRA predictor composer (paper Section IV).
+(** The interpreted COBRA predictor pipeline (paper Section IV).
 
     [create config topology] elaborates a complete predictor pipeline from a
-    topological model: it validates the topology, instantiates the generated
-    management structures (history file, global and local history providers,
-    the update/repair state machine) and wires every sub-component's
+    topological model: it builds the topology's {!Composer} (which
+    validates it), instantiates the generated management structures
+    (history file, global and local history providers, the update/repair
+    state machine) and wires every sub-component's
     predict/fire/mispredict/repair/update events, including the metadata
     round-trip through the history file.
 
@@ -84,8 +85,6 @@ val stages : t -> token -> Types.prediction array
 (** [ (stages t tok).(d-1) ] is the composite prediction at Fetch-[d]. *)
 
 val context : t -> token -> Context.t
-val token_pc : t -> token -> int
-val token_max_len : t -> token -> int
 
 val applied_dir_bits : t -> token -> bool list
 (** Direction bits this packet currently contributes to the speculative
@@ -195,6 +194,39 @@ val restore : t -> Cobra_util.Slab.t -> unit
     configured pipeline. Clears pending packets itself; raises
     [Invalid_argument] when the history file is non-empty or the slab size
     does not match {!snapshot_cells}. *)
+
+(** {2 The slab layout}
+
+    The one writer and reader of the snapshot layout, shared with the
+    compiled engine so that slabs interchange between the two. The
+    management prefix is sized from the configuration: next token, then
+    the limbs of [ghist] ([ghist_bits] wide), [path]
+    ([max 1 path_bits] wide) and every local-history entry, then each
+    component's state slab in order. *)
+
+val write_slab :
+  config ->
+  Component.t array ->
+  next_token:int ->
+  ghist:Cobra_util.Bits.t ->
+  path:Cobra_util.Bits.t ->
+  Lhist_provider.t ->
+  Cobra_util.Slab.t
+(** A fresh slab of the given history values and component states. *)
+
+val read_slab :
+  engine:string ->
+  config ->
+  Component.t array ->
+  Cobra_util.Slab.t ->
+  ghist:Cobra_util.Bits.t ->
+  path:Cobra_util.Bits.t ->
+  Lhist_provider.t ->
+  int
+(** Load a slab in place into the [ghist] and [path] buffers, the
+    local-history entries and the components' states, and return its next
+    token. Raises [Invalid_argument], naming [engine] and both cell counts,
+    when the slab size does not match the design. *)
 
 (** {1 Introspection (tests, debugging)} *)
 

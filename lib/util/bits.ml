@@ -23,6 +23,8 @@ let zero w =
   if w < 0 then invalid_arg "Bits.zero: negative width";
   { w; limbs = Array.make (limbs_for w) 0 }
 
+let copy t = { t with limbs = Array.copy t.limbs }
+
 (* Clear any stale bits above [w] in the top limb. *)
 let normalize t =
   let n = limbs_for t.w in

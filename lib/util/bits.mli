@@ -19,6 +19,10 @@ val zero : int -> t
 (** [zero w] is the all-zeros vector of width [w]. Raises [Invalid_argument]
     if [w < 0]. *)
 
+val copy : t -> t
+(** A fresh vector equal to [t] — the value of a buffer, kept past the
+    buffer's next rewrite. *)
+
 val limbs_for : int -> int
 (** [limbs_for w] is the number of 62-bit limbs backing a [w]-wide
     vector — the cell count a [w]-bit history occupies in a state slab. *)

@@ -1,4 +1,5 @@
-(* Staged-compilation certification beyond the fixed conformance suites:
+(* Compiled-engine and composer certification beyond the fixed conformance
+   suites:
 
    - a seeded property over {e random} well-formed topology specs (random
      component subsets and arbitration orders, random geometry knobs,
@@ -7,6 +8,10 @@
      interpreted pipeline branch-for-branch on direction and mispredict
      decisions and end with a bit-identical snapshot slab, with shrinking
      and COBRA_SEED replay hints via {!Prop};
+   - over the same specs, the composer both engines share must produce the
+     per-stage composites of [Golden.compose], the recursive reference
+     semantics ([Crosscheck.compose]);
+   - both engines refuse the same malformed designs;
    - checkpoint interchange: slabs taken by either engine restore into the
      other and reproduce the non-snapshot oracle window bit-for-bit;
    - windowed [cobra serve] sweeps on the compiled engine, including
@@ -21,6 +26,7 @@ open Cobra
 module Slab = Cobra_util.Slab
 module Designs = Cobra_eval.Designs
 module Fuzz = Cobra_conformance.Fuzz
+module Crosscheck = Cobra_conformance.Crosscheck
 module Engine = Cobra_compile.Engine
 module Replay = Cobra_trace_replay.Replay
 module Reader = Cobra_trace_replay.Reader
@@ -264,6 +270,43 @@ let test_random_topologies () =
   Prop.check ~count:60 ~name:"compiled engine = interpreted pipeline on random topologies"
     tcase_arb compile_equiv
 
+(* Both engines share the composer, so the property above cannot see its
+   bugs: here it must match the golden recursive semantics. *)
+let compose_equiv tc =
+  let v =
+    Crosscheck.compose ~length:tc.t_len ~shapes:[ tc.t_shape ] ~seed:tc.t_sseed
+      ~name:(show_node tc.t_topo) ~fetch_width:width (build_topo tc.t_topo)
+  in
+  if not v.Crosscheck.v_pass then Alcotest.fail v.Crosscheck.v_detail
+
+let test_random_composition () =
+  Prop.check ~count:60 ~name:"composer = golden composition on random topologies" tcase_arb
+    compose_equiv
+
+(* Both engines refuse the same malformed inputs: each builds its own
+   composer and history buffers, so each must keep its own checks. *)
+let test_engines_refuse () =
+  let cfg = { Pipeline.default_config with Pipeline.fetch_width = width } in
+  let leaf = Leaf (CHbim { entries_l2 = 4; idx = IPc; lat = 1 }) in
+  (* [build_topo] numbers its components, so two builds share names *)
+  let dup () = Topology.(build_topo leaf >> build_topo leaf) in
+  List.iter
+    (fun (what, cfg, topo) ->
+      List.iter
+        (fun (engine, make) ->
+          match make cfg (topo ()) with
+          | () -> Alcotest.failf "%s engine accepted %s" engine what
+          | exception Invalid_argument _ -> ())
+        [
+          ("interpreted", fun cfg topo -> ignore (Pipeline.create cfg topo));
+          ("compiled", fun cfg topo -> ignore (Engine.create cfg topo));
+        ])
+    [
+      ("fetch_width 0", { cfg with Pipeline.fetch_width = 0 }, fun () -> build_topo leaf);
+      ("ghist_bits 0", { cfg with Pipeline.ghist_bits = 0 }, fun () -> build_topo leaf);
+      ("duplicate component names", cfg, dup);
+    ]
+
 (* --- checkpoint interchange ------------------------------------------------------ *)
 
 let fuzz_records length =
@@ -444,6 +487,9 @@ let () =
         [
           Alcotest.test_case "random topology compile/interpret equivalence" `Quick
             test_random_topologies;
+          Alcotest.test_case "random topology composition against the golden semantics" `Quick
+            test_random_composition;
+          Alcotest.test_case "both engines refuse malformed designs" `Quick test_engines_refuse;
         ] );
       ( "checkpoints",
         [
