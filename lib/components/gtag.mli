@@ -4,7 +4,10 @@
     2-bit counters indexed by a hash of PC and global history, with short
     partial tags to suppress aliased predictions. On a tag hit the component
     contributes a direction; on a miss it stays silent and the backing
-    bimodal table shows through. *)
+    bimodal table shows through.
+
+    The table is a one-table {!Tagged} bank without salts, payload [ctr].
+    Unlike TAGE it allocates on every miss. *)
 
 type config = {
   name : string;

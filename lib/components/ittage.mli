@@ -6,9 +6,13 @@
     indirect jumps defeat a last-target BTB. On a hit the component
     contributes existence/kind/target for the slot (direction is trivially
     taken); on a miss it stays silent and the BTB's last-target guess shows
-    through. Trains at commit time on indirect branches only. *)
+    through. Trains at commit time on indirect branches only.
 
-type table_spec = {
+    The tables are a {!Tagged} bank, which owns their slab layout, hashes
+    and fold cache: index salt [mix2 t 29], tag salt [t * 131], payload
+    [target; conf], no header. *)
+
+type table_spec = Tagged.spec = {
   history_length : int;
   index_bits : int;
   tag_bits : int;

@@ -12,9 +12,14 @@
     The metadata field tracks, per slot, the provider and altpred tables and
     the counters read at predict time — the paper's stated use. Updates are
     commit-time only: a global-history predictor is tolerant to delayed
-    updates (paper III-E). *)
+    updates (paper III-E).
 
-type table_spec = {
+    The tables are a {!Tagged} bank over the global history, which owns
+    their slab layout, hashes and fold cache: index salt [mix2 t 17], tag
+    salt [t * 7919], payload [ctr; u], and three header cells holding the
+    update count and the allocation PRNG's state. *)
+
+type table_spec = Tagged.spec = {
   history_length : int;
   index_bits : int;
   tag_bits : int;

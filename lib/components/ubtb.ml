@@ -38,9 +38,9 @@ let make cfg =
   let taken_at = Counter.weakly_taken ~bits:cb in
   let tag_of pc = Hashing.fold_int (Hashing.pc_bits pc) ~width:62 ~bits:tag_bits in
   (* The CAM match is modelled with a tag index kept in sync with the
-     entry array — same observable behaviour as hardware. The bound entry
-     index, or -1. *)
-  let cam_find tag =
+     entry array — same observable behaviour as hardware. The position of
+     the pair holding [tag], or -1. *)
+  let cam_pair tag =
     let n = Slab.get state cam_count_cell in
     let found = ref (-1) in
     let k = ref 0 in
@@ -48,37 +48,30 @@ let make cfg =
       if Slab.unsafe_get state (cam_base + (2 * !k)) = tag then found := !k;
       incr k
     done;
-    if !found < 0 then -1 else Slab.unsafe_get state (cam_base + (2 * !found) + 1)
+    !found
+  in
+  (* The bound entry index, or -1. *)
+  let cam_find tag =
+    let k = cam_pair tag in
+    if k < 0 then -1 else Slab.unsafe_get state (cam_base + (2 * k) + 1)
   in
   let cam_remove tag =
-    let n = Slab.get state cam_count_cell in
-    let found = ref (-1) in
-    let k = ref 0 in
-    while !found < 0 && !k < n do
-      if Slab.unsafe_get state (cam_base + (2 * !k)) = tag then found := !k;
-      incr k
-    done;
-    if !found >= 0 then begin
+    let k = cam_pair tag in
+    if k >= 0 then begin
       (* swap the last pair into the hole *)
-      let last = n - 1 in
-      Slab.unsafe_set state (cam_base + (2 * !found))
-        (Slab.unsafe_get state (cam_base + (2 * last)));
+      let last = Slab.get state cam_count_cell - 1 in
+      Slab.unsafe_set state (cam_base + (2 * k)) (Slab.unsafe_get state (cam_base + (2 * last)));
       Slab.unsafe_set state
-        (cam_base + (2 * !found) + 1)
+        (cam_base + (2 * k) + 1)
         (Slab.unsafe_get state (cam_base + (2 * last) + 1));
       Slab.set state cam_count_cell last
     end
   in
   let cam_replace tag i =
-    let n = Slab.get state cam_count_cell in
-    let found = ref (-1) in
-    let k = ref 0 in
-    while !found < 0 && !k < n do
-      if Slab.unsafe_get state (cam_base + (2 * !k)) = tag then found := !k;
-      incr k
-    done;
-    if !found >= 0 then Slab.unsafe_set state (cam_base + (2 * !found) + 1) i
+    let k = cam_pair tag in
+    if k >= 0 then Slab.unsafe_set state (cam_base + (2 * k) + 1) i
     else begin
+      let n = Slab.get state cam_count_cell in
       Slab.unsafe_set state (cam_base + (2 * n)) tag;
       Slab.unsafe_set state (cam_base + (2 * n) + 1) i;
       Slab.set state cam_count_cell (n + 1)

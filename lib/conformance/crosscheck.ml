@@ -52,6 +52,34 @@ let zoo_fetch_width = 4
 
 exception Mismatch of string
 
+(* Where a fuzz-driven check is: the shape, and the packet (or branch) in
+   flight. Every failure names it, with the command that replays it. *)
+type cursor = {
+  seed : int;
+  length : int;
+  step : string;  (* "packet" or "branch" *)
+  replay : string;  (* flags the replay command adds *)
+  mutable shape : string;
+  mutable index : int;
+}
+
+let cursor ?(step = "packet") ?(replay = "") ~seed ~length () =
+  { seed; length; step; replay; shape = Fuzz.shape_name Fuzz.Mixed; index = 0 }
+
+let where c what =
+  Printf.sprintf "shape=%s %s=%d/%d seed=%d: %s (replay: cobra conform --seed %d%s)" c.shape
+    c.step c.index c.length c.seed what c.seed c.replay
+
+(* Runs a check to its passing verdict. A [Mismatch] fails it with its own
+   description; any other exception — a component or golden model that
+   raises — fails it [where] it was raised instead of escaping [run_all],
+   so the remaining checks still run. *)
+let guarded ~check ~subject ~where body =
+  match body () with
+  | v -> v
+  | exception Mismatch m -> fail ~check ~subject m
+  | exception e -> fail ~check ~subject (where ("raised " ^ Printexc.to_string e))
+
 (* One predict of a real component into fresh host buffers. *)
 let predict_real (c : Component.t) (ctx : Context.t) ~pred_in =
   let out = Types.no_prediction ~width:ctx.Context.fetch_width in
@@ -80,37 +108,38 @@ let lockstep ?(length = 300) ?(shapes = Fuzz.all_shapes) ~seed (packed : Golden.
   let check = "lockstep" in
   let (Golden.P { make_real; _ }) = packed in
   let events = ref 0 in
+  let c = cursor ~seed ~length () in
+  let where = where c in
   let run_shape shape =
+    c.shape <- Fuzz.shape_name shape;
+    c.index <- 0;
     (* fresh state per shape on both sides: each script stands alone *)
     let inst = Golden.instantiate packed in
     let real = make_real () in
     let sc = { Fuzz.seed; shape; length } in
     let packets = Fuzz.packets sc ~arity:inst.Golden.i_arity ~fetch_width:zoo_fetch_width in
-    let where i what =
-      Printf.sprintf "shape=%s packet=%d/%d seed=%d: %s (replay: cobra conform --seed %d)"
-        (Fuzz.shape_name shape) i length seed what seed
-    in
     List.iteri
       (fun i (pk : Fuzz.packet) ->
+        c.index <- i;
         incr events;
         let gp, gmeta = inst.Golden.i_predict pk.Fuzz.pk_ctx ~pred_in:pk.Fuzz.pk_pred_in in
         let rp, rmeta = predict_real real pk.Fuzz.pk_ctx ~pred_in:pk.Fuzz.pk_pred_in in
         if Bits.width gmeta <> real.Component.meta_bits then
           raise
             (Mismatch
-               (where i
+               (where
                   (Printf.sprintf "golden metadata width %d <> declared meta_bits %d"
                      (Bits.width gmeta) real.Component.meta_bits)));
         if not (Types.equal_prediction gp rp) then
           raise
             (Mismatch
-               (where i
+               (where
                   (Printf.sprintf "prediction mismatch: golden %s vs real %s"
                      (show_prediction gp) (show_prediction rp))));
         if not (Bits.equal gmeta rmeta) then
           raise
             (Mismatch
-               (where i
+               (where
                   (Printf.sprintf "metadata mismatch: golden %s vs real %s"
                      (Bits.to_string gmeta) (Bits.to_string rmeta))));
         drive pk ~fire:inst.Golden.i_fire ~mispredict:inst.Golden.i_mispredict
@@ -119,14 +148,13 @@ let lockstep ?(length = 300) ?(shapes = Fuzz.all_shapes) ~seed (packed : Golden.
         if i land 31 = 0 then
           match inst.Golden.i_invariant () with
           | Ok () -> ()
-          | Error e -> raise (Mismatch (where i ("invariant violated: " ^ e))))
+          | Error e -> raise (Mismatch (where ("invariant violated: " ^ e))))
       packets
   in
-  match List.iter run_shape shapes with
-  | () ->
-    pass ~check ~subject
-      (Printf.sprintf "ok (%d packets across %d shapes)" !events (List.length shapes))
-  | exception Mismatch m -> fail ~check ~subject m
+  guarded ~check ~subject ~where (fun () ->
+      List.iter run_shape shapes;
+      pass ~check ~subject
+        (Printf.sprintf "ok (%d packets across %d shapes)" !events (List.length shapes)))
 
 (* --- live slots: the dead-slot half of the context contract ------------------------ *)
 
@@ -144,18 +172,18 @@ let live_slots ?(length = 300) ?(shapes = Fuzz.all_shapes) ~seed (packed : Golde
   let (Golden.P { model; make_real; _ }) = packed in
   let fw = zoo_fetch_width in
   let calls = ref 0 in
+  let c = cursor ~seed ~length () in
+  let where = where c in
   let run_shape shape =
+    c.shape <- Fuzz.shape_name shape;
+    c.index <- 0;
     let real = make_real () in
     let slot_bits = real.Component.meta_bits / fw in
     let word meta slot = Bits.extract meta ~lo:(slot * slot_bits) ~len:slot_bits in
     let sc = { Fuzz.seed; shape; length } in
-    let where i k slot what =
-      Printf.sprintf
-        "shape=%s packet=%d/%d live_slots=%d slot %d seed=%d: %s (replay: cobra conform --seed %d)"
-        (Fuzz.shape_name shape) i length k slot seed what seed
-    in
     List.iteri
       (fun i (pk : Fuzz.packet) ->
+        c.index <- i;
         let ctx = pk.Fuzz.pk_ctx and pred_in = pk.Fuzz.pk_pred_in in
         let all_p, all_m = predict_real real ctx ~pred_in in
         for k = 1 to fw do
@@ -169,7 +197,9 @@ let live_slots ?(length = 300) ?(shapes = Fuzz.all_shapes) ~seed (packed : Golde
             let op = p.(slot) and w = word m slot in
             let same_op = Types.equal_opinion op all_p.(slot) in
             let same_w = Bits.equal w (word all_m slot) in
-            let fail what = raise (Mismatch (where i k slot what)) in
+            let fail what =
+              raise (Mismatch (where (Printf.sprintf "live_slots=%d slot %d: %s" k slot what)))
+            in
             let show () =
               Printf.sprintf "opinion %s word %s, all-live opinion %s word %s" (show_opinion op)
                 (Bits.to_string w) (show_opinion all_p.(slot))
@@ -188,11 +218,10 @@ let live_slots ?(length = 300) ?(shapes = Fuzz.all_shapes) ~seed (packed : Golde
         drive_real real pk all_m)
       (Fuzz.packets sc ~arity:model.Golden.arity ~fetch_width:fw)
   in
-  match List.iter run_shape shapes with
-  | () ->
-    pass ~check ~subject
-      (Printf.sprintf "ok (%d predicts across %d shapes)" !calls (List.length shapes))
-  | exception Mismatch m -> fail ~check ~subject m
+  guarded ~check ~subject ~where (fun () ->
+      List.iter run_shape shapes;
+      pass ~check ~subject
+        (Printf.sprintf "ok (%d predicts across %d shapes)" !calls (List.length shapes)))
 
 (* --- topology composition: the shared composer vs the recursive semantics ---------- *)
 
@@ -206,14 +235,14 @@ let compose ?(length = 300) ?(shapes = Fuzz.all_shapes) ~seed ~name ~fetch_width
   let composer = Composer.create ~fetch_width topo in
   let comps = Composer.components composer in
   let packets = ref 0 in
+  let c = cursor ~seed ~length () in
+  let where = where c in
   let run_shape shape =
+    c.shape <- Fuzz.shape_name shape;
     let sc = { Fuzz.seed; shape; length } in
-    let where i what =
-      Printf.sprintf "shape=%s packet=%d/%d seed=%d: %s (replay: cobra conform --seed %d)"
-        (Fuzz.shape_name shape) i length seed what seed
-    in
     List.iteri
       (fun i (pk : Fuzz.packet) ->
+        c.index <- i;
         incr packets;
         let ctx = pk.Fuzz.pk_ctx in
         let rows = Composer.eval composer ctx in
@@ -226,7 +255,7 @@ let compose ?(length = 300) ?(shapes = Fuzz.all_shapes) ~seed ~name ~fetch_width
             if not (Types.equal_prediction row golden.(s)) then
               raise
                 (Mismatch
-                   (where i
+                   (where
                       (Printf.sprintf "Fetch-%d composite: composer %s, golden %s" (s + 1)
                          (show_prediction row) (show_prediction golden.(s))))))
           rows;
@@ -234,12 +263,11 @@ let compose ?(length = 300) ?(shapes = Fuzz.all_shapes) ~seed ~name ~fetch_width
         Array.iteri (fun id c -> drive_real c pk metas.(id)) comps)
       (Fuzz.packets sc ~arity:0 ~fetch_width)
   in
-  match List.iter run_shape shapes with
-  | () ->
-    pass ~check ~subject:name
-      (Printf.sprintf "ok (%d packets across %d shapes, composer = golden)" !packets
-         (List.length shapes))
-  | exception Mismatch m -> fail ~check ~subject:name m
+  guarded ~check ~subject:name ~where (fun () ->
+      List.iter run_shape shapes;
+      pass ~check ~subject:name
+        (Printf.sprintf "ok (%d packets across %d shapes, composer = golden)" !packets
+           (List.length shapes)))
 
 (* --- storage accounting -------------------------------------------------------- *)
 
@@ -247,13 +275,13 @@ let storage_accounting (packed : Golden.packed) =
   let subject = Golden.packed_name packed in
   let check = "storage" in
   let (Golden.P { make_real; storage_bits; _ }) = packed in
-  let real = make_real () in
-  let actual = Storage.total_bits real.Component.storage in
-  if actual = storage_bits then pass ~check ~subject (Printf.sprintf "ok (%d bits)" actual)
-  else
-    fail ~check ~subject
-      (Printf.sprintf "component declares %d storage bits, independent formula gives %d"
-         actual storage_bits)
+  guarded ~check ~subject ~where:Fun.id (fun () ->
+      let actual = Storage.total_bits (make_real ()).Component.storage in
+      if actual = storage_bits then pass ~check ~subject (Printf.sprintf "ok (%d bits)" actual)
+      else
+        fail ~check ~subject
+          (Printf.sprintf "component declares %d storage bits, independent formula gives %d"
+             actual storage_bits))
 
 (* --- replay-protocol steps ------------------------------------------------------ *)
 
@@ -272,6 +300,8 @@ let step sim r =
 let replay_twin ?(length = 400) ~seed (design : Designs.t) =
   let check = "replay" in
   let subject = design.Designs.name in
+  let c = cursor ~step:"branch" ~seed ~length () in
+  guarded ~check ~subject ~where:(where c) @@ fun () ->
   match Golden.twin_design design with
   | exception Invalid_argument m -> fail ~check ~subject m
   | golden ->
@@ -288,13 +318,23 @@ let replay_twin ?(length = 400) ~seed (design : Designs.t) =
     in
     let res =
       Replay.drive
-        ~observe:(fun _ ~taken_pred ~wrong -> observed := (taken_pred, wrong) :: !observed)
+        ~observe:(fun _ ~taken_pred ~wrong ->
+          c.index <- c.index + 1;
+          observed := (taken_pred, wrong) :: !observed)
         ~design:subject ~trace:"fuzz" (Sim.create `Interpreted design) source
     in
     (* arrays, not lists: per-branch List.nth here made the comparison loop
        quadratic in the stream length *)
     let replay_obs = Array.of_list (List.rev !observed) in
-    let gold_obs = Array.of_list (List.map (step (Sim.create `Interpreted golden)) bs) in
+    let gold = Sim.create `Interpreted golden in
+    let gold_obs =
+      Array.of_list
+        (List.mapi
+           (fun i b ->
+             c.index <- i;
+             step gold b)
+           bs)
+    in
     let n_replay = Array.length replay_obs in
     if n_replay <> length then
       fail ~check ~subject
@@ -342,6 +382,8 @@ let replay_twin ?(length = 400) ~seed (design : Designs.t) =
 let repair_restore ?(length = 400) ~seed (design : Designs.t) =
   let check = "repair" in
   let subject = design.Designs.name in
+  let c = cursor ~step:"branch" ~seed ~length () in
+  guarded ~check ~subject ~where:(where c) @@ fun () ->
   let s_clean = Sim.create `Interpreted design in
   let p_dirty = Designs.pipeline design in
   let width = design.Designs.pipeline_config.Pipeline.fetch_width in
@@ -351,6 +393,7 @@ let repair_restore ?(length = 400) ~seed (design : Designs.t) =
   let bad = ref None in
   List.iteri
     (fun i b ->
+      c.index <- i;
       if !bad = None then begin
         (* pending-only excursion: wrong-path packets predicted then squashed;
            their speculative history contributions must unwind completely *)
@@ -438,10 +481,13 @@ let repair_restore ?(length = 400) ~seed (design : Designs.t) =
 let snapshot_roundtrip ?(length = 400) ~seed (design : Designs.t) =
   let check = "snapshot" in
   let subject = design.Designs.name in
+  let c = cursor ~step:"branch" ~seed ~length () in
+  guarded ~check ~subject ~where:(where c) @@ fun () ->
   let bs = Array.of_list (Fuzz.branches { Fuzz.seed; shape = Fuzz.Mixed; length }) in
   let half = length / 2 in
   let s = Sim.create `Interpreted design in
   for i = 0 to half - 1 do
+    c.index <- i;
     ignore (Sim.step s bs.(i))
   done;
   let slab = Sim.snapshot s in
@@ -451,6 +497,7 @@ let snapshot_roundtrip ?(length = 400) ~seed (design : Designs.t) =
   Sim.restore s2 slab;
   let bad = ref None in
   for i = half to length - 1 do
+    c.index <- i;
     if !bad = None then begin
       let b = bs.(i) in
       let tp_a, w_a = step s b in
@@ -487,24 +534,24 @@ let snapshot_roundtrip ?(length = 400) ~seed (design : Designs.t) =
    bit-identical. This is the merge gate of the compiler. *)
 let compiled_lockstep ~check ~subject ~shapes ~length ~seed ~cfg make_topo =
   let events = ref 0 in
+  let c = cursor ~step:"branch" ~replay:" --engine compiled" ~seed ~length () in
+  let where = where c in
   let run_shape shape =
+    c.shape <- Fuzz.shape_name shape;
+    c.index <- 0;
     let si = Sim.of_pipeline (Pipeline.create cfg (make_topo ())) in
     let sc = Sim.of_engine (Cobra_compile.Engine.create cfg (make_topo ())) in
     let bs = Fuzz.branches { Fuzz.seed; shape; length } in
-    let where i what =
-      Printf.sprintf
-        "shape=%s branch=%d/%d seed=%d: %s (replay: cobra conform --seed %d --engine compiled)"
-        (Fuzz.shape_name shape) i length seed what seed
-    in
     List.iteri
       (fun i b ->
+        c.index <- i;
         incr events;
         let tp_i, w_i = step si b in
         let tp_c, w_c = step sc b in
         if tp_i <> tp_c || w_i <> w_c then
           raise
             (Mismatch
-               (where i
+               (where
                   (Printf.sprintf
                      "interpreted taken_pred=%b wrong=%b, compiled taken_pred=%b wrong=%b"
                      tp_i w_i tp_c w_c)));
@@ -512,7 +559,7 @@ let compiled_lockstep ~check ~subject ~shapes ~length ~seed ~cfg make_topo =
         if Array.length metas_i <> Array.length metas_c then
           raise
             (Mismatch
-               (where i
+               (where
                   (Printf.sprintf "metadata arity: interpreted %d words, compiled %d"
                      (Array.length metas_i) (Array.length metas_c))));
         Array.iteri
@@ -520,7 +567,7 @@ let compiled_lockstep ~check ~subject ~shapes ~length ~seed ~cfg make_topo =
             if not (Bits.equal m metas_c.(id)) then
               raise
                 (Mismatch
-                   (where i
+                   (where
                       (Printf.sprintf
                          "metadata mismatch at component %d: interpreted %s, compiled %s"
                          id (Bits.to_string m) (Bits.to_string metas_c.(id))))))
@@ -534,12 +581,11 @@ let compiled_lockstep ~check ~subject ~shapes ~length ~seed ~cfg make_topo =
                compiled engines (replay: cobra conform --seed %d --engine compiled)"
               (Fuzz.shape_name shape) seed seed))
   in
-  match List.iter run_shape shapes with
-  | () ->
-    pass ~check ~subject
-      (Printf.sprintf "ok (%d branches across %d shapes, compiled = interpreted)" !events
-         (List.length shapes))
-  | exception Mismatch m -> fail ~check ~subject m
+  guarded ~check ~subject ~where (fun () ->
+      List.iter run_shape shapes;
+      pass ~check ~subject
+        (Printf.sprintf "ok (%d branches across %d shapes, compiled = interpreted)" !events
+           (List.length shapes)))
 
 let compiled_twin ?(length = 300) ?(shapes = Fuzz.all_shapes) ~seed (design : Designs.t) =
   compiled_lockstep ~check:"compiled_twin" ~subject:design.Designs.name ~shapes ~length

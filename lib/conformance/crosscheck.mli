@@ -6,7 +6,10 @@
     accounting) and metamorphic invariants elsewhere (repair restores
     pre-speculation state; squashed excursions leave no trace). Every
     verdict that fails carries a replayable description: the fuzz streams
-    are pure functions of the seed, so one integer reproduces the run. *)
+    are pure functions of the seed, so one integer reproduces the run. A
+    component or golden model that raises fails the check it raised in,
+    naming the shape, packet, seed and exception, and the other checks
+    still run. *)
 
 type verdict = {
   v_check : string;  (** lockstep / live_slots / storage / replay / repair / ... *)

@@ -1614,6 +1614,7 @@ let zoo () =
       };
     hbim { (C.Hbim.default ~name:"zLBIM" ~indexing:(C.Indexing.Lhist 8)) with entries = 32 };
     gtag { (C.Gtag.default ~name:"zGTAG") with entries = 64; tag_bits = 5; history_length = 10 };
+    gtag { (C.Gtag.default ~name:"zGTAG0") with entries = 32; tag_bits = 6; history_length = 0 };
     gehl
       {
         (C.Gehl.default ~name:"zGEHL") with
@@ -1636,7 +1637,30 @@ let zoo () =
         tables = List.map tage_spec [ 2; 4; 8 ];
         u_reset_period = 128;
       };
+    (* mixed widths (one 0-bit tag) over unsorted lengths: the per-table
+       fold path *)
+    tage
+      {
+        (C.Tage.default ~name:"zTAGE_MIX") with
+        tables =
+          [
+            { C.Tage.history_length = 9; index_bits = 5; tag_bits = 4 };
+            { C.Tage.history_length = 3; index_bits = 3; tag_bits = 0 };
+            { C.Tage.history_length = 17; index_bits = 4; tag_bits = 6 };
+          ];
+        u_reset_period = 128;
+      };
     ittage { (C.Ittage.default ~name:"zITTAGE") with tables = List.map ittage_spec [ 2; 6 ] };
+    (* path history; tags as wide as the indexes *)
+    ittage
+      {
+        (C.Ittage.default ~name:"zITTAGE_PATH") with
+        tables =
+          List.map
+            (fun h -> { C.Ittage.history_length = h; index_bits = 5; tag_bits = 5 })
+            [ 3; 11 ];
+        use_path_history = true;
+      };
     tourney { (C.Tourney.default ~name:"zTOURNEY") with entries = 64 };
     loop_pred
       {

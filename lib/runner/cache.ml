@@ -4,8 +4,7 @@ type key = string (* hex digest *)
 
 let format_version = 1
 
-let enabled () =
-  match Sys.getenv_opt "COBRA_CACHE" with Some "0" -> false | Some _ | None -> true
+let enabled () = Cobra_util.Env.bool_var "COBRA_CACHE" ~default:true
 
 let dir () =
   match Sys.getenv_opt "COBRA_CACHE_DIR" with

@@ -22,7 +22,9 @@ val format_version : int
 (** Bumped whenever the serialized layout or digest recipe changes. *)
 
 val enabled : unit -> bool
-(** False when the [COBRA_CACHE] environment variable is ["0"]. *)
+(** The [COBRA_CACHE] knob ({!Cobra_util.Env.bool_var}), on by default:
+    [0]/[false]/[no]/[off] disable the cache; any unrecognised value raises
+    [Failure]. *)
 
 val dir : unit -> string
 (** [COBRA_CACHE_DIR] or ["_cobra_cache"]. *)

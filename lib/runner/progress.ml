@@ -27,10 +27,8 @@ let global_store_errors = Atomic.make 0
 let total_store_errors () = Atomic.get global_store_errors
 
 let default_live () =
-  match Sys.getenv_opt "COBRA_PROGRESS" with
-  | Some "1" -> true
-  | Some "0" -> false
-  | Some _ | None -> ( try Unix.isatty Unix.stderr with _ -> false)
+  Cobra_util.Env.bool_var "COBRA_PROGRESS"
+    ~default:(try Unix.isatty Unix.stderr with _ -> false)
 
 let create ?(label = "jobs") ?events_path ?live ~total () =
   let events_path =

@@ -6,9 +6,10 @@
     [\[label done/total, hits, failures, ETA\]] line to stderr, and can
     mirror every event as a JSON line to a file for later analysis.
 
-    Live rendering defaults to "stderr is a tty"; [COBRA_PROGRESS=1] forces
-    it on and [COBRA_PROGRESS=0] off. The events file defaults to the
-    [COBRA_EVENTS] environment variable, when set.
+    Live rendering defaults to "stderr is a tty"; [COBRA_PROGRESS] forces
+    it on ([1]/[true]/[yes]/[on]) or off ([0]/[false]/[no]/[off]), and any
+    other value raises [Failure] ({!Cobra_util.Env.bool_var}). The events
+    file defaults to the [COBRA_EVENTS] environment variable, when set.
 
     JSON-lines schema (one object per line):
     [{"ts": <unix-seconds>, "label": "...", "event":

@@ -1,10 +1,4 @@
-let truthy v =
-  match String.lowercase_ascii (String.trim v) with
-  | "" | "0" | "false" | "no" | "off" -> false
-  | _ -> true
-
-let enabled () =
-  match Sys.getenv_opt "COBRA_STATS" with None -> false | Some v -> truthy v
+let enabled () = Cobra_util.Env.bool_var "COBRA_STATS" ~default:false
 
 let dir () =
   match Sys.getenv_opt "COBRA_STATS_DIR" with

@@ -1,7 +1,8 @@
 (** Environment knobs for the statistics subsystem.
 
-    - [COBRA_STATS] — enable collection ([1]/[true]/[yes]/[on]; default off,
-      in which case the whole subsystem is inert);
+    - [COBRA_STATS] — enable collection ([1]/[true]/[yes]/[on], or
+      [0]/[false]/[no]/[off]; any other value raises; default off, in which
+      case the whole subsystem is inert);
     - [COBRA_STATS_DIR] — directory for exported report files (default
       [_cobra_stats]);
     - [COBRA_STATS_TOP] — rows kept in the hard-to-predict branch table

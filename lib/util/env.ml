@@ -1,8 +1,8 @@
-(* Integer environment knobs. A malformed value is a configuration error
-   the user must hear about: sweeping a parameter via a typo'd variable and
-   silently measuring the default instead produces confidently wrong
-   results, so parsing never falls back — it raises, naming the variable
-   and the offending value. *)
+(* Integer and boolean environment knobs. A malformed value is a
+   configuration error the user must hear about: sweeping a parameter via a
+   typo'd variable and silently measuring the default instead produces
+   confidently wrong results, so parsing never falls back — it raises,
+   naming the variable and the offending value. *)
 
 let int_var ?min name ~default =
   match Sys.getenv_opt name with
@@ -18,3 +18,15 @@ let int_var ?min name ~default =
       | Some lo when n < lo ->
         failwith (Printf.sprintf "%s = %d is below the minimum %d" name n lo)
       | _ -> n))
+
+let bool_var name ~default =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some raw -> (
+    match String.lowercase_ascii (String.trim raw) with
+    | "" -> default
+    | "1" | "true" | "yes" | "on" -> true
+    | "0" | "false" | "no" | "off" -> false
+    | _ ->
+      failwith
+        (Printf.sprintf "%s: expected 1/true/yes/on or 0/false/no/off, got %S" name raw))

@@ -280,6 +280,54 @@ let test_loop_repair_restores_count () =
   check Alcotest.bool "recovers and predicts exits" true
     (List.for_all (fun p -> p = Some false) late)
 
+(* Steady-state allocation of the tagged kernels over a conditional-branch
+   stream: once warm, one packet's predict + update allocates nothing. The
+   stream's contexts, events and buffers are built up front, so only the
+   components' own work is counted. *)
+let test_tagged_alloc_free () =
+  let rng = Random.State.make [| 7 |] in
+  let stream =
+    Array.init 512 (fun _ ->
+        let ctx =
+          Context.make
+            ~pc:(0x4000 + (16 * Random.State.int rng 64))
+            ~fetch_width:width
+            ~ghist:(Bits.init 64 (fun _ -> Random.State.bool rng))
+            ~lhists:(Array.init width (fun _ -> Bits.zero 16))
+            ~phist:(Bits.init 16 (fun _ -> Random.State.bool rng))
+            ()
+        in
+        let slots = Array.make width Types.no_branch in
+        slots.(Random.State.int rng width) <-
+          Types.resolved_branch ~kind:Types.Cond ~taken:(Random.State.bool rng) ~target:0x5000;
+        (ctx, slots))
+  in
+  List.iter
+    (fun (c : Component.t) ->
+      let out = Types.no_prediction ~width in
+      let meta = Bits.zero c.Component.meta_bits in
+      let pred_in = [ Types.no_prediction ~width ] in
+      let events =
+        Array.map (fun (ctx, slots) -> { Component.ctx; meta; slots; culprit = None }) stream
+      in
+      let run () =
+        for i = 0 to Array.length events - 1 do
+          let ev = events.(i) in
+          Array.fill out 0 width Types.empty_opinion;
+          c.Component.predict ev.Component.ctx ~pred_in ~out ~meta;
+          c.Component.update ev
+        done
+      in
+      run ();
+      let w0 = Gc.minor_words () in
+      run ();
+      check (Alcotest.float 0.) (c.Component.name ^ " minor words") 0. (Gc.minor_words () -. w0))
+    [
+      Ittage.make (Ittage.default ~name:"ITTAGE");
+      Ittage.make { (Ittage.default ~name:"ITTAGE_PATH") with use_path_history = true };
+      Gtag.make (Gtag.default ~name:"GTAG");
+    ]
+
 let () =
   Alcotest.run "cobra_components"
     [
@@ -307,6 +355,11 @@ let () =
         [
           Alcotest.test_case "silent on miss" `Quick test_gtag_silent_on_miss;
           Alcotest.test_case "learns" `Quick test_gtag_learns_with_history;
+        ] );
+      ( "tagged",
+        [
+          Alcotest.test_case "ITTAGE and GTAG allocate nothing per packet" `Quick
+            test_tagged_alloc_free;
         ] );
       ( "tourney",
         [ Alcotest.test_case "learns better side" `Quick test_tourney_learns_better_side ] );

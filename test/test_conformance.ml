@@ -185,6 +185,70 @@ let test_sc_repair_roundtrip () =
   if not (Types.equal_prediction [| before |] [| predict_slot0 ~pred_in:incoming inst |])
   then Alcotest.fail "zSC: fire+repair changed the observable state"
 
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
+(* Zero-width tables: a 0-bit index addresses one entry and a 0-bit tag
+   matches any valid entry, in every tagged component, uniform or mixed with
+   wider tables. *)
+let test_zero_width () =
+  let spec h i t = { Cobra_components.Tagged.history_length = h; index_bits = i; tag_bits = t } in
+  let tage tables = Golden.tage { (Cobra_components.Tage.default ~name:"zTAGE0") with tables } in
+  let ittage tables =
+    Golden.ittage { (Cobra_components.Ittage.default ~name:"zITTAGE0") with tables }
+  in
+  let gtag entries tag_bits =
+    Golden.gtag
+      { (Cobra_components.Gtag.default ~name:"zGTAG00") with entries; tag_bits; history_length = 6 }
+  in
+  List.iter
+    (fun packed ->
+      assert_verdict (Crosscheck.lockstep ~length:60 ~seed packed);
+      assert_verdict (Crosscheck.live_slots ~length:30 ~seed packed))
+    [
+      tage [ spec 4 0 0 ];
+      tage [ spec 4 3 0; spec 8 3 0 ];
+      tage [ spec 4 0 5; spec 8 0 5 ];
+      tage [ spec 2 0 0; spec 6 4 3; spec 12 2 0 ];
+      ittage [ spec 2 0 0; spec 6 3 0 ];
+      gtag 1 0;
+      gtag 16 0;
+    ]
+
+(* A component that raises fails its checks at the packet in flight, with
+   the replay line, instead of escaping to the caller of [run_all]. *)
+let test_raising_component () =
+  let (Golden.P p) = Golden.static_always ~name:"zRAISE" ~taken:true ~fetch_width:width in
+  let make_real () =
+    Component.make ~name:"zRAISE" ~family:Component.Static ~latency:1 ~meta_bits:0
+      ~storage:Storage.zero
+      ~predict:(fun _ ~pred_in:_ ~out:_ ~meta:_ -> failwith "zRAISE refuses")
+      ()
+  in
+  let packed = Golden.P { p with make_real } in
+  List.iter
+    (fun (v : Crosscheck.verdict) ->
+      let name = v.Crosscheck.v_check in
+      check Alcotest.bool (name ^ " fails") false v.Crosscheck.v_pass;
+      List.iter
+        (fun needle ->
+          if not (contains v.Crosscheck.v_detail needle) then
+            Alcotest.failf "%s: %S misses %S" name v.Crosscheck.v_detail needle)
+        [
+          "zRAISE refuses";
+          "shape=" ^ Fuzz.shape_name (List.hd Fuzz.all_shapes);
+          "=0/20";
+          Printf.sprintf "seed=%d" seed;
+          Printf.sprintf "cobra conform --seed %d" seed;
+        ])
+    [
+      Crosscheck.lockstep ~length:20 ~seed packed;
+      Crosscheck.live_slots ~length:20 ~seed packed;
+      Crosscheck.compiled_zoo ~length:20 ~seed packed;
+    ]
+
 (* Fuzzer determinism: the stream really is a pure function of the seed. *)
 let test_fuzz_deterministic () =
   let sc = { Fuzz.seed; shape = Fuzz.Mixed; length = 100 } in
@@ -202,10 +266,6 @@ let test_fuzz_deterministic () =
 
 (* Shape lookup is the CLI's parsing surface: case-insensitive, trimmed,
    and unknown names are answered with the full valid list. *)
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
 
 let test_shape_of_name () =
   List.iter
@@ -282,6 +342,7 @@ let () =
         Alcotest.test_case "zITTAGE repair round-trip" `Quick test_ittage_repair_roundtrip;
         Alcotest.test_case "zSC inverts" `Quick test_sc_inverts;
         Alcotest.test_case "zSC repair round-trip" `Quick test_sc_repair_roundtrip;
+        Alcotest.test_case "zero-width tagged tables" `Quick test_zero_width;
       ]
   in
   Alcotest.run "conformance"
@@ -300,5 +361,7 @@ let () =
             test_shape_of_name;
           Alcotest.test_case "probe shapes drive the whole kit" `Quick
             test_run_all_probe_shapes;
+          Alcotest.test_case "a raising component fails its checks" `Quick
+            test_raising_component;
         ] );
     ]

@@ -231,6 +231,66 @@ let test_env_int_var () =
   Alcotest.(check int) "unset means default" 7
     (Env.int_var "COBRA_TEST_KNOB_UNSET" ~default:7)
 
+(* [f] under the given environment, restoring the previous values (an
+   unset variable comes back empty, which every knob reads as unset). *)
+let with_env pairs f =
+  let old = List.map (fun (k, _) -> (k, Option.value (Sys.getenv_opt k) ~default:"")) pairs in
+  List.iter (fun (k, v) -> Unix.putenv k v) pairs;
+  Fun.protect f ~finally:(fun () -> List.iter (fun (k, v) -> Unix.putenv k v) old)
+
+(* COBRA_CACHE took only the exact string "0" as off: "false" and "off"
+   left the cache on. *)
+let test_cache_knob () =
+  List.iter
+    (fun (v, on) ->
+      with_env [ ("COBRA_CACHE", v) ] (fun () ->
+          Alcotest.(check bool) (Printf.sprintf "COBRA_CACHE=%S" v) on
+            (Cobra_runner.Cache.enabled ())))
+    [
+      ("0", false); ("false", false); ("OFF", false); ("no", false); ("1", true);
+      (" true ", true); ("yes", true); ("on", true); ("", true);
+    ];
+  with_env [ ("COBRA_CACHE", "nope") ] (fun () ->
+      expect_failure ~substring:"COBRA_CACHE" Cobra_runner.Cache.enabled;
+      expect_failure ~substring:"nope" Cobra_runner.Cache.enabled)
+
+(* COBRA_STATS took any unrecognised value, a typo included, as on. *)
+let test_stats_knob () =
+  with_env [ ("COBRA_STATS", "ture") ] (fun () ->
+      expect_failure ~substring:"COBRA_STATS" Cobra_stats.Env.enabled);
+  with_env [ ("COBRA_STATS", "off") ] (fun () ->
+      Alcotest.(check bool) "COBRA_STATS=off" false (Cobra_stats.Env.enabled ()))
+
+(* COBRA_PROGRESS ignored "true" and "false" (falling back to tty
+   detection). The live line is the one thing it controls: [finish] prints
+   it to stderr only when live. *)
+let test_progress_knob () =
+  let stderr_of f =
+    let path = Filename.temp_file "cobra_progress" ".err" in
+    let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+    let saved = Unix.dup Unix.stderr in
+    Unix.dup2 fd Unix.stderr;
+    Fun.protect f ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved;
+        Unix.close fd);
+    let out = In_channel.with_open_text path In_channel.input_all in
+    Sys.remove path;
+    out
+  in
+  let live v =
+    with_env [ ("COBRA_PROGRESS", v) ] (fun () ->
+        stderr_of (fun () ->
+            Cobra_runner.Progress.finish (Cobra_runner.Progress.create ~total:0 ()))
+        <> "")
+  in
+  Alcotest.(check bool) "COBRA_PROGRESS=true" true (live "true");
+  Alcotest.(check bool) "COBRA_PROGRESS=false" false (live "false");
+  with_env [ ("COBRA_PROGRESS", "maybe") ] (fun () ->
+      expect_failure ~substring:"COBRA_PROGRESS" (fun () ->
+          Cobra_runner.Progress.create ~total:0 ()))
+
 let test_default_insns_raises () =
   Unix.putenv "COBRA_INSNS" "1e6";
   expect_failure ~substring:"COBRA_INSNS" (fun () ->
@@ -291,6 +351,9 @@ let () =
       ( "bugfix_regressions",
         [
           Alcotest.test_case "env int knobs raise" `Quick test_env_int_var;
+          Alcotest.test_case "COBRA_CACHE spellings" `Quick test_cache_knob;
+          Alcotest.test_case "COBRA_STATS refuses a typo" `Quick test_stats_knob;
+          Alcotest.test_case "COBRA_PROGRESS true and false" `Quick test_progress_knob;
           Alcotest.test_case "default_insns raises" `Quick test_default_insns_raises;
           Alcotest.test_case "harmonic row ragged cell" `Quick test_harmonic_row;
           Alcotest.test_case "replay twin over arrays" `Quick test_replay_twin_arrays;
