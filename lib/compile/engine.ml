@@ -10,7 +10,7 @@ type t = {
   correction : bool;
   path_bits : int;
   ghist : Bits.t;  (** history buffers, shifted in place after each step's events *)
-  phist : Bits.t;  (** provider-width [max 1 path_bits] register *)
+  phist : Bits.t;  (** the pipeline's [max 1 path_bits]-wide path register *)
   lhist : Lhist_provider.t;
   ctx : Context.t;  (** the one context, {!Context.reset} per step *)
   mutable next_token : int;
@@ -23,8 +23,8 @@ type t = {
 }
 
 let create (cfg : Pipeline.config) topo =
+  Pipeline.check_config cfg;
   let composer = Composer.create ~fetch_width:cfg.Pipeline.fetch_width topo in
-  if cfg.Pipeline.ghist_bits < 1 then invalid_arg "Engine.create: ghist_bits < 1";
   let width = cfg.Pipeline.fetch_width in
   let lhist =
     Lhist_provider.create ~entries:cfg.Pipeline.lhist_entries
@@ -73,7 +73,7 @@ let last_taken_pred t = t.last_taken_pred
 let metas t = Composer.metas t.composer
 
 (* Fold a taken branch's target into the path history — the closed form of
-   [Pipeline.path_bits_of_target] followed by the provider's oldest-first
+   [Pipeline.path_bits_of_target] followed by the pipeline's oldest-first
    shift-in of the expanded bit list (lowest folded bit first). *)
 let push_path t target =
   let folded =

@@ -10,9 +10,9 @@
     committed before the next), which lets the whole sequence collapse into
     closed-form history updates:
 
-    - the pipeline is quiesced between branches, so the speculative global
-      and path histories always equal their bases — plain bit vectors
-      replace the pending-packet providers;
+    - the pipeline is quiesced between branches, so no pending packet
+      shifts the global and path history registers: the speculative
+      histories are the registers themselves;
     - the speculative local-history push and its predecode unwind cancel,
       leaving one net push per conditional branch;
     - the history file holds at most one entry, so the ring buffer reduces
@@ -33,9 +33,9 @@
 type t
 
 val create : Cobra.Pipeline.config -> Cobra.Topology.t -> t
-(** Build an engine. Validates like [Pipeline.create] and raises
-    [Invalid_argument] on the same inputs: [fetch_width < 1], an invalid
-    topology, [ghist_bits < 1]. *)
+(** Build an engine. Validates like [Pipeline.create], with the same
+    messages: [Invalid_argument] when the configuration fails
+    [Pipeline.check_config] or the topology is invalid. *)
 
 val step : t -> pc:int -> kind:Cobra.Types.branch_kind -> taken:bool -> target:int -> bool
 (** Predict one branch, resolve it against the actual outcome, train, and

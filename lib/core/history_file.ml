@@ -3,9 +3,12 @@ module Cb = Cobra_util.Circular_buffer
 type slot_state = { predicted : Types.resolved; mutable actual : Types.resolved option }
 
 type entry = {
+  e_token : int;
   e_ctx : Context.t;
   e_metas : Cobra_util.Bits.t array;
-  e_slots : slot_state array;
+  e_stages : Types.prediction array;
+  e_raw : Types.prediction array option;
+  mutable e_slots : slot_state array;
   mutable e_packet_len : int;
   mutable e_dir_bits : bool list;
   mutable e_path_bits : bool list;

@@ -1,10 +1,13 @@
 (** Generated history file (paper Section IV-B1).
 
-    A circular buffer tracking every fetch packet in flight between predict
-    and commit. Each entry snapshots the predict-time context (global and
-    local histories), the metadata bitvector of every sub-component, and the
-    per-slot predicted outcomes; the backend fills in resolved outcomes, and
-    entries are dequeued in program order to drive commit-time updates. *)
+    Every fetch packet in flight between predict and commit is one {!entry}.
+    [Pipeline.predict] creates it with the predict-time context (global,
+    path and local histories), the metadata bitvector of every
+    sub-component, the stage composites and the packet's speculative
+    history contributions. The pipeline holds it on its pending list until
+    the packet fires; [fire] fills in the per-slot predicted outcomes and
+    enqueues it here; the backend fills in resolved outcomes, and entries
+    are dequeued in program order to drive commit-time updates. *)
 
 type slot_state = {
   predicted : Types.resolved;
@@ -12,16 +15,22 @@ type slot_state = {
 }
 
 type entry = {
+  e_token : int;  (** the pipeline's handle while the packet is pending *)
   e_ctx : Context.t;
   e_metas : Cobra_util.Bits.t array;  (** indexed by component id *)
-  e_slots : slot_state array;
+  e_stages : Types.prediction array;  (** [e_stages.(d-1)] is the Fetch-[d] composite *)
+  e_raw : Types.prediction array option;
+      (** per-component raw predictions, indexed by component id; recorded
+          only while an observer is attached at predict time *)
+  mutable e_slots : slot_state array;  (** empty until the packet fires *)
   mutable e_packet_len : int;
-      (** slots actually fetched; shrunk when a mispredict cuts the packet *)
-  mutable e_dir_bits : bool list;  (** global-history bits this packet contributed *)
-  mutable e_path_bits : bool list;  (** path-history bits this packet contributed *)
+      (** slots actually fetched, set at fire; shrunk when a mispredict cuts
+          the packet *)
+  mutable e_dir_bits : bool list;  (** global-history bits this packet contributes *)
+  mutable e_path_bits : bool list;  (** path-history bits this packet contributes *)
   mutable e_lhist_pushes : (int * Cobra_util.Bits.t) list;
       (** (pc, prior value) for every local-history push this packet made, in
-          push order — consumed by the mispredict forwards-walk repair *)
+          push order — undone by squashes and the mispredict repair *)
 }
 
 type t

@@ -1,12 +1,10 @@
 module Bits = Cobra_util.Bits
 module Hashing = Cobra_util.Hashing
 
-let is_power_of_two n = n > 0 && n land (n - 1) = 0
-
 type t = { index_bits : int; hist_bits : int; table : Bits.t array }
 
 let create ~entries ~bits =
-  if not (is_power_of_two entries) then
+  if not (Cobra_util.Bitops.is_power_of_two entries) then
     invalid_arg "Lhist_provider.create: entries must be a power of two";
   if bits < 1 then invalid_arg "Lhist_provider.create: bits < 1";
   let index_bits =

@@ -26,38 +26,33 @@ let config_spec c =
     c.ghist_bits c.lhist_bits c.lhist_entries c.history_entries c.path_bits
     c.predecode_history_correction
 
-type token = int
+let check_config c =
+  let refuse field value rule =
+    invalid_arg (Printf.sprintf "Pipeline.config: %s = %d, must be %s" field value rule)
+  in
+  if c.fetch_width < 1 then refuse "fetch_width" c.fetch_width ">= 1";
+  if c.ghist_bits < 1 then refuse "ghist_bits" c.ghist_bits ">= 1";
+  if c.lhist_bits < 1 then refuse "lhist_bits" c.lhist_bits ">= 1";
+  if not (Cobra_util.Bitops.is_power_of_two c.lhist_entries) then
+    refuse "lhist_entries" c.lhist_entries "a power of two";
+  if c.history_entries < 1 then refuse "history_entries" c.history_entries ">= 1";
+  if c.path_bits < 0 then refuse "path_bits" c.path_bits ">= 0"
 
-type pending = {
-  p_token : token;
-  p_pc : int;
-  p_ctx : Context.t;
-  p_metas : Bits.t array;
-  p_raw : Types.prediction array option;
-      (* per-component raw predictions, recorded only while an observer is
-         attached (attribution needs to know who said what, not just the
-         merged composite) *)
-  p_stages : Types.prediction array;
-  mutable p_dir_bits : bool list;
-  mutable p_path_bits : bool list;
-  mutable p_lhist_pushes : (int * Bits.t) list; (* (pc, prior), push order *)
-}
+type token = int
 
 (** Out-of-band notifications for an attached statistics collector. The
     pipeline stays oblivious to what the observer does with them; with no
     observer attached the only cost is a [None] check per entry point. *)
 type observation =
   | Predicted of { token : token; pc : int; max_len : int }
-  | Fired of {
+  | Fired of { seq : int; entry : History_file.entry }
+  | Resolved of { seq : int; slot : int; actual : Types.resolved; entry : History_file.entry }
+  | Mispredicted of {
       seq : int;
-      pc : int;
-      packet_len : int;
-      final : Types.prediction;  (* last-stage composite *)
-      raw : Types.prediction array option;  (* indexed by component id *)
-      slots : Types.resolved array;  (* predicted outcomes *)
+      slot : int;
+      actual : Types.resolved;
+      entry : History_file.entry;
     }
-  | Resolved of { seq : int; slot : int; actual : Types.resolved }
-  | Mispredicted of { seq : int; slot : int; actual : Types.resolved }
   | Repaired of { seq : int }
   | Committed of { seq : int; packet_len : int; slots : Types.resolved array }
   | Squashed of { packets : int }
@@ -68,16 +63,17 @@ type t = {
   composer : Composer.t;
   comps : Component.t array;
   depth : int;
-  ghist : Ghist_provider.t;
-  path : Ghist_provider.t;  (* the path history reuses the shift-register provider *)
+  mutable ghist : Bits.t;  (* global history through the last fired packet *)
+  mutable phist : Bits.t;  (* path history likewise, [max 1 path_bits] wide *)
   lhist : Lhist_provider.t;
   hf : History_file.t;
-  mutable pending : pending list; (* oldest first *)
+  mutable pending : History_file.entry list; (* predicted, not yet fired; oldest first *)
   mutable next_token : token;
   mutable observer : (observation -> unit) option;
 }
 
 let create cfg topo =
+  check_config cfg;
   let composer = Composer.create ~fetch_width:cfg.fetch_width topo in
   let comps = Composer.components composer in
   let meta_bits = Array.map (fun (c : Component.t) -> c.meta_bits) comps in
@@ -87,8 +83,8 @@ let create cfg topo =
     composer;
     comps;
     depth = Composer.depth composer;
-    ghist = Ghist_provider.create ~bits:cfg.ghist_bits;
-    path = Ghist_provider.create ~bits:(max 1 cfg.path_bits);
+    ghist = Bits.zero cfg.ghist_bits;
+    phist = Bits.zero (max 1 cfg.path_bits);
     lhist = Lhist_provider.create ~entries:cfg.lhist_entries ~bits:cfg.lhist_bits;
     hf =
       History_file.create ~capacity:cfg.history_entries ~meta_bits ~fetch_width:cfg.fetch_width
@@ -116,8 +112,8 @@ let management_storage t =
   Storage.sum
     [
       History_file.storage t.hf;
-      Ghist_provider.storage t.ghist;
-      (if t.cfg.path_bits > 0 then Ghist_provider.storage t.path else Storage.zero);
+      (* the global and path history registers *)
+      Storage.make ~flop_bits:(t.cfg.ghist_bits + t.cfg.path_bits) ();
       Lhist_provider.storage t.lhist;
       Storage.make ~logic_gates:(redirect_logic_gates t) ();
     ]
@@ -128,6 +124,14 @@ let storage t =
     (management_storage t)
 
 (* --- frontend side ------------------------------------------------------ *)
+
+(* The speculative value of a history register: its value through the last
+   fired packet, shifted by each pending packet's own bits, oldest first. *)
+let rec shift_pending reg ~path = function
+  | [] -> reg
+  | (e : History_file.entry) :: rest ->
+    let bits = if path then e.e_path_bits else e.e_dir_bits in
+    shift_pending (List.fold_left Bits.shift_in_lsb reg bits) ~path rest
 
 (* Slots past [live] can never be used this packet; a shared zero vector
    saves the provider reads without changing what any component can see. *)
@@ -209,9 +213,11 @@ let predict t ~pc ~max_len =
     invalid_arg "Pipeline.predict: max_len out of range";
   let ctx =
     Context.make ~pc ~fetch_width:t.cfg.fetch_width ~live_slots:max_len
-      ~ghist:(Ghist_provider.value t.ghist)
+      ~ghist:(shift_pending t.ghist ~path:false t.pending)
       ~lhists:(read_lhists t ~pc ~live:max_len)
-      ~phist:(if t.cfg.path_bits = 0 then Bits.zero 0 else Ghist_provider.value t.path)
+      ~phist:
+        (if t.cfg.path_bits = 0 then Bits.zero 0
+         else shift_pending t.phist ~path:true t.pending)
       ()
   in
   (* The composer's buffers are overwritten by the next predict: the packet
@@ -223,74 +229,59 @@ let predict t ~pc ~max_len =
     if observed t then Some (Array.map Array.copy (Composer.opinions t.composer)) else None
   in
   let stage1 = stages.(0) in
-  let nf = Types.next_fetch stage1 ~pc ~max_len in
-  let dir_bits = Types.direction_bits stage1 ~packet_len:nf.Types.packet_len in
-  Ghist_provider.push_pending t.ghist dir_bits;
-  let path_bits = path_bits_of_prediction t stage1 ~packet_len:nf.Types.packet_len in
-  if t.cfg.path_bits > 0 then Ghist_provider.push_pending t.path path_bits;
-  let lhist_pushes = push_lhists t ~pc ~packet_len:nf.Types.packet_len stage1 in
+  let packet_len = (Types.next_fetch stage1 ~pc ~max_len).Types.packet_len in
   let token = t.next_token in
   t.next_token <- token + 1;
-  let p =
+  let e : History_file.entry =
     {
-      p_token = token;
-      p_pc = pc;
-      p_ctx = ctx;
-      p_metas = metas;
-      p_raw = raw;
-      p_stages = stages;
-      p_dir_bits = dir_bits;
-      p_path_bits = path_bits;
-      p_lhist_pushes = lhist_pushes;
+      e_token = token;
+      e_ctx = ctx;
+      e_metas = metas;
+      e_stages = stages;
+      e_raw = raw;
+      e_slots = [||];
+      e_packet_len = 0;
+      e_dir_bits = Types.direction_bits stage1 ~packet_len;
+      e_path_bits = path_bits_of_prediction t stage1 ~packet_len;
+      e_lhist_pushes = push_lhists t ~pc ~packet_len stage1;
     }
   in
-  t.pending <- t.pending @ [ p ];
+  t.pending <- t.pending @ [ e ];
   observe t (Predicted { token; pc; max_len });
   token
 
 (* Threaded-argument recursion: [List.find_opt] with a capturing predicate
    would allocate a closure per lookup, and the host calls this several
    times per packet per cycle. *)
-let rec find_pending_in pending token =
+let rec find_pending_in (pending : History_file.entry list) token =
   match pending with
   | [] -> invalid_arg (Printf.sprintf "Pipeline: token %d is not pending" token)
-  | p :: rest -> if p.p_token = token then p else find_pending_in rest token
+  | e :: rest -> if e.e_token = token then e else find_pending_in rest token
 
 let find_pending t token = find_pending_in t.pending token
 
-let pending_depth t token =
-  let rec loop i = function
-    | [] -> invalid_arg (Printf.sprintf "Pipeline: token %d is not pending" token)
-    | p :: _ when p.p_token = token -> i
-    | _ :: rest -> loop (i + 1) rest
-  in
-  loop 0 t.pending
-
-let stages t token = (find_pending t token).p_stages
-let context t token = (find_pending t token).p_ctx
-let applied_dir_bits t token = (find_pending t token).p_dir_bits
-
-let revise_dir_bits t token bits =
-  let p = find_pending t token in
-  let depth = pending_depth t token in
-  Ghist_provider.replace_pending t.ghist ~depth bits;
-  p.p_dir_bits <- bits
-
-let pending_tokens t = List.map (fun p -> p.p_token) t.pending
+let stages t token = (find_pending t token).e_stages
+let context t token = (find_pending t token).e_ctx
+let applied_dir_bits t token = (find_pending t token).e_dir_bits
+let revise_dir_bits t token bits = (find_pending t token).e_dir_bits <- bits
+let pending_tokens t = List.map (fun (e : History_file.entry) -> e.e_token) t.pending
 
 let squash_from t token =
-  let depth = pending_depth t token in
-  let keep, squashed = (List.filteri (fun i _ -> i < depth) t.pending,
-                        List.filteri (fun i _ -> i >= depth) t.pending) in
+  let rec split keep = function
+    | [] -> invalid_arg (Printf.sprintf "Pipeline: token %d is not pending" token)
+    | (e : History_file.entry) :: rest when e.e_token <> token -> split (e :: keep) rest
+    | squashed -> (List.rev keep, squashed)
+  in
+  let keep, squashed = split [] t.pending in
   (* Unwind speculative local-history pushes youngest-first. *)
-  List.iter (fun p -> unwind_lhist_pushes t p.p_lhist_pushes) (List.rev squashed);
-  Ghist_provider.drop_pending_from t.ghist depth;
-  if t.cfg.path_bits > 0 then Ghist_provider.drop_pending_from t.path depth;
+  List.iter
+    (fun (e : History_file.entry) -> unwind_lhist_pushes t e.e_lhist_pushes)
+    (List.rev squashed);
   t.pending <- keep;
-  if squashed <> [] then observe t (Squashed { packets = List.length squashed })
+  observe t (Squashed { packets = List.length squashed })
 
 let squash_all_pending t =
-  match t.pending with [] -> () | p :: _ -> squash_from t p.p_token
+  match t.pending with [] -> () | e :: _ -> squash_from t e.e_token
 
 let can_fire t = not (History_file.is_full t.hf)
 
@@ -348,67 +339,36 @@ let dir_bits_of_slots slots ~packet_len =
   dir_bits_of_slots_loop slots (min packet_len (Array.length slots)) 0 []
 
 let fire t token ~slots ~packet_len =
-  (match t.pending with
-  | p :: _ when p.p_token = token -> ()
-  | _ -> invalid_arg "Pipeline.fire: token must be the oldest pending packet");
+  let e =
+    match t.pending with
+    | e :: _ when e.History_file.e_token = token -> e
+    | _ -> invalid_arg "Pipeline.fire: token must be the oldest pending packet"
+  in
   if Array.length slots <> t.cfg.fetch_width then
     invalid_arg "Pipeline.fire: slots array must have fetch_width entries";
   if packet_len < 1 || packet_len > t.cfg.fetch_width then
     invalid_arg "Pipeline.fire: packet_len out of range";
-  let p = List.hd t.pending in
   (* Predecode correction: the host now knows the true branch positions, so
-     the speculative history bits are recomputed from them (unless the
-     configuration models a design without this correction). *)
-  let final_bits = dir_bits_of_slots slots ~packet_len in
-  if t.cfg.predecode_history_correction && final_bits <> p.p_dir_bits then begin
-    Ghist_provider.replace_pending t.ghist ~depth:0 final_bits;
-    p.p_dir_bits <- final_bits
-  end;
-  (* The local-history provider gets the same predecode correction: branch
-     positions come from decode, directions from the acted prediction. *)
+     the packet's speculative history bits — global, path and local — are
+     recomputed from them, with directions from the acted prediction
+     (unless the configuration models a design without this correction). *)
   if t.cfg.predecode_history_correction then begin
-    unwind_lhist_pushes t p.p_lhist_pushes;
-    p.p_lhist_pushes <- []
+    e.e_dir_bits <- dir_bits_of_slots slots ~packet_len;
+    e.e_path_bits <- path_bits_of_slots t slots ~packet_len;
+    unwind_lhist_pushes t e.e_lhist_pushes;
+    e.e_lhist_pushes <- push_lhists_of_slots t e.e_ctx slots ~packet_len
   end;
-  if t.cfg.path_bits > 0 then begin
-    let final_path = path_bits_of_slots t slots ~packet_len in
-    if t.cfg.predecode_history_correction && final_path <> p.p_path_bits then begin
-      Ghist_provider.replace_pending t.path ~depth:0 final_path;
-      p.p_path_bits <- final_path
-    end;
-    Ghist_provider.commit_oldest t.path
-  end;
-  Ghist_provider.commit_oldest t.ghist;
+  t.ghist <- List.fold_left Bits.shift_in_lsb t.ghist e.e_dir_bits;
+  t.phist <- List.fold_left Bits.shift_in_lsb t.phist e.e_path_bits;
   t.pending <- List.tl t.pending;
-  let entry : History_file.entry =
-    {
-      e_ctx = p.p_ctx;
-      e_metas = p.p_metas;
-      e_slots =
-        Array.map (fun r -> { History_file.predicted = r; actual = None }) slots;
-      e_packet_len = packet_len;
-      e_dir_bits = final_bits;
-      e_path_bits = p.p_path_bits;
-      e_lhist_pushes = p.p_lhist_pushes;
-    }
-  in
-  if t.cfg.predecode_history_correction then
-    entry.e_lhist_pushes <- push_lhists_of_slots t entry.e_ctx slots ~packet_len;
-  let seq = History_file.enqueue t.hf entry in
-  let pslots = predicted_slots entry in
+  e.e_slots <- Array.map (fun r -> { History_file.predicted = r; actual = None }) slots;
+  e.e_packet_len <- packet_len;
+  let seq = History_file.enqueue t.hf e in
+  let pslots = predicted_slots e in
   Array.iteri
-    (fun id (c : Component.t) -> c.fire (event_of_entry entry ~id ~slots:pslots ~culprit:None))
+    (fun id (c : Component.t) -> c.fire (event_of_entry e ~id ~slots:pslots ~culprit:None))
     t.comps;
-  observe t
-    (Fired
-       {
-         seq;
-         pc = p.p_pc;
-         packet_len;
-         final = p.p_stages.(t.depth - 1);
-         raw = p.p_raw;
-         slots = pslots;
-       });
+  observe t (Fired { seq; entry = e });
   seq
 
 (* --- backend side ------------------------------------------------------- *)
@@ -420,7 +380,7 @@ let resolve t ~seq ~slot resolved =
   check_slot t ~slot;
   let entry = History_file.get t.hf seq in
   entry.e_slots.(slot).actual <- Some resolved;
-  observe t (Resolved { seq; slot; actual = resolved })
+  observe t (Resolved { seq; slot; actual = resolved; entry })
 
 (* Re-apply corrected local-history state for the mispredicted entry: undo
    its speculative pushes, then push the (now partly resolved) directions of
@@ -458,7 +418,7 @@ let mispredict t ~seq ~slot resolved =
     (fun id (c : Component.t) ->
       c.mispredict (event_of_entry entry ~id ~slots:resolved_view ~culprit:(Some slot)))
     t.comps;
-  observe t (Mispredicted { seq; slot; actual = resolved });
+  observe t (Mispredicted { seq; slot; actual = resolved; entry });
   squash_all_pending t;
   List.iter
     (fun ((_, e) : int * History_file.entry) -> unwind_lhist_pushes t e.e_lhist_pushes)
@@ -471,13 +431,11 @@ let mispredict t ~seq ~slot resolved =
   entry.e_path_bits <-
     path_bits_of_slots t (effective_slots entry) ~packet_len:entry.e_packet_len;
   repush_lhists t entry;
-  (* Restore the speculative global and path histories from the entry's
+  (* Restore the global and path history registers from the entry's
      snapshots plus its corrected bits. *)
-  let restored = List.fold_left Bits.shift_in_lsb entry.e_ctx.Context.ghist entry.e_dir_bits in
-  Ghist_provider.restore t.ghist restored;
+  t.ghist <- List.fold_left Bits.shift_in_lsb entry.e_ctx.Context.ghist entry.e_dir_bits;
   if t.cfg.path_bits > 0 then
-    Ghist_provider.restore t.path
-      (List.fold_left Bits.shift_in_lsb entry.e_ctx.Context.phist entry.e_path_bits)
+    t.phist <- List.fold_left Bits.shift_in_lsb entry.e_ctx.Context.phist entry.e_path_bits
 
 let commit t =
   match History_file.dequeue t.hf with
@@ -493,8 +451,8 @@ let commit t =
 let inflight t = History_file.length t.hf
 let oldest_seq t = Option.map fst (History_file.oldest t.hf)
 
-let ghist_value t = Ghist_provider.value t.ghist
-let phist_value t = Ghist_provider.value t.path
+let ghist_value t = shift_pending t.ghist ~path:false t.pending
+let phist_value t = shift_pending t.phist ~path:true t.pending
 let lhist_value t ~pc = Lhist_provider.read t.lhist ~pc
 let entry t seq = History_file.get t.hf seq
 
@@ -512,8 +470,8 @@ let entry t seq = History_file.get t.hf seq
 
    The pipeline is only snapshotted quiesced (no pending packets, empty
    history file): that is the natural state between replay windows, and
-   it means the speculative value of each history provider equals its
-   base, so the base limbs capture everything. *)
+   it means no pending packet shifts the global and path registers, so
+   their limbs capture everything. *)
 
 module Slab = Cobra_util.Slab
 
@@ -588,24 +546,23 @@ let snapshot t =
       (Printf.sprintf
          "Pipeline.snapshot: pipeline not quiesced (%d pending packets, %d in-flight entries)"
          (List.length t.pending) (History_file.length t.hf));
-  write_slab t.cfg t.comps ~next_token:t.next_token ~ghist:(Ghist_provider.base t.ghist)
-    ~path:(Ghist_provider.base t.path) t.lhist
+  write_slab t.cfg t.comps ~next_token:t.next_token ~ghist:t.ghist ~path:t.phist t.lhist
 
 let restore t slab =
   if History_file.length t.hf <> 0 then
     invalid_arg "Pipeline.restore: history file not empty";
   (* Into fresh vectors: history values handed out earlier (contexts,
      [lhist_value]) keep theirs. *)
-  let ghist = Bits.zero (Ghist_provider.width t.ghist) in
-  let path = Bits.zero (Ghist_provider.width t.path) in
+  let ghist = Bits.zero (Bits.width t.ghist) in
+  let path = Bits.zero (Bits.width t.phist) in
   let lhist =
     Lhist_provider.create ~entries:(Lhist_provider.entries t.lhist)
       ~bits:(Lhist_provider.bits t.lhist)
   in
   t.next_token <- read_slab ~engine:"pipeline" t.cfg t.comps slab ~ghist ~path lhist;
   t.pending <- [];
-  Ghist_provider.restore t.ghist ghist;
-  Ghist_provider.restore t.path path;
+  t.ghist <- ghist;
+  t.phist <- path;
   for i = 0 to Lhist_provider.entries lhist - 1 do
     Lhist_provider.set_nth t.lhist i (Lhist_provider.nth lhist i)
   done

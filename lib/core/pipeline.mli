@@ -3,10 +3,18 @@
     [create config topology] elaborates a complete predictor pipeline from a
     topological model: it builds the topology's {!Composer} (which
     validates it), instantiates the generated management structures
-    (history file, global and local history providers, the update/repair
-    state machine) and wires every sub-component's
+    (history file, global and path history registers, local-history table,
+    the update/repair state machine) and wires every sub-component's
     predict/fire/mispredict/repair/update events, including the metadata
     round-trip through the history file.
+
+    Each in-flight fetch packet is one {!History_file.entry}, from predict
+    to commit: {!predict} creates it, the pending list holds it until
+    {!fire} fills in its slots and moves it into the history file, and
+    {!commit} retires it. The global and path registers hold the history
+    through the last fired packet; the speculative value a new packet's
+    context gets is those registers shifted by the pending packets' own
+    bits, so revising or squashing a pending packet edits only that packet.
 
     The resulting pipeline is a drop-in prediction unit for a host core's
     frontend. The protocol mirrors hardware operation:
@@ -14,9 +22,8 @@
     {ol
     {- {!predict} — a fetch packet enters at Fetch-0; all per-stage composite
        predictions are computed (each sub-component's tables are read once,
-       with predict-time state), the speculative global/local histories are
-       updated with the Fetch-1 composite's direction bits, and a [token] for
-       the in-flight packet is returned;}
+       with predict-time state), the packet's record takes the Fetch-1
+       composite's history bits, and a [token] for it is returned;}
     {- while the packet traverses the frontend, the host compares successive
        stage composites; when a later stage revises the packet's direction
        bits it calls {!revise_dir_bits} (divergence repair of the speculative
@@ -37,8 +44,8 @@ type config = {
   lhist_entries : int;  (** local history table entries (power of two) *)
   history_entries : int;  (** history file capacity (in-flight packets) *)
   path_bits : int;
-      (** path-history register width (0 disables the provider); each taken
-          branch shifts in {!path_bits_per_branch} folded target bits *)
+      (** path-history register width (0 disables it); each taken branch
+          shifts in {!path_bits_per_branch} folded target bits *)
   predecode_history_correction : bool;
       (** recompute a packet's speculative history bits from the decoded
           branch positions when it fires (default). Disabling leaves the
@@ -54,14 +61,20 @@ val default_config : config
 (** 4-wide fetch, 64-bit global history, 256 x 32-bit local histories,
     32-entry history file. *)
 
+val check_config : config -> unit
+(** The one configuration check both engines run. Raises
+    [Invalid_argument], naming the field and its value, when [fetch_width],
+    [ghist_bits], [lhist_bits] or [history_entries] is below 1, [path_bits]
+    is negative, or [lhist_entries] is not a power of two. *)
+
 type t
 
 type token
 (** Handle for a predicted-but-not-yet-fired fetch packet. *)
 
 val create : config -> Topology.t -> t
-(** Raises [Invalid_argument] when the topology fails {!Topology.validate}
-    or the configuration is inconsistent. *)
+(** Raises [Invalid_argument] when the configuration fails {!check_config}
+    or the topology fails {!Topology.validate}. *)
 
 val config : t -> config
 val topology : t -> Topology.t
@@ -72,8 +85,8 @@ val storage : t -> Storage.t
 (** Sub-components plus management structures. *)
 
 val management_storage : t -> Storage.t
-(** History file + history providers + generated redirect logic — the "Meta"
-    slice of Fig 8. *)
+(** History file + history registers + local-history table + generated
+    redirect logic — the "Meta" slice of Fig 8. *)
 
 (** {1 Frontend side} *)
 
@@ -91,10 +104,11 @@ val applied_dir_bits : t -> token -> bool list
     global history. *)
 
 val revise_dir_bits : t -> token -> bool list -> unit
-(** Divergence repair: a later stage disagrees with the bits pushed at
-    Fetch-1; rebuild the speculative history. In-flight younger packets keep
-    the predictions they already formed — whether they are replayed is the
-    host frontend's policy (the paper's Section VI-B experiment). *)
+(** Divergence repair: a later stage disagrees with the bits recorded at
+    Fetch-1; replace them, which rebuilds the speculative history every
+    younger context sees. In-flight younger packets keep the predictions
+    they already formed — whether they are replayed is the host frontend's
+    policy (the paper's Section VI-B experiment). *)
 
 val pending_tokens : t -> token list
 (** Oldest first. *)
@@ -109,7 +123,8 @@ val can_fire : t -> bool
 (** False when the history file is full (fetch must backpressure). *)
 
 val fire : t -> token -> slots:Types.resolved array -> packet_len:int -> int
-(** Commit the packet into the history file and deliver [fire] events.
+(** Move the packet into the history file, shift its bits into the history
+    registers and deliver [fire] events.
     [slots] carries the {e predicted} outcome per slot, with [r_is_branch]
     corrected by predecode (the host knows the real instruction kinds by the
     end of the fetch pipeline). [token] must be the oldest pending packet.
@@ -148,22 +163,22 @@ val oldest_seq : t -> int option
 
 type observation =
   | Predicted of { token : token; pc : int; max_len : int }
-  | Fired of {
+  | Fired of { seq : int; entry : History_file.entry }
+  | Resolved of { seq : int; slot : int; actual : Types.resolved; entry : History_file.entry }
+  | Mispredicted of {
       seq : int;
-      pc : int;
-      packet_len : int;
-      final : Types.prediction;  (** last-stage composite *)
-      raw : Types.prediction array option;
-          (** per-component raw predictions, indexed by position in
-              {!components}; [None] when no observer was attached at predict
-              time *)
-      slots : Types.resolved array;  (** predicted outcomes *)
+      slot : int;
+      actual : Types.resolved;
+      entry : History_file.entry;
     }
-  | Resolved of { seq : int; slot : int; actual : Types.resolved }
-  | Mispredicted of { seq : int; slot : int; actual : Types.resolved }
   | Repaired of { seq : int }
   | Committed of { seq : int; packet_len : int; slots : Types.resolved array }
   | Squashed of { packets : int }
+(** [entry] is the packet's own record — PC and histories in [e_ctx], the
+    stage composites, the per-component raw predictions ([e_raw], [None]
+    when no observer was attached at predict time) and the predicted slot
+    outcomes. It is the pipeline's live state: read it during the
+    notification, never mutate it. *)
 
 val set_observer : t -> (observation -> unit) option -> unit
 (** Attach (or detach, with [None]) the observer. At most one at a time. *)
@@ -175,8 +190,9 @@ val observed : t -> bool
 
     A quiesced pipeline (no pending packets, empty history file — the
     natural state between replay windows) checkpoints into one flat
-    {!Cobra_util.Slab.t}: next token, history-provider base values, the
-    local-history table, then every component's state slab back to back.
+    {!Cobra_util.Slab.t}: next token, the global and path history
+    registers, the local-history table, then every component's state slab
+    back to back.
     [snapshot]/[restore] cost one memcpy per region — O(state size),
     independent of how long the simulation ran. *)
 

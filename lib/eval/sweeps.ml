@@ -6,98 +6,34 @@ module Config = Cobra_uarch.Config
 
 let default_insns () = Experiment.default_insns ()
 
-(* --- runner plumbing --------------------------------------------------------- *)
+(* --- sweep rows ---------------------------------------------------------------- *)
 
-(* One grid cell of a sweep. [make_topo] elaborates fresh components so that
-   parallel jobs share no mutable state and a retried job restarts clean.
-   [row] must be unique within the sweep's (row, workload) grid: it keys the
-   result cache alongside the topology spec, covering knobs the spec cannot
-   see (e.g. indexing sources with identical table sizes). *)
-type jobdef = {
-  row : string;
-  config : Config.t;
-  pipeline_config : Pipeline.config;
-  make_topo : unit -> Topology.t;
-  workload : Cobra_workloads.Suite.entry;
-}
-
-let jobdef ?(config = Config.default) ?(pipeline_config = Pipeline.default_config) ~row
-    ~workload make_topo =
-  { row; config; pipeline_config; make_topo; workload }
-
-let run_grid ~name ~insns defs =
-  let to_job d =
+(* One grid cell of a sweep: an [Experiment.job] over a design named
+   [<sweep>:<row>]. [make] elaborates fresh components, so parallel jobs
+   share no mutable state and a retried job restarts clean. The name keys
+   the result cache alongside the topology spec, covering knobs the spec
+   cannot see (e.g. indexing sources with identical table sizes), so [row]
+   must be unique within the sweep's (row, workload) grid. *)
+let row_job ~sweep ?insns ?config ?(pipeline_config = Pipeline.default_config) ~row ~workload
+    make =
+  Experiment.job ?insns ?config
     {
-      Cobra_runner.key =
-        [
-          "sweep:" ^ name;
-          "row:" ^ d.row;
-          "topology:" ^ Topology.spec (d.make_topo ());
-          "workload:" ^ d.workload.Cobra_workloads.Suite.name;
-          "config:" ^ Config.spec d.config;
-          "pipeline:" ^ Pipeline.config_spec d.pipeline_config;
-          "insns:" ^ string_of_int insns;
-        ];
-      run =
-        (fun () ->
-          let pl = Pipeline.create d.pipeline_config (d.make_topo ()) in
-          let stream = d.workload.Cobra_workloads.Suite.make () in
-          let core =
-            Cobra_uarch.Core.create ?decode:d.workload.Cobra_workloads.Suite.decode
-              d.config pl stream
-          in
-          if not (Cobra_stats.Env.enabled ()) then
-            Cobra_uarch.Core.run core ~max_insns:insns
-          else begin
-            (* same passive collection as Experiment.run, with the sweep row
-               standing in for the design name *)
-            let coll =
-              Cobra_stats.Collector.create
-                ~interval_width:(Cobra_stats.Env.interval ()) pl
-            in
-            Cobra_uarch.Core.set_sampler core
-              (Some
-                 (fun () ->
-                   let p = Cobra_uarch.Core.perf core in
-                   Cobra_stats.Collector.sample coll
-                     ~insns:p.Cobra_uarch.Perf.instructions
-                     ~cycles:p.Cobra_uarch.Perf.cycles
-                     ~mispredicts:p.Cobra_uarch.Perf.mispredicts));
-            let perf = Cobra_uarch.Core.run core ~max_insns:insns in
-            Cobra_stats.Collector.flush coll ~insns:perf.Cobra_uarch.Perf.instructions
-              ~cycles:perf.Cobra_uarch.Perf.cycles
-              ~mispredicts:perf.Cobra_uarch.Perf.mispredicts;
-            Cobra_stats.Collector.detach coll;
-            let report =
-              Cobra_stats.Collector.report
-                ~design:(name ^ ":" ^ d.row)
-                ~workload:d.workload.Cobra_workloads.Suite.name
-                ~perf:(Cobra_uarch.Perf.counters perf)
-                ~top:(Cobra_stats.Env.top ()) coll
-            in
-            (try
-               ignore (Cobra_stats.Export.write ~dir:(Cobra_stats.Env.dir ()) report)
-             with Sys_error _ | Unix.Unix_error _ -> ());
-            Cobra_stats.Sink.publish report;
-            perf
-          end);
+      Designs.name = sweep ^ ":" ^ row;
+      paper_storage_kb = 0.0;
+      paper_rows = [];
+      make;
+      pipeline_config;
     }
-  in
-  let outcomes = Cobra_runner.run_perfs ~label:("sweep:" ^ name) (List.map to_job defs) in
-  List.map2
-    (fun d outcome ->
-      match outcome with
-      | Ok perf -> perf
-      | Error e ->
-        failwith
-          (Format.asprintf "Sweeps.%s: row %S on %s: %a" name d.row
-             d.workload.Cobra_workloads.Suite.name Cobra_runner.pp_error e))
-    defs outcomes
+    workload
+
+let run_rows ~sweep jobs =
+  List.map
+    (fun (r : Experiment.result) -> r.Experiment.perf)
+    (Experiment.run_jobs ~label:("sweep:" ^ sweep) jobs)
 
 (* --- TAGE storage sweep ------------------------------------------------------- *)
 
 let tage_storage_sweep ?insns () =
-  let insns = Option.value insns ~default:(default_insns ()) in
   let workload = Cobra_workloads.Suite.find "gcc" in
   let points =
     List.map
@@ -117,14 +53,17 @@ let tage_storage_sweep ?insns () =
   let defs =
     List.map
       (fun (index_bits, tcfg) ->
-        jobdef ~row:(Printf.sprintf "index_bits=%d" index_bits) ~workload (fun () ->
+        row_job ~sweep:"tage_storage" ?insns
+          ~row:(Printf.sprintf "index_bits=%d" index_bits)
+          ~workload
+          (fun () ->
             Topology.over (Tage.make tcfg)
               (Topology.over
                  (Btb.make (Btb.default ~name:"BTB"))
                  (Topology.node (Hbim.make (Hbim.default ~name:"BIM" ~indexing:Indexing.Pc))))))
       points
   in
-  let perfs = run_grid ~name:"tage_storage" ~insns defs in
+  let perfs = run_rows ~sweep:"tage_storage" defs in
   let rows =
     List.map2
       (fun (index_bits, tcfg) perf ->
@@ -144,7 +83,6 @@ let tage_storage_sweep ?insns () =
 (* --- uBTB value ------------------------------------------------------------------ *)
 
 let ubtb_value ?insns () =
-  let insns = Option.value insns ~default:(default_insns ()) in
   let workload = Cobra_workloads.Suite.find "dhrystone" in
   let base_parts () =
     let tage = Tage.make (Tage.default ~name:"TAGE") in
@@ -162,8 +100,10 @@ let ubtb_value ?insns () =
             (Topology.node (Ubtb.make (Ubtb.default ~name:"UBTB")))))
   in
   let named = [ ("TAGE_3 > BTB_2 > BIM_2", base_parts); ("... > UBTB_1", with_ubtb) ] in
-  let defs = List.map (fun (name, mk) -> jobdef ~row:name ~workload mk) named in
-  let perfs = run_grid ~name:"ubtb_value" ~insns defs in
+  let defs =
+    List.map (fun (name, mk) -> row_job ~sweep:"ubtb_value" ?insns ~row:name ~workload mk) named
+  in
+  let perfs = run_rows ~sweep:"ubtb_value" defs in
   let rows =
     List.map2
       (fun (name, _) perf ->
@@ -183,7 +123,6 @@ let ubtb_value ?insns () =
 (* --- fetch width ------------------------------------------------------------------- *)
 
 let fetch_width_sweep ?insns () =
-  let insns = Option.value insns ~default:(default_insns ()) in
   let workload = Cobra_workloads.Suite.find "dhrystone" in
   let widths = [ 1; 2; 4; 8 ] in
   let defs =
@@ -193,7 +132,8 @@ let fetch_width_sweep ?insns () =
         let config =
           { Config.default with Config.fetch_width = w; decode_width = w; commit_width = w }
         in
-        jobdef ~config ~pipeline_config ~row:(Printf.sprintf "width=%d" w) ~workload
+        row_job ~sweep:"fetch_width" ?insns ~config ~pipeline_config
+          ~row:(Printf.sprintf "width=%d" w) ~workload
           (fun () ->
             Topology.over
               (Tage.make { (Tage.default ~name:"TAGE") with Tage.fetch_width = w })
@@ -205,7 +145,7 @@ let fetch_width_sweep ?insns () =
                          Hbim.fetch_width = w })))))
       widths
   in
-  let perfs = run_grid ~name:"fetch_width" ~insns defs in
+  let perfs = run_rows ~sweep:"fetch_width" defs in
   let rows =
     List.map2
       (fun w perf ->
@@ -220,7 +160,6 @@ let fetch_width_sweep ?insns () =
 (* --- indexing ---------------------------------------------------------------------- *)
 
 let indexing_ablation ?insns () =
-  let insns = Option.value insns ~default:(default_insns ()) in
   let workload = Cobra_workloads.Suite.find "correlated" in
   let variants =
     [
@@ -232,13 +171,13 @@ let indexing_ablation ?insns () =
   let defs =
     List.map
       (fun (name, indexing) ->
-        jobdef ~row:name ~workload (fun () ->
+        row_job ~sweep:"indexing" ?insns ~row:name ~workload (fun () ->
             Topology.over
               (Hbim.make { (Hbim.default ~name:"BIM" ~indexing) with Hbim.entries = 4096 })
               (Topology.node (Btb.make (Btb.default ~name:"BTB")))))
       variants
   in
-  let perfs = run_grid ~name:"indexing" ~insns defs in
+  let perfs = run_rows ~sweep:"indexing" defs in
   let rows =
     List.map2
       (fun (name, _) perf ->
@@ -253,7 +192,6 @@ let indexing_ablation ?insns () =
 (* --- indirect predictor --------------------------------------------------------------- *)
 
 let indirect_predictor ?insns () =
-  let insns = Option.value insns ~default:(default_insns ()) in
   let tage_l () = Designs.tage_l.Designs.make () in
   let with_ittage ~path () =
     Topology.over
@@ -277,10 +215,11 @@ let indirect_predictor ?insns () =
   in
   let defs =
     List.map
-      (fun (_, name, mk, workload) -> jobdef ~pipeline_config ~row:name ~workload mk)
+      (fun (_, name, mk, workload) ->
+        row_job ~sweep:"indirect" ?insns ~pipeline_config ~row:name ~workload mk)
       cells
   in
-  let perfs = run_grid ~name:"indirect" ~insns defs in
+  let perfs = run_rows ~sweep:"indirect" defs in
   let rows =
     List.map2
       (fun (wname, name, _, _) perf ->
@@ -303,7 +242,6 @@ let indirect_predictor ?insns () =
 (* --- statistical corrector ---------------------------------------------------------------- *)
 
 let statistical_corrector_value ?insns () =
-  let insns = Option.value insns ~default:(default_insns ()) in
   let workloads = List.map Cobra_workloads.Suite.find [ "gcc"; "leela"; "xz" ] in
   let pipeline_config = Designs.tage_l.Designs.pipeline_config in
   let tage_l () = Designs.tage_l.Designs.make () in
@@ -317,9 +255,12 @@ let statistical_corrector_value ?insns () =
     List.concat_map (fun w -> List.map (fun (name, mk) -> (w, name, mk)) named) workloads
   in
   let defs =
-    List.map (fun (w, name, mk) -> jobdef ~pipeline_config ~row:name ~workload:w mk) cells
+    List.map
+      (fun (w, name, mk) ->
+        row_job ~sweep:"statistical_corrector" ?insns ~pipeline_config ~row:name ~workload:w mk)
+      cells
   in
-  let perfs = run_grid ~name:"statistical_corrector" ~insns defs in
+  let perfs = run_rows ~sweep:"statistical_corrector" defs in
   let rows =
     List.map2
       (fun ((w : Cobra_workloads.Suite.entry), name, _) perf ->
@@ -340,7 +281,6 @@ let statistical_corrector_value ?insns () =
 (* --- CBP-family head-to-head ----------------------------------------------------------------- *)
 
 let gehl_vs_tage ?insns () =
-  let insns = Option.value insns ~default:(default_insns ()) in
   let workload = Cobra_workloads.Suite.find "gcc" in
   let over_btb c =
     Topology.over c
@@ -365,10 +305,11 @@ let gehl_vs_tage ?insns () =
   in
   let defs =
     List.map
-      (fun (name, mk) -> jobdef ~row:name ~workload (fun () -> over_btb (mk ())))
+      (fun (name, mk) ->
+        row_job ~sweep:"cbp_families" ?insns ~row:name ~workload (fun () -> over_btb (mk ())))
       contenders
   in
-  let perfs = run_grid ~name:"cbp_families" ~insns defs in
+  let perfs = run_rows ~sweep:"cbp_families" defs in
   let rows =
     List.map2
       (fun (name, mk) perf ->
@@ -391,7 +332,6 @@ let gehl_vs_tage ?insns () =
 (* --- core size --------------------------------------------------------------------------- *)
 
 let core_size ?insns () =
-  let insns = Option.value insns ~default:(default_insns ()) in
   let workload = Cobra_workloads.Suite.find "gcc" in
   let sizes =
     [
@@ -459,12 +399,12 @@ let core_size ?insns () =
       (fun (size_name, config, (design : Designs.t)) ->
         let fw = config.Config.fetch_width in
         let pipeline_config = { Pipeline.default_config with Pipeline.fetch_width = fw } in
-        jobdef ~config ~pipeline_config
+        row_job ~sweep:"core_size" ?insns ~config ~pipeline_config
           ~row:(Printf.sprintf "%s/%s" size_name design.Designs.name)
           ~workload (topo_for design fw))
       cells
   in
-  let perfs = run_grid ~name:"core_size" ~insns defs in
+  let perfs = run_rows ~sweep:"core_size" defs in
   let by_cell = List.combine cells perfs in
   let perf_of size_name design_name =
     snd

@@ -2,6 +2,7 @@ module Pipeline = Cobra.Pipeline
 module Topology = Cobra.Topology
 module Types = Cobra.Types
 module Component = Cobra.Component
+module History_file = Cobra.History_file
 
 let n_events = List.length Component.all_event_kinds
 
@@ -15,15 +16,6 @@ type arb = {
   a_sub_prio : int list array;  (* per sub: component ids, strongest first *)
   a_out_prio : int list;  (* selector over the first sub *)
   a_tallies : int array array;  (* [sub](won, won_right, won_wrong, right, wrong) *)
-}
-
-(* Snapshot of a fired packet, kept until it commits or is squashed by an
-   older mispredict. *)
-type fired = {
-  f_pc : int;
-  f_final : Types.prediction;
-  f_raw : Types.prediction array option;
-  f_slots : Types.resolved array;  (* acted/predicted outcomes *)
 }
 
 type branch_stat = {
@@ -40,7 +32,6 @@ type t = {
   events : int array array;  (* [component][event kind] *)
   final_prio : int list;  (* final-stage priority, strongest first *)
   arbs : arb list;
-  inflight : (int, fired) Hashtbl.t;
   caused : (string, int) Hashtbl.t;
   saved : (string, int) Hashtbl.t;
   branches : (int, branch_stat) Hashtbl.t;
@@ -125,87 +116,80 @@ let rec attach_observer t =
          match ev with
          | Pipeline.Predicted _ ->
            Array.iter (fun row -> row.(0) <- row.(0) + 1) t.events
-         | Pipeline.Fired { seq; pc; packet_len = _; final; raw; slots } ->
-           Array.iter (fun row -> row.(1) <- row.(1) + 1) t.events;
-           Hashtbl.replace t.inflight seq
-             { f_pc = pc; f_final = final; f_raw = raw; f_slots = slots }
-         | Pipeline.Resolved { seq; slot; actual } -> t_resolved t ~seq ~slot actual
-         | Pipeline.Mispredicted { seq; slot; actual } ->
+         | Pipeline.Fired _ -> Array.iter (fun row -> row.(1) <- row.(1) + 1) t.events
+         | Pipeline.Resolved { slot; actual; entry; _ } -> t_resolved t entry ~slot actual
+         | Pipeline.Mispredicted { slot; actual; entry; _ } ->
            Array.iter (fun row -> row.(2) <- row.(2) + 1) t.events;
-           t_mispredicted t ~seq ~slot actual
+           t_mispredicted t entry ~slot actual
          | Pipeline.Repaired _ ->
            Array.iter (fun row -> row.(3) <- row.(3) + 1) t.events
-         | Pipeline.Committed { seq; _ } ->
-           Array.iter (fun row -> row.(4) <- row.(4) + 1) t.events;
-           Hashtbl.remove t.inflight seq
+         | Pipeline.Committed _ ->
+           Array.iter (fun row -> row.(4) <- row.(4) + 1) t.events
          | Pipeline.Squashed { packets } ->
            t.squashed_packets <- t.squashed_packets + packets))
 
 (* Branch table + arbitration tallies, on every resolved branch (correct or
    not). *)
-and note_branch t ~seq ~slot (actual : Types.resolved) ~mispredicted =
-  match Hashtbl.find_opt t.inflight seq with
-  | None -> ()
-  | Some f ->
-    if actual.Types.r_is_branch then begin
-      let pc = f.f_pc + (4 * slot) in
-      let st =
-        match Hashtbl.find_opt t.branches pc with
-        | Some st -> st
-        | None ->
-          let st =
-            { b_execs = 0; b_taken = 0; b_transitions = 0; b_last = None; b_mispredicts = 0 }
-          in
-          Hashtbl.add t.branches pc st;
-          st
-      in
-      st.b_execs <- st.b_execs + 1;
-      if actual.Types.r_taken then st.b_taken <- st.b_taken + 1;
-      (match st.b_last with
-      | Some last when last <> actual.Types.r_taken ->
-        st.b_transitions <- st.b_transitions + 1
-      | Some _ | None -> ());
-      st.b_last <- Some actual.Types.r_taken;
-      if mispredicted then st.b_mispredicts <- st.b_mispredicts + 1;
-      (* Arbitration tallies: which sub did the selector side with, and who
-         was right, per conditional decision. *)
-      if actual.Types.r_kind = Types.Cond then
-        match f.f_raw with
-        | None -> ()
-        | Some raw ->
-          List.iter
-            (fun arb ->
-              match dir_winner raw arb.a_out_prio ~slot with
-              | None -> ()
-              | Some (_, out_dir, _) ->
-                let winner = ref (-1) in
-                Array.iteri
-                  (fun i prio ->
-                    match dir_winner raw prio ~slot with
-                    | Some (_, d, _) ->
-                      let tal = arb.a_tallies.(i) in
-                      if d = actual.Types.r_taken then tal.(3) <- tal.(3) + 1
-                      else tal.(4) <- tal.(4) + 1;
-                      if d = out_dir && !winner < 0 then winner := i
-                    | None -> ())
-                  arb.a_sub_prio;
-                if !winner >= 0 then begin
-                  let tal = arb.a_tallies.(!winner) in
-                  tal.(0) <- tal.(0) + 1;
-                  if out_dir = actual.Types.r_taken then tal.(1) <- tal.(1) + 1
-                  else tal.(2) <- tal.(2) + 1
-                end)
-            t.arbs
-    end
+and note_branch t (e : History_file.entry) ~slot (actual : Types.resolved) ~mispredicted =
+  if actual.Types.r_is_branch then begin
+    let pc = Cobra.Context.slot_pc e.e_ctx slot in
+    let st =
+      match Hashtbl.find_opt t.branches pc with
+      | Some st -> st
+      | None ->
+        let st =
+          { b_execs = 0; b_taken = 0; b_transitions = 0; b_last = None; b_mispredicts = 0 }
+        in
+        Hashtbl.add t.branches pc st;
+        st
+    in
+    st.b_execs <- st.b_execs + 1;
+    if actual.Types.r_taken then st.b_taken <- st.b_taken + 1;
+    (match st.b_last with
+    | Some last when last <> actual.Types.r_taken ->
+      st.b_transitions <- st.b_transitions + 1
+    | Some _ | None -> ());
+    st.b_last <- Some actual.Types.r_taken;
+    if mispredicted then st.b_mispredicts <- st.b_mispredicts + 1;
+    (* Arbitration tallies: which sub did the selector side with, and who
+       was right, per conditional decision. *)
+    if actual.Types.r_kind = Types.Cond then
+      match e.e_raw with
+      | None -> ()
+      | Some raw ->
+        List.iter
+          (fun arb ->
+            match dir_winner raw arb.a_out_prio ~slot with
+            | None -> ()
+            | Some (_, out_dir, _) ->
+              let winner = ref (-1) in
+              Array.iteri
+                (fun i prio ->
+                  match dir_winner raw prio ~slot with
+                  | Some (_, d, _) ->
+                    let tal = arb.a_tallies.(i) in
+                    if d = actual.Types.r_taken then tal.(3) <- tal.(3) + 1
+                    else tal.(4) <- tal.(4) + 1;
+                    if d = out_dir && !winner < 0 then winner := i
+                  | None -> ())
+                arb.a_sub_prio;
+              if !winner >= 0 then begin
+                let tal = arb.a_tallies.(!winner) in
+                tal.(0) <- tal.(0) + 1;
+                if out_dir = actual.Types.r_taken then tal.(1) <- tal.(1) + 1
+                else tal.(2) <- tal.(2) + 1
+              end)
+          t.arbs
+  end
 
-and t_resolved t ~seq ~slot actual =
-  note_branch t ~seq ~slot actual ~mispredicted:false;
+and t_resolved t e ~slot actual =
+  note_branch t e ~slot actual ~mispredicted:false;
   (* "saved": the composite's direction winner was right while its shadow —
      the next opinion in the chain, or the static not-taken default — would
      have been wrong. *)
   if actual.Types.r_is_branch && actual.Types.r_kind = Types.Cond then
-    match Hashtbl.find_opt t.inflight seq with
-    | Some { f_raw = Some raw; _ } -> (
+    match e.e_raw with
+    | Some raw -> (
       match dir_winner raw t.final_prio ~slot with
       | Some (cid, d, rest) when d = actual.Types.r_taken ->
         let shadow =
@@ -214,54 +198,43 @@ and t_resolved t ~seq ~slot actual =
         if shadow <> actual.Types.r_taken then
           incr_tbl t.saved t.comps.(cid).Component.name
       | Some _ | None -> ())
-    | Some { f_raw = None; _ } | None -> ()
+    | None -> ()
 
 (* Attribute the mispredict to exactly one bucket — a total function, so the
    bucket sum equals the pipeline's mispredict count by construction. *)
-and t_mispredicted t ~seq ~slot actual =
+and t_mispredicted t e ~slot actual =
   t.total_mispredicts <- t.total_mispredicts + 1;
-  note_branch t ~seq ~slot actual ~mispredicted:true;
+  note_branch t e ~slot actual ~mispredicted:true;
   let bucket =
-    match Hashtbl.find_opt t.inflight seq with
+    match e.e_raw with
     | None -> "unattributed"
-    | Some f -> (
-      match f.f_raw with
-      | None -> "unattributed"
-      | Some raw ->
-        let acted =
-          if slot < Array.length f.f_slots then f.f_slots.(slot) else Types.no_branch
-        in
-        let final_op =
-          if slot < Array.length f.f_final then f.f_final.(slot) else Types.empty_opinion
-        in
-        if acted.Types.r_taken <> actual.Types.r_taken then begin
-          (* direction mispredict *)
-          match final_op.Types.o_taken with
-          | Some d when d = acted.Types.r_taken -> (
-            (* the composite drove the wrong direction: the chain's direction
-               winner caused it *)
-            match dir_winner raw t.final_prio ~slot with
-            | Some (cid, _, _) -> t.comps.(cid).Component.name
-            | None -> "frontend")
-          | Some _ -> "frontend"  (* composite was right; the frontend acted otherwise *)
-          | None -> if acted.Types.r_taken then "frontend" else "default"
-        end
-        else begin
-          (* direction agreed; the target was wrong *)
-          match final_op.Types.o_target with
-          | Some tgt when tgt = acted.Types.r_target -> (
-            match target_provider raw t.final_prio ~slot with
-            | Some cid -> t.comps.(cid).Component.name
-            | None -> "frontend")
-          | Some _ | None -> "frontend"  (* RAS/decode-computed target *)
-        end)
+    | Some raw ->
+      let acted = e.e_slots.(slot).History_file.predicted in
+      let final = e.e_stages.(Array.length e.e_stages - 1) in
+      let final_op = if slot < Array.length final then final.(slot) else Types.empty_opinion in
+      if acted.Types.r_taken <> actual.Types.r_taken then begin
+        (* direction mispredict *)
+        match final_op.Types.o_taken with
+        | Some d when d = acted.Types.r_taken -> (
+          (* the composite drove the wrong direction: the chain's direction
+             winner caused it *)
+          match dir_winner raw t.final_prio ~slot with
+          | Some (cid, _, _) -> t.comps.(cid).Component.name
+          | None -> "frontend")
+        | Some _ -> "frontend"  (* composite was right; the frontend acted otherwise *)
+        | None -> if acted.Types.r_taken then "frontend" else "default"
+      end
+      else begin
+        (* direction agreed; the target was wrong *)
+        match final_op.Types.o_target with
+        | Some tgt when tgt = acted.Types.r_target -> (
+          match target_provider raw t.final_prio ~slot with
+          | Some cid -> t.comps.(cid).Component.name
+          | None -> "frontend")
+        | Some _ | None -> "frontend"  (* RAS/decode-computed target *)
+      end
   in
-  incr_tbl t.caused bucket;
-  (* Everything younger than the culprit was squashed and will never commit. *)
-  let stale =
-    Hashtbl.fold (fun s _ acc -> if s > seq then s :: acc else acc) t.inflight []
-  in
-  List.iter (Hashtbl.remove t.inflight) stale
+  incr_tbl t.caused bucket
 
 let create ?interval_capacity ?(interval_width = 1000) pl =
   let comps = Pipeline.components pl in
@@ -274,7 +247,6 @@ let create ?interval_capacity ?(interval_width = 1000) pl =
       events = Array.init (Array.length comps) (fun _ -> Array.make n_events 0);
       final_prio = priority_at comps topo ~stage:(depth - 1);
       arbs = List.rev (collect_arbs comps depth topo []);
-      inflight = Hashtbl.create 64;
       caused = Hashtbl.create 8;
       saved = Hashtbl.create 8;
       branches = Hashtbl.create 256;

@@ -10,6 +10,10 @@
     core calls [Pipeline.mispredict] exactly once per counted misprediction,
     the sum also equals [Perf.mispredicts].
 
+    The collector keeps no copy of any packet: observations about a fired
+    packet carry the pipeline's own history-file entry, and the attribution
+    and branch tables read it during the notification.
+
     Who caused a mispredict is decided from the per-component raw
     predictions recorded at predict time, recomposed in the composer's
     overlay order (Override: high over low; Arbitrate: selector over its

@@ -1,6 +1,6 @@
 (** A minimal self-contained JSON representation, emitter and parser — just
-    enough for the stats report export to round-trip without adding a
-    dependency. *)
+    enough for the stats report export, the serve protocol and the
+    benchmark, without adding a dependency. *)
 
 type t =
   | Null

@@ -113,74 +113,6 @@ let to_json t =
       ("perf", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) t.perf));
     ]
 
-let of_json j =
-  let open Json in
-  let int_pairs = function
-    | Some (Obj fields) ->
-      List.filter_map (fun (k, v) -> Option.map (fun n -> (k, n)) (to_int v)) fields
-    | _ -> []
-  in
-  let component_row v =
-    {
-      cr_name = str_member "name" v ~default:"";
-      cr_events =
-        Array.of_list (List.map (fun name -> int_member name v ~default:0) event_names);
-      cr_caused = int_member "caused" v ~default:0;
-      cr_saved = int_member "saved" v ~default:0;
-    }
-  in
-  let arb_sub v =
-    {
-      as_name = str_member "name" v ~default:"";
-      as_won = int_member "won" v ~default:0;
-      as_won_right = int_member "won_right" v ~default:0;
-      as_won_wrong = int_member "won_wrong" v ~default:0;
-      as_right = int_member "right" v ~default:0;
-      as_wrong = int_member "wrong" v ~default:0;
-    }
-  in
-  let arb v =
-    {
-      ar_selector = str_member "selector" v ~default:"";
-      ar_subs = List.map arb_sub (list_member "subs" v);
-    }
-  in
-  let branch v =
-    {
-      br_pc = int_member "pc" v ~default:0;
-      br_execs = int_member "execs" v ~default:0;
-      br_taken = int_member "taken" v ~default:0;
-      br_transitions = int_member "transitions" v ~default:0;
-      br_mispredicts = int_member "mispredicts" v ~default:0;
-    }
-  in
-  let interval v =
-    {
-      Interval.p_start = int_member "start" v ~default:0;
-      p_insns = int_member "insns" v ~default:0;
-      p_cycles = int_member "cycles" v ~default:0;
-      p_mispredicts = int_member "mispredicts" v ~default:0;
-    }
-  in
-  match j with
-  | Obj _ ->
-    let intervals = Option.value (member "intervals" j) ~default:(Obj []) in
-    Ok
-      {
-        design = str_member "design" j ~default:"";
-        workload = str_member "workload" j ~default:"";
-        total_mispredicts = int_member "total_mispredicts" j ~default:0;
-        buckets = int_pairs (member "attribution" j);
-        components = List.map component_row (list_member "components" j);
-        arbitrations = List.map arb (list_member "arbitration" j);
-        branches = List.map branch (list_member "branches" j);
-        intervals = List.map interval (list_member "points" intervals);
-        interval_width = int_member "width" intervals ~default:0;
-        squashed_packets = int_member "squashed_packets" j ~default:0;
-        perf = int_pairs (member "perf" j);
-      }
-  | _ -> Error "report: expected a JSON object"
-
 (* --- CSV ---------------------------------------------------------------- *)
 
 (* Flat 4-column format: section,name,field,value — trivially grep-able and
@@ -251,186 +183,6 @@ let to_csv t =
     t.intervals;
   List.iter (fun (k, v) -> row "perf" k "" (string_of_int v)) t.perf;
   Buffer.contents buf
-
-(* A per-line CSV field splitter handling quoted fields. *)
-let split_csv_line line =
-  let n = String.length line in
-  let fields = ref [] in
-  let buf = Buffer.create 16 in
-  let i = ref 0 in
-  let in_quotes = ref false in
-  while !i < n do
-    let c = line.[!i] in
-    (if !in_quotes then
-       if c = '"' then
-         if !i + 1 < n && line.[!i + 1] = '"' then begin
-           Buffer.add_char buf '"';
-           incr i
-         end
-         else in_quotes := false
-       else Buffer.add_char buf c
-     else
-       match c with
-       | '"' -> in_quotes := true
-       | ',' ->
-         fields := Buffer.contents buf :: !fields;
-         Buffer.clear buf
-       | c -> Buffer.add_char buf c);
-    incr i
-  done;
-  fields := Buffer.contents buf :: !fields;
-  List.rev !fields
-
-let of_csv text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  match lines with
-  | [] -> Error "csv: empty input"
-  | header :: rows when String.trim header = "section,name,field,value" -> (
-    let design = ref "" and workload = ref "" in
-    let total = ref 0 and squashed = ref 0 and iwidth = ref 0 in
-    let buckets = ref [] and perf = ref [] in
-    (* assoc-by-name accumulators preserving first-seen order *)
-    let comp_order = ref [] and comps : (string, (string * int) list ref) Hashtbl.t = Hashtbl.create 8 in
-    let arb_order = ref [] and arbs : (string, (string * int) list ref) Hashtbl.t = Hashtbl.create 4 in
-    let br_order = ref [] and brs : (string, (string * int) list ref) Hashtbl.t = Hashtbl.create 16 in
-    let iv_order = ref [] and ivs : (string, (string * int) list ref) Hashtbl.t = Hashtbl.create 16 in
-    let push order tbl name field v =
-      let cell =
-        match Hashtbl.find_opt tbl name with
-        | Some c -> c
-        | None ->
-          let c = ref [] in
-          Hashtbl.add tbl name c;
-          order := name :: !order;
-          c
-      in
-      cell := (field, v) :: !cell
-    in
-    let err = ref None in
-    List.iter
-      (fun line ->
-        if !err = None then
-          match split_csv_line line with
-          | [ section; name; field; value ] -> (
-            let int_v () =
-              match int_of_string_opt value with
-              | Some v -> v
-              | None ->
-                err := Some (Printf.sprintf "csv: non-integer value %S" value);
-                0
-            in
-            match section with
-            | "meta" -> (
-              match name with
-              | "design" -> design := value
-              | "workload" -> workload := value
-              | "total_mispredicts" -> total := int_v ()
-              | "squashed_packets" -> squashed := int_v ()
-              | "interval_width" -> iwidth := int_v ()
-              | _ -> ())
-            | "attribution" -> buckets := (name, int_v ()) :: !buckets
-            | "perf" -> perf := (name, int_v ()) :: !perf
-            | "component" -> push comp_order comps name field (int_v ())
-            | "arb" -> push arb_order arbs name field (int_v ())
-            | "branch" -> push br_order brs name field (int_v ())
-            | "interval" -> push iv_order ivs name field (int_v ())
-            | s -> err := Some (Printf.sprintf "csv: unknown section %S" s))
-          | _ -> err := Some (Printf.sprintf "csv: malformed line %S" line))
-      rows;
-    match !err with
-    | Some e -> Error e
-    | None ->
-      let get fields k = Option.value (List.assoc_opt k fields) ~default:0 in
-      let components =
-        List.rev_map
-          (fun name ->
-            let fields = !(Hashtbl.find comps name) in
-            {
-              cr_name = name;
-              cr_events = Array.of_list (List.map (get fields) event_names);
-              cr_caused = get fields "caused";
-              cr_saved = get fields "saved";
-            })
-          !comp_order
-      in
-      let arbitrations =
-        List.rev_map
-          (fun sel ->
-            let fields = !(Hashtbl.find arbs sel) in
-            (* group "subname.metric" keys back into sub rows, preserving
-               first-seen sub order *)
-            let sub_order = ref [] in
-            List.iter
-              (fun (k, _) ->
-                match String.rindex_opt k '.' with
-                | Some i ->
-                  let sub = String.sub k 0 i in
-                  if not (List.mem sub !sub_order) then sub_order := !sub_order @ [ sub ]
-                | None -> ())
-              (List.rev fields);
-            let subs =
-              List.map
-                (fun sub ->
-                  let m metric = get fields (sub ^ "." ^ metric) in
-                  {
-                    as_name = sub;
-                    as_won = m "won";
-                    as_won_right = m "won_right";
-                    as_won_wrong = m "won_wrong";
-                    as_right = m "right";
-                    as_wrong = m "wrong";
-                  })
-                !sub_order
-            in
-            { ar_selector = sel; ar_subs = subs })
-          !arb_order
-      in
-      let branches =
-        List.rev_map
-          (fun name ->
-            let fields = !(Hashtbl.find brs name) in
-            let pc =
-              match int_of_string_opt name with Some pc -> pc | None -> 0
-            in
-            {
-              br_pc = pc;
-              br_execs = get fields "execs";
-              br_taken = get fields "taken";
-              br_transitions = get fields "transitions";
-              br_mispredicts = get fields "mispredicts";
-            })
-          !br_order
-      in
-      let intervals =
-        List.rev_map
-          (fun name ->
-            let fields = !(Hashtbl.find ivs name) in
-            {
-              Interval.p_start = get fields "start";
-              p_insns = get fields "insns";
-              p_cycles = get fields "cycles";
-              p_mispredicts = get fields "mispredicts";
-            })
-          !iv_order
-      in
-      Ok
-        {
-          design = !design;
-          workload = !workload;
-          total_mispredicts = !total;
-          buckets = List.rev !buckets;
-          components;
-          arbitrations;
-          branches;
-          intervals;
-          interval_width = !iwidth;
-          squashed_packets = !squashed;
-          perf = List.rev !perf;
-        })
-  | _ -> Error "csv: missing section,name,field,value header"
 
 (* --- rendering ---------------------------------------------------------- *)
 

@@ -1,8 +1,8 @@
 (** The exportable statistics report: attribution, per-component event
     counters, arbitration tallies, hard-branch table, interval series.
 
-    Both export formats round-trip: [of_json (to_json t)] and
-    [of_csv (to_csv t)] reconstruct every numeric field exactly. *)
+    Both export formats carry every numeric field exactly: JSON through
+    {!Json}, CSV as flat [section,name,field,value] rows. *)
 
 type component_row = {
   cr_name : string;
@@ -62,9 +62,7 @@ val taken_rate : branch_row -> float
 val transition_rate : branch_row -> float
 
 val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
 val to_csv : t -> string
-val of_csv : string -> (t, string) result
 
 val summary : t -> string
 (** One line for telemetry event streams. *)

@@ -283,27 +283,35 @@ let test_random_composition () =
   Prop.check ~count:60 ~name:"composer = golden composition on random topologies" tcase_arb
     compose_equiv
 
-(* Both engines refuse the same malformed inputs: each builds its own
-   composer and history buffers, so each must keep its own checks. *)
+(* Both engines refuse the same malformed inputs with the same message:
+   each builds its own composer and history buffers, so both must run the
+   one configuration check before either. *)
 let test_engines_refuse () =
   let cfg = { Pipeline.default_config with Pipeline.fetch_width = width } in
   let leaf = Leaf (CHbim { entries_l2 = 4; idx = IPc; lat = 1 }) in
   (* [build_topo] numbers its components, so two builds share names *)
   let dup () = Topology.(build_topo leaf >> build_topo leaf) in
+  let refusal make cfg topo =
+    match make cfg topo with
+    | () -> None
+    | exception Invalid_argument msg -> Some msg
+  in
   List.iter
     (fun (what, cfg, topo) ->
-      List.iter
-        (fun (engine, make) ->
-          match make cfg (topo ()) with
-          | () -> Alcotest.failf "%s engine accepted %s" engine what
-          | exception Invalid_argument _ -> ())
-        [
-          ("interpreted", fun cfg topo -> ignore (Pipeline.create cfg topo));
-          ("compiled", fun cfg topo -> ignore (Engine.create cfg topo));
-        ])
+      let interpreted = refusal (fun cfg topo -> ignore (Pipeline.create cfg topo)) cfg (topo ())
+      and compiled = refusal (fun cfg topo -> ignore (Engine.create cfg topo)) cfg (topo ()) in
+      match (interpreted, compiled) with
+      | Some m, Some m' ->
+        check Alcotest.string (what ^ ": same message from both engines") m m'
+      | None, _ -> Alcotest.failf "interpreted engine accepted %s" what
+      | _, None -> Alcotest.failf "compiled engine accepted %s" what)
     [
       ("fetch_width 0", { cfg with Pipeline.fetch_width = 0 }, fun () -> build_topo leaf);
       ("ghist_bits 0", { cfg with Pipeline.ghist_bits = 0 }, fun () -> build_topo leaf);
+      ("history_entries 0", { cfg with Pipeline.history_entries = 0 }, fun () -> build_topo leaf);
+      ("path_bits -1", { cfg with Pipeline.path_bits = -1 }, fun () -> build_topo leaf);
+      ("lhist_bits 0", { cfg with Pipeline.lhist_bits = 0 }, fun () -> build_topo leaf);
+      ("lhist_entries 3", { cfg with Pipeline.lhist_entries = 3 }, fun () -> build_topo leaf);
       ("duplicate component names", cfg, dup);
     ]
 

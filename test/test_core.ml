@@ -369,14 +369,16 @@ let test_meta_width_enforced () =
   Alcotest.check_raises "compiled" refused (fun () ->
       ignore (Cobra_compile.Engine.step eng ~pc:0 ~kind:Types.Cond ~taken:true ~target:64))
 
-(* --- history providers: property tests against reference models ---------- *)
+(* --- history registers: property tests against reference models ---------- *)
 
-(* Reference model for the global history provider: a plain list of bits,
-   youngest first, truncated to the register width. *)
-let prop_ghist_provider_matches_reference =
+(* Reference model for the pipeline's speculative global history: a plain
+   list of bits, youngest first, truncated to the register width. Each
+   pending packet's bits are set with [revise_dir_bits]; firing without
+   predecode correction shifts exactly those bits into the register. *)
+let prop_pipeline_ghist_matches_reference =
   let open QCheck in
-  (* ops: push a packet's bits / commit oldest / drop pending from k /
-     replace pending at k *)
+  (* ops: predict a packet with these bits / fire the oldest / squash from
+     pending position k / revise the bits at pending position k *)
   let op_gen =
     Gen.oneof
       [
@@ -387,47 +389,53 @@ let prop_ghist_provider_matches_reference =
           (Gen.list_size (Gen.int_range 0 3) Gen.bool);
       ]
   in
-  QCheck.Test.make ~name:"ghist provider matches list reference" ~count:200
+  QCheck.Test.make ~name:"pipeline ghist matches list reference" ~count:200
     (make ~print:(fun _ -> "<ops>") (Gen.list_size (Gen.int_range 1 40) op_gen))
     (fun ops ->
       let bits = 12 in
-      let g = Ghist_provider.create ~bits in
-      (* reference: committed bits (youngest first) and pending packets *)
+      let comp, _ = stub ~name:"S" silent in
+      let pl =
+        Pipeline.create
+          { cfg with Pipeline.ghist_bits = bits; predecode_history_correction = false }
+          (Topology.node comp)
+      in
+      (* reference: fired bits (youngest first) and pending packets *)
       let committed = ref [] in
       let pending = ref [] in
+      let token_at k = List.nth (Pipeline.pending_tokens pl) k in
       List.iter
         (fun op ->
           match op with
-          | `Push packet -> (
-            Ghist_provider.push_pending g packet;
-            pending := !pending @ [ packet ])
-          | `Commit ->
-            if Ghist_provider.pending_count g > 0 then begin
-              Ghist_provider.commit_oldest g;
-              match !pending with
-              | p :: rest ->
-                committed := List.rev p @ !committed;
-                pending := rest
-              | [] -> assert false
-            end
+          | `Push packet ->
+            let tok = Pipeline.predict pl ~pc:0x40 ~max_len:1 in
+            Pipeline.revise_dir_bits pl tok packet;
+            pending := !pending @ [ packet ]
+          | `Commit -> (
+            match !pending with
+            | p :: rest ->
+              ignore (Pipeline.fire pl (token_at 0) ~slots:no_branch_slots ~packet_len:1);
+              Pipeline.commit pl;
+              committed := List.rev p @ !committed;
+              pending := rest
+            | [] -> ())
           | `Drop k ->
-            if k <= List.length !pending then begin
-              Ghist_provider.drop_pending_from g k;
+            if k < List.length !pending then begin
+              Pipeline.squash_from pl (token_at k);
               pending := List.filteri (fun i _ -> i < k) !pending
             end
           | `Replace (k, packet) ->
             if k < List.length !pending then begin
-              Ghist_provider.replace_pending g ~depth:k packet;
+              Pipeline.revise_dir_bits pl (token_at k) packet;
               pending := List.mapi (fun i p -> if i = k then packet else p) !pending
             end)
         ops;
       let expected =
         (* youngest bit first: newest pending packet's newest bit, then back
-           through pending packets, then the committed bits *)
+           through pending packets, then the fired bits *)
         let all = List.concat (List.map List.rev (List.rev !pending)) @ !committed in
         List.filteri (fun i _ -> i < bits) all
       in
-      let v = Ghist_provider.value g in
+      let v = Pipeline.ghist_value pl in
       List.for_all2
         (fun i b -> Bits.get v i = b)
         (List.init (List.length expected) Fun.id)
@@ -615,7 +623,7 @@ let () =
         ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest prop_ghist_provider_matches_reference;
+          QCheck_alcotest.to_alcotest prop_pipeline_ghist_matches_reference;
           QCheck_alcotest.to_alcotest prop_lhist_push_restore_roundtrip;
           QCheck_alcotest.to_alcotest prop_random_chain_topologies;
         ] );

@@ -131,6 +131,48 @@ let test_history_repair_keyed_results () =
   check Alcotest.bool "per-workload table present" true
     (contains o.Ablations.report "IPC repair")
 
+(* Exact pins for the paths only the uarch core drives through the
+   interpreted pipeline: several pending packets, divergence repair without
+   a squash, and fire without predecode correction. TAGE-L on gcc at 5,000
+   instructions under the VI-B modes of [Ablations.history_repair]. *)
+let test_history_repair_modes_pinned () =
+  let module Config = Cobra_uarch.Config in
+  let module Perf = Cobra_uarch.Perf in
+  let gcc = Cobra_workloads.Suite.find "gcc" in
+  List.iter
+    (fun (mode, config, correction, (cycles, mispredicts, flushes, divergences, replays)) ->
+      let pipeline_config =
+        {
+          Designs.tage_l.Designs.pipeline_config with
+          Cobra.Pipeline.predecode_history_correction = correction;
+        }
+      in
+      let p =
+        (Experiment.run ~insns:5_000 ~config ~pipeline_config Designs.tage_l gcc)
+          .Experiment.perf
+      in
+      let pin what want got = check Alcotest.int (mode ^ ": " ^ what) want got in
+      pin "cycles" cycles p.Perf.cycles;
+      pin "mispredicts" mispredicts p.Perf.mispredicts;
+      pin "flushes" flushes p.Perf.flushes;
+      pin "history_divergences" divergences p.Perf.history_divergences;
+      pin "replays" replays p.Perf.replays)
+    [
+      ( "none",
+        {
+          Config.default with
+          Config.replay_on_history_divergence = false;
+          repair_history_on_divergence = false;
+        },
+        false,
+        (6345, 426, 426, 1168, 0) );
+      ( "repair",
+        { Config.default with Config.replay_on_history_divergence = false },
+        true,
+        (6300, 416, 416, 634, 0) );
+      ("replay", Config.default, true, (6342, 395, 395, 591, 591));
+    ]
+
 (* --- reference data ------------------------------------------------------------------ *)
 
 let test_reference_complete () =
@@ -174,7 +216,10 @@ let () =
         ] );
       ("sweeps", [ Alcotest.test_case "reports" `Slow test_sweep_reports ]);
       ( "ablations",
-        [ Alcotest.test_case "VI-B keyed results" `Quick test_history_repair_keyed_results ] );
+        [
+          Alcotest.test_case "VI-B keyed results" `Quick test_history_repair_keyed_results;
+          Alcotest.test_case "VI-B modes pinned" `Quick test_history_repair_modes_pinned;
+        ] );
       ( "reference",
         [
           Alcotest.test_case "complete" `Quick test_reference_complete;
