@@ -72,9 +72,9 @@ let create (cfg : Pipeline.config) topo =
 let last_taken_pred t = t.last_taken_pred
 let metas t = Composer.metas t.composer
 
-(* Fold a taken branch's target into the path history — the closed form of
-   [Pipeline.path_bits_of_target] followed by the pipeline's oldest-first
-   shift-in of the expanded bit list (lowest folded bit first). *)
+(* Fold a taken branch's target into the path history — the pipeline's
+   path contribution: the folded target, shifted in lowest folded bit
+   first. *)
 let push_path t target =
   let folded =
     Hashing.fold_int (Hashing.pc_bits target) ~width:62

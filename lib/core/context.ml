@@ -2,7 +2,7 @@ type t = {
   mutable pc : int;
   mutable stamp : int;
   fetch_width : int;
-  live_slots : int;
+  mutable live_slots : int;
   ghist : Cobra_util.Bits.t;
   lhists : Cobra_util.Bits.t array;
   phist : Cobra_util.Bits.t;

@@ -7,14 +7,18 @@
 
     {b Lifetime.} A context describes one fetch packet, from its [predict]
     to its last event: every event of the packet carries the predict-time
-    context, and its histories read as they did at predict time. The
-    interpreted [Pipeline] builds a fresh context per packet. The compiled
-    engine, which finishes each packet before predicting the next, owns one
-    context for its whole life: it {!reset}s it per branch and shifts its
-    history buffers in place only {e after} the branch's events are
-    dispatched. A component may therefore cache work per packet, but must
-    key the cache on the context {e and} its [stamp], never on
-    physical identity alone. *)
+    context, and its histories read as they did at predict time. Neither
+    engine builds a context per packet. The interpreted [Pipeline] keeps
+    one context in each of its recycled packet records, with its own
+    history buffers: it {!reset}s the context and rewrites those buffers
+    when the record's next packet is predicted, so a context is valid until
+    its packet retires (commit, squash, or a mispredict that drops it). The
+    compiled engine, which finishes each packet before predicting the
+    next, owns one context for its whole life: it {!reset}s it per branch
+    and shifts its history buffers in place only {e after} the branch's
+    events are dispatched. A component may therefore cache work per
+    packet, but must key the cache on the context {e and} its [stamp],
+    never on physical identity alone. *)
 
 type t = {
   mutable pc : int;  (** fetch PC (byte address of slot 0) *)
@@ -22,9 +26,10 @@ type t = {
       (** generation stamp: bumped by every {!reset}, so (context, stamp)
           names one packet even when the host reuses the record *)
   fetch_width : int;  (** slots per fetch packet *)
-  live_slots : int;
+  mutable live_slots : int;
       (** slots the host can actually use this packet ([1..fetch_width];
-          equals [fetch_width] unless the caller bounds it). A component may
+          equals [fetch_width] unless the caller bounds it; a host reusing
+          the context sets it per packet). A component may
           skip table work for slots [>= live_slots] — their opinions are
           never consumed and they never resolve as branches — but computing
           them anyway is equally correct. A skipping component writes no

@@ -1,22 +1,30 @@
-module Cb = Cobra_util.Circular_buffer
-
-type slot_state = { predicted : Types.resolved; mutable actual : Types.resolved option }
-
 type entry = {
-  e_token : int;
+  mutable e_token : int;
   e_ctx : Context.t;
   e_metas : Cobra_util.Bits.t array;
   e_stages : Types.prediction array;
-  e_raw : Types.prediction array option;
-  mutable e_slots : slot_state array;
+  mutable e_raw : Types.prediction array option;
+  e_predicted : Types.resolved array;
+  e_actual : Types.resolved array;
+  e_effective : Types.resolved array;
   mutable e_packet_len : int;
-  mutable e_dir_bits : bool list;
-  mutable e_path_bits : bool list;
-  mutable e_lhist_pushes : (int * Cobra_util.Bits.t) list;
+  e_dir_bits : bool array;
+  mutable e_dir_len : int;
+  mutable e_path : int;
+  e_lhist_pcs : int array;
+  e_lhist_prior : int array;
+  mutable e_lhist_len : int;
+  e_fire_evs : Component.event array;
+  e_update_evs : Component.event array;
 }
 
+let dir_bits e = List.init e.e_dir_len (fun i -> e.e_dir_bits.(i))
+
 type t = {
-  buf : entry Cb.t;
+  mutable ring : entry array;  (* [capacity] slots, allocated by the first enqueue *)
+  capacity : int;
+  mutable head : int;  (* sequence number of the oldest live entry *)
+  mutable next : int;  (* sequence number the next enqueue gets *)
   meta_bits : int array;
   fetch_width : int;
   ghist_bits : int;
@@ -24,34 +32,47 @@ type t = {
 }
 
 let create ~capacity ~meta_bits ~fetch_width ~ghist_bits ~lhist_bits =
-  { buf = Cb.create ~capacity; meta_bits; fetch_width; ghist_bits; lhist_bits }
+  if capacity < 1 then invalid_arg "History_file.create: capacity < 1";
+  { ring = [||]; capacity; head = 0; next = 0; meta_bits; fetch_width; ghist_bits; lhist_bits }
 
-let capacity t = Cb.capacity t.buf
-let length t = Cb.length t.buf
-let is_full t = Cb.is_full t.buf
+let capacity t = t.capacity
+let length t = t.next - t.head
+let is_full t = length t = t.capacity
 
-let validate t entry =
-  if Array.length entry.e_metas <> Array.length t.meta_bits then
-    invalid_arg "History_file.enqueue: metadata vector arity mismatch";
-  Array.iteri
-    (fun i m ->
-      if Cobra_util.Bits.width m <> t.meta_bits.(i) then
-        invalid_arg
-          (Printf.sprintf "History_file.enqueue: component %d metadata is %d bits, declared %d"
-             i (Cobra_util.Bits.width m) t.meta_bits.(i)))
-    entry.e_metas
+let enqueue t e =
+  if is_full t then failwith "History_file.enqueue: full";
+  if Array.length t.ring = 0 then t.ring <- Array.make t.capacity e;
+  let seq = t.next in
+  t.ring.(seq mod t.capacity) <- e;
+  t.next <- seq + 1;
+  seq
 
-let enqueue t entry =
-  validate t entry;
-  Cb.enqueue t.buf entry
+let contains t seq = seq >= t.head && seq < t.next
 
-let get t seq = Cb.get t.buf seq
-let contains t seq = Cb.contains t.buf seq
-let oldest t = Cb.oldest t.buf
-let dequeue t = Cb.dequeue t.buf
-let drop_newer_than t seq = Cb.drop_newer_than t.buf seq
-let iter_from t seq f = Cb.iter_from t.buf seq f
-let to_list t = Cb.to_list t.buf
+let get t seq =
+  if not (contains t seq) then
+    invalid_arg (Printf.sprintf "History_file.get: seq %d not in [%d,%d)" seq t.head t.next);
+  t.ring.(seq mod t.capacity)
+
+let oldest_seq t = t.head
+
+let dequeue t =
+  if length t = 0 then invalid_arg "History_file.dequeue: empty";
+  let e = t.ring.(t.head mod t.capacity) in
+  t.head <- t.head + 1;
+  e
+
+let drop_newer_than t seq f =
+  let keep_until = min t.next (max t.head (seq + 1)) in
+  for s = t.next - 1 downto keep_until do
+    f t.ring.(s mod t.capacity)
+  done;
+  t.next <- keep_until
+
+let iter_from t seq f =
+  for s = max seq t.head to t.next - 1 do
+    f s t.ring.(s mod t.capacity)
+  done
 
 (* 48-bit PCs, 3-bit kinds; a slot stores predicted and resolved outcomes. *)
 let slot_bits = 2 * (1 + 3 + 1 + 48)

@@ -1,58 +1,95 @@
 (** Generated history file (paper Section IV-B1).
 
-    Every fetch packet in flight between predict and commit is one {!entry}.
-    [Pipeline.predict] creates it with the predict-time context (global,
-    path and local histories), the metadata bitvector of every
-    sub-component, the stage composites and the packet's speculative
-    history contributions. The pipeline holds it on its pending list until
-    the packet fires; [fire] fills in the per-slot predicted outcomes and
-    enqueues it here; the backend fills in resolved outcomes, and entries
-    are dequeued in program order to drive commit-time updates. *)
+    Every fetch packet in flight between predict and commit is one {!entry}:
+    a fixed-capacity record of fixed-width fields, like the hardware's. The
+    [Pipeline] builds each record once, with every buffer it will need, and
+    recycles it: [predict] takes a free record and writes the predict-time
+    context (global, path and local histories), the metadata bitvector of
+    every sub-component, the stage composites and the packet's speculative
+    history contributions into it; [fire] fills in the per-slot predicted
+    outcomes and enqueues it here; the backend fills in resolved outcomes,
+    and entries are dequeued in program order to drive commit-time
+    updates. A record goes back to the pipeline's pool when its packet
+    retires — commit, squash or a mispredict that drops it — so a reference
+    to a record or any of its buffers is valid until then.
 
-type slot_state = {
-  predicted : Types.resolved;
-  mutable actual : Types.resolved option;  (** filled when the backend resolves the slot *)
-}
+    The ring itself is unboxed: [capacity] slots of records, addressed by
+    monotonically increasing sequence numbers. *)
 
 type entry = {
-  e_token : int;  (** the pipeline's handle while the packet is pending *)
-  e_ctx : Context.t;
+  mutable e_token : int;  (** the pipeline's handle while the packet is pending *)
+  e_ctx : Context.t;  (** the packet's predict-time context, its own buffers *)
   e_metas : Cobra_util.Bits.t array;  (** indexed by component id *)
   e_stages : Types.prediction array;  (** [e_stages.(d-1)] is the Fetch-[d] composite *)
-  e_raw : Types.prediction array option;
+  mutable e_raw : Types.prediction array option;
       (** per-component raw predictions, indexed by component id; recorded
-          only while an observer is attached at predict time *)
-  mutable e_slots : slot_state array;  (** empty until the packet fires *)
+          only while an observer is attached at predict time (into the rows
+          of the record's last observed packet, when it has one) *)
+  e_predicted : Types.resolved array;
+      (** per-slot predicted outcomes, set at fire — the slots of the
+          packet's [fire] and [repair] events *)
+  e_actual : Types.resolved array;
+      (** per-slot resolved outcomes: the predicted one until the backend
+          resolves the slot *)
+  e_effective : Types.resolved array;
+      (** [e_actual] within [e_packet_len], no branch beyond — the slots of
+          the packet's [mispredict] and [update] events, rebuilt before
+          them *)
   mutable e_packet_len : int;
       (** slots actually fetched, set at fire; shrunk when a mispredict cuts
           the packet *)
-  mutable e_dir_bits : bool list;  (** global-history bits this packet contributes *)
-  mutable e_path_bits : bool list;  (** path-history bits this packet contributes *)
-  mutable e_lhist_pushes : (int * Cobra_util.Bits.t) list;
-      (** (pc, prior value) for every local-history push this packet made, in
-          push order — undone by squashes and the mispredict repair *)
+  e_dir_bits : bool array;
+      (** global-history bits this packet contributes, oldest first: the
+          first [e_dir_len] of [fetch_width] *)
+  mutable e_dir_len : int;
+  mutable e_path : int;
+      (** the folded target this packet shifts into the path history, or
+          [-1] when it contributes none *)
+  e_lhist_pcs : int array;
+  e_lhist_prior : int array;
+  mutable e_lhist_len : int;
+      (** undo log of the local-history pushes this packet made, in push
+          order: the first [e_lhist_len] PCs, each with its entry's prior
+          limbs — undone by squashes and the mispredict repair *)
+  e_fire_evs : Component.event array;
+      (** per component, over [e_predicted] — the [fire] and [repair] events *)
+  e_update_evs : Component.event array;  (** per component, over [e_effective] *)
 }
+
+val dir_bits : entry -> bool list
+(** The first [e_dir_len] of [e_dir_bits], as a fresh list. *)
 
 type t
 
 val create : capacity:int -> meta_bits:int array -> fetch_width:int -> ghist_bits:int -> lhist_bits:int -> t
-(** [meta_bits] gives the declared metadata width per component — used for
-    validation and for storage accounting. *)
+(** [meta_bits] gives the declared metadata width per component, for
+    storage accounting. Raises [Invalid_argument] if [capacity < 1]. *)
 
-val capacity : t -> int
 val length : t -> int
 val is_full : t -> bool
 
 val enqueue : t -> entry -> int
-(** Raises [Failure] when full; callers must backpressure fetch. *)
+(** Append at the tail and return the entry's sequence number. Raises
+    [Failure] when full; callers must backpressure fetch. *)
 
 val get : t -> int -> entry
-val contains : t -> int -> bool
-val oldest : t -> (int * entry) option
-val dequeue : t -> (int * entry) option
-val drop_newer_than : t -> int -> unit
+(** Raises [Invalid_argument] for dead or future sequence numbers. *)
+
+val oldest_seq : t -> int
+(** Sequence number of the oldest entry — the next one to be enqueued when
+    the file is empty. *)
+
+val dequeue : t -> entry
+(** Pop the oldest entry (commit order). Raises [Invalid_argument] when
+    empty. *)
+
+val drop_newer_than : t -> int -> (entry -> unit) -> unit
+(** [drop_newer_than t seq f] squashes every entry with a sequence number
+    above [seq], handing each to [f], youngest first. *)
+
 val iter_from : t -> int -> (int -> entry -> unit) -> unit
-val to_list : t -> (int * entry) list
+(** [iter_from t seq f] visits live entries from [seq] (inclusive, clamped
+    to the head) to the newest, in age order — the repair forwards-walk. *)
 
 val storage : t -> Storage.t
 (** Bit-accurate cost of the structure: per entry, the PC, the history

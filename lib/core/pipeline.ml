@@ -42,7 +42,8 @@ type token = int
 
 (** Out-of-band notifications for an attached statistics collector. The
     pipeline stays oblivious to what the observer does with them; with no
-    observer attached the only cost is a [None] check per entry point. *)
+    observer attached none is built, and the only cost is a [None] check
+    per entry point. *)
 type observation =
   | Predicted of { token : token; pc : int; max_len : int }
   | Fired of { seq : int; entry : History_file.entry }
@@ -63,11 +64,16 @@ type t = {
   composer : Composer.t;
   comps : Component.t array;
   depth : int;
-  mutable ghist : Bits.t;  (* global history through the last fired packet *)
-  mutable phist : Bits.t;  (* path history likewise, [max 1 path_bits] wide *)
+  ghist : Bits.t;  (* global history through the last fired packet, shifted in place *)
+  phist : Bits.t;  (* path history likewise, [max 1 path_bits] wide *)
   lhist : Lhist_provider.t;
+  lhist_zero : Bits.t;  (* what a dead slot's local history reads *)
   hf : History_file.t;
-  mutable pending : History_file.entry list; (* predicted, not yet fired; oldest first *)
+  mutable pending : History_file.entry array;
+      (* predicted, not yet fired: [pending.(0 .. n_pending - 1)], oldest first *)
+  mutable n_pending : int;
+  mutable spare : History_file.entry array;  (* the pool: records of retired packets *)
+  mutable n_spare : int;
   mutable next_token : token;
   mutable observer : (observation -> unit) option;
 }
@@ -86,17 +92,20 @@ let create cfg topo =
     ghist = Bits.zero cfg.ghist_bits;
     phist = Bits.zero (max 1 cfg.path_bits);
     lhist = Lhist_provider.create ~entries:cfg.lhist_entries ~bits:cfg.lhist_bits;
+    lhist_zero = Bits.zero cfg.lhist_bits;
     hf =
       History_file.create ~capacity:cfg.history_entries ~meta_bits ~fetch_width:cfg.fetch_width
         ~ghist_bits:cfg.ghist_bits ~lhist_bits:cfg.lhist_bits;
-    pending = [];
+    pending = [||];
+    n_pending = 0;
+    spare = [||];
+    n_spare = 0;
     next_token = 0;
     observer = None;
   }
 
 let set_observer t obs = t.observer <- obs
-let observed t = t.observer <> None
-let observe t ev = match t.observer with Some f -> f ev | None -> ()
+let observed t = match t.observer with Some _ -> true | None -> false
 
 let config t = t.cfg
 let topology t = t.topo
@@ -123,252 +132,318 @@ let storage t =
     (Storage.sum (Array.to_list (Array.map (fun (c : Component.t) -> c.storage) t.comps)))
     (management_storage t)
 
-(* --- frontend side ------------------------------------------------------ *)
+(* --- the record pool ------------------------------------------------------ *)
 
-(* The speculative value of a history register: its value through the last
-   fired packet, shifted by each pending packet's own bits, oldest first. *)
-let rec shift_pending reg ~path = function
-  | [] -> reg
-  | (e : History_file.entry) :: rest ->
-    let bits = if path then e.e_path_bits else e.e_dir_bits in
-    shift_pending (List.fold_left Bits.shift_in_lsb reg bits) ~path rest
+(* A packet record with every buffer its packet will need, built once: its
+   own context and history buffers, metadata vectors, stage rows, slot
+   vectors, undo log and the event records over them. *)
+let new_record t : History_file.entry =
+  let fw = t.cfg.fetch_width in
+  let row () = Types.no_prediction ~width:fw in
+  let ctx =
+    Context.make ~pc:0 ~fetch_width:fw ~ghist:(Bits.zero t.cfg.ghist_bits)
+      ~lhists:(Array.init fw (fun _ -> Bits.zero t.cfg.lhist_bits))
+      ~phist:(Bits.zero t.cfg.path_bits) ()
+  in
+  let metas = Array.map (fun (c : Component.t) -> Bits.zero c.meta_bits) t.comps in
+  let predicted = Array.make fw Types.no_branch in
+  let effective = Array.make fw Types.no_branch in
+  let events slots =
+    Array.map (fun meta -> { Component.ctx; meta; slots; culprit = None }) metas
+  in
+  {
+    e_token = -1;
+    e_ctx = ctx;
+    e_metas = metas;
+    e_stages = Array.init t.depth (fun _ -> row ());
+    e_raw = None;
+    e_predicted = predicted;
+    e_actual = Array.make fw Types.no_branch;
+    e_effective = effective;
+    e_packet_len = 0;
+    e_dir_bits = Array.make fw false;
+    e_dir_len = 0;
+    e_path = -1;
+    e_lhist_pcs = Array.make fw 0;
+    e_lhist_prior = Array.make (fw * Lhist_provider.limbs t.lhist) 0;
+    e_lhist_len = 0;
+    e_fire_evs = events predicted;
+    e_update_evs = events effective;
+  }
 
-(* Slots past [live] can never be used this packet; a shared zero vector
-   saves the provider reads without changing what any component can see. *)
-let read_lhists t ~pc ~live =
-  let dead = lazy (Cobra_util.Bits.zero t.cfg.lhist_bits) in
-  Array.init t.cfg.fetch_width (fun i ->
-      if i < live then Lhist_provider.read t.lhist ~pc:(pc + (4 * i))
-      else Lazy.force dead)
+(* [stack] with room for an [n+1]th record. *)
+let room stack n e =
+  if n < Array.length stack then stack
+  else begin
+    let bigger = Array.make (max 4 (2 * n)) e in
+    Array.blit stack 0 bigger 0 n;
+    bigger
+  end
 
-(* Slots of [pred] within [packet_len] that look like conditional branches
-   push a speculative bit into the local history of their own PC. *)
-let push_lhists t ~pc ~packet_len (pred : Types.prediction) =
-  let pushes = ref [] in
-  for i = 0 to Array.length pred - 1 do
-    let (op : Types.opinion) = pred.(i) in
-    if
-      i < packet_len
-      && (match op.o_branch with Some true -> true | Some false | None -> false)
-      && (match op.o_kind with None | Some Types.Cond -> true | Some _ -> false)
-    then begin
-      let slot_pc = pc + (4 * i) in
-      let prior = Lhist_provider.read t.lhist ~pc:slot_pc in
-      Lhist_provider.push t.lhist ~pc:slot_pc
-        (match op.o_taken with Some true -> true | Some false | None -> false);
-      pushes := (slot_pc, prior) :: !pushes
-    end
-  done;
-  List.rev !pushes
+(* A free record, or a new one when every record is in flight. *)
+let acquire t =
+  if t.n_spare = 0 then new_record t
+  else begin
+    t.n_spare <- t.n_spare - 1;
+    t.spare.(t.n_spare)
+  end
+
+let release t e =
+  t.spare <- room t.spare t.n_spare e;
+  t.spare.(t.n_spare) <- e;
+  t.n_spare <- t.n_spare + 1
+
+(* --- history contributions ------------------------------------------------ *)
 
 let path_bits_per_branch = 3
 
-(* Path bits contributed by a packet: folded low target bits of its first
-   (acted) taken branch, oldest first. *)
-(* Expand a folded target hash into its bit list, lowest bit first. *)
-let rec path_bits_build folded k acc =
-  if k < 0 then acc else path_bits_build folded (k - 1) (((folded lsr k) land 1 = 1) :: acc)
+let shift_dir_bits reg (e : History_file.entry) =
+  for i = 0 to e.e_dir_len - 1 do
+    Bits.shift_in_lsb_in_place reg e.e_dir_bits.(i)
+  done
 
-let path_bits_of_target target =
-  let folded =
-    Cobra_util.Hashing.fold_int (Cobra_util.Hashing.pc_bits target) ~width:62
-      ~bits:path_bits_per_branch
-  in
-  path_bits_build folded (path_bits_per_branch - 1) []
+(* The folded target's bits, lowest first. *)
+let shift_path reg (e : History_file.entry) =
+  if e.e_path >= 0 then
+    for k = 0 to path_bits_per_branch - 1 do
+      Bits.shift_in_lsb_in_place reg ((e.e_path lsr k) land 1 = 1)
+    done
 
-let rec path_bits_find_slot slots len i =
-  if i >= len then []
+(* The speculative value of a history register, written into [dst]: its
+   value through the last fired packet, shifted by each pending packet's own
+   bits, oldest first. *)
+let speculate t ~reg ~dst shift =
+  Bits.blit ~src:reg ~dst;
+  for i = 0 to t.n_pending - 1 do
+    shift dst t.pending.(i)
+  done
+
+(* Path history contributed by a packet: the folded low target bits of its
+   first (acted) taken branch. *)
+let path_fold target =
+  Cobra_util.Hashing.fold_int (Cobra_util.Hashing.pc_bits target) ~width:62
+    ~bits:path_bits_per_branch
+
+let rec path_find_slot (slots : Types.resolved array) len i =
+  if i >= len then -1
   else
-    let (r : Types.resolved) = slots.(i) in
-    if r.r_is_branch && r.r_taken then path_bits_of_target r.r_target
-    else path_bits_find_slot slots len (i + 1)
+    let r = slots.(i) in
+    if r.r_is_branch && r.r_taken then path_fold r.r_target else path_find_slot slots len (i + 1)
 
-let path_bits_of_slots t slots ~packet_len =
-  if t.cfg.path_bits = 0 then []
-  else path_bits_find_slot slots (min packet_len (Array.length slots)) 0
+let path_of_slots t slots ~packet_len =
+  if t.cfg.path_bits = 0 then -1
+  else path_find_slot slots (min packet_len (Array.length slots)) 0
 
-(* Path bits implied by a stage composite at predict time: the first slot
+(* The path implied by a stage composite at predict time: the first slot
    predicted as a taken branch, read straight off the opinions (what
-   [path_bits_of_slots] would see through the predicted resolved view,
-   without materialising that view). *)
-let rec path_bits_find_op (pred : Types.prediction) len i =
-  if i >= len then []
+   [path_of_slots] would see through the predicted resolved view, without
+   materialising that view). *)
+let rec path_find_op (pred : Types.prediction) len i =
+  if i >= len then -1
   else
     let op = pred.(i) in
     if
       (match op.Types.o_branch with Some true -> true | Some false | None -> false)
-      && (match op.Types.o_taken with Some true -> true | Some false | None -> false)
-    then path_bits_of_target (match op.Types.o_target with Some tgt -> tgt | None -> 0)
-    else path_bits_find_op pred len (i + 1)
+      && match op.Types.o_taken with Some true -> true | Some false | None -> false
+    then path_fold (match op.Types.o_target with Some tgt -> tgt | None -> 0)
+    else path_find_op pred len (i + 1)
 
-let path_bits_of_prediction t (pred : Types.prediction) ~packet_len =
-  if t.cfg.path_bits = 0 then []
-  else path_bits_find_op pred (min packet_len (Array.length pred)) 0
+let path_of_prediction t (pred : Types.prediction) ~packet_len =
+  if t.cfg.path_bits = 0 then -1 else path_find_op pred (min packet_len (Array.length pred)) 0
 
-let unwind_lhist_pushes t pushes =
-  List.iter (fun (pc, prior) -> Lhist_provider.restore t.lhist ~pc prior) (List.rev pushes)
+(* Direction bits implied by per-slot outcomes: one bit per conditional
+   branch, stopping after the first taken slot. *)
+let rec dir_bits_of_slots (slots : Types.resolved array) len i out n =
+  if i >= len then n
+  else
+    let s = slots.(i) in
+    let n =
+      if s.r_is_branch && match s.r_kind with Types.Cond -> true | _ -> false then begin
+        out.(n) <- s.r_taken;
+        n + 1
+      end
+      else n
+    in
+    if s.r_is_branch && s.r_taken then n else dir_bits_of_slots slots len (i + 1) out n
+
+let set_dir_bits_of_slots (e : History_file.entry) slots ~packet_len =
+  e.e_dir_len <- dir_bits_of_slots slots (min packet_len (Array.length slots)) 0 e.e_dir_bits 0
+
+(* A speculative local-history push, logged with the entry's prior limbs. *)
+let push_lhist t (e : History_file.entry) ~pc taken =
+  let n = e.e_lhist_len in
+  e.e_lhist_pcs.(n) <- pc;
+  Lhist_provider.save_limbs t.lhist ~pc e.e_lhist_prior ~pos:(n * Lhist_provider.limbs t.lhist);
+  Lhist_provider.push_in_place t.lhist ~pc taken;
+  e.e_lhist_len <- n + 1
+
+(* Undo a packet's local-history pushes, youngest first. *)
+let unwind_lhist t (e : History_file.entry) =
+  let limbs = Lhist_provider.limbs t.lhist in
+  for k = e.e_lhist_len - 1 downto 0 do
+    Lhist_provider.restore_limbs t.lhist ~pc:e.e_lhist_pcs.(k) e.e_lhist_prior ~pos:(k * limbs)
+  done;
+  e.e_lhist_len <- 0
+
+(* Slots of [pred] within [packet_len] that look like conditional branches
+   push a speculative bit into the local history of their own PC. *)
+let push_lhists_of_prediction t e ~pc ~packet_len (pred : Types.prediction) =
+  for i = 0 to min packet_len (Array.length pred) - 1 do
+    let (op : Types.opinion) = pred.(i) in
+    if
+      (match op.o_branch with Some true -> true | Some false | None -> false)
+      && match op.o_kind with None | Some Types.Cond -> true | Some _ -> false
+    then
+      push_lhist t e ~pc:(pc + (4 * i))
+        (match op.o_taken with Some true -> true | Some false | None -> false)
+  done
+
+(* Local-history pushes for the conditional branches of a slot vector, up
+   to the first taken slot. *)
+let push_lhists_of_slots t (e : History_file.entry) (slots : Types.resolved array) ~packet_len =
+  let stop = ref false in
+  for i = 0 to min packet_len (Array.length slots) - 1 do
+    let s = slots.(i) in
+    if (not !stop) && s.r_is_branch && match s.r_kind with Types.Cond -> true | _ -> false
+    then push_lhist t e ~pc:(Context.slot_pc e.e_ctx i) s.r_taken;
+    if s.r_is_branch && s.r_taken then stop := true
+  done
+
+(* --- frontend side ------------------------------------------------------ *)
+
+let push_pending t e =
+  t.pending <- room t.pending t.n_pending e;
+  t.pending.(t.n_pending) <- e;
+  t.n_pending <- t.n_pending + 1
 
 let predict t ~pc ~max_len =
   if max_len < 1 || max_len > t.cfg.fetch_width then
     invalid_arg "Pipeline.predict: max_len out of range";
-  let ctx =
-    Context.make ~pc ~fetch_width:t.cfg.fetch_width ~live_slots:max_len
-      ~ghist:(shift_pending t.ghist ~path:false t.pending)
-      ~lhists:(read_lhists t ~pc ~live:max_len)
-      ~phist:
-        (if t.cfg.path_bits = 0 then Bits.zero 0
-         else shift_pending t.phist ~path:true t.pending)
-      ()
-  in
-  (* The composer's buffers are overwritten by the next predict: the packet
+  let e = acquire t in
+  let ctx = e.e_ctx in
+  (* Slots past [max_len] can never be used this packet: they read as zero
+     history, which saves the provider reads without changing what any
+     component can see. Only those the record's last packet used need
+     clearing. *)
+  for i = 0 to t.cfg.fetch_width - 1 do
+    if i < max_len then
+      Bits.blit ~src:(Lhist_provider.read t.lhist ~pc:(pc + (4 * i))) ~dst:ctx.lhists.(i)
+    else if i < ctx.live_slots then Bits.blit ~src:t.lhist_zero ~dst:ctx.lhists.(i)
+  done;
+  Context.reset ctx ~pc;
+  ctx.live_slots <- max_len;
+  speculate t ~reg:t.ghist ~dst:ctx.ghist shift_dir_bits;
+  if t.cfg.path_bits > 0 then speculate t ~reg:t.phist ~dst:ctx.phist shift_path;
+  (* The composer's buffers are overwritten by the next predict: the record
      keeps copies of its rows and metadata, and of the raw opinions only
      while an observer is attached. *)
-  let stages = Array.map Array.copy (Composer.eval t.composer ctx) in
-  let metas = Array.map Bits.copy (Composer.metas t.composer) in
-  let raw =
-    if observed t then Some (Array.map Array.copy (Composer.opinions t.composer)) else None
-  in
-  let stage1 = stages.(0) in
-  let packet_len = (Types.next_fetch stage1 ~pc ~max_len).Types.packet_len in
+  let stages = Composer.eval t.composer ctx in
+  for d = 0 to t.depth - 1 do
+    let src = stages.(d) and dst = e.e_stages.(d) in
+    for i = 0 to t.cfg.fetch_width - 1 do
+      dst.(i) <- src.(i)
+    done
+  done;
+  let metas = Composer.metas t.composer in
+  for id = 0 to Array.length metas - 1 do
+    Bits.blit ~src:metas.(id) ~dst:e.e_metas.(id)
+  done;
+  (match (t.observer, e.e_raw) with
+  | None, _ -> e.e_raw <- None
+  | Some _, None -> e.e_raw <- Some (Array.map Array.copy (Composer.opinions t.composer))
+  | Some _, Some rows ->
+    Array.iteri (fun id row -> Array.blit row 0 rows.(id) 0 t.cfg.fetch_width)
+      (Composer.opinions t.composer));
+  let stage1 = e.e_stages.(0) in
+  let packet_len = Types.packet_len stage1 ~max_len in
   let token = t.next_token in
   t.next_token <- token + 1;
-  let e : History_file.entry =
-    {
-      e_token = token;
-      e_ctx = ctx;
-      e_metas = metas;
-      e_stages = stages;
-      e_raw = raw;
-      e_slots = [||];
-      e_packet_len = 0;
-      e_dir_bits = Types.direction_bits stage1 ~packet_len;
-      e_path_bits = path_bits_of_prediction t stage1 ~packet_len;
-      e_lhist_pushes = push_lhists t ~pc ~packet_len stage1;
-    }
-  in
-  t.pending <- t.pending @ [ e ];
-  observe t (Predicted { token; pc; max_len });
+  e.e_token <- token;
+  e.e_packet_len <- 0;
+  e.e_dir_len <- Types.direction_bits_into stage1 ~packet_len e.e_dir_bits;
+  e.e_path <- path_of_prediction t stage1 ~packet_len;
+  e.e_lhist_len <- 0;
+  push_lhists_of_prediction t e ~pc ~packet_len stage1;
+  push_pending t e;
+  (match t.observer with Some f -> f (Predicted { token; pc; max_len }) | None -> ());
   token
 
-(* Threaded-argument recursion: [List.find_opt] with a capturing predicate
-   would allocate a closure per lookup, and the host calls this several
-   times per packet per cycle. *)
-let rec find_pending_in (pending : History_file.entry list) token =
-  match pending with
-  | [] -> invalid_arg (Printf.sprintf "Pipeline: token %d is not pending" token)
-  | e :: rest -> if e.e_token = token then e else find_pending_in rest token
+(* Threaded-argument recursion: a local closure over [t] and [token] would
+   be allocated per lookup, and the host calls this several times per packet
+   per cycle. *)
+let rec pending_index pending n token i =
+  if i >= n then invalid_arg (Printf.sprintf "Pipeline: token %d is not pending" token)
+  else if pending.(i).History_file.e_token = token then i
+  else pending_index pending n token (i + 1)
 
-let find_pending t token = find_pending_in t.pending token
+let find_pending t token = t.pending.(pending_index t.pending t.n_pending token 0)
 
 let stages t token = (find_pending t token).e_stages
 let context t token = (find_pending t token).e_ctx
-let applied_dir_bits t token = (find_pending t token).e_dir_bits
-let revise_dir_bits t token bits = (find_pending t token).e_dir_bits <- bits
-let pending_tokens t = List.map (fun (e : History_file.entry) -> e.e_token) t.pending
+let applied_dir_bits t token = History_file.dir_bits (find_pending t token)
+
+let revise_dir_bits t token bits =
+  let e = find_pending t token in
+  let n = List.length bits in
+  if n > t.cfg.fetch_width then
+    invalid_arg "Pipeline.revise_dir_bits: more bits than slots in a packet";
+  List.iteri (fun i b -> e.e_dir_bits.(i) <- b) bits;
+  e.e_dir_len <- n
+
+let pending_tokens t = List.init t.n_pending (fun i -> t.pending.(i).History_file.e_token)
 
 let squash_from t token =
-  let rec split keep = function
-    | [] -> invalid_arg (Printf.sprintf "Pipeline: token %d is not pending" token)
-    | (e : History_file.entry) :: rest when e.e_token <> token -> split (e :: keep) rest
-    | squashed -> (List.rev keep, squashed)
-  in
-  let keep, squashed = split [] t.pending in
+  let k = pending_index t.pending t.n_pending token 0 in
+  let n = t.n_pending in
   (* Unwind speculative local-history pushes youngest-first. *)
-  List.iter
-    (fun (e : History_file.entry) -> unwind_lhist_pushes t e.e_lhist_pushes)
-    (List.rev squashed);
-  t.pending <- keep;
-  observe t (Squashed { packets = List.length squashed })
+  for i = n - 1 downto k do
+    let e = t.pending.(i) in
+    unwind_lhist t e;
+    release t e
+  done;
+  t.n_pending <- k;
+  match t.observer with Some f -> f (Squashed { packets = n - k }) | None -> ()
 
 let squash_all_pending t =
-  match t.pending with [] -> () | e :: _ -> squash_from t e.e_token
+  if t.n_pending > 0 then squash_from t t.pending.(0).History_file.e_token
 
 let can_fire t = not (History_file.is_full t.hf)
 
-let event_of_entry (entry : History_file.entry) ~id ~slots ~culprit : Component.event =
-  { ctx = entry.e_ctx; meta = entry.e_metas.(id); slots; culprit }
-
-let predicted_slots (entry : History_file.entry) =
-  Array.map (fun (s : History_file.slot_state) -> s.predicted) entry.e_slots
-
-let effective_slots (entry : History_file.entry) =
-  let n = Array.length entry.e_slots in
-  let out = Array.make n Types.no_branch in
-  for i = 0 to entry.e_packet_len - 1 do
-    if i < n then
-      let (s : History_file.slot_state) = entry.e_slots.(i) in
-      out.(i) <- (match s.actual with Some r -> r | None -> s.predicted)
-  done;
-  out
-
-(* Push local-history bits for the conditional branches of a slot vector,
-   returning the (pc, prior) undo list. *)
-let push_lhists_of_slots t ctx slots ~packet_len =
-  let pushes = ref [] in
-  let stop = ref false in
-  for i = 0 to Array.length slots - 1 do
-    let (s : Types.resolved) = slots.(i) in
-    if
-      (not !stop) && i < packet_len && s.r_is_branch
-      && match s.r_kind with Types.Cond -> true | _ -> false
-    then begin
-      let slot_pc = Context.slot_pc ctx i in
-      let prior = Lhist_provider.read t.lhist ~pc:slot_pc in
-      Lhist_provider.push t.lhist ~pc:slot_pc s.r_taken;
-      pushes := (slot_pc, prior) :: !pushes
-    end;
-    if i < packet_len && s.r_is_branch && s.r_taken then stop := true
-  done;
-  List.rev !pushes
-
-(* Direction bits implied by per-slot outcomes: one bit per conditional
-   branch, stopping after the first taken slot. *)
-let rec dir_bits_of_slots_loop slots len i acc =
-  if i >= len then List.rev acc
-  else
-    let (s : Types.resolved) = slots.(i) in
-    let acc =
-      if s.r_is_branch && (match s.r_kind with Types.Cond -> true | _ -> false) then
-        s.r_taken :: acc
-      else acc
-    in
-    if s.r_is_branch && s.r_taken then List.rev acc
-    else dir_bits_of_slots_loop slots len (i + 1) acc
-
-let dir_bits_of_slots slots ~packet_len =
-  dir_bits_of_slots_loop slots (min packet_len (Array.length slots)) 0 []
-
 let fire t token ~slots ~packet_len =
   let e =
-    match t.pending with
-    | e :: _ when e.History_file.e_token = token -> e
-    | _ -> invalid_arg "Pipeline.fire: token must be the oldest pending packet"
+    if t.n_pending > 0 && t.pending.(0).History_file.e_token = token then t.pending.(0)
+    else invalid_arg "Pipeline.fire: token must be the oldest pending packet"
   in
-  if Array.length slots <> t.cfg.fetch_width then
+  let fw = t.cfg.fetch_width in
+  if Array.length slots <> fw then
     invalid_arg "Pipeline.fire: slots array must have fetch_width entries";
-  if packet_len < 1 || packet_len > t.cfg.fetch_width then
-    invalid_arg "Pipeline.fire: packet_len out of range";
+  if packet_len < 1 || packet_len > fw then invalid_arg "Pipeline.fire: packet_len out of range";
   (* Predecode correction: the host now knows the true branch positions, so
      the packet's speculative history bits — global, path and local — are
      recomputed from them, with directions from the acted prediction
      (unless the configuration models a design without this correction). *)
   if t.cfg.predecode_history_correction then begin
-    e.e_dir_bits <- dir_bits_of_slots slots ~packet_len;
-    e.e_path_bits <- path_bits_of_slots t slots ~packet_len;
-    unwind_lhist_pushes t e.e_lhist_pushes;
-    e.e_lhist_pushes <- push_lhists_of_slots t e.e_ctx slots ~packet_len
+    set_dir_bits_of_slots e slots ~packet_len;
+    e.e_path <- path_of_slots t slots ~packet_len;
+    unwind_lhist t e;
+    push_lhists_of_slots t e slots ~packet_len
   end;
-  t.ghist <- List.fold_left Bits.shift_in_lsb t.ghist e.e_dir_bits;
-  t.phist <- List.fold_left Bits.shift_in_lsb t.phist e.e_path_bits;
-  t.pending <- List.tl t.pending;
-  e.e_slots <- Array.map (fun r -> { History_file.predicted = r; actual = None }) slots;
+  shift_dir_bits t.ghist e;
+  shift_path t.phist e;
+  for i = 1 to t.n_pending - 1 do
+    t.pending.(i - 1) <- t.pending.(i)
+  done;
+  t.n_pending <- t.n_pending - 1;
+  for i = 0 to fw - 1 do
+    e.e_predicted.(i) <- slots.(i);
+    e.e_actual.(i) <- slots.(i)
+  done;
   e.e_packet_len <- packet_len;
   let seq = History_file.enqueue t.hf e in
-  let pslots = predicted_slots e in
-  Array.iteri
-    (fun id (c : Component.t) -> c.fire (event_of_entry e ~id ~slots:pslots ~culprit:None))
-    t.comps;
-  observe t (Fired { seq; entry = e });
+  for id = 0 to Array.length t.comps - 1 do
+    t.comps.(id).fire e.e_fire_evs.(id)
+  done;
+  (match t.observer with Some f -> f (Fired { seq; entry = e }) | None -> ());
   seq
 
 (* --- backend side ------------------------------------------------------- *)
@@ -379,81 +454,91 @@ let check_slot t ~slot =
 let resolve t ~seq ~slot resolved =
   check_slot t ~slot;
   let entry = History_file.get t.hf seq in
-  entry.e_slots.(slot).actual <- Some resolved;
-  observe t (Resolved { seq; slot; actual = resolved; entry })
+  entry.e_actual.(slot) <- resolved;
+  match t.observer with
+  | Some f -> f (Resolved { seq; slot; actual = resolved; entry })
+  | None -> ()
 
-(* Re-apply corrected local-history state for the mispredicted entry: undo
-   its speculative pushes, then push the (now partly resolved) directions of
-   the surviving slots. *)
-let repush_lhists t (entry : History_file.entry) =
-  unwind_lhist_pushes t entry.e_lhist_pushes;
-  entry.e_lhist_pushes <-
-    push_lhists_of_slots t entry.e_ctx (effective_slots entry)
-      ~packet_len:entry.e_packet_len
+(* The slots of the packet's mispredict and update events: resolved (or
+   still predicted) outcomes within the packet, no branch beyond. *)
+let set_effective t (e : History_file.entry) =
+  for i = 0 to t.cfg.fetch_width - 1 do
+    e.e_effective.(i) <- (if i < e.e_packet_len then e.e_actual.(i) else Types.no_branch)
+  done
 
 let mispredict t ~seq ~slot resolved =
   check_slot t ~slot;
   let entry = History_file.get t.hf seq in
-  entry.e_slots.(slot).actual <- Some resolved;
+  entry.e_actual.(slot) <- resolved;
   (* Forwards-walk first: repair events for the younger in-flight packets
      being squashed, oldest first (paper Section IV-B2). The culprit's fast
      mispredict update runs after the walk so the corrected state it writes
      is final — younger packets' restored speculative state must not
      clobber it. *)
-  let younger = ref [] in
-  History_file.iter_from t.hf (seq + 1) (fun s e -> younger := (s, e) :: !younger);
-  let younger_oldest_first = List.rev !younger in
-  List.iter
-    (fun ((yseq, e) : int * History_file.entry) ->
-      let pslots = predicted_slots e in
-      Array.iteri
-        (fun id (c : Component.t) ->
-          c.repair (event_of_entry e ~id ~slots:pslots ~culprit:None))
-        t.comps;
-      observe t (Repaired { seq = yseq }))
-    younger_oldest_first;
+  History_file.iter_from t.hf (seq + 1) (fun yseq (e : History_file.entry) ->
+      for id = 0 to Array.length t.comps - 1 do
+        t.comps.(id).repair e.e_fire_evs.(id)
+      done;
+      match t.observer with Some f -> f (Repaired { seq = yseq }) | None -> ());
   (* Fast update for the offending packet. *)
-  let resolved_view = effective_slots entry in
-  Array.iteri
-    (fun id (c : Component.t) ->
-      c.mispredict (event_of_entry entry ~id ~slots:resolved_view ~culprit:(Some slot)))
-    t.comps;
-  observe t (Mispredicted { seq; slot; actual = resolved; entry });
+  set_effective t entry;
+  let culprit = Some slot in
+  for id = 0 to Array.length t.comps - 1 do
+    t.comps.(id).mispredict { (entry.e_update_evs.(id)) with culprit }
+  done;
+  (match t.observer with
+  | Some f -> f (Mispredicted { seq; slot; actual = resolved; entry })
+  | None -> ());
   squash_all_pending t;
-  List.iter
-    (fun ((_, e) : int * History_file.entry) -> unwind_lhist_pushes t e.e_lhist_pushes)
-    !younger;
-  History_file.drop_newer_than t.hf seq;
+  History_file.drop_newer_than t.hf seq (fun e ->
+      unwind_lhist t e;
+      release t e);
   (* The packet is cut at the culprit: younger slots were squashed (either
-     the branch was taken, or the not-taken refetch starts a new packet). *)
+     the branch was taken, or the not-taken refetch starts a new packet).
+     Its history bits — global, path and local — are recomputed from the
+     surviving slots, and the global and path registers restored from its
+     snapshots plus those bits. *)
   entry.e_packet_len <- slot + 1;
-  entry.e_dir_bits <- dir_bits_of_slots (effective_slots entry) ~packet_len:entry.e_packet_len;
-  entry.e_path_bits <-
-    path_bits_of_slots t (effective_slots entry) ~packet_len:entry.e_packet_len;
-  repush_lhists t entry;
-  (* Restore the global and path history registers from the entry's
-     snapshots plus its corrected bits. *)
-  t.ghist <- List.fold_left Bits.shift_in_lsb entry.e_ctx.Context.ghist entry.e_dir_bits;
-  if t.cfg.path_bits > 0 then
-    t.phist <- List.fold_left Bits.shift_in_lsb entry.e_ctx.Context.phist entry.e_path_bits
+  set_effective t entry;
+  let packet_len = entry.e_packet_len in
+  set_dir_bits_of_slots entry entry.e_effective ~packet_len;
+  entry.e_path <- path_of_slots t entry.e_effective ~packet_len;
+  unwind_lhist t entry;
+  push_lhists_of_slots t entry entry.e_effective ~packet_len;
+  Bits.blit ~src:entry.e_ctx.Context.ghist ~dst:t.ghist;
+  shift_dir_bits t.ghist entry;
+  if t.cfg.path_bits > 0 then begin
+    Bits.blit ~src:entry.e_ctx.Context.phist ~dst:t.phist;
+    shift_path t.phist entry
+  end
 
 let commit t =
-  match History_file.dequeue t.hf with
-  | None -> invalid_arg "Pipeline.commit: history file empty"
-  | Some (seq, entry) ->
-    let slots = effective_slots entry in
-    Array.iteri
-      (fun id (c : Component.t) ->
-        c.update (event_of_entry entry ~id ~slots ~culprit:None))
-      t.comps;
-    observe t (Committed { seq; packet_len = entry.e_packet_len; slots })
+  if History_file.length t.hf = 0 then invalid_arg "Pipeline.commit: history file empty";
+  let seq = History_file.oldest_seq t.hf in
+  let entry = History_file.dequeue t.hf in
+  set_effective t entry;
+  for id = 0 to Array.length t.comps - 1 do
+    t.comps.(id).update entry.e_update_evs.(id)
+  done;
+  (match t.observer with
+  | Some f -> f (Committed { seq; packet_len = entry.e_packet_len; slots = entry.e_effective })
+  | None -> ());
+  release t entry
 
 let inflight t = History_file.length t.hf
-let oldest_seq t = Option.map fst (History_file.oldest t.hf)
 
-let ghist_value t = shift_pending t.ghist ~path:false t.pending
-let phist_value t = shift_pending t.phist ~path:true t.pending
-let lhist_value t ~pc = Lhist_provider.read t.lhist ~pc
+let oldest_seq t =
+  if History_file.length t.hf = 0 then None else Some (History_file.oldest_seq t.hf)
+
+let speculative_value t reg shift =
+  let v = Bits.zero (Bits.width reg) in
+  speculate t ~reg ~dst:v shift;
+  v
+
+let ghist_value t = speculative_value t t.ghist shift_dir_bits
+let phist_value t = speculative_value t t.phist shift_path
+
+let lhist_value t ~pc = Bits.copy (Lhist_provider.read t.lhist ~pc)
 let entry t seq = History_file.get t.hf seq
 
 (* ------------------------------------------------------------------ *)
@@ -475,7 +560,7 @@ let entry t seq = History_file.get t.hf seq
 
 module Slab = Cobra_util.Slab
 
-let quiesced t = t.pending = [] && History_file.length t.hf = 0
+let quiesced t = t.n_pending = 0 && History_file.length t.hf = 0
 
 let slab_cells cfg comps =
   Array.fold_left
@@ -545,24 +630,18 @@ let snapshot t =
     invalid_arg
       (Printf.sprintf
          "Pipeline.snapshot: pipeline not quiesced (%d pending packets, %d in-flight entries)"
-         (List.length t.pending) (History_file.length t.hf));
+         t.n_pending (History_file.length t.hf));
   write_slab t.cfg t.comps ~next_token:t.next_token ~ghist:t.ghist ~path:t.phist t.lhist
 
 let restore t slab =
   if History_file.length t.hf <> 0 then
     invalid_arg "Pipeline.restore: history file not empty";
-  (* Into fresh vectors: history values handed out earlier (contexts,
-     [lhist_value]) keep theirs. *)
-  let ghist = Bits.zero (Bits.width t.ghist) in
-  let path = Bits.zero (Bits.width t.phist) in
-  let lhist =
-    Lhist_provider.create ~entries:(Lhist_provider.entries t.lhist)
-      ~bits:(Lhist_provider.bits t.lhist)
-  in
-  t.next_token <- read_slab ~engine:"pipeline" t.cfg t.comps slab ~ghist ~path lhist;
-  t.pending <- [];
-  t.ghist <- ghist;
-  t.phist <- path;
-  for i = 0 to Lhist_provider.entries lhist - 1 do
-    Lhist_provider.set_nth t.lhist i (Lhist_provider.nth lhist i)
-  done
+  (* In place: contexts own copies of their histories, and the
+     introspection values are copies too. Pending packets' local-history
+     pushes are overwritten with the rest of the table. *)
+  t.next_token <-
+    read_slab ~engine:"pipeline" t.cfg t.comps slab ~ghist:t.ghist ~path:t.phist t.lhist;
+  for i = 0 to t.n_pending - 1 do
+    release t t.pending.(i)
+  done;
+  t.n_pending <- 0

@@ -9,12 +9,23 @@
     round-trip through the history file.
 
     Each in-flight fetch packet is one {!History_file.entry}, from predict
-    to commit: {!predict} creates it, the pending list holds it until
-    {!fire} fills in its slots and moves it into the history file, and
-    {!commit} retires it. The global and path registers hold the history
-    through the last fired packet; the speculative value a new packet's
-    context gets is those registers shifted by the pending packets' own
-    bits, so revising or squashing a pending packet edits only that packet.
+    to retirement: {!predict} takes a record from the pipeline's pool, the
+    pending queue holds it until {!fire} fills in its slots and moves it
+    into the history file, and {!commit} — or a squash, or a mispredict
+    that drops the packet — retires it and gives the record back. A record
+    is built once, with its own context and history buffers, metadata
+    vectors, stage rows, slot vectors and event records, and a new one is
+    built only when every record is in flight; so the steady state
+    allocates no packet state. Whatever the pipeline hands out of a record
+    — {!stages}, {!context}, {!entry} and observation payloads — is
+    therefore valid until its packet retires, and rewritten when the
+    record's next packet is predicted.
+
+    The global and path registers and the local-history table are shifted
+    in place. The registers hold the history through the last fired
+    packet; the speculative value a new packet's context gets is those
+    registers shifted by the pending packets' own bits, so revising or
+    squashing a pending packet edits only that packet.
 
     The resulting pipeline is a drop-in prediction unit for a host core's
     frontend. The protocol mirrors hardware operation:
@@ -95,20 +106,23 @@ val predict : t -> pc:int -> max_len:int -> token
     [max_len] slots ([1 <= max_len <= fetch_width]). *)
 
 val stages : t -> token -> Types.prediction array
-(** [ (stages t tok).(d-1) ] is the composite prediction at Fetch-[d]. *)
+(** [ (stages t tok).(d-1) ] is the composite prediction at Fetch-[d]: the
+    packet record's rows, valid until the packet retires. *)
 
 val context : t -> token -> Context.t
+(** The packet record's context, valid until the packet retires. *)
 
 val applied_dir_bits : t -> token -> bool list
 (** Direction bits this packet currently contributes to the speculative
-    global history. *)
+    global history, as a fresh list. *)
 
 val revise_dir_bits : t -> token -> bool list -> unit
 (** Divergence repair: a later stage disagrees with the bits recorded at
     Fetch-1; replace them, which rebuilds the speculative history every
     younger context sees. In-flight younger packets keep the predictions
     they already formed — whether they are replayed is the host frontend's
-    policy (the paper's Section VI-B experiment). *)
+    policy (the paper's Section VI-B experiment). Raises [Invalid_argument]
+    on more bits than [fetch_width] (a packet has at most one per slot). *)
 
 val pending_tokens : t -> token list
 (** Oldest first. *)
@@ -156,10 +170,10 @@ val oldest_seq : t -> int option
 
     A single optional observer receives out-of-band notifications at every
     protocol step. The pipeline is oblivious to what the observer does; with
-    no observer attached the only cost is a [None] check per entry point
-    (and per-component raw predictions are not recorded at all). This is the
-    hook [Cobra_stats] attaches to — kept generic so [lib/core] does not
-    depend on the stats library. *)
+    no observer attached no notification is built, the only cost is a
+    [None] check per entry point, and per-component raw predictions are not
+    recorded at all. This is the hook [Cobra_stats] attaches to — kept
+    generic so [lib/core] does not depend on the stats library. *)
 
 type observation =
   | Predicted of { token : token; pc : int; max_len : int }
@@ -177,8 +191,9 @@ type observation =
 (** [entry] is the packet's own record — PC and histories in [e_ctx], the
     stage composites, the per-component raw predictions ([e_raw], [None]
     when no observer was attached at predict time) and the predicted slot
-    outcomes. It is the pipeline's live state: read it during the
-    notification, never mutate it. *)
+    outcomes. It is the pipeline's live state: never mutate it, and read it
+    (like [Committed]'s [slots], the record's effective slot vector) no
+    later than its packet's retirement — the record is then recycled. *)
 
 val set_observer : t -> (observation -> unit) option -> unit
 (** Attach (or detach, with [None]) the observer. At most one at a time. *)
@@ -247,9 +262,18 @@ val read_slab :
 (** {1 Introspection (tests, debugging)} *)
 
 val ghist_value : t -> Cobra_util.Bits.t
+(** The speculative global history a packet predicted now would see, as a
+    fresh copy (the register itself shifts in place). *)
+
 val phist_value : t -> Cobra_util.Bits.t
+(** Likewise for the path history register ([max 1 path_bits] wide). *)
+
 val lhist_value : t -> pc:int -> Cobra_util.Bits.t
+(** A copy of [pc]'s local-history entry. *)
 
 (** Folded target bits shifted into the path history per taken branch. *)
 val path_bits_per_branch : int
+
 val entry : t -> int -> History_file.entry
+(** The history-file record of sequence number [seq], valid until its
+    packet retires. *)

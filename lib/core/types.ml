@@ -123,23 +123,44 @@ let rec next_fetch_find pred len i =
 
 let next_fetch pred ~pc:_ ~max_len = next_fetch_find pred (min max_len (Array.length pred)) 0
 
+let rec packet_len_find pred len i =
+  if i >= len then len
+  else if is_taken_slot pred.(i) then i + 1
+  else packet_len_find pred len (i + 1)
+
+let packet_len pred ~max_len = packet_len_find pred (min max_len (Array.length pred)) 0
+
+let is_cond_slot op =
+  (match op.o_branch with Some true -> true | Some false | None -> false)
+  && match op.o_kind with None | Some Cond -> true | Some _ -> false
+
+let taken_bit op = match op.o_taken with Some true -> true | Some false | None -> false
+
 let rec direction_bits_loop pred len i acc =
   if i >= len then List.rev acc
   else
     let op = pred.(i) in
-    let is_cond_branch =
-      (match op.o_branch with Some true -> true | Some false | None -> false)
-      && (match op.o_kind with None | Some Cond -> true | Some _ -> false)
-    in
-    let acc =
-      if is_cond_branch then
-        (match op.o_taken with Some true -> true | Some false | None -> false) :: acc
-      else acc
-    in
+    let acc = if is_cond_slot op then taken_bit op :: acc else acc in
     if is_taken_slot op then List.rev acc else direction_bits_loop pred len (i + 1) acc
 
 let direction_bits pred ~packet_len =
   direction_bits_loop pred (min packet_len (Array.length pred)) 0 []
+
+let rec direction_bits_into_loop pred len i out n =
+  if i >= len then n
+  else
+    let op = pred.(i) in
+    let n =
+      if is_cond_slot op then begin
+        out.(n) <- taken_bit op;
+        n + 1
+      end
+      else n
+    in
+    if is_taken_slot op then n else direction_bits_into_loop pred len (i + 1) out n
+
+let direction_bits_into pred ~packet_len out =
+  direction_bits_into_loop pred (min packet_len (Array.length pred)) 0 out 0
 
 let pp_option pp ppf = function
   | None -> Format.pp_print_string ppf "-"

@@ -95,10 +95,18 @@ val next_fetch : prediction -> pc:int -> max_len:int -> next_fetch
     packet. A taken opinion without a target cannot redirect and is treated
     as fall-through. *)
 
+val packet_len : prediction -> max_len:int -> int
+(** [(next_fetch pred ~pc ~max_len).packet_len], without building the
+    decision. *)
+
 val direction_bits : prediction -> packet_len:int -> bool list
 (** The conditional-branch direction bits this prediction pushes into a
     global history register, oldest first: one bit per slot believed to hold
     a conditional branch, truncated after the first taken slot. *)
+
+val direction_bits_into : prediction -> packet_len:int -> bool array -> int
+(** {!direction_bits} written into the front of a buffer of at least
+    [min packet_len (Array.length pred)] cells; returns the bit count. *)
 
 val pp_opinion : Format.formatter -> opinion -> unit
 val pp_prediction : Format.formatter -> prediction -> unit

@@ -42,24 +42,48 @@ let run_with_stats ?insns ?config ?pipeline_config ?transform
   ( { design = design.Designs.name; workload = workload.Cobra_workloads.Suite.name; perf },
     report )
 
-let run ?insns ?config ?pipeline_config ?transform (design : Designs.t)
-    (workload : Cobra_workloads.Suite.entry) =
+(* The ["k=v"] fields of a [;]-separated spec that differ from [default]'s. *)
+let spec_diff spec ~default =
+  let base = String.split_on_char ';' default in
+  List.filter (fun field -> not (List.mem field base)) (String.split_on_char ';' spec)
+
+(* What sets a run apart from its design at its defaults, for naming its
+   statistics export: the core and pipeline configuration fields that
+   differ from the defaults, then the transform's tag. Empty at the
+   defaults, which keeps the plain [<design>__<workload>] name. *)
+let variant ~config ~pipeline_config ~transform_tag (design : Designs.t) =
+  String.concat "+"
+    (spec_diff (Cobra_uarch.Config.spec config)
+       ~default:(Cobra_uarch.Config.spec Cobra_uarch.Config.default)
+    @ (match pipeline_config with
+      | None -> []
+      | Some p ->
+        spec_diff (Cobra.Pipeline.config_spec p)
+          ~default:(Cobra.Pipeline.config_spec design.Designs.pipeline_config))
+    @ Option.to_list transform_tag)
+
+let run_named ?transform_tag ?insns ?(config = Cobra_uarch.Config.default) ?pipeline_config
+    ?transform (design : Designs.t) (workload : Cobra_workloads.Suite.entry) =
   let insns = match insns with Some n -> n | None -> default_insns () in
   if Cobra_stats.Env.enabled () then begin
     let result, report =
-      run_with_stats ~insns ?config ?pipeline_config ?transform design workload
+      run_with_stats ~insns ~config ?pipeline_config ?transform design workload
     in
-    (try ignore (Cobra_stats.Export.write ~dir:(Cobra_stats.Env.dir ()) report)
+    let variant = variant ~config ~pipeline_config ~transform_tag design in
+    (try ignore (Cobra_stats.Export.write ~variant ~dir:(Cobra_stats.Env.dir ()) report)
      with Sys_error _ | Unix.Unix_error _ -> ());
     Cobra_stats.Sink.publish report;
     result
   end
   else begin
     (* stats disabled: the collection machinery is never elaborated *)
-    let _pl, core = elaborate ?config ?pipeline_config ?transform design workload in
+    let _pl, core = elaborate ~config ?pipeline_config ?transform design workload in
     let perf = Cobra_uarch.Core.run core ~max_insns:insns in
     { design = design.Designs.name; workload = workload.Cobra_workloads.Suite.name; perf }
   end
+
+let run ?insns ?config ?pipeline_config ?transform design workload =
+  run_named ?insns ?config ?pipeline_config ?transform design workload
 
 (* --- parallel grids ----------------------------------------------------------- *)
 
@@ -103,8 +127,10 @@ let to_runner_job j =
     Cobra_runner.key = job_key j;
     run =
       (fun () ->
-        let transform = match j.job_transform with None -> Fun.id | Some (_, f) -> f in
-        (run ~insns:j.job_insns ~config:j.job_config
+        let transform_tag, transform =
+          match j.job_transform with None -> (None, Fun.id) | Some (tag, f) -> (Some tag, f)
+        in
+        (run_named ?transform_tag ~insns:j.job_insns ~config:j.job_config
            ?pipeline_config:j.job_pipeline_config ~transform j.job_design j.job_workload)
           .perf);
   }

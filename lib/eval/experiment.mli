@@ -32,7 +32,14 @@ val run :
     [COBRA_STATS] is enabled, a {!Cobra_stats.Collector} rides along: the
     report is exported to [COBRA_STATS_DIR] as JSON + CSV and published to
     {!Cobra_stats.Sink} (the parallel runner forwards it into its telemetry
-    stream). With stats disabled no collection machinery is elaborated. *)
+    stream). With stats disabled no collection machinery is elaborated.
+
+    The export is named [<design>__<workload>] at the design's defaults;
+    otherwise [<design>__<workload>__<variant>], where the variant lists
+    the core and pipeline configuration fields that differ from the
+    defaults (a {!job}'s also ends in its transform tag — [run]'s
+    transform has none), so runs that differ only there do not overwrite
+    each other's reports. *)
 
 val run_with_stats :
   ?insns:int ->

@@ -209,7 +209,7 @@ and t_mispredicted t e ~slot actual =
     match e.e_raw with
     | None -> "unattributed"
     | Some raw ->
-      let acted = e.e_slots.(slot).History_file.predicted in
+      let acted = e.e_predicted.(slot) in
       let final = e.e_stages.(Array.length e.e_stages - 1) in
       let final_op = if slot < Array.length final then final.(slot) else Types.empty_opinion in
       if acted.Types.r_taken <> actual.Types.r_taken then begin

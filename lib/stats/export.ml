@@ -18,14 +18,15 @@ let write_file path contents =
     (fun () -> output_string oc contents);
   Sys.rename tmp path
 
-let basename (r : Report.t) =
-  Printf.sprintf "%s__%s"
+let basename ?(variant = "") (r : Report.t) =
+  Printf.sprintf "%s__%s%s"
     (sanitize (if r.Report.design = "" then "design" else r.Report.design))
     (sanitize (if r.Report.workload = "" then "workload" else r.Report.workload))
+    (if variant = "" then "" else "__" ^ sanitize variant)
 
-let write ~dir r =
+let write ?variant ~dir r =
   ensure_dir dir;
-  let base = Filename.concat dir (basename r) in
+  let base = Filename.concat dir (basename ?variant r) in
   let json_path = base ^ ".json" in
   let csv_path = base ^ ".csv" in
   write_file json_path (Json.to_string (Report.to_json r) ^ "\n");

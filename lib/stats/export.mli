@@ -1,9 +1,11 @@
 (** Report file export. *)
 
-val write : dir:string -> Report.t -> string * string
+val write : ?variant:string -> dir:string -> Report.t -> string * string
 (** Write [<design>__<workload>.json] and [.csv] into [dir] (created when
     missing), atomically via temp-file + rename — safe under the parallel
-    runner. Returns [(json_path, csv_path)]. *)
+    runner. A non-empty [variant] names what sets the run apart from
+    others of the same design and workload: the stem becomes
+    [<design>__<workload>__<variant>]. Returns [(json_path, csv_path)]. *)
 
-val basename : Report.t -> string
-(** The sanitized [<design>__<workload>] stem. *)
+val basename : ?variant:string -> Report.t -> string
+(** The sanitized file stem {!write} uses. *)

@@ -73,7 +73,9 @@ module Sim = struct
   type interpreted = {
     pl : Pipeline.t;
     slots : Types.resolved array;
-    mutable metas : Cobra_util.Bits.t array;
+    metas : Cobra_util.Bits.t array;
+        (* the last packet's metadata: its record goes back to the
+           pipeline's pool at commit *)
     mutable taken_pred : bool;
   }
 
@@ -84,7 +86,10 @@ module Sim = struct
       {
         pl;
         slots = Array.make (Pipeline.config pl).Pipeline.fetch_width Types.no_branch;
-        metas = [||];
+        metas =
+          Array.map
+            (fun (c : Component.t) -> Cobra_util.Bits.zero c.Component.meta_bits)
+            (Pipeline.components pl);
         taken_pred = false;
       }
 
@@ -119,7 +124,10 @@ module Sim = struct
     s.slots.(0) <-
       Types.resolved_branch ~kind ~taken:taken_pred ~target:(if taken_pred then target else 0);
     let seq = Pipeline.fire pl tok ~slots:s.slots ~packet_len:1 in
-    s.metas <- (Pipeline.entry pl seq).History_file.e_metas;
+    let metas = (Pipeline.entry pl seq).History_file.e_metas in
+    for id = 0 to Array.length metas - 1 do
+      Cobra_util.Bits.blit ~src:metas.(id) ~dst:s.metas.(id)
+    done;
     let actual = Types.resolved_branch ~kind ~taken:r.Btrace.b_taken ~target in
     if wrong then Pipeline.mispredict pl ~seq ~slot:0 actual
     else Pipeline.resolve pl ~seq ~slot:0 actual;

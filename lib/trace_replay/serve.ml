@@ -557,8 +557,29 @@ let ignore_sigpipe () =
   | _ -> ()
   | exception Invalid_argument _ -> ()
 
+let max_request_bytes = 1 lsl 20
+
+(* The next request line without its newline ([input_line]'s semantics),
+   read at most [max_request_bytes] at a time: a client that never sends a
+   newline cannot grow the daemon's memory without bound. *)
+let read_request ic buf =
+  Buffer.clear buf;
+  let rec go () =
+    match input_char ic with
+    | exception End_of_file -> if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
+    | '\n' -> `Line (Buffer.contents buf)
+    | c ->
+      if Buffer.length buf >= max_request_bytes then `Too_long
+      else begin
+        Buffer.add_char buf c;
+        go ()
+      end
+  in
+  go ()
+
 let handle_connection cfg stopping fd =
   let ic = Unix.in_channel_of_descr fd in
+  let buf = Buffer.create 256 in
   let oc = Unix.out_channel_of_descr fd in
   let send_mutex = Mutex.create () in
   let send line =
@@ -571,10 +592,19 @@ let handle_connection cfg stopping fd =
         flush oc)
   in
   let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> ()
+    match read_request ic buf with
     | exception Sys_error _ -> ()
-    | line ->
+    | `Eof -> ()
+    | `Too_long ->
+      (* the rest of the line cannot be told from the next request: answer
+         like a malformed one, then hang up *)
+      emit cfg send ~event:"error"
+        [
+          ( "error",
+            Json.String (Printf.sprintf "request line longer than %d bytes" max_request_bytes) );
+        ];
+      emit cfg send ~event:"done" []
+    | `Line line ->
       if String.trim line = "" then loop ()
       else begin
         match handle_line cfg send line with

@@ -44,7 +44,9 @@
     are answered from the runner's content-addressed result cache keyed on
     design topology + pipeline config + trace file digest + caps. A
     malformed or failing request produces an ["error"] event (plus "done")
-    on that connection only — the daemon survives. Per-request work is
+    on that connection only — the daemon survives. A request line longer
+    than {!max_request_bytes} gets the same answer, after which the daemon
+    closes that connection. Per-request work is
     bounded by the server's timeout and runs isolated, so one poisoned
     trace cannot wedge the pool. *)
 
@@ -61,6 +63,9 @@ type config = {
           lines through the send callback; any [Failure] it raises becomes
           an id-tagged ["error"] event and the daemon keeps serving. *)
 }
+
+val max_request_bytes : int
+(** The longest request line the daemon reads (1 MiB, newline excluded). *)
 
 val default_config : socket:string -> config
 (** No timeout, no log, no extra ops, pool-default jobs. *)

@@ -2,7 +2,8 @@ let pc_bits pc = pc lsr 2
 
 (* A while-loop over local refs: the refs never escape, so ocamlopt keeps
    them in registers — an inner recursive closure here would heap-allocate
-   on every call of this extremely hot hash. *)
+   on every call of this extremely hot hash. The loop stops once the
+   shifted value is 0: every later chunk would xor in zero. *)
 let fold_int v ~width ~bits =
   if bits < 0 || bits > 62 then invalid_arg "Hashing.fold_int: bits out of [0,62]";
   if bits = 0 then 0
@@ -11,7 +12,7 @@ let fold_int v ~width ~bits =
     let acc = ref 0 in
     let v = ref (v land ((1 lsl (if width < 62 then width else 62)) - 1)) in
     let remaining = ref width in
-    while !remaining > 0 do
+    while !remaining > 0 && !v <> 0 do
       acc := !acc lxor (!v land mask);
       v := !v lsr bits;
       remaining := !remaining - bits

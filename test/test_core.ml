@@ -319,7 +319,7 @@ let test_mispredict_truncates_packet () =
     (Types.resolved_branch ~kind:Types.Cond ~taken:true ~target:0x900);
   let entry = Pipeline.entry pl seq in
   check Alcotest.int "packet cut after culprit" 2 entry.e_packet_len;
-  check Alcotest.(list bool) "dir bits corrected" [ true ] entry.e_dir_bits
+  check Alcotest.(list bool) "dir bits corrected" [ true ] (History_file.dir_bits entry)
 
 let test_lhist_speculation_and_squash () =
   (* an opinion must claim branch existence (o_branch) for history pushes *)
@@ -446,15 +446,18 @@ let prop_lhist_push_restore_roundtrip =
     QCheck.(list (pair (int_bound 1000) bool))
     (fun pushes ->
       let l = Lhist_provider.create ~entries:32 ~bits:8 in
-      let saved =
-        List.map (fun (pc, b) ->
-            let prior = Lhist_provider.read l ~pc in
-            Lhist_provider.push l ~pc b;
-            (pc, prior))
-          pushes
-      in
-      List.iter (fun (pc, prior) -> Lhist_provider.restore l ~pc prior) (List.rev saved);
-      List.for_all (fun (pc, _) -> Bits.to_int (Lhist_provider.read l ~pc) = 0) pushes)
+      let limbs = Lhist_provider.limbs l in
+      let pushes = Array.of_list pushes in
+      let log = Array.make (Array.length pushes * limbs) 0 in
+      Array.iteri
+        (fun k (pc, b) ->
+          Lhist_provider.save_limbs l ~pc log ~pos:(k * limbs);
+          Lhist_provider.push_in_place l ~pc b)
+        pushes;
+      for k = Array.length pushes - 1 downto 0 do
+        Lhist_provider.restore_limbs l ~pc:(fst pushes.(k)) log ~pos:(k * limbs)
+      done;
+      Array.for_all (fun (pc, _) -> Bits.to_int (Lhist_provider.read l ~pc) = 0) pushes)
 
 (* Regression: the table once shared one zero vector across all entries,
    harmless while pushes replaced entries, an aliasing bug once the compiled
@@ -526,7 +529,7 @@ let test_phist_restored_on_mispredict () =
   Pipeline.mispredict pl ~seq:s0 ~slot:0
     (Types.resolved_branch ~kind:Types.Cond ~taken:false ~target:0);
   let entry = Pipeline.entry pl s0 in
-  check Alcotest.(list bool) "entry path bits cleared" [] entry.e_path_bits;
+  check Alcotest.int "entry path bits cleared" (-1) entry.e_path;
   check Alcotest.bool "phist rewound below post-fire value" false
     (Bits.equal phist_after_s0 (Pipeline.phist_value pl))
 

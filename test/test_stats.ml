@@ -384,6 +384,34 @@ let test_stats_env_gating () =
           (Json.int_member "total_mispredicts" j ~default:(-1))
           (List.fold_left ( + ) 0 (List.map snd (int_fields (Json.member "attribution" j)))))
 
+(* Jobs that differ only in configuration once all exported as
+   <design>__<workload>, one report overwriting the other with the survivor
+   left to scheduling. [sweep ras] runs TAGE-L on two workloads with and
+   without RAS repair: four reports per format, named alike at any job
+   count. *)
+let test_export_named_per_job () =
+  let exported jobs =
+    let d = fresh_dir () in
+    with_env
+      [
+        ("COBRA_STATS", "1");
+        ("COBRA_STATS_DIR", d);
+        ("COBRA_CACHE", "0");
+        ("COBRA_JOBS", string_of_int jobs);
+        ("COBRA_PROGRESS", "0");
+      ]
+      (fun () -> ignore (Sweeps.ras_repair ~insns:2_000 ()));
+    List.sort compare (Array.to_list (Sys.readdir d))
+  in
+  let serial = exported 1 and parallel = exported 2 in
+  let count ext files = List.length (List.filter (fun f -> Filename.check_suffix f ext) files) in
+  List.iter
+    (fun (label, files) ->
+      check Alcotest.int (label ^ ": JSON reports") 4 (count ".json" files);
+      check Alcotest.int (label ^ ": CSV reports") 4 (count ".csv" files))
+    [ ("-j 1", serial); ("-j 2", parallel) ];
+  check Alcotest.(list string) "the same names at -j 1 and -j 2" serial parallel
+
 let test_sink_publishes () =
   let seen = ref [] in
   let prev = Stats.Sink.current () in
@@ -481,6 +509,7 @@ let () =
       ( "export",
         [
           Alcotest.test_case "COBRA_STATS gating" `Quick test_stats_env_gating;
+          Alcotest.test_case "one report per job" `Quick test_export_named_per_job;
           Alcotest.test_case "sink publication" `Quick test_sink_publishes;
           Alcotest.test_case "observer lifecycle" `Quick test_observer_off_by_default;
         ] );

@@ -691,6 +691,32 @@ let serve_live_daemon () =
       let pong2 = Serve.request ~socket {|{"op": "ping"}|} in
       check_contains "alive after malformed" (joined pong2) {|"event": "pong"|})
 
+(* A request line past [Serve.max_request_bytes] — here one that never
+   ends — is answered with an id-less error and its connection closed,
+   without the daemon buffering the rest; a fresh connection is served as
+   before. *)
+let serve_overlong_line () =
+  let socket = temp_socket () in
+  with_daemon (Serve.default_config ~socket) (fun () ->
+      check_contains "daemon up" (ping_when_up socket) {|"event": "pong"|};
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let reply =
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            Unix.connect fd (Unix.ADDR_UNIX socket);
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+            let oc = Unix.out_channel_of_descr fd in
+            output_string oc (String.make (Serve.max_request_bytes + 1) 'x');
+            flush oc;
+            In_channel.input_all (Unix.in_channel_of_descr fd))
+      in
+      check_contains "over-long line -> error" reply {|"event": "error"|};
+      check_contains "error names the cap" reply (string_of_int Serve.max_request_bytes);
+      check Alcotest.bool "error carries no id" false (contains reply {|"id"|});
+      check_contains "fresh connection still served" (ping_when_up ~tries:0 socket)
+        {|"event": "pong"|})
+
 (* Run [Serve.serve] on a thread and return the message of the [Failure]
    it refuses [socket] with. A daemon that starts instead is shut down and
    the test fails. *)
@@ -807,6 +833,7 @@ let () =
           Alcotest.test_case "probe trace sweeps end to end" `Quick serve_probe_trace_sweep;
           Alcotest.test_case "shutdown handshake" `Quick serve_shutdown;
           Alcotest.test_case "live daemon, concurrent clients" `Quick serve_live_daemon;
+          Alcotest.test_case "over-long request line refused" `Quick serve_overlong_line;
           Alcotest.test_case "socket path: foreign file, live daemon, stale socket" `Quick
             serve_socket_path_guard;
         ] );

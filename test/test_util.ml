@@ -113,6 +113,29 @@ let prop_fold_in_range =
       let f = Hashing.fold_int v ~width:62 ~bits in
       f >= 0 && f < 1 lsl bits)
 
+(* The fold chunk by chunk up to [width], never stopping early: the
+   reference for [fold_int], which stops once the rest is zero. *)
+let fold_int_full_width v ~width ~bits =
+  if bits = 0 then 0
+  else begin
+    let mask = (1 lsl bits) - 1 in
+    let acc = ref 0 in
+    let v = ref (v land ((1 lsl (if width < 62 then width else 62)) - 1)) in
+    let remaining = ref width in
+    while !remaining > 0 do
+      acc := !acc lxor (!v land mask);
+      v := !v lsr bits;
+      remaining := !remaining - bits
+    done;
+    !acc
+  end
+
+let prop_fold_matches_full_width =
+  QCheck.Test.make ~name:"fold_int equals the full-width loop" ~count:2000
+    QCheck.(triple int (int_range 0 70) (int_range 0 62))
+    (fun (v, width, bits) ->
+      Hashing.fold_int v ~width ~bits = fold_int_full_width v ~width ~bits)
+
 let prop_folded_history_matches_reference =
   QCheck.Test.make ~name:"folded_history equals manual fold" ~count:200
     QCheck.(list_of_size (Gen.int_range 0 80) bool)
@@ -365,6 +388,7 @@ let () =
         [
           Alcotest.test_case "fold_int" `Quick test_fold_int;
           qcheck prop_fold_in_range;
+          qcheck prop_fold_matches_full_width;
           qcheck prop_folded_history_matches_reference;
         ] );
       ( "circular_buffer",
