@@ -20,13 +20,11 @@ let insns_arg =
   Arg.(value & opt int 100_000 & info [ "n"; "insns" ] ~docv:"N" ~doc)
 
 let lookup_design name =
-  if String.equal name Designs.gshare_only.Designs.name then Ok Designs.gshare_only
-  else
-    try Ok (Designs.find name)
-    with Not_found ->
-      Error (`Msg (Printf.sprintf "unknown design %S (have: %s)" name
-                     (String.concat ", "
-                        (design_names @ [ Designs.gshare_only.Designs.name ]))))
+  try Ok (Designs.find name)
+  with Not_found ->
+    Error (`Msg (Printf.sprintf "unknown design %S (have: %s)" name
+                   (String.concat ", "
+                      (List.map (fun (d : Designs.t) -> d.Designs.name) Designs.named))))
 
 let lookup_workload name =
   try Ok (Cobra_workloads.Suite.find name)
@@ -517,7 +515,7 @@ let serve_cmd =
          & info [ "shutdown" ] ~doc:"Client mode: ask a running daemon to exit.")
   in
   let run socket jobs timeout request shutdown =
-    let module Serve = Cobra_trace_replay.Serve in
+    let module Serve = Cobra_serve.Serve in
     if shutdown then begin
       match Serve.shutdown ~socket () with
       | () -> Ok ()
@@ -551,13 +549,10 @@ let serve_cmd =
               (match jobs with
               | Some j -> max 1 j
               | None -> Cobra_runner.Pool.default_jobs ());
-            (* the probe fidelity sweep plugs in here: cobra_trace_replay
-               itself stays free of a probe dependency *)
-            extra_ops = [ ("probe", Cobra_probe.Oracle.serve_op) ];
           }
         in
         Printf.eprintf "cobra serve: listening on %s (%d jobs)\n%!" socket cfg.Serve.jobs;
-        (match Serve.serve cfg with
+        (match Serve.serve (Serve.create cfg) with
         | () -> Ok ()
         | exception Failure m -> Error (`Msg m)
         | exception Unix.Unix_error (e, fn, arg) ->
@@ -568,7 +563,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Persistent sweep-serving daemon: line-delimited JSON requests \
-          (ping/replay/sweep/shutdown) over a Unix socket, design x trace sweeps sharded \
+          (ping/replay/sweep/probe/shutdown) over a Unix socket, design x trace sweeps sharded \
           over the domain pool, repeated points answered from the content-addressed \
           result cache (protocol spec in EXPERIMENTS.md)")
     Term.(

@@ -17,7 +17,6 @@ let pass ~check ~subject detail =
 let fail ~check ~subject detail =
   { v_check = check; v_subject = subject; v_pass = false; v_detail = detail }
 
-let all_pass vs = List.for_all (fun v -> v.v_pass) vs
 let failures vs = List.filter (fun v -> not v.v_pass) vs
 
 (* --- pretty-printing helpers -------------------------------------------------- *)
@@ -656,18 +655,18 @@ let run_all ?(length = 300) ?(shapes = Fuzz.all_shapes) ?(engine = `Both) ~seed 
   in
   let replays =
     if not interpreted then []
-    else List.map (replay_twin ~length ~seed) (Designs.all @ [ Designs.gshare_only ])
+    else List.map (replay_twin ~length ~seed) Designs.named
   in
   let snapshots =
     if not interpreted then []
-    else List.map (snapshot_roundtrip ~length ~seed) (Designs.all @ [ Designs.gshare_only ])
+    else List.map (snapshot_roundtrip ~length ~seed) Designs.named
   in
   let compiled_zoos =
     if not compiled then [] else List.map (compiled_zoo ~length ~shapes ~seed) zoo
   in
   let compiled_twins =
     if not compiled then []
-    else List.map (compiled_twin ~length ~shapes ~seed) (Designs.all @ [ Designs.gshare_only ])
+    else List.map (compiled_twin ~length ~shapes ~seed) Designs.named
   in
   (* engine-independent: the component contract itself, and the composer
      both engines share *)
@@ -677,7 +676,7 @@ let run_all ?(length = 300) ?(shapes = Fuzz.all_shapes) ?(engine = `Both) ~seed 
       (fun (d : Designs.t) ->
         compose ~length ~shapes ~seed ~name:d.Designs.name
           ~fetch_width:d.Designs.pipeline_config.Pipeline.fetch_width (d.Designs.make ()))
-      (Designs.all @ [ Designs.gshare_only ])
+      Designs.named
   in
   per_component @ live @ composes @ replays @ repairs @ snapshots @ compiled_zoos
   @ compiled_twins @ table1_pins ()

@@ -108,19 +108,17 @@ val run_all :
   unit ->
   verdict list
 (** Everything above: per-component lockstep + storage over {!Golden.zoo},
-    {!live_slots} over the zoo and {!compose} over the reference designs
-    plus gshare-only (engine-independent, so always run),
-    the replay-vs-golden-twin differential over the reference designs (plus
-    gshare-only), repair-restores-state over [Designs.all], snapshot
-    round-trips, the compiled-engine differentials ({!compiled_zoo} over
-    the whole zoo and {!compiled_twin} over the reference designs plus
-    gshare-only), and the Table-I pins. [shapes] restricts the fuzz shapes (default:
+    {!live_slots} over the zoo and {!compose} over [Designs.named]
+    (engine-independent, so always run), the replay-vs-golden-twin
+    differential over [Designs.named], repair-restores-state over
+    [Designs.all], snapshot round-trips, the compiled-engine differentials
+    ({!compiled_zoo} over the whole zoo and {!compiled_twin} over
+    [Designs.named]), and the Table-I pins. [shapes] restricts the fuzz shapes (default:
     all, including the probe-derived ladder / alias-stress / loop-scan);
     [engine] (default [`Both]) restricts which simulator engines are
     certified — the live-slot and composition checks and the Table-I pins
     always run. *)
 
-val all_pass : verdict list -> bool
 val failures : verdict list -> verdict list
 
 val render : verdict list -> string

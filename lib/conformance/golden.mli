@@ -117,5 +117,4 @@ val zoo : unit -> packed list
 val twin_design : Cobra_eval.Designs.t -> Cobra_eval.Designs.t
 (** The same topology and pipeline configuration as a reference design, with
     every component replaced by its golden model. Supports the designs in
-    [Designs.all] plus [Designs.gshare_only]; raises [Invalid_argument] for
-    anything else. *)
+    [Designs.named]; raises [Invalid_argument] for anything else. *)

@@ -23,7 +23,6 @@ let event_kind_index = function
   | Repair -> 3
   | Update -> 4
 
-let pp_event_kind ppf k = Format.pp_print_string ppf (event_kind_name k)
 
 type family =
   | Counter_table

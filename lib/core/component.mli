@@ -61,8 +61,6 @@ val event_kind_name : event_kind -> string
 val event_kind_index : event_kind -> int
 (** A dense [0..4] index for counter arrays. *)
 
-val pp_event_kind : Format.formatter -> event_kind -> unit
-
 type family =
   | Counter_table
   | Btb

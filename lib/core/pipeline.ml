@@ -570,7 +570,6 @@ let slab_cells cfg comps =
     + (cfg.lhist_entries * Bits.limbs_for cfg.lhist_bits))
     comps
 
-let snapshot_cells t = slab_cells t.cfg t.comps
 
 let write_slab cfg comps ~next_token ~ghist ~path lhist =
   let slab = Slab.create (slab_cells cfg comps) in

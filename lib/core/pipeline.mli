@@ -214,9 +214,6 @@ val observed : t -> bool
 val quiesced : t -> bool
 (** No pending packets and an empty history file. *)
 
-val snapshot_cells : t -> int
-(** Slab size (cells) of this design's snapshot — fixed at elaboration. *)
-
 val snapshot : t -> Cobra_util.Slab.t
 (** Raises [Invalid_argument] when the pipeline is not {!quiesced}. *)
 
@@ -224,7 +221,7 @@ val restore : t -> Cobra_util.Slab.t -> unit
 (** Overwrite all mutable state from a snapshot taken on an identically
     configured pipeline. Clears pending packets itself; raises
     [Invalid_argument] when the history file is non-empty or the slab size
-    does not match {!snapshot_cells}. *)
+    does not match this design's snapshot layout. *)
 
 (** {2 The slab layout}
 

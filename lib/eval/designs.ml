@@ -164,8 +164,8 @@ let gshare_only =
   }
 
 let all = [ tourney; b2; tage_l ]
-
-let find name = List.find (fun d -> String.equal d.name name) all
+let named = gshare_only :: all
+let find name = List.find (fun d -> String.equal d.name name) named
 
 let pipeline d = Pipeline.create d.pipeline_config (d.make ())
 

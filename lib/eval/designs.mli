@@ -30,8 +30,11 @@ val gshare_only : t
 val all : t list
 (** Table I order: Tourney, B2, TAGE-L. *)
 
+val named : t list
+(** Every design {!find} knows: {!gshare_only}, then {!all}. *)
+
 val find : string -> t
-(** Raises [Not_found]. *)
+(** The design of {!named} with this name. Raises [Not_found]. *)
 
 val pipeline : t -> Cobra.Pipeline.t
 (** Elaborate a fresh pipeline for the design. *)

@@ -68,16 +68,11 @@ val job :
 (** [transform] carries a tag naming the stream transformation — the tag
     participates in the cache key (functions cannot be digested). *)
 
-val run_jobs_results :
-  ?label:string -> job list -> (result, Cobra_runner.error) Stdlib.result list
-(** Run a grid through the pool + cache. Outcomes are in submission order;
-    a job that keeps raising after its retry budget surfaces as [Error]
-    without aborting the rest of the grid. *)
-
 val run_jobs : ?label:string -> job list -> result list
-(** Like {!run_jobs_results} but raises [Failure] (naming the design,
-    workload and exception) on the first failed job — after the whole grid
-    has been given the chance to run. *)
+(** Run a grid through the pool + cache, results in submission order. A
+    job that keeps raising after its retry budget does not abort the rest
+    of the grid; once the whole grid has run, the first failed job raises
+    [Failure] naming the design, workload and exception. *)
 
 val run_matrix :
   ?insns:int ->

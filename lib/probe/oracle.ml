@@ -235,18 +235,17 @@ let measurement_json m =
      ]
     @ match m.m_model with None -> [] | Some f -> [ ("model", Json.Float f) ])
 
-let result_json r =
-  Json.Obj
-    ([
-       ("target", Json.String r.r_target);
-       ("family", Json.String r.r_family);
-       ("probe", Json.String r.r_probe);
-       ("unit", Json.String r.r_unit);
-       ("expect", expect_json r.r_expect);
-       ("series", Json.List (List.map measurement_json r.r_series));
-       ("verdict", Json.String (verdict_string r.r_verdict));
-     ]
-    @ match r.r_verdict with Fail d -> [ ("detail", Json.String d) ] | _ -> [])
+let result_fields r =
+  [
+    ("target", Json.String r.r_target);
+    ("family", Json.String r.r_family);
+    ("probe", Json.String r.r_probe);
+    ("unit", Json.String r.r_unit);
+    ("expect", expect_json r.r_expect);
+    ("series", Json.List (List.map measurement_json r.r_series));
+    ("verdict", Json.String (verdict_string r.r_verdict));
+  ]
+  @ match r.r_verdict with Fail d -> [ ("detail", Json.String d) ] | _ -> []
 
 let report_json rep =
   Json.Obj
@@ -256,7 +255,8 @@ let report_json rep =
       ("elapsed_s", Json.Float rep.rep_elapsed_s);
       ("targets", Json.Int (List.length (List.sort_uniq compare (List.map (fun r -> r.r_target) rep.rep_results))));
       ("failures", Json.Int (List.length (failures rep)));
-      ("results", Json.List (List.map result_json rep.rep_results));
+      ( "results",
+        Json.List (List.map (fun r -> Json.Obj (result_fields r)) rep.rep_results) );
     ]
 
 let report_csv rep =
@@ -344,43 +344,4 @@ let timing_series ?(width = 128) ?(penalty = 20) ~(target : Target.t)
       ( "mispredict_gap_log2_hist",
         Json.List (Array.to_list (Array.map (fun c -> Json.Int c) gap_hist)) );
       ("points", Json.List (List.map Interval.point_to_json (Interval.points iv)));
-    ]
-
-(* ---- cobra serve op ---------------------------------------------------- *)
-
-(* {"op": "probe", "probes": [..], "targets": [..], "seed": N} — one
-   "probe" event per target/probe pair plus a "probe-summary"; omitted or
-   empty lists mean the full catalogue. Registered through
-   [Serve.config.extra_ops] by the CLI (and by tests), which keeps
-   cobra_trace_replay free of a probe dependency. *)
-let serve_op cfg send ?id req =
-  let module Serve = Cobra_trace_replay.Serve in
-  let names field req =
-    List.filter_map Json.to_str (Json.list_member field req)
-  in
-  let pick finder all = function [] -> all | names -> List.map finder names in
-  let probes =
-    pick
-      (fun n -> match Pattern.find n with Ok p -> p | Error m -> failwith m)
-      Pattern.all (names "probes" req)
-  in
-  let targets =
-    pick
-      (fun n -> match Target.find n with Ok t -> t | Error m -> failwith m)
-      Target.all (names "targets" req)
-  in
-  let seed = Json.int_member "seed" req ~default:0x0b5a in
-  let rep = run_matrix ~targets ~probes ~seed () in
-  List.iter
-    (fun r ->
-      match result_json r with
-      | Json.Obj fields -> Serve.emit_event cfg send ?id ~event:"probe" fields
-      | j -> Serve.emit_event cfg send ?id ~event:"probe" [ ("result", j) ])
-    rep.rep_results;
-  Serve.emit_event cfg send ?id ~event:"probe-summary"
-    [
-      ("seed", Json.Int rep.rep_seed);
-      ("results", Json.Int (List.length rep.rep_results));
-      ("failures", Json.Int (List.length (failures rep)));
-      ("elapsed_s", Json.Float rep.rep_elapsed_s);
     ]

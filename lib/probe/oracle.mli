@@ -57,6 +57,10 @@ val run_matrix :
 
 val failures : report -> result list
 
+val result_fields : result -> (string * Cobra_stats.Json.t) list
+(** One pair's entry in {!report_json}'s ["results"]: target, family,
+    probe, unit, expected response, measured series and verdict. *)
+
 val report_json : report -> Cobra_stats.Json.t
 (** Schema [cobra-probe-report/1]. *)
 
@@ -79,14 +83,3 @@ val timing_series :
     {!Cobra_stats.Interval} under a synthetic timing model (1 cycle per
     instruction + [penalty] per mispredict), plus a log2 histogram of
     distances between consecutive mispredicts. *)
-
-val serve_op :
-  Cobra_trace_replay.Serve.config ->
-  (string -> unit) ->
-  ?id:string ->
-  Cobra_stats.Json.t ->
-  unit
-(** The [{"op": "probe"}] handler for [Serve.config.extra_ops]: streams one
-    ["probe"] event per pair and a ["probe-summary"]. Unknown probe or
-    target names raise [Failure] listing the valid names, which the daemon
-    turns into an id-tagged ["error"] event. *)

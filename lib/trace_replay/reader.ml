@@ -8,7 +8,6 @@ type t = {
   mutable eof : bool;
   fmt : Btrace.format;
   mutable lnum : int;
-  mutable count : int;
   mutable closed : bool;
 }
 
@@ -16,7 +15,6 @@ let format t = t.fmt
 let path t = t.r_path
 let offset t = t.base + t.pos
 let line t = t.lnum
-let records_read t = t.count
 
 let min_buffer = 512
 let default_buffer = 64 * 1024
@@ -55,7 +53,6 @@ let open_file ?(buffer_size = default_buffer) p =
       eof = false;
       fmt = Btrace.Text;
       lnum = 0;
-      count = 0;
       closed = false;
     }
   in
@@ -94,7 +91,6 @@ let rec next_binary t =
   with
   | Btrace.Decoded (r, consumed) ->
     t.pos <- t.pos + consumed;
-    t.count <- t.count + 1;
     Some r
   | Btrace.Need_more ->
     if t.eof then
@@ -144,9 +140,7 @@ let rec next_text t =
 
 and consume_line t s =
   match Btrace.record_of_line ~lnum:t.lnum s with
-  | Some r ->
-    t.count <- t.count + 1;
-    Some r
+  | Some _ as r -> r
   | None -> next_text t
   | exception Failure m -> failwith (t.r_path ^ ": " ^ m)
 

@@ -12,11 +12,6 @@
 
 type t
 
-val open_file : ?buffer_size:int -> string -> t
-(** Opens and sniffs the format. [buffer_size] is clamped to at least 512
-    bytes (a record and a text line must fit in one window). Raises
-    [Sys_error] when the file cannot be opened. *)
-
 val format : t -> Btrace.format
 val path : t -> string
 
@@ -32,19 +27,19 @@ val seek : t -> int -> unit
 (** Reposition the stream to an absolute byte offset previously obtained
     from {!offset} (record boundaries are the caller's responsibility —
     used with pipeline snapshots to resume a replay mid-trace). Discards
-    the buffered window; [line] and [records_read] keep counting from
-    their current values. *)
+    the buffered window; [line] keeps counting from its current value. *)
 
 val line : t -> int
 (** Lines consumed so far (text format; 0 for binary). *)
-
-val records_read : t -> int
 
 val close : t -> unit
 (** Idempotent. *)
 
 val with_file : ?buffer_size:int -> string -> (t -> 'a) -> 'a
-(** Opens, applies, and always closes. *)
+(** Opens the file and sniffs its format, applies, and always closes.
+    [buffer_size] is clamped to at least 512 bytes (a record and a text
+    line must fit in one window). Raises [Sys_error] when the file cannot
+    be opened. *)
 
 val fold : ?buffer_size:int -> string -> init:'a -> f:('a -> Btrace.record -> 'a) -> 'a
 (** Stream the whole file through [f] in constant memory. *)

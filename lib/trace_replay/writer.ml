@@ -2,7 +2,6 @@ type t = {
   oc : out_channel;
   fmt : Btrace.format;
   buf : Buffer.t;
-  mutable count : int;
   mutable closed : bool;
 }
 
@@ -16,7 +15,7 @@ let create ?(format = Btrace.Binary) path =
   | Btrace.Text ->
     Buffer.add_string buf Btrace.text_header;
     Buffer.add_char buf '\n');
-  { oc; fmt = format; buf; count = 0; closed = false }
+  { oc; fmt = format; buf; closed = false }
 
 let drain t =
   Buffer.output_buffer t.oc t.buf;
@@ -29,10 +28,7 @@ let add t r =
   | Btrace.Text ->
     Buffer.add_string t.buf (Btrace.record_to_line r);
     Buffer.add_char t.buf '\n');
-  t.count <- t.count + 1;
   if Buffer.length t.buf >= flush_threshold then drain t
-
-let added t = t.count
 
 let close t =
   if not t.closed then begin

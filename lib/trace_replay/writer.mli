@@ -15,7 +15,6 @@ val create : ?format:Btrace.format -> string -> t
 val add : t -> Btrace.record -> unit
 (** Raises [Invalid_argument] on an invalid record (negative pc/gap). *)
 
-val added : t -> int
 val close : t -> unit
 (** Flushes and closes; idempotent. *)
 

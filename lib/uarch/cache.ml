@@ -82,6 +82,3 @@ let prefetch t ~addr =
 let hits t = t.hit_count
 let misses t = t.miss_count
 
-let reset_stats t =
-  t.hit_count <- 0;
-  t.miss_count <- 0

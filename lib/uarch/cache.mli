@@ -22,4 +22,3 @@ val prefetch : t -> addr:int -> unit
 
 val hits : t -> int
 val misses : t -> int
-val reset_stats : t -> unit

@@ -37,7 +37,3 @@ let fetch_latency t ~addr =
      by the time sequential fetch reaches it. *)
   Cache.prefetch t.l1i ~addr:(addr + 64);
   if lat <= t.lat.l1 then 0 else lat
-
-let l1i_misses t = Cache.misses t.l1i
-let l1d_misses t = Cache.misses t.l1d
-let l1d_accesses t = Cache.hits t.l1d + Cache.misses t.l1d

@@ -24,7 +24,3 @@ val store_latency : t -> addr:int -> int
 val fetch_latency : t -> addr:int -> int
 (** Instruction fetch of the line containing [addr]; 0 on an L1I hit. Fires
     the next-line prefetcher. *)
-
-val l1i_misses : t -> int
-val l1d_misses : t -> int
-val l1d_accesses : t -> int

@@ -36,12 +36,6 @@ let normalize t =
     t
   end
 
-let of_limbs ~width:w limbs =
-  if w < 0 then invalid_arg "Bits.of_limbs: negative width";
-  if Array.length limbs <> limbs_for w then
-    invalid_arg "Bits.of_limbs: limb count does not match width";
-  normalize { w; limbs }
-
 let of_int ~width:w v =
   if v < 0 then invalid_arg "Bits.of_int: negative value";
   let t = zero w in

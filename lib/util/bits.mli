@@ -32,13 +32,8 @@ val limb_count : t -> int
 
 val get_limb : t -> int -> int
 (** [get_limb t i] is the [i]th little-endian 62-bit limb, for
-    serializing a vector into a state slab (rebuild with {!of_limbs}).
+    serializing a vector into a state slab (rebuild with {!set_limb}).
     Raises [Invalid_argument] when out of range. *)
-
-val of_limbs : width:int -> int array -> t
-(** [of_limbs ~width limbs] adopts [limbs] (little-endian, 62 bits per limb)
-    as the backing store — the caller must not mutate the array afterwards.
-    Raises [Invalid_argument] when the limb count does not match [width]. *)
 
 val set_limb : t -> int -> int -> unit
 (** [set_limb t i v] overwrites limb [i] of the buffer [t] with the low 62

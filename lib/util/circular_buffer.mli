@@ -1,10 +1,10 @@
 (** Bounded FIFO with stable sequence-number handles.
 
-    This is the substrate of the COBRA history file: entries are enqueued in
-    fetch order, addressed by a monotonically increasing sequence number,
-    updated in place when branches resolve, walked forwards during repair,
-    squashed from the tail on mispredicts, and dequeued from the head at
-    commit. *)
+    Entries are enqueued in order, addressed by a monotonically increasing
+    sequence number, updated in place, squashed from the tail and dequeued
+    from the head. The uarch core's reorder buffer is its one user; the
+    pipeline's history file keeps its own unboxed ring
+    ([Cobra.History_file]). *)
 
 type 'a t
 

@@ -25,6 +25,3 @@ val chance : t -> float -> bool
 
 val float : t -> float -> float
 (** Uniform in [0, bound). *)
-
-val bits62 : t -> int
-(** 62 uniform bits as a non-negative int. *)

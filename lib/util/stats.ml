@@ -12,7 +12,6 @@ module Running = struct
   let count t = t.n
   let mean t = if t.n = 0 then 0.0 else t.mean
   let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-  let stddev t = sqrt (variance t)
 end
 
 module Ratio = struct
@@ -38,14 +37,6 @@ let harmonic_mean xs =
   | _ ->
     let inv_sum = List.fold_left (fun acc x -> acc +. (1.0 /. x)) 0.0 xs in
     float_of_int (List.length xs) /. inv_sum
-
-let geometric_mean xs =
-  let xs = List.filter (fun x -> x > 0.0) xs in
-  match xs with
-  | [] -> 0.0
-  | _ ->
-    let log_sum = List.fold_left (fun acc x -> acc +. log x) 0.0 xs in
-    exp (log_sum /. float_of_int (List.length xs))
 
 let mean xs =
   match xs with

@@ -10,7 +10,6 @@ module Running : sig
   val count : t -> int
   val mean : t -> float
   val variance : t -> float
-  val stddev : t -> float
 end
 
 module Ratio : sig
@@ -32,7 +31,6 @@ val harmonic_mean : float list -> float
 (** Harmonic mean; 0 when the list is empty, ignores non-positive entries the
     way SPEC reporting does (they would be measurement errors). *)
 
-val geometric_mean : float list -> float
 val mean : float list -> float
 
 val percent_delta : baseline:float -> float -> float

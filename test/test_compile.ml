@@ -16,10 +16,9 @@
      other and reproduce the non-snapshot oracle window bit-for-bit;
    - windowed [cobra serve] sweeps on the compiled engine, including
      [verify] (interpreted recomputation) and the warm-checkpoint reuse
-     path;
+     path, which is each daemon's own;
    - the warm-cache LRU regression: with [COBRA_WARM_CACHE] at 2, three
-     distinct warm regions must evict down to the cap and bump the
-     eviction counter;
+     distinct warm regions must leave exactly 2 entries and 1 eviction;
    - the compiled replay's allocation budget per reference design. *)
 
 open Cobra
@@ -32,7 +31,7 @@ module Replay = Cobra_trace_replay.Replay
 module Reader = Cobra_trace_replay.Reader
 module Writer = Cobra_trace_replay.Writer
 module Btrace = Cobra_trace_replay.Btrace
-module Serve = Cobra_trace_replay.Serve
+module Serve = Cobra_serve.Serve
 module C = Cobra_components
 
 let check = Alcotest.check
@@ -373,25 +372,27 @@ let check_contains what haystack needle =
   if not (contains haystack needle) then
     Alcotest.failf "%s: expected %S inside %S" what needle haystack
 
-let collect_handle cfg line =
+let collect_handle daemon line =
   let out = ref [] in
-  let status = Serve.handle_line cfg (fun s -> out := s :: !out) line in
+  let status = Serve.handle_line daemon (fun s -> out := s :: !out) line in
   (status, List.rev !out)
 
-let serve_cfg () = { (Serve.default_config ~socket:"/tmp/unused.sock") with Serve.jobs = 2 }
+let daemon () =
+  Serve.create { (Serve.default_config ~socket:"/tmp/unused.sock") with Serve.jobs = 2 }
 
 let count_events out needle =
   List.length (List.filter (fun l -> contains l needle) out)
 
+let windowed_req path =
+  Printf.sprintf
+    {|{"op": "sweep", "designs": ["Tourney"], "traces": ["%s"], "warmup_branches": 120, "window_branches": 60, "windows": 3, "verify": true, "engine": "compiled", "no_cache": true}|}
+    path
+
 let test_serve_windowed_compiled () =
   with_trace 300 (fun path ->
-      let cfg = serve_cfg () in
-      let req =
-        Printf.sprintf
-          {|{"op": "sweep", "designs": ["Tourney"], "traces": ["%s"], "warmup_branches": 120, "window_branches": 60, "windows": 3, "verify": true, "engine": "compiled", "no_cache": true}|}
-          path
-      in
-      let status, out = collect_handle cfg req in
+      let srv = daemon () in
+      let req = windowed_req path in
+      let status, out = collect_handle srv req in
       check Alcotest.bool "continue" true (status = `Continue);
       let all = String.concat "\n" out in
       check Alcotest.int "no error events" 0 (count_events out {|"event": "error"|});
@@ -403,16 +404,32 @@ let test_serve_windowed_compiled () =
       check_contains "terminator" all {|"event": "done"|};
       (* repeat: the warm checkpoint is reused across requests (restore
          instead of re-warm), still verified and error-free *)
-      let _, out2 = collect_handle cfg req in
+      let _, out2 = collect_handle srv req in
       let all2 = String.concat "\n" out2 in
       check Alcotest.int "repeat has no errors" 0 (count_events out2 {|"event": "error"|});
       check_contains "warm checkpoint reused" all2 {|"warm_cached": true|})
 
+(* The warm cache belongs to one daemon: a second daemon in the same
+   process warms up on its own. *)
+let test_serve_daemons_separate () =
+  with_trace 300 (fun path ->
+      let req = windowed_req path in
+      let first = daemon () in
+      ignore (collect_handle first req);
+      let _, again = collect_handle first req in
+      check_contains "first daemon reuses its checkpoint" (String.concat "\n" again)
+        {|"warm_cached": true|};
+      let _, out = collect_handle (daemon ()) req in
+      let all = String.concat "\n" out in
+      check Alcotest.int "second daemon runs clean" 0 (count_events out {|"event": "error"|});
+      check_contains "second daemon warms up itself" all {|"warm_cached": false|};
+      check Alcotest.int "and never sees the first's checkpoint" 0
+        (count_events out {|"warm_cached": true|}))
+
 let test_serve_unknown_engine () =
   with_trace 50 (fun path ->
-      let cfg = serve_cfg () in
       let status, out =
-        collect_handle cfg
+        collect_handle (daemon ())
           (Printf.sprintf
              {|{"op": "replay", "design": "Tourney", "trace": "%s", "engine": "warp"}|} path)
       in
@@ -424,33 +441,31 @@ let test_serve_unknown_engine () =
 (* --- warm-cache LRU regression ---------------------------------------------------- *)
 
 (* The warm cache used to grow without bound — one entry per distinct
-   (design, trace, warmup) forever. With COBRA_WARM_CACHE=2, three distinct
-   warm regions must leave at most 2 entries and bump the eviction
-   counter. *)
+   (design, trace, warmup) forever. With COBRA_WARM_CACHE=2 (read when the
+   daemon is created), three distinct warm regions must leave exactly 2
+   entries and 1 eviction, as the daemon's own sweep summary reports. *)
 let test_warm_cache_lru () =
   Unix.putenv "COBRA_WARM_CACHE" "2";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "COBRA_WARM_CACHE" "")
-    (fun () ->
-      with_trace 300 (fun path ->
-          let cfg = serve_cfg () in
-          let _, evictions0 = Serve.warm_cache_stats () in
-          List.iter
-            (fun warm ->
-              let req =
-                Printf.sprintf
-                  {|{"op": "sweep", "designs": ["Tourney"], "traces": ["%s"], "warmup_branches": %d, "window_branches": 40, "no_cache": true}|}
-                  path warm
-              in
-              let _, out = collect_handle cfg req in
-              check Alcotest.int
-                (Printf.sprintf "warmup %d runs clean" warm)
-                0
-                (count_events out {|"event": "error"|}))
-            [ 60; 80; 100 ];
-          let entries, evictions = Serve.warm_cache_stats () in
-          check Alcotest.bool "entries capped at COBRA_WARM_CACHE" true (entries <= 2);
-          check Alcotest.bool "evictions counted" true (evictions > evictions0)))
+  let srv = Fun.protect ~finally:(fun () -> Unix.putenv "COBRA_WARM_CACHE" "") daemon in
+  with_trace 300 (fun path ->
+      let summary =
+        List.fold_left
+          (fun _ warm ->
+            let req =
+              Printf.sprintf
+                {|{"op": "sweep", "designs": ["Tourney"], "traces": ["%s"], "warmup_branches": %d, "window_branches": 40, "no_cache": true}|}
+                path warm
+            in
+            let _, out = collect_handle srv req in
+            check Alcotest.int
+              (Printf.sprintf "warmup %d runs clean" warm)
+              0
+              (count_events out {|"event": "error"|});
+            List.find (fun l -> contains l {|"event": "sweep_summary"|}) out)
+          "" [ 60; 80; 100 ]
+      in
+      check_contains "entries capped at COBRA_WARM_CACHE" summary {|"warm_entries": 2|};
+      check_contains "one eviction counted" summary {|"warm_evictions": 1|})
 
 (* --- allocation budget -------------------------------------------------------------- *)
 
@@ -466,7 +481,7 @@ let test_warm_cache_lru () =
 let alloc_ceilings = [ ("GShare", 160.); ("Tourney", 760.); ("B2", 540.); ("TAGE-L", 990.) ]
 
 let test_alloc_budget (name, ceiling) () =
-  let d = if name = "GShare" then Designs.gshare_only else Designs.find name in
+  let d = Designs.find name in
   let recs = Fuzz.branches { Fuzz.seed; shape = Fuzz.Mixed; length = 12_000 } in
   let warm = List.filteri (fun i _ -> i < 4_000) recs in
   let measured = List.filteri (fun i _ -> i >= 4_000) recs in
@@ -508,6 +523,8 @@ let () =
         [
           Alcotest.test_case "windowed sweep on the compiled engine" `Quick
             test_serve_windowed_compiled;
+          Alcotest.test_case "two daemons keep separate warm caches" `Quick
+            test_serve_daemons_separate;
           Alcotest.test_case "unknown engine is an error event" `Quick
             test_serve_unknown_engine;
           Alcotest.test_case "warm cache LRU cap" `Quick test_warm_cache_lru;

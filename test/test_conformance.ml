@@ -314,7 +314,7 @@ let () =
     List.map
       (fun (d : Designs.t) ->
         Alcotest.test_case d.Designs.name `Quick (test_twin d))
-      (Designs.all @ [ Designs.gshare_only ])
+      Designs.named
   in
   let repair_cases =
     List.map

@@ -36,7 +36,7 @@ let per_branch_alloc sim recs =
   /. float_of_int (List.length recs)
 
 let test_alloc_budget (name, ceiling) () =
-  let d = if name = "GShare" then Designs.gshare_only else Designs.find name in
+  let d = Designs.find name in
   let recs = Fuzz.branches { Fuzz.seed; shape = Fuzz.Mixed; length = 12_000 } in
   let warm = List.filteri (fun i _ -> i < 4_000) recs in
   let measured = List.filteri (fun i _ -> i >= 4_000) recs in

@@ -333,7 +333,7 @@ let () =
         Alcotest.test_case
           (Printf.sprintf "design %s" d.Designs.name)
           `Quick (test_design_snapshot d))
-      (Designs.all @ [ Designs.gshare_only ])
+      Designs.named
   in
   Alcotest.run "snapshot"
     [

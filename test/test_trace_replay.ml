@@ -16,21 +16,18 @@
      replaying it on either engine gives counters bit-identical to
      {!Software_model} driving the same pipeline over the original stream;
    - {!Serve}: protocol handling through [handle_line] (ping, replay,
-     cached repeat, malformed request, unknown op, shutdown) plus a live
-     daemon on a Unix socket answering concurrent clients and claiming
-     only a missing path or a stale socket. *)
+     cached repeat, a replay and a one-point sweep sharing a cache key,
+     empty traces on the replay and windowed paths, malformed request,
+     unknown op, the built-in probe op, shutdown) plus a live daemon on a
+     Unix socket answering concurrent clients and claiming only a missing
+     path or a stale socket. *)
 
 open Cobra_trace_replay
+module Serve = Cobra_serve.Serve
 module Designs = Cobra_eval.Designs
 module Suite = Cobra_workloads.Suite
 
 let check = Alcotest.check
-
-(* Designs.find covers the paper's Table I designs; GShare-only is the
-   extra single-component reference the serve daemon also accepts. *)
-let find_design name =
-  if String.equal name Designs.gshare_only.Designs.name then Designs.gshare_only
-  else Designs.find name
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -273,7 +270,7 @@ let h2p_fixture () =
 let replay_pin ~design ~path ~branches ~cond ~insns ~mispredicts ~cond_mispredicts () =
   List.iter
     (fun engine ->
-      let r = Replay.run_design ~engine (find_design design) ~path in
+      let r = Replay.run_design ~engine (Designs.find design) ~path in
       check
         Alcotest.(list int)
         (Replay.engine_name engine ^ ": branches, cond, insns, mispredicts, cond mispredicts")
@@ -396,7 +393,7 @@ let prop_decoder_never_misdecodes () =
    pipeline over the original stream — the acceptance criterion's MPKI
    equality. *)
 let replay_equals_pipeline ~design_name ~workload ~insns () =
-  let design = find_design design_name in
+  let design = Designs.find design_name in
   let entry = Suite.find workload in
   with_temp (fun path ->
       let branches, traced_insns = Writer.export_workload ~max_insns:insns ~path entry in
@@ -413,7 +410,7 @@ let replay_equals_pipeline ~design_name ~workload ~insns () =
 
 let replay_with_stats () =
   let path = fixture "h2p_mix_256.trace" in
-  let r, report = Replay.run_design_with_stats (find_design "TAGE-L") ~path in
+  let r, report = Replay.run_design_with_stats (Designs.find "TAGE-L") ~path in
   check Alcotest.int "result branches" 256 r.Replay.branches;
   let rendered = Cobra_stats.Report.render report in
   check_contains "report names the design" rendered "TAGE-L";
@@ -421,24 +418,24 @@ let replay_with_stats () =
 
 let replay_deadline () =
   let path = fixture "h2p_mix_256.trace" in
-  match Replay.run_design ~deadline:(Unix.gettimeofday () -. 1.0) (find_design "B2") ~path with
+  match Replay.run_design ~deadline:(Unix.gettimeofday () -. 1.0) (Designs.find "B2") ~path with
   | _ -> Alcotest.fail "expired deadline did not raise"
   | exception Replay.Timeout _ -> ()
 
 (* --- serve: protocol via handle_line ----------------------------------------- *)
 
-let collect_handle cfg line =
+let collect_handle daemon line =
   let out = ref [] in
-  let status = Serve.handle_line cfg (fun s -> out := s :: !out) line in
+  let status = Serve.handle_line daemon (fun s -> out := s :: !out) line in
   (status, List.rev !out)
 
-let serve_cfg () =
-  { (Serve.default_config ~socket:"/tmp/unused.sock") with Serve.jobs = 2 }
+let daemon () =
+  Serve.create { (Serve.default_config ~socket:"/tmp/unused.sock") with Serve.jobs = 2 }
 
 let joined lines = String.concat "\n" lines
 
 let serve_ping () =
-  let status, out = collect_handle (serve_cfg ()) {|{"op": "ping", "id": "t1"}|} in
+  let status, out = collect_handle (daemon ()) {|{"op": "ping", "id": "t1"}|} in
   check Alcotest.bool "continue" true (status = `Continue);
   let all = joined out in
   check_contains "pong" all {|"event": "pong"|};
@@ -470,35 +467,56 @@ let with_fresh_cache f =
 
 let serve_replay_and_cache () =
   with_fresh_cache @@ fun () ->
-  let cfg = serve_cfg () in
+  let srv = daemon () in
   let req =
     Printf.sprintf {|{"op": "replay", "design": "B2", "trace": "%s"}|}
       (fixture "h2p_mix_256.trace")
   in
-  let status, out = collect_handle cfg req in
+  let status, out = collect_handle srv req in
   check Alcotest.bool "continue" true (status = `Continue);
   let all = joined out in
   check_contains "result event" all {|"event": "result"|};
   check_contains "first run not cached" all {|"cached": false|};
   check_contains "mispredict counter" all {|"mispredicts": 41|};
   (* repeat: answered from the content-addressed result cache *)
-  let _, out2 = collect_handle cfg req in
+  let _, out2 = collect_handle srv req in
   check_contains "repeat served from cache" (joined out2) {|"cached": true|};
   (* no_cache opts out *)
   let _, out3 =
-    collect_handle cfg
+    collect_handle srv
       (Printf.sprintf {|{"op": "replay", "design": "B2", "trace": "%s", "no_cache": true}|}
          (fixture "h2p_mix_256.trace"))
   in
   check_contains "no_cache bypasses" (joined out3) {|"cached": false|}
 
+(* A replay op and a one-point plain sweep are the same point under the
+   same result-cache key: either answers the other's repeat. *)
+let serve_replay_sweep_share_key () =
+  with_fresh_cache @@ fun () ->
+  let srv = daemon () in
+  let trace = fixture "h2p_mix_256.trace" in
+  let replay design =
+    Printf.sprintf {|{"op": "replay", "design": "%s", "trace": "%s"}|} design trace
+  in
+  let sweep design =
+    Printf.sprintf {|{"op": "sweep", "designs": ["%s"], "traces": ["%s"]}|} design trace
+  in
+  let cached what line expected =
+    let _, out = collect_handle srv line in
+    check_contains what (joined out) (Printf.sprintf {|"cached": %b|} expected)
+  in
+  cached "replay computes" (replay "B2") false;
+  cached "sweep answered from the replay's entry" (sweep "B2") true;
+  cached "sweep computes" (sweep "TAGE-L") false;
+  cached "replay answered from the sweep's entry" (replay "TAGE-L") true
+
 let serve_sweep () =
-  let cfg = serve_cfg () in
+  let srv = daemon () in
   let req =
     Printf.sprintf {|{"op": "sweep", "designs": ["B2", "GShare"], "traces": ["%s"]}|}
       (fixture "loop7_64.trace")
   in
-  let _, out = collect_handle cfg req in
+  let _, out = collect_handle srv req in
   let all = joined out in
   let count_results =
     List.length (List.filter (fun l -> contains l {|"event": "result"|}) out)
@@ -507,10 +525,10 @@ let serve_sweep () =
   check_contains "terminator" all {|"event": "done"|}
 
 let serve_malformed () =
-  let cfg = serve_cfg () in
+  let srv = daemon () in
   List.iter
     (fun line ->
-      let status, out = collect_handle cfg line in
+      let status, out = collect_handle srv line in
       check Alcotest.bool "malformed requests do not stop the daemon" true (status = `Continue);
       let all = joined out in
       check_contains "error event" all {|"event": "error"|};
@@ -524,25 +542,21 @@ let serve_malformed () =
       {|{"op": "replay", "design": "B2", "trace": "/nonexistent/file.trace"}|};
     ];
   (* the daemon still answers normally afterwards *)
-  let _, out = collect_handle cfg {|{"op": "ping"}|} in
+  let _, out = collect_handle srv {|{"op": "ping"}|} in
   check_contains "alive after malformed storm" (joined out) {|"event": "pong"|}
 
 (* --- serve: degenerate requests ----------------------------------------------- *)
 
 module Probe_pattern = Cobra_probe.Pattern
-module Probe_oracle = Cobra_probe.Oracle
-
-let probe_cfg () =
-  { (serve_cfg ()) with Serve.extra_ops = [ ("probe", Probe_oracle.serve_op) ] }
 
 let serve_zero_length_trace () =
   (* a header-only (zero-branch) trace must be an id-tagged error, not a
      zero-filled result, and the daemon must keep serving *)
   with_temp (fun path ->
       write_bytes path Btrace.magic;
-      let cfg = serve_cfg () in
+      let srv = daemon () in
       let status, out =
-        collect_handle cfg
+        collect_handle srv
           (Printf.sprintf {|{"op": "replay", "design": "B2", "trace": "%s", "id": "z1"}|} path)
       in
       check Alcotest.bool "continue" true (status = `Continue);
@@ -551,25 +565,51 @@ let serve_zero_length_trace () =
       check_contains "id tagged" all {|"id": "z1"|};
       check_contains "names the cause" all "no branch records";
       check_contains "done still sent" all {|"event": "done"|};
-      let _, out2 = collect_handle cfg {|{"op": "ping"}|} in
+      let _, out2 = collect_handle srv {|{"op": "ping"}|} in
       check_contains "alive after zero-length trace" (joined out2) {|"event": "pong"|})
+
+(* The empty-trace rule holds for windowed sweeps too: the point is an
+   error, and neither cache keeps anything for it, so a repeat fails the
+   same way. *)
+let serve_windowed_header_only () =
+  with_fresh_cache @@ fun () ->
+  with_temp (fun path ->
+      write_bytes path Btrace.magic;
+      let srv = daemon () in
+      let req =
+        Printf.sprintf
+          {|{"op": "sweep", "designs": ["B2"], "traces": ["%s"], "warmup_branches": 10, "window_branches": 10, "windows": 2, "id": "z3"}|}
+          path
+      in
+      List.iter
+        (fun attempt ->
+          let status, out = collect_handle srv req in
+          check Alcotest.bool "continue" true (status = `Continue);
+          let all = joined out in
+          check_contains (attempt ^ ": error event") all {|"event": "error"|};
+          check_contains (attempt ^ ": id tagged") all {|"id": "z3"|};
+          check_contains (attempt ^ ": names the cause") all "no branch records";
+          check Alcotest.bool (attempt ^ ": no result") false (contains all {|"event": "result"|});
+          check_contains (attempt ^ ": no warm checkpoint kept") all {|"warm_entries": 0|};
+          check_contains (attempt ^ ": done still sent") all {|"event": "done"|})
+        [ "first"; "repeat" ])
 
 let serve_empty_sweep () =
   (* an empty trace list is a contract violation, not an empty success *)
-  let cfg = serve_cfg () in
-  let status, out = collect_handle cfg {|{"op": "sweep", "traces": [], "id": "z2"}|} in
+  let srv = daemon () in
+  let status, out = collect_handle srv {|{"op": "sweep", "traces": [], "id": "z2"}|} in
   check Alcotest.bool "continue" true (status = `Continue);
   let all = joined out in
   check_contains "error event" all {|"event": "error"|};
   check_contains "id tagged" all {|"id": "z2"|};
   check_contains "names the field" all "traces";
-  let _, out2 = collect_handle cfg {|{"op": "ping"}|} in
+  let _, out2 = collect_handle srv {|{"op": "ping"}|} in
   check_contains "alive after empty sweep" (joined out2) {|"event": "pong"|}
 
 let serve_probe_unknown_name () =
-  let cfg = probe_cfg () in
+  let srv = daemon () in
   let status, out =
-    collect_handle cfg {|{"op": "probe", "probes": ["no-such-probe"], "id": "p1"}|}
+    collect_handle srv {|{"op": "probe", "probes": ["no-such-probe"], "id": "p1"}|}
   in
   check Alcotest.bool "continue" true (status = `Continue);
   let all = joined out in
@@ -579,14 +619,14 @@ let serve_probe_unknown_name () =
   check_contains "done still sent" all {|"event": "done"|};
   (* unknown target likewise *)
   let _, out_t =
-    collect_handle cfg {|{"op": "probe", "targets": ["NoSuchTarget"], "id": "p2"}|}
+    collect_handle srv {|{"op": "probe", "targets": ["NoSuchTarget"], "id": "p2"}|}
   in
   let all_t = joined out_t in
   check_contains "target error" all_t {|"event": "error"|};
   check_contains "target id tagged" all_t {|"id": "p2"|};
   (* and a well-formed probe sweep still works on the same daemon *)
   let _, out2 =
-    collect_handle cfg
+    collect_handle srv
       {|{"op": "probe", "probes": ["ladder"], "targets": ["GSHARE6"], "id": "p3"}|}
   in
   let all2 = joined out2 in
@@ -595,8 +635,8 @@ let serve_probe_unknown_name () =
   check_contains "probe id echoed" all2 {|"id": "p3"|}
 
 let serve_unknown_op_lists_probe () =
-  (* with the probe op registered, the unknown-op error advertises it *)
-  let _, out = collect_handle (probe_cfg ()) {|{"op": "frobnicate", "id": "p4"}|} in
+  (* the probe op is built in, and the unknown-op error advertises it *)
+  let _, out = collect_handle (daemon ()) {|{"op": "frobnicate", "id": "p4"}|} in
   let all = joined out in
   check_contains "unknown op lists probe" all "probe";
   check_contains "unknown op id tagged" all {|"id": "p4"|}
@@ -614,7 +654,7 @@ let serve_probe_trace_sweep () =
         Printf.sprintf {|{"op": "sweep", "designs": ["GShare", "TAGE-L"], "traces": ["%s"]}|}
           path
       in
-      let _, out = collect_handle (serve_cfg ()) req in
+      let _, out = collect_handle (daemon ()) req in
       let results =
         List.length (List.filter (fun l -> contains l {|"event": "result"|}) out)
       in
@@ -622,7 +662,7 @@ let serve_probe_trace_sweep () =
       check_contains "sweep summary" (joined out) {|"event": "sweep_summary"|})
 
 let serve_shutdown () =
-  let status, out = collect_handle (serve_cfg ()) {|{"op": "shutdown"}|} in
+  let status, out = collect_handle (daemon ()) {|{"op": "shutdown"}|} in
   check Alcotest.bool "shutdown requested" true (status = `Shutdown);
   check_contains "bye" (joined out) {|"event": "bye"|}
 
@@ -651,7 +691,7 @@ let stop_daemon socket t =
 
 (* Run [f] against a daemon serving [cfg] on a thread, then shut it down. *)
 let with_daemon cfg f =
-  let server = Thread.create Serve.serve cfg in
+  let server = Thread.create Serve.serve (Serve.create cfg) in
   Fun.protect ~finally:(fun () -> stop_daemon cfg.Serve.socket server) f
 
 let serve_live_daemon () =
@@ -725,7 +765,7 @@ let expect_refusal socket =
   let t =
     Thread.create
       (fun () ->
-        try Serve.serve (Serve.default_config ~socket)
+        try Serve.serve (Serve.create (Serve.default_config ~socket))
         with Failure m -> Atomic.set refusal (Some m))
       ()
   in
@@ -821,10 +861,14 @@ let () =
         [
           Alcotest.test_case "ping" `Quick serve_ping;
           Alcotest.test_case "replay, cached repeat, no_cache" `Quick serve_replay_and_cache;
+          Alcotest.test_case "replay and one-point sweep share a cache key" `Quick
+            serve_replay_sweep_share_key;
           Alcotest.test_case "sweep cross product" `Quick serve_sweep;
           Alcotest.test_case "malformed requests survive" `Quick serve_malformed;
           Alcotest.test_case "zero-length trace is an id-tagged error" `Quick
             serve_zero_length_trace;
+          Alcotest.test_case "windowed sweep over a header-only trace is an id-tagged error"
+            `Quick serve_windowed_header_only;
           Alcotest.test_case "empty sweep spec is an id-tagged error" `Quick serve_empty_sweep;
           Alcotest.test_case "unknown probe name is an id-tagged error" `Quick
             serve_probe_unknown_name;
