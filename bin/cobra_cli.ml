@@ -229,44 +229,48 @@ let replay_cmd =
   let replay design path insns branches stats json =
     let ( let* ) = Result.bind in
     let* d = lookup_design design in
-    match Cobra_trace_replay.Reader.detect path with
-    | Cobra_trace_replay.Reader.Branch_binary | Cobra_trace_replay.Reader.Branch_text ->
-      (* predictor-only fast path: no uarch core, constant memory; the
-         compiled engine unless --stats asks for the collector, which needs
-         an interpreted pipeline *)
-      if stats then begin
-        let res, report =
-          Cobra_trace_replay.Replay.run_design_with_stats ?max_branches:branches
-            ~max_insns:insns d ~path
+    (* a malformed or unreadable trace is the user's error, reported with
+       the reader's message, not an internal one *)
+    try
+      match Cobra_trace_replay.Reader.detect path with
+      | Cobra_trace_replay.Reader.Branch_binary | Cobra_trace_replay.Reader.Branch_text ->
+        (* predictor-only fast path: no uarch core, constant memory; the
+           compiled engine unless --stats asks for the collector, which needs
+           an interpreted pipeline *)
+        if stats then begin
+          let res, report =
+            Cobra_trace_replay.Replay.run_design_with_stats ?max_branches:branches
+              ~max_insns:insns d ~path
+          in
+          print_endline (Cobra_trace_replay.Replay.summary res);
+          if json then
+            print_endline (Cobra_stats.Json.to_string (Cobra_stats.Report.to_json report))
+          else print_string (Cobra_stats.Report.render report);
+          Ok ()
+        end
+        else begin
+          let res =
+            Cobra_trace_replay.Replay.run_design ?max_branches:branches ~max_insns:insns d
+              ~path
+          in
+          print_endline (Cobra_trace_replay.Replay.summary res);
+          Ok ()
+        end
+      | Cobra_trace_replay.Reader.Other ->
+        let* () =
+          if stats || json then
+            Error (`Msg "--stats/--json need a branch trace (made with cobra trace --branch)")
+          else Ok ()
         in
-        print_endline (Cobra_trace_replay.Replay.summary res);
-        if json then
-          print_endline (Cobra_stats.Json.to_string (Cobra_stats.Report.to_json report))
-        else print_string (Cobra_stats.Report.render report);
-        Ok ()
-      end
-      else begin
-        let res =
-          Cobra_trace_replay.Replay.run_design ?max_branches:branches ~max_insns:insns d
-            ~path
+        let pl = Designs.pipeline d in
+        let core =
+          Cobra_uarch.Core.create Cobra_uarch.Config.default pl
+            (Cobra_isa.Trace_file.load_stream ~path)
         in
-        print_endline (Cobra_trace_replay.Replay.summary res);
+        let perf = Cobra_uarch.Core.run core ~max_insns:insns in
+        Format.printf "%s on %s:@.  %a@." design path Cobra_uarch.Perf.pp perf;
         Ok ()
-      end
-    | Cobra_trace_replay.Reader.Other ->
-      let* () =
-        if stats || json then
-          Error (`Msg "--stats/--json need a branch trace (made with cobra trace --branch)")
-        else Ok ()
-      in
-      let pl = Designs.pipeline d in
-      let core =
-        Cobra_uarch.Core.create Cobra_uarch.Config.default pl
-          (Cobra_isa.Trace_file.load_stream ~path)
-      in
-      let perf = Cobra_uarch.Core.run core ~max_insns:insns in
-      Format.printf "%s on %s:@.  %a@." design path Cobra_uarch.Perf.pp perf;
-      Ok ()
+    with Failure m | Sys_error m -> Error (`Msg m)
   in
   Cmd.v
     (Cmd.info "replay"

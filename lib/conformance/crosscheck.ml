@@ -288,10 +288,12 @@ module Btrace = Cobra_trace_replay.Btrace
 module Replay = Cobra_trace_replay.Replay
 module Sim = Replay.Sim
 
-(* One replay-protocol transaction; the (direction, wrong) pair every
-   differential below compares. *)
+(* One replay-protocol transaction on a fuzzed record; the (direction,
+   wrong) pair every differential below compares. *)
 let step sim r =
-  let wrong = Sim.step sim r in
+  let rc = Btrace.cursor () in
+  Btrace.fill rc r;
+  let wrong = Sim.step sim rc in
   (Sim.last_taken_pred sim, wrong)
 
 (* --- trace replay vs the golden twin -------------------------------------------- *)
@@ -320,7 +322,8 @@ let replay_twin ?(length = 400) ~seed (design : Designs.t) =
         ~observe:(fun _ ~taken_pred ~wrong ->
           c.index <- c.index + 1;
           observed := (taken_pred, wrong) :: !observed)
-        ~design:subject ~trace:"fuzz" (Sim.create `Interpreted design) source
+        ~design:subject ~trace:"fuzz" (Sim.create `Interpreted design)
+        (Replay.of_records source)
     in
     (* arrays, not lists: per-branch List.nth here made the comparison loop
        quadratic in the stream length *)
@@ -487,7 +490,7 @@ let snapshot_roundtrip ?(length = 400) ~seed (design : Designs.t) =
   let s = Sim.create `Interpreted design in
   for i = 0 to half - 1 do
     c.index <- i;
-    ignore (Sim.step s bs.(i))
+    ignore (step s bs.(i))
   done;
   let slab = Sim.snapshot s in
   (* a fresh pipeline restored from the slab must shadow the original

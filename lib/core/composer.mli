@@ -32,7 +32,9 @@ val eval : t -> Context.t -> Types.prediction array
 (** Run every component's [predict] on [ctx] and return the root's
     per-stage composites: [(eval t ctx).(d-1)] is the prediction at
     Fetch-[d]. The array and its rows are the composer's buffers, valid
-    until the next [eval]: copy what must outlive it. *)
+    until the next [eval]: copy what must outlive it. A component's
+    [pred_in] list holds such rows and may be the same list from one
+    [eval] to the next, so it too is read at [predict], not kept. *)
 
 val components : t -> Component.t array
 (** [Topology.components] order; a component's position is its id. *)

@@ -336,12 +336,14 @@ let predict t ~pc ~max_len =
   if t.cfg.path_bits > 0 then speculate t ~reg:t.phist ~dst:ctx.phist shift_path;
   (* The composer's buffers are overwritten by the next predict: the record
      keeps copies of its rows and metadata, and of the raw opinions only
-     while an observer is attached. *)
+     while an observer is attached. A recycled record's row usually holds
+     the opinion already, and skipping that store skips its write barrier. *)
   let stages = Composer.eval t.composer ctx in
   for d = 0 to t.depth - 1 do
     let src = stages.(d) and dst = e.e_stages.(d) in
     for i = 0 to t.cfg.fetch_width - 1 do
-      dst.(i) <- src.(i)
+      let v = src.(i) in
+      if dst.(i) != v then dst.(i) <- v
     done
   done;
   let metas = Composer.metas t.composer in

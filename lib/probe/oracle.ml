@@ -40,26 +40,26 @@ type report = {
 
 (* ---- measurement ------------------------------------------------------- *)
 
-let measure ~(target : Target.t) ~(probe : Pattern.t) ~level ~seed =
+let measure ?deadline ~(target : Target.t) ~(probe : Pattern.t) ~level ~seed () =
   let stream = probe.Pattern.p_gen ~level ~seed in
   let pl = Target.pipeline target in
   let idx = ref 0 in
   let samples = ref 0 and misses = ref 0 in
-  let observe (r : Btrace.record) ~taken_pred:_ ~wrong =
+  let observe (r : Btrace.cursor) ~taken_pred:_ ~wrong =
     let i = !idx in
     incr idx;
     if
       i >= stream.Pattern.s_warmup
       && (match stream.Pattern.s_metric_pc with
          | None -> true
-         | Some pc -> r.Btrace.b_pc = pc)
+         | Some pc -> r.Btrace.c_pc = pc)
     then begin
       incr samples;
       if wrong then incr misses
     end
   in
   let (_ : Replay.result) =
-    Replay.drive ~observe ~design:target.Target.t_name
+    Replay.drive ?deadline ~observe ~design:target.Target.t_name
       ~trace:(Printf.sprintf "probe:%s@%d" probe.Pattern.p_name level)
       (Replay.Sim.of_pipeline pl) (Pattern.source stream)
   in
@@ -178,11 +178,11 @@ let annotate (e : Target.expect) m =
   | Target.Flat { acc; _ } -> { m with m_model = Some acc }
   | _ -> m
 
-let run_pair ~(target : Target.t) ~(probe : Pattern.t) ~seed =
+let run_pair ?deadline ~(target : Target.t) ~(probe : Pattern.t) ~seed () =
   let e = target.Target.t_expect probe.Pattern.p_name in
   let levels = grid ~probe_name:probe.Pattern.p_name e in
   let series =
-    List.map (fun level -> annotate e (measure ~target ~probe ~level ~seed)) levels
+    List.map (fun level -> annotate e (measure ?deadline ~target ~probe ~level ~seed ())) levels
   in
   {
     r_target = target.Target.t_name;
@@ -194,11 +194,11 @@ let run_pair ~(target : Target.t) ~(probe : Pattern.t) ~seed =
     r_verdict = judge e series;
   }
 
-let run_matrix ?(targets = Target.all) ?(probes = Pattern.all) ~seed () =
+let run_matrix ?deadline ?(targets = Target.all) ?(probes = Pattern.all) ~seed () =
   let t0 = Unix.gettimeofday () in
   let results =
     List.concat_map
-      (fun target -> List.map (fun probe -> run_pair ~target ~probe ~seed) probes)
+      (fun target -> List.map (fun probe -> run_pair ?deadline ~target ~probe ~seed ()) probes)
       targets
   in
   { rep_seed = seed; rep_elapsed_s = Unix.gettimeofday () -. t0; rep_results = results }
@@ -314,8 +314,8 @@ let timing_series ?(width = 128) ?(penalty = 20) ~(target : Target.t)
   let insns = ref 0 and mis = ref 0 in
   let gap_hist = Array.make 16 0 in
   let last_mis = ref 0 in
-  let observe (r : Btrace.record) ~taken_pred:_ ~wrong =
-    insns := !insns + r.Btrace.b_gap + 1;
+  let observe (r : Btrace.cursor) ~taken_pred:_ ~wrong =
+    insns := !insns + Btrace.cursor_insns r;
     if wrong then begin
       incr mis;
       let gap = !insns - !last_mis in

@@ -40,8 +40,17 @@ type report = {
 }
 
 val measure :
-  target:Target.t -> probe:Pattern.t -> level:int -> seed:int -> measurement
-(** One point: fresh pipeline, one probe stream, post-warmup metric. *)
+  ?deadline:float ->
+  target:Target.t ->
+  probe:Pattern.t ->
+  level:int ->
+  seed:int ->
+  unit ->
+  measurement
+(** One point: fresh pipeline, one probe stream, post-warmup metric.
+    [deadline] is {!Cobra_trace_replay.Replay.drive}'s: an absolute
+    [Unix.gettimeofday] time past which the replay raises
+    [Replay.Timeout]. *)
 
 val grid : probe_name:string -> Target.expect -> int list
 (** The level grid the oracle sweeps for an expectation (brackets a
@@ -49,11 +58,19 @@ val grid : probe_name:string -> Target.expect -> int list
 
 val judge : Target.expect -> measurement list -> verdict
 
-val run_pair : target:Target.t -> probe:Pattern.t -> seed:int -> result
+val run_pair :
+  ?deadline:float -> target:Target.t -> probe:Pattern.t -> seed:int -> unit -> result
 
 val run_matrix :
-  ?targets:Target.t list -> ?probes:Pattern.t list -> seed:int -> unit -> report
-(** Default: every catalogued probe over every non-demo target. *)
+  ?deadline:float ->
+  ?targets:Target.t list ->
+  ?probes:Pattern.t list ->
+  seed:int ->
+  unit ->
+  report
+(** Default: every catalogued probe over every non-demo target. Every
+    measurement checks [deadline] ({!measure}), so a matrix that overruns
+    it raises [Cobra_trace_replay.Replay.Timeout]. *)
 
 val failures : report -> result list
 

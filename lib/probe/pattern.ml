@@ -236,10 +236,10 @@ let to_trace_file ?format ~path stream =
 
 let source stream =
   let i = ref 0 in
-  fun () ->
-    if !i >= Array.length stream.s_records then None
-    else begin
-      let r = stream.s_records.(!i) in
-      incr i;
-      Some r
-    end
+  Cobra_trace_replay.Replay.of_records (fun () ->
+      if !i >= Array.length stream.s_records then None
+      else begin
+        let r = stream.s_records.(!i) in
+        incr i;
+        Some r
+      end)

@@ -40,7 +40,8 @@ val to_trace_file :
   ?format:Cobra_trace_replay.Btrace.format -> path:string -> stream -> unit
 
 val source : stream -> Cobra_trace_replay.Replay.source
-(** Fresh cursor over the records, for {!Cobra_trace_replay.Replay.run}. *)
+(** A fresh source over the records ({!Cobra_trace_replay.Replay.of_records}),
+    for {!Cobra_trace_replay.Replay.drive}. *)
 
 (**/**)
 

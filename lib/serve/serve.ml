@@ -154,6 +154,9 @@ let find_design name =
 
 (* ---- one replay point ------------------------------------------------- *)
 
+(* The per-request budget ([--timeout]) as an absolute deadline from now. *)
+let deadline t = Option.map (fun s -> Unix.gettimeofday () +. s) t.cfg.timeout_s
+
 (* What a (design, trace) point replays: an optional warmup, then [windows]
    consecutive windows under the caps. A replay op and a plain sweep point
    are one window under the request's caps; a windowed sweep point warms
@@ -234,11 +237,13 @@ let result_of_perf ~design ~trace (p : Cobra_uarch.Perf.t) =
    certifies the snapshot handoff and the compilation at once. Cache keys
    are engine-independent: both engines' counters are certified
    bit-identical. A point that reads no branch record is an error, and
-   leaves nothing in either cache. Returns (per-window results, warm
-   checkpoint came from the cache, windows came from the result cache). *)
+   leaves nothing in either cache; so is a window that starts past the end
+   of the trace, which leaves nothing in the result cache (a partial last
+   window is a result). Returns (per-window results, warm checkpoint came
+   from the cache, windows came from the result cache). *)
 let replay_point t ~digest ~use_cache ~engine (d : Designs.t) ~trace p =
   if not (Sys.file_exists trace) then failwith ("no such trace file: " ^ trace);
-  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) t.cfg.timeout_s in
+  let deadline = deadline t in
   let use_cache = use_cache && Cache.enabled () in
   let name = d.Designs.name in
   let keys =
@@ -249,7 +254,13 @@ let replay_point t ~digest ~use_cache ~engine (d : Designs.t) ~trace p =
     match keys with
     | Some keys when not p.verify ->
       let hits = List.map Cache.load keys in
-      if List.for_all Option.is_some hits then
+      (* no window without a branch is stored; one that an older daemon
+         stored is recomputed, and so answered as an error *)
+      let measured = function
+        | Some (h : Cobra_uarch.Perf.t) -> h.Cobra_uarch.Perf.branches > 0
+        | None -> false
+      in
+      if List.for_all measured hits then
         Some (List.map (fun h -> result_of_perf ~design:name ~trace (Option.get h)) hits)
       else None
     | _ -> None
@@ -262,15 +273,14 @@ let replay_point t ~digest ~use_cache ~engine (d : Designs.t) ~trace p =
         (Printf.sprintf "trace %s contains no branch records (empty or header-only file)" trace)
     in
     let region ?max_branches ?max_insns sim rd =
-      Replay.drive ?deadline ?max_branches ?max_insns ~design:name ~trace sim (fun () ->
-          Reader.next rd)
+      Replay.drive ?deadline ?max_branches ?max_insns ~design:name ~trace sim (Reader.read rd)
     in
     let window sim rd = region ?max_branches:p.max_branches ?max_insns:p.max_insns sim rd in
     Reader.with_file trace (fun rd ->
         let sim = Replay.Sim.create engine d in
-        let warm_cached =
+        let warm_cached, warm_branches =
           match p.warmup with
-          | None -> false
+          | None -> (false, 0)
           | Some branches -> (
             let k =
               Cache.hex
@@ -279,15 +289,23 @@ let replay_point t ~digest ~use_cache ~engine (d : Designs.t) ~trace p =
             match warm_find t k with
             | Some ck ->
               Replay.restore sim rd ck;
-              true
+              (true, ck.Replay.ck_branches)
             | None ->
               let ck, warm = Replay.warmup ?deadline ~branches ~design:name ~trace sim rd in
               if warm.Replay.branches = 0 then empty ();
               warm_store t k ck;
-              false)
+              (false, warm.Replay.branches))
         in
         let results = List.init p.windows (fun _ -> window sim rd) in
-        if p.warmup = None && List.for_all (fun r -> r.Replay.branches = 0) results then empty ();
+        (match (p.warmup, List.find_index (fun r -> r.Replay.branches = 0) results) with
+        | None, Some _ -> empty ()
+        | Some _, Some w ->
+          (* windows are capped on branches only: an empty one is past the end *)
+          let total = List.fold_left (fun n r -> n + r.Replay.branches) warm_branches results in
+          failwith
+            (Printf.sprintf "window %d of %s on %s starts past the end of the trace (%d branches)"
+               w name trace total)
+        | _, None -> ());
         if p.verify then
           (* the non-snapshot oracle: a fresh pipeline replays the warmup
              and every window from the top of the trace *)
@@ -353,7 +371,7 @@ let handle_replay t send ?id req =
     [ ("design", Json.String d.Designs.name); ("trace", Json.String trace) ];
   if bool_member "stats" req then begin
     (* stats runs are uncached: the report is not representable as Perf *)
-    let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) t.cfg.timeout_s in
+    let deadline = deadline t in
     let res, report =
       Replay.run_design_with_stats ?max_branches:p.max_branches ?max_insns:p.max_insns
         ?deadline d ~path:trace
@@ -428,14 +446,14 @@ let handle_sweep t send ?id req =
 
 (* The probe fidelity matrix: one "probe" event per (target, probe) pair
    plus a "probe-summary"; omitted or empty lists mean the full
-   catalogue. *)
-let handle_probe _t send ?id req =
+   catalogue. The whole matrix runs under the request's budget. *)
+let handle_probe t send ?id req =
   let names field = List.filter_map Json.to_str (Json.list_member field req) in
   let pick find all = function [] -> all | names -> List.map find names in
   let probes = pick Cobra_probe.Pattern.find_exn Cobra_probe.Pattern.all (names "probes") in
   let targets = pick Cobra_probe.Target.find_exn Cobra_probe.Target.all (names "targets") in
   let seed = Json.int_member "seed" req ~default:0x0b5a in
-  let rep = Oracle.run_matrix ~targets ~probes ~seed () in
+  let rep = Oracle.run_matrix ?deadline:(deadline t) ~targets ~probes ~seed () in
   List.iter
     (fun r -> emit send ?id ~event:"probe" (Oracle.result_fields r))
     rep.Oracle.rep_results;

@@ -89,73 +89,93 @@ let encode_record buf r =
   if r.b_target >= 0 then add_varint buf r.b_target;
   if r.b_gap > 0 then add_varint buf r.b_gap
 
-type decoded = Need_more | Decoded of record * int
+type cursor = {
+  mutable c_pc : int;
+  mutable c_taken : bool;
+  mutable c_kind : Types.branch_kind;
+  mutable c_target : int;
+  mutable c_gap : int;
+}
 
-exception Short
+let cursor () = { c_pc = 0; c_taken = false; c_kind = Types.Cond; c_target = no_target; c_gap = 0 }
 
-(* Returns (value, next_pos); raises Short when the window ends mid-varint
-   and Failure on a varint that would not fit 63 bits or is non-minimally
-   encoded (the writer never pads, so a redundant final 0x00 means a
-   corrupt or adversarial stream, not a value). *)
-let read_varint bytes ~pos ~limit ~abs_offset =
-  let rec go p shift acc seen =
-    if seen > max_varint_bytes then
-      failwith
-        (Printf.sprintf "byte %d: varint exceeds 63 bits (corrupt or overlong)"
-           (abs_offset + (p - pos)))
-    else if p >= limit then raise Short
-    else
-      let b = Char.code (Bytes.unsafe_get bytes p) in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if acc < 0 then
-        (* bit 62 set: the value would not survive the OCaml int sign bit *)
-        failwith
-          (Printf.sprintf "byte %d: varint exceeds 63 bits (corrupt or overlong)"
-             (abs_offset + (p - pos)))
-      else if b land 0x80 = 0 then
-        if b = 0 && seen > 1 then
-          failwith
-            (Printf.sprintf
-               "byte %d: non-minimal varint (redundant trailing 0x00 after %d bytes)"
-               (abs_offset + (p - pos))
-               seen)
-        else (acc, p + 1)
-      else go (p + 1) (shift + 7) acc (seen + 1)
-  in
-  go pos 0 0 1
+let fill c r =
+  c.c_pc <- r.b_pc;
+  c.c_taken <- r.b_taken;
+  c.c_kind <- r.b_kind;
+  c.c_target <- r.b_target;
+  c.c_gap <- r.b_gap
 
-let decode_record bytes ~pos ~limit ~abs_offset =
-  if pos >= limit then Need_more
+let to_record c =
+  { b_pc = c.c_pc; b_taken = c.c_taken; b_kind = c.c_kind; b_target = c.c_target; b_gap = c.c_gap }
+
+let cursor_insns c = c.c_gap + 1
+
+let varint_overflow at =
+  failwith (Printf.sprintf "byte %d: varint exceeds 63 bits (corrupt or overlong)" at)
+
+(* The tag's 3-bit kind field, converted once per code; [None] marks a code
+   that names no kind. *)
+let kind_of_code =
+  Array.init 8 (fun code ->
+      match Types.branch_kind_of_int code with
+      | k -> Some k
+      | exception Invalid_argument _ -> None)
+
+(* The record's varints by threaded-argument recursion, so a decode
+   allocates nothing: [field] is the varint in progress (0 pc, 1 target,
+   2 gap), [shift], [acc] and [seen] its partial value, [pc] and [target]
+   the finished ones; [base + p] is the stream offset of [bytes.(p)].
+   Returns the bytes consumed since [start], or 0 when the window ends
+   first. A varint that would not fit 63 bits, or is non-minimally encoded
+   (the writer never pads, so a redundant final 0x00 means a corrupt or
+   adversarial stream, not a value), fails at its offending byte. *)
+let rec varints bytes ~base ~start ~limit c tag kind p field shift acc seen pc target =
+  if seen > max_varint_bytes then varint_overflow (base + p)
+  else if p >= limit then 0
   else
-    try
-      let tag = Char.code (Bytes.unsafe_get bytes pos) in
-      if tag land 0xc0 <> 0 then
-        failwith
-          (Printf.sprintf "byte %d: corrupt record tag 0x%02x (reserved bits set)"
-             abs_offset tag);
-      let kind =
-        match Types.branch_kind_of_int ((tag lsr 1) land 0x7) with
-        | k -> k
-        | exception Invalid_argument _ ->
-          failwith
-            (Printf.sprintf "byte %d: corrupt record tag 0x%02x (bad branch kind %d)"
-               abs_offset tag
-               ((tag lsr 1) land 0x7))
-      in
-      let abs p = abs_offset + (p - pos) in
-      let pc, p = read_varint bytes ~pos:(pos + 1) ~limit ~abs_offset:(abs (pos + 1)) in
-      let target, p =
-        if tag land 0x10 <> 0 then read_varint bytes ~pos:p ~limit ~abs_offset:(abs p)
-        else (no_target, p)
-      in
-      let gap, p =
-        if tag land 0x20 <> 0 then read_varint bytes ~pos:p ~limit ~abs_offset:(abs p)
-        else (0, p)
-      in
-      Decoded
-        ( { b_pc = pc; b_taken = tag land 1 <> 0; b_kind = kind; b_target = target; b_gap = gap },
-          p - pos )
-    with Short -> Need_more
+    let b = Char.code (Bytes.unsafe_get bytes p) in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    (* bit 62 set: the value would not survive the OCaml int sign bit *)
+    if acc < 0 then varint_overflow (base + p)
+    else if b land 0x80 <> 0 then
+      varints bytes ~base ~start ~limit c tag kind (p + 1) field (shift + 7) acc (seen + 1) pc
+        target
+    else if b = 0 && seen > 1 then
+      failwith
+        (Printf.sprintf "byte %d: non-minimal varint (redundant trailing 0x00 after %d bytes)"
+           (base + p) seen)
+    else
+      let pc = if field = 0 then acc else pc and target = if field = 1 then acc else target in
+      if field < 1 && tag land 0x10 <> 0 then
+        varints bytes ~base ~start ~limit c tag kind (p + 1) 1 0 0 1 pc target
+      else if field < 2 && tag land 0x20 <> 0 then
+        varints bytes ~base ~start ~limit c tag kind (p + 1) 2 0 0 1 pc target
+      else begin
+        c.c_pc <- pc;
+        c.c_taken <- tag land 1 <> 0;
+        c.c_kind <- kind;
+        c.c_target <- target;
+        c.c_gap <- (if field = 2 then acc else 0);
+        p + 1 - start
+      end
+
+let decode bytes ~pos ~limit ~abs_offset c =
+  if pos >= limit then 0
+  else begin
+    let tag = Char.code (Bytes.unsafe_get bytes pos) in
+    if tag land 0xc0 <> 0 then
+      failwith
+        (Printf.sprintf "byte %d: corrupt record tag 0x%02x (reserved bits set)" abs_offset tag);
+    match kind_of_code.((tag lsr 1) land 0x7) with
+    | None ->
+      failwith
+        (Printf.sprintf "byte %d: corrupt record tag 0x%02x (bad branch kind %d)" abs_offset tag
+           ((tag lsr 1) land 0x7))
+    | Some kind ->
+      varints bytes ~base:(abs_offset - pos) ~start:pos ~limit c tag kind (pos + 1) 0 0 0 1 0
+        no_target
+  end
 
 (* --- text codec -------------------------------------------------------------- *)
 

@@ -64,15 +64,43 @@ val text_header : string
 val encode_record : Buffer.t -> record -> unit
 (** Raises [Invalid_argument] when {!validate} fails. *)
 
-type decoded =
-  | Need_more  (** the window ends mid-record; refill and retry *)
-  | Decoded of record * int  (** record plus bytes consumed *)
+(** {2 The cursor}
 
-val decode_record : Bytes.t -> pos:int -> limit:int -> abs_offset:int -> decoded
-(** Decode one record from [bytes.(pos .. limit-1)]. [abs_offset] is the
+    A cursor is a caller-owned, mutable record that decoders fill in place,
+    so that a replay reads millions of records without allocating one per
+    branch. What a cursor holds is valid until the next read into it: copy
+    it ({!to_record}) to keep it. *)
+
+type cursor = {
+  mutable c_pc : int;
+  mutable c_taken : bool;
+  mutable c_kind : Cobra.Types.branch_kind;
+  mutable c_target : int;
+  mutable c_gap : int;
+}
+(** The fields of {!record}, one for one. *)
+
+val cursor : unit -> cursor
+(** A fresh cursor (a not-taken gap-0 conditional at PC 0, no target). *)
+
+val fill : cursor -> record -> unit
+(** Copy a record into the cursor. *)
+
+val to_record : cursor -> record
+(** A fresh record with the cursor's fields. *)
+
+val cursor_insns : cursor -> int
+(** {!insns} of the record the cursor holds. *)
+
+val decode : Bytes.t -> pos:int -> limit:int -> abs_offset:int -> cursor -> int
+(** [decode bytes ~pos ~limit ~abs_offset c] decodes one record from
+    [bytes.(pos .. limit-1)] into [c] and returns the bytes consumed, or
+    [0] when the window ends mid-record (refill and retry; [c] is then
+    untouched). It allocates nothing unless it fails. [abs_offset] is the
     stream offset of [pos], used verbatim in diagnostics. Raises [Failure]
-    ["byte N: ..."] on reserved tag bits, varint overflow (> 63 bits) or an
-    overlong varint encoding. *)
+    ["byte N: ..."] on reserved tag bits, a bad branch kind, varint
+    overflow (> 63 bits) or an overlong varint encoding; only this failure
+    path builds a string. *)
 
 (** {1 Text codec} *)
 

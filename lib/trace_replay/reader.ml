@@ -85,23 +85,21 @@ let seek t off =
   t.len <- 0;
   t.eof <- false
 
-let rec next_binary t =
-  match
-    Btrace.decode_record t.buf ~pos:t.pos ~limit:t.len ~abs_offset:(t.base + t.pos)
-  with
-  | Btrace.Decoded (r, consumed) ->
-    t.pos <- t.pos + consumed;
-    Some r
-  | Btrace.Need_more ->
-    if t.eof then
-      if t.pos = t.len then None
-      else
-        fail t "byte %d: truncated record (%d trailing bytes at end of file)"
-          (t.base + t.pos) (t.len - t.pos)
-    else begin
-      refill t;
-      next_binary t
-    end
+let rec read_binary t c =
+  let n = Btrace.decode t.buf ~pos:t.pos ~limit:t.len ~abs_offset:(t.base + t.pos) c in
+  if n > 0 then begin
+    t.pos <- t.pos + n;
+    true
+  end
+  else if t.eof then
+    if t.pos = t.len then false
+    else
+      fail t "byte %d: truncated record (%d trailing bytes at end of file)" (t.base + t.pos)
+        (t.len - t.pos)
+  else begin
+    refill t;
+    read_binary t c
+  end
 
 let rec next_text t =
   (* Index of the next newline at or after [t.pos], refilling as needed;
@@ -144,9 +142,20 @@ and consume_line t s =
   | None -> next_text t
   | exception Failure m -> failwith (t.r_path ^ ": " ^ m)
 
+let read t c =
+  if t.closed then invalid_arg "Reader.read: reader is closed";
+  match t.fmt with
+  | Btrace.Binary -> read_binary t c
+  | Btrace.Text -> (
+    match next_text t with
+    | Some r ->
+      Btrace.fill c r;
+      true
+    | None -> false)
+
 let next t =
-  if t.closed then invalid_arg "Reader.next: reader is closed";
-  match t.fmt with Btrace.Binary -> next_binary t | Btrace.Text -> next_text t
+  let c = Btrace.cursor () in
+  if read t c then Some (Btrace.to_record c) else None
 
 let with_file ?buffer_size p f =
   let t = open_file ?buffer_size p in

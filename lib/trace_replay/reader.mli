@@ -2,23 +2,34 @@
 
     The reader owns one fixed-size byte buffer (default 64 KiB) that it
     refills from the file as records are consumed — a multi-million-branch
-    trace replays in constant memory, never materialized as a list. The
+    trace replays in constant memory, never materialized as a list, and
+    through {!read} a binary trace allocates nothing per record. The
     format (binary vs text) is sniffed from the {!Btrace.magic} prefix.
 
-    Every decode error is a [Failure] prefixed with the file path and
-    carrying the byte offset (binary) or line number (text) of the
-    corruption, so a poisoned trace is diagnosable and rejectable without
-    taking the caller down. *)
+    Every decode error is a [Failure] carrying the byte offset (binary) or
+    line number (text) of the corruption, so a poisoned trace is
+    diagnosable and rejectable without taking the caller down. A truncated
+    record and a malformed text line are also prefixed with the file path;
+    {!Btrace.decode}'s own diagnostics (corrupt tag, varint overflow,
+    overlong varint) are not. *)
 
 type t
 
 val format : t -> Btrace.format
 val path : t -> string
 
+val read : t -> Btrace.cursor -> bool
+(** [read t c] fills [c] with the next record and returns [true], or
+    returns [false] at end of trace. This is the replay path: a binary
+    read allocates nothing (a text read parses its line as before), and
+    what [c] holds is valid until the next read into it. Raises [Failure]
+    on malformed input: truncated final record, corrupt tag byte, varint
+    overflow, malformed text line, or a text line longer than the buffer;
+    diagnostics are built only on that path. *)
+
 val next : t -> Btrace.record option
-(** The next record, or [None] at end of trace. Raises [Failure] on
-    malformed input: truncated final record, corrupt tag byte, varint
-    overflow, malformed text line, or a text line longer than the buffer. *)
+(** {!read} into a fresh cursor, copied out as a fresh record: the
+    convenience behind {!fold} and {!load}, not the replay path. *)
 
 val offset : t -> int
 (** Byte offset of the next unconsumed input byte. *)

@@ -1,6 +1,13 @@
 open Cobra
 
-type source = unit -> Btrace.record option
+type source = Btrace.cursor -> bool
+
+let of_records next c =
+  match next () with
+  | Some r ->
+    Btrace.fill c r;
+    true
+  | None -> false
 
 type result = {
   design : string;
@@ -100,9 +107,9 @@ module Sim = struct
     | `Interpreted -> of_pipeline (Cobra_eval.Designs.pipeline d)
     | `Compiled -> of_engine (compiled d)
 
-  let step_interpreted s (r : Btrace.record) =
-    let pl = s.pl and kind = r.Btrace.b_kind in
-    let tok = Pipeline.predict pl ~pc:r.Btrace.b_pc ~max_len:1 in
+  let step_interpreted s (c : Btrace.cursor) =
+    let pl = s.pl and kind = c.Btrace.c_kind in
+    let tok = Pipeline.predict pl ~pc:c.Btrace.c_pc ~max_len:1 in
     let stages = Pipeline.stages pl tok in
     let final = (stages.(Array.length stages - 1)).(0) in
     let taken_pred =
@@ -111,16 +118,16 @@ module Sim = struct
       | None -> Types.is_unconditional kind
     in
     let target_pred = Option.value final.Types.o_target ~default:(-1) in
-    let known_target = r.Btrace.b_target >= 0 in
+    let known_target = c.Btrace.c_target >= 0 in
     let wrong =
-      taken_pred <> r.Btrace.b_taken
-      || (r.Btrace.b_taken
+      taken_pred <> c.Btrace.c_taken
+      || (c.Btrace.c_taken
          && Types.is_unconditional kind
          && (not (Types.equal_branch_kind kind Types.Ret))
          && known_target
-         && target_pred <> r.Btrace.b_target)
+         && target_pred <> c.Btrace.c_target)
     in
-    let target = if known_target then r.Btrace.b_target else 0 in
+    let target = if known_target then c.Btrace.c_target else 0 in
     s.slots.(0) <-
       Types.resolved_branch ~kind ~taken:taken_pred ~target:(if taken_pred then target else 0);
     let seq = Pipeline.fire pl tok ~slots:s.slots ~packet_len:1 in
@@ -128,7 +135,7 @@ module Sim = struct
     for id = 0 to Array.length metas - 1 do
       Cobra_util.Bits.blit ~src:metas.(id) ~dst:s.metas.(id)
     done;
-    let actual = Types.resolved_branch ~kind ~taken:r.Btrace.b_taken ~target in
+    let actual = Types.resolved_branch ~kind ~taken:c.Btrace.c_taken ~target in
     if wrong then Pipeline.mispredict pl ~seq ~slot:0 actual
     else Pipeline.resolve pl ~seq ~slot:0 actual;
     (* immediate commit: predictor-only replay has no backend to wait on *)
@@ -136,12 +143,12 @@ module Sim = struct
     s.taken_pred <- taken_pred;
     wrong
 
-  let step t r =
+  let step t c =
     match t with
-    | Interpreted s -> step_interpreted s r
+    | Interpreted s -> step_interpreted s c
     | Compiled eng ->
-      Engine.step eng ~pc:r.Btrace.b_pc ~kind:r.Btrace.b_kind ~taken:r.Btrace.b_taken
-        ~target:r.Btrace.b_target
+      Engine.step eng ~pc:c.Btrace.c_pc ~kind:c.Btrace.c_kind ~taken:c.Btrace.c_taken
+        ~target:c.Btrace.c_target
 
   let last_taken_pred = function
     | Interpreted s -> s.taken_pred
@@ -161,6 +168,7 @@ end
 
 let drive ?(max_branches = max_int) ?(max_insns = max_int) ?deadline ?observe ~design ~trace
     sim source =
+  let c = Btrace.cursor () in
   let instructions = ref 0 in
   let branches = ref 0 in
   let cond_branches = ref 0 in
@@ -177,24 +185,22 @@ let drive ?(max_branches = max_int) ?(max_insns = max_int) ?deadline ?observe ~d
     | _ -> ());
     (* the branch cap is checked before reading, so a capped replay leaves
        the source on the boundary record *)
-    if !branches >= max_branches then continue_ := false
-    else
-      match source () with
-      | None -> continue_ := false
-      | Some r when !instructions + Btrace.insns r > max_insns -> continue_ := false
-      | Some r ->
-        instructions := !instructions + Btrace.insns r;
-        incr branches;
-        let is_cond = Types.equal_branch_kind r.Btrace.b_kind Types.Cond in
-        if is_cond then incr cond_branches;
-        let wrong = Sim.step sim r in
-        if wrong then begin
-          incr mispredicts;
-          if is_cond then incr cond_mispredicts
-        end;
-        match observe with
-        | Some f -> f r ~taken_pred:(Sim.last_taken_pred sim) ~wrong
-        | None -> ()
+    if !branches >= max_branches || not (source c) then continue_ := false
+    else if !instructions + Btrace.cursor_insns c > max_insns then continue_ := false
+    else begin
+      instructions := !instructions + Btrace.cursor_insns c;
+      incr branches;
+      let is_cond = Types.equal_branch_kind c.Btrace.c_kind Types.Cond in
+      if is_cond then incr cond_branches;
+      let wrong = Sim.step sim c in
+      if wrong then begin
+        incr mispredicts;
+        if is_cond then incr cond_mispredicts
+      end;
+      match observe with
+      | Some f -> f c ~taken_pred:(Sim.last_taken_pred sim) ~wrong
+      | None -> ()
+    end
   done;
   {
     design;
@@ -207,11 +213,13 @@ let drive ?(max_branches = max_int) ?(max_insns = max_int) ?deadline ?observe ~d
     elapsed_s = Unix.gettimeofday () -. t0;
   }
 
-let run ?max_branches ?max_insns ?deadline ?observe ~design ~trace pl =
+let run ?max_branches ?max_insns ?deadline ?observe ~design ~trace pl records =
   drive ?max_branches ?max_insns ?deadline ?observe ~design ~trace (Sim.of_pipeline pl)
+    (of_records records)
 
-let run_compiled ?max_branches ?max_insns ?deadline ?observe ~design ~trace eng =
+let run_compiled ?max_branches ?max_insns ?deadline ?observe ~design ~trace eng records =
   drive ?max_branches ?max_insns ?deadline ?observe ~design ~trace (Sim.of_engine eng)
+    (of_records records)
 
 (* ------------------------------------------------------------------ *)
 (* Warmup checkpoints, built on the flat whole-design snapshots: a replay
@@ -236,7 +244,7 @@ let checkpoint sim rd ~branches ~insns =
 
 let warmup ?deadline ~branches ~design ~trace sim rd =
   let res =
-    drive ?deadline ~max_branches:branches ~design ~trace sim (fun () -> Reader.next rd)
+    drive ?deadline ~max_branches:branches ~design ~trace sim (Reader.read rd)
   in
   (checkpoint sim rd ~branches:res.branches ~insns:res.instructions, res)
 
@@ -261,7 +269,7 @@ let run_design ?max_branches ?max_insns ?deadline ?(engine = `Compiled)
   let sim = Sim.create engine d in
   Reader.with_file path (fun rd ->
       drive ?max_branches ?max_insns ?deadline ~design:d.Cobra_eval.Designs.name ~trace:path
-        sim (fun () -> Reader.next rd))
+        sim (Reader.read rd))
 
 let run_design_with_stats ?max_branches ?max_insns ?deadline (d : Cobra_eval.Designs.t) ~path =
   let pl = Cobra_eval.Designs.pipeline d in
@@ -270,15 +278,14 @@ let run_design_with_stats ?max_branches ?max_insns ?deadline (d : Cobra_eval.Des
   in
   let insns_seen = ref 0 and mis_seen = ref 0 in
   let observe r ~taken_pred:_ ~wrong =
-    insns_seen := !insns_seen + Btrace.insns r;
+    insns_seen := !insns_seen + Btrace.cursor_insns r;
     if wrong then incr mis_seen;
     Cobra_stats.Collector.sample coll ~insns:!insns_seen ~cycles:0 ~mispredicts:!mis_seen
   in
   let res =
     Reader.with_file path (fun rd ->
         drive ?max_branches ?max_insns ?deadline ~observe
-          ~design:d.Cobra_eval.Designs.name ~trace:path (Sim.of_pipeline pl) (fun () ->
-            Reader.next rd))
+          ~design:d.Cobra_eval.Designs.name ~trace:path (Sim.of_pipeline pl) (Reader.read rd))
   in
   Cobra_stats.Collector.flush coll ~insns:res.instructions ~cycles:0
     ~mispredicts:res.mispredicts;

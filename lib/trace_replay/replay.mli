@@ -13,11 +13,20 @@
     running an order of magnitude faster than the uarch model (pinned in
     BENCH_PR6.json).
 
-    The loop allocates O(1) state up front (one reusable slot vector) and
-    streams records from the source, so a multi-million-branch trace
-    replays in constant memory. *)
+    The loop allocates O(1) state up front (one reusable slot vector and
+    one {!Btrace.cursor}) and streams records from the source into that
+    cursor, so a multi-million-branch trace replays in constant memory,
+    and a binary trace file without one allocation per record. *)
 
-type source = unit -> Btrace.record option
+type source = Btrace.cursor -> bool
+(** [source c] fills [c] with the next record and returns [true], or
+    returns [false] at end of trace. [Reader.read rd] is the trace-file
+    source; what [c] holds is valid until the next read. *)
+
+val of_records : (unit -> Btrace.record option) -> source
+(** The source over a record generator, copying each record into the
+    cursor: the adapter for sources that hold records already (fuzz
+    streams, probe patterns, instruction-stream conversions, arrays). *)
 
 type result = {
   design : string;
@@ -81,7 +90,7 @@ module Sim : sig
   val create : engine_kind -> Cobra_eval.Designs.t -> t
   (** A fresh simulator of the design on the chosen engine. *)
 
-  val step : t -> Btrace.record -> bool
+  val step : t -> Btrace.cursor -> bool
   (** The replay protocol's per-record transaction: predict the branch
       (one branch per packet, final-stage decision), fire, resolve or
       mispredict against the recorded outcome, then commit at once.
@@ -110,21 +119,23 @@ val drive :
   ?max_branches:int ->
   ?max_insns:int ->
   ?deadline:float ->
-  ?observe:(Btrace.record -> taken_pred:bool -> wrong:bool -> unit) ->
+  ?observe:(Btrace.cursor -> taken_pred:bool -> wrong:bool -> unit) ->
   design:string ->
   trace:string ->
   Sim.t ->
   source ->
   result
-(** Replay [source] through the simulator, one {!Sim.step} per record.
+(** Replay [source] through the simulator, one {!Sim.step} per record,
+    each read into the one cursor the loop owns.
     [max_branches] is checked before a record is read, so a capped replay
     leaves the source exactly on the boundary record. [max_insns] stops
     before the first record that would overflow it, which means it has to
     read that record: checkpoints cap on branches, not instructions.
     [deadline] is an absolute [Unix.gettimeofday] time checked every 2048
     branches; [observe] fires per branch after its step, with the
-    final-stage direction decision and whether it was wrong. [design] and
-    [trace] are labels carried into the result. *)
+    final-stage direction decision and whether it was wrong; the cursor it
+    gets is valid only during the call. [design] and [trace] are labels
+    carried into the result. *)
 
 (** {1 Checkpoints}
 
@@ -154,8 +165,8 @@ val warmup :
   Sim.t ->
   Reader.t ->
   checkpoint * result
-(** Replay exactly [branches] records (fewer at end of trace) and
-    checkpoint the boundary. *)
+(** Replay exactly [branches] records (fewer at end of trace) through
+    {!Reader.read} and checkpoint the boundary. *)
 
 val restore : Sim.t -> Reader.t -> checkpoint -> unit
 (** Overwrite the simulator state from the checkpoint's slab (one memcpy
@@ -193,17 +204,18 @@ val run_design_with_stats :
 (** {1 Kept for the benchmark}
 
     The benchmark under [perfbench/] calls these names; each is {!drive},
-    {!warmup} or {!restore} on the matching simulator. *)
+    {!warmup} or {!restore} on the matching simulator, and [run] and
+    [run_compiled] take a record generator through {!of_records}. *)
 
 val run :
   ?max_branches:int ->
   ?max_insns:int ->
   ?deadline:float ->
-  ?observe:(Btrace.record -> taken_pred:bool -> wrong:bool -> unit) ->
+  ?observe:(Btrace.cursor -> taken_pred:bool -> wrong:bool -> unit) ->
   design:string ->
   trace:string ->
   Cobra.Pipeline.t ->
-  source ->
+  (unit -> Btrace.record option) ->
   result
 (** {!drive} on [Sim.of_pipeline]. *)
 
@@ -211,11 +223,11 @@ val run_compiled :
   ?max_branches:int ->
   ?max_insns:int ->
   ?deadline:float ->
-  ?observe:(Btrace.record -> taken_pred:bool -> wrong:bool -> unit) ->
+  ?observe:(Btrace.cursor -> taken_pred:bool -> wrong:bool -> unit) ->
   design:string ->
   trace:string ->
   Cobra_compile.Engine.t ->
-  source ->
+  (unit -> Btrace.record option) ->
   result
 (** {!drive} on [Sim.of_engine]. *)
 

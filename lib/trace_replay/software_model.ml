@@ -6,7 +6,7 @@ let run ?insns ?observe (design : Designs.t) (workload : Suite.entry) =
   let insns = Option.value insns ~default:(Cobra_eval.Experiment.default_insns ()) in
   Replay.drive ?observe ~design:design.Designs.name ~trace:workload.Suite.name
     (Replay.Sim.create `Interpreted design)
-    (Btrace.of_stream ~max_insns:insns (workload.Suite.make ()))
+    (Replay.of_records (Btrace.of_stream ~max_insns:insns (workload.Suite.make ())))
 
 let comparison_report ?insns () =
   let workloads = List.map Suite.find [ "gcc"; "mcf"; "x264"; "leela"; "exchange2" ] in

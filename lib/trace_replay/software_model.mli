@@ -8,8 +8,8 @@
     wrong-path fetch, no in-flight history corruption, no pipeline-latency
     effects and no repair traffic. That regime is exactly trace replay, so
     the model is a source adapter: it turns a workload's instruction stream
-    into branch records and feeds them to {!Replay.drive} on an interpreted
-    pipeline.
+    into branch records and feeds them, through {!Replay.of_records}, to
+    {!Replay.drive} on an interpreted pipeline.
 
     Comparing its accuracy estimates with the hardware-guided core model's
     measurements reproduces the paper's motivating observation: software
@@ -18,7 +18,7 @@
 
 val run :
   ?insns:int ->
-  ?observe:(Btrace.record -> taken_pred:bool -> wrong:bool -> unit) ->
+  ?observe:(Btrace.cursor -> taken_pred:bool -> wrong:bool -> unit) ->
   Cobra_eval.Designs.t ->
   Cobra_workloads.Suite.entry ->
   Replay.result

@@ -10,6 +10,7 @@ module Bits = Cobra_util.Bits
 module Designs = Cobra_eval.Designs
 module Fuzz = Cobra_conformance.Fuzz
 module Replay = Cobra_trace_replay.Replay
+module Btrace = Cobra_trace_replay.Btrace
 
 let check = Alcotest.check
 let seed = 0xc0de5
@@ -21,17 +22,26 @@ let seed = 0xc0de5
    fuzz stream after a warm-up stretch. Every packet record, context,
    history buffer and event record is recycled, so what still allocates is
    what the compiled engine allocates too (opinion records of target
-   providers and merges, [pred_in] lists, resolved outcomes) plus a
-   mispredict's event records and walk closures. Ceilings carry at least
-   25% headroom over the rates measured when they were set (GShare 122,
-   Tourney 416, B2 323, TAGE-L 574 B/branch; the per-packet copies the
-   records replaced cost about 2 KB/branch), so a per-packet copy or list
-   reintroduced into the pipeline fails here. *)
-let alloc_ceilings = [ ("GShare", 155.); ("Tourney", 525.); ("B2", 405.); ("TAGE-L", 720.) ]
+   providers and merges, a [pred_in] list when a source's rows change,
+   resolved outcomes) plus a mispredict's event records and walk closures.
+   Ceilings are the rates measured when they were set plus 25% (GShare
+   97.7, Tourney 296.3, B2 251.3, TAGE-L 454.4 B/branch; the per-packet
+   copies the records replaced cost about 2 KB/branch), so a per-packet
+   copy or list reintroduced into the pipeline fails here. *)
+let alloc_ceilings = [ ("GShare", 123.); ("Tourney", 371.); ("B2", 315.); ("TAGE-L", 568.) ]
+
+(* [Replay.Sim.step] over the records, each copied into one cursor *)
+let step_all sim recs =
+  let c = Btrace.cursor () in
+  List.iter
+    (fun r ->
+      Btrace.fill c r;
+      ignore (Replay.Sim.step sim c))
+    recs
 
 let per_branch_alloc sim recs =
   let w0 = Gc.minor_words () in
-  List.iter (fun r -> ignore (Replay.Sim.step sim r)) recs;
+  step_all sim recs;
   (Gc.minor_words () -. w0) *. float_of_int (Sys.word_size / 8)
   /. float_of_int (List.length recs)
 
@@ -41,7 +51,7 @@ let test_alloc_budget (name, ceiling) () =
   let warm = List.filteri (fun i _ -> i < 4_000) recs in
   let measured = List.filteri (fun i _ -> i >= 4_000) recs in
   let sim = Replay.Sim.create `Interpreted d in
-  List.iter (fun r -> ignore (Replay.Sim.step sim r)) warm;
+  step_all sim warm;
   let per_branch = per_branch_alloc sim measured in
   if per_branch > ceiling then
     Alcotest.failf "%s interpreted replay allocates %.1f B/branch (ceiling %.0f)" name

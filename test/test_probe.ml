@@ -105,7 +105,7 @@ let test_alias_model () =
 
 let run_pair target_name probe_name =
   Oracle.run_pair ~target:(Target.find_exn target_name)
-    ~probe:(Pattern.find_exn probe_name) ~seed
+    ~probe:(Pattern.find_exn probe_name) ~seed ()
 
 let assert_pass (r : Oracle.result) =
   match r.Oracle.r_verdict with
@@ -178,7 +178,7 @@ let test_missized_demo_fails () =
   let t =
     List.find (fun t -> String.equal t.Target.t_name "GSHARE!missized") Target.demos
   in
-  let r = Oracle.run_pair ~target:t ~probe:(Pattern.find_exn "ladder") ~seed in
+  let r = Oracle.run_pair ~target:t ~probe:(Pattern.find_exn "ladder") ~seed () in
   (match r.Oracle.r_verdict with
   | Oracle.Fail _ -> ()
   | Oracle.Pass | Oracle.Info -> Alcotest.fail "mis-sized gshare passed its capacity probe");

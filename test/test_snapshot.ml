@@ -188,7 +188,7 @@ let test_cap_stops_on_boundary () =
           Reader.with_file path (fun rd ->
               let r =
                 Replay.drive ~max_branches:n ~design:d.Designs.name ~trace:path
-                  (Replay.Sim.create engine d) (fun () -> Reader.next rd)
+                  (Replay.Sim.create engine d) (Reader.read rd)
               in
               let what = Replay.engine_name engine in
               Alcotest.(check int) (what ^ ": capped branch count") n r.Replay.branches;

@@ -3,6 +3,8 @@
    - {!Btrace} codec round-trips (binary record-level, text line-level) and
      a Prop property that the text and binary encodings of the same random
      record list load back identically;
+   - the cursor: a binary read through {!Reader.read} allocates nothing,
+     and a record cut short leaves the cursor as it was;
    - {!Reader} decode diagnostics: truncated, corrupt and malformed inputs
      are rejected with a [Failure] naming the file and the byte offset
      (binary) or line number (text) of the corruption, and never take the
@@ -17,10 +19,11 @@
      {!Software_model} driving the same pipeline over the original stream;
    - {!Serve}: protocol handling through [handle_line] (ping, replay,
      cached repeat, a replay and a one-point sweep sharing a cache key,
-     empty traces on the replay and windowed paths, malformed request,
-     unknown op, the built-in probe op, shutdown) plus a live daemon on a
-     Unix socket answering concurrent clients and claiming only a missing
-     path or a stale socket. *)
+     empty traces on the replay and windowed paths, windows past the end
+     of the trace, malformed request, unknown op, the built-in probe op,
+     shutdown) plus a live daemon on a Unix socket answering concurrent
+     clients, timing out a probe matrix, and claiming only a missing path
+     or a stale socket. *)
 
 open Cobra_trace_replay
 module Serve = Cobra_serve.Serve
@@ -67,11 +70,12 @@ let binary_record_roundtrip () =
   let limit = Bytes.length bytes in
   let pos = ref 0 in
   let decoded = ref [] in
+  let c = Btrace.cursor () in
   while !pos < limit do
-    match Btrace.decode_record bytes ~pos:!pos ~limit ~abs_offset:!pos with
-    | Btrace.Need_more -> Alcotest.fail "Need_more on a complete buffer"
-    | Btrace.Decoded (r, consumed) ->
-      decoded := r :: !decoded;
+    match Btrace.decode bytes ~pos:!pos ~limit ~abs_offset:!pos c with
+    | 0 -> Alcotest.fail "need more on a complete buffer"
+    | consumed ->
+      decoded := Btrace.to_record c :: !decoded;
       pos := !pos + consumed
   done;
   let decoded = List.rev !decoded in
@@ -88,11 +92,26 @@ let binary_need_more () =
   Btrace.encode_record buf (List.nth sample_records 4);
   let bytes = Buffer.to_bytes buf in
   let full = Bytes.length bytes in
+  let c = Btrace.cursor () in
   (* every strict prefix of a record must ask for more, never mis-decode *)
   for limit = 0 to full - 1 do
-    match Btrace.decode_record bytes ~pos:0 ~limit ~abs_offset:0 with
-    | Btrace.Need_more -> ()
-    | Btrace.Decoded _ -> Alcotest.failf "decoded from a %d/%d-byte prefix" limit full
+    match Btrace.decode bytes ~pos:0 ~limit ~abs_offset:0 c with
+    | 0 -> ()
+    | _ -> Alcotest.failf "decoded from a %d/%d-byte prefix" limit full
+  done
+
+(* A window that ends mid-record leaves the cursor as it was. *)
+let cursor_need_more_untouched () =
+  let buf = Buffer.create 64 in
+  Btrace.encode_record buf (List.nth sample_records 4);
+  let bytes = Buffer.to_bytes buf in
+  let held = List.nth sample_records 6 in
+  let c = Btrace.cursor () in
+  Btrace.fill c held;
+  for limit = 0 to Bytes.length bytes - 1 do
+    ignore (Btrace.decode bytes ~pos:0 ~limit ~abs_offset:0 c);
+    if not (Btrace.equal_record held (Btrace.to_record c)) then
+      Alcotest.failf "a %d-byte prefix changed the cursor" limit
   done
 
 let text_line_roundtrip () =
@@ -239,6 +258,30 @@ let reader_survives_rejection () =
       check Alcotest.int "path reusable after rejection" (List.length sample_records)
         (List.length (Reader.load path)))
 
+(* --- the cursor read -------------------------------------------------------- *)
+
+(* The replay path's decode allocates nothing: after a warm-up, reading
+   records through the cursor adds 0 minor words, refills of a small window
+   (some of them mid-record) included. *)
+let cursor_read_allocates_nothing () =
+  let n = List.length sample_records in
+  let records = List.init 5_000 (fun i -> List.nth sample_records (i mod n)) in
+  with_temp (fun path ->
+      Writer.save ~format:Btrace.Binary path records;
+      Reader.with_file ~buffer_size:512 path (fun rd ->
+          let c = Btrace.cursor () in
+          for _ = 1 to 100 do
+            ignore (Reader.read rd c)
+          done;
+          let read = ref 0 in
+          let w0 = Gc.minor_words () in
+          while Reader.read rd c do
+            incr read
+          done;
+          let words = Gc.minor_words () -. w0 in
+          check Alcotest.int "records read after the warm-up" 4_900 !read;
+          check (Alcotest.float 0.) "minor words over the reads" 0. words))
+
 (* --- fixtures --------------------------------------------------------------- *)
 
 (* `dune runtest` runs us from test/; `dune exec` from wherever the caller
@@ -357,12 +400,12 @@ let prop_decoder_never_misdecodes () =
       let bytes = Buffer.to_bytes buf in
       let len = Bytes.length bytes in
       let decode_all bytes limit =
-        let pos = ref 0 and n = ref 0 in
+        let pos = ref 0 and n = ref 0 and c = Btrace.cursor () in
         let rec go () =
           if !pos < limit then
-            match Btrace.decode_record bytes ~pos:!pos ~limit ~abs_offset:!pos with
-            | Btrace.Need_more -> `Partial !n
-            | Btrace.Decoded (_, consumed) ->
+            match Btrace.decode bytes ~pos:!pos ~limit ~abs_offset:!pos c with
+            | 0 -> `Partial !n
+            | consumed ->
               pos := !pos + consumed;
               incr n;
               go ()
@@ -594,6 +637,38 @@ let serve_windowed_header_only () =
           check_contains (attempt ^ ": done still sent") all {|"event": "done"|})
         [ "first"; "repeat" ])
 
+(* A window that starts past the end of the trace is an error naming the
+   window and the trace's length, and its point stores nothing in the
+   result cache, so a repeat fails the same way; a partial last window is a
+   result. *)
+let serve_window_past_end () =
+  with_fresh_cache @@ fun () ->
+  with_temp (fun path ->
+      Writer.save ~format:Btrace.Binary path
+        (List.init 3_000 (fun i ->
+             Btrace.cond ~pc:(0x4000 + (4 * (i mod 64))) ~taken:(i mod 3 <> 0) ()));
+      let srv = daemon () in
+      let req windows =
+        Printf.sprintf
+          {|{"op": "sweep", "designs": ["B2"], "traces": ["%s"], "warmup_branches": 2900, "window_branches": 400, "windows": %d, "id": "w1"}|}
+          path windows
+      in
+      List.iter
+        (fun attempt ->
+          let status, out = collect_handle srv (req 2) in
+          check Alcotest.bool "continue" true (status = `Continue);
+          let all = joined out in
+          check_contains (attempt ^ ": error event") all {|"event": "error"|};
+          check_contains (attempt ^ ": id tagged") all {|"id": "w1"|};
+          check_contains (attempt ^ ": names the window") all "window 1 of B2";
+          check_contains (attempt ^ ": names the trace's length") all "(3000 branches)";
+          check Alcotest.bool (attempt ^ ": no result") false (contains all {|"event": "result"|}))
+        [ "first"; "repeat" ];
+      let _, out = collect_handle srv (req 1) in
+      let all = joined out in
+      check_contains "a partial window is a result" all {|"event": "result"|};
+      check_contains "its branches" all {|"branches": 100|})
+
 let serve_empty_sweep () =
   (* an empty trace list is a contract violation, not an empty success *)
   let srv = daemon () in
@@ -735,6 +810,22 @@ let serve_live_daemon () =
    ends — is answered with an id-less error and its connection closed,
    without the daemon buffering the rest; a fresh connection is served as
    before. *)
+(* The probe op runs under the daemon's per-request budget: a full probe
+   matrix overruns 50 ms and is answered with an id-tagged timeout error,
+   and the daemon keeps answering. *)
+let serve_probe_timeout () =
+  let socket = temp_socket () in
+  with_daemon { (Serve.default_config ~socket) with Serve.timeout_s = Some 0.05 } (fun () ->
+      check_contains "daemon up" (ping_when_up socket) {|"event": "pong"|};
+      let all = joined (Serve.request ~socket {|{"op": "probe", "id": "pt"}|}) in
+      check_contains "error event" all {|"event": "error"|};
+      check_contains "id tagged" all {|"id": "pt"|};
+      check_contains "names the timeout" all "timeout after";
+      check Alcotest.bool "no summary" false (contains all "probe-summary");
+      check_contains "alive after the timeout"
+        (joined (Serve.request ~socket {|{"op": "ping"}|}))
+        {|"event": "pong"|})
+
 let serve_overlong_line () =
   let socket = temp_socket () in
   with_daemon (Serve.default_config ~socket) (fun () ->
@@ -819,6 +910,12 @@ let () =
           Alcotest.test_case "detect rejects non-traces" `Quick detect_other;
           Alcotest.test_case "text/binary encodings agree (prop)" `Quick prop_text_binary_agree;
         ] );
+      ( "cursor",
+        [
+          Alcotest.test_case "binary read allocates nothing" `Quick cursor_read_allocates_nothing;
+          Alcotest.test_case "need-more leaves the cursor untouched" `Quick
+            cursor_need_more_untouched;
+        ] );
       ( "diagnostics",
         [
           Alcotest.test_case "truncated binary names byte offset" `Quick truncated_binary;
@@ -869,6 +966,8 @@ let () =
             serve_zero_length_trace;
           Alcotest.test_case "windowed sweep over a header-only trace is an id-tagged error"
             `Quick serve_windowed_header_only;
+          Alcotest.test_case "window past the end of the trace is an id-tagged error" `Quick
+            serve_window_past_end;
           Alcotest.test_case "empty sweep spec is an id-tagged error" `Quick serve_empty_sweep;
           Alcotest.test_case "unknown probe name is an id-tagged error" `Quick
             serve_probe_unknown_name;
@@ -877,6 +976,7 @@ let () =
           Alcotest.test_case "probe trace sweeps end to end" `Quick serve_probe_trace_sweep;
           Alcotest.test_case "shutdown handshake" `Quick serve_shutdown;
           Alcotest.test_case "live daemon, concurrent clients" `Quick serve_live_daemon;
+          Alcotest.test_case "probe op obeys the request timeout" `Quick serve_probe_timeout;
           Alcotest.test_case "over-long request line refused" `Quick serve_overlong_line;
           Alcotest.test_case "socket path: foreign file, live daemon, stale socket" `Quick
             serve_socket_path_guard;
