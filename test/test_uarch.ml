@@ -201,6 +201,66 @@ let prop_core_accuracy_in_range =
       let a = Perf.branch_accuracy perf in
       a >= 0.0 && a <= 1.0 && perf.Perf.cycles > 0)
 
+(* --- counter pins -------------------------------------------------------------- *)
+
+(* Every [Perf.counters] value of an 8,000-instruction [Experiment.run], in
+   that list's order: cycles, instructions, branches, cond_branches,
+   mispredicts, cond_mispredicts, misfetches, history_divergences, replays,
+   flushes, fetch_packets, wrong_path_packets, icache_stall_cycles,
+   frontend_stall_cycles. The default-config cells are the benchmark's uarch
+   cells, with its pinned values. Only serialized fetch truncates a fetched
+   packet at its first branch, so those runs pin that refetch path. *)
+let pin_entries =
+  let seeded name make =
+    { Cobra_workloads.Suite.name; description = name; make; decode = None }
+  in
+  [
+    seeded "h2p-mix" (Cobra_workloads.Kernels.h2p_mix ~seed:1);
+    seeded "aliasing" (Cobra_workloads.Kernels.aliasing ~sites:32 ~seed:1);
+    Cobra_workloads.Suite.find "x264";
+    Cobra_workloads.Suite.find "mcf";
+  ]
+
+let counter_pins =
+  let module D = Cobra_eval.Designs in
+  let default = Config.default in
+  let serial = { Config.default with Config.serialize_fetch = true } in
+  [
+    (D.tourney, default, "h2p-mix", [ 6570; 8000; 1089; 1052; 170; 170; 1; 250; 250; 170; 6241; 2753; 130; 29 ]);
+    (D.tourney, default, "aliasing", [ 10470; 8000; 2295; 2226; 587; 587; 1; 1141; 1141; 587; 9753; 4790; 130; 0 ]);
+    (D.tourney, default, "x264", [ 6799; 8000; 1017; 1006; 100; 100; 35; 1035; 1035; 100; 5645; 2385; 130; 532 ]);
+    (D.tourney, default, "mcf", [ 62333; 8000; 3104; 1779; 903; 903; 26; 4963; 4963; 903; 32878; 20727; 130; 466 ]);
+    (D.b2, default, "h2p-mix", [ 6218; 8000; 1089; 1052; 102; 102; 1; 139; 139; 102; 5942; 2457; 130; 44 ]);
+    (D.b2, default, "aliasing", [ 10580; 8001; 2295; 2226; 594; 594; 1; 656; 656; 594; 9856; 4810; 130; 0 ]);
+    (D.b2, default, "x264", [ 6520; 8000; 1017; 1006; 59; 59; 5; 1085; 1085; 59; 5380; 2023; 130; 523 ]);
+    (D.b2, default, "mcf", [ 67269; 8000; 3104; 1779; 917; 917; 25; 6367; 6367; 917; 32692; 23714; 130; 374 ]);
+    (D.tage_l, default, "h2p-mix", [ 6176; 8000; 1089; 1052; 92; 92; 1; 15; 15; 92; 4564; 1061; 130; 580 ]);
+    (D.tage_l, default, "aliasing", [ 9262; 8000; 2295; 2226; 591; 591; 1; 48; 48; 591; 8541; 3461; 130; 0 ]);
+    (D.tage_l, default, "x264", [ 6264; 8001; 1017; 1006; 56; 56; 5; 176; 176; 56; 4222; 1274; 130; 1118 ]);
+    (D.tage_l, default, "mcf", [ 61937; 8001; 3105; 1780; 908; 908; 25; 1956; 1956; 908; 28467; 19713; 130; 644 ]);
+    (D.tage_l, serial, "h2p-mix", [ 6175; 8000; 1089; 1052; 92; 92; 1; 0; 0; 92; 4601; 1125; 130; 620 ]);
+    (D.tage_l, serial, "aliasing", [ 9519; 8000; 2295; 2226; 591; 591; 1; 46; 46; 591; 8798; 3741; 130; 0 ]);
+    (D.tage_l, serial, "x264", [ 6249; 8001; 1017; 1006; 52; 52; 6; 29; 29; 52; 4673; 1526; 130; 774 ]);
+    (D.tage_l, serial, "mcf", [ 64244; 8000; 3104; 1779; 891; 891; 25; 1295; 1295; 891; 28741; 20435; 130; 692 ]);
+  ]
+
+let pin_case (design, config, workload, want) =
+  let name =
+    Printf.sprintf "%s/%s%s" design.Cobra_eval.Designs.name workload
+      (if config.Config.serialize_fetch then " serialized" else "")
+  in
+  Alcotest.test_case name `Quick (fun () ->
+      let entry =
+        List.find (fun e -> e.Cobra_workloads.Suite.name = workload) pin_entries
+      in
+      let perf = (Cobra_eval.Experiment.run ~insns:8_000 ~config design entry).perf in
+      let got = Perf.counters perf in
+      check
+        Alcotest.(list (pair string int))
+        name
+        (List.map2 (fun (k, _) v -> (k, v)) got want)
+        got)
+
 let () =
   Alcotest.run "cobra_uarch"
     [
@@ -239,4 +299,5 @@ let () =
           Alcotest.test_case "memory-bound low ipc" `Quick test_memory_bound_workload_has_low_ipc;
           qcheck prop_core_accuracy_in_range;
         ] );
+      ("pins", List.map pin_case counter_pins);
     ]
