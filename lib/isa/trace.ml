@@ -38,35 +38,57 @@ let exec_latency = function
 
 type stream = unit -> event option
 
-module Buffered = struct
-  type t = { source : stream; mutable back : event list; mutable pulled : int }
+module Window = struct
+  type t = {
+    source : stream;
+    mutable ring : event option array;
+        (* event [i] sits at [i land (length - 1)], as the source returned
+           it, so delivering it again allocates nothing *)
+    mutable base : int;
+    mutable cursor : int;
+    mutable pulled : int;  (* events pulled from the source so far *)
+  }
 
-  let create source = { source; back = []; pulled = 0 }
+  let create source = { source; ring = Array.make 64 None; base = 0; cursor = 0; pulled = 0 }
 
-  let next t =
-    match t.back with
-    | e :: rest ->
-      t.back <- rest;
-      Some e
-    | [] -> (
-      match t.source () with
-      | Some e ->
-        t.pulled <- t.pulled + 1;
-        Some e
-      | None -> None)
+  let grow t =
+    let cap = Array.length t.ring in
+    let ring = Array.make (2 * cap) None in
+    for i = t.base to t.pulled - 1 do
+      ring.(i land ((2 * cap) - 1)) <- t.ring.(i land (cap - 1))
+    done;
+    t.ring <- ring
 
   let peek t =
-    match t.back with
-    | e :: _ -> Some e
-    | [] -> (
-      match next t with
-      | Some e ->
-        t.back <- e :: t.back;
-        Some e
-      | None -> None)
+    if t.cursor < t.pulled then t.ring.(t.cursor land (Array.length t.ring - 1))
+    else
+      match t.source () with
+      | None -> None
+      | Some _ as e ->
+        if t.pulled - t.base = Array.length t.ring then grow t;
+        t.ring.(t.pulled land (Array.length t.ring - 1)) <- e;
+        t.pulled <- t.pulled + 1;
+        e
 
-  let push_back t events = t.back <- events @ t.back
-  let pulled t = t.pulled
+  let next t =
+    let e = peek t in
+    (match e with Some _ -> t.cursor <- t.cursor + 1 | None -> ());
+    e
+
+  let position t = t.cursor
+
+  let check who t p =
+    if p < t.base || p > t.cursor then
+      invalid_arg
+        (Printf.sprintf "Trace.Window.%s: position %d outside [%d, %d]" who p t.base t.cursor)
+
+  let rewind t p =
+    check "rewind" t p;
+    t.cursor <- p
+
+  let release t p =
+    check "release" t p;
+    t.base <- p
 end
 
 let of_list events =

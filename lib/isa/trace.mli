@@ -1,8 +1,10 @@
 (** Dynamic instruction traces.
 
     The interface between workloads and the core model: a {e stream} of
-    retired-path instruction events. Streams support push-back so that the
-    core model can re-fetch instructions it flushed on a misprediction. *)
+    retired-path instruction events, pulled one at a time. The core model
+    reads it through a {!Window}, which numbers the events by their
+    position in the stream and keeps the uncommitted ones, so that a
+    refetch after a squash or a flush is one rewind to a position. *)
 
 type insn_class = Alu | Mul | Div | Load | Store | Fp | Nop
 
@@ -43,22 +45,36 @@ val exec_latency : insn_class -> int
 type stream = unit -> event option
 (** Pull-based event source; [None] = program finished. *)
 
-module Buffered : sig
-  (** A stream with push-back, used by the core model to re-fetch flushed
-      instructions. *)
+module Window : sig
+  (** A rewindable window over a stream. Events are numbered from 0 in
+      stream order. The window holds every event from its {e base} on; the
+      {e cursor} is the position of the next event {!next} delivers. Each
+      event is pulled from the source once, however often it is delivered. *)
 
   type t
 
   val create : stream -> t
-  val next : t -> event option
+  (** Base and cursor at 0. *)
+
   val peek : t -> event option
+  (** The event at the cursor, without moving it; [None] once the stream
+      has ended. *)
 
-  val push_back : t -> event list -> unit
-  (** Events are pushed back so that the first list element is the next one
-      delivered. *)
+  val next : t -> event option
+  (** The event at the cursor, moving the cursor past it. *)
 
-  val pulled : t -> int
-  (** Number of distinct events delivered (push-backs do not re-count). *)
+  val position : t -> int
+  (** The cursor. *)
+
+  val rewind : t -> int -> unit
+  (** [rewind w p] moves the cursor back to [p], so that the events from
+      [p] on are delivered again. [Invalid_argument] when [p] is below the
+      base or past the cursor. *)
+
+  val release : t -> int -> unit
+  (** [release w p] moves the base up to [p]: the events below it can no
+      longer be rewound to, and their slots are reused.
+      [Invalid_argument] when [p] is below the base or past the cursor. *)
 end
 
 val of_list : event list -> stream

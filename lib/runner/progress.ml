@@ -55,46 +55,42 @@ let create ?(label = "jobs") ?events_path ?live ~total () =
     closed = false;
   }
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Cobra_stats.Json
 
 let json_of_event t e =
-  let common kind job rest =
-    Printf.sprintf "{\"ts\": %.6f, \"label\": \"%s\", \"event\": \"%s\", \"job\": %d%s}"
-      (Unix.gettimeofday ()) (json_escape t.label) kind job rest
+  let line kind fields =
+    Json.to_string
+      (Json.Obj
+         (("ts", Json.Float (Unix.gettimeofday ()))
+         :: ("label", Json.String t.label)
+         :: ("event", Json.String kind)
+         :: fields))
   in
   match e with
-  | Start { job; key } -> common "start" job (Printf.sprintf ", \"key\": \"%s\"" (json_escape key))
+  | Start { job; key } -> line "start" [ ("job", Json.Int job); ("key", Json.String key) ]
   | Cache_hit { job; key } ->
-    common "cache_hit" job (Printf.sprintf ", \"key\": \"%s\"" (json_escape key))
+    line "cache_hit" [ ("job", Json.Int job); ("key", Json.String key) ]
   | Retry { job; attempt; message } ->
-    common "retry" job
-      (Printf.sprintf ", \"attempt\": %d, \"error\": \"%s\"" attempt (json_escape message))
+    line "retry"
+      [ ("job", Json.Int job); ("attempt", Json.Int attempt); ("error", Json.String message) ]
   | Finish { job; ok; cached; elapsed } ->
-    common "finish" job
-      (Printf.sprintf ", \"ok\": %b, \"cached\": %b, \"elapsed\": %.6f" ok cached elapsed)
+    line "finish"
+      [
+        ("job", Json.Int job);
+        ("ok", Json.Bool ok);
+        ("cached", Json.Bool cached);
+        ("elapsed", Json.Float elapsed);
+      ]
   | Stats { design; workload; summary } ->
-    Printf.sprintf
-      "{\"ts\": %.6f, \"label\": \"%s\", \"event\": \"stats\", \"design\": \"%s\", \
-       \"workload\": \"%s\", \"summary\": \"%s\"}"
-      (Unix.gettimeofday ()) (json_escape t.label) (json_escape design)
-      (json_escape workload) (json_escape summary)
+    line "stats"
+      [
+        ("design", Json.String design);
+        ("workload", Json.String workload);
+        ("summary", Json.String summary);
+      ]
   | Store_error { job; key; message } ->
-    common "store_error" job
-      (Printf.sprintf ", \"key\": \"%s\", \"error\": \"%s\"" (json_escape key)
-         (json_escape message))
+    line "store_error"
+      [ ("job", Json.Int job); ("key", Json.String key); ("error", Json.String message) ]
 
 (* Every derived figure (rate, ETA) must stay finite on degenerate inputs:
    zero-job grids, the first event arriving at elapsed ~ 0, clock skew. *)
@@ -160,12 +156,21 @@ let store_errors t = with_lock t (fun () -> t.store_errors)
 
 let summary_json t =
   let elapsed = Float.max 0.0 (Unix.gettimeofday () -. t.t0) in
-  Printf.sprintf
-    "{\"ts\": %.6f, \"label\": \"%s\", \"event\": \"summary\", \"total\": %d, \"done\": \
-     %d, \"hits\": %d, \"failures\": %d, \"retries\": %d, \"store_errors\": %d, \
-     \"elapsed\": %.6f, \"rate\": %.6f}"
-    (Unix.gettimeofday ()) (json_escape t.label) t.total t.done_ t.hits t.failures
-    t.retries t.store_errors elapsed (rate_of t ~elapsed)
+  Json.to_string
+    (Json.Obj
+       [
+         ("ts", Json.Float (Unix.gettimeofday ()));
+         ("label", Json.String t.label);
+         ("event", Json.String "summary");
+         ("total", Json.Int t.total);
+         ("done", Json.Int t.done_);
+         ("hits", Json.Int t.hits);
+         ("failures", Json.Int t.failures);
+         ("retries", Json.Int t.retries);
+         ("store_errors", Json.Int t.store_errors);
+         ("elapsed", Json.Float elapsed);
+         ("rate", Json.Float (rate_of t ~elapsed));
+       ])
 
 let finish t =
   with_lock t (fun () ->

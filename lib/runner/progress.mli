@@ -11,7 +11,7 @@
     other value raises [Failure] ({!Cobra_util.Env.bool_var}). The events
     file defaults to the [COBRA_EVENTS] environment variable, when set.
 
-    JSON-lines schema (one object per line):
+    JSON-lines schema (one {!Cobra_stats.Json} object per line):
     [{"ts": <unix-seconds>, "label": "...", "event":
       "start"|"cache_hit"|"retry"|"finish"|"stats"|"summary", ...}] with
     ["job"] and ["key"] on start/cache_hit, ["job"], ["attempt"] and

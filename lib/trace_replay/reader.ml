@@ -86,7 +86,12 @@ let seek t off =
   t.eof <- false
 
 let rec read_binary t c =
-  let n = Btrace.decode t.buf ~pos:t.pos ~limit:t.len ~abs_offset:(t.base + t.pos) c in
+  let n =
+    (* a handler costs no allocation, so the read stays allocation-free *)
+    match Btrace.decode t.buf ~pos:t.pos ~limit:t.len ~abs_offset:(t.base + t.pos) c with
+    | n -> n
+    | exception Failure m -> failwith (t.r_path ^ ": " ^ m)
+  in
   if n > 0 then begin
     t.pos <- t.pos + n;
     true

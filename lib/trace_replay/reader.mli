@@ -6,12 +6,10 @@
     through {!read} a binary trace allocates nothing per record. The
     format (binary vs text) is sniffed from the {!Btrace.magic} prefix.
 
-    Every decode error is a [Failure] carrying the byte offset (binary) or
-    line number (text) of the corruption, so a poisoned trace is
-    diagnosable and rejectable without taking the caller down. A truncated
-    record and a malformed text line are also prefixed with the file path;
-    {!Btrace.decode}'s own diagnostics (corrupt tag, varint overflow,
-    overlong varint) are not. *)
+    Every decode error is a [Failure] prefixed with the file path and
+    carrying the byte offset (binary) or line number (text) of the
+    corruption, so a poisoned trace is diagnosable and rejectable without
+    taking the caller down. *)
 
 type t
 

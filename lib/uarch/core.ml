@@ -3,19 +3,20 @@ module Types = Cobra.Types
 module Trace = Cobra_isa.Trace
 module Cb = Cobra_util.Circular_buffer
 
-let dbg = Sys.getenv_opt "COBRA_DEBUG" <> None
-
 type slot_content =
   | Real of Trace.event  (* retired-path instruction *)
   | Decoded of Trace.event  (* wrong-path instruction, statically decoded *)
   | Junk  (* wrong-path bytes with no program image behind them *)
 
-(* A fetch packet in flight inside the predictor pipeline. *)
+(* A fetch packet in flight inside the predictor pipeline. A retired-path
+   packet's [Real] slots are a prefix of [contents], read from consecutive
+   stream positions starting at [first]. *)
 type fpacket = {
   tok : Pipeline.token;
   fp_pc : int;
   max_len : int;
   contents : slot_content array;  (* length max_len *)
+  first : int;  (* stream position of slot 0; -1 for a wrong-path packet *)
   mutable stage : int;
   mutable acted_slot : int option;  (* slot of the taken branch acted upon *)
   mutable acted_len : int;
@@ -26,26 +27,25 @@ type fpacket = {
 
 and decision = { d_slot : int option; d_len : int; d_next : int }
 
-(* A dispatched instruction in the reorder buffer. *)
+(* One fired instruction, from fire to commit: the fetch buffer queues it
+   and dispatch moves the same record into the reorder buffer. *)
 type rentry = {
   content : slot_content;
+  r_pos : int;  (* stream position of a [Real] instruction; -1 otherwise *)
   r_seq : int;  (* history-file sequence *)
   r_slot : int;
   pred_taken : bool;
   pred_target : int;
   r_ras : Ras.snapshot;  (* checkpoint for flush-time repair *)
-  mutable complete : int;
-  mutable resolved : bool;
+  mutable complete : int;  (* set at dispatch *)
+  mutable resolved : bool;  (* false for a retired-path branch until it resolves *)
 }
-
-type fb_entry = { f_content : slot_content; f_seq : int; f_slot : int;
-                  f_pred_taken : bool; f_pred_target : int; f_ras : Ras.snapshot }
 
 type t = {
   cfg : Config.t;
   pl : Pipeline.t;
   decode : int -> Trace.event option;
-  stream : Trace.Buffered.t;
+  stream : Trace.Window.t;
   mem : Mem_model.t;
   ras : Ras.t;
   perf : Perf.t;
@@ -54,7 +54,7 @@ type t = {
   mutable fetch_pc : int;
   mutable fetch_resume : int;
   mutable inflight : fpacket list;  (* oldest first *)
-  fb : fb_entry Queue.t;
+  fb : rentry Queue.t;
   rob : rentry Cb.t;
   mutable pending_branches : int list;  (* rob ids, oldest first *)
   fire_scratch : Types.resolved array;
@@ -81,7 +81,7 @@ let create ?(decode = fun _ -> None) cfg pl stream =
     cfg;
     pl;
     decode;
-    stream = Trace.Buffered.create stream;
+    stream = Trace.Window.create stream;
     mem = Mem_model.create ();
     ras = Ras.create ~entries:cfg.Config.ras_entries;
     perf = Perf.create ();
@@ -137,12 +137,16 @@ let apply_decision pkt d =
 
 (* --- squashing ------------------------------------------------------------ *)
 
-let real_events_of_packet pkt =
-  Array.to_list pkt.contents
-  |> List.filter_map (function Real ev -> Some ev | Decoded _ | Junk -> None)
+(* Rewind the stream to the oldest retired-path packet among [pkts] (oldest
+   first), so that fetch reads its instructions again. *)
+let rec rewind_to_oldest_real t = function
+  | [] -> ()
+  | p :: rest ->
+    if p.first >= 0 then Trace.Window.rewind t.stream p.first
+    else rewind_to_oldest_real t rest
 
-(* Squash every in-flight packet younger than [pkt], returning their
-   correct-path events to the stream. *)
+(* Squash every in-flight packet younger than [pkt]; their retired-path
+   instructions will be fetched again. *)
 let squash_younger_inflight t pkt =
   let rec split = function
     | [] -> ([], [])
@@ -156,7 +160,7 @@ let squash_younger_inflight t pkt =
   (match squashed with
   | [] -> ()
   | oldest :: _ ->
-    Trace.Buffered.push_back t.stream (List.concat_map real_events_of_packet squashed);
+    rewind_to_oldest_real t squashed;
     Pipeline.squash_from t.pl oldest.tok);
   t.inflight <- keep
 
@@ -172,9 +176,9 @@ let pull_contents t ~pc ~max_len =
   let expected = ref pc in
   let continue_ = ref true in
   while !continue_ && !i < max_len do
-    (match Trace.Buffered.peek t.stream with
+    (match Trace.Window.peek t.stream with
     | Some ev when ev.Trace.pc = !expected ->
-      ignore (Trace.Buffered.next t.stream);
+      ignore (Trace.Window.next t.stream);
       contents.(!i) <- Real ev;
       let seq_next = !expected + 4 in
       (* an actually-taken branch ends the correct-path content; later
@@ -198,7 +202,7 @@ let rec first_branch_slot_from contents n i =
 let first_branch_slot contents = first_branch_slot_from contents (Array.length contents) 0
 
 let on_true_path t =
-  match Trace.Buffered.peek t.stream with
+  match Trace.Window.peek t.stream with
   | Some ev -> ev.Trace.pc = t.fetch_pc
   | None -> false
 
@@ -212,6 +216,7 @@ let fetch_one t =
   else begin
     let block_len = slots_to_block_end t pc in
     let real = on_true_path t in
+    let first = if real then Trace.Window.position t.stream else -1 in
     let contents =
       if real then pull_contents t ~pc ~max_len:block_len
       else
@@ -229,14 +234,9 @@ let fetch_one t =
     let contents =
       if max_len = block_len then contents
       else begin
-        (* return events pulled into the truncated slots to the stream *)
-        let dropped = ref [] in
-        for i = Array.length contents - 1 downto max_len do
-          match contents.(i) with
-          | Real ev -> dropped := ev :: !dropped
-          | Decoded _ | Junk -> ()
-        done;
-        Trace.Buffered.push_back t.stream !dropped;
+        (* the branch ending the packet is a retired-path slot, so the
+           instructions pulled into the truncated slots are fetched again *)
+        Trace.Window.rewind t.stream (first + max_len);
         Array.sub contents 0 max_len
       end
     in
@@ -247,6 +247,7 @@ let fetch_one t =
         fp_pc = pc;
         max_len;
         contents;
+        first;
         stage = 1;
         acted_slot = None;
         acted_len = max_len;
@@ -257,9 +258,6 @@ let fetch_one t =
     apply_decision pkt (decide t pkt ~stage:1);
     t.fetch_pc <- pkt.acted_next;
     t.inflight <- t.inflight @ [ pkt ];
-    if dbg then
-      Printf.eprintf "[%d] FETCH pc=%x len=%d real=%b next=%x\n" t.cycle pc max_len real
-        pkt.acted_next;
     t.perf.Perf.fetch_packets <- t.perf.Perf.fetch_packets + 1;
     if real then t.consec_wrong_path <- 0
     else begin
@@ -368,17 +366,11 @@ let try_fire t pkt =
       dm
   in
   if not (fb_room t d.d_len && Pipeline.can_fire t.pl) then begin
-    if dbg then Printf.eprintf "[%d] FIRE-STALL pc=%x\n" t.cycle pkt.fp_pc;
     t.perf.Perf.frontend_stall_cycles <- t.perf.Perf.frontend_stall_cycles + 1;
     false
   end
   else begin
     if misfetch then begin
-      if dbg then
-        Printf.eprintf "[%d] MISFETCH pkt pc=%x acted=(%s len=%d next=%x) corrected=(%s len=%d next=%x)\n"
-          t.cycle pkt.fp_pc
-          (match pkt.acted_slot with Some i -> string_of_int i | None -> "-") pkt.acted_len pkt.acted_next
-          (match d.d_slot with Some i -> string_of_int i | None -> "-") d.d_len d.d_next;
       t.perf.Perf.misfetches <- t.perf.Perf.misfetches + 1;
       squash_younger_inflight t pkt;
       t.fetch_pc <- d.d_next;
@@ -386,31 +378,19 @@ let try_fire t pkt =
          the true path and may unthrottle wrong-path fetch; decode-time
          redirects of wrong-path packets must not, or a static jump cycle in
          never-executed code would be chased forever. *)
-      if Array.exists (function Real _ -> true | Decoded _ | Junk -> false) pkt.contents
-      then t.consec_wrong_path <- 0
+      if pkt.first >= 0 then t.consec_wrong_path <- 0
     end;
     apply_decision pkt d;
-    (* Correct-path events pulled into block slots beyond the fired packet
-       length (a predicted-taken branch cut the packet) must return to the
-       stream; younger in-flight packets that already consumed later events
-       are squashed first so push-back order stays program order. *)
-    let leftovers = ref [] in
-    Array.iteri
-      (fun i c ->
-        match c with
-        | Real ev when i >= d.d_len -> leftovers := ev :: !leftovers
-        | Real _ | Decoded _ | Junk -> ())
-      pkt.contents;
-    if !leftovers <> [] then begin
-      let younger_has_real =
-        List.exists
-          (fun p ->
-            p != pkt
-            && Array.exists (function Real _ -> true | Decoded _ | Junk -> false) p.contents)
-          t.inflight
-      in
-      if younger_has_real then squash_younger_inflight t pkt;
-      Trace.Buffered.push_back t.stream (List.rev !leftovers)
+    (* Retired-path slots beyond the fired packet length (a predicted-taken
+       branch cut the packet) are fetched again. Younger in-flight packets
+       that already read later instructions are squashed first, since the
+       rewind below hands those instructions out again. *)
+    if d.d_len < pkt.max_len
+       && (match pkt.contents.(d.d_len) with Real _ -> true | Decoded _ | Junk -> false)
+    then begin
+      if List.exists (fun p -> p != pkt && p.first >= 0) t.inflight then
+        squash_younger_inflight t pkt;
+      Trace.Window.rewind t.stream (pkt.first + d.d_len)
     end;
     let comp = (Pipeline.stages t.pl pkt.tok).(t.depth - 1) in
     let slots = fire_slots t pkt d ~comp in
@@ -419,14 +399,21 @@ let try_fire t pkt =
     let ras_snap = Ras.checkpoint t.ras in
     for i = 0 to d.d_len - 1 do
       let taken_here = match d.d_slot with Some j -> j = i | None -> false in
+      let content = pkt.contents.(i) in
       Queue.add
         {
-          f_content = pkt.contents.(i);
-          f_seq = seq;
-          f_slot = i;
-          f_pred_taken = taken_here;
-          f_pred_target = (if taken_here then d.d_next else 0);
-          f_ras = ras_snap;
+          content;
+          r_pos = (match content with Real _ -> pkt.first + i | Decoded _ | Junk -> -1);
+          r_seq = seq;
+          r_slot = i;
+          pred_taken = taken_here;
+          pred_target = (if taken_here then d.d_next else 0);
+          r_ras = ras_snap;
+          complete = 0;
+          resolved =
+            (match content with
+            | Real { Trace.branch = Some _; _ } -> false
+            | Real _ | Decoded _ | Junk -> true);
         }
         t.fb
     done;
@@ -466,9 +453,6 @@ let advance_frontend t =
         if List.memq pkt t.inflight && pkt.stage >= 2 then begin
           let d = decide t pkt ~stage:pkt.stage in
           if d.d_next <> pkt.acted_next then begin
-            if dbg then
-              Printf.eprintf "[%d] OVERRIDE pc=%x stage=%d %x->%x\n" t.cycle pkt.fp_pc pkt.stage
-                pkt.acted_next d.d_next;
             (* Late-stage override: redirect fetch, killing younger packets. *)
             squash_younger_inflight t pkt;
             apply_decision pkt d;
@@ -514,7 +498,7 @@ let unit_pick busy ~ready =
   let issue = max ready (busy.(!best) + 1) in
   (!best, issue)
 
-let dispatch_one t (fbe : fb_entry) =
+let dispatch_one t e =
   let dispatch_ready = t.cycle + 1 in
   let timed ev ~wrong_path =
     let ready =
@@ -545,34 +529,15 @@ let dispatch_one t (fbe : fb_entry) =
       (match ev.Trace.dst with Some r -> t.scoreboard.(r) <- complete | None -> ());
     complete
   in
-  let complete =
-    match fbe.f_content with
+  e.complete <-
+    (match e.content with
     | Junk ->
       (* wrong-path bytes with no program behind them: a quick filler *)
       dispatch_ready + 1
     | Decoded ev -> timed ev ~wrong_path:true
-    | Real ev -> timed ev ~wrong_path:false
-  in
-  let rentry =
-    {
-      content = fbe.f_content;
-      r_seq = fbe.f_seq;
-      r_slot = fbe.f_slot;
-      pred_taken = fbe.f_pred_taken;
-      pred_target = fbe.f_pred_target;
-      r_ras = fbe.f_ras;
-      complete;
-      resolved = true;
-    }
-  in
-  let is_branch =
-    match fbe.f_content with
-    | Real ev -> ev.Trace.branch <> None
-    | Decoded _ | Junk -> false
-  in
-  if is_branch then rentry.resolved <- false;
-  let rid = Cb.enqueue t.rob rentry in
-  if is_branch then t.pending_branches <- t.pending_branches @ [ rid ]
+    | Real ev -> timed ev ~wrong_path:false);
+  let rid = Cb.enqueue t.rob e in
+  if not e.resolved then t.pending_branches <- t.pending_branches @ [ rid ]
 
 let dispatch t =
   let n = ref 0 in
@@ -588,23 +553,10 @@ let dispatch t =
 
 (* --- backend: branch resolution -------------------------------------------- *)
 
-let flush_backend_younger t rid =
-  (* Collect flushed correct-path events (ROB entries younger than [rid],
-     then the fetch buffer, then in-flight packets) and push them back. *)
-  let rob_events = ref [] in
-  Cb.iter_from t.rob (rid + 1) (fun _ e ->
-      match e.content with
-      | Real ev -> rob_events := ev :: !rob_events
-      | Decoded _ | Junk -> ());
-  let fb_events =
-    Queue.fold
-      (fun acc (f : fb_entry) ->
-        match f.f_content with Real ev -> ev :: acc | Decoded _ | Junk -> acc)
-      [] t.fb
-  in
-  let inflight_events = List.concat_map real_events_of_packet t.inflight in
-  Trace.Buffered.push_back t.stream
-    (List.rev !rob_events @ List.rev fb_events @ inflight_events);
+(* Flush everything younger than the mispredicted branch [e] at [rid]: fetch
+   reads the retired path again from the instruction after it. *)
+let flush_backend_younger t rid e =
+  Trace.Window.rewind t.stream (e.r_pos + 1);
   Cb.drop_newer_than t.rob rid;
   Queue.clear t.fb;
   (* Pipeline.mispredict has already squashed all pending queries. *)
@@ -646,15 +598,12 @@ let resolve_branches t =
           || (actual_taken && e.pred_target <> info.Trace.target)
         in
         if mispredicted then begin
-          if dbg then
-            Printf.eprintf "[%d] MISPREDICT pc=%x pred=(%b,%x) actual=(%b,%x)\n" t.cycle
-              ev.Trace.pc e.pred_taken e.pred_target actual_taken info.Trace.target;
           if t.cfg.Config.ras_repair then Ras.restore t.ras e.r_ras;
           t.perf.Perf.mispredicts <- t.perf.Perf.mispredicts + 1;
           if info.Trace.kind = Types.Cond then
             t.perf.Perf.cond_mispredicts <- t.perf.Perf.cond_mispredicts + 1;
           Pipeline.mispredict t.pl ~seq:e.r_seq ~slot:e.r_slot actual;
-          flush_backend_younger t rid;
+          flush_backend_younger t rid e;
           t.fetch_pc <- ev.Trace.next_pc;
           t.consec_wrong_path <- 0;
           t.fetch_resume <- max t.fetch_resume (t.cycle + 1)
@@ -671,6 +620,14 @@ let resolve_branches t =
 
 (* --- backend: commit --------------------------------------------------------- *)
 
+(* Retire the history file's packets older than sequence [below]. *)
+let rec retire_history t ~below =
+  match Pipeline.oldest_seq t.pl with
+  | Some s when s < below ->
+    Pipeline.commit t.pl;
+    retire_history t ~below
+  | Some _ | None -> ()
+
 let commit t =
   let n = ref 0 in
   let continue_ = ref true in
@@ -680,6 +637,7 @@ let commit t =
       ignore (Cb.dequeue t.rob);
       (match e.content with
       | Real ev ->
+        Trace.Window.release t.stream (e.r_pos + 1);
         if ev.Trace.cls <> Trace.Nop then
           t.perf.Perf.instructions <- t.perf.Perf.instructions + 1;
         (match ev.Trace.branch with
@@ -691,14 +649,7 @@ let commit t =
       | Decoded _ | Junk -> ());
       (* Retire older history-file packets once a younger packet commits. *)
       if e.r_seq > t.last_committed_seq then begin
-        let rec retire () =
-          match Pipeline.oldest_seq t.pl with
-          | Some s when s < e.r_seq ->
-            Pipeline.commit t.pl;
-            retire ()
-          | Some _ | None -> ()
-        in
-        retire ();
+        retire_history t ~below:e.r_seq;
         t.last_committed_seq <- e.r_seq
       end;
       incr n
@@ -708,45 +659,25 @@ let commit t =
 
 (* --- top level ---------------------------------------------------------------- *)
 
-let drain_history t =
-  let rec retire () =
-    match Pipeline.oldest_seq t.pl with
-    | Some _ ->
-      Pipeline.commit t.pl;
-      retire ()
-    | None -> ()
-  in
-  retire ()
+(* The backend is empty and no retired-path packet is in flight. *)
+let drained t =
+  Queue.is_empty t.fb && Cb.is_empty t.rob && List.for_all (fun p -> p.first < 0) t.inflight
 
-let finished t =
-  Trace.Buffered.peek t.stream = None
-  && Queue.is_empty t.fb && Cb.is_empty t.rob
-  && List.for_all
-       (fun p ->
-         Array.for_all (function Junk | Decoded _ -> true | Real _ -> false) p.contents)
-       t.inflight
+let finished t = Trace.Window.peek t.stream = None && drained t
 
 let run ?max_cycles t ~max_insns =
   let max_cycles = Option.value max_cycles ~default:((20 * max_insns) + 100_000) in
   if not t.started then begin
     t.started <- true;
-    (match Trace.Buffered.peek t.stream with
+    match Trace.Window.peek t.stream with
     | Some ev -> t.fetch_pc <- ev.Trace.pc
-    | None -> ());
-    ()
+    | None -> ()
   end;
   while
     t.perf.Perf.instructions < max_insns && t.cycle < max_cycles && not (finished t)
   do
     t.cycle <- t.cycle + 1;
     t.perf.Perf.cycles <- t.cycle;
-    if dbg && t.cycle mod 1000 = 0 then
-      Printf.eprintf
-        "[%d] state: fetch_pc=%x resume=%d inflight=%d (stages %s) fb=%d rob=%d hf=%d pending_br=%d insts=%d\n"
-        t.cycle t.fetch_pc t.fetch_resume (List.length t.inflight)
-        (String.concat "," (List.map (fun p -> string_of_int p.stage) t.inflight))
-        (Queue.length t.fb) (Cb.length t.rob) (Pipeline.inflight t.pl)
-        (List.length t.pending_branches) t.perf.Perf.instructions;
     let resolved = resolve_branches t in
     let committed = commit t in
     let dispatched = dispatch t in
@@ -771,15 +702,8 @@ let run ?max_cycles t ~max_insns =
            chain can leave fetch_pc in never-executed code with nothing left
            to resolve — an artifact of not executing wrong-path semantics).
            Recover by steering fetch back to the retired path. *)
-        (match Trace.Buffered.peek t.stream with
-        | Some ev
-          when Queue.is_empty t.fb && Cb.is_empty t.rob
-               && List.for_all
-                    (fun p ->
-                      Array.for_all
-                        (function Junk | Decoded _ -> true | Real _ -> false)
-                        p.contents)
-                    t.inflight ->
+        (match Trace.Window.peek t.stream with
+        | Some ev when drained t ->
           t.fetch_pc <- ev.Trace.pc;
           t.consec_wrong_path <- 0
         | Some _ | None -> ())
@@ -793,5 +717,5 @@ let run ?max_cycles t ~max_insns =
      resumable (the instruction budget is cumulative), and draining entries
      whose branches are still in flight would make a later resolution look
      up a seq the history file no longer holds. *)
-  if finished t then drain_history t;
+  if finished t then retire_history t ~below:max_int;
   t.perf

@@ -20,9 +20,13 @@
       and refetching on mispredicts) and commits in order, driving the
       history file's commit-time updates.
 
-    Flushed correct-path instructions are pushed back into the workload
-    stream and genuinely re-fetched, so every frontend penalty has its true
-    cost. *)
+    The workload stream is read through a {!Cobra_isa.Trace.Window}. Each
+    retired-path fetch packet records the stream position of its first
+    slot, and every refetch is one rewind to a position: to the oldest
+    squashed packet, past the slots a packet was cut to, or past the
+    mispredicted branch at a flush. Commit releases the window through each
+    retired instruction. Flushed correct-path instructions are thus
+    genuinely re-fetched, so every frontend penalty has its true cost. *)
 
 type t
 

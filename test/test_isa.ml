@@ -119,24 +119,103 @@ let test_halt_ends_stream () =
 
 (* --- streams --------------------------------------------------------------------- *)
 
-let test_buffered_push_back () =
+let test_window_rewind () =
   let evs = List.init 5 (fun i -> Trace.plain ~pc:(0x100 + (4 * i)) ~cls:Trace.Alu) in
-  let b = Trace.Buffered.create (Trace.of_list evs) in
-  let e1 = Option.get (Trace.Buffered.next b) in
-  let e2 = Option.get (Trace.Buffered.next b) in
-  Trace.Buffered.push_back b [ e1; e2 ];
+  let pulls = ref 0 in
+  let source = Trace.of_list evs in
+  let w = Trace.Window.create (fun () -> incr pulls; source ()) in
+  let e1 = Option.get (Trace.Window.next w) in
+  let e2 = Option.get (Trace.Window.next w) in
+  Trace.Window.rewind w 0;
   check Alcotest.int "re-delivered in order" e1.Trace.pc
-    (Option.get (Trace.Buffered.next b)).Trace.pc;
+    (Option.get (Trace.Window.next w)).Trace.pc;
   check Alcotest.int "then the second" e2.Trace.pc
-    (Option.get (Trace.Buffered.next b)).Trace.pc;
-  check Alcotest.int "pulled counts distinct events only" 2 (Trace.Buffered.pulled b)
+    (Option.get (Trace.Window.next w)).Trace.pc;
+  check Alcotest.int "each event pulled once" 2 !pulls;
+  Trace.Window.release w 1;
+  check Alcotest.bool "no rewind below the base" true
+    (match Trace.Window.rewind w 0 with
+    | () -> false
+    | exception Invalid_argument _ -> true)
 
 let test_peek_does_not_consume () =
-  let b = Trace.Buffered.create (Trace.of_list [ Trace.plain ~pc:4 ~cls:Trace.Alu ]) in
+  let w = Trace.Window.create (Trace.of_list [ Trace.plain ~pc:4 ~cls:Trace.Alu ]) in
   check Alcotest.bool "peek twice" true
-    (Trace.Buffered.peek b = Trace.Buffered.peek b);
-  check Alcotest.bool "next still delivers" true (Trace.Buffered.next b <> None);
-  check Alcotest.bool "then empty" true (Trace.Buffered.next b = None)
+    (Trace.Window.peek w = Trace.Window.peek w);
+  check Alcotest.bool "next still delivers" true (Trace.Window.next w <> None);
+  check Alcotest.bool "then empty" true (Trace.Window.next w = None)
+
+type window_op = Peek | Next of int | Rewind of int | Release of int
+
+(* [Next k] delivers k events; [Rewind k] aims at the cursor minus k and
+   [Release k] at the base plus k, so a negative or large k aims outside
+   the window. *)
+let window_op =
+  Prop.make
+    ~show:(function
+      | Peek -> "peek"
+      | Next k -> Printf.sprintf "next x%d" k
+      | Rewind k -> Printf.sprintf "rewind cursor-%d" k
+      | Release k -> Printf.sprintf "release base+%d" k)
+    (fun st ->
+      let k () = Random.State.int st 15 - 2 in
+      match Random.State.int st 20 with
+      | 0 | 1 -> Peek
+      | 2 -> Next (1 + Random.State.int st 80)
+      | n when n < 12 -> Next 1
+      | n when n < 17 -> Rewind (k ())
+      | _ -> Release (k ()))
+
+(* The window against a plain-list model of an [n]-event stream: the event
+   delivered is the one at the cursor, a rewind or release inside
+   [base, cursor] moves the cursor or the base and any other one raises
+   without moving either, and each event is pulled from the source once,
+   when it is first needed. *)
+let prop_window (n, ops) =
+  let pulls = ref 0 in
+  let source () =
+    if !pulls < n then begin
+      incr pulls;
+      Some (Trace.plain ~pc:(4 * (!pulls - 1)) ~cls:Trace.Alu)
+    end
+    else None
+  in
+  let w = Trace.Window.create source in
+  let base = ref 0 and cursor = ref 0 and needed = ref 0 in
+  let deliver get =
+    let want = if !cursor < n then Some (4 * !cursor) else None in
+    check Alcotest.(option int) "event at the cursor" want
+      (Option.map (fun e -> e.Trace.pc) (get w));
+    if want <> None then needed := max !needed (!cursor + 1)
+  in
+  let move name f p set =
+    let inside = p >= !base && p <= !cursor in
+    match f w p with
+    | () ->
+      if not inside then Alcotest.failf "%s to %d outside [%d, %d] did not raise" name p !base !cursor;
+      set p
+    | exception Invalid_argument _ ->
+      if inside then Alcotest.failf "%s to %d inside [%d, %d] raised" name p !base !cursor
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Peek -> deliver Trace.Window.peek
+      | Next k ->
+        for _ = 1 to k do
+          deliver Trace.Window.next;
+          if !cursor < n then incr cursor
+        done
+      | Rewind k -> move "rewind" Trace.Window.rewind (!cursor - k) (fun p -> cursor := p)
+      | Release k -> move "release" Trace.Window.release (!base + k) (fun p -> base := p));
+      check Alcotest.int "position" !cursor (Trace.Window.position w);
+      check Alcotest.int "events pulled" !needed !pulls)
+    ops
+
+let test_window_model () =
+  Prop.check ~name:"window against a list model"
+    (Prop.pair (Prop.int_range 0 300) (Prop.list ~max_len:300 window_op))
+    prop_window
 
 let test_sfb_detection () =
   let branch ~pc ~target ~taken =
@@ -293,8 +372,9 @@ let () =
         ] );
       ( "streams",
         [
-          Alcotest.test_case "push back" `Quick test_buffered_push_back;
+          Alcotest.test_case "rewind" `Quick test_window_rewind;
           Alcotest.test_case "peek" `Quick test_peek_does_not_consume;
+          Alcotest.test_case "window against a list model" `Quick test_window_model;
           Alcotest.test_case "sfb detection" `Quick test_sfb_detection;
         ] );
       ("static decode", [ Alcotest.test_case "decode" `Quick test_static_decode ]);

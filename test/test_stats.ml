@@ -474,17 +474,48 @@ let test_progress_degenerate_inputs () =
 
 let test_progress_stats_event_passthrough () =
   let events = Filename.concat (fresh_dir ()) "events.jsonl" in
-  let p = Progress.create ~label:"s" ~events_path:events ~live:false ~total:1 () in
+  (* every string field must survive JSON quoting *)
+  let nasty = "q\"b\\n\nc\001" in
+  let p = Progress.create ~label:nasty ~events_path:events ~live:false ~total:1 () in
   Progress.emit p
     (Progress.Stats { design = "B2"; workload = "loop7"; summary = "17 mispredicts" });
   check Alcotest.int "stats events do not advance the counters" 0 (Progress.jobs_done p);
+  Progress.emit p (Progress.Start { job = 0; key = nasty });
+  Progress.emit p (Progress.Retry { job = 0; attempt = 1; message = nasty });
+  Progress.emit p (Progress.Store_error { job = 0; key = nasty; message = nasty });
+  Progress.emit p (Progress.Finish { job = 0; ok = true; cached = false; elapsed = 0.5 });
   Progress.finish p;
   let lines = In_channel.with_open_text events In_channel.input_lines in
   check Alcotest.int "stats line mirrored to the events file" 1
     (List.length
        (List.filter
           (fun l -> contains l "\"event\": \"stats\"" && contains l "\"design\": \"B2\"")
-          lines))
+          lines));
+  let parsed =
+    List.map
+      (fun l ->
+        match Json.of_string l with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "events line is not valid JSON (%s): %s" e l)
+      lines
+  in
+  check
+    Alcotest.(list string)
+    "one line per event, in order"
+    [ "stats"; "start"; "retry"; "store_error"; "finish"; "summary" ]
+    (List.map (fun j -> Json.str_member "event" j ~default:"") parsed);
+  List.iter
+    (fun j ->
+      let event = Json.str_member "event" j ~default:"" in
+      check Alcotest.string (event ^ ": label round-trips") nasty
+        (Json.str_member "label" j ~default:"");
+      List.iter
+        (fun field ->
+          match Json.member field j with
+          | Some v -> check Alcotest.(option string) (event ^ ": " ^ field) (Some nasty) (Json.to_str v)
+          | None -> ())
+        [ "key"; "error" ])
+    parsed
 
 let () =
   Alcotest.run "stats"

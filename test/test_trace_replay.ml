@@ -195,6 +195,7 @@ let corrupt_tag () =
         expect_failure "reserved tag bits" (fun () ->
             Reader.fold path ~init:0 ~f:(fun n _ -> n + 1))
       in
+      check_contains "corrupt-tag message names the file" msg (Filename.basename path);
       check_contains "corrupt-tag message" msg "byte")
 
 let varint_overflow () =
@@ -205,6 +206,7 @@ let varint_overflow () =
         expect_failure "varint overflow" (fun () ->
             Reader.fold path ~init:0 ~f:(fun n _ -> n + 1))
       in
+      check_contains "overflow message names the file" msg (Filename.basename path);
       check_contains "overflow message" msg "byte")
 
 let nonminimal_varint () =
@@ -216,6 +218,7 @@ let nonminimal_varint () =
         expect_failure "non-minimal varint" (fun () ->
             Reader.fold path ~init:0 ~f:(fun n _ -> n + 1))
       in
+      check_contains "overlong-zero message names the file" msg (Filename.basename path);
       check_contains "overlong-zero message" msg "non-minimal";
       (* the offending byte is the trailing 0x00: magic(8) + tag + 0x80 *)
       check_contains "overlong-zero offset" msg
