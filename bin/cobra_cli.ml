@@ -107,17 +107,11 @@ let run_cmd =
       {
         Cobra_uarch.Config.default with
         Cobra_uarch.Config.serialize_fetch = serialize;
-        replay_on_history_divergence = not no_replay;
+        history_divergence = Cobra_uarch.Config.(if no_replay then Repair else Replay);
         sfb_optimization = sfb;
       }
     in
-    let transform =
-      if sfb then
-        Cobra_uarch.Sfb.transform
-          ~max_offset:Cobra_uarch.Config.default.Cobra_uarch.Config.sfb_max_offset
-      else Fun.id
-    in
-    let r = Experiment.run ~insns ~config ~transform d w in
+    let r = Experiment.run ~insns ~config d w in
     Format.printf "%s on %s:@.  %a@." design workload Cobra_uarch.Perf.pp
       r.Experiment.perf;
     Ok ()

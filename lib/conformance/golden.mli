@@ -62,7 +62,6 @@ val statistical_corrector : Cobra_components.Statistical_corrector.config -> pac
 val btb : Cobra_components.Btb.config -> packed
 val ubtb : Cobra_components.Ubtb.config -> packed
 val static_always : name:string -> taken:bool -> fetch_width:int -> packed
-val static_btfn : name:string -> fetch_width:int -> packed
 
 (* --- imperative instantiation ---------------------------------------------- *)
 
@@ -86,14 +85,6 @@ type inst = {
 }
 
 val instantiate : packed -> inst
-
-val to_component : packed -> Component.t
-(** Wrap the golden model as a real [Component.t] (same name, family,
-    latency, metadata width and storage declaration as the component it
-    models) so it can be composed by [Topology] / [Pipeline] — the basis of
-    the end-to-end twin-design differential. The model stays pure: the
-    wrapper copies each [(prediction, meta)] it returns into the host's
-    buffers. *)
 
 val compose :
   fetch_width:int ->

@@ -108,5 +108,4 @@ val direction_bits_into : prediction -> packet_len:int -> bool array -> int
 (** {!direction_bits} written into the front of a buffer of at least
     [min packet_len (Array.length pred)] cells; returns the bit count. *)
 
-val pp_opinion : Format.formatter -> opinion -> unit
 val pp_prediction : Format.formatter -> prediction -> unit

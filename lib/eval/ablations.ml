@@ -85,38 +85,29 @@ let tage_latency ?insns () =
 
 let history_repair ?insns () =
   let workloads = spec_subset () in
-  (* Three management levels for the speculative global history:
+  (* Three management levels for the speculative global history, one per
+     [Config.history_divergence]:
      - none:   Fetch-1 bits are never corrected (no repair at all);
      - repair: the register is repaired on divergences, in-flight
                predictions are not replayed (the paper's original design);
      - replay: repairing also replays fetch (the paper's alternate). *)
   let jobs mode =
-    let config =
-      match mode with
-      | `None ->
-        {
-          Config.default with
-          Config.replay_on_history_divergence = false;
-          repair_history_on_divergence = false;
-        }
-      | `Repair -> { Config.default with Config.replay_on_history_divergence = false }
-      | `Replay -> Config.default
-    in
+    let config = { Config.default with Config.history_divergence = mode } in
     let pipeline_config =
       match mode with
-      | `None ->
+      | Config.Ignore ->
         {
           Designs.tage_l.Designs.pipeline_config with
           Cobra.Pipeline.predecode_history_correction = false;
         }
-      | `Repair | `Replay -> Designs.tage_l.Designs.pipeline_config
+      | Config.Repair | Config.Replay -> Designs.tage_l.Designs.pipeline_config
     in
     List.map (fun w -> Experiment.job ?insns ~config ~pipeline_config Designs.tage_l w)
       workloads
   in
-  let dhry_job cfg_replay =
+  let dhry_job mode =
     Experiment.job ?insns
-      ~config:{ Config.default with Config.replay_on_history_divergence = cfg_replay }
+      ~config:{ Config.default with Config.history_divergence = mode }
       Designs.tage_l (dhrystone ())
   in
   (* Results are recovered by an explicit (mode, workload) key rather than
@@ -124,7 +115,11 @@ let history_repair ?insns () =
      offsets silently mispairs results the moment the job list changes
      shape. [Experiment.find] cannot be used here because the two Dhrystone
      jobs share a design and workload and differ only in config. *)
-  let mode_tag = function `None -> "none" | `Repair -> "repair" | `Replay -> "replay" in
+  let mode_tag = function
+    | Config.Ignore -> "none"
+    | Config.Repair -> "repair"
+    | Config.Replay -> "replay"
+  in
   let tag_jobs mode =
     List.map2
       (fun (w : Cobra_workloads.Suite.entry) j ->
@@ -132,9 +127,9 @@ let history_repair ?insns () =
       workloads (jobs mode)
   in
   let tagged =
-    tag_jobs `None @ tag_jobs `Repair @ tag_jobs `Replay
-    @ [ (("dhrystone", "no-replay"), dhry_job false);
-        (("dhrystone", "replay"), dhry_job true) ]
+    tag_jobs Config.Ignore @ tag_jobs Config.Repair @ tag_jobs Config.Replay
+    @ [ (("dhrystone", "no-replay"), dhry_job Config.Repair);
+        (("dhrystone", "replay"), dhry_job Config.Replay) ]
   in
   let keyed =
     List.combine (List.map fst tagged)
@@ -156,8 +151,8 @@ let history_repair ?insns () =
         lookup (mode_tag mode, w.Cobra_workloads.Suite.name))
       workloads
   in
-  let none = results_of `None in
-  let no_replay = results_of `Repair and replay = results_of `Replay in
+  let none = results_of Config.Ignore in
+  let no_replay = results_of Config.Repair and replay = results_of Config.Replay in
   let mean_ipc rs = Stats.harmonic_mean (List.map (fun r -> Perf.ipc r.Experiment.perf) rs) in
   let total_mispredicts rs =
     List.fold_left (fun acc r -> acc + r.Experiment.perf.Perf.mispredicts) 0 rs
@@ -211,14 +206,7 @@ let history_repair ?insns () =
 let short_forward_branch ?insns () =
   let job sfb =
     let config = { Config.default with Config.sfb_optimization = sfb } in
-    let transform =
-      if sfb then
-        Some
-          ( Printf.sprintf "sfb:%d" Config.default.Config.sfb_max_offset,
-            Cobra_uarch.Sfb.transform ~max_offset:Config.default.Config.sfb_max_offset )
-      else None
-    in
-    Experiment.job ?insns ~config ?transform Designs.tage_l (coremark ())
+    Experiment.job ?insns ~config Designs.tage_l (coremark ())
   in
   let off, on =
     match Experiment.run_jobs ~label:"ablation:VI-C" [ job false; job true ] with

@@ -6,20 +6,20 @@ type result = {
 
 let default_insns () = Cobra_util.Env.int_var ~min:1 "COBRA_INSNS" ~default:100_000
 
-let elaborate ?(config = Cobra_uarch.Config.default) ?pipeline_config ?(transform = Fun.id)
-    (design : Designs.t) (workload : Cobra_workloads.Suite.entry) =
+let elaborate ?(config = Cobra_uarch.Config.default) ?pipeline_config (design : Designs.t)
+    (workload : Cobra_workloads.Suite.entry) =
   let pcfg = Option.value pipeline_config ~default:design.Designs.pipeline_config in
   let pl = Cobra.Pipeline.create pcfg (design.Designs.make ()) in
-  let stream = transform (workload.Cobra_workloads.Suite.make ()) in
   let core =
-    Cobra_uarch.Core.create ?decode:workload.Cobra_workloads.Suite.decode config pl stream
+    Cobra_uarch.Core.create ?decode:workload.Cobra_workloads.Suite.decode config pl
+      (workload.Cobra_workloads.Suite.make ())
   in
   (pl, core)
 
-let run_with_stats ?insns ?config ?pipeline_config ?transform
-    (design : Designs.t) (workload : Cobra_workloads.Suite.entry) =
+let run_with_stats ?insns ?config ?pipeline_config (design : Designs.t)
+    (workload : Cobra_workloads.Suite.entry) =
   let insns = match insns with Some n -> n | None -> default_insns () in
-  let pl, core = elaborate ?config ?pipeline_config ?transform design workload in
+  let pl, core = elaborate ?config ?pipeline_config design workload in
   let coll =
     Cobra_stats.Collector.create ~interval_width:(Cobra_stats.Env.interval ()) pl
   in
@@ -49,9 +49,9 @@ let spec_diff spec ~default =
 
 (* What sets a run apart from its design at its defaults, for naming its
    statistics export: the core and pipeline configuration fields that
-   differ from the defaults, then the transform's tag. Empty at the
-   defaults, which keeps the plain [<design>__<workload>] name. *)
-let variant ~config ~pipeline_config ~transform_tag (design : Designs.t) =
+   differ from the defaults. Empty at the defaults, which keeps the plain
+   [<design>__<workload>] name. *)
+let variant ~config ~pipeline_config (design : Designs.t) =
   String.concat "+"
     (spec_diff (Cobra_uarch.Config.spec config)
        ~default:(Cobra_uarch.Config.spec Cobra_uarch.Config.default)
@@ -59,17 +59,14 @@ let variant ~config ~pipeline_config ~transform_tag (design : Designs.t) =
       | None -> []
       | Some p ->
         spec_diff (Cobra.Pipeline.config_spec p)
-          ~default:(Cobra.Pipeline.config_spec design.Designs.pipeline_config))
-    @ Option.to_list transform_tag)
+          ~default:(Cobra.Pipeline.config_spec design.Designs.pipeline_config)))
 
-let run_named ?transform_tag ?insns ?(config = Cobra_uarch.Config.default) ?pipeline_config
-    ?transform (design : Designs.t) (workload : Cobra_workloads.Suite.entry) =
+let run ?insns ?(config = Cobra_uarch.Config.default) ?pipeline_config (design : Designs.t)
+    (workload : Cobra_workloads.Suite.entry) =
   let insns = match insns with Some n -> n | None -> default_insns () in
   if Cobra_stats.Env.enabled () then begin
-    let result, report =
-      run_with_stats ~insns ~config ?pipeline_config ?transform design workload
-    in
-    let variant = variant ~config ~pipeline_config ~transform_tag design in
+    let result, report = run_with_stats ~insns ~config ?pipeline_config design workload in
+    let variant = variant ~config ~pipeline_config design in
     (try ignore (Cobra_stats.Export.write ~variant ~dir:(Cobra_stats.Env.dir ()) report)
      with Sys_error _ | Unix.Unix_error _ -> ());
     Cobra_stats.Sink.publish report;
@@ -77,13 +74,10 @@ let run_named ?transform_tag ?insns ?(config = Cobra_uarch.Config.default) ?pipe
   end
   else begin
     (* stats disabled: the collection machinery is never elaborated *)
-    let _pl, core = elaborate ~config ?pipeline_config ?transform design workload in
+    let _pl, core = elaborate ~config ?pipeline_config design workload in
     let perf = Cobra_uarch.Core.run core ~max_insns:insns in
     { design = design.Designs.name; workload = workload.Cobra_workloads.Suite.name; perf }
   end
-
-let run ?insns ?config ?pipeline_config ?transform design workload =
-  run_named ?insns ?config ?pipeline_config ?transform design workload
 
 (* --- parallel grids ----------------------------------------------------------- *)
 
@@ -93,11 +87,9 @@ type job = {
   job_insns : int;
   job_config : Cobra_uarch.Config.t;
   job_pipeline_config : Cobra.Pipeline.config option;
-  job_transform : (string * (Cobra_isa.Trace.stream -> Cobra_isa.Trace.stream)) option;
 }
 
-let job ?insns ?(config = Cobra_uarch.Config.default) ?pipeline_config
-    ?transform design workload =
+let job ?insns ?(config = Cobra_uarch.Config.default) ?pipeline_config design workload =
   let insns = match insns with Some n -> n | None -> default_insns () in
   {
     job_design = design;
@@ -105,7 +97,6 @@ let job ?insns ?(config = Cobra_uarch.Config.default) ?pipeline_config
     job_insns = insns;
     job_config = config;
     job_pipeline_config = pipeline_config;
-    job_transform = transform;
   }
 
 let job_key j =
@@ -119,7 +110,6 @@ let job_key j =
         (Option.value j.job_pipeline_config
            ~default:j.job_design.Designs.pipeline_config);
     "insns:" ^ string_of_int j.job_insns;
-    "transform:" ^ (match j.job_transform with None -> "none" | Some (tag, _) -> tag);
   ]
 
 let to_runner_job j =
@@ -127,11 +117,8 @@ let to_runner_job j =
     Cobra_runner.key = job_key j;
     run =
       (fun () ->
-        let transform_tag, transform =
-          match j.job_transform with None -> (None, Fun.id) | Some (tag, f) -> (Some tag, f)
-        in
-        (run_named ?transform_tag ~insns:j.job_insns ~config:j.job_config
-           ?pipeline_config:j.job_pipeline_config ~transform j.job_design j.job_workload)
+        (run ~insns:j.job_insns ~config:j.job_config ?pipeline_config:j.job_pipeline_config
+           j.job_design j.job_workload)
           .perf);
   }
 

@@ -24,7 +24,6 @@ val run :
   ?insns:int ->
   ?config:Cobra_uarch.Config.t ->
   ?pipeline_config:Cobra.Pipeline.config ->
-  ?transform:(Cobra_isa.Trace.stream -> Cobra_isa.Trace.stream) ->
   Designs.t ->
   Cobra_workloads.Suite.entry ->
   result
@@ -37,15 +36,13 @@ val run :
     The export is named [<design>__<workload>] at the design's defaults;
     otherwise [<design>__<workload>__<variant>], where the variant lists
     the core and pipeline configuration fields that differ from the
-    defaults (a {!job}'s also ends in its transform tag — [run]'s
-    transform has none), so runs that differ only there do not overwrite
-    each other's reports. *)
+    defaults, so runs that differ only there do not overwrite each
+    other's reports. *)
 
 val run_with_stats :
   ?insns:int ->
   ?config:Cobra_uarch.Config.t ->
   ?pipeline_config:Cobra.Pipeline.config ->
-  ?transform:(Cobra_isa.Trace.stream -> Cobra_isa.Trace.stream) ->
   Designs.t ->
   Cobra_workloads.Suite.entry ->
   result * Cobra_stats.Report.t
@@ -61,12 +58,11 @@ val job :
   ?insns:int ->
   ?config:Cobra_uarch.Config.t ->
   ?pipeline_config:Cobra.Pipeline.config ->
-  ?transform:(string * (Cobra_isa.Trace.stream -> Cobra_isa.Trace.stream)) ->
   Designs.t ->
   Cobra_workloads.Suite.entry ->
   job
-(** [transform] carries a tag naming the stream transformation — the tag
-    participates in the cache key (functions cannot be digested). *)
+(** The job's cache key covers the design's topology, the workload, both
+    configurations and the instruction budget. *)
 
 val run_jobs : ?label:string -> job list -> result list
 (** Run a grid through the pool + cache, results in submission order. A

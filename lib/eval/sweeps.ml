@@ -129,9 +129,7 @@ let fetch_width_sweep ?insns () =
     List.map
       (fun w ->
         let pipeline_config = { Pipeline.default_config with Pipeline.fetch_width = w } in
-        let config =
-          { Config.default with Config.fetch_width = w; decode_width = w; commit_width = w }
-        in
+        let config = { Config.default with Config.decode_width = w; commit_width = w } in
         row_job ~sweep:"fetch_width" ?insns ~config ~pipeline_config
           ~row:(Printf.sprintf "width=%d" w) ~workload
           (fun () ->
@@ -336,10 +334,10 @@ let core_size ?insns () =
   let sizes =
     [
       ( "small (1-wide, 32 ROB)",
+        1,
         {
           Config.default with
-          Config.fetch_width = 1;
-          decode_width = 1;
+          Config.decode_width = 1;
           commit_width = 1;
           rob_entries = 32;
           int_alus = 1;
@@ -347,12 +345,12 @@ let core_size ?insns () =
           fp_units = 1;
           fetch_buffer = 8;
         } );
-      ("paper (4-wide, 128 ROB)", Config.default);
+      ("paper (4-wide, 128 ROB)", 4, Config.default);
       ( "mega (8-wide, 256 ROB)",
+        8,
         {
           Config.default with
-          Config.fetch_width = 8;
-          decode_width = 8;
+          Config.decode_width = 8;
           commit_width = 8;
           rob_entries = 256;
           int_alus = 8;
@@ -388,16 +386,15 @@ let core_size ?insns () =
   in
   let cells =
     List.concat_map
-      (fun (size_name, config) ->
+      (fun (size_name, fw, config) ->
         List.map
-          (fun (design : Designs.t) -> (size_name, config, design))
+          (fun (design : Designs.t) -> (size_name, fw, config, design))
           [ Designs.b2; Designs.tage_l ])
       sizes
   in
   let defs =
     List.map
-      (fun (size_name, config, (design : Designs.t)) ->
-        let fw = config.Config.fetch_width in
+      (fun (size_name, fw, config, (design : Designs.t)) ->
         let pipeline_config = { Pipeline.default_config with Pipeline.fetch_width = fw } in
         row_job ~sweep:"core_size" ?insns ~config ~pipeline_config
           ~row:(Printf.sprintf "%s/%s" size_name design.Designs.name)
@@ -409,13 +406,13 @@ let core_size ?insns () =
   let perf_of size_name design_name =
     snd
       (List.find
-         (fun ((s, _, (d : Designs.t)), _) ->
+         (fun ((s, _, _, (d : Designs.t)), _) ->
            String.equal s size_name && String.equal d.Designs.name design_name)
          by_cell)
   in
   let rows =
     List.map
-      (fun (size_name, _) ->
+      (fun (size_name, _, _) ->
         let b2 = perf_of size_name "B2" and tage = perf_of size_name "TAGE-L" in
         let gain =
           100.0 *. (Perf.ipc tage -. Perf.ipc b2) /. Float.max 1e-9 (Perf.ipc b2)

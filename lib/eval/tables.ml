@@ -25,10 +25,10 @@ let table_1 () =
       [ "Predictor"; "Description"; "Paper storage"; "Ours (dir state)"; "Ours (total)" ]
     ~rows ()
 
-let table_2 ?(config = Cobra_uarch.Config.default) () =
+let table_2 () =
   Text.table ~title:"Table II: core configuration"
     ~header:[ "Unit"; "Configuration" ]
-    ~rows:(List.map (fun (a, b) -> [ a; b ]) (Cobra_uarch.Config.rows config))
+    ~rows:(List.map (fun (a, b) -> [ a; b ]) (Cobra_uarch.Config.rows Cobra_uarch.Config.default))
     ()
 
 let table_3 () =

@@ -4,8 +4,8 @@ val table_1 : unit -> string
 (** Table I: parameters and storage of the three designs — paper values
     next to this implementation's bit-accurate accounting. *)
 
-val table_2 : ?config:Cobra_uarch.Config.t -> unit -> string
-(** Table II: the evaluated core configuration. *)
+val table_2 : unit -> string
+(** Table II: the evaluated core configuration, {!Cobra_uarch.Config.default}. *)
 
 val table_3 : unit -> string
 (** Table III: evaluated systems for the SPECint17 comparison. *)

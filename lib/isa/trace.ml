@@ -21,10 +21,9 @@ let branch_exn ?(who = "Trace.branch_exn") ev =
   | None ->
     failwith (Printf.sprintf "%s: event at pc=0x%x carries no branch info" who ev.pc)
 
-let is_short_forward_branch ?(max_offset = 32) ev =
+let is_short_forward_branch ev =
   match ev.branch with
-  | Some { kind = Cobra.Types.Cond; target; _ } ->
-    target > ev.pc && target - ev.pc <= max_offset
+  | Some { kind = Cobra.Types.Cond; target; _ } -> target > ev.pc && target - ev.pc <= 32
   | Some _ | None -> false
 
 let exec_latency = function

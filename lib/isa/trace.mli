@@ -34,10 +34,9 @@ val branch_exn : ?who:string -> event -> branch_info
     event's PC when the event is not a branch — a diagnosable error instead
     of a bare [Option.get] crash. *)
 
-val is_short_forward_branch : ?max_offset:int -> event -> bool
-(** A conditional direct branch whose target lies a small distance forward —
-    the "hammock" shape the paper's Section VI-C optimisation predicates
-    (default [max_offset] 32 bytes). *)
+val is_short_forward_branch : event -> bool
+(** A conditional direct branch whose target lies at most 32 bytes forward —
+    the "hammock" shape the paper's Section VI-C optimisation predicates. *)
 
 val exec_latency : insn_class -> int
 (** Fixed execution latency of a class (loads add cache latency on top). *)

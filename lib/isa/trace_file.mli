@@ -9,15 +9,12 @@
     external tools) be replayed through the framework without the BRISC
     machine. *)
 
-val write_channel : out_channel -> Trace.event list -> unit
 val save : path:string -> Trace.event list -> unit
 
-val read_channel : in_channel -> Trace.event list
+val load : path:string -> Trace.event list
 (** Raises [Failure] naming the (1-based) line number, the reason, and the
     offending line on parse errors. Negative [D]/[S] register numbers are
     rejected. *)
-
-val load : path:string -> Trace.event list
 
 val load_stream : path:string -> Trace.stream
 (** Loads eagerly, streams lazily. *)

@@ -306,11 +306,11 @@ let render rep =
    the Interval machinery can localise *where* in the stream a probe hurts
    — the phase storm shows bucketed misery at flip boundaries, the ladder a
    uniform stripe. *)
-let timing_series ?(width = 128) ?(penalty = 20) ~(target : Target.t)
-    ~(probe : Pattern.t) ~level ~seed () =
+let timing_series ~(target : Target.t) ~(probe : Pattern.t) ~level ~seed () =
+  let penalty = 20 in
   let stream = probe.Pattern.p_gen ~level ~seed in
   let pl = Target.pipeline target in
-  let iv = Interval.create ~width () in
+  let iv = Interval.create ~width:128 () in
   let insns = ref 0 and mis = ref 0 in
   let gap_hist = Array.make 16 0 in
   let last_mis = ref 0 in

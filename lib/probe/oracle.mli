@@ -10,9 +10,6 @@ val collapse_threshold : float
 (** 0.90 — accuracy below this counts as a collapsed (post-capacity)
     level; the falling-edge detector. *)
 
-val rising_threshold : float
-(** 0.89 — the phase probe's recovery bar. *)
-
 type measurement = {
   m_level : int;
   m_samples : int;  (** post-warmup, metric-PC-filtered predictions *)
@@ -56,8 +53,6 @@ val grid : probe_name:string -> Target.expect -> int list
 (** The level grid the oracle sweeps for an expectation (brackets a
     predicted edge; fixed characteristic grids for informational pairs). *)
 
-val judge : Target.expect -> measurement list -> verdict
-
 val run_pair :
   ?deadline:float -> target:Target.t -> probe:Pattern.t -> seed:int -> unit -> result
 
@@ -88,8 +83,6 @@ val render : report -> string
 (** Human-readable per-pair series + verdict summary. *)
 
 val timing_series :
-  ?width:int ->
-  ?penalty:int ->
   target:Target.t ->
   probe:Pattern.t ->
   level:int ->
@@ -97,6 +90,6 @@ val timing_series :
   unit ->
   Cobra_stats.Json.t
 (** Schema [cobra-probe-timing/1]: the probe replay bucketed through
-    {!Cobra_stats.Interval} under a synthetic timing model (1 cycle per
-    instruction + [penalty] per mispredict), plus a log2 histogram of
-    distances between consecutive mispredicts. *)
+    {!Cobra_stats.Interval} in 128-instruction buckets under a synthetic
+    timing model (1 cycle per instruction + 20 per mispredict), plus a log2
+    histogram of distances between consecutive mispredicts. *)

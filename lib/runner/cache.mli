@@ -18,9 +18,6 @@
 
 type key
 
-val format_version : int
-(** Bumped whenever the serialized layout or digest recipe changes. *)
-
 val enabled : unit -> bool
 (** The [COBRA_CACHE] knob ({!Cobra_util.Env.bool_var}), on by default:
     [0]/[false]/[no]/[off] disable the cache; any unrecognised value raises

@@ -39,9 +39,6 @@ type job = {
           so that a retry restarts clean and parallel jobs share nothing *)
 }
 
-val default_attempts : unit -> int
-(** [1 + COBRA_RETRIES], defaulting to 2 total attempts per job. *)
-
 val run_perfs :
   ?label:string ->
   ?jobs:int ->

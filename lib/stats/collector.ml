@@ -236,7 +236,7 @@ and t_mispredicted t e ~slot actual =
   in
   incr_tbl t.caused bucket
 
-let create ?interval_capacity ?(interval_width = 1000) pl =
+let create ?(interval_width = 1000) pl =
   let comps = Pipeline.components pl in
   let depth = Pipeline.depth pl in
   let topo = Pipeline.topology pl in
@@ -250,7 +250,7 @@ let create ?interval_capacity ?(interval_width = 1000) pl =
       caused = Hashtbl.create 8;
       saved = Hashtbl.create 8;
       branches = Hashtbl.create 256;
-      interval = Interval.create ?capacity:interval_capacity ~width:interval_width ();
+      interval = Interval.create ~width:interval_width ();
       total_mispredicts = 0;
       squashed_packets = 0;
     }

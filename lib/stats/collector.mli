@@ -25,7 +25,7 @@
 
 type t
 
-val create : ?interval_capacity:int -> ?interval_width:int -> Cobra.Pipeline.t -> t
+val create : ?interval_width:int -> Cobra.Pipeline.t -> t
 (** Builds the collector and attaches it as the pipeline's observer.
     [interval_width] defaults to 1000 instructions. *)
 

@@ -58,9 +58,6 @@ type t = {
 val attributed : t -> int
 (** Sum of all attribution buckets. *)
 
-val taken_rate : branch_row -> float
-val transition_rate : branch_row -> float
-
 val to_json : t -> Json.t
 val to_csv : t -> string
 

@@ -10,23 +10,16 @@ type breakdown = {
   area_um2 : float;
 }
 
-val of_storage : ?tech:Tech.t -> Cobra.Storage.t -> float
-(** SRAM bits through the macro compiler, flop bits and gates at library
-    cell area, plus a routing/utilisation overhead. *)
-
 val pipeline_breakdown : ?tech:Tech.t -> Cobra.Pipeline.t -> breakdown list
 (** One entry per sub-component plus a "Meta" entry for the generated
     management structures — the Fig 8 decomposition. *)
 
 val pipeline_total : ?tech:Tech.t -> Cobra.Pipeline.t -> float
 
-val core_units : ?tech:Tech.t -> unit -> breakdown list
-(** Areas of the non-predictor units of the 4-wide core (Table II): L1
-    caches, issue/execute, ROB and rename, register files, FPU, LSU —
-    documented constants representative of a 4-wide out-of-order core on
-    the modelled process. *)
-
 val core_breakdown : ?tech:Tech.t -> Cobra.Pipeline.t -> breakdown list
-(** {!core_units} plus the given predictor — the Fig 9 decomposition. *)
+(** The given predictor plus the non-predictor units of the 4-wide core
+    (Table II): L1 caches, issue/execute, ROB and rename, register files,
+    FPU, LSU — documented constants representative of a 4-wide
+    out-of-order core on the modelled process. The Fig 9 decomposition. *)
 
 val pp_breakdown : Format.formatter -> breakdown list -> unit

@@ -22,5 +22,4 @@ type t = {
   flop_read_pj_per_bit : float;
 }
 
-val finfet_7nm_class : t
 val default : t

@@ -1,53 +1,47 @@
+type history_divergence = Ignore | Repair | Replay
+
 type t = {
-  fetch_width : int;
   fetch_buffer : int;
-  ras_entries : int;
   decode_width : int;
   commit_width : int;
   rob_entries : int;
   int_alus : int;
   mem_ports : int;
   fp_units : int;
-  replay_on_history_divergence : bool;
-  repair_history_on_divergence : bool;
+  history_divergence : history_divergence;
   ras_repair : bool;
   serialize_fetch : bool;
   sfb_optimization : bool;
-  sfb_max_offset : int;
-  wrong_path_fetch_limit : int;
 }
 
 let default =
   {
-    fetch_width = 4;
     fetch_buffer = 32;
-    ras_entries = 16;
     decode_width = 4;
     commit_width = 4;
     rob_entries = 128;
     int_alus = 4;
     mem_ports = 2;
     fp_units = 2;
-    replay_on_history_divergence = true;
-    repair_history_on_divergence = true;
+    history_divergence = Replay;
     ras_repair = true;
     serialize_fetch = false;
     sfb_optimization = false;
-    sfb_max_offset = 32;
-    wrong_path_fetch_limit = 16;
   }
 
+let divergence_name = function Ignore -> "ignore" | Repair -> "repair" | Replay -> "replay"
+
 let spec t =
-  Printf.sprintf
-    "fw=%d;fb=%d;ras=%d;dw=%d;cw=%d;rob=%d;alu=%d;mem=%d;fp=%d;replay=%b;repair=%b;rasr=%b;ser=%b;sfb=%b;sfbo=%d;wpl=%d"
-    t.fetch_width t.fetch_buffer t.ras_entries t.decode_width t.commit_width t.rob_entries
-    t.int_alus t.mem_ports t.fp_units t.replay_on_history_divergence
-    t.repair_history_on_divergence t.ras_repair t.serialize_fetch t.sfb_optimization
-    t.sfb_max_offset t.wrong_path_fetch_limit
+  Printf.sprintf "fb=%d;dw=%d;cw=%d;rob=%d;alu=%d;mem=%d;fp=%d;hdiv=%s;rasr=%b;ser=%b;sfb=%b"
+    t.fetch_buffer t.decode_width t.commit_width t.rob_entries t.int_alus t.mem_ports
+    t.fp_units (divergence_name t.history_divergence) t.ras_repair t.serialize_fetch
+    t.sfb_optimization
 
 let rows t =
   [
-    ("Frontend", Printf.sprintf "%d-byte wide fetch" (4 * t.fetch_width));
+    ( "Frontend",
+      Printf.sprintf "%d-byte wide fetch"
+        (4 * Cobra.Pipeline.default_config.Cobra.Pipeline.fetch_width) );
     ("", Printf.sprintf "%d-wide decode/rename/commit" t.decode_width);
     ("Execute", Printf.sprintf "%d-entry ROB" t.rob_entries);
     ( "",

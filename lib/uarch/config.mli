@@ -1,10 +1,26 @@
-(** Core configuration (paper Table II) plus experiment toggles. *)
+(** Core configuration (paper Table II) plus experiment toggles.
+
+    Each host-core choice the paper's discussion flips is one field:
+    [serialize_fetch] (Section I), [history_divergence] (VI-B) and
+    [sfb_optimization] (VI-C). The frontend's geometry is not here: the
+    core takes its fetch width from the predictor pipeline it drives
+    ({!Cobra.Pipeline.config}), as BOOM's frontend takes it from the one
+    core parameter set. The return-address stack (16 entries), the
+    wrong-path fetch throttle (16 packets) and the short-forward-branch
+    reach (32 bytes, {!Cobra_isa.Trace.is_short_forward_branch}) are
+    constants. *)
+
+(** What the frontend does when a later predictor stage revises a packet's
+    speculative history bits without moving its PC (Section VI-B). *)
+type history_divergence =
+  | Ignore
+      (** no management: the history register keeps the earlier stage's
+          bits (the VI-B ablation's worst case) *)
+  | Repair  (** repair the history register; in-flight predictions stand *)
+  | Replay  (** repair, then replay fetch with the corrected history *)
 
 type t = {
-  (* frontend *)
-  fetch_width : int;  (** instructions per fetch packet (16-byte fetch) *)
   fetch_buffer : int;  (** fetch-buffer capacity in instructions *)
-  ras_entries : int;
   (* backend *)
   decode_width : int;
   commit_width : int;
@@ -13,33 +29,26 @@ type t = {
   mem_ports : int;
   fp_units : int;
   (* experiment toggles *)
-  replay_on_history_divergence : bool;
-      (** Section VI-B: replay fetch when a later pipeline stage revises the
-          speculative global history without redirecting the PC *)
-  repair_history_on_divergence : bool;
-      (** repair the speculative history register at all on such a
-          divergence; disabling this models a predictor with no divergence
-          management (the VI-B ablation's worst case) *)
+  history_divergence : history_divergence;
   ras_repair : bool;
       (** checkpoint the return-address stack per packet and restore it on
           flushes (Skadron et al.-style repair; the host-core improvement
           the paper leaves to BOOM) *)
   serialize_fetch : bool;
       (** Section I: end every fetch packet at the first branch *)
-  sfb_optimization : bool;  (** Section VI-C: predicate short forward branches *)
-  sfb_max_offset : int;
-  wrong_path_fetch_limit : int;
-      (** consecutive wrong-path packets fetched before the frontend gates
-          itself until the next redirect (fetch throttling) *)
+  sfb_optimization : bool;
+      (** Section VI-C: predicate short forward branches — the core reads
+          its workload stream through {!Sfb.transform} *)
 }
 
 val default : t
-(** The paper's 4-wide BOOM: 4-wide fetch/decode/commit, 32-entry fetch
-    buffer, 128-entry ROB, 4 ALU + 2 MEM + 2 FP pipes, history replay on. *)
+(** The paper's 4-wide BOOM: 4-wide decode/commit, 32-entry fetch buffer,
+    128-entry ROB, 4 ALU + 2 MEM + 2 FP pipes, history replay on. *)
 
 val spec : t -> string
 (** A stable one-line rendering of every field, used to key the on-disk
     result cache — any field change changes the spec. *)
 
 val rows : t -> (string * string) list
-(** Table II-style description rows. *)
+(** Table II-style description rows. The frontend row gives the default
+    pipeline's fetch width ({!Cobra.Pipeline.default_config}). *)

@@ -50,6 +50,7 @@ type t = {
   ras : Ras.t;
   perf : Perf.t;
   depth : int;
+  width : int;  (* the pipeline's fetch width *)
   mutable cycle : int;
   mutable fetch_pc : int;
   mutable fetch_resume : int;
@@ -60,7 +61,7 @@ type t = {
   fire_scratch : Types.resolved array;
       (* per-fire predicted-outcome slots handed to [Pipeline.fire], which
          copies the records into the history file but never keeps the array
-         itself, so one fetch_width-sized buffer serves every fire *)
+         itself, so one [width]-sized buffer serves every fire *)
   scoreboard : int array;
   alu_busy : int array;
   mem_busy : int array;
@@ -73,19 +74,24 @@ type t = {
          core model does not depend on the stats library *)
 }
 
+(* Return-address stack entries, and consecutive wrong-path packets fetched
+   before the frontend gates itself until the next redirect. *)
+let ras_entries = 16
+let wrong_path_fetch_limit = 16
+
 let create ?(decode = fun _ -> None) cfg pl stream =
-  let pcfg = Pipeline.config pl in
-  if pcfg.Pipeline.fetch_width <> cfg.Config.fetch_width then
-    invalid_arg "Core.create: pipeline and core fetch widths differ";
+  let width = (Pipeline.config pl).Pipeline.fetch_width in
   {
     cfg;
     pl;
     decode;
-    stream = Trace.Window.create stream;
+    stream =
+      Trace.Window.create (if cfg.Config.sfb_optimization then Sfb.transform stream else stream);
     mem = Mem_model.create ();
-    ras = Ras.create ~entries:cfg.Config.ras_entries;
+    ras = Ras.create ~entries:ras_entries;
     perf = Perf.create ();
     depth = Pipeline.depth pl;
+    width;
     cycle = 0;
     fetch_pc = 0;
     fetch_resume = 0;
@@ -93,7 +99,7 @@ let create ?(decode = fun _ -> None) cfg pl stream =
     fb = Queue.create ();
     rob = Cb.create ~capacity:cfg.Config.rob_entries;
     pending_branches = [];
-    fire_scratch = Array.make cfg.Config.fetch_width Types.no_branch;
+    fire_scratch = Array.make width Types.no_branch;
     scoreboard = Array.make 32 0;
     alu_busy = Array.make cfg.Config.int_alus 0;
     mem_busy = Array.make cfg.Config.mem_ports 0;
@@ -166,7 +172,7 @@ let squash_younger_inflight t pkt =
 
 (* --- frontend: fetch ------------------------------------------------------ *)
 
-let slots_to_block_end t pc = t.cfg.Config.fetch_width - ((pc / 4) mod t.cfg.Config.fetch_width)
+let slots_to_block_end t pc = t.width - ((pc / 4) mod t.width)
 
 (* Pull the packet's correct-path contents from the stream; slots past an
    actually-taken branch hold wrong-path block content (Junk). *)
@@ -323,7 +329,7 @@ let opinion_resolved (op : Types.opinion) ~taken ~target =
    acted decision. *)
 let fire_slots t pkt (d : decision) ~comp =
   let slots = t.fire_scratch in
-  for i = 0 to t.cfg.Config.fetch_width - 1 do
+  for i = 0 to t.width - 1 do
     slots.(i) <-
       (if i >= d.d_len || i >= pkt.max_len then Types.no_branch
        else
@@ -445,7 +451,7 @@ let advance_frontend t =
     if
       t.cycle >= t.fetch_resume
       && List.length t.inflight < t.depth + 2
-      && (t.consec_wrong_path < t.cfg.Config.wrong_path_fetch_limit || on_true_path t)
+      && (t.consec_wrong_path < wrong_path_fetch_limit || on_true_path t)
     then fetch_one t;
     let rec process = function
       | [] -> ()
@@ -467,18 +473,17 @@ let advance_frontend t =
             if bits <> Pipeline.applied_dir_bits t.pl pkt.tok then begin
               (* History divergence without a PC change (Section VI-B). *)
               t.perf.Perf.history_divergences <- t.perf.Perf.history_divergences + 1;
-              if t.cfg.Config.repair_history_on_divergence then
-                Pipeline.revise_dir_bits t.pl pkt.tok bits;
+              (match t.cfg.Config.history_divergence with
+              | Config.Ignore -> ()
+              | Config.Repair | Config.Replay -> Pipeline.revise_dir_bits t.pl pkt.tok bits);
               apply_decision pkt d;
-              if
-                t.cfg.Config.repair_history_on_divergence
-                && t.cfg.Config.replay_on_history_divergence
-              then begin
+              match t.cfg.Config.history_divergence with
+              | Config.Ignore | Config.Repair -> ()
+              | Config.Replay ->
                 t.perf.Perf.replays <- t.perf.Perf.replays + 1;
                 squash_younger_inflight t pkt;
                 t.fetch_pc <- d.d_next;
                 t.consec_wrong_path <- 0
-              end
             end
           end
         end;
@@ -665,8 +670,9 @@ let drained t =
 
 let finished t = Trace.Window.peek t.stream = None && drained t
 
-let run ?max_cycles t ~max_insns =
-  let max_cycles = Option.value max_cycles ~default:((20 * max_insns) + 100_000) in
+let run t ~max_insns =
+  (* a safety bound on the simulated time *)
+  let max_cycles = (20 * max_insns) + 100_000 in
   if not t.started then begin
     t.started <- true;
     match Trace.Window.peek t.stream with

@@ -12,9 +12,9 @@
     - later pipeline stages override earlier fetch decisions, squashing the
       packets fetched in the shadow (the bubble cost of slow components);
     - when a late stage revises the packet's history bits without moving the
-      PC, the speculative global history is repaired, and — depending on
-      {!Config.t.replay_on_history_divergence} — fetch is replayed with the
-      corrected history (paper Section VI-B);
+      PC, the speculative global history is left, repaired, or repaired and
+      fetch replayed with the corrected history, as
+      {!Config.t.history_divergence} says (paper Section VI-B);
     - the backend dispatches in order, issues on a dataflow scoreboard with
       functional-unit contention, resolves branches at completion (flushing
       and refetching on mispredicts) and commits in order, driving the
@@ -36,16 +36,20 @@ val create :
   Cobra.Pipeline.t ->
   Cobra_isa.Trace.stream ->
   t
-(** [decode] is the static instruction decode of the program image; when
+(** The core fetches packets as wide as the pipeline's
+    {!Cobra.Pipeline.config} says. With {!Config.t.sfb_optimization} set, it
+    reads the stream through {!Sfb.transform}.
+
+    [decode] is the static instruction decode of the program image; when
     provided, wrong-path packets contain real decoded instructions (kinds,
     static targets, operand timing) instead of opaque placeholders, so
     wrong-path fetch follows static jumps, pushes honest history bits and
     exercises the return-address stack — the misspeculation realism of the
     paper's Section VI-B. *)
 
-val run : ?max_cycles:int -> t -> max_insns:int -> Perf.t
-(** Simulate until [max_insns] instructions commit, the stream ends, or the
-    [max_cycles] safety bound (default [20 * max_insns + 100_000]) is hit. *)
+val run : t -> max_insns:int -> Perf.t
+(** Simulate until [max_insns] instructions commit, the stream ends, or a
+    safety bound of [20 * max_insns + 100_000] cycles is hit. *)
 
 val perf : t -> Perf.t
 

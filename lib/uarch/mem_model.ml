@@ -3,16 +3,14 @@ type latencies = { l1 : int; l2 : int; l3 : int; dram : int }
 let default_latencies = { l1 = 3; l2 = 14; l3 = 38; dram = 130 }
 
 type t = {
-  lat : latencies;
   l1i : Cache.t;
   l1d : Cache.t;
   l2 : Cache.t;
   l3 : Cache.t;
 }
 
-let create ?(latencies = default_latencies) () =
+let create () =
   {
-    lat = latencies;
     l1i = Cache.create ~name:"L1I" ~size_bytes:(32 * 1024) ~ways:8 ~line_bytes:64;
     l1d = Cache.create ~name:"L1D" ~size_bytes:(32 * 1024) ~ways:8 ~line_bytes:64;
     l2 = Cache.create ~name:"L2" ~size_bytes:(512 * 1024) ~ways:8 ~line_bytes:64;
@@ -20,10 +18,11 @@ let create ?(latencies = default_latencies) () =
   }
 
 let hierarchy_latency t ~l1 ~addr =
-  if Cache.access l1 ~addr then t.lat.l1
-  else if Cache.access t.l2 ~addr then t.lat.l2
-  else if Cache.access t.l3 ~addr then t.lat.l3
-  else t.lat.dram
+  let lat = default_latencies in
+  if Cache.access l1 ~addr then lat.l1
+  else if Cache.access t.l2 ~addr then lat.l2
+  else if Cache.access t.l3 ~addr then lat.l3
+  else lat.dram
 
 let load_latency t ~addr = hierarchy_latency t ~l1:t.l1d ~addr
 
@@ -36,4 +35,4 @@ let fetch_latency t ~addr =
   (* Ideal next-line prefetcher (Table II): the following line is resident
      by the time sequential fetch reaches it. *)
   Cache.prefetch t.l1i ~addr:(addr + 64);
-  if lat <= t.lat.l1 then 0 else lat
+  if lat <= default_latencies.l1 then 0 else lat

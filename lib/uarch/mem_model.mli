@@ -14,7 +14,8 @@ val default_latencies : latencies
 
 type t
 
-val create : ?latencies:latencies -> unit -> t
+val create : unit -> t
+(** A cold hierarchy at {!default_latencies}. *)
 
 val load_latency : t -> addr:int -> int
 val store_latency : t -> addr:int -> int

@@ -15,7 +15,7 @@ let shadow_nops ~flag_srcs ~from_pc ~to_pc =
   in
   loop from_pc []
 
-let transform ~max_offset source =
+let transform source =
   let queue = ref [] in
   (* While inside a not-taken hammock shadow, executed instructions gain a
      dependency on the flag. *)
@@ -38,7 +38,7 @@ let transform ~max_offset source =
             false
           | None -> false
         in
-        if Trace.is_short_forward_branch ~max_offset ev then begin
+        if Trace.is_short_forward_branch ev then begin
           let info = Trace.branch_exn ~who:"Sfb.transform" ev in
           let flag = predicated_flag_of ev in
           if info.Trace.taken then begin
@@ -59,5 +59,4 @@ let transform ~max_offset source =
   in
   next
 
-let count_sfbs ~max_offset events =
-  List.length (List.filter (Trace.is_short_forward_branch ~max_offset) events)
+let count_sfbs events = List.length (List.filter Trace.is_short_forward_branch events)

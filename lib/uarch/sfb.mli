@@ -9,7 +9,7 @@
     still consume pipeline bandwidth, and either way the shadow acquires a
     data dependency on the flag. *)
 
-val transform : max_offset:int -> Cobra_isa.Trace.stream -> Cobra_isa.Trace.stream
+val transform : Cobra_isa.Trace.stream -> Cobra_isa.Trace.stream
 
-val count_sfbs : max_offset:int -> Cobra_isa.Trace.event list -> int
+val count_sfbs : Cobra_isa.Trace.event list -> int
 (** How many events of a trace would be predicated (diagnostics). *)

@@ -48,11 +48,11 @@ let dequeue t =
     Some (seq, v)
 
 let drop_newer_than t seq =
-  let keep_until = max t.head (seq + 1) in
+  let keep_until = min t.next (max t.head (seq + 1)) in
   for s = keep_until to t.next - 1 do
     t.data.(slot t s) <- None
   done;
-  t.next <- max t.head keep_until
+  t.next <- keep_until
 
 let iter_from t seq f =
   for s = max seq t.head to t.next - 1 do

@@ -38,7 +38,8 @@ val dequeue : 'a t -> (int * 'a) option
 val drop_newer_than : 'a t -> int -> unit
 (** Squash every entry with sequence number strictly greater than the
     argument. Dropping relative to a dead sequence number empties the
-    buffer only if that number precedes the window. *)
+    buffer if that number precedes the window, and does nothing if it is
+    past the newest entry. *)
 
 val iter_from : 'a t -> int -> (int -> 'a -> unit) -> unit
 (** [iter_from t seq f] visits live entries from [seq] (inclusive, clamped to

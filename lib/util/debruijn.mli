@@ -9,13 +9,10 @@
     equally often). The probe suite, the conformance fuzzer and the
     workload kernels all draw from this one generator. *)
 
-val max_order : int
-(** Largest supported order (20, i.e. a 1Mi-bit sequence). *)
-
 val sequence : order:int -> bool array
 (** The lexicographically-least binary de Bruijn sequence of the given
-    order, length [2^order]. Raises [Invalid_argument] outside
-    [1, max_order]. *)
+    order, length [2^order]. Raises [Invalid_argument] outside [1, 20]
+    (at most a 1Mi-bit sequence). *)
 
 val bit : bool array -> int -> bool
 (** [bit seq i] reads the sequence cyclically (any [i], including

@@ -26,19 +26,3 @@ let stream_of_program ?entry ?(init = fun _ -> ()) program =
   let machine = Machine.create ?entry program in
   init machine;
   Machine.stream machine
-
-let nested_counted_loops ~counters ~trips ~label_prefix ~body =
-  if List.length counters <> List.length trips then
-    invalid_arg "Gen.nested_counted_loops: counters/trips length mismatch";
-  if counters = [] then invalid_arg "Gen.nested_counted_loops: no levels";
-  let rec build i counters trips body =
-    match (counters, trips) with
-    | [], [] -> body
-    | c :: cs, t :: ts ->
-      build (i + 1) cs ts
-        (counted_loop ~counter:c ~trips:t
-           ~label:(Printf.sprintf "%s_l%d" label_prefix i)
-           ~body)
-    | _ -> assert false
-  in
-  build 0 counters trips body

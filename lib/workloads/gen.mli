@@ -21,15 +21,3 @@ val forever : label:string -> body:Program.line list -> Program.line list
 
 val stream_of_program : ?entry:string -> ?init:(Machine.t -> unit) -> Program.t -> Trace.stream
 (** Fresh machine each call, with an optional memory initialiser. *)
-
-val nested_counted_loops :
-  counters:Insn.reg list ->
-  trips:int list ->
-  label_prefix:string ->
-  body:Program.line list ->
-  Program.line list
-(** Counted loops nested around [body], innermost level first: each
-    [(counter, trips)] pair closes one level with its own backward branch.
-    The resulting branch stream interleaves several trip counts at once —
-    the shape that separates a real loop predictor from a lucky counter
-    table. Raises [Invalid_argument] on length mismatch or zero levels. *)

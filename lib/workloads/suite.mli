@@ -12,9 +12,9 @@ type entry = {
 val specint : entry list
 (** The ten SPECint17-named kernels, Fig 10 order. *)
 
-val microbenchmarks : entry list
-(** Dhrystone-like, CoreMark-like and the synthetic kernels. *)
-
 val all : entry list
+(** {!specint}, then Dhrystone-like, CoreMark-like and the synthetic
+    kernels. *)
+
 val find : string -> entry
 (** Raises [Not_found]. *)

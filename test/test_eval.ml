@@ -159,15 +159,11 @@ let test_history_repair_modes_pinned () =
       pin "replays" replays p.Perf.replays)
     [
       ( "none",
-        {
-          Config.default with
-          Config.replay_on_history_divergence = false;
-          repair_history_on_divergence = false;
-        },
+        { Config.default with Config.history_divergence = Config.Ignore },
         false,
         (6345, 426, 426, 1168, 0) );
       ( "repair",
-        { Config.default with Config.replay_on_history_divergence = false },
+        { Config.default with Config.history_divergence = Config.Repair },
         true,
         (6300, 416, 416, 634, 0) );
       ("replay", Config.default, true, (6342, 395, 395, 591, 591));

@@ -125,11 +125,11 @@ let test_ras_handles_deep_call_chains () =
 let test_replay_mode_changes_behaviour () =
   let stream () = (Cobra_workloads.Suite.find "gcc").Cobra_workloads.Suite.make () in
   let with_replay =
-    run ~config:{ Config.default with Config.replay_on_history_divergence = true }
+    run ~config:{ Config.default with Config.history_divergence = Config.Replay }
       Cobra_eval.Designs.tage_l (stream ())
   in
   let without =
-    run ~config:{ Config.default with Config.replay_on_history_divergence = false }
+    run ~config:{ Config.default with Config.history_divergence = Config.Repair }
       Cobra_eval.Designs.tage_l (stream ())
   in
   check Alcotest.bool "replays only counted in replay mode" true
@@ -193,12 +193,19 @@ let test_wrong_path_decode_follows_static_jumps () =
 let test_sfb_transform_end_to_end () =
   let make () = (Cobra_workloads.Suite.find "coremark").Cobra_workloads.Suite.make () in
   let base = run Cobra_eval.Designs.tage_l (make ()) in
-  let sfb =
-    run Cobra_eval.Designs.tage_l (Cobra_uarch.Sfb.transform ~max_offset:32 (make ()))
-  in
+  let sfb = run Cobra_eval.Designs.tage_l (Cobra_uarch.Sfb.transform (make ())) in
   check Alcotest.bool "fewer branches once hammocks are predicated" true
     (sfb.Perf.branches < base.Perf.branches);
-  check Alcotest.bool "fewer mispredicts" true (sfb.Perf.mispredicts <= base.Perf.mispredicts)
+  check Alcotest.bool "fewer mispredicts" true (sfb.Perf.mispredicts <= base.Perf.mispredicts);
+  (* the flag is the transform: the core reads its stream through it *)
+  let flagged =
+    run ~config:{ Config.default with Config.sfb_optimization = true } Cobra_eval.Designs.tage_l
+      (make ())
+  in
+  check
+    Alcotest.(list (pair string int))
+    "sfb_optimization counters = transformed stream's" (Perf.counters sfb)
+    (Perf.counters flagged)
 
 (* --- cross-design determinism / sanity over random kernels -------------------------- *)
 

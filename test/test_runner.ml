@@ -252,10 +252,38 @@ let test_store_sweeps_stale_tmp_files () =
 
 let test_config_specs_are_sensitive () =
   let open Cobra_uarch in
-  check Alcotest.bool "core config spec reflects fields" false
-    (String.equal
-       (Config.spec Config.default)
-       (Config.spec { Config.default with Config.rob_entries = 64 }));
+  (* The spec keys every uarch run's cache entry, so a change to any field
+     must change it. The record pattern names every field: adding a field
+     stops this test compiling until the field gets its variant below. *)
+  let ({ Config.fetch_buffer; decode_width; commit_width; rob_entries; int_alus; mem_ports;
+         fp_units; history_divergence = _; ras_repair; serialize_fetch; sfb_optimization } as
+       d) =
+    Config.default
+  in
+  let divergences =
+    List.map
+      (fun m -> { d with Config.history_divergence = m })
+      [ Config.Ignore; Config.Repair; Config.Replay ]
+  in
+  let configs =
+    List.sort_uniq compare
+      (d :: divergences
+      @ [
+          { d with Config.fetch_buffer = fetch_buffer + 1 };
+          { d with Config.decode_width = decode_width + 1 };
+          { d with Config.commit_width = commit_width + 1 };
+          { d with Config.rob_entries = rob_entries + 1 };
+          { d with Config.int_alus = int_alus + 1 };
+          { d with Config.mem_ports = mem_ports + 1 };
+          { d with Config.fp_units = fp_units + 1 };
+          { d with Config.ras_repair = not ras_repair };
+          { d with Config.serialize_fetch = not serialize_fetch };
+          { d with Config.sfb_optimization = not sfb_optimization };
+        ])
+  in
+  check Alcotest.int "one config per field change and divergence mode" 13 (List.length configs);
+  check Alcotest.int "core config spec reflects every field" (List.length configs)
+    (List.length (List.sort_uniq String.compare (List.map Config.spec configs)));
   let open Cobra in
   check Alcotest.bool "pipeline config spec reflects fields" false
     (String.equal

@@ -89,7 +89,7 @@ let hammock_events ~taken =
   if taken then [ branch; after ] else [ branch; shadow; after ]
 
 let test_sfb_taken_inserts_nops () =
-  let s = Sfb.transform ~max_offset:32 (Trace.of_list (hammock_events ~taken:true)) in
+  let s = Sfb.transform (Trace.of_list (hammock_events ~taken:true)) in
   let out = Trace.take s 10 in
   check Alcotest.int "three events" 3 (List.length out);
   let flag = List.nth out 0 and nop = List.nth out 1 and after = List.nth out 2 in
@@ -102,7 +102,7 @@ let test_sfb_taken_inserts_nops () =
   check Alcotest.int "nop falls through" 0x108 nop.Trace.next_pc
 
 let test_sfb_not_taken_predicates_shadow () =
-  let s = Sfb.transform ~max_offset:32 (Trace.of_list (hammock_events ~taken:false)) in
+  let s = Sfb.transform (Trace.of_list (hammock_events ~taken:false)) in
   let out = Trace.take s 10 in
   check Alcotest.int "three events" 3 (List.length out);
   let shadow = List.nth out 1 in
@@ -116,7 +116,7 @@ let test_sfb_leaves_long_branches () =
       next_pc = 0x400;
     }
   in
-  let s = Sfb.transform ~max_offset:32 (Trace.of_list [ branch ]) in
+  let s = Sfb.transform (Trace.of_list [ branch ]) in
   let out = Trace.take s 5 in
   check Alcotest.bool "still a branch" true ((List.hd out).Trace.branch <> None)
 

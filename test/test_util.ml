@@ -184,7 +184,15 @@ let test_cb_drop_newer () =
   check Alcotest.bool "younger dead" false (Circular_buffer.contains cb (pivot + 1));
   (* the window reopens after a squash *)
   let s = Circular_buffer.enqueue cb 99 in
-  check Alcotest.int "reuses squashed numbers upward" (pivot + 1) s
+  check Alcotest.int "reuses squashed numbers upward" (pivot + 1) s;
+  (* a sequence number past the newest entry drops nothing *)
+  let cb = Circular_buffer.create ~capacity:8 in
+  List.iter (fun i -> ignore (Circular_buffer.enqueue cb i)) [ 10; 11 ];
+  Circular_buffer.drop_newer_than cb 5;
+  check Alcotest.int "length after a drop past the newest" 2 (Circular_buffer.length cb);
+  check Alcotest.bool "no future number is live" false (Circular_buffer.contains cb 3);
+  check Alcotest.int "next number continues the window" 2 (Circular_buffer.enqueue cb 12);
+  check Alcotest.int "newest entry readable" 12 (Circular_buffer.get cb 2)
 
 let test_cb_iter_from () =
   let cb = Circular_buffer.create ~capacity:8 in

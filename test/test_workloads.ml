@@ -63,7 +63,7 @@ let test_x264_mostly_predictable () =
 
 let test_coremark_is_hammock_rich () =
   let events = Trace.take ((Suite.find "coremark").Suite.make ()) 20_000 in
-  let sfbs = Cobra_uarch.Sfb.count_sfbs ~max_offset:32 events in
+  let sfbs = Cobra_uarch.Sfb.count_sfbs events in
   check Alcotest.bool (Printf.sprintf "%d SFBs" sfbs) true (sfbs > 200)
 
 let test_exchange2_loop_structure () =
