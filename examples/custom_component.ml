@@ -53,7 +53,7 @@ let make_gshare ~name ~index_bits ~history_length ~fetch_width =
       end
     done
   in
-  Component.make ~name ~family:Component.Counter_table ~latency:2 ~meta_bits
+  Component.make ~name ~family:Component.Counter_table ~fetch_width ~latency:2 ~meta_bits
     ~storage:(Storage.make ~sram_bits:(entries * 2) ())
     ~predict ~update ()
 

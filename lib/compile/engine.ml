@@ -7,10 +7,8 @@ type t = {
   composer : Composer.t;
   comps : Component.t array;
   depth : int;
-  correction : bool;
-  path_bits : int;
   ghist : Bits.t;  (** history buffers, shifted in place after each step's events *)
-  phist : Bits.t;  (** the pipeline's [max 1 path_bits]-wide path register *)
+  phist : Bits.t;
   lhist : Lhist_provider.t;
   ctx : Context.t;  (** the one context, {!Context.reset} per step *)
   mutable next_token : int;
@@ -31,17 +29,13 @@ let create (cfg : Pipeline.config) topo =
       ~bits:cfg.Pipeline.lhist_bits
   in
   let ghist = Bits.zero cfg.Pipeline.ghist_bits in
-  let phist = Bits.zero (max 1 cfg.Pipeline.path_bits) in
+  let phist = Bits.zero Pipeline.path_bits in
   (* Dead tail slots of the lhist context vector: the replay protocol pins
      live_slots to 1, so slots past 0 read as all-zero history — the same
      value the interpreter's lazy shared dead vector provides. Slot 0 is
      pointed at the branch's table entry every step. *)
   let lhists = Array.make width (Bits.zero cfg.Pipeline.lhist_bits) in
-  let ctx =
-    Context.make ~pc:0 ~fetch_width:width ~live_slots:1 ~ghist ~lhists
-      ~phist:(if cfg.Pipeline.path_bits = 0 then Bits.zero 0 else phist)
-      ()
-  in
+  let ctx = Context.make ~pc:0 ~fetch_width:width ~live_slots:1 ~ghist ~lhists ~phist () in
   let pred_slots = Array.make width Types.no_branch in
   let eff_slots = Array.make width Types.no_branch in
   (* The event records never change: the context, each component's
@@ -54,8 +48,6 @@ let create (cfg : Pipeline.config) topo =
     composer;
     comps = Composer.components composer;
     depth = Composer.depth composer;
-    correction = cfg.Pipeline.predecode_history_correction;
-    path_bits = cfg.Pipeline.path_bits;
     ghist;
     phist;
     lhist;
@@ -90,40 +82,15 @@ let push_direction t ~pc taken =
 
 (* Fused history update: the net effect of predict-time speculation,
    fire-time predecode correction, the mispredict restore (when wrong) and
-   the immediate commit, collapsed per the protocol. Runs after the step's
-   events, which read the predict-time histories through the context. *)
-let update_histories t ~pc ~kind ~taken ~tgt ~taken_pred ~wrong (stages : Types.prediction array) =
-  let is_cond = match kind with Types.Cond -> true | _ -> false in
-  if t.correction then begin
-    (* Predecode rewrites the speculative bits from the true branch
-       positions, and a wrong conditional restores to the actual
-       direction; either way one [b_taken] bit lands per conditional. *)
-    if is_cond then push_direction t ~pc taken;
-    if t.path_bits > 0 && (if wrong then taken else taken_pred) then push_path t tgt
-  end
-  else if wrong then begin
-    (* No predecode correction: a wrong prediction restores from the
-       actual outcome... *)
-    if is_cond then push_direction t ~pc taken;
-    if t.path_bits > 0 && taken then push_path t tgt
-  end
-  else begin
-    (* ...and a right one commits the predict-time speculative bits, read
-       off the Fetch-1 composite's slot-0 opinion, unchanged. *)
-    let op = stages.(0).(0) in
-    let op_branch =
-      match op.Types.o_branch with Some true -> true | Some false | None -> false
-    in
-    let op_condish =
-      match op.Types.o_kind with None | Some Types.Cond -> true | Some _ -> false
-    in
-    let op_taken =
-      match op.Types.o_taken with Some true -> true | Some false | None -> false
-    in
-    if op_branch && op_condish then push_direction t ~pc op_taken;
-    if t.path_bits > 0 && op_branch && op_taken then
-      push_path t (match op.Types.o_target with Some v -> v | None -> 0)
-  end
+   the immediate commit, collapsed per the protocol. Predecode rewrites the
+   speculative bits from the true branch position, and a wrong prediction
+   restores to the actual outcome; a right one predicted that outcome. So
+   one [taken] bit lands per conditional, and a taken branch's target lands
+   in the path history. Runs after the step's events, which read the
+   predict-time histories through the context. *)
+let update_histories t ~pc ~kind ~taken ~tgt =
+  (match kind with Types.Cond -> push_direction t ~pc taken | _ -> ());
+  if taken then push_path t tgt
 
 let step t ~pc ~kind ~taken ~target =
   Context.reset t.ctx ~pc;
@@ -162,7 +129,7 @@ let step t ~pc ~kind ~taken ~target =
   for i = 0 to n - 1 do
     comps.(i).Component.update t.update_evs.(i)
   done;
-  update_histories t ~pc ~kind ~taken ~tgt ~taken_pred ~wrong stages;
+  update_histories t ~pc ~kind ~taken ~tgt;
   t.last_taken_pred <- taken_pred;
   wrong
 

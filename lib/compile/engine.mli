@@ -5,7 +5,7 @@
     the interpreted pipeline and snapshots through the pipeline's slab
     writer and reader; what it adds is the per-branch driver. It implements
     exactly the replay protocol ([Pipeline.predict ~max_len:1],
-    [fire ~packet_len:1], then
+    [fire ~packet_len:1] with predecode correction, then
     [mispredict] or [resolve], then [commit] — one branch per packet, fully
     committed before the next), which lets the whole sequence collapse into
     closed-form history updates:
@@ -13,6 +13,9 @@
     - the pipeline is quiesced between branches, so no pending packet
       shifts the global and path history registers: the speculative
       histories are the registers themselves;
+    - the protocol always corrects at fire, so each history takes the
+      resolved outcome: one direction bit per conditional branch, and one
+      folded target per taken branch;
     - the speculative local-history push and its predecode unwind cancel,
       leaving one net push per conditional branch;
     - the history file holds at most one entry, so the ring buffer reduces

@@ -124,4 +124,4 @@ let make cfg =
       ()
   in
   Component.make ~name:cfg.name ~family:Component.Btb ~latency:cfg.latency ~meta_bits ~storage
-    ~state ~predict ~update ()
+    ~fetch_width:cfg.fetch_width ~state ~predict ~update ()

@@ -92,5 +92,5 @@ let make cfg =
     per_slot 0 fields
   in
   Component.make ~name:cfg.name ~family:Component.Perceptron ~latency:cfg.latency ~meta_bits
-    ~storage:(Storage.make ~sram_bits:(storage_bits cfg) ())
+    ~fetch_width:cfg.fetch_width ~storage:(Storage.make ~sram_bits:(storage_bits cfg) ())
     ~state ~predict ~update ()

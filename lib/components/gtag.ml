@@ -92,4 +92,4 @@ let make cfg =
       ~logic_gates:(cfg.fetch_width * 80) ()
   in
   Component.make ~name:cfg.name ~family:Component.Tagged_table ~latency:cfg.latency ~meta_bits
-    ~storage ~state:(Tagged.state bank) ~predict ~update ()
+    ~fetch_width:cfg.fetch_width ~storage ~state:(Tagged.state bank) ~predict ~update ()

@@ -61,4 +61,4 @@ let make cfg =
       ~logic_gates:(cfg.fetch_width * 40) ()
   in
   Component.make ~name:cfg.name ~family:Component.Counter_table ~latency:cfg.latency
-    ~meta_bits ~storage ~state ~predict ~update ()
+    ~fetch_width:cfg.fetch_width ~meta_bits ~storage ~state ~predict ~update ()

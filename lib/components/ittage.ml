@@ -109,5 +109,6 @@ let make cfg =
     Tagged.sram_bits cfg.tables ~payload_bits:(target_bits + cfg.confidence_bits)
   in
   Component.make ~name:cfg.name ~family:Component.Tagged_table ~latency:cfg.latency ~meta_bits
+    ~fetch_width:cfg.fetch_width
     ~storage:(Storage.make ~sram_bits:storage_bits ~logic_gates:(cfg.fetch_width * ntables * 100) ())
     ~state:(Tagged.state bank) ~predict ~update ()

@@ -193,4 +193,4 @@ let make cfg =
     Storage.make ~sram_bits:(cfg.entries * entry_bits) ~logic_gates:(cfg.fetch_width * 70) ()
   in
   Component.make ~name:cfg.name ~family:Component.Loop ~latency:cfg.latency ~meta_bits ~storage
-    ~state ~predict ~fire ~mispredict ~repair ~update ()
+    ~fetch_width:cfg.fetch_width ~state ~predict ~fire ~mispredict ~repair ~update ()

@@ -82,6 +82,7 @@ let make cfg =
     per_slot 0 fields
   in
   Component.make ~name:cfg.name ~family:Component.Perceptron ~latency:cfg.latency ~meta_bits
+    ~fetch_width:cfg.fetch_width
     ~storage:
       (Storage.make ~sram_bits:((1 lsl cfg.table_bits) * n_weights * cfg.weight_bits) ())
     ~state ~predict ~update ()

@@ -1,7 +1,8 @@
 open Cobra
 
 let always ~name ?(latency = 1) ~taken ~fetch_width () =
-  Component.make ~name ~family:Component.Static ~latency ~meta_bits:0 ~storage:Storage.zero
+  Component.make ~name ~family:Component.Static ~fetch_width ~latency ~meta_bits:0
+    ~storage:Storage.zero
     ~predict:(fun _ctx ~pred_in:_ ~out ~meta:_ ->
       for slot = 0 to fetch_width - 1 do
         out.(slot) <- Types.direction_hint ~taken
@@ -9,7 +10,8 @@ let always ~name ?(latency = 1) ~taken ~fetch_width () =
     ()
 
 let btfn ~name ?(latency = 2) ~fetch_width () =
-  Component.make ~name ~family:Component.Static ~latency ~meta_bits:0 ~storage:Storage.zero
+  Component.make ~name ~family:Component.Static ~fetch_width ~latency ~meta_bits:0
+    ~storage:Storage.zero
     ~predict:(fun ctx ~pred_in ~out ~meta:_ ->
       let base =
         match pred_in with

@@ -84,6 +84,7 @@ let make cfg =
     per_slot 0 fields
   in
   Component.make ~name:cfg.name ~family:Component.Corrector ~latency:cfg.latency ~meta_bits
+    ~fetch_width:cfg.fetch_width
     ~storage:
       (Storage.make ~sram_bits:((1 lsl cfg.index_bits) * (cfg.counter_bits + 1)) ())
     ~state ~predict ~update ()

@@ -94,4 +94,4 @@ let make cfg =
       ~logic_gates:(cfg.fetch_width * 50) ()
   in
   Component.make ~name:cfg.name ~family:Component.Selector ~latency:cfg.latency ~meta_bits
-    ~storage ~state ~predict ~update ()
+    ~fetch_width:cfg.fetch_width ~storage ~state ~predict ~update ()

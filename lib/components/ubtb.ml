@@ -157,4 +157,4 @@ let make cfg =
       ()
   in
   Component.make ~name:cfg.name ~family:Component.Micro_btb ~latency:1 ~meta_bits ~storage
-    ~state ~predict ~update ()
+    ~fetch_width:cfg.fetch_width ~state ~predict ~update ()

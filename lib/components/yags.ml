@@ -117,7 +117,7 @@ let make cfg =
     2 * (1 lsl cfg.cache_bits) * (1 + cfg.tag_bits + cfg.counter_bits)
   in
   Component.make ~name:cfg.name ~family:Component.Tagged_table ~latency:cfg.latency
-    ~meta_bits
+    ~fetch_width:cfg.fetch_width ~meta_bits
     ~storage:
       (Storage.make
          ~sram_bits:(((1 lsl cfg.choice_bits) * cfg.counter_bits) + cache_bits_total)

@@ -1568,7 +1568,8 @@ let to_component (P { model; make_real; _ }) =
   let name = real.Component.name in
   let state = ref model.init in
   Component.make ~name ~family:real.Component.family
-    ~latency:real.Component.latency ~meta_bits:real.Component.meta_bits
+    ~fetch_width:real.Component.fetch_width ~latency:real.Component.latency
+    ~meta_bits:real.Component.meta_bits
     ~storage:real.Component.storage
     ~predict:(fun ctx ~pred_in ~out ~meta ->
       let pred, m = model.predict !state ctx ~pred_in in

@@ -53,6 +53,7 @@ let pp_family ppf f =
 type t = {
   name : string;
   family : family;
+  fetch_width : int;
   latency : int;
   meta_bits : int;
   storage : Storage.t;
@@ -71,14 +72,28 @@ type t = {
 
 let no_op (_ : event) = ()
 
-let make ~name ~family ~latency ~meta_bits ~storage ?(state = Cobra_util.Slab.empty)
-    ~predict ?(fire = no_op) ?(mispredict = no_op) ?(repair = no_op) ?(update = no_op) () =
+let make ~name ~family ~fetch_width ~latency ~meta_bits ~storage
+    ?(state = Cobra_util.Slab.empty) ~predict ?(fire = no_op) ?(mispredict = no_op)
+    ?(repair = no_op) ?(update = no_op) () =
   if latency < 1 then
     invalid_arg
       (Printf.sprintf "Component.make %s: latency %d < 1 (histories arrive at Fetch-1)" name
          latency);
   if meta_bits < 0 then invalid_arg (Printf.sprintf "Component.make %s: negative meta_bits" name);
-  { name; family; latency; meta_bits; storage; state; predict; fire; mispredict; repair; update }
+  {
+    name;
+    family;
+    fetch_width;
+    latency;
+    meta_bits;
+    storage;
+    state;
+    predict;
+    fire;
+    mispredict;
+    repair;
+    update;
+  }
 
 let label t = Printf.sprintf "%s_%d" t.name t.latency
 

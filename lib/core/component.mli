@@ -79,6 +79,10 @@ val pp_family : Format.formatter -> family -> unit
 type t = private {
   name : string;
   family : family;
+  fetch_width : int;
+      (** slots per packet the component was built for: its configuration's
+          [fetch_width]. {!Composer.create} refuses a component whose width
+          is not the pipeline's. *)
   latency : int;
   meta_bits : int;
   storage : Storage.t;
@@ -100,6 +104,7 @@ type t = private {
 val make :
   name:string ->
   family:family ->
+  fetch_width:int ->
   latency:int ->
   meta_bits:int ->
   storage:Storage.t ->
@@ -116,7 +121,9 @@ val make :
   ?update:(event -> unit) ->
   unit ->
   t
-(** Build a component. Unused events default to no-ops — implementations
+(** Build a component. [fetch_width] is the packet width the component
+    predicts for, its configuration's own; a pipeline of another width
+    refuses it. Unused events default to no-ops — implementations
     "may choose to use and ignore arbitrary subsets of these five signals".
     [state] is the component's flat state slab; handlers must close over it
     (and nothing else mutable) so that {!snapshot}/{!restore} capture the

@@ -35,6 +35,13 @@ let create ~fetch_width topo =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Composer.create: invalid topology: " ^ msg));
   let comps = Array.of_list (Topology.components topo) in
+  Array.iter
+    (fun (c : Component.t) ->
+      if c.fetch_width <> fetch_width then
+        invalid_arg
+          (Printf.sprintf "Composer.create: component %s is built for fetch width %d, not %d"
+             c.name c.fetch_width fetch_width))
+    comps;
   let depth = Topology.max_latency topo in
   let id_of c =
     let rec find i = if comps.(i) == c then i else find (i + 1) in

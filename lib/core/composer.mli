@@ -25,8 +25,10 @@
 type t
 
 val create : fetch_width:int -> Topology.t -> t
-(** Raises [Invalid_argument] when [fetch_width < 1] or the topology fails
-    {!Topology.validate}. *)
+(** Raises [Invalid_argument] when [fetch_width < 1], the topology fails
+    {!Topology.validate}, or a component was built for another fetch width
+    (naming the component and both widths): it would leave slots
+    unpredicted, or write past the packet. *)
 
 val eval : t -> Context.t -> Types.prediction array
 (** Run every component's [predict] on [ctx] and return the root's

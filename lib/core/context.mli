@@ -43,7 +43,8 @@ type t = {
   phist : Cobra_util.Bits.t;
       (** speculative path history: folded target bits of recent taken
           branches (paper IV-B3's "other variants of history information");
-          width 0 when the design has no path history ([path_bits = 0]) *)
+          {!Pipeline.path_bits} wide in both engines, width 0 in a context
+          built without one ({!make}'s default) *)
   mutable memo_keys : int array;  (** see {!folded_ghist} — managed internally *)
   mutable memo_vals : int array;
   mutable memo_count : int;

@@ -5,26 +5,16 @@ type config = {
   ghist_bits : int;
   lhist_bits : int;
   lhist_entries : int;
-  history_entries : int;
-  path_bits : int;
-  predecode_history_correction : bool;
 }
 
-let default_config =
-  {
-    fetch_width = 4;
-    ghist_bits = 64;
-    lhist_bits = 32;
-    lhist_entries = 256;
-    history_entries = 32;
-    path_bits = 16;
-    predecode_history_correction = true;
-  }
+let history_entries = 32
+let path_bits = 16
+
+let default_config = { fetch_width = 4; ghist_bits = 64; lhist_bits = 32; lhist_entries = 256 }
 
 let config_spec c =
-  Printf.sprintf "fw=%d;gh=%d;lh=%d;lhe=%d;hf=%d;path=%d;predecode=%b" c.fetch_width
-    c.ghist_bits c.lhist_bits c.lhist_entries c.history_entries c.path_bits
-    c.predecode_history_correction
+  Printf.sprintf "fw=%d;gh=%d;lh=%d;lhe=%d" c.fetch_width c.ghist_bits c.lhist_bits
+    c.lhist_entries
 
 let check_config c =
   let refuse field value rule =
@@ -34,9 +24,7 @@ let check_config c =
   if c.ghist_bits < 1 then refuse "ghist_bits" c.ghist_bits ">= 1";
   if c.lhist_bits < 1 then refuse "lhist_bits" c.lhist_bits ">= 1";
   if not (Cobra_util.Bitops.is_power_of_two c.lhist_entries) then
-    refuse "lhist_entries" c.lhist_entries "a power of two";
-  if c.history_entries < 1 then refuse "history_entries" c.history_entries ">= 1";
-  if c.path_bits < 0 then refuse "path_bits" c.path_bits ">= 0"
+    refuse "lhist_entries" c.lhist_entries "a power of two"
 
 type token = int
 
@@ -65,7 +53,7 @@ type t = {
   comps : Component.t array;
   depth : int;
   ghist : Bits.t;  (* global history through the last fired packet, shifted in place *)
-  phist : Bits.t;  (* path history likewise, [max 1 path_bits] wide *)
+  phist : Bits.t;  (* path history likewise *)
   lhist : Lhist_provider.t;
   lhist_zero : Bits.t;  (* what a dead slot's local history reads *)
   hf : History_file.t;
@@ -90,11 +78,11 @@ let create cfg topo =
     comps;
     depth = Composer.depth composer;
     ghist = Bits.zero cfg.ghist_bits;
-    phist = Bits.zero (max 1 cfg.path_bits);
+    phist = Bits.zero path_bits;
     lhist = Lhist_provider.create ~entries:cfg.lhist_entries ~bits:cfg.lhist_bits;
     lhist_zero = Bits.zero cfg.lhist_bits;
     hf =
-      History_file.create ~capacity:cfg.history_entries ~meta_bits ~fetch_width:cfg.fetch_width
+      History_file.create ~capacity:history_entries ~meta_bits ~fetch_width:cfg.fetch_width
         ~ghist_bits:cfg.ghist_bits ~lhist_bits:cfg.lhist_bits;
     pending = [||];
     n_pending = 0;
@@ -122,7 +110,7 @@ let management_storage t =
     [
       History_file.storage t.hf;
       (* the global and path history registers *)
-      Storage.make ~flop_bits:(t.cfg.ghist_bits + t.cfg.path_bits) ();
+      Storage.make ~flop_bits:(t.cfg.ghist_bits + path_bits) ();
       Lhist_provider.storage t.lhist;
       Storage.make ~logic_gates:(redirect_logic_gates t) ();
     ]
@@ -143,7 +131,7 @@ let new_record t : History_file.entry =
   let ctx =
     Context.make ~pc:0 ~fetch_width:fw ~ghist:(Bits.zero t.cfg.ghist_bits)
       ~lhists:(Array.init fw (fun _ -> Bits.zero t.cfg.lhist_bits))
-      ~phist:(Bits.zero t.cfg.path_bits) ()
+      ~phist:(Bits.zero path_bits) ()
   in
   let metas = Array.map (fun (c : Component.t) -> Bits.zero c.meta_bits) t.comps in
   let predicted = Array.make fw Types.no_branch in
@@ -230,9 +218,7 @@ let rec path_find_slot (slots : Types.resolved array) len i =
     let r = slots.(i) in
     if r.r_is_branch && r.r_taken then path_fold r.r_target else path_find_slot slots len (i + 1)
 
-let path_of_slots t slots ~packet_len =
-  if t.cfg.path_bits = 0 then -1
-  else path_find_slot slots (min packet_len (Array.length slots)) 0
+let path_of_slots slots ~packet_len = path_find_slot slots (min packet_len (Array.length slots)) 0
 
 (* The path implied by a stage composite at predict time: the first slot
    predicted as a taken branch, read straight off the opinions (what
@@ -248,8 +234,8 @@ let rec path_find_op (pred : Types.prediction) len i =
     then path_fold (match op.Types.o_target with Some tgt -> tgt | None -> 0)
     else path_find_op pred len (i + 1)
 
-let path_of_prediction t (pred : Types.prediction) ~packet_len =
-  if t.cfg.path_bits = 0 then -1 else path_find_op pred (min packet_len (Array.length pred)) 0
+let path_of_prediction (pred : Types.prediction) ~packet_len =
+  path_find_op pred (min packet_len (Array.length pred)) 0
 
 (* Direction bits implied by per-slot outcomes: one bit per conditional
    branch, stopping after the first taken slot. *)
@@ -333,7 +319,7 @@ let predict t ~pc ~max_len =
   Context.reset ctx ~pc;
   ctx.live_slots <- max_len;
   speculate t ~reg:t.ghist ~dst:ctx.ghist shift_dir_bits;
-  if t.cfg.path_bits > 0 then speculate t ~reg:t.phist ~dst:ctx.phist shift_path;
+  speculate t ~reg:t.phist ~dst:ctx.phist shift_path;
   (* The composer's buffers are overwritten by the next predict: the record
      keeps copies of its rows and metadata, and of the raw opinions only
      while an observer is attached. A recycled record's row usually holds
@@ -363,7 +349,7 @@ let predict t ~pc ~max_len =
   e.e_token <- token;
   e.e_packet_len <- 0;
   e.e_dir_len <- Types.direction_bits_into stage1 ~packet_len e.e_dir_bits;
-  e.e_path <- path_of_prediction t stage1 ~packet_len;
+  e.e_path <- path_of_prediction stage1 ~packet_len;
   e.e_lhist_len <- 0;
   push_lhists_of_prediction t e ~pc ~packet_len stage1;
   push_pending t e;
@@ -411,7 +397,7 @@ let squash_all_pending t =
 
 let can_fire t = not (History_file.is_full t.hf)
 
-let fire t token ~slots ~packet_len =
+let fire ?(correct = true) t token ~slots ~packet_len =
   let e =
     if t.n_pending > 0 && t.pending.(0).History_file.e_token = token then t.pending.(0)
     else invalid_arg "Pipeline.fire: token must be the oldest pending packet"
@@ -423,10 +409,10 @@ let fire t token ~slots ~packet_len =
   (* Predecode correction: the host now knows the true branch positions, so
      the packet's speculative history bits — global, path and local — are
      recomputed from them, with directions from the acted prediction
-     (unless the configuration models a design without this correction). *)
-  if t.cfg.predecode_history_correction then begin
+     (unless the host models a design without this correction). *)
+  if correct then begin
     set_dir_bits_of_slots e slots ~packet_len;
-    e.e_path <- path_of_slots t slots ~packet_len;
+    e.e_path <- path_of_slots slots ~packet_len;
     unwind_lhist t e;
     push_lhists_of_slots t e slots ~packet_len
   end;
@@ -504,15 +490,13 @@ let mispredict t ~seq ~slot resolved =
   set_effective t entry;
   let packet_len = entry.e_packet_len in
   set_dir_bits_of_slots entry entry.e_effective ~packet_len;
-  entry.e_path <- path_of_slots t entry.e_effective ~packet_len;
+  entry.e_path <- path_of_slots entry.e_effective ~packet_len;
   unwind_lhist t entry;
   push_lhists_of_slots t entry entry.e_effective ~packet_len;
   Bits.blit ~src:entry.e_ctx.Context.ghist ~dst:t.ghist;
   shift_dir_bits t.ghist entry;
-  if t.cfg.path_bits > 0 then begin
-    Bits.blit ~src:entry.e_ctx.Context.phist ~dst:t.phist;
-    shift_path t.phist entry
-  end
+  Bits.blit ~src:entry.e_ctx.Context.phist ~dst:t.phist;
+  shift_path t.phist entry
 
 let commit t =
   if History_file.length t.hf = 0 then invalid_arg "Pipeline.commit: history file empty";
@@ -551,7 +535,7 @@ let entry t seq = History_file.get t.hf seq
    Layout (cells):
      [0]                          next_token
      [1 .. ]                      ghist limbs        (Bits.limbs_for ghist_bits)
-     then                         path  limbs        (Bits.limbs_for (max 1 path_bits))
+     then                         path  limbs        (Bits.limbs_for path_bits)
      then, per lhist entry        its history limbs  (Bits.limbs_for lhist_bits)
      then, per component in order its state slab     (Component.state_cells)
 
@@ -568,7 +552,7 @@ let slab_cells cfg comps =
   Array.fold_left
     (fun acc c -> acc + Component.state_cells c)
     (1 + Bits.limbs_for cfg.ghist_bits
-    + Bits.limbs_for (max 1 cfg.path_bits)
+    + Bits.limbs_for path_bits
     + (cfg.lhist_entries * Bits.limbs_for cfg.lhist_bits))
     comps
 

@@ -53,30 +53,34 @@ type config = {
   ghist_bits : int;  (** global history register width *)
   lhist_bits : int;  (** per-entry local history width *)
   lhist_entries : int;  (** local history table entries (power of two) *)
-  history_entries : int;  (** history file capacity (in-flight packets) *)
-  path_bits : int;
-      (** path-history register width (0 disables it); each taken branch
-          shifts in {!path_bits_per_branch} folded target bits *)
-  predecode_history_correction : bool;
-      (** recompute a packet's speculative history bits from the decoded
-          branch positions when it fires (default). Disabling leaves the
-          Fetch-1 guess in the history — the cheap design the paper's
-          Section VI-B experiment improves upon. *)
 }
+(** The four choices that designs make differently. The rest of the
+    management structures are sized alike for every design: see
+    {!history_entries} and {!path_bits}. *)
+
+val history_entries : int
+(** History file capacity: 32 fired packets. {!can_fire} is false while
+    the history file holds that many. *)
+
+val path_bits : int
+(** Path-history register width: 16. Each taken branch shifts in
+    {!path_bits_per_branch} folded target bits. *)
+
+val path_bits_per_branch : int
+(** Folded target bits shifted into the path history per taken branch. *)
 
 val config_spec : config -> string
 (** A stable one-line rendering of every field, used to key the on-disk
     result cache. *)
 
 val default_config : config
-(** 4-wide fetch, 64-bit global history, 256 x 32-bit local histories,
-    32-entry history file. *)
+(** 4-wide fetch, 64-bit global history, 256 x 32-bit local histories. *)
 
 val check_config : config -> unit
 (** The one configuration check both engines run. Raises
     [Invalid_argument], naming the field and its value, when [fetch_width],
-    [ghist_bits], [lhist_bits] or [history_entries] is below 1, [path_bits]
-    is negative, or [lhist_entries] is not a power of two. *)
+    [ghist_bits] or [lhist_bits] is below 1, or [lhist_entries] is not a
+    power of two. *)
 
 type t
 
@@ -85,7 +89,9 @@ type token
 
 val create : config -> Topology.t -> t
 (** Raises [Invalid_argument] when the configuration fails {!check_config}
-    or the topology fails {!Topology.validate}. *)
+    or {!Composer.create} refuses the topology: it fails
+    {!Topology.validate}, or a component was built for another fetch
+    width. *)
 
 val config : t -> config
 val topology : t -> Topology.t
@@ -136,13 +142,22 @@ val squash_all_pending : t -> unit
 val can_fire : t -> bool
 (** False when the history file is full (fetch must backpressure). *)
 
-val fire : t -> token -> slots:Types.resolved array -> packet_len:int -> int
+val fire :
+  ?correct:bool -> t -> token -> slots:Types.resolved array -> packet_len:int -> int
 (** Move the packet into the history file, shift its bits into the history
     registers and deliver [fire] events.
     [slots] carries the {e predicted} outcome per slot, with [r_is_branch]
     corrected by predecode (the host knows the real instruction kinds by the
     end of the fetch pipeline). [token] must be the oldest pending packet.
-    Returns the history-file sequence number. *)
+    Returns the history-file sequence number.
+
+    With [correct] (the default), predecode correction recomputes the
+    packet's speculative history bits — global, path and local — from the
+    true branch positions in [slots], with the directions of the acted
+    prediction. [~correct:false] leaves the Fetch-1 composite's bits (or
+    those {!revise_dir_bits} set) in the histories: the design without
+    predecode correction, "none" in the paper's Section VI-B
+    experiment. *)
 
 (** {1 Backend side} *)
 
@@ -228,9 +243,9 @@ val restore : t -> Cobra_util.Slab.t -> unit
     The one writer and reader of the snapshot layout, shared with the
     compiled engine so that slabs interchange between the two. The
     management prefix is sized from the configuration: next token, then
-    the limbs of [ghist] ([ghist_bits] wide), [path]
-    ([max 1 path_bits] wide) and every local-history entry, then each
-    component's state slab in order. *)
+    the limbs of [ghist] ([ghist_bits] wide), [path] ({!path_bits} wide)
+    and every local-history entry, then each component's state slab in
+    order. *)
 
 val write_slab :
   config ->
@@ -263,13 +278,10 @@ val ghist_value : t -> Cobra_util.Bits.t
     fresh copy (the register itself shifts in place). *)
 
 val phist_value : t -> Cobra_util.Bits.t
-(** Likewise for the path history register ([max 1 path_bits] wide). *)
+(** Likewise for the path history register ({!path_bits} wide). *)
 
 val lhist_value : t -> pc:int -> Cobra_util.Bits.t
 (** A copy of [pc]'s local-history entry. *)
-
-(** Folded target bits shifted into the path history per taken branch. *)
-val path_bits_per_branch : int
 
 val entry : t -> int -> History_file.entry
 (** The history-file record of sequence number [seq], valid until its

@@ -93,17 +93,7 @@ let history_repair ?insns () =
      - replay: repairing also replays fetch (the paper's alternate). *)
   let jobs mode =
     let config = { Config.default with Config.history_divergence = mode } in
-    let pipeline_config =
-      match mode with
-      | Config.Ignore ->
-        {
-          Designs.tage_l.Designs.pipeline_config with
-          Cobra.Pipeline.predecode_history_correction = false;
-        }
-      | Config.Repair | Config.Replay -> Designs.tage_l.Designs.pipeline_config
-    in
-    List.map (fun w -> Experiment.job ?insns ~config ~pipeline_config Designs.tage_l w)
-      workloads
+    List.map (fun w -> Experiment.job ?insns ~config Designs.tage_l w) workloads
   in
   let dhry_job mode =
     Experiment.job ?insns

@@ -44,9 +44,6 @@ let tourney =
         ghist_bits = 32;
         lhist_bits = 32;
         lhist_entries = 256;
-        history_entries = 32;
-        path_bits = 16;
-    predecode_history_correction = true;
       };
   }
 
@@ -79,9 +76,6 @@ let b2 =
         ghist_bits = 16;
         lhist_bits = 8;
         lhist_entries = 16;
-        history_entries = 32;
-        path_bits = 16;
-    predecode_history_correction = true;
       };
   }
 
@@ -126,9 +120,6 @@ let make_tage_l ~tage_latency =
         ghist_bits = 64;
         lhist_bits = 8;
         lhist_entries = 16;
-        history_entries = 32;
-        path_bits = 16;
-    predecode_history_correction = true;
       };
   }
 
@@ -157,9 +148,6 @@ let gshare_only =
         ghist_bits = 32;
         lhist_bits = 8;
         lhist_entries = 16;
-        history_entries = 32;
-        path_bits = 16;
-        predecode_history_correction = true;
       };
   }
 

@@ -6,20 +6,18 @@ type result = {
 
 let default_insns () = Cobra_util.Env.int_var ~min:1 "COBRA_INSNS" ~default:100_000
 
-let elaborate ?(config = Cobra_uarch.Config.default) ?pipeline_config (design : Designs.t)
+let elaborate ?(config = Cobra_uarch.Config.default) (design : Designs.t)
     (workload : Cobra_workloads.Suite.entry) =
-  let pcfg = Option.value pipeline_config ~default:design.Designs.pipeline_config in
-  let pl = Cobra.Pipeline.create pcfg (design.Designs.make ()) in
+  let pl = Cobra.Pipeline.create design.Designs.pipeline_config (design.Designs.make ()) in
   let core =
     Cobra_uarch.Core.create ?decode:workload.Cobra_workloads.Suite.decode config pl
       (workload.Cobra_workloads.Suite.make ())
   in
   (pl, core)
 
-let run_with_stats ?insns ?config ?pipeline_config (design : Designs.t)
-    (workload : Cobra_workloads.Suite.entry) =
+let run_with_stats ?insns ?config (design : Designs.t) (workload : Cobra_workloads.Suite.entry) =
   let insns = match insns with Some n -> n | None -> default_insns () in
-  let pl, core = elaborate ?config ?pipeline_config design workload in
+  let pl, core = elaborate ?config design workload in
   let coll =
     Cobra_stats.Collector.create ~interval_width:(Cobra_stats.Env.interval ()) pl
   in
@@ -42,31 +40,23 @@ let run_with_stats ?insns ?config ?pipeline_config (design : Designs.t)
   ( { design = design.Designs.name; workload = workload.Cobra_workloads.Suite.name; perf },
     report )
 
-(* The ["k=v"] fields of a [;]-separated spec that differ from [default]'s. *)
-let spec_diff spec ~default =
-  let base = String.split_on_char ';' default in
-  List.filter (fun field -> not (List.mem field base)) (String.split_on_char ';' spec)
-
 (* What sets a run apart from its design at its defaults, for naming its
-   statistics export: the core and pipeline configuration fields that
-   differ from the defaults. Empty at the defaults, which keeps the plain
-   [<design>__<workload>] name. *)
-let variant ~config ~pipeline_config (design : Designs.t) =
+   statistics export: the ["k=v"] fields of the core configuration's spec
+   that differ from the default's. Empty at the defaults, which keeps the
+   plain [<design>__<workload>] name. *)
+let variant config =
+  let base = String.split_on_char ';' (Cobra_uarch.Config.spec Cobra_uarch.Config.default) in
   String.concat "+"
-    (spec_diff (Cobra_uarch.Config.spec config)
-       ~default:(Cobra_uarch.Config.spec Cobra_uarch.Config.default)
-    @ (match pipeline_config with
-      | None -> []
-      | Some p ->
-        spec_diff (Cobra.Pipeline.config_spec p)
-          ~default:(Cobra.Pipeline.config_spec design.Designs.pipeline_config)))
+    (List.filter
+       (fun field -> not (List.mem field base))
+       (String.split_on_char ';' (Cobra_uarch.Config.spec config)))
 
-let run ?insns ?(config = Cobra_uarch.Config.default) ?pipeline_config (design : Designs.t)
+let run ?insns ?(config = Cobra_uarch.Config.default) (design : Designs.t)
     (workload : Cobra_workloads.Suite.entry) =
   let insns = match insns with Some n -> n | None -> default_insns () in
   if Cobra_stats.Env.enabled () then begin
-    let result, report = run_with_stats ~insns ~config ?pipeline_config design workload in
-    let variant = variant ~config ~pipeline_config design in
+    let result, report = run_with_stats ~insns ~config design workload in
+    let variant = variant config in
     (try ignore (Cobra_stats.Export.write ~variant ~dir:(Cobra_stats.Env.dir ()) report)
      with Sys_error _ | Unix.Unix_error _ -> ());
     Cobra_stats.Sink.publish report;
@@ -74,7 +64,7 @@ let run ?insns ?(config = Cobra_uarch.Config.default) ?pipeline_config (design :
   end
   else begin
     (* stats disabled: the collection machinery is never elaborated *)
-    let _pl, core = elaborate ~config ?pipeline_config design workload in
+    let _pl, core = elaborate ~config design workload in
     let perf = Cobra_uarch.Core.run core ~max_insns:insns in
     { design = design.Designs.name; workload = workload.Cobra_workloads.Suite.name; perf }
   end
@@ -86,18 +76,11 @@ type job = {
   job_workload : Cobra_workloads.Suite.entry;
   job_insns : int;
   job_config : Cobra_uarch.Config.t;
-  job_pipeline_config : Cobra.Pipeline.config option;
 }
 
-let job ?insns ?(config = Cobra_uarch.Config.default) ?pipeline_config design workload =
+let job ?insns ?(config = Cobra_uarch.Config.default) design workload =
   let insns = match insns with Some n -> n | None -> default_insns () in
-  {
-    job_design = design;
-    job_workload = workload;
-    job_insns = insns;
-    job_config = config;
-    job_pipeline_config = pipeline_config;
-  }
+  { job_design = design; job_workload = workload; job_insns = insns; job_config = config }
 
 let job_key j =
   [
@@ -105,10 +88,7 @@ let job_key j =
     "topology:" ^ Cobra.Topology.spec (j.job_design.Designs.make ());
     "workload:" ^ j.job_workload.Cobra_workloads.Suite.name;
     "config:" ^ Cobra_uarch.Config.spec j.job_config;
-    "pipeline:"
-    ^ Cobra.Pipeline.config_spec
-        (Option.value j.job_pipeline_config
-           ~default:j.job_design.Designs.pipeline_config);
+    "pipeline:" ^ Cobra.Pipeline.config_spec j.job_design.Designs.pipeline_config;
     "insns:" ^ string_of_int j.job_insns;
   ]
 
@@ -117,9 +97,7 @@ let to_runner_job j =
     Cobra_runner.key = job_key j;
     run =
       (fun () ->
-        (run ~insns:j.job_insns ~config:j.job_config ?pipeline_config:j.job_pipeline_config
-           j.job_design j.job_workload)
-          .perf);
+        (run ~insns:j.job_insns ~config:j.job_config j.job_design j.job_workload).perf);
   }
 
 let run_jobs_results ?label jobs =

@@ -23,7 +23,6 @@ val default_insns : unit -> int
 val run :
   ?insns:int ->
   ?config:Cobra_uarch.Config.t ->
-  ?pipeline_config:Cobra.Pipeline.config ->
   Designs.t ->
   Cobra_workloads.Suite.entry ->
   result
@@ -33,16 +32,16 @@ val run :
     {!Cobra_stats.Sink} (the parallel runner forwards it into its telemetry
     stream). With stats disabled no collection machinery is elaborated.
 
-    The export is named [<design>__<workload>] at the design's defaults;
-    otherwise [<design>__<workload>__<variant>], where the variant lists
-    the core and pipeline configuration fields that differ from the
-    defaults, so runs that differ only there do not overwrite each
-    other's reports. *)
+    The pipeline is the design's own ([Designs.t]'s [pipeline_config]);
+    the core configuration is the only per-run choice. The export is named
+    [<design>__<workload>] at the core's defaults; otherwise
+    [<design>__<workload>__<variant>], where the variant lists the core
+    configuration fields that differ from the defaults, so runs that
+    differ only there do not overwrite each other's reports. *)
 
 val run_with_stats :
   ?insns:int ->
   ?config:Cobra_uarch.Config.t ->
-  ?pipeline_config:Cobra.Pipeline.config ->
   Designs.t ->
   Cobra_workloads.Suite.entry ->
   result * Cobra_stats.Report.t
@@ -57,12 +56,12 @@ type job
 val job :
   ?insns:int ->
   ?config:Cobra_uarch.Config.t ->
-  ?pipeline_config:Cobra.Pipeline.config ->
   Designs.t ->
   Cobra_workloads.Suite.entry ->
   job
-(** The job's cache key covers the design's topology, the workload, both
-    configurations and the instruction budget. *)
+(** The job's cache key covers the design's topology and pipeline
+    configuration, the workload, the core configuration and the
+    instruction budget. *)
 
 val run_jobs : ?label:string -> job list -> result list
 (** Run a grid through the pool + cache, results in submission order. A

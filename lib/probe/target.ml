@@ -33,9 +33,6 @@ let std_config =
     ghist_bits = 64;
     lhist_bits = 16;
     lhist_entries = 64;
-    history_entries = 32;
-    path_bits = 16;
-    predecode_history_correction = true;
   }
 
 let fw = 4

@@ -15,7 +15,9 @@
 type history_divergence =
   | Ignore
       (** no management: the history register keeps the earlier stage's
-          bits (the VI-B ablation's worst case) *)
+          bits, and each packet fires with its Fetch-1 bits in place
+          ([Pipeline.fire ~correct:false]: no predecode correction) — the
+          VI-B ablation's worst case *)
   | Repair  (** repair the history register; in-flight predictions stand *)
   | Replay  (** repair, then replay fetch with the corrected history *)
 

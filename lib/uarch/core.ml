@@ -400,7 +400,15 @@ let try_fire t pkt =
     end;
     let comp = (Pipeline.stages t.pl pkt.tok).(t.depth - 1) in
     let slots = fire_slots t pkt d ~comp in
-    let seq = Pipeline.fire t.pl pkt.tok ~slots ~packet_len:(max 1 d.d_len) in
+    let packet_len = max 1 d.d_len in
+    (* Without history management (VI-B's "none") the packet's Fetch-1
+       bits stay in the history. Each arm passes a constant, so no fire
+       allocates an option. *)
+    let seq =
+      match t.cfg.Config.history_divergence with
+      | Config.Ignore -> Pipeline.fire ~correct:false t.pl pkt.tok ~slots ~packet_len
+      | Config.Repair | Config.Replay -> Pipeline.fire t.pl pkt.tok ~slots ~packet_len
+    in
     update_ras t pkt d ~comp;
     let ras_snap = Ras.checkpoint t.ras in
     for i = 0 to d.d_len - 1 do

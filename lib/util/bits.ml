@@ -155,11 +155,6 @@ let concat ~hi ~lo =
   done;
   !r
 
-let logxor a b =
-  if a.w <> b.w then invalid_arg "Bits.logxor: width mismatch";
-  let limbs = Array.mapi (fun i v -> v lxor b.limbs.(i)) a.limbs in
-  { a with limbs }
-
 let fold_xor_sub t ~len n =
   if n < 1 || n > limb_bits then invalid_arg "Bits.fold_xor: bits out of [1,62]";
   let len = if len < t.w then len else t.w in

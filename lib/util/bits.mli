@@ -74,9 +74,6 @@ val extract_int : t -> lo:int -> len:int -> int
 val concat : hi:t -> lo:t -> t
 (** [concat ~hi ~lo] places [hi] above [lo]; width is the sum. *)
 
-val logxor : t -> t -> t
-(** Bitwise xor; widths must match. *)
-
 val fold_xor : t -> int -> int
 (** [fold_xor t n] xor-folds the whole vector into an [n]-bit integer
     ([1 <= n <= 62]) — the classic history-compression function. *)

@@ -2,9 +2,8 @@
    suites:
 
    - a seeded property over {e random} well-formed topology specs (random
-     component subsets and arbitration orders, random geometry knobs,
-     including path_bits = 0 and predecode correction off) and over
-     streams with unknown targets: the compiled engine must agree with the
+     component subsets and arbitration orders, random geometry knobs) and
+     over streams with unknown targets: the compiled engine must agree with the
      interpreted pipeline branch-for-branch on direction and mispredict
      decisions and end with a bit-identical snapshot slab, with shrinking
      and COBRA_SEED replay hints via {!Prop};
@@ -59,8 +58,6 @@ type tcase = {
   t_ghist : int;
   t_lhist_bits : int;
   t_lhist_entries : int;
-  t_path : int;
-  t_predecode : bool;
   t_topo : node;
   t_shape : Fuzz.shape;
   t_len : int;
@@ -89,55 +86,51 @@ let rec show_node = function
     Printf.sprintf "tourney(2^%d) > [%s; %s]" e (show_node a) (show_node b)
 
 let show_tcase tc =
-  Printf.sprintf
-    "ghist=%d lhist=%dx%d path=%d predecode=%b shape=%s len=%d sseed=%d no_target=%b %s"
-    tc.t_ghist tc.t_lhist_bits tc.t_lhist_entries tc.t_path tc.t_predecode
-    (Fuzz.shape_name tc.t_shape) tc.t_len tc.t_sseed tc.t_no_target (show_node tc.t_topo)
+  Printf.sprintf "ghist=%d lhist=%dx%d shape=%s len=%d sseed=%d no_target=%b %s" tc.t_ghist
+    tc.t_lhist_bits tc.t_lhist_entries (Fuzz.shape_name tc.t_shape) tc.t_len tc.t_sseed
+    tc.t_no_target (show_node tc.t_topo)
 
-let gen_comp st ~ghist ~lhist_bits ~path =
+let gen_comp st ~ghist ~lhist_bits =
   let ri n = Random.State.int st n in
   match ri 3 with
   | 0 ->
     CGshare { index_bits = 4 + ri 6; hist = 1 + ri (min 16 ghist); lat = 1 + ri 2 }
   | 1 ->
     let idx =
-      match ri (if path > 0 then 4 else 3) with
+      match ri 4 with
       | 0 -> IPc
       | 1 -> IGhist (1 + ri (min 12 ghist))
       | 2 -> ILhist (1 + ri (min 12 lhist_bits))
-      | _ -> IPhist (1 + ri (min 12 path))
+      | _ -> IPhist (1 + ri (min 12 Pipeline.path_bits))
     in
     CHbim { entries_l2 = 4 + ri 5; idx; lat = 1 + ri 2 }
   | _ -> CBtb { sets_l2 = 3 + ri 4; ways = 1 + ri 3; lat = 1 + ri 2 }
 
-let rec gen_node st ~depth ~ghist ~lhist_bits ~path =
-  let leaf () = Leaf (gen_comp st ~ghist ~lhist_bits ~path) in
+let rec gen_node st ~depth ~ghist ~lhist_bits =
+  let leaf () = Leaf (gen_comp st ~ghist ~lhist_bits) in
   if depth = 0 then leaf ()
   else
     match Random.State.int st 4 with
     | 0 | 1 -> leaf ()
     | 2 ->
       Over
-        ( gen_comp st ~ghist ~lhist_bits ~path,
-          gen_node st ~depth:(depth - 1) ~ghist ~lhist_bits ~path )
+        ( gen_comp st ~ghist ~lhist_bits,
+          gen_node st ~depth:(depth - 1) ~ghist ~lhist_bits )
     | _ ->
       Arb
         ( 4 + Random.State.int st 5,
-          gen_node st ~depth:(depth - 1) ~ghist ~lhist_bits ~path,
-          gen_node st ~depth:(depth - 1) ~ghist ~lhist_bits ~path )
+          gen_node st ~depth:(depth - 1) ~ghist ~lhist_bits,
+          gen_node st ~depth:(depth - 1) ~ghist ~lhist_bits )
 
 let gen_tcase st =
   let ghist = 8 + Random.State.int st 41 in
   let lhist_bits = 4 + Random.State.int st 21 in
   let lhist_entries = if Random.State.bool st then 64 else 256 in
-  let path = [| 0; 8; 16 |].(Random.State.int st 3) in
   {
     t_ghist = ghist;
     t_lhist_bits = lhist_bits;
     t_lhist_entries = lhist_entries;
-    t_path = path;
-    t_predecode = Random.State.bool st;
-    t_topo = gen_node st ~depth:2 ~ghist ~lhist_bits ~path;
+    t_topo = gen_node st ~depth:2 ~ghist ~lhist_bits;
     t_shape =
       [| Fuzz.Loops; Fuzz.Correlated; Fuzz.Aliasing; Fuzz.Phases; Fuzz.Storms; Fuzz.Mixed |]
         .(Random.State.int st 6);
@@ -159,9 +152,7 @@ let shrink_tcase tc =
   List.map (fun n -> { tc with t_topo = n }) (shrink_node tc.t_topo)
   @ (if tc.t_len > 4 then [ { tc with t_len = tc.t_len / 2 }; { tc with t_len = 4 } ]
      else [])
-  @ (if tc.t_predecode then [] else [ { tc with t_predecode = true } ])
-  @ (if tc.t_no_target then [ { tc with t_no_target = false } ] else [])
-  @ if tc.t_path = 0 then [] else [ { tc with t_path = 0 } ]
+  @ if tc.t_no_target then [ { tc with t_no_target = false } ] else []
 
 let tcase_arb = Prop.make ~shrink:shrink_tcase ~show:show_tcase gen_tcase
 
@@ -233,13 +224,10 @@ let build_topo node =
 
 let config_of tc =
   {
-    Pipeline.default_config with
     Pipeline.fetch_width = width;
     ghist_bits = tc.t_ghist;
     lhist_bits = tc.t_lhist_bits;
     lhist_entries = tc.t_lhist_entries;
-    path_bits = tc.t_path;
-    predecode_history_correction = tc.t_predecode;
   }
 
 let compile_equiv tc =
@@ -309,12 +297,23 @@ let test_engines_refuse () =
     [
       ("fetch_width 0", { cfg with Pipeline.fetch_width = 0 }, fun () -> build_topo leaf);
       ("ghist_bits 0", { cfg with Pipeline.ghist_bits = 0 }, fun () -> build_topo leaf);
-      ("history_entries 0", { cfg with Pipeline.history_entries = 0 }, fun () -> build_topo leaf);
-      ("path_bits -1", { cfg with Pipeline.path_bits = -1 }, fun () -> build_topo leaf);
       ("lhist_bits 0", { cfg with Pipeline.lhist_bits = 0 }, fun () -> build_topo leaf);
       ("lhist_entries 3", { cfg with Pipeline.lhist_entries = 3 }, fun () -> build_topo leaf);
       ("duplicate component names", cfg, dup);
-    ]
+      ( "8-wide pipeline over 4-wide components",
+        { cfg with Pipeline.fetch_width = 8 },
+        fun () -> build_topo leaf );
+      ( "2-wide pipeline under 4-wide components",
+        { cfg with Pipeline.fetch_width = 2 },
+        fun () -> build_topo leaf );
+    ];
+  check
+    Alcotest.(option string)
+    "the width refusal names the component and both widths"
+    (Some "Composer.create: component c1 is built for fetch width 4, not 8")
+    (refusal
+       (fun cfg topo -> ignore (Engine.create cfg topo))
+       { cfg with Pipeline.fetch_width = 8 } (build_topo leaf))
 
 (* --- checkpoint interchange ------------------------------------------------------ *)
 

@@ -11,9 +11,6 @@ let cfg =
     ghist_bits = 32;
     lhist_bits = 16;
     lhist_entries = 128;
-    history_entries = 16;
-    path_bits = 16;
-    predecode_history_correction = true;
   }
 
 (* Drive a single-component pipeline through one branch outcome at [pc],
@@ -165,7 +162,7 @@ let test_gtag_learns_with_history () =
 (* --- Tourney ----------------------------------------------------------------- *)
 
 let constant_direction ~name ~taken =
-  Component.make ~name ~family:Component.Static ~latency:2 ~meta_bits:0
+  Component.make ~name ~family:Component.Static ~fetch_width:width ~latency:2 ~meta_bits:0
     ~storage:Storage.zero
     ~predict:(fun _ ~pred_in:_ ~out ~meta:_ ->
       Array.iteri (fun i _ -> out.(i) <- { Types.empty_opinion with o_taken = Some taken }) out)

@@ -222,7 +222,8 @@ let test_zero_width () =
 let test_raising_component () =
   let (Golden.P p) = Golden.static_always ~name:"zRAISE" ~taken:true ~fetch_width:width in
   let make_real () =
-    Component.make ~name:"zRAISE" ~family:Component.Static ~latency:1 ~meta_bits:0
+    Component.make ~name:"zRAISE" ~family:Component.Static ~fetch_width:width ~latency:1
+      ~meta_bits:0
       ~storage:Storage.zero
       ~predict:(fun _ ~pred_in:_ ~out:_ ~meta:_ -> failwith "zRAISE refuses")
       ()

@@ -19,7 +19,7 @@ let stub ?(latency = 1) ?(meta_bits = 8) ?(meta_value = 0xAB) ~name behaviour =
   in
   let push e (_ : Component.event) = log := e :: !log in
   let component =
-    Component.make ~name ~family:Component.Static ~latency ~meta_bits
+    Component.make ~name ~family:Component.Static ~fetch_width:width ~latency ~meta_bits
       ~storage:Storage.zero ~predict ~fire:(push Fired)
       ~mispredict:(fun ev -> log := Mispredicted ev.culprit :: !log)
       ~repair:(push Repaired) ~update:(push Updated) ()
@@ -44,9 +44,6 @@ let cfg =
     ghist_bits = 16;
     lhist_bits = 8;
     lhist_entries = 64;
-    history_entries = 8;
-    path_bits = 16;
-    predecode_history_correction = true;
   }
 
 let no_branch_slots = Array.make width Types.no_branch
@@ -237,7 +234,8 @@ let test_metadata_roundtrip () =
   let comp, _ = stub ~latency:1 ~meta_bits:12 ~meta_value:0x5A5 ~name:"M" silent in
   let seen = ref [] in
   let spy =
-    Component.make ~name:"SPY" ~family:Component.Static ~latency:1 ~meta_bits:4
+    Component.make ~name:"SPY" ~family:Component.Static ~fetch_width:width ~latency:1
+      ~meta_bits:4
       ~storage:Storage.zero
       ~predict:(fun _ ~pred_in:_ ~out:_ ~meta ->
         Bitpack.store ~owner:"SPY" (Bits.of_int ~width:4 0x9) ~dst:meta)
@@ -341,7 +339,7 @@ let test_lhist_speculation_and_squash () =
 
 let test_fire_backpressure () =
   let pl, _ = simple_pipeline () in
-  for i = 0 to cfg.history_entries - 1 do
+  for i = 0 to Pipeline.history_entries - 1 do
     let tok = Pipeline.predict pl ~pc:(0x40 + (64 * i)) ~max_len:4 in
     ignore (Pipeline.fire pl tok ~slots:no_branch_slots ~packet_len:4)
   done;
@@ -349,12 +347,31 @@ let test_fire_backpressure () =
   Pipeline.commit pl;
   check Alcotest.bool "commit frees" true (Pipeline.can_fire pl)
 
+(* Predecode correction at fire: the Fetch-1 composite predicts a taken
+   conditional in slot 0, but the fired slots hold no branch. By default
+   fire recomputes the packet's bits from the slots, so none reaches the
+   global history; [~correct:false] keeps the Fetch-1 bit. *)
+let test_fire_correct () =
+  let ghist_after_fire ?correct () =
+    let comp, _ = stub ~name:"T" (always_taken ~target:0x500) in
+    let pl = Pipeline.create cfg (Topology.node comp) in
+    let tok = Pipeline.predict pl ~pc:0x40 ~max_len:4 in
+    check (Alcotest.list Alcotest.bool) "Fetch-1 bits" [ true ]
+      (Pipeline.applied_dir_bits pl tok);
+    ignore (Pipeline.fire ?correct pl tok ~slots:no_branch_slots ~packet_len:1);
+    Bits.to_int (Pipeline.ghist_value pl)
+  in
+  check Alcotest.int "default fire shifts no bit" 0 (ghist_after_fire ());
+  check Alcotest.int "~correct:false shifts the Fetch-1 bit" 1
+    (ghist_after_fire ~correct:false ())
+
 (* A component declaring 8 metadata bits but packing 4 is refused by both
    engines, by name, when it seals its packer into the host's 8-bit buffer. *)
 let test_meta_width_enforced () =
   let bad () =
     let packer = Bitpack.Packer.create ~owner:"BAD" ~width:4 in
-    Component.make ~name:"BAD" ~family:Component.Static ~latency:1 ~meta_bits:8
+    Component.make ~name:"BAD" ~family:Component.Static ~fetch_width:width ~latency:1
+      ~meta_bits:8
       ~storage:Storage.zero
       ~predict:(fun _ ~pred_in:_ ~out:_ ~meta ->
         Bitpack.Packer.add packer 0 ~bits:4;
@@ -373,8 +390,8 @@ let test_meta_width_enforced () =
 
 (* Reference model for the pipeline's speculative global history: a plain
    list of bits, youngest first, truncated to the register width. Each
-   pending packet's bits are set with [revise_dir_bits]; firing without
-   predecode correction shifts exactly those bits into the register. *)
+   pending packet's bits are set with [revise_dir_bits]; firing with
+   [~correct:false] shifts exactly those bits into the register. *)
 let prop_pipeline_ghist_matches_reference =
   let open QCheck in
   (* ops: predict a packet with these bits / fire the oldest / squash from
@@ -395,9 +412,7 @@ let prop_pipeline_ghist_matches_reference =
       let bits = 12 in
       let comp, _ = stub ~name:"S" silent in
       let pl =
-        Pipeline.create
-          { cfg with Pipeline.ghist_bits = bits; predecode_history_correction = false }
-          (Topology.node comp)
+        Pipeline.create { cfg with Pipeline.ghist_bits = bits } (Topology.node comp)
       in
       (* reference: fired bits (youngest first) and pending packets *)
       let committed = ref [] in
@@ -413,7 +428,9 @@ let prop_pipeline_ghist_matches_reference =
           | `Commit -> (
             match !pending with
             | p :: rest ->
-              ignore (Pipeline.fire pl (token_at 0) ~slots:no_branch_slots ~packet_len:1);
+              ignore
+                (Pipeline.fire ~correct:false pl (token_at 0) ~slots:no_branch_slots
+                   ~packet_len:1);
               Pipeline.commit pl;
               committed := List.rev p @ !committed;
               pending := rest
@@ -533,15 +550,6 @@ let test_phist_restored_on_mispredict () =
   check Alcotest.bool "phist rewound below post-fire value" false
     (Bits.equal phist_after_s0 (Pipeline.phist_value pl))
 
-let test_phist_disabled_when_width_zero () =
-  let comp, _ = stub ~latency:1 ~name:"P" (always_taken ~target:0x500) in
-  let pl = Pipeline.create { cfg with Pipeline.path_bits = 0 } (Topology.node comp) in
-  ignore (Pipeline.predict pl ~pc:0x40 ~max_len:4);
-  (* context exposes a zero-width path history *)
-  let tok = Pipeline.predict pl ~pc:0x80 ~max_len:4 in
-  check Alcotest.int "zero-width phist in context" 0
-    (Bits.width (Pipeline.context pl tok).Context.phist)
-
 (* Random chains of stub components with random latencies: the pipeline must
    elaborate, predict at every stage, and fire/commit without error; the
    depth equals the max latency. *)
@@ -614,6 +622,7 @@ let () =
           Alcotest.test_case "lhist entries distinct" `Quick test_lhist_entries_distinct;
           Alcotest.test_case "context reset" `Quick test_context_reset;
           Alcotest.test_case "fire backpressure" `Quick test_fire_backpressure;
+          Alcotest.test_case "fire corrects by default" `Quick test_fire_correct;
           Alcotest.test_case "meta width enforced" `Quick test_meta_width_enforced;
           Alcotest.test_case "storage accounting" `Quick test_storage_accounting;
         ] );
@@ -622,7 +631,6 @@ let () =
           Alcotest.test_case "updates on taken" `Quick test_phist_updates_on_taken_branches;
           Alcotest.test_case "silent on fallthrough" `Quick test_phist_silent_on_fallthrough;
           Alcotest.test_case "restored on mispredict" `Quick test_phist_restored_on_mispredict;
-          Alcotest.test_case "disabled at width 0" `Quick test_phist_disabled_when_width_zero;
         ] );
       ( "properties",
         [

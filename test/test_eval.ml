@@ -134,23 +134,15 @@ let test_history_repair_keyed_results () =
 (* Exact pins for the paths only the uarch core drives through the
    interpreted pipeline: several pending packets, divergence repair without
    a squash, and fire without predecode correction. TAGE-L on gcc at 5,000
-   instructions under the VI-B modes of [Ablations.history_repair]. *)
+   instructions under the VI-B modes of [Ablations.history_repair], each
+   set by [Config.history_divergence] alone. *)
 let test_history_repair_modes_pinned () =
   let module Config = Cobra_uarch.Config in
   let module Perf = Cobra_uarch.Perf in
   let gcc = Cobra_workloads.Suite.find "gcc" in
   List.iter
-    (fun (mode, config, correction, (cycles, mispredicts, flushes, divergences, replays)) ->
-      let pipeline_config =
-        {
-          Designs.tage_l.Designs.pipeline_config with
-          Cobra.Pipeline.predecode_history_correction = correction;
-        }
-      in
-      let p =
-        (Experiment.run ~insns:5_000 ~config ~pipeline_config Designs.tage_l gcc)
-          .Experiment.perf
-      in
+    (fun (mode, config, (cycles, mispredicts, flushes, divergences, replays)) ->
+      let p = (Experiment.run ~insns:5_000 ~config Designs.tage_l gcc).Experiment.perf in
       let pin what want got = check Alcotest.int (mode ^ ": " ^ what) want got in
       pin "cycles" cycles p.Perf.cycles;
       pin "mispredicts" mispredicts p.Perf.mispredicts;
@@ -160,13 +152,11 @@ let test_history_repair_modes_pinned () =
     [
       ( "none",
         { Config.default with Config.history_divergence = Config.Ignore },
-        false,
         (6345, 426, 426, 1168, 0) );
       ( "repair",
         { Config.default with Config.history_divergence = Config.Repair },
-        true,
         (6300, 416, 416, 634, 0) );
-      ("replay", Config.default, true, (6342, 395, 395, 591, 591));
+      ("replay", Config.default, (6342, 395, 395, 591, 591));
     ]
 
 (* --- reference data ------------------------------------------------------------------ *)

@@ -27,9 +27,6 @@ let cfg =
     ghist_bits = 32;
     lhist_bits = 16;
     lhist_entries = 128;
-    history_entries = 16;
-    path_bits = 16;
-    predecode_history_correction = true;
   }
 
 (* Same oracle driver as test_components. *)

@@ -170,7 +170,7 @@ let test_storage_arithmetic () =
 let test_component_label () =
   let open Cobra in
   let c =
-    Component.make ~name:"X" ~family:Component.Static ~latency:2 ~meta_bits:0
+    Component.make ~name:"X" ~family:Component.Static ~fetch_width:4 ~latency:2 ~meta_bits:0
       ~storage:Storage.zero
       ~predict:(fun _ ~pred_in:_ ~out:_ ~meta:_ -> ())
       ()
@@ -180,7 +180,8 @@ let test_component_label () =
     (Invalid_argument "Component.make Y: latency 0 < 1 (histories arrive at Fetch-1)")
     (fun () ->
       ignore
-        (Component.make ~name:"Y" ~family:Component.Static ~latency:0 ~meta_bits:0
+        (Component.make ~name:"Y" ~family:Component.Static ~fetch_width:4 ~latency:0
+           ~meta_bits:0
            ~storage:Cobra.Storage.zero
            ~predict:(fun _ ~pred_in:_ ~out:_ ~meta:_ -> ())
            ()))

@@ -67,15 +67,13 @@ let cfg =
     ghist_bits = 16;
     lhist_bits = 8;
     lhist_entries = 64;
-    history_entries = 8;
-    path_bits = 16;
-    predecode_history_correction = true;
   }
 
 (* A direction predictor whose opinion and metadata follow the PC: taken
    on every other 8-byte block, metadata = the PC's low byte. *)
 let pc_follower () =
-  Component.make ~name:"PCF" ~family:Component.Static ~latency:1 ~meta_bits:8
+  Component.make ~name:"PCF" ~family:Component.Static ~fetch_width:width ~latency:1
+    ~meta_bits:8
     ~storage:Storage.zero
     ~predict:(fun ctx ~pred_in:_ ~out ~meta ->
       out.(0) <- Types.direction_opinion ~taken:((ctx.Context.pc lsr 3) land 1 = 1);

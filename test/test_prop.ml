@@ -34,9 +34,6 @@ let cfg =
     ghist_bits = 32;
     lhist_bits = 16;
     lhist_entries = 128;
-    history_entries = 16;
-    path_bits = 16;
-    predecode_history_correction = true;
   }
 
 (* gshare (2^bits entries) and gselect (pc_bits ++ hist bits) as HBIM indexings *)

@@ -344,12 +344,6 @@ let test_harmonic_mean () =
   check (Alcotest.float 1e-9) "hmean" 1.2 (Stats.harmonic_mean [ 1.0; 1.5 ]);
   check (Alcotest.float 1e-9) "empty" 0.0 (Stats.harmonic_mean [])
 
-let test_running () =
-  let r = Stats.Running.create () in
-  List.iter (Stats.Running.add r) [ 1.0; 2.0; 3.0; 4.0 ];
-  check (Alcotest.float 1e-9) "mean" 2.5 (Stats.Running.mean r);
-  check (Alcotest.float 1e-6) "variance" (5.0 /. 3.0) (Stats.Running.variance r)
-
 let test_mpki () =
   check (Alcotest.float 1e-9) "mpki" 2.5 (Stats.mpki ~misses:25 ~instructions:10000)
 
@@ -421,7 +415,6 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "harmonic mean" `Quick test_harmonic_mean;
-          Alcotest.test_case "running stats" `Quick test_running;
           Alcotest.test_case "mpki" `Quick test_mpki;
         ] );
       ( "rng",
