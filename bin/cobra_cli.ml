@@ -15,9 +15,27 @@ let workload_arg =
   let doc = "Workload name (see $(b,cobra list workloads))." in
   Arg.(value & opt string "dhrystone" & info [ "w"; "workload" ] ~docv:"WORKLOAD" ~doc)
 
+(* A count that must measure something: zero or a negative value is a usage
+   error (exit 124), not a run over nothing. *)
+let count =
+  let parse s =
+    match int_of_string_opt (String.trim s) with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let insns_arg =
   let doc = "Instructions to simulate." in
-  Arg.(value & opt int 100_000 & info [ "n"; "insns" ] ~docv:"N" ~doc)
+  Arg.(value & opt count 100_000 & info [ "n"; "insns" ] ~docv:"N" ~doc)
+
+(* Every verb's action is a thunk run through [user_errors]. A malformed
+   COBRA_* knob raises [Failure] and an unopenable file [Sys_error] from
+   deep inside a verb; both are the user's error, reported as [cobra:
+   <message>] with exit 124, not as an internal error with a backtrace. *)
+let verb info action =
+  let user_errors run = try run () with Failure m | Sys_error m -> Error (`Msg m) in
+  Cmd.v info Term.(term_result (const user_errors $ action))
 
 let lookup_design name =
   try Ok (Designs.find name)
@@ -37,7 +55,7 @@ let list_cmd =
     Arg.(value & pos 0 string "all"
          & info [] ~docv:"WHAT" ~doc:"designs | workloads | components | all")
   in
-  let run what =
+  let run what () =
     let show_designs () =
       Printf.printf "designs:\n";
       List.iter
@@ -83,8 +101,8 @@ let list_cmd =
       show_components ());
     Ok ()
   in
-  Cmd.v (Cmd.info "list" ~doc:"List designs, workloads and library components")
-    Term.(term_result (const run $ what))
+  verb (Cmd.info "list" ~doc:"List designs, workloads and library components")
+    Term.(const run $ what)
 
 (* --- run ------------------------------------------------------------------- *)
 
@@ -99,7 +117,7 @@ let run_cmd =
   let sfb =
     Arg.(value & flag & info [ "sfb" ] ~doc:"Predicate short forward branches at decode.")
   in
-  let run design workload insns serialize no_replay sfb =
+  let run design workload insns serialize no_replay sfb () =
     let ( let* ) = Result.bind in
     let* d = lookup_design design in
     let* w = lookup_workload workload in
@@ -116,25 +134,23 @@ let run_cmd =
       r.Experiment.perf;
     Ok ()
   in
-  Cmd.v (Cmd.info "run" ~doc:"Run a design on a workload and report counters")
-    Term.(
-      term_result
-        (const run $ design_arg $ workload_arg $ insns_arg $ serialize $ no_replay $ sfb))
+  verb (Cmd.info "run" ~doc:"Run a design on a workload and report counters")
+    Term.(const run $ design_arg $ workload_arg $ insns_arg $ serialize $ no_replay $ sfb)
 
 (* --- topology / storage ------------------------------------------------------ *)
 
 let topology_cmd =
-  let run design =
+  let run design () =
     let ( let* ) = Result.bind in
     let* d = lookup_design design in
     Format.printf "%a" Cobra.Topology.pp_pipeline (d.Designs.make ());
     Ok ()
   in
-  Cmd.v (Cmd.info "topology" ~doc:"Print a design's topology and pipeline diagram")
-    Term.(term_result (const run $ design_arg))
+  verb (Cmd.info "topology" ~doc:"Print a design's topology and pipeline diagram")
+    Term.(const run $ design_arg)
 
 let storage_cmd =
-  let run design =
+  let run design () =
     let ( let* ) = Result.bind in
     let* d = lookup_design design in
     let pl = Designs.pipeline d in
@@ -149,8 +165,8 @@ let storage_cmd =
     Format.printf "  area: %.0f um^2@." (Cobra_synth.Area.pipeline_total pl);
     Ok ()
   in
-  Cmd.v (Cmd.info "storage" ~doc:"Print a design's storage and area accounting")
-    Term.(term_result (const run $ design_arg))
+  verb (Cmd.info "storage" ~doc:"Print a design's storage and area accounting")
+    Term.(const run $ design_arg)
 
 let trace_cmd =
   let path_arg =
@@ -168,12 +184,12 @@ let trace_cmd =
          & info [ "text" ] ~doc:"With $(b,--branch): human-readable text instead of binary.")
   in
   let branches_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some count) None
          & info [ "branches" ] ~docv:"N"
              ~doc:"With $(b,--branch): stop after $(docv) branch records (default: bound by \
                    $(b,--insns)).")
   in
-  let dump workload insns path branch text branches =
+  let dump workload insns path branch text branches () =
     let ( let* ) = Result.bind in
     let* w = lookup_workload workload in
     if branch then begin
@@ -192,23 +208,21 @@ let trace_cmd =
       Ok ()
     end
   in
-  Cmd.v
+  verb
     (Cmd.info "trace"
        ~doc:
          "Dump a workload's retired-path trace to a file: full instruction events by \
           default, or a compact branch trace with $(b,--branch) (both replayable with \
           $(b,cobra replay))")
     Term.(
-      term_result
-        (const dump $ workload_arg $ insns_arg $ path_arg $ branch_flag $ text_flag
-         $ branches_arg))
+      const dump $ workload_arg $ insns_arg $ path_arg $ branch_flag $ text_flag $ branches_arg)
 
 let replay_cmd =
   let path_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc:"Trace file.")
   in
   let branches_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some count) None
          & info [ "branches" ] ~docv:"N" ~doc:"Stop after $(docv) branch records.")
   in
   let stats_flag =
@@ -220,62 +234,56 @@ let replay_cmd =
   let json_flag =
     Arg.(value & flag & info [ "json" ] ~doc:"With $(b,--stats): emit the report as JSON.")
   in
-  let replay design path insns branches stats json =
+  let replay design path insns branches stats json () =
     let ( let* ) = Result.bind in
     let* d = lookup_design design in
-    (* a malformed or unreadable trace is the user's error, reported with
-       the reader's message, not an internal one *)
-    try
-      match Cobra_trace_replay.Reader.detect path with
-      | Cobra_trace_replay.Reader.Branch_binary | Cobra_trace_replay.Reader.Branch_text ->
-        (* predictor-only fast path: no uarch core, constant memory; the
-           compiled engine unless --stats asks for the collector, which needs
-           an interpreted pipeline *)
-        if stats then begin
-          let res, report =
-            Cobra_trace_replay.Replay.run_design_with_stats ?max_branches:branches
-              ~max_insns:insns d ~path
-          in
-          print_endline (Cobra_trace_replay.Replay.summary res);
-          if json then
-            print_endline (Cobra_stats.Json.to_string (Cobra_stats.Report.to_json report))
-          else print_string (Cobra_stats.Report.render report);
-          Ok ()
-        end
-        else begin
-          let res =
-            Cobra_trace_replay.Replay.run_design ?max_branches:branches ~max_insns:insns d
-              ~path
-          in
-          print_endline (Cobra_trace_replay.Replay.summary res);
-          Ok ()
-        end
-      | Cobra_trace_replay.Reader.Other ->
-        let* () =
-          if stats || json then
-            Error (`Msg "--stats/--json need a branch trace (made with cobra trace --branch)")
-          else Ok ()
+    match Cobra_trace_replay.Reader.detect path with
+    | Cobra_trace_replay.Reader.Branch_binary | Cobra_trace_replay.Reader.Branch_text ->
+      (* predictor-only fast path: no uarch core, constant memory; the
+         compiled engine unless --stats asks for the collector, which needs
+         an interpreted pipeline *)
+      if stats then begin
+        let res, report =
+          Cobra_trace_replay.Replay.run_design_with_stats ?max_branches:branches
+            ~max_insns:insns d ~path
         in
-        let pl = Designs.pipeline d in
-        let core =
-          Cobra_uarch.Core.create Cobra_uarch.Config.default pl
-            (Cobra_isa.Trace_file.load_stream ~path)
-        in
-        let perf = Cobra_uarch.Core.run core ~max_insns:insns in
-        Format.printf "%s on %s:@.  %a@." design path Cobra_uarch.Perf.pp perf;
+        print_endline (Cobra_trace_replay.Replay.summary res);
+        if json then
+          print_endline (Cobra_stats.Json.to_string (Cobra_stats.Report.to_json report))
+        else print_string (Cobra_stats.Report.render report);
         Ok ()
-    with Failure m | Sys_error m -> Error (`Msg m)
+      end
+      else begin
+        let res =
+          Cobra_trace_replay.Replay.run_design ?max_branches:branches ~max_insns:insns d
+            ~path
+        in
+        print_endline (Cobra_trace_replay.Replay.summary res);
+        Ok ()
+      end
+    | Cobra_trace_replay.Reader.Other ->
+      let* () =
+        if stats || json then
+          Error (`Msg "--stats/--json need a branch trace (made with cobra trace --branch)")
+        else Ok ()
+      in
+      let pl = Designs.pipeline d in
+      let core =
+        Cobra_uarch.Core.create Cobra_uarch.Config.default pl
+          (Cobra_isa.Trace_file.load_stream ~path)
+      in
+      let perf = Cobra_uarch.Core.run core ~max_insns:insns in
+      Format.printf "%s on %s:@.  %a@." design path Cobra_uarch.Perf.pp perf;
+      Ok ()
   in
-  Cmd.v
+  verb
     (Cmd.info "replay"
        ~doc:
          "Run a design over a saved trace file: branch traces (binary or text, \
           auto-detected) take the predictor-only fast path; instruction-event traces \
           drive the full uarch core")
     Term.(
-      term_result
-        (const replay $ design_arg $ path_arg $ insns_arg $ branches_arg $ stats_flag
-         $ json_flag))
+      const replay $ design_arg $ path_arg $ insns_arg $ branches_arg $ stats_flag $ json_flag)
 
 (* --- sweep ------------------------------------------------------------------- *)
 
@@ -303,7 +311,7 @@ let sweep_cmd =
   in
   let list_flag = Arg.(value & flag & info [ "list" ] ~doc:"List sweep names and exit.") in
   let insns =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some count) None
          & info [ "n"; "insns" ] ~docv:"N"
              ~doc:"Instructions per run (default: \\$COBRA_INSNS or 100000).")
   in
@@ -317,7 +325,7 @@ let sweep_cmd =
     Arg.(value & flag
          & info [ "no-cache" ] ~doc:"Recompute every run, ignoring the on-disk result cache.")
   in
-  let run names list_flag insns jobs no_cache =
+  let run names list_flag insns jobs no_cache () =
     if list_flag then begin
       List.iter print_endline sweep_names;
       Ok ()
@@ -353,12 +361,12 @@ let sweep_cmd =
         else Ok ()
     end
   in
-  Cmd.v
+  verb
     (Cmd.info "sweep"
        ~doc:
          "Run design-space sweeps through the parallel, cache-aware runner \
           (COBRA_JOBS/COBRA_CACHE/COBRA_EVENTS control it)")
-    Term.(term_result (const run $ names $ list_flag $ insns $ jobs_opt $ no_cache))
+    Term.(const run $ names $ list_flag $ insns $ jobs_opt $ no_cache)
 
 (* --- stats ------------------------------------------------------------------- *)
 
@@ -374,7 +382,7 @@ let stats_cmd =
          & info [ "o"; "output" ] ~docv:"FILE"
              ~doc:"Write the report to $(docv) instead of stdout.")
   in
-  let run design workload insns json csv out =
+  let run design workload insns json csv out () =
     let ( let* ) = Result.bind in
     let* d = lookup_design design in
     let* w = lookup_workload workload in
@@ -396,16 +404,13 @@ let stats_cmd =
       close_out oc);
     Ok ()
   in
-  Cmd.v
+  verb
     (Cmd.info "stats"
        ~doc:
          "Run a design with the statistics collector attached and print per-component \
           mispredict attribution, arbitration tallies, hard-branch tables and interval \
           series (also available passively on any run via COBRA_STATS=1)")
-    Term.(
-      term_result
-        (const run $ design_arg $ workload_arg $ insns_arg $ json_flag $ csv_flag
-         $ out_arg))
+    Term.(const run $ design_arg $ workload_arg $ insns_arg $ json_flag $ csv_flag $ out_arg)
 
 (* --- conform ------------------------------------------------------------------ *)
 
@@ -417,8 +422,8 @@ let conform_cmd =
                    integer.")
   in
   let length_arg =
-    Arg.(value & opt int 300
-         & info [ "length" ] ~docv:"N" ~doc:"Packets per fuzz shape / branches per stream.")
+    Arg.(value & opt count 300
+         & info [ "length" ] ~docv:"N" ~doc:"Packets or branches per fuzz shape.")
   in
   let artifact_arg =
     Arg.(value & opt (some string) None
@@ -434,34 +439,20 @@ let conform_cmd =
                    Valid: %s."
                   (String.concat ", " Cobra_conformance.Fuzz.shape_names)))
   in
-  let engine_arg =
-    Arg.(value
-         & opt (enum [ ("both", `Both); ("compiled", `Compiled); ("interpreted", `Interpreted) ])
-             `Both
-         & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:
-               "Which simulator engines to certify: $(b,interpreted) (golden-model lockstep, \
-                twin, replay, repair, snapshot), $(b,compiled) (staged-compiler vs \
-                interpreter differentials over every component and reference design), or \
-                $(b,both) (default).")
-  in
-  let run seed length artifact shapes engine =
+  let run seed length artifact shapes () =
     let seed =
       match seed with
       | Some s -> s
       | None -> Cobra_util.Env.int_var "COBRA_SEED" ~default:0x0b5a
     in
-    let ( let* ) = Result.bind in
-    let* shapes =
+    let shapes =
       match
         List.filter (fun s -> s <> "") (List.map String.trim (String.split_on_char ',' shapes))
       with
-      | [] -> Ok Cobra_conformance.Fuzz.all_shapes
-      | names -> (
-        try Ok (List.map Cobra_conformance.Fuzz.shape_of_name_exn names)
-        with Failure m -> Error (`Msg m))
+      | [] -> Cobra_conformance.Fuzz.all_shapes
+      | names -> List.map Cobra_conformance.Fuzz.shape_of_name_exn names
     in
-    let verdicts = Cobra_conformance.Crosscheck.run_all ~length ~shapes ~engine ~seed () in
+    let verdicts = Cobra_conformance.Crosscheck.run_all ~length ~shapes ~seed () in
     print_string (Cobra_conformance.Crosscheck.render verdicts);
     match Cobra_conformance.Crosscheck.counterexample verdicts with
     | None -> Ok ()
@@ -475,14 +466,13 @@ let conform_cmd =
         Printf.eprintf "counterexample written to %s\n" path);
       Error (`Msg (Printf.sprintf "conformance failures (seed %d):\n%s" seed report))
   in
-  Cmd.v
+  verb
     (Cmd.info "conform"
        ~doc:
          "Cross-check every component against its pure-functional golden model (lockstep \
           fuzzing, storage accounting, twin-design differentials, repair-restores-state \
           metamorphic checks, compiled-engine differentials, Table-I storage pins)")
-    Term.(
-      term_result (const run $ seed_arg $ length_arg $ artifact_arg $ shapes_arg $ engine_arg))
+    Term.(const run $ seed_arg $ length_arg $ artifact_arg $ shapes_arg)
 
 (* --- serve ------------------------------------------------------------------- *)
 
@@ -512,32 +502,26 @@ let serve_cmd =
     Arg.(value & flag
          & info [ "shutdown" ] ~doc:"Client mode: ask a running daemon to exit.")
   in
-  let run socket jobs timeout request shutdown =
+  let run socket jobs timeout request shutdown () =
     let module Serve = Cobra_serve.Serve in
-    if shutdown then begin
-      match Serve.shutdown ~socket () with
-      | () -> Ok ()
-      | exception Failure m -> Error (`Msg m)
-    end
+    if shutdown then Ok (Serve.shutdown ~socket ())
     else
       match request with
-      | Some line -> (
-        match Serve.request ?timeout_s:timeout ~socket line with
-        | lines ->
-          List.iter print_endline lines;
-          let failed =
-            List.exists
-              (fun l ->
-                match Cobra_stats.Json.of_string l with
-                | Ok j -> (
-                  match Cobra_stats.Json.member "event" j with
-                  | Some (Cobra_stats.Json.String "error") -> true
-                  | _ -> false)
-                | Error _ -> false)
-              lines
-          in
-          if failed then Error (`Msg "server answered with an error event") else Ok ()
-        | exception Failure m -> Error (`Msg m))
+      | Some line ->
+        let lines = Serve.request ?timeout_s:timeout ~socket line in
+        List.iter print_endline lines;
+        let failed =
+          List.exists
+            (fun l ->
+              match Cobra_stats.Json.of_string l with
+              | Ok j -> (
+                match Cobra_stats.Json.member "event" j with
+                | Some (Cobra_stats.Json.String "error") -> true
+                | _ -> false)
+              | Error _ -> false)
+            lines
+        in
+        if failed then Error (`Msg "server answered with an error event") else Ok ()
       | None ->
         let cfg =
           {
@@ -552,21 +536,18 @@ let serve_cmd =
         Printf.eprintf "cobra serve: listening on %s (%d jobs)\n%!" socket cfg.Serve.jobs;
         (match Serve.serve (Serve.create cfg) with
         | () -> Ok ()
-        | exception Failure m -> Error (`Msg m)
         | exception Unix.Unix_error (e, fn, arg) ->
           Error
             (`Msg (Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e))))
   in
-  Cmd.v
+  verb
     (Cmd.info "serve"
        ~doc:
          "Persistent sweep-serving daemon: line-delimited JSON requests \
           (ping/replay/sweep/probe/shutdown) over a Unix socket, design x trace sweeps sharded \
           over the domain pool, repeated points answered from the content-addressed \
           result cache (protocol spec in EXPERIMENTS.md)")
-    Term.(
-      term_result
-        (const run $ socket_arg $ jobs_arg $ timeout_arg $ request_arg $ shutdown_flag))
+    Term.(const run $ socket_arg $ jobs_arg $ timeout_arg $ request_arg $ shutdown_flag)
 
 (* --- probe ------------------------------------------------------------------- *)
 
@@ -650,7 +631,7 @@ let probe_cmd =
       close_out oc
     end
   in
-  let run list_flag _all probes targets demo seed json csv level export text timing =
+  let run list_flag _all probes targets demo seed json csv level export text timing () =
     let ( let* ) = Result.bind in
     let seed =
       match seed with
@@ -748,7 +729,7 @@ let probe_cmd =
                            r.Oracle.r_target ^ "/" ^ r.Oracle.r_probe)
                          fails)))))
   in
-  Cmd.v
+  verb
     (Cmd.info "probe"
        ~doc:
          "Adversarial microbenchmark probe suite + predictor fidelity oracle: replay \
@@ -758,10 +739,8 @@ let probe_cmd =
           semantics-vs-theory, complementing $(b,cobra conform)'s impl-vs-reimpl \
           lockstep")
     Term.(
-      term_result
-        (const run $ list_flag $ all_flag $ probes_arg $ targets_arg $ demo_flag
-         $ seed_arg $ json_arg $ csv_arg $ level_arg $ export_arg $ text_flag
-         $ timing_arg))
+      const run $ list_flag $ all_flag $ probes_arg $ targets_arg $ demo_flag $ seed_arg
+      $ json_arg $ csv_arg $ level_arg $ export_arg $ text_flag $ timing_arg)
 
 let tables_cmd =
   let run () =
@@ -770,8 +749,7 @@ let tables_cmd =
     print_string (Tables.table_3 ());
     Ok ()
   in
-  Cmd.v (Cmd.info "tables" ~doc:"Print the paper's Tables I-III")
-    Term.(term_result (const run $ const ()))
+  verb (Cmd.info "tables" ~doc:"Print the paper's Tables I-III") (Term.const run)
 
 let main =
   Cmd.group

@@ -37,7 +37,8 @@ let create ?(label = "jobs") ?events_path ?live ~total () =
   let events =
     match events_path with
     | Some p when String.trim p <> "" -> (
-      try Some (open_out_gen [ Open_append; Open_creat ] 0o644 p) with _ -> None)
+      try Some (open_out_gen [ Open_append; Open_creat ] 0o644 p)
+      with Sys_error m -> failwith ("cannot open the events file " ^ m))
     | Some _ | None -> None
   in
   {

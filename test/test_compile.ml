@@ -264,7 +264,7 @@ let test_random_topologies () =
 let compose_equiv tc =
   let v =
     Crosscheck.compose ~length:tc.t_len ~shapes:[ tc.t_shape ] ~seed:tc.t_sseed
-      ~name:(show_node tc.t_topo) ~fetch_width:width (build_topo tc.t_topo)
+      ~name:(show_node tc.t_topo) ~fetch_width:width (fun () -> build_topo tc.t_topo)
   in
   if not v.Crosscheck.v_pass then Alcotest.fail v.Crosscheck.v_detail
 

@@ -217,8 +217,10 @@ let test_zero_width () =
       gtag 16 0;
     ]
 
-(* A component that raises fails its checks at the packet in flight, with
-   the replay line, instead of escaping to the caller of [run_all]. *)
+(* A component that raises fails its checks at the packet or branch in
+   flight, with the replay line, instead of escaping to the caller of
+   [run_all]. The design-level checks see it through a one-component design
+   that keeps GShare's name, so its golden twin still elaborates. *)
 let test_raising_component () =
   let (Golden.P p) = Golden.static_always ~name:"zRAISE" ~taken:true ~fetch_width:width in
   let make_real () =
@@ -229,25 +231,33 @@ let test_raising_component () =
       ()
   in
   let packed = Golden.P { p with make_real } in
-  List.iter
-    (fun (v : Crosscheck.verdict) ->
-      let name = v.Crosscheck.v_check in
-      check Alcotest.bool (name ^ " fails") false v.Crosscheck.v_pass;
-      List.iter
-        (fun needle ->
-          if not (contains v.Crosscheck.v_detail needle) then
-            Alcotest.failf "%s: %S misses %S" name v.Crosscheck.v_detail needle)
-        [
-          "zRAISE refuses";
-          "shape=" ^ Fuzz.shape_name (List.hd Fuzz.all_shapes);
-          "=0/20";
-          Printf.sprintf "seed=%d" seed;
-          Printf.sprintf "cobra conform --seed %d" seed;
-        ])
+  let design =
+    { Designs.gshare_only with Designs.make = (fun () -> Topology.node (make_real ())) }
+  in
+  let expect step (v : Crosscheck.verdict) =
+    let name = v.Crosscheck.v_check in
+    check Alcotest.bool (name ^ " fails") false v.Crosscheck.v_pass;
+    List.iter
+      (fun needle ->
+        if not (contains v.Crosscheck.v_detail needle) then
+          Alcotest.failf "%s: %S misses %S" name v.Crosscheck.v_detail needle)
+      [
+        "zRAISE refuses";
+        "shape=" ^ Fuzz.shape_name (List.hd Fuzz.all_shapes);
+        step ^ "=0/20";
+        Printf.sprintf "seed=%d" seed;
+        Printf.sprintf "cobra conform --seed %d --shape" seed;
+      ]
+  in
+  List.iter (expect "packet")
+    [ Crosscheck.lockstep ~length:20 ~seed packed; Crosscheck.live_slots ~length:20 ~seed packed ];
+  List.iter (expect "branch")
     [
-      Crosscheck.lockstep ~length:20 ~seed packed;
-      Crosscheck.live_slots ~length:20 ~seed packed;
       Crosscheck.compiled_zoo ~length:20 ~seed packed;
+      Crosscheck.replay_twin ~length:20 ~seed design;
+      Crosscheck.repair_restore ~length:20 ~seed design;
+      Crosscheck.snapshot_roundtrip ~length:20 ~seed design;
+      Crosscheck.compiled_twin ~length:20 ~seed design;
     ]
 
 (* Fuzzer determinism: the stream really is a pure function of the seed. *)

@@ -235,6 +235,15 @@ let test_store_failure_reaches_telemetry () =
           check Alcotest.bool "summary carries the counter" true
             (contains summary "\"store_errors\": 1")))
 
+(* An events file that cannot be opened is refused loudly, naming the path,
+   not dropped: a sweep must not run without the telemetry it was asked for. *)
+let test_unopenable_events_file () =
+  let path = "/nonexistent/dir/e.jsonl" in
+  match Progress.create ~events_path:path ~live:false ~total:1 () with
+  | _ -> Alcotest.fail "Progress.create accepted an unopenable events file"
+  | exception Failure msg ->
+    check Alcotest.bool (Printf.sprintf "%S names the path" msg) true (contains msg path)
+
 let test_store_sweeps_stale_tmp_files () =
   with_cache_dir (fun d ->
       let old_tmp = Filename.concat d ".tmp.123.0.0" in
@@ -405,6 +414,7 @@ let () =
           Alcotest.test_case "store failure telemetry" `Quick
             test_store_failure_reaches_telemetry;
           Alcotest.test_case "stale tmp sweep" `Quick test_store_sweeps_stale_tmp_files;
+          Alcotest.test_case "unopenable events file" `Quick test_unopenable_events_file;
           Alcotest.test_case "spec sensitivity" `Quick test_config_specs_are_sensitive;
         ] );
       ( "warm runs",
