@@ -5,7 +5,9 @@
 
    Scale with COBRA_INSNS (default 100_000 instructions per run) and
    COBRA_JOBS (parallel simulation workers; 1 reproduces the serial
-   harness). Pass section names as arguments to run a subset, e.g.
+   harness); `cobra list env` prints every knob. A COBRA_* name that is not
+   a knob, or a malformed value, stops the harness before any section.
+   Pass section names as arguments to run a subset, e.g.
    [dune exec bench/main.exe -- table_1 figure_10]; [--list] prints the
    valid section names. *)
 
@@ -127,6 +129,10 @@ let sections =
 let section_names = List.map fst sections
 
 let () =
+  (try Cobra_util.Env.check ()
+   with Failure m ->
+     Printf.eprintf "error: %s\n" m;
+     exit 2);
   let args = List.tl (Array.to_list Sys.argv) in
   if List.exists (fun a -> a = "--list" || a = "-l") args then begin
     List.iter print_endline section_names;

@@ -29,12 +29,19 @@ let insns_arg =
   let doc = "Instructions to simulate." in
   Arg.(value & opt count 100_000 & info [ "n"; "insns" ] ~docv:"N" ~doc)
 
-(* Every verb's action is a thunk run through [user_errors]. A malformed
-   COBRA_* knob raises [Failure] and an unopenable file [Sys_error] from
-   deep inside a verb; both are the user's error, reported as [cobra:
-   <message>] with exit 124, not as an internal error with a backtrace. *)
+(* Every verb's action is a thunk run through [user_errors], after one check
+   of the whole environment: a COBRA_* name that is not a knob, or a knob
+   with a malformed value, stops the verb before any work. An unopenable
+   file raises [Sys_error] from deep inside a verb. Both are the user's
+   error, reported as [cobra: <message>] with exit 124, not as an internal
+   error with a backtrace. *)
 let verb info action =
-  let user_errors run = try run () with Failure m | Sys_error m -> Error (`Msg m) in
+  let user_errors run =
+    try
+      Cobra_util.Env.check ();
+      run ()
+    with Failure m | Sys_error m -> Error (`Msg m)
+  in
   Cmd.v info Term.(term_result (const user_errors $ action))
 
 let lookup_design name =
@@ -53,7 +60,7 @@ let lookup_workload name =
 let list_cmd =
   let what =
     Arg.(value & pos 0 string "all"
-         & info [] ~docv:"WHAT" ~doc:"designs | workloads | components | all")
+         & info [] ~docv:"WHAT" ~doc:"designs | workloads | components | env | all")
   in
   let run what () =
     let show_designs () =
@@ -91,17 +98,29 @@ let list_cmd =
           ("STATIC", "always-taken / BTFN static predictors");
         ]
     in
+    let show_env () =
+      Printf.printf "environment knobs:\n";
+      List.iter
+        (fun (k : Cobra_util.Env.knob) ->
+          Printf.printf "  %-17s %-25s %s\n" k.Cobra_util.Env.name k.Cobra_util.Env.default
+            k.Cobra_util.Env.doc)
+        Cobra_util.Env.knobs
+    in
     (match what with
     | "designs" -> show_designs ()
     | "workloads" -> show_workloads ()
     | "components" -> show_components ()
+    | "env" -> show_env ()
     | _ ->
       show_designs ();
       show_workloads ();
-      show_components ());
+      show_components ();
+      show_env ());
     Ok ()
   in
-  verb (Cmd.info "list" ~doc:"List designs, workloads and library components")
+  verb
+    (Cmd.info "list"
+       ~doc:"List designs, workloads, library components and environment knobs")
     Term.(const run $ what)
 
 (* --- run ------------------------------------------------------------------- *)
@@ -316,7 +335,7 @@ let sweep_cmd =
              ~doc:"Instructions per run (default: \\$COBRA_INSNS or 100000).")
   in
   let jobs_opt =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some count) None
          & info [ "j"; "jobs" ] ~docv:"JOBS"
              ~doc:"Parallel simulation workers (default: \\$COBRA_JOBS or the machine's \
                    recommended domain count; 1 is fully serial).")
@@ -443,7 +462,7 @@ let conform_cmd =
     let seed =
       match seed with
       | Some s -> s
-      | None -> Cobra_util.Env.int_var "COBRA_SEED" ~default:0x0b5a
+      | None -> Cobra_util.Env.(get seed)
     in
     let shapes =
       match
@@ -482,7 +501,7 @@ let serve_cmd =
          & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path.")
   in
   let jobs_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some count) None
          & info [ "j"; "jobs" ] ~docv:"JOBS"
              ~doc:"Domain-pool width for sweep sharding (default: \\$COBRA_JOBS or the \
                    machine's recommended domain count).")
@@ -527,10 +546,7 @@ let serve_cmd =
           {
             (Serve.default_config ~socket) with
             Serve.timeout_s = timeout;
-            jobs =
-              (match jobs with
-              | Some j -> max 1 j
-              | None -> Cobra_runner.Pool.default_jobs ());
+            jobs = (match jobs with Some j -> j | None -> Cobra_runner.Pool.default_jobs ());
           }
         in
         Printf.eprintf "cobra serve: listening on %s (%d jobs)\n%!" socket cfg.Serve.jobs;
@@ -636,7 +652,7 @@ let probe_cmd =
     let seed =
       match seed with
       | Some s -> s
-      | None -> Cobra_util.Env.int_var "COBRA_SEED" ~default:0x0b5a
+      | None -> Cobra_util.Env.(get seed)
     in
     if list_flag then begin
       Printf.printf "probes:\n";

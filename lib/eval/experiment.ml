@@ -4,7 +4,7 @@ type result = {
   perf : Cobra_uarch.Perf.t;
 }
 
-let default_insns () = Cobra_util.Env.int_var ~min:1 "COBRA_INSNS" ~default:100_000
+let default_insns () = Cobra_util.Env.(get insns)
 
 let elaborate ?(config = Cobra_uarch.Config.default) (design : Designs.t)
     (workload : Cobra_workloads.Suite.entry) =
@@ -18,9 +18,7 @@ let elaborate ?(config = Cobra_uarch.Config.default) (design : Designs.t)
 let run_with_stats ?insns ?config (design : Designs.t) (workload : Cobra_workloads.Suite.entry) =
   let insns = match insns with Some n -> n | None -> default_insns () in
   let pl, core = elaborate ?config design workload in
-  let coll =
-    Cobra_stats.Collector.create ~interval_width:(Cobra_stats.Env.interval ()) pl
-  in
+  let coll = Cobra_stats.Collector.create pl in
   Cobra_uarch.Core.set_sampler core
     (Some
        (fun () ->
@@ -34,8 +32,7 @@ let run_with_stats ?insns ?config (design : Designs.t) (workload : Cobra_workloa
   let report =
     Cobra_stats.Collector.report ~design:design.Designs.name
       ~workload:workload.Cobra_workloads.Suite.name
-      ~perf:(Cobra_uarch.Perf.counters perf)
-      ~top:(Cobra_stats.Env.top ()) coll
+      ~perf:(Cobra_uarch.Perf.counters perf) coll
   in
   ( { design = design.Designs.name; workload = workload.Cobra_workloads.Suite.name; perf },
     report )
@@ -54,10 +51,10 @@ let variant config =
 let run ?insns ?(config = Cobra_uarch.Config.default) (design : Designs.t)
     (workload : Cobra_workloads.Suite.entry) =
   let insns = match insns with Some n -> n | None -> default_insns () in
-  if Cobra_stats.Env.enabled () then begin
+  if Cobra_util.Env.(get stats) then begin
     let result, report = run_with_stats ~insns ~config design workload in
     let variant = variant config in
-    (try ignore (Cobra_stats.Export.write ~variant ~dir:(Cobra_stats.Env.dir ()) report)
+    (try ignore (Cobra_stats.Export.write ~variant ~dir:Cobra_util.Env.(get stats_dir) report)
      with Sys_error _ | Unix.Unix_error _ -> ());
     Cobra_stats.Sink.publish report;
     result

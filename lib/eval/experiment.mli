@@ -5,7 +5,9 @@
     [run_matrix]) are executed through {!Cobra_runner}: in parallel across
     [COBRA_JOBS] domains, consulting the on-disk result cache (disable with
     [COBRA_CACHE=0]), with per-job retry and failure isolation.
-    [COBRA_JOBS=1] reproduces the serial harness bit-for-bit. *)
+    [COBRA_JOBS=1] reproduces the serial harness bit-for-bit. The knobs
+    this module reads itself are [COBRA_INSNS], [COBRA_STATS] and
+    [COBRA_STATS_DIR] ({!Cobra_util.Env}). *)
 
 type result = {
   design : string;
@@ -14,11 +16,11 @@ type result = {
 }
 
 val default_insns : unit -> int
-(** Instructions per run; override with the [COBRA_INSNS] environment
-    variable (the bench harness honours it). Read per call, so tests can
-    set and unset the variable; a set-but-malformed or non-positive value
-    raises [Failure] naming the variable — it never silently falls back to
-    the default. *)
+(** Instructions per run; override with the [COBRA_INSNS] knob
+    ({!Cobra_util.Env.insns}; the bench harness honours it). Read per
+    call, so tests can set and unset the variable; a set-but-malformed or
+    non-positive value raises [Failure] naming the variable — it never
+    silently falls back to the default. *)
 
 val run :
   ?insns:int ->
@@ -30,7 +32,9 @@ val run :
     [COBRA_STATS] is enabled, a {!Cobra_stats.Collector} rides along: the
     report is exported to [COBRA_STATS_DIR] as JSON + CSV and published to
     {!Cobra_stats.Sink} (the parallel runner forwards it into its telemetry
-    stream). With stats disabled no collection machinery is elaborated.
+    stream). The report keeps the 20 hardest branches and samples the
+    interval series every 1000 instructions. With stats disabled no
+    collection machinery is elaborated.
 
     The pipeline is the design's own ([Designs.t]'s [pipeline_config]);
     the core configuration is the only per-run choice. The export is named

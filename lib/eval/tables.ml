@@ -56,7 +56,8 @@ let pct ~total n =
   if total = 0 then "0.0%"
   else Printf.sprintf "%.1f%%" (100.0 *. float_of_int n /. float_of_int total)
 
-let table_attribution ?insns ?(design = "Tourney") ?(workload = "gcc") () =
+let table_attribution ?insns () =
+  let design = "Tourney" and workload = "gcc" in
   let d = Designs.find design in
   let w = Cobra_workloads.Suite.find workload in
   let result, report = Experiment.run_with_stats ?insns d w in

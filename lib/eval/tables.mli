@@ -10,8 +10,7 @@ val table_2 : unit -> string
 val table_3 : unit -> string
 (** Table III: evaluated systems for the SPECint17 comparison. *)
 
-val table_attribution :
-  ?insns:int -> ?design:string -> ?workload:string -> unit -> string
+val table_attribution : ?insns:int -> unit -> string
 (** Per-component mispredict attribution (plus arbitration tallies when the
     design has a selector), measured by a [Cobra_stats] collector riding a
-    hardware-guided run. Defaults to the Tourney design on gcc. *)
+    hardware-guided run of the Tourney design on gcc. *)

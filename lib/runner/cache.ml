@@ -4,12 +4,8 @@ type key = string (* hex digest *)
 
 let format_version = 1
 
-let enabled () = Cobra_util.Env.bool_var "COBRA_CACHE" ~default:true
-
-let dir () =
-  match Sys.getenv_opt "COBRA_CACHE_DIR" with
-  | Some d when String.trim d <> "" -> d
-  | Some _ | None -> "_cobra_cache"
+let enabled () = Cobra_util.Env.(get cache)
+let dir () = Cobra_util.Env.(get cache_dir)
 
 let key parts =
   let spec =

@@ -19,12 +19,13 @@
 type key
 
 val enabled : unit -> bool
-(** The [COBRA_CACHE] knob ({!Cobra_util.Env.bool_var}), on by default:
+(** The [COBRA_CACHE] knob ({!Cobra_util.Env.cache}), on by default:
     [0]/[false]/[no]/[off] disable the cache; any unrecognised value raises
     [Failure]. *)
 
 val dir : unit -> string
-(** [COBRA_CACHE_DIR] or ["_cobra_cache"]. *)
+(** The [COBRA_CACHE_DIR] knob ({!Cobra_util.Env.cache_dir}), by default
+    ["_cobra_cache"]. *)
 
 val key : string list -> key
 (** Digest a job spec. Every part participates; changing any part (insn

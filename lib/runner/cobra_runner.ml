@@ -19,12 +19,12 @@ type job = {
   run : unit -> Cobra_uarch.Perf.t;
 }
 
-let default_attempts () = 1 + Cobra_util.Env.int_var ~min:0 "COBRA_RETRIES" ~default:1
+(* A failing job gets one retry. *)
+let attempts = 2
 
-let run_perfs ?(label = "runner") ?jobs ?attempts ?progress specs =
+let run_perfs ?(label = "runner") ?progress specs =
   let n = List.length specs in
   let arr = Array.of_list specs in
-  let attempts = match attempts with Some a -> a | None -> default_attempts () in
   let owned = Option.is_none progress in
   let progress =
     match progress with
@@ -93,7 +93,7 @@ let run_perfs ?(label = "runner") ?jobs ?attempts ?progress specs =
     Fun.protect
       ~finally:(fun () -> Cobra_stats.Sink.set prev_sink)
       (fun () ->
-        Pool.map ?jobs ~attempts ~on_start ~on_retry ~on_finish
+        Pool.map ~attempts ~on_start ~on_retry ~on_finish
           (List.init n (fun i -> thunk i)))
   in
   if owned then Progress.finish progress;

@@ -11,11 +11,10 @@
     - {!Progress} — a telemetry sink: live stderr status line plus optional
       JSON-lines event log.
 
-    Environment knobs: [COBRA_JOBS] (worker count; [1] reproduces serial
-    behaviour bit-for-bit), [COBRA_CACHE=0] (disable the result cache),
-    [COBRA_CACHE_DIR], [COBRA_RETRIES] (extra attempts per failing job),
-    [COBRA_EVENTS] (JSON-lines sink path), [COBRA_PROGRESS] (force the live
-    line on/off). *)
+    Environment knobs ({!Cobra_util.Env}): [COBRA_JOBS] (worker count;
+    [1] reproduces serial behaviour bit-for-bit), [COBRA_CACHE=0] (disable
+    the result cache), [COBRA_CACHE_DIR], [COBRA_EVENTS] (JSON-lines sink
+    path), [COBRA_PROGRESS] (force the live line on/off). *)
 
 module Pool = Pool
 module Cache = Cache
@@ -40,13 +39,9 @@ type job = {
 }
 
 val run_perfs :
-  ?label:string ->
-  ?jobs:int ->
-  ?attempts:int ->
-  ?progress:Progress.t ->
-  job list ->
-  (Cobra_uarch.Perf.t, error) result list
-(** Run a grid of jobs through the pool, consulting and populating the
-    cache around each one, and emitting telemetry. Results come back in
+  ?label:string -> ?progress:Progress.t -> job list -> (Cobra_uarch.Perf.t, error) result list
+(** Run a grid of jobs through the pool ({!Pool.default_jobs} workers),
+    consulting and populating the cache around each one, and emitting
+    telemetry. A job that raises is retried once. Results come back in
     submission order. When [progress] is supplied the caller owns it (and
     its [finish]); otherwise one is created per call. *)

@@ -5,9 +5,7 @@ type error = {
   backtrace : string;
 }
 
-let default_jobs () =
-  Cobra_util.Env.int_var ~min:1 "COBRA_JOBS"
-    ~default:(Domain.recommended_domain_count ())
+let default_jobs () = Cobra_util.Env.(get jobs)
 
 let shielded f = try f () with _ -> ()
 

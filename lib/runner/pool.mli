@@ -22,8 +22,9 @@ type error = {
 }
 
 val default_jobs : unit -> int
-(** Worker count from the [COBRA_JOBS] environment variable, defaulting to
-    [Domain.recommended_domain_count ()]. Clamped to at least 1. *)
+(** Worker count from the [COBRA_JOBS] knob ({!Cobra_util.Env.jobs}),
+    defaulting to [Domain.recommended_domain_count ()]. A value below 1, or
+    one that is not an integer, raises [Failure] naming the variable. *)
 
 val map :
   ?jobs:int ->

@@ -26,13 +26,9 @@ type t = {
 let global_store_errors = Atomic.make 0
 let total_store_errors () = Atomic.get global_store_errors
 
-let default_live () =
-  Cobra_util.Env.bool_var "COBRA_PROGRESS"
-    ~default:(try Unix.isatty Unix.stderr with _ -> false)
-
 let create ?(label = "jobs") ?events_path ?live ~total () =
   let events_path =
-    match events_path with Some p -> Some p | None -> Sys.getenv_opt "COBRA_EVENTS"
+    match events_path with Some p -> Some p | None -> Cobra_util.Env.(get events)
   in
   let events =
     match events_path with
@@ -44,7 +40,7 @@ let create ?(label = "jobs") ?events_path ?live ~total () =
   {
     label;
     total;
-    live = (match live with Some l -> l | None -> default_live ());
+    live = (match live with Some l -> l | None -> Cobra_util.Env.(get progress));
     t0 = Unix.gettimeofday ();
     lock = Mutex.create ();
     events;

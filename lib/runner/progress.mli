@@ -8,10 +8,10 @@
 
     Live rendering defaults to "stderr is a tty"; [COBRA_PROGRESS] forces
     it on ([1]/[true]/[yes]/[on]) or off ([0]/[false]/[no]/[off]), and any
-    other value raises [Failure] ({!Cobra_util.Env.bool_var}). The events
-    file defaults to the [COBRA_EVENTS] environment variable, when set; one
-    that cannot be opened raises [Failure] naming the path and the system
-    error, rather than dropping the telemetry silently.
+    other value raises [Failure] ({!Cobra_util.Env.progress}). The events
+    file defaults to the [COBRA_EVENTS] knob, when set; one that cannot be
+    opened raises [Failure] naming the path and the system error, rather
+    than dropping the telemetry silently.
 
     JSON-lines schema (one {!Cobra_stats.Json} object per line):
     [{"ts": <unix-seconds>, "label": "...", "event":

@@ -36,7 +36,7 @@ let create cfg =
   {
     cfg;
     warm = Hashtbl.create 16;
-    warm_capacity = Cobra_util.Env.int_var ~min:1 "COBRA_WARM_CACHE" ~default:64;
+    warm_capacity = Cobra_util.Env.(get warm_cache);
     warm_mutex = Mutex.create ();
     warm_tick = 0;
     warm_evictions = 0;

@@ -58,7 +58,11 @@
     request line longer than {!max_request_bytes} gets the same answer,
     after which the daemon closes that connection. Per-request work is
     bounded by the server's timeout and runs isolated, so one poisoned
-    trace cannot wedge the pool. *)
+    trace cannot wedge the pool.
+
+    Knobs ({!Cobra_util.Env}): [COBRA_WARM_CACHE] sizes the warm cache,
+    [COBRA_JOBS] is {!default_config}'s pool width, and [COBRA_CACHE] and
+    [COBRA_CACHE_DIR] govern the result cache. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path *)

@@ -236,7 +236,12 @@ and t_mispredicted t e ~slot actual =
   in
   incr_tbl t.caused bucket
 
-let create ?(interval_width = 1000) pl =
+(* Nominal instructions per interval bucket, and rows in the report's
+   hard-branch table. *)
+let interval_width = 1000
+let top = 20
+
+let create pl =
   let comps = Pipeline.components pl in
   let depth = Pipeline.depth pl in
   let topo = Pipeline.topology pl in
@@ -282,7 +287,7 @@ let buckets t =
   in
   comp_buckets @ pseudo
 
-let report ?(design = "") ?(workload = "") ?(perf = []) ?(top = 20) t =
+let report ?(design = "") ?(workload = "") ?(perf = []) t =
   let components =
     Array.to_list
       (Array.mapi

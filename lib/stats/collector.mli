@@ -25,9 +25,9 @@
 
 type t
 
-val create : ?interval_width:int -> Cobra.Pipeline.t -> t
-(** Builds the collector and attaches it as the pipeline's observer.
-    [interval_width] defaults to 1000 instructions. *)
+val create : Cobra.Pipeline.t -> t
+(** Builds the collector and attaches it as the pipeline's observer. Its
+    interval series starts at 1000 instructions per bucket. *)
 
 val detach : t -> unit
 (** Detach from the pipeline (collection stops; accumulated state remains
@@ -43,12 +43,6 @@ val flush : t -> insns:int -> cycles:int -> mispredicts:int -> unit
 val total_mispredicts : t -> int
 val buckets : t -> (string * int) list
 
-val report :
-  ?design:string ->
-  ?workload:string ->
-  ?perf:(string * int) list ->
-  ?top:int ->
-  t ->
-  Report.t
-(** Snapshot everything into an exportable report. [top] bounds the branch
-    table (default 20). *)
+val report : ?design:string -> ?workload:string -> ?perf:(string * int) list -> t -> Report.t
+(** Snapshot everything into an exportable report; its branch table keeps
+    the 20 hardest branches. *)

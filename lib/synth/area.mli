@@ -10,13 +10,13 @@ type breakdown = {
   area_um2 : float;
 }
 
-val pipeline_breakdown : ?tech:Tech.t -> Cobra.Pipeline.t -> breakdown list
+val pipeline_breakdown : Cobra.Pipeline.t -> breakdown list
 (** One entry per sub-component plus a "Meta" entry for the generated
     management structures — the Fig 8 decomposition. *)
 
-val pipeline_total : ?tech:Tech.t -> Cobra.Pipeline.t -> float
+val pipeline_total : Cobra.Pipeline.t -> float
 
-val core_breakdown : ?tech:Tech.t -> Cobra.Pipeline.t -> breakdown list
+val core_breakdown : Cobra.Pipeline.t -> breakdown list
 (** The given predictor plus the non-predictor units of the 4-wide core
     (Table II): L1 caches, issue/execute, ROB and rename, register files,
     FPU, LSU — documented constants representative of a 4-wide

@@ -6,7 +6,9 @@ type t = { predict_pj : float; update_pj : float }
    (bitline+wordline activation), per port touched. *)
 let access_fraction bits = if bits <= 0 then 0.0 else Float.sqrt (float_of_int bits)
 
-let of_pipeline ?(tech = Tech.default) pl =
+let tech = Tech.default
+
+let of_pipeline pl =
   let components = Array.to_list (Cobra.Pipeline.components pl) in
   let storage_energy (s : Cobra.Storage.t) =
     (access_fraction s.Cobra.Storage.sram_bits *. tech.Tech.sram_read_pj_per_bit)
@@ -23,7 +25,7 @@ let of_pipeline ?(tech = Tech.default) pl =
     update_pj = (0.5 *. component_pj) +. (0.5 *. management_pj);
   }
 
-let per_kilo_instruction ?tech pl ~packets_per_ki =
-  let e = of_pipeline ?tech pl in
+let per_kilo_instruction pl ~packets_per_ki =
+  let e = of_pipeline pl in
   (* one predict and (amortised) one update per packet; pJ -> nJ *)
   packets_per_ki *. (e.predict_pj +. e.update_pj) /. 1000.0

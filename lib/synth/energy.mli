@@ -10,8 +10,7 @@ type t = {
   update_pj : float;  (** energy of one commit-time update *)
 }
 
-val of_pipeline : ?tech:Tech.t -> Cobra.Pipeline.t -> t
+val of_pipeline : Cobra.Pipeline.t -> t
 
-val per_kilo_instruction :
-  ?tech:Tech.t -> Cobra.Pipeline.t -> packets_per_ki:float -> float
+val per_kilo_instruction : Cobra.Pipeline.t -> packets_per_ki:float -> float
 (** nJ per kilo-instruction at the given fetch-packet rate. *)

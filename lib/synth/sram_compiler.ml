@@ -4,7 +4,9 @@ type result = { macros : int; area_um2 : float; read_energy_pj : float }
 
 let max_macro_bits = 64 * 1024 * 8 (* 64 KB *)
 
-let map ?(tech = Tech.default) spec =
+let tech = Tech.default
+
+let map spec =
   if spec.depth < 1 || spec.width < 1 then invalid_arg "Sram_compiler.map: empty memory";
   if spec.ports < 1 || spec.ports > 2 then invalid_arg "Sram_compiler.map: 1 or 2 ports";
   let bits = spec.depth * spec.width in
@@ -18,9 +20,9 @@ let map ?(tech = Tech.default) spec =
   let read_energy_pj = float_of_int spec.width *. tech.Tech.sram_read_pj_per_bit in
   { macros; area_um2; read_energy_pj }
 
-let area_of_bits ?tech ?(ports = 1) bits =
+let area_of_bits ?(ports = 1) bits =
   if bits = 0 then 0.0
   else
     let width = 64 in
     let depth = max 1 ((bits + width - 1) / width) in
-    (map ?tech { depth; width; ports }).area_um2
+    (map { depth; width; ports }).area_um2

@@ -19,7 +19,7 @@ type result = {
   read_energy_pj : float;  (** energy per full-width read *)
 }
 
-val map : ?tech:Tech.t -> spec -> result
+val map : spec -> result
 
-val area_of_bits : ?tech:Tech.t -> ?ports:int -> int -> float
+val area_of_bits : ?ports:int -> int -> float
 (** Convenience: map a flat bit count as a square-ish single macro group. *)

@@ -11,10 +11,12 @@ let comparator_fo4 bits = log2_ceil (max 2 bits) + 2
 let mux_fo4 inputs = (2 * log2_ceil (max 2 inputs)) + 2
 let hash_fo4 = 10
 
-(* Clock uncertainty, setup and margin eat ~20% of the period in signoff. *)
-let effective_period tech = tech.Tech.target_clock_ps * 8 / 10
+let tech = Tech.default
 
-let table_read_path ?(tech = Tech.default) ~stages ~tag_bits ~arbitration_inputs () =
+(* Clock uncertainty, setup and margin eat ~20% of the period in signoff. *)
+let effective_period = tech.Tech.target_clock_ps * 8 / 10
+
+let table_read_path ~stages ~tag_bits ~arbitration_inputs () =
   if stages < 1 then invalid_arg "Timing.table_read_path: stages < 1";
   (* Predictor memories are compiled macros, slower than cache SRAMs. *)
   let read = tech.Tech.sram_read_ps + 130 in
@@ -36,10 +38,10 @@ let table_read_path ?(tech = Tech.default) ~stages ~tag_bits ~arbitration_inputs
       Printf.sprintf "%d-stage tagged read (tag=%db, arb=%d-way)" stages tag_bits
         arbitration_inputs;
     delay_ps = worst;
-    meets_clock = worst <= effective_period tech;
+    meets_clock = worst <= effective_period;
   }
 
-let tage_path ?tech ~latency ~tables ~tag_bits () =
+let tage_path ~latency ~tables ~tag_bits () =
   (* Histories arrive at Fetch-1, so a latency-n TAGE has n-1 stages for
      read + compare + arbitration across [tables] providers. *)
-  table_read_path ?tech ~stages:(max 1 (latency - 1)) ~tag_bits ~arbitration_inputs:tables ()
+  table_read_path ~stages:(max 1 (latency - 1)) ~tag_bits ~arbitration_inputs:tables ()

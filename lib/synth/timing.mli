@@ -13,11 +13,10 @@ type path = {
   meets_clock : bool;
 }
 
-val table_read_path :
-  ?tech:Tech.t -> stages:int -> tag_bits:int -> arbitration_inputs:int -> unit -> path
+val table_read_path : stages:int -> tag_bits:int -> arbitration_inputs:int -> unit -> path
 (** Delay of a tagged-table component that spreads SRAM read, tag compare
     and arbitration over [stages] cycles: the reported delay is the worst
     single-stage slice. *)
 
-val tage_path : ?tech:Tech.t -> latency:int -> tables:int -> tag_bits:int -> unit -> path
+val tage_path : latency:int -> tables:int -> tag_bits:int -> unit -> path
 (** The paper's case: a [latency]-cycle TAGE with [tables] tagged tables. *)

@@ -273,9 +273,7 @@ let run_design ?max_branches ?max_insns ?deadline ?(engine = `Compiled)
 
 let run_design_with_stats ?max_branches ?max_insns ?deadline (d : Cobra_eval.Designs.t) ~path =
   let pl = Cobra_eval.Designs.pipeline d in
-  let coll =
-    Cobra_stats.Collector.create ~interval_width:(Cobra_stats.Env.interval ()) pl
-  in
+  let coll = Cobra_stats.Collector.create pl in
   let insns_seen = ref 0 and mis_seen = ref 0 in
   let observe r ~taken_pred:_ ~wrong =
     insns_seen := !insns_seen + Btrace.cursor_insns r;

@@ -56,7 +56,8 @@ let bar ~width ~max_value v =
     let n = int_of_float (Float.round (v /. max_value *. float_of_int width)) in
     String.make (max 0 (min width n)) '#'
 
-let bar_chart ?(width = 50) ~title ~unit entries =
+let bar_chart ~title ~unit entries =
+  let width = 50 in
   let max_value = List.fold_left (fun acc (_, v) -> Float.max acc v) 0.0 entries in
   let label_w = List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 entries in
   let buf = Buffer.create 256 in
@@ -68,7 +69,8 @@ let bar_chart ?(width = 50) ~title ~unit entries =
     entries;
   Buffer.contents buf
 
-let grouped_bar_chart ?(width = 42) ~title ~unit ~series entries =
+let grouped_bar_chart ~title ~unit ~series entries =
+  let width = 42 in
   let max_value =
     List.fold_left (fun acc (_, vs) -> List.fold_left Float.max acc vs) 0.0 entries
   in

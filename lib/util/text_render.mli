@@ -8,18 +8,12 @@ val table : ?title:string -> header:string list -> rows:string list list -> unit
 (** Boxed table with column auto-sizing. Numeric-looking cells are
     right-aligned. *)
 
-val bar_chart :
-  ?width:int -> title:string -> unit:string -> (string * float) list -> string
-(** One bar per labelled value, scaled to the maximum. *)
+val bar_chart : title:string -> unit:string -> (string * float) list -> string
+(** One bar per labelled value, scaled to the maximum (50 columns). *)
 
 val grouped_bar_chart :
-  ?width:int ->
-  title:string ->
-  unit:string ->
-  series:string list ->
-  (string * float list) list ->
-  string
-(** For each label, one bar per series (Fig 10 style). *)
+  title:string -> unit:string -> series:string list -> (string * float list) list -> string
+(** For each label, one bar per series (Fig 10 style; 42 columns). *)
 
 val stacked_rows :
   title:string -> unit:string -> parts:string list -> (string * float list) list -> string

@@ -22,7 +22,7 @@ let counted_loop ~counter ~trips ~label:l ~body =
 
 let forever ~label:l ~body = (label l :: body) @ [ j l ]
 
-let stream_of_program ?entry ?(init = fun _ -> ()) program =
-  let machine = Machine.create ?entry program in
+let stream_of_program ?(init = fun _ -> ()) program =
+  let machine = Machine.create program in
   init machine;
   Machine.stream machine

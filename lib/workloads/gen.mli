@@ -19,5 +19,6 @@ val forever : label:string -> body:Program.line list -> Program.line list
 (** An endless outer loop (runs are bounded by the simulator's instruction
     budget). *)
 
-val stream_of_program : ?entry:string -> ?init:(Machine.t -> unit) -> Program.t -> Trace.stream
-(** Fresh machine each call, with an optional memory initialiser. *)
+val stream_of_program : ?init:(Machine.t -> unit) -> Program.t -> Trace.stream
+(** Fresh machine each call, started at the program base, with an
+    optional memory initialiser. *)

@@ -5,7 +5,7 @@
    failure. Properties signal failure by raising (Alcotest checks work
    unchanged inside a property); the driver re-raises the exception of the
    *shrunk* counterexample with the seed and case number prepended, so a
-   failing run can be replayed exactly with [COBRA_PROP_SEED].
+   failing run can be replayed exactly with [COBRA_SEED].
 
    Why not qcheck (which the test stanza already links for other suites)?
    The component-invariant properties here are part of the repo's
@@ -111,18 +111,6 @@ let list ?(min_len = 0) ~max_len elem =
 
 (* --- driver --------------------------------------------------------------- *)
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n -> n | None -> default)
-  | None -> default
-
-let default_count = env_int "COBRA_PROP_COUNT" 100
-
-(* COBRA_SEED is the kit-wide seed knob shared with the conformance fuzzer
-   (and `cobra conform --seed`); COBRA_PROP_SEED still wins when set so old
-   replay instructions keep working. *)
-let default_seed = env_int "COBRA_PROP_SEED" (env_int "COBRA_SEED" 0x0b5a)
-
 exception Failed of string
 
 let run_one prop x =
@@ -152,7 +140,10 @@ let shrink_to_minimum arb prop x0 msg0 =
   in
   go x0 msg0
 
-let check ?(count = default_count) ?(seed = default_seed) ~name arb prop =
+(* The seed is the kit-wide COBRA_SEED knob, shared with the conformance
+   fuzzer and `cobra conform --seed`, read strictly per call. *)
+let check ?(count = 100) ?seed ~name arb prop =
+  let seed = match seed with Some s -> s | None -> Cobra_util.Env.(get seed) in
   let st = Random.State.make [| seed |] in
   for case = 1 to count do
     let x = arb.gen st in

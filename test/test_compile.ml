@@ -446,8 +446,7 @@ let test_serve_unknown_engine () =
    daemon is created), three distinct warm regions must leave exactly 2
    entries and 1 eviction, as the daemon's own sweep summary reports. *)
 let test_warm_cache_lru () =
-  Unix.putenv "COBRA_WARM_CACHE" "2";
-  let srv = Fun.protect ~finally:(fun () -> Unix.putenv "COBRA_WARM_CACHE" "") daemon in
+  let srv = Cobra_util.Env.with_set [ ("COBRA_WARM_CACHE", "2") ] daemon in
   with_trace 300 (fun path ->
       let summary =
         List.fold_left

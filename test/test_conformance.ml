@@ -11,10 +11,7 @@ module Fuzz = Cobra_conformance.Fuzz
 module Crosscheck = Cobra_conformance.Crosscheck
 module Designs = Cobra_eval.Designs
 
-let seed =
-  match Sys.getenv_opt "COBRA_SEED" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n -> n | None -> 0x0b5a)
-  | None -> 0x0b5a
+let seed = Cobra_util.Env.(get seed)
 
 let check = Alcotest.check
 let width = 4

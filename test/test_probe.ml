@@ -19,10 +19,7 @@ module Oracle = Cobra_probe.Oracle
 module Btrace = Cobra_trace_replay.Btrace
 module Reader = Cobra_trace_replay.Reader
 
-let seed =
-  match Sys.getenv_opt "COBRA_SEED" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n -> n | None -> 0x0b5a)
-  | None -> 0x0b5a
+let seed = Cobra_util.Env.(get seed)
 
 let check = Alcotest.check
 

@@ -216,27 +216,21 @@ let expect_failure ~substring f =
     if not (contains ~needle:substring m) then
       Alcotest.failf "Failure %S does not mention %S" m substring
 
-let test_env_int_var () =
-  Unix.putenv "COBRA_TEST_KNOB" "banana";
-  expect_failure ~substring:"COBRA_TEST_KNOB" (fun () ->
-      Env.int_var "COBRA_TEST_KNOB" ~default:7);
-  expect_failure ~substring:"banana" (fun () ->
-      Env.int_var "COBRA_TEST_KNOB" ~default:7);
-  Unix.putenv "COBRA_TEST_KNOB" "0";
-  expect_failure ~substring:"below the minimum" (fun () ->
-      Env.int_var ~min:1 "COBRA_TEST_KNOB" ~default:7);
-  Unix.putenv "COBRA_TEST_KNOB" " 42 ";
-  Alcotest.(check int) "trimmed integer parses" 42
-    (Env.int_var "COBRA_TEST_KNOB" ~default:7);
-  Alcotest.(check int) "unset means default" 7
-    (Env.int_var "COBRA_TEST_KNOB_UNSET" ~default:7)
-
 (* [f] under the given environment, restoring the previous values (an
    unset variable comes back empty, which every knob reads as unset). *)
-let with_env pairs f =
-  let old = List.map (fun (k, _) -> (k, Option.value (Sys.getenv_opt k) ~default:"")) pairs in
-  List.iter (fun (k, v) -> Unix.putenv k v) pairs;
-  Fun.protect f ~finally:(fun () -> List.iter (fun (k, v) -> Unix.putenv k v) old)
+let with_env = Env.with_set
+
+let test_env_int_knob () =
+  let warm () = Env.(get warm_cache) in
+  with_env [ ("COBRA_WARM_CACHE", "banana") ] (fun () ->
+      expect_failure ~substring:"COBRA_WARM_CACHE" warm;
+      expect_failure ~substring:"banana" warm);
+  with_env [ ("COBRA_WARM_CACHE", "0") ] (fun () ->
+      expect_failure ~substring:"below the minimum" warm);
+  with_env [ ("COBRA_WARM_CACHE", " 42 ") ] (fun () ->
+      Alcotest.(check int) "trimmed integer parses" 42 (warm ()));
+  with_env [ ("COBRA_WARM_CACHE", "") ] (fun () ->
+      Alcotest.(check int) "unset means default" 64 (warm ()))
 
 (* COBRA_CACHE took only the exact string "0" as off: "false" and "off"
    left the cache on. *)
@@ -256,10 +250,10 @@ let test_cache_knob () =
 
 (* COBRA_STATS took any unrecognised value, a typo included, as on. *)
 let test_stats_knob () =
-  with_env [ ("COBRA_STATS", "ture") ] (fun () ->
-      expect_failure ~substring:"COBRA_STATS" Cobra_stats.Env.enabled);
+  let stats () = Env.(get stats) in
+  with_env [ ("COBRA_STATS", "ture") ] (fun () -> expect_failure ~substring:"COBRA_STATS" stats);
   with_env [ ("COBRA_STATS", "off") ] (fun () ->
-      Alcotest.(check bool) "COBRA_STATS=off" false (Cobra_stats.Env.enabled ()))
+      Alcotest.(check bool) "COBRA_STATS=off" false (stats ()))
 
 (* COBRA_PROGRESS ignored "true" and "false" (falling back to tty
    detection). The live line is the one thing it controls: [finish] prints
@@ -292,14 +286,10 @@ let test_progress_knob () =
           Cobra_runner.Progress.create ~total:0 ()))
 
 let test_default_insns_raises () =
-  Unix.putenv "COBRA_INSNS" "1e6";
-  expect_failure ~substring:"COBRA_INSNS" (fun () ->
-      Cobra_eval.Experiment.default_insns ());
-  Unix.putenv "COBRA_INSNS" "12345";
-  Alcotest.(check int) "valid override" 12_345 (Cobra_eval.Experiment.default_insns ());
-  (* leave the variable at the stock default for any later test in this
-     binary (the environment cannot be unset portably) *)
-  Unix.putenv "COBRA_INSNS" "100000"
+  with_env [ ("COBRA_INSNS", "1e6") ] (fun () ->
+      expect_failure ~substring:"COBRA_INSNS" Cobra_eval.Experiment.default_insns);
+  with_env [ ("COBRA_INSNS", "12345") ] (fun () ->
+      Alcotest.(check int) "valid override" 12_345 (Cobra_eval.Experiment.default_insns ()))
 
 let test_harmonic_row () =
   let series = [ "A"; "B" ] in
@@ -350,7 +340,7 @@ let () =
         ] );
       ( "bugfix_regressions",
         [
-          Alcotest.test_case "env int knobs raise" `Quick test_env_int_var;
+          Alcotest.test_case "env int knobs raise" `Quick test_env_int_knob;
           Alcotest.test_case "COBRA_CACHE spellings" `Quick test_cache_knob;
           Alcotest.test_case "COBRA_STATS refuses a typo" `Quick test_stats_knob;
           Alcotest.test_case "COBRA_PROGRESS true and false" `Quick test_progress_knob;

@@ -18,13 +18,7 @@ let contains haystack needle =
   let rec go i = i + n <= m && (String.sub haystack i n = needle || go (i + 1)) in
   go 0
 
-let with_env pairs f =
-  let old = List.map (fun (k, _) -> (k, Sys.getenv_opt k)) pairs in
-  List.iter (fun (k, v) -> Unix.putenv k v) pairs;
-  Fun.protect f ~finally:(fun () ->
-      List.iter
-        (fun (k, v) -> Unix.putenv k (match v with Some v -> v | None -> ""))
-        old)
+let with_env = Cobra_util.Env.with_set
 
 let counter = ref 0
 

@@ -492,24 +492,18 @@ let serve_ping () =
    ambient COBRA_CACHE (CI runs the suite with it off), pointed at a fresh
    directory so the first request is a guaranteed miss. *)
 let with_fresh_cache f =
-  let saved = Sys.getenv_opt "COBRA_CACHE" and saved_dir = Sys.getenv_opt "COBRA_CACHE_DIR" in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "cobra_test_cache.%d" (Unix.getpid ()))
   in
-  Unix.putenv "COBRA_CACHE" "1";
-  Unix.putenv "COBRA_CACHE_DIR" dir;
-  let restore name = function Some v -> Unix.putenv name v | None -> Unix.putenv name "" in
   Fun.protect
     ~finally:(fun () ->
-      restore "COBRA_CACHE" saved;
-      restore "COBRA_CACHE_DIR" saved_dir;
       match Sys.readdir dir with
       | entries ->
         Array.iter (fun e -> try Sys.remove (Filename.concat dir e) with Sys_error _ -> ()) entries;
         (try Unix.rmdir dir with Unix.Unix_error _ -> ())
       | exception Sys_error _ -> ())
-    f
+    (fun () -> Cobra_util.Env.with_set [ ("COBRA_CACHE", "1"); ("COBRA_CACHE_DIR", dir) ] f)
 
 let serve_replay_and_cache () =
   with_fresh_cache @@ fun () ->

@@ -363,6 +363,97 @@ let prop_rng_bound =
       List.for_all (fun _ -> let v = Rng.int r bound in v >= 0 && v < bound)
         (List.init 50 Fun.id))
 
+(* --- Env: the knob registry -------------------------------------------------- *)
+
+(* README's knob table is the registry, row for row: name, default and
+   meaning, with the table's backticks dropped. *)
+let test_readme_knobs () =
+  let strip s = String.trim (String.concat "" (String.split_on_char '`' s)) in
+  let rows =
+    In_channel.with_open_text "../README.md" In_channel.input_lines
+    |> List.filter (String.starts_with ~prefix:"| `COBRA_")
+    |> List.map (fun line ->
+           match List.map strip (String.split_on_char '|' line) with
+           | [ ""; name; default; doc; "" ] -> (name, default, doc)
+           | _ -> Alcotest.failf "README knob row %S has not three cells" line)
+  in
+  let registry =
+    List.map (fun (k : Env.knob) -> (k.Env.name, k.Env.default, k.Env.doc)) Env.knobs
+  in
+  check Alcotest.(list (triple string string string)) "README table = registry" registry rows
+
+(* A malformed value for each knob; the path knobs take any non-blank value,
+   so they have none. The table must name every registered knob. *)
+let malformed =
+  [
+    ("COBRA_CACHE", Some "maybe");
+    ("COBRA_CACHE_DIR", None);
+    ("COBRA_EVENTS", None);
+    ("COBRA_INSNS", Some "1e6");
+    ("COBRA_JOBS", Some "0");
+    ("COBRA_PROGRESS", Some "sometimes");
+    ("COBRA_SEED", Some "abc");
+    ("COBRA_STATS", Some "ture");
+    ("COBRA_STATS_DIR", None);
+    ("COBRA_WARM_CACHE", Some "-3");
+  ]
+
+(* [cobra list] with every inherited COBRA_* variable dropped and
+   [name=value] added: its exit code and stderr. *)
+let cobra_list name value =
+  let cobra = Filename.concat ".." (Filename.concat "bin" "cobra_cli.exe") in
+  let env =
+    Printf.sprintf "%s=%s" name value
+    :: List.filter
+         (fun kv -> not (String.starts_with ~prefix:"COBRA_" kv))
+         (Array.to_list (Unix.environment ()))
+  in
+  let err = Filename.temp_file "cobra_knob" ".err" in
+  let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close err_fd;
+        Unix.close null)
+      (fun () ->
+        Unix.create_process_env cobra [| cobra; "list" |] (Array.of_list env) null null err_fd)
+  in
+  let _, status = Unix.waitpid [] pid in
+  let stderr = In_channel.with_open_text err In_channel.input_all in
+  Sys.remove err;
+  ((match status with Unix.WEXITED c -> c | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1), stderr)
+
+(* The message names [name] first: [cobra: NAME: ...] or [cobra: NAME = ...].
+   A bare substring test would pass on the list of knobs that the message
+   for an unknown name prints. *)
+let names_first stderr name =
+  let prefix = "cobra: " ^ name in
+  let n = String.length prefix in
+  String.starts_with ~prefix stderr && String.length stderr > n
+  && (stderr.[n] = ':' || stderr.[n] = ' ')
+
+(* One process at a time: each bad knob, and a name that is not a knob,
+   stops [cobra] with exit 124 and names the variable. *)
+let test_cobra_refuses_bad_knobs () =
+  check Alcotest.(list string) "a malformed value for every knob"
+    (List.map (fun (k : Env.knob) -> k.Env.name) Env.knobs)
+    (List.map fst malformed);
+  let refused name value =
+    let code, stderr = cobra_list name value in
+    check Alcotest.int (Printf.sprintf "%s=%s exits 124" name value) 124 code;
+    if not (names_first stderr name) then
+      Alcotest.failf "%s=%s: stderr %S does not name the variable" name value stderr
+  in
+  List.iter
+    (fun (name, bad) ->
+      match bad with
+      | Some value -> refused name value
+      | None ->
+        check Alcotest.int (name ^ " takes any path") 0 (fst (cobra_list name "some/dir")))
+    malformed;
+  refused "COBRA_JOB" "8"
+
 let () =
   Alcotest.run "cobra_util"
     [
@@ -421,5 +512,10 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           qcheck prop_rng_bound;
+        ] );
+      ( "env",
+        [
+          Alcotest.test_case "README table is the registry" `Quick test_readme_knobs;
+          Alcotest.test_case "cobra refuses each bad knob" `Quick test_cobra_refuses_bad_knobs;
         ] );
     ]
