@@ -31,14 +31,14 @@ let tage_latency ?insns () =
   let timing latency = Cobra_synth.Timing.tage_path ~latency ~tables:7 ~tag_bits:9 () in
   let t2 = timing 2 and t3 = timing 3 in
   let workloads = spec_subset () in
-  let jobs latency =
-    List.map (fun w -> Experiment.job ?insns (Designs.tage_l_with_latency latency) w)
-      workloads
+  let at latency w =
+    Experiment.cell (Experiment.job ?insns (Designs.tage_l_with_latency latency) w)
   in
-  let all = Experiment.run_jobs ~label:"ablation:VI-A" (jobs 2 @ jobs 3) in
-  let n = List.length workloads in
-  let r2 = List.filteri (fun i _ -> i < n) all
-  and r3 = List.filteri (fun i _ -> i >= n) all in
+  let pairs =
+    Experiment.run_jobs ~label:"ablation:VI-A"
+      (Experiment.all (List.map (fun w -> Experiment.pair (at 2 w) (at 3 w)) workloads))
+  in
+  let r2 = List.map fst pairs and r3 = List.map snd pairs in
   let mean_ipc rs = Stats.harmonic_mean (List.map (fun r -> Perf.ipc r.Experiment.perf) rs) in
   let mean_acc rs =
     Stats.mean (List.map (fun r -> 100.0 *. Perf.branch_accuracy r.Experiment.perf) rs)
@@ -46,8 +46,8 @@ let tage_latency ?insns () =
   let ipc2 = mean_ipc r2 and ipc3 = mean_ipc r3 in
   let acc2 = mean_acc r2 and acc3 = mean_acc r3 in
   let rows =
-    List.map2
-      (fun a b ->
+    List.map
+      (fun (a, b) ->
         [
           a.Experiment.workload;
           Text.float_cell (Perf.ipc a.Experiment.perf);
@@ -55,7 +55,7 @@ let tage_latency ?insns () =
           Text.float_cell ~decimals:2 (100.0 *. Perf.branch_accuracy a.Experiment.perf);
           Text.float_cell ~decimals:2 (100.0 *. Perf.branch_accuracy b.Experiment.perf);
         ])
-      r2 r3
+      pairs
   in
   let report =
     Printf.sprintf "%s\n%s\n"
@@ -91,58 +91,25 @@ let history_repair ?insns () =
      - repair: the register is repaired on divergences, in-flight
                predictions are not replayed (the paper's original design);
      - replay: repairing also replays fetch (the paper's alternate). *)
-  let jobs mode =
-    let config = { Config.default with Config.history_divergence = mode } in
-    List.map (fun w -> Experiment.job ?insns ~config Designs.tage_l w) workloads
+  let run mode w =
+    Experiment.cell
+      (Experiment.job ?insns
+         ~config:{ Config.default with Config.history_divergence = mode }
+         Designs.tage_l w)
   in
-  let dhry_job mode =
-    Experiment.job ?insns
-      ~config:{ Config.default with Config.history_divergence = mode }
-      Designs.tage_l (dhrystone ())
+  let modes w =
+    Experiment.pair (run Config.Ignore w)
+      (Experiment.pair (run Config.Repair w) (run Config.Replay w))
   in
-  (* Results are recovered by an explicit (mode, workload) key rather than
-     index arithmetic over the flat result list: slicing with [List.nth]
-     offsets silently mispairs results the moment the job list changes
-     shape. [Experiment.find] cannot be used here because the two Dhrystone
-     jobs share a design and workload and differ only in config. *)
-  let mode_tag = function
-    | Config.Ignore -> "none"
-    | Config.Repair -> "repair"
-    | Config.Replay -> "replay"
+  let per_workload, (dhry_nr, dhry_r) =
+    Experiment.run_jobs ~label:"ablation:VI-B"
+      (Experiment.pair
+         (Experiment.all (List.map modes workloads))
+         (Experiment.pair (run Config.Repair (dhrystone ())) (run Config.Replay (dhrystone ()))))
   in
-  let tag_jobs mode =
-    List.map2
-      (fun (w : Cobra_workloads.Suite.entry) j ->
-        ((mode_tag mode, w.Cobra_workloads.Suite.name), j))
-      workloads (jobs mode)
-  in
-  let tagged =
-    tag_jobs Config.Ignore @ tag_jobs Config.Repair @ tag_jobs Config.Replay
-    @ [ (("dhrystone", "no-replay"), dhry_job Config.Repair);
-        (("dhrystone", "replay"), dhry_job Config.Replay) ]
-  in
-  let keyed =
-    List.combine (List.map fst tagged)
-      (Experiment.run_jobs ~label:"ablation:VI-B" (List.map snd tagged))
-  in
-  let lookup key =
-    match List.assoc_opt key keyed with
-    | Some r -> r
-    | None ->
-      failwith
-        (Printf.sprintf "Ablations.history_repair: no result keyed (%s, %s); have: %s"
-           (fst key) (snd key)
-           (String.concat ", "
-              (List.map (fun ((m, w), _) -> Printf.sprintf "(%s, %s)" m w) keyed)))
-  in
-  let results_of mode =
-    List.map
-      (fun (w : Cobra_workloads.Suite.entry) ->
-        lookup (mode_tag mode, w.Cobra_workloads.Suite.name))
-      workloads
-  in
-  let none = results_of Config.Ignore in
-  let no_replay = results_of Config.Repair and replay = results_of Config.Replay in
+  let none = List.map fst per_workload in
+  let no_replay = List.map (fun (_, (r, _)) -> r) per_workload
+  and replay = List.map (fun (_, (_, r)) -> r) per_workload in
   let mean_ipc rs = Stats.harmonic_mean (List.map (fun r -> Perf.ipc r.Experiment.perf) rs) in
   let total_mispredicts rs =
     List.fold_left (fun acc r -> acc + r.Experiment.perf.Perf.mispredicts) 0 rs
@@ -150,11 +117,9 @@ let history_repair ?insns () =
   let ipc_none = mean_ipc none and ipc_nr = mean_ipc no_replay and ipc_r = mean_ipc replay in
   let mp_none = total_mispredicts none in
   let mp_nr = total_mispredicts no_replay and mp_r = total_mispredicts replay in
-  let dhry_nr = lookup ("dhrystone", "no-replay")
-  and dhry_r = lookup ("dhrystone", "replay") in
   let rows =
-    List.map2
-      (fun (a, b) c ->
+    List.map
+      (fun (a, (b, c)) ->
         [
           a.Experiment.workload;
           Text.float_cell (Perf.ipc a.Experiment.perf);
@@ -165,7 +130,7 @@ let history_repair ?insns () =
           string_of_int c.Experiment.perf.Perf.mispredicts;
           string_of_int c.Experiment.perf.Perf.replays;
         ])
-      (List.combine none no_replay) replay
+      per_workload
   in
   {
     id = "VI-B";
@@ -196,12 +161,10 @@ let history_repair ?insns () =
 let short_forward_branch ?insns () =
   let job sfb =
     let config = { Config.default with Config.sfb_optimization = sfb } in
-    Experiment.job ?insns ~config Designs.tage_l (coremark ())
+    Experiment.cell (Experiment.job ?insns ~config Designs.tage_l (coremark ()))
   in
   let off, on =
-    match Experiment.run_jobs ~label:"ablation:VI-C" [ job false; job true ] with
-    | [ off; on ] -> (off, on)
-    | _ -> assert false
+    Experiment.run_jobs ~label:"ablation:VI-C" (Experiment.pair (job false) (job true))
   in
   let acc r = 100.0 *. Perf.branch_accuracy r.Experiment.perf in
   let score r = Cobra_workloads.Coremark.score_per_mhz ~ipc:(Perf.ipc r.Experiment.perf) in
@@ -234,12 +197,10 @@ let short_forward_branch ?insns () =
 let serialized_fetch ?insns () =
   let job serialize =
     let config = { Config.default with Config.serialize_fetch = serialize } in
-    Experiment.job ?insns ~config Designs.tage_l (dhrystone ())
+    Experiment.cell (Experiment.job ?insns ~config Designs.tage_l (dhrystone ()))
   in
   let wide, serial =
-    match Experiment.run_jobs ~label:"ablation:I-intro" [ job false; job true ] with
-    | [ wide; serial ] -> (wide, serial)
-    | _ -> assert false
+    Experiment.run_jobs ~label:"ablation:I-intro" (Experiment.pair (job false) (job true))
   in
   let ipc_w = Perf.ipc wide.Experiment.perf and ipc_s = Perf.ipc serial.Experiment.perf in
   {
@@ -262,11 +223,3 @@ let serialized_fetch ?insns () =
              [ ("4-wide superscalar", wide); ("serialized at branches", serial) ])
         ();
   }
-
-let all ?insns () =
-  [
-    serialized_fetch ?insns ();
-    tage_latency ?insns ();
-    history_repair ?insns ();
-    short_forward_branch ?insns ();
-  ]

@@ -22,5 +22,3 @@ val short_forward_branch : ?insns:int -> unit -> outcome
 
 val serialized_fetch : ?insns:int -> unit -> outcome
 (** Section I: fetch serialised behind branches, on Dhrystone. *)
-
-val all : ?insns:int -> unit -> outcome list

@@ -3,8 +3,6 @@ open Cobra_components
 
 type t = {
   name : string;
-  paper_storage_kb : float;
-  paper_rows : string list;
   make : unit -> Topology.t;
   pipeline_config : Pipeline.config;
 }
@@ -30,13 +28,6 @@ let tourney =
   in
   {
     name = "Tourney";
-    paper_storage_kb = 6.8;
-    paper_rows =
-      [
-        "32-bit global, 256x32-bit local histories";
-        "2K-entry BTB w. 16K-entry 2-bit BHT";
-        "1K tournament counters";
-      ];
     make;
     pipeline_config =
       {
@@ -62,13 +53,6 @@ let b2 =
   in
   {
     name = "B2";
-    paper_storage_kb = 6.5;
-    paper_rows =
-      [
-        "16-bit global history";
-        "2K partially tagged + 16K untagged counters";
-        "2K-entry BTB";
-      ];
     make;
     pipeline_config =
       {
@@ -105,14 +89,6 @@ let make_tage_l ~tage_latency =
   in
   {
     name = (if tage_latency = 3 then "TAGE-L" else Printf.sprintf "TAGE-L/lat%d" tage_latency);
-    paper_storage_kb = 28.0;
-    paper_rows =
-      [
-        "64-bit global history";
-        "7 TAGE tables";
-        "2K-entry BTB w. 32-entry uBTB";
-        "256-entry loop predictor";
-      ];
     make;
     pipeline_config =
       {
@@ -139,8 +115,6 @@ let gshare_only =
   in
   {
     name = "GShare";
-    paper_storage_kb = 1.0;
-    paper_rows = [ "12-bit global history"; "4K 2-bit counters" ];
     make;
     pipeline_config =
       {

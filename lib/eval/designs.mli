@@ -12,8 +12,6 @@
 
 type t = {
   name : string;
-  paper_storage_kb : float;  (** Table I's storage column *)
-  paper_rows : string list;  (** Table I's description column *)
   make : unit -> Cobra.Topology.t;
   pipeline_config : Cobra.Pipeline.config;
 }

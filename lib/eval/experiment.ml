@@ -97,39 +97,54 @@ let to_runner_job j =
         (run ~insns:j.job_insns ~config:j.job_config j.job_design j.job_workload).perf);
   }
 
-let run_jobs_results ?label jobs =
-  let outcomes = Cobra_runner.run_perfs ?label (List.map to_runner_job jobs) in
-  List.map2
-    (fun j outcome ->
-      Result.map
-        (fun perf ->
+(* A grid is its jobs in submission order and how to build its value from
+   the results, read from [base] on: each cell reads its own slot, so no
+   caller pairs cells with results by hand. *)
+type 'a grid = { jobs : job list; read : result array -> int -> 'a }
+
+let cell j = { jobs = [ j ]; read = (fun results base -> results.(base)) }
+let map f g = { g with read = (fun results base -> f (g.read results base)) }
+
+let pair a b =
+  let n = List.length a.jobs in
+  { jobs = a.jobs @ b.jobs; read = (fun rs base -> (a.read rs base, b.read rs (base + n))) }
+
+let all gs =
+  {
+    jobs = List.concat_map (fun g -> g.jobs) gs;
+    read =
+      (fun rs base ->
+        snd (List.fold_left_map (fun i g -> (i + List.length g.jobs, g.read rs i)) base gs));
+  }
+
+let run_jobs ?label g =
+  let outcomes = Cobra_runner.run_perfs ?label (List.map to_runner_job g.jobs) in
+  let results =
+    List.map2
+      (fun j outcome ->
+        match outcome with
+        | Ok perf ->
           {
             design = j.job_design.Designs.name;
             workload = j.job_workload.Cobra_workloads.Suite.name;
             perf;
-          })
-        outcome)
-    jobs outcomes
-
-let run_jobs ?label jobs =
-  List.map2
-    (fun j outcome ->
-      match outcome with
-      | Ok r -> r
-      | Error (e : Cobra_runner.error) ->
-        failwith
-          (Format.asprintf "Experiment: %s on %s: %a%s" j.job_design.Designs.name
-             j.job_workload.Cobra_workloads.Suite.name Cobra_runner.pp_error e
-             (if e.Cobra_runner.backtrace = "" then ""
-              else "\n" ^ e.Cobra_runner.backtrace)))
-    jobs
-    (run_jobs_results ?label jobs)
+          }
+        | Error (e : Cobra_runner.error) ->
+          failwith
+            (Format.asprintf "Experiment: %s on %s: %a%s" j.job_design.Designs.name
+               j.job_workload.Cobra_workloads.Suite.name Cobra_runner.pp_error e
+               (if e.Cobra_runner.backtrace = "" then ""
+                else "\n" ^ e.Cobra_runner.backtrace)))
+      g.jobs outcomes
+  in
+  g.read (Array.of_list results) 0
 
 let run_matrix ?insns ?config designs workloads =
   run_jobs ~label:"run_matrix"
-    (List.concat_map
-       (fun w -> List.map (fun d -> job ?insns ?config d w) designs)
-       workloads)
+    (all
+       (List.concat_map
+          (fun w -> List.map (fun d -> cell (job ?insns ?config d w)) designs)
+          workloads))
 
 let find_opt results ~design ~workload =
   List.find_opt

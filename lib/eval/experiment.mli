@@ -67,11 +67,26 @@ val job :
     configuration, the workload, the core configuration and the
     instruction budget. *)
 
-val run_jobs : ?label:string -> job list -> result list
-(** Run a grid through the pool + cache, results in submission order. A
-    job that keeps raising after its retry budget does not abort the rest
-    of the grid; once the whole grid has run, the first failed job raises
-    [Failure] naming the design, workload and exception. *)
+type 'a grid
+(** Jobs to run together, and the value to build from their results: a
+    table's rows, a pair of runs to compare. Each cell gets its own result,
+    whatever the grid's shape. *)
+
+val cell : job -> result grid
+val map : ('a -> 'b) -> 'a grid -> 'b grid
+
+val pair : 'a grid -> 'b grid -> ('a * 'b) grid
+(** [a]'s jobs, then [b]'s. *)
+
+val all : 'a grid list -> 'a list grid
+(** The grids' jobs one after another. *)
+
+val run_jobs : ?label:string -> 'a grid -> 'a
+(** Run a grid's jobs through the pool + cache, in submission order, and
+    build its value. A job that keeps raising after its retry budget does
+    not abort the rest of the grid; once the whole grid has run, the first
+    failed job raises [Failure] naming the design, workload and
+    exception. *)
 
 val run_matrix :
   ?insns:int ->

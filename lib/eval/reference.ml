@@ -4,6 +4,43 @@ type series = {
   ipc : (string * float) list;
 }
 
+type table_1_row = { storage_kb : float; description : string list }
+
+let table_1 =
+  [
+    ( "Tourney",
+      {
+        storage_kb = 6.8;
+        description =
+          [
+            "32-bit global, 256x32-bit local histories";
+            "2K-entry BTB w. 16K-entry 2-bit BHT";
+            "1K tournament counters";
+          ];
+      } );
+    ( "B2",
+      {
+        storage_kb = 6.5;
+        description =
+          [
+            "16-bit global history";
+            "2K partially tagged + 16K untagged counters";
+            "2K-entry BTB";
+          ];
+      } );
+    ( "TAGE-L",
+      {
+        storage_kb = 28.0;
+        description =
+          [
+            "64-bit global history";
+            "7 TAGE tables";
+            "2K-entry BTB w. 32-entry uBTB";
+            "256-entry loop predictor";
+          ];
+      } );
+  ]
+
 let benchmarks =
   [ "perlbench"; "gcc"; "mcf"; "omnetpp"; "xalancbmk"; "x264"; "deepsjeng"; "leela";
     "exchange2"; "xz" ]

@@ -1,4 +1,5 @@
-(** Paper-reported reference data.
+(** Paper-reported reference data: Table I's storage and descriptions,
+    Fig 10's series of other systems, and the headline claims of the text.
 
     Fig 10 compares the three COBRA-BOOM variants against Intel Skylake and
     AWS Graviton measurements. Those series cannot be re-measured here, so
@@ -6,6 +7,15 @@
     embedded as constants and printed alongside our measured series, in the
     same spirit as the paper's own caveat ("comparison against Skylake and
     Graviton is approximate due to different ISAs"). *)
+
+type table_1_row = {
+  storage_kb : float;  (** the storage column *)
+  description : string list;  (** the description column, one line each *)
+}
+
+val table_1 : (string * table_1_row) list
+(** Table I's reported storage and description of each evaluated design,
+    keyed by design name. *)
 
 type series = {
   system : string;

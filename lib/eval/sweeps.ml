@@ -17,19 +17,15 @@ let default_insns () = Experiment.default_insns ()
 let row_job ~sweep ?insns ?config ?(pipeline_config = Pipeline.default_config) ~row ~workload
     make =
   Experiment.job ?insns ?config
-    {
-      Designs.name = sweep ^ ":" ^ row;
-      paper_storage_kb = 0.0;
-      paper_rows = [];
-      make;
-      pipeline_config;
-    }
+    { Designs.name = sweep ^ ":" ^ row; make; pipeline_config }
     workload
 
-let run_rows ~sweep jobs =
-  List.map
-    (fun (r : Experiment.result) -> r.Experiment.perf)
-    (Experiment.run_jobs ~label:("sweep:" ^ sweep) jobs)
+(* A sweep's table rows: one grid of [job_of c] over the cells under the
+   runner label [sweep:<sweep>], each row built from its cell and run. *)
+let rows ~sweep job_of row cells =
+  Experiment.(
+    run_jobs ~label:("sweep:" ^ sweep)
+      (all (List.map (fun c -> map (fun (r : result) -> row c r.perf) (cell (job_of c))) cells)))
 
 (* --- TAGE storage sweep ------------------------------------------------------- *)
 
@@ -50,32 +46,26 @@ let tage_storage_sweep ?insns () =
         (index_bits, tcfg))
       [ 7; 8; 9; 10; 11; 12 ]
   in
-  let defs =
-    List.map
-      (fun (index_bits, tcfg) ->
-        row_job ~sweep:"tage_storage" ?insns
-          ~row:(Printf.sprintf "index_bits=%d" index_bits)
-          ~workload
-          (fun () ->
-            Topology.over (Tage.make tcfg)
-              (Topology.over
-                 (Btb.make (Btb.default ~name:"BTB"))
-                 (Topology.node (Hbim.make (Hbim.default ~name:"BIM" ~indexing:Indexing.Pc))))))
-      points
+  let job (index_bits, tcfg) =
+    row_job ~sweep:"tage_storage" ?insns
+      ~row:(Printf.sprintf "index_bits=%d" index_bits)
+      ~workload
+      (fun () ->
+        Topology.over (Tage.make tcfg)
+          (Topology.over
+             (Btb.make (Btb.default ~name:"BTB"))
+             (Topology.node (Hbim.make (Hbim.default ~name:"BIM" ~indexing:Indexing.Pc)))))
   in
-  let perfs = run_rows ~sweep:"tage_storage" defs in
-  let rows =
-    List.map2
-      (fun (index_bits, tcfg) perf ->
-        [
-          Printf.sprintf "2^%d x 7" index_bits;
-          Printf.sprintf "%.1f KB" (float_of_int (Tage.storage_bits tcfg) /. 8192.0);
-          Text.float_cell ~decimals:2 (100.0 *. Perf.branch_accuracy perf);
-          Text.float_cell (Perf.mpki perf);
-          Text.float_cell (Perf.ipc perf);
-        ])
-      points perfs
+  let row (index_bits, tcfg) perf =
+    [
+      Printf.sprintf "2^%d x 7" index_bits;
+      Printf.sprintf "%.1f KB" (float_of_int (Tage.storage_bits tcfg) /. 8192.0);
+      Text.float_cell ~decimals:2 (100.0 *. Perf.branch_accuracy perf);
+      Text.float_cell (Perf.mpki perf);
+      Text.float_cell (Perf.ipc perf);
+    ]
   in
+  let rows = rows ~sweep:"tage_storage" job row points in
   Text.table ~title:"Sweep: TAGE storage budget (gcc-like workload)"
     ~header:[ "entries"; "TAGE KB"; "accuracy%"; "MPKI"; "IPC" ]
     ~rows ()
@@ -100,12 +90,9 @@ let ubtb_value ?insns () =
             (Topology.node (Ubtb.make (Ubtb.default ~name:"UBTB")))))
   in
   let named = [ ("TAGE_3 > BTB_2 > BIM_2", base_parts); ("... > UBTB_1", with_ubtb) ] in
-  let defs =
-    List.map (fun (name, mk) -> row_job ~sweep:"ubtb_value" ?insns ~row:name ~workload mk) named
-  in
-  let perfs = run_rows ~sweep:"ubtb_value" defs in
   let rows =
-    List.map2
+    rows ~sweep:"ubtb_value"
+      (fun (name, mk) -> row_job ~sweep:"ubtb_value" ?insns ~row:name ~workload mk)
       (fun (name, _) perf ->
         [
           name;
@@ -113,7 +100,7 @@ let ubtb_value ?insns () =
           Text.float_cell ~decimals:2 (100.0 *. Perf.branch_accuracy perf);
           string_of_int perf.Perf.cycles;
         ])
-      named perfs
+      named
   in
   Text.table
     ~title:"Ablation: 1-cycle uBTB head (dhrystone; taken redirects at Fetch-1 vs Fetch-2)"
@@ -124,32 +111,27 @@ let ubtb_value ?insns () =
 
 let fetch_width_sweep ?insns () =
   let workload = Cobra_workloads.Suite.find "dhrystone" in
-  let widths = [ 1; 2; 4; 8 ] in
-  let defs =
-    List.map
-      (fun w ->
-        let pipeline_config = { Pipeline.default_config with Pipeline.fetch_width = w } in
-        let config = { Config.default with Config.decode_width = w; commit_width = w } in
-        row_job ~sweep:"fetch_width" ?insns ~config ~pipeline_config
-          ~row:(Printf.sprintf "width=%d" w) ~workload
-          (fun () ->
-            Topology.over
-              (Tage.make { (Tage.default ~name:"TAGE") with Tage.fetch_width = w })
-              (Topology.over
-                 (Btb.make { (Btb.default ~name:"BTB") with Btb.fetch_width = w })
-                 (Topology.node
-                    (Hbim.make
-                       { (Hbim.default ~name:"BIM" ~indexing:Indexing.Pc) with
-                         Hbim.fetch_width = w })))))
-      widths
+  let job w =
+    let pipeline_config = { Pipeline.default_config with Pipeline.fetch_width = w } in
+    let config = { Config.default with Config.decode_width = w; commit_width = w } in
+    row_job ~sweep:"fetch_width" ?insns ~config ~pipeline_config
+      ~row:(Printf.sprintf "width=%d" w) ~workload
+      (fun () ->
+        Topology.over
+          (Tage.make { (Tage.default ~name:"TAGE") with Tage.fetch_width = w })
+          (Topology.over
+             (Btb.make { (Btb.default ~name:"BTB") with Btb.fetch_width = w })
+             (Topology.node
+                (Hbim.make
+                   { (Hbim.default ~name:"BIM" ~indexing:Indexing.Pc) with
+                     Hbim.fetch_width = w }))))
   in
-  let perfs = run_rows ~sweep:"fetch_width" defs in
   let rows =
-    List.map2
+    rows ~sweep:"fetch_width" job
       (fun w perf ->
         [ string_of_int w; Text.float_cell (Perf.ipc perf);
           Text.float_cell ~decimals:2 (100.0 *. Perf.branch_accuracy perf) ])
-      widths perfs
+      [ 1; 2; 4; 8 ]
   in
   Text.table ~title:"Sweep: fetch width (superscalar prediction, Section II)"
     ~header:[ "width"; "IPC"; "accuracy%" ]
@@ -166,22 +148,17 @@ let indexing_ablation ?insns () =
       ("hash(pc^ghist[10])", Indexing.Hash [ Indexing.Pc; Indexing.Ghist 10 ]);
     ]
   in
-  let defs =
-    List.map
+  let rows =
+    rows ~sweep:"indexing"
       (fun (name, indexing) ->
         row_job ~sweep:"indexing" ?insns ~row:name ~workload (fun () ->
             Topology.over
               (Hbim.make { (Hbim.default ~name:"BIM" ~indexing) with Hbim.entries = 4096 })
               (Topology.node (Btb.make (Btb.default ~name:"BTB")))))
-      variants
-  in
-  let perfs = run_rows ~sweep:"indexing" defs in
-  let rows =
-    List.map2
       (fun (name, _) perf ->
         [ name; Text.float_cell ~decimals:2 (100.0 *. Perf.branch_accuracy perf);
           Text.float_cell (Perf.mpki perf) ])
-      variants perfs
+      variants
   in
   Text.table ~title:"Ablation: HBIM indexing source (correlated kernel, Section III-G1)"
     ~header:[ "indexing"; "accuracy%"; "MPKI" ]
@@ -211,15 +188,10 @@ let indirect_predictor ?insns () =
         List.map (fun (name, mk) -> (wname, name, mk, workload)) named)
       [ "perlbench"; "indirect" ]
   in
-  let defs =
-    List.map
+  let rows =
+    rows ~sweep:"indirect"
       (fun (_, name, mk, workload) ->
         row_job ~sweep:"indirect" ?insns ~pipeline_config ~row:name ~workload mk)
-      cells
-  in
-  let perfs = run_rows ~sweep:"indirect" defs in
-  let rows =
-    List.map2
       (fun (wname, name, _, _) perf ->
         [
           wname;
@@ -228,7 +200,7 @@ let indirect_predictor ?insns () =
           Text.float_cell ~decimals:2 (100.0 *. Perf.branch_accuracy perf);
           Text.float_cell (Perf.mpki perf);
         ])
-      cells perfs
+      cells
   in
   Text.table
     ~title:
@@ -252,15 +224,10 @@ let statistical_corrector_value ?insns () =
   let cells =
     List.concat_map (fun w -> List.map (fun (name, mk) -> (w, name, mk)) named) workloads
   in
-  let defs =
-    List.map
+  let rows =
+    rows ~sweep:"statistical_corrector"
       (fun (w, name, mk) ->
         row_job ~sweep:"statistical_corrector" ?insns ~pipeline_config ~row:name ~workload:w mk)
-      cells
-  in
-  let perfs = run_rows ~sweep:"statistical_corrector" defs in
-  let rows =
-    List.map2
       (fun ((w : Cobra_workloads.Suite.entry), name, _) perf ->
         [
           w.Cobra_workloads.Suite.name;
@@ -269,7 +236,7 @@ let statistical_corrector_value ?insns () =
           Text.float_cell (Perf.mpki perf);
           Text.float_cell (Perf.ipc perf);
         ])
-      cells perfs
+      cells
   in
   Text.table
     ~title:"Extension: statistical corrector over TAGE-L (towards full TAGE-SC-L)"
@@ -301,15 +268,10 @@ let gehl_vs_tage ?insns () =
       ("TAGE_3", fun () -> Tage.make (Tage.default ~name:"TAGE"));
     ]
   in
-  let defs =
-    List.map
+  let rows =
+    rows ~sweep:"cbp_families"
       (fun (name, mk) ->
         row_job ~sweep:"cbp_families" ?insns ~row:name ~workload (fun () -> over_btb (mk ())))
-      contenders
-  in
-  let perfs = run_rows ~sweep:"cbp_families" defs in
-  let rows =
-    List.map2
       (fun (name, mk) perf ->
         let c = mk () in
         let kb = Cobra.Storage.kilobytes c.Cobra.Component.storage in
@@ -320,7 +282,7 @@ let gehl_vs_tage ?insns () =
           Text.float_cell (Perf.mpki perf);
           Text.float_cell (Perf.ipc perf);
         ])
-      contenders perfs
+      contenders
   in
   Text.table
     ~title:"Extension: CBP-era predictor families head-to-head (gcc-like workload)"
@@ -360,75 +322,52 @@ let core_size ?insns () =
         } );
     ]
   in
-  (* rebuild the design's components at the matching fetch width *)
-  let topo_for (design : Designs.t) fw () =
-    match design.Designs.name with
-    | "B2" ->
-      Topology.over
-        (Gtag.make { (Gtag.default ~name:"GTAG") with Gtag.fetch_width = fw })
-        (Topology.over
-           (Btb.make { (Btb.default ~name:"BTB") with Btb.fetch_width = fw })
-           (Topology.node
-              (Hbim.make
-                 { (Hbim.default ~name:"BIM" ~indexing:Indexing.Pc) with
-                   Hbim.fetch_width = fw })))
-    | _ ->
-      Topology.over
-        (Tage.make { (Tage.default ~name:"TAGE") with Tage.fetch_width = fw })
-        (Topology.over
-           (Btb.make { (Btb.default ~name:"BTB") with Btb.fetch_width = fw })
-           (Topology.over
-              (Hbim.make
-                 { (Hbim.default ~name:"BIM" ~indexing:Indexing.Pc) with
-                   Hbim.fetch_width = fw })
-              (Topology.node
-                 (Ubtb.make { (Ubtb.default ~name:"UBTB") with Ubtb.fetch_width = fw }))))
+  (* B2's and TAGE-L's components rebuilt at the core's fetch width *)
+  let b2_at fw () =
+    Topology.over
+      (Gtag.make { (Gtag.default ~name:"GTAG") with Gtag.fetch_width = fw })
+      (Topology.over
+         (Btb.make { (Btb.default ~name:"BTB") with Btb.fetch_width = fw })
+         (Topology.node
+            (Hbim.make
+               { (Hbim.default ~name:"BIM" ~indexing:Indexing.Pc) with Hbim.fetch_width = fw })))
   in
-  let cells =
-    List.concat_map
-      (fun (size_name, fw, config) ->
-        List.map
-          (fun (design : Designs.t) -> (size_name, fw, config, design))
-          [ Designs.b2; Designs.tage_l ])
-      sizes
+  let tage_l_at fw () =
+    Topology.over
+      (Tage.make { (Tage.default ~name:"TAGE") with Tage.fetch_width = fw })
+      (Topology.over
+         (Btb.make { (Btb.default ~name:"BTB") with Btb.fetch_width = fw })
+         (Topology.over
+            (Hbim.make
+               { (Hbim.default ~name:"BIM" ~indexing:Indexing.Pc) with Hbim.fetch_width = fw })
+            (Topology.node
+               (Ubtb.make { (Ubtb.default ~name:"UBTB") with Ubtb.fetch_width = fw }))))
   in
-  let defs =
-    List.map
-      (fun (size_name, fw, config, (design : Designs.t)) ->
-        let pipeline_config = { Pipeline.default_config with Pipeline.fetch_width = fw } in
-        row_job ~sweep:"core_size" ?insns ~config ~pipeline_config
-          ~row:(Printf.sprintf "%s/%s" size_name design.Designs.name)
-          ~workload (topo_for design fw))
-      cells
-  in
-  let perfs = run_rows ~sweep:"core_size" defs in
-  let by_cell = List.combine cells perfs in
-  let perf_of size_name design_name =
-    snd
-      (List.find
-         (fun ((s, _, _, (d : Designs.t)), _) ->
-           String.equal s size_name && String.equal d.Designs.name design_name)
-         by_cell)
-  in
-  let rows =
-    List.map
-      (fun (size_name, _, _) ->
-        let b2 = perf_of size_name "B2" and tage = perf_of size_name "TAGE-L" in
-        let gain =
-          100.0 *. (Perf.ipc tage -. Perf.ipc b2) /. Float.max 1e-9 (Perf.ipc b2)
-        in
+  let row (size_name, fw, config) =
+    let ipc design make =
+      Experiment.map
+        (fun (r : Experiment.result) -> Perf.ipc r.Experiment.perf)
+        (Experiment.cell
+           (row_job ~sweep:"core_size" ?insns ~config
+              ~pipeline_config:{ Pipeline.default_config with Pipeline.fetch_width = fw }
+              ~row:(Printf.sprintf "%s/%s" size_name design)
+              ~workload (make fw)))
+    in
+    Experiment.map
+      (fun (b2, tage) ->
         [
           size_name;
-          Text.float_cell (Perf.ipc b2);
-          Text.float_cell (Perf.ipc tage);
-          Printf.sprintf "%+.1f%%" gain;
+          Text.float_cell b2;
+          Text.float_cell tage;
+          Printf.sprintf "%+.1f%%" (100.0 *. (tage -. b2) /. Float.max 1e-9 b2);
         ])
-      sizes
+      (Experiment.pair (ipc "B2" b2_at) (ipc "TAGE-L" tage_l_at))
   in
   Text.table
     ~title:"Sweep: host-core size (TAGE-class vs B2-class prediction, gcc-like workload)"
     ~header:[ "core"; "IPC (B2-like)"; "IPC (TAGE-like)"; "TAGE gain" ]
-    ~rows ()
+    ~rows:(Experiment.run_jobs ~label:"sweep:core_size" (Experiment.all (List.map row sizes)))
+    ()
 
 (* --- RAS repair ------------------------------------------------------------------------ *)
 
@@ -437,25 +376,20 @@ let ras_repair ?insns () =
   let cells =
     List.concat_map (fun w -> List.map (fun repair -> (w, repair)) [ false; true ]) workloads
   in
-  let jobs =
-    List.map
+  let rows =
+    rows ~sweep:"ras_repair"
       (fun (w, repair) ->
         let config = { Config.default with Config.ras_repair = repair } in
         Experiment.job ?insns ~config Designs.tage_l w)
-      cells
-  in
-  let results = Experiment.run_jobs ~label:"sweep:ras_repair" jobs in
-  let rows =
-    List.map2
-      (fun (_, repair) (r : Experiment.result) ->
+      (fun ((w : Cobra_workloads.Suite.entry), repair) perf ->
         [
-          r.Experiment.workload;
+          w.Cobra_workloads.Suite.name;
           (if repair then "checkpointed" else "no repair");
-          Text.float_cell (Perf.ipc r.Experiment.perf);
-          Text.float_cell ~decimals:2 (100.0 *. Perf.branch_accuracy r.Experiment.perf);
-          string_of_int r.Experiment.perf.Perf.mispredicts;
+          Text.float_cell (Perf.ipc perf);
+          Text.float_cell ~decimals:2 (100.0 *. Perf.branch_accuracy perf);
+          string_of_int perf.Perf.mispredicts;
         ])
-      cells results
+      cells
   in
   Text.table ~title:"Extension: RAS checkpoint repair on flushes (call-heavy workloads)"
     ~header:[ "workload"; "RAS"; "IPC"; "accuracy%"; "mispredicts" ]
@@ -496,3 +430,19 @@ let attribution ?insns () =
          insns)
     ~header:[ "design"; "total"; "bucket"; "caused"; "share" ]
     ~rows ()
+
+type t = { name : string; run : ?insns:int -> unit -> string }
+
+let all =
+  [
+    { name = "storage"; run = tage_storage_sweep };
+    { name = "ubtb"; run = ubtb_value };
+    { name = "fetch-width"; run = fetch_width_sweep };
+    { name = "indexing"; run = indexing_ablation };
+    { name = "ittage"; run = indirect_predictor };
+    { name = "ras"; run = ras_repair };
+    { name = "sc"; run = statistical_corrector_value };
+    { name = "core-size"; run = core_size };
+    { name = "families"; run = gehl_vs_tage };
+    { name = "attribution"; run = attribution };
+  ]

@@ -6,18 +6,21 @@ let table_1 () =
       (fun (d : Designs.t) ->
         let pl = Designs.pipeline d in
         let total_kb = Cobra.Storage.kilobytes (Cobra.Pipeline.storage pl) in
+        let reported = List.assoc d.Designs.name Reference.table_1 in
         let first = ref true in
         List.map
           (fun row ->
             let name = if !first then d.Designs.name else "" in
-            let paper = if !first then Printf.sprintf "%.1f KB" d.Designs.paper_storage_kb else "" in
+            let paper =
+              if !first then Printf.sprintf "%.1f KB" reported.Reference.storage_kb else ""
+            in
             let dir =
               if !first then Printf.sprintf "%.1f KB" (Designs.direction_state_kb d) else ""
             in
             let total = if !first then Printf.sprintf "%.1f KB" total_kb else "" in
             first := false;
             [ name; row; paper; dir; total ])
-          d.Designs.paper_rows)
+          reported.Reference.description)
       Designs.all
   in
   Text.table ~title:"Table I: parameters of evaluated COBRA-designed predictors"

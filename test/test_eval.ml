@@ -31,7 +31,7 @@ let test_storage_close_to_table_1 () =
   List.iter
     (fun (d : Designs.t) ->
       let ours = Designs.direction_state_kb d in
-      let paper = d.Designs.paper_storage_kb in
+      let paper = (List.assoc d.Designs.name Reference.table_1).Reference.storage_kb in
       let ratio = ours /. paper in
       check Alcotest.bool
         (Printf.sprintf "%s: %.1f KB vs paper %.1f KB" d.Designs.name ours paper)
@@ -102,27 +102,28 @@ let test_figure_10_emitter () =
 (* --- sweeps ----------------------------------------------------------------------- *)
 
 let test_sweep_reports () =
-  let checks =
-    [
-      (Sweeps.tage_storage_sweep ~insns:1_500 (), "TAGE KB");
-      (Sweeps.indexing_ablation ~insns:1_500 (), "ghist[10]");
-      (Sweeps.ubtb_value ~insns:1_500 (), "UBTB_1");
-      (Sweeps.indirect_predictor ~insns:1_500 (), "ITTAGE");
-      (Sweeps.ras_repair ~insns:1_500 (), "checkpointed");
-      (Sweeps.fetch_width_sweep ~insns:1_500 (), "width");
-    ]
+  let sweep name =
+    (List.find (fun (s : Sweeps.t) -> s.Sweeps.name = name) Sweeps.all).Sweeps.run ~insns:1_500 ()
   in
   List.iter
-    (fun (report, marker) ->
-      check Alcotest.bool ("report mentions " ^ marker) true (contains report marker))
-    checks
+    (fun (name, marker) ->
+      check Alcotest.bool ("report mentions " ^ marker) true (contains (sweep name) marker))
+    [
+      ("storage", "TAGE KB");
+      ("indexing", "ghist[10]");
+      ("ubtb", "UBTB_1");
+      ("ittage", "ITTAGE");
+      ("ras", "checkpointed");
+      ("fetch-width", "width");
+    ]
 
 (* --- ablations -------------------------------------------------------------------- *)
 
 (* Regression: the VI-B Dhrystone sensitivity runs used to be recovered from
    the flat result list by index arithmetic (List.nth at 3*n), which silently
-   mispaired results whenever the job list changed shape. The keyed lookup
-   must find both Dhrystone variants and produce a coherent report. *)
+   mispaired results whenever the job list changed shape. Each cell of the
+   grid now reads its own result; both Dhrystone variants must be found and
+   the report must be coherent. *)
 let test_history_repair_keyed_results () =
   let o = Ablations.history_repair ~insns:400 () in
   check Alcotest.string "id" "VI-B" o.Ablations.id;

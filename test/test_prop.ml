@@ -323,8 +323,6 @@ let gshare_counter_bits = 2
 let gshare_design () : Designs.t =
   {
     Designs.name = "GSHARE-only";
-    paper_storage_kb = 0.0;
-    paper_rows = [];
     make = (fun () -> Topology.node (gshare ~bits:gshare_bits ~hist:gshare_hist "GSHARE"));
     pipeline_config = cfg;
   }

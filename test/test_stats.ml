@@ -394,7 +394,10 @@ let test_export_named_per_job () =
         ("COBRA_JOBS", string_of_int jobs);
         ("COBRA_PROGRESS", "0");
       ]
-      (fun () -> ignore (Sweeps.ras_repair ~insns:2_000 ()));
+      (fun () ->
+        ignore
+          ((List.find (fun (s : Sweeps.t) -> s.Sweeps.name = "ras") Sweeps.all).Sweeps.run
+             ~insns:2_000 ()));
     List.sort compare (Array.to_list (Sys.readdir d))
   in
   let serial = exported 1 and parallel = exported 2 in
