@@ -114,7 +114,10 @@ let opt_int name j =
   | Some _ -> failwith (name ^ " must be an integer")
 
 let bool_member name j =
-  match Json.member name j with Some (Json.Bool b) -> b | _ -> false
+  match Json.member name j with
+  | Some (Json.Bool b) -> b
+  | Some Json.Null | None -> false
+  | Some _ -> failwith (name ^ " must be a boolean")
 
 let str_list name j =
   match Json.member name j with
@@ -366,10 +369,11 @@ let handle_replay t send ?id req =
   in
   let p = plain_point req in
   let engine = engine_of_req req in
+  let stats = bool_member "stats" req and use_cache = not (bool_member "no_cache" req) in
   let d = find_design design in
   emit send ?id ~event:"accepted"
     [ ("design", Json.String d.Designs.name); ("trace", Json.String trace) ];
-  if bool_member "stats" req then begin
+  if stats then begin
     (* stats runs are uncached: the report is not representable as Perf *)
     let deadline = deadline t in
     let res, report =
@@ -383,7 +387,6 @@ let handle_replay t send ?id req =
     emit send ?id ~event:"result" (result_fields ~cached:false res @ [ engine_field `Interpreted ])
   end
   else
-    let use_cache = not (bool_member "no_cache" req) in
     emit_results send ?id ~engine p
       (replay_point t ~digest:(digest_memo ()) ~use_cache ~engine d ~trace p)
 
@@ -395,11 +398,23 @@ let handle_sweep t send ?id req =
   in
   let use_cache = not (bool_member "no_cache" req) in
   let engine = engine_of_req req in
-  let plain = plain_point req in
+  (* the fields of the other mode would be ignored: refuse them *)
+  let refuse fields why =
+    List.iter
+      (fun f ->
+        match Json.member f req with
+        | None | Some Json.Null -> ()
+        | Some _ -> failwith (Printf.sprintf "%S %s" f why))
+      fields
+  in
   let p =
     match opt_int "warmup_branches" req with
-    | None -> plain
+    | None ->
+      refuse [ "window_branches"; "windows"; "verify" ] "needs \"warmup_branches\"";
+      plain_point req
     | Some warmup ->
+      refuse [ "max_branches"; "max_insns" ]
+        "is not a windowed sweep's cap (use \"window_branches\")";
       let window_branches =
         match opt_int "window_branches" req with
         | Some n -> n
@@ -448,11 +463,17 @@ let handle_sweep t send ?id req =
    plus a "probe-summary"; omitted or empty lists mean the full
    catalogue. The whole matrix runs under the request's budget. *)
 let handle_probe t send ?id req =
-  let names field = List.filter_map Json.to_str (Json.list_member field req) in
-  let pick find all = function [] -> all | names -> List.map find names in
-  let probes = pick Cobra_probe.Pattern.find_exn Cobra_probe.Pattern.all (names "probes") in
-  let targets = pick Cobra_probe.Target.find_exn Cobra_probe.Target.all (names "targets") in
-  let seed = Json.int_member "seed" req ~default:0x0b5a in
+  let pick find all field =
+    match str_list field req with [] -> all | names -> List.map find names
+  in
+  let probes = pick Cobra_probe.Pattern.find_exn Cobra_probe.Pattern.all "probes" in
+  let targets = pick Cobra_probe.Target.find_exn Cobra_probe.Target.all "targets" in
+  let seed =
+    match Json.member "seed" req with
+    | Some (Json.Int n) -> n
+    | Some Json.Null | None -> Cobra_util.Env.(get seed)
+    | Some _ -> failwith "seed must be an integer"
+  in
   let rep = Oracle.run_matrix ?deadline:(deadline t) ~targets ~probes ~seed () in
   List.iter
     (fun r -> emit send ?id ~event:"probe" (Oracle.result_fields r))
@@ -465,7 +486,23 @@ let handle_probe t send ?id req =
       ("elapsed_s", Json.Float rep.Oracle.rep_elapsed_s);
     ]
 
-let handlers = [ ("replay", handle_replay); ("sweep", handle_sweep); ("probe", handle_probe) ]
+(* Every op with the fields it takes besides "op" and "id". Any other field
+   is an error naming it: a misspelt cap must not run the whole trace. *)
+let ops =
+  [
+    ("ping", [], fun _ send ?id _ -> emit send ?id ~event:"pong" []);
+    ("shutdown", [], fun _ send ?id _ -> emit send ?id ~event:"bye" []);
+    ( "replay",
+      [ "design"; "trace"; "max_branches"; "max_insns"; "engine"; "stats"; "no_cache" ],
+      handle_replay );
+    ( "sweep",
+      [
+        "designs"; "traces"; "max_branches"; "max_insns"; "engine"; "no_cache";
+        "warmup_branches"; "window_branches"; "windows"; "verify";
+      ],
+      handle_sweep );
+    ("probe", [ "probes"; "targets"; "seed" ], handle_probe);
+  ]
 
 let handle_line t send line =
   let id = ref None in
@@ -477,30 +514,36 @@ let handle_line t send line =
     | Ok req -> (
       (match Json.member "id" req with Some (Json.String s) -> id := Some s | _ -> ());
       let id = !id in
-      let error m = emit send ?id ~event:"error" [ ("error", Json.String m) ] in
-      match Json.member "op" req with
-      | Some (Json.String "ping") ->
-        emit send ?id ~event:"pong" [];
+      let error m =
+        emit send ?id ~event:"error" [ ("error", Json.String m) ];
         `Continue
-      | Some (Json.String "shutdown") ->
-        emit send ?id ~event:"bye" [];
-        `Shutdown
-      | Some (Json.String op) ->
-        (match List.assoc_opt op handlers with
+      in
+      match Json.member "op" req with
+      | Some (Json.String op) -> (
+        let names = String.concat ", " in
+        match List.find_opt (fun (name, _, _) -> name = op) ops with
         | None ->
           error
             (Printf.sprintf "unknown op: %s (know: %s)" op
-               (String.concat ", " ("ping" :: "shutdown" :: List.map fst handlers)))
-        | Some h -> (
-          try h t send ?id req with
-          | Replay.Timeout { branches; _ } ->
-            error (Printf.sprintf "timeout after %d branches" branches)
-          | Failure m -> error m
-          | e -> error (Printexc.to_string e)));
-        `Continue
-      | _ ->
-        error "request needs an \"op\" string";
-        `Continue)
+               (names (List.map (fun (name, _, _) -> name) ops)))
+        | Some (_, fields, h) -> (
+          let takes = "op" :: "id" :: fields in
+          let given = match req with Json.Obj kvs -> List.map fst kvs | _ -> [] in
+          match List.filter (fun f -> not (List.mem f takes)) given with
+          | _ :: _ as unknown ->
+            error
+              (Printf.sprintf "%s takes no field%s %s (it takes: %s)" op
+                 (if List.length unknown = 1 then "" else "s")
+                 (names (List.map (Printf.sprintf "%S") unknown))
+                 (names takes))
+          | [] -> (
+            match h t send ?id req with
+            | () -> if op = "shutdown" then `Shutdown else `Continue
+            | exception Replay.Timeout { branches; _ } ->
+              error (Printf.sprintf "timeout after %d branches" branches)
+            | exception Failure m -> error m
+            | exception e -> error (Printexc.to_string e))))
+      | _ -> error "request needs an \"op\" string")
   in
   emit send ?id:!id ~event:"done" [];
   verdict

@@ -28,7 +28,9 @@
       restore it with one memcpy per region instead of re-warming), then
       measures [windows] consecutive windows of [window_branches] branches;
       one ["result"] event per window carries ["window"], ["warm_cached"],
-      ["verified"] and ["engine"]. [verify: true] recomputes the whole
+      ["verified"] and ["engine"]. A windowed sweep refuses [max_branches]
+      and [max_insns], and a plain one refuses [window_branches],
+      [windows] and [verify], rather than ignore them. [verify: true] recomputes the whole
       region on a fresh {e interpreted} pipeline without snapshots and
       fails the point unless every window's counters match bit-for-bit —
       under the default compiled engine this certifies both the snapshot
@@ -40,9 +42,17 @@
       probe fidelity matrix ({!Cobra_probe.Oracle.run_matrix}); one
       ["probe"] event per (target, probe) pair and a ["probe-summary"].
       Omitted or empty lists mean the full catalogue; an unknown name is an
-      error listing the valid ones.
+      error listing the valid ones. Without [seed] the matrix runs at
+      [COBRA_SEED] (default 2906), as [cobra probe] does.
     - [{"op": "shutdown"}] — answered with ["bye"]; the daemon drains and
       exits.
+
+    Every request may carry an ["id"] string; any field its op does not
+    take is an error naming the field and the fields the op takes, so a
+    misspelt cap cannot run the whole trace. [stats], [no_cache] and
+    [verify] must be JSON booleans, the caps and counts positive integers,
+    [probes], [targets], [designs] and [traces] lists of strings, and
+    [seed] an integer; [null] reads as absent.
 
     Responses all carry ["ts"], ["label": "serve"] and the request's ["id"]
     (when given) so they interleave safely in logs; ["result"] events carry
@@ -61,8 +71,9 @@
     trace cannot wedge the pool.
 
     Knobs ({!Cobra_util.Env}): [COBRA_WARM_CACHE] sizes the warm cache,
-    [COBRA_JOBS] is {!default_config}'s pool width, and [COBRA_CACHE] and
-    [COBRA_CACHE_DIR] govern the result cache. *)
+    [COBRA_JOBS] is {!default_config}'s pool width, [COBRA_CACHE] and
+    [COBRA_CACHE_DIR] govern the result cache, and [COBRA_SEED] is the
+    probe op's default seed. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path *)

@@ -713,6 +713,61 @@ let serve_unknown_op_lists_probe () =
   check_contains "unknown op lists probe" all "probe";
   check_contains "unknown op id tagged" all {|"id": "p4"|}
 
+(* Every field of a request is checked against its op before any work: a
+   field the op does not take, a flag that is not a JSON boolean, probe
+   names that are not a list of strings and a seed that is not an integer
+   are each an id-tagged error, never a run on defaults, and the daemon
+   keeps answering. *)
+let serve_request_fields () =
+  let srv = daemon () in
+  let trace = fixture "h2p_mix_256.trace" in
+  let replay extra =
+    Printf.sprintf {|{"op": "replay", "id": "f1", "design": "B2", "trace": "%s", %s}|} trace extra
+  in
+  List.iter
+    (fun (line, names) ->
+      let status, out = collect_handle srv line in
+      check Alcotest.bool (line ^ ": continue") true (status = `Continue);
+      let all = joined out in
+      check_contains (line ^ ": error event") all {|"event": "error"|};
+      check_contains (line ^ ": id tagged") all {|"id": "f1"|};
+      List.iter (fun name -> check_contains (line ^ ": names " ^ name) all name) names;
+      check Alcotest.bool (line ^ ": nothing accepted") false (contains all {|"accepted"|});
+      check_contains (line ^ ": done") all {|"event": "done"|};
+      let _, pong = collect_handle srv {|{"op": "ping"}|} in
+      check_contains (line ^ ": alive") (joined pong) {|"event": "pong"|})
+    [
+      (replay {|"max_branch": 100|}, [ {|\"max_branch\"|}; "max_branches" ]);
+      ({|{"op": "ping", "id": "f1", "verbose": true}|}, [ {|\"verbose\"|} ]);
+      (replay {|"stats": "yes"|}, [ "stats must be a boolean" ]);
+      (replay {|"no_cache": 1|}, [ "no_cache must be a boolean" ]);
+      ( Printf.sprintf
+          {|{"op": "sweep", "id": "f1", "designs": ["B2"], "traces": ["%s"], "warmup_branches": 10, "window_branches": 10, "verify": "true"}|}
+          trace,
+        [ "verify must be a boolean" ] );
+      ( Printf.sprintf
+          {|{"op": "sweep", "id": "f1", "designs": ["B2"], "traces": ["%s"], "window_branches": 10, "windows": 2}|}
+          trace,
+        [ {|\"window_branches\" needs|} ] );
+      ( Printf.sprintf
+          {|{"op": "sweep", "id": "f1", "designs": ["B2"], "traces": ["%s"], "warmup_branches": 10, "window_branches": 10, "max_insns": 500}|}
+          trace,
+        [ {|\"max_insns\" is not a windowed sweep's cap|} ] );
+      ({|{"op": "probe", "id": "f1", "probes": "ladder"}|}, [ "probes must be a list of strings" ]);
+      ({|{"op": "probe", "id": "f1", "targets": [6]}|}, [ "targets must be a list of strings" ]);
+      ( {|{"op": "probe", "id": "f1", "probes": ["ladder"], "targets": ["GSHARE6"], "seed": "7"}|},
+        [ "seed must be an integer" ] );
+    ]
+
+(* Without a seed, the probe op reads COBRA_SEED through the registry, as
+   [cobra probe] does. *)
+let serve_probe_seed_from_env () =
+  Cobra_util.Env.with_set [ ("COBRA_SEED", "7") ] @@ fun () ->
+  let _, out =
+    collect_handle (daemon ()) {|{"op": "probe", "probes": ["ladder"], "targets": ["GSHARE6"]}|}
+  in
+  check_contains "summary carries COBRA_SEED" (joined out) {|"seed": 7|}
+
 let serve_probe_trace_sweep () =
   (* end to end: a probe stream exported to a trace file is a first-class
      sweep input *)
@@ -970,6 +1025,8 @@ let () =
             serve_probe_unknown_name;
           Alcotest.test_case "unknown op advertises the probe op" `Quick
             serve_unknown_op_lists_probe;
+          Alcotest.test_case "every request field is checked" `Quick serve_request_fields;
+          Alcotest.test_case "probe seed defaults to COBRA_SEED" `Quick serve_probe_seed_from_env;
           Alcotest.test_case "probe trace sweeps end to end" `Quick serve_probe_trace_sweep;
           Alcotest.test_case "shutdown handshake" `Quick serve_shutdown;
           Alcotest.test_case "live daemon, concurrent clients" `Quick serve_live_daemon;
