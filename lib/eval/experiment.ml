@@ -117,6 +117,13 @@ let all gs =
         snd (List.fold_left_map (fun i g -> (i + List.length g.jobs, g.read rs i)) base gs));
   }
 
+let failed (design : Designs.t) (workload : Cobra_workloads.Suite.entry)
+    (e : Cobra_runner.error) =
+  failwith
+    (Format.asprintf "Experiment: %s on %s: %a%s" design.Designs.name
+       workload.Cobra_workloads.Suite.name Cobra_runner.pp_error e
+       (if e.Cobra_runner.backtrace = "" then "" else "\n" ^ e.Cobra_runner.backtrace))
+
 let run_jobs ?label g =
   let outcomes = Cobra_runner.run_perfs ?label (List.map to_runner_job g.jobs) in
   let results =
@@ -129,15 +136,17 @@ let run_jobs ?label g =
             workload = j.job_workload.Cobra_workloads.Suite.name;
             perf;
           }
-        | Error (e : Cobra_runner.error) ->
-          failwith
-            (Format.asprintf "Experiment: %s on %s: %a%s" j.job_design.Designs.name
-               j.job_workload.Cobra_workloads.Suite.name Cobra_runner.pp_error e
-               (if e.Cobra_runner.backtrace = "" then ""
-                else "\n" ^ e.Cobra_runner.backtrace)))
+        | Error e -> failed j.job_design j.job_workload e)
       g.jobs outcomes
   in
   g.read (Array.of_list results) 0
+
+let run_with_stats_all ?label ?insns designs workload =
+  List.map2
+    (fun d -> function Ok run -> run | Error e -> failed d workload e)
+    designs
+    (Cobra_runner.run_uncached ?label
+       (List.map (fun d () -> run_with_stats ?insns d workload) designs))
 
 let run_matrix ?insns ?config designs workloads =
   run_jobs ~label:"run_matrix"

@@ -88,6 +88,16 @@ val run_jobs : ?label:string -> 'a grid -> 'a
     failed job raises [Failure] naming the design, workload and
     exception. *)
 
+val run_with_stats_all :
+  ?label:string ->
+  ?insns:int ->
+  Designs.t list ->
+  Cobra_workloads.Suite.entry ->
+  (result * Cobra_stats.Report.t) list
+(** {!run_with_stats} for each design, in order, through the pool
+    ({!Cobra_runner.run_uncached}: [COBRA_JOBS] workers, telemetry under
+    [label]). The reports are not cached. Fails like {!run_jobs}. *)
+
 val run_matrix :
   ?insns:int ->
   ?config:Cobra_uarch.Config.t ->

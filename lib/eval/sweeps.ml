@@ -402,13 +402,12 @@ let attribution ?insns () =
   let workload = Cobra_workloads.Suite.find "gcc" in
   let rows =
     List.concat_map
-      (fun (d : Designs.t) ->
-        let _, report = Experiment.run_with_stats ~insns d workload in
+      (fun ((r : Experiment.result), report) ->
         let total = report.Cobra_stats.Report.total_mispredicts in
         let first = ref true in
         List.map
           (fun (bucket, n) ->
-            let name = if !first then d.Designs.name else "" in
+            let name = if !first then r.Experiment.design else "" in
             let tot = if !first then string_of_int total else "" in
             first := false;
             [
@@ -420,7 +419,7 @@ let attribution ?insns () =
                else Printf.sprintf "%.1f%%" (100.0 *. float_of_int n /. float_of_int total));
             ])
           report.Cobra_stats.Report.buckets)
-      Designs.all
+      (Experiment.run_with_stats_all ~label:"attribution" ~insns Designs.all workload)
   in
   Text.table
     ~title:

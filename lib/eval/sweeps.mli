@@ -32,4 +32,5 @@ val all : t list
     - [families]: the CBP-era predictor families of Section II-A (GEHL,
       perceptron, GShare, YAGS, TAGE) over the same BTB;
     - [attribution]: per-design mispredict attribution buckets on gcc, via
-      [Cobra_stats]. *)
+      [Cobra_stats]; its designs run through the pool like every other
+      sweep's, but their statistics reports are not cached. *)

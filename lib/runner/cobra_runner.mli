@@ -45,3 +45,10 @@ val run_perfs :
     telemetry. A job that raises is retried once. Results come back in
     submission order. When [progress] is supplied the caller owns it (and
     its [finish]); otherwise one is created per call. *)
+
+val run_uncached : ?label:string -> (unit -> 'a) list -> ('a, error) result list
+(** Run jobs whose results are not cached (statistics reports, say) through
+    the pool, with {!run_perfs}'s workers, retry and telemetry: one start
+    and one finish event per job under [label], whose start events carry an
+    empty key, and the summary line. Results come back in submission
+    order. *)

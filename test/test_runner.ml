@@ -377,6 +377,36 @@ let test_jobs_determinism_and_telemetry () =
            && contains summary "\"retries\": 0"))
         [ 2; 8 ])
 
+(* The attribution sweep runs its designs through the pool: with
+   COBRA_EVENTS set, one start and one finish event per design under its
+   label, and its statistics reports are not cached. *)
+let test_attribution_telemetry () =
+  with_cache_dir (fun d ->
+      let events = Filename.concat d "events.jsonl" in
+      let sweep = List.find (fun (s : Sweeps.t) -> s.Sweeps.name = "attribution") Sweeps.all in
+      with_env
+        [ ("COBRA_JOBS", "2"); ("COBRA_EVENTS", events) ]
+        (fun () -> ignore (sweep.Sweeps.run ~insns:2_000 ()));
+      let lines = In_channel.with_open_text events In_channel.input_lines in
+      let jobs event =
+        List.sort compare
+          (List.filter_map
+             (fun l ->
+               if contains l (Printf.sprintf "\"event\": %S" event) then
+                 match Cobra_stats.Json.of_string l with
+                 | Ok j -> Some (Cobra_stats.Json.int_member "job" j ~default:(-1))
+                 | Error e -> Alcotest.failf "events line %S: %s" l e
+               else None)
+             lines)
+      in
+      let designs = List.init (List.length Designs.all) Fun.id in
+      check Alcotest.(list int) "one start per design" designs (jobs "start");
+      check Alcotest.(list int) "one finish per design" designs (jobs "finish");
+      check Alcotest.bool "every event is labelled attribution" true
+        (List.for_all (fun l -> contains l "\"label\": \"attribution\"") lines);
+      check Alcotest.(list string) "no report cached" []
+        (List.filter (fun f -> Filename.check_suffix f ".perf") (Array.to_list (Sys.readdir d))))
+
 let test_find_reports_missing_pair () =
   no_cache (fun () ->
       let ws = [ Cobra_workloads.Suite.find "loop7" ] in
@@ -416,6 +446,7 @@ let () =
           Alcotest.test_case "cache hits" `Slow test_warm_run_hits_cache;
           Alcotest.test_case "jobs determinism + telemetry" `Slow
             test_jobs_determinism_and_telemetry;
+          Alcotest.test_case "attribution telemetry" `Quick test_attribution_telemetry;
           Alcotest.test_case "find diagnostics" `Quick test_find_reports_missing_pair;
         ] );
     ]
