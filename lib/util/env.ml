@@ -111,6 +111,7 @@ let registry =
   ]
 
 let knobs = List.map fst registry
+let value_set k = set_value k.name
 
 let check () =
   let unknown =

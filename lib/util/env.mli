@@ -49,6 +49,10 @@ val knobs : knob list
 (** Every knob above, in name order: [cobra list env] prints it, and a
     test checks README's table against it. *)
 
+val value_set : knob -> string option
+(** The value the knob's variable is set to, as written, or [None] when it
+    is unset or blank and the default applies. {!check} validates it. *)
+
 val check : unit -> unit
 (** Check the whole environment at once: raises [Failure] naming every set
     [COBRA_*] variable that is not a knob, or else the first knob whose
