@@ -62,9 +62,16 @@ let count =
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
+let default_insns = 100_000
+
 let insns_arg =
   let doc = "Instructions to simulate." in
-  Arg.(value & opt count 100_000 & info [ "n"; "insns" ] ~docv:"N" ~doc)
+  Arg.(value & opt count default_insns & info [ "n"; "insns" ] ~docv:"N" ~doc)
+
+(* The instruction cap of the verbs that read or write a finite trace:
+   [None] when -n is not given. *)
+let insns_cap_arg ~doc =
+  Arg.(value & opt (some count) None & info [ "n"; "insns" ] ~docv:"N" ~doc)
 
 (* Every verb's action is a thunk run through [user_errors], after one check
    of the whole environment: a COBRA_* name that is not a knob, or a knob
@@ -226,18 +233,27 @@ let trace_cmd =
              ~doc:"With $(b,--branch): stop after $(docv) branch records (default: bound by \
                    $(b,--insns)).")
   in
+  let insns_arg =
+    insns_cap_arg ~doc:"Instructions to export (default: 100000, no cap with $(b,--branches))."
+  in
+  (* workload streams are infinite: a branch count, when given, is cap
+     enough; otherwise the default instruction count bounds the export *)
   let dump (w : Cobra_workloads.Suite.entry) insns path branch text branches () =
     if branch then begin
       let format = if text then Cobra_trace_replay.Btrace.Text else Cobra_trace_replay.Btrace.Binary in
+      let max_insns = if insns = None && branches = None then Some default_insns else insns in
       let nb, ni =
-        Cobra_trace_replay.Writer.export_workload ~format ?max_branches:branches
-          ~max_insns:insns ~path w
+        Cobra_trace_replay.Writer.export_workload ~format ?max_branches:branches ?max_insns
+          ~path w
       in
       Printf.printf "wrote %d branch records (%d instructions) to %s\n" nb ni path;
       Ok ()
     end
     else begin
-      let events = Cobra_isa.Trace.take (w.Cobra_workloads.Suite.make ()) insns in
+      let events =
+        Cobra_isa.Trace.take (w.Cobra_workloads.Suite.make ())
+          (Option.value insns ~default:default_insns)
+      in
       Cobra_isa.Trace_file.save ~path events;
       Printf.printf "wrote %d events to %s\n" (List.length events) path;
       Ok ()
@@ -267,7 +283,13 @@ let replay_cmd =
                    hard-branch tables, interval MPKI series.")
   in
   let json_flag =
-    Arg.(value & flag & info [ "json" ] ~doc:"With $(b,--stats): emit the report as JSON.")
+    Arg.(value & flag
+         & info [ "json" ]
+             ~doc:"With $(b,--stats): emit the report as JSON, the only output on stdout \
+                   (the summary line goes to stderr).")
+  in
+  let insns_arg =
+    insns_cap_arg ~doc:"Stop after $(docv) instructions (default: the whole trace)."
   in
   let replay (d : Designs.t) path insns branches stats json () =
     let ( let* ) = Result.bind in
@@ -279,9 +301,10 @@ let replay_cmd =
       if stats then begin
         let res, report =
           Cobra_trace_replay.Replay.run_design_with_stats ?max_branches:branches
-            ~max_insns:insns d ~path
+            ?max_insns:insns d ~path
         in
-        print_endline (Cobra_trace_replay.Replay.summary res);
+        (* with --json the report is stdout's one document *)
+        (if json then prerr_endline else print_endline) (Cobra_trace_replay.Replay.summary res);
         if json then
           print_endline (Cobra_stats.Json.to_string (Cobra_stats.Report.to_json report))
         else print_string (Cobra_stats.Report.render report);
@@ -289,7 +312,7 @@ let replay_cmd =
       end
       else begin
         let res =
-          Cobra_trace_replay.Replay.run_design ?max_branches:branches ~max_insns:insns d
+          Cobra_trace_replay.Replay.run_design ?max_branches:branches ?max_insns:insns d
             ~path
         in
         print_endline (Cobra_trace_replay.Replay.summary res);
@@ -302,11 +325,13 @@ let replay_cmd =
         else Ok ()
       in
       let pl = Designs.pipeline d in
+      let events = Cobra_isa.Trace_file.load ~path in
       let core =
-        Cobra_uarch.Core.create Cobra_uarch.Config.default pl
-          (Cobra_isa.Trace_file.load_stream ~path)
+        Cobra_uarch.Core.create Cobra_uarch.Config.default pl (Cobra_isa.Trace.of_list events)
       in
-      let perf = Cobra_uarch.Core.run core ~max_insns:insns in
+      (* without -n, the whole trace: the core stops as its last event commits *)
+      let max_insns = Option.value insns ~default:(List.length events) in
+      let perf = Cobra_uarch.Core.run core ~max_insns in
       Format.printf "%s on %s:@.  %a@." d.Designs.name path Cobra_uarch.Perf.pp perf;
       Ok ()
   in

@@ -97,18 +97,10 @@ let step t ~pc ~kind ~taken ~target =
   t.ctx.Context.lhists.(0) <- Lhist_provider.read t.lhist ~pc;
   let stages = Composer.eval t.composer t.ctx in
   let final = stages.(t.depth - 1).(0) in
-  let taken_pred =
-    match final.Types.o_taken with Some b -> b | None -> Types.is_unconditional kind
-  in
-  let target_pred = match final.Types.o_target with Some v -> v | None -> -1 in
-  let known_target = target >= 0 in
-  let tgt = if known_target then target else 0 in
+  let taken_pred = Types.replay_taken_pred final.Types.o_taken kind in
+  let tgt = if target >= 0 then target else 0 in
   let wrong =
-    taken_pred <> taken
-    || taken
-       && Types.is_unconditional kind
-       && (not (Types.equal_branch_kind kind Types.Ret))
-       && known_target && target_pred <> target
+    Types.replay_wrong kind ~taken_pred ~target_pred:final.Types.o_target ~taken ~target
   in
   t.next_token <- t.next_token + 1;
   (* Event dispatch in component order: fire with the predicted outcomes,

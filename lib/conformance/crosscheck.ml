@@ -312,26 +312,18 @@ let repair_restore ~length ?(shapes = Fuzz.all_shapes) ~seed (design : Designs.t
       let clean = decide s_clean b in
       (* dirty side, driven by hand so a fired wrong-path youngster can be
          injected ahead of a misprediction and unwound by the repair walk;
-         its decision is [Sim.step]'s replay rule *)
+         its decision is [Sim.step]'s replay verdict, from [Types] *)
       let kind = b.Btrace.b_kind in
       let tok = Pipeline.predict p_dirty ~pc:b.Btrace.b_pc ~max_len:1 in
       let stages = Pipeline.stages p_dirty tok in
       let final = (stages.(Array.length stages - 1)).(0) in
-      let taken_pred =
-        match final.Types.o_taken with Some t -> t | None -> Types.is_unconditional kind
-      in
-      let target_pred = Option.value final.Types.o_target ~default:(-1) in
-      let known_target = b.Btrace.b_target >= 0 in
+      let taken_pred = Types.replay_taken_pred final.Types.o_taken kind in
       let wrong =
-        taken_pred <> b.Btrace.b_taken
-        || (b.Btrace.b_taken
-           && Types.is_unconditional kind
-           && (not (Types.equal_branch_kind kind Types.Ret))
-           && known_target
-           && target_pred <> b.Btrace.b_target)
+        Types.replay_wrong kind ~taken_pred ~target_pred:final.Types.o_target
+          ~taken:b.Btrace.b_taken ~target:b.Btrace.b_target
       in
       differ ("clean pipeline", clean) ("excursion-disturbed pipeline", (taken_pred, wrong));
-      let target = if known_target then b.Btrace.b_target else 0 in
+      let target = if b.Btrace.b_target >= 0 then b.Btrace.b_target else 0 in
       let wtok =
         if wrong && Rng.chance rng 0.5 then
           Some (Pipeline.predict p_dirty ~pc:(b.Btrace.b_pc + 0x40) ~max_len:1)

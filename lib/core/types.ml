@@ -77,6 +77,18 @@ let merge_opinion ~strong ~weak =
     o_target = first_some strong.o_target weak.o_target;
   }
 
+(* Two functions returning a bool each rather than one returning the pair:
+   without flambda the pair would be boxed on every replayed branch. *)
+let replay_taken_pred dir kind = match dir with Some t -> t | None -> is_unconditional kind
+
+let replay_wrong kind ~taken_pred ~target_pred ~taken ~target =
+  taken_pred <> taken
+  || taken
+     && is_unconditional kind
+     && (not (equal_branch_kind kind Ret))
+     && target >= 0
+     && (match target_pred with Some v -> v | None -> -1) <> target
+
 type prediction = opinion array
 
 let unconditional_in (pred : prediction) i =

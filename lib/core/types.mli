@@ -67,6 +67,19 @@ val merge_opinion : strong:opinion -> weak:opinion -> opinion
 (** Field-wise override: [strong]'s set fields win, unset fields fall
     through to [weak]. *)
 
+val replay_taken_pred : bool option -> branch_kind -> bool
+(** The replay verdict on a one-branch packet, from the final stage's
+    slot-0 opinion. [replay_taken_pred dir kind] is the predicted
+    direction: the opinion's [dir], or taken for an unconditional [kind]
+    when it has none. *)
+
+val replay_wrong :
+  branch_kind -> taken_pred:bool -> target_pred:int option -> taken:bool -> target:int -> bool
+(** Whether a branch of [kind] predicted [taken_pred] with target
+    [target_pred] was mispredicted, against the actual [taken] and
+    [target] (negative when the trace does not know it): a direction
+    mismatch, or a taken non-return unconditional whose known target
+    differs from the predicted one (-1 when the opinion has none). *)
 
 type prediction = opinion array
 (** One opinion per fetch-packet slot. *)

@@ -10,7 +10,7 @@ val table_2 : unit -> string
 val table_3 : unit -> string
 (** Table III: evaluated systems for the SPECint17 comparison. *)
 
-val table_attribution : ?insns:int -> unit -> string
+val table_attribution : unit -> string
 (** Per-component mispredict attribution (plus arbitration tallies when the
     design has a selector), measured by a [Cobra_stats] collector riding a
     hardware-guided run of the Tourney design on gcc. *)

@@ -6,11 +6,10 @@ type t = {
   mutable halted : bool;
 }
 
-let create ?entry program =
-  let pc = match entry with Some l -> Program.address_of program l | None -> program.Program.base in
+let create program =
   let regs = Array.make 32 0 in
   regs.(Insn.sp) <- 0x8000_0000;
-  { program; regs; mem = Hashtbl.create 1024; pc; halted = false }
+  { program; regs; mem = Hashtbl.create 1024; pc = program.Program.base; halted = false }
 
 let pc t = t.pc
 let halted t = t.halted

@@ -8,9 +8,9 @@
 
 type t
 
-val create : ?entry:string -> Program.t -> t
-(** Fresh machine: PC at the program base (or the [entry] label), registers
-    zero, stack pointer preset, memory empty. *)
+val create : Program.t -> t
+(** Fresh machine: PC at the program base, registers zero, stack pointer
+    preset, memory empty. *)
 
 val pc : t -> int
 val halted : t -> bool

@@ -16,84 +16,40 @@ let key parts =
 let hex k = k
 let path k = Filename.concat (dir ()) (k ^ ".perf")
 
-(* Serialized layout: a magic/version line, one "<field> <int>" line per
-   counter in a fixed order, and a trailing checksum line over all values.
-   Hand-rolled so a corrupt or truncated file degrades to a miss. *)
+(* Serialized layout: a magic/version line, one "<counter> <int>" line per
+   counter in [Perf.counters]' order, and a trailing checksum line over all
+   values. Hand-rolled so a corrupt or truncated file degrades to a miss. *)
 
 let magic = Printf.sprintf "cobra-perf %d" format_version
-
-let fields (p : Perf.t) =
-  [
-    ("cycles", p.Perf.cycles);
-    ("instructions", p.Perf.instructions);
-    ("branches", p.Perf.branches);
-    ("cond_branches", p.Perf.cond_branches);
-    ("mispredicts", p.Perf.mispredicts);
-    ("cond_mispredicts", p.Perf.cond_mispredicts);
-    ("misfetches", p.Perf.misfetches);
-    ("history_divergences", p.Perf.history_divergences);
-    ("replays", p.Perf.replays);
-    ("flushes", p.Perf.flushes);
-    ("fetch_packets", p.Perf.fetch_packets);
-    ("wrong_path_packets", p.Perf.wrong_path_packets);
-    ("icache_stall_cycles", p.Perf.icache_stall_cycles);
-    ("frontend_stall_cycles", p.Perf.frontend_stall_cycles);
-  ]
 
 let checksum values = List.fold_left (fun acc v -> (acc + v) land 0x3FFFFFFF) 0 values
 
 let serialize p =
-  let fs = fields p in
+  let counters = Perf.counters p in
   let buf = Buffer.create 256 in
   Buffer.add_string buf magic;
   Buffer.add_char buf '\n';
-  List.iter (fun (name, v) -> Buffer.add_string buf (Printf.sprintf "%s %d\n" name v)) fs;
-  Buffer.add_string buf (Printf.sprintf "checksum %d\n" (checksum (List.map snd fs)));
+  List.iter (fun (name, v) -> Printf.bprintf buf "%s %d\n" name v) counters;
+  Printf.bprintf buf "checksum %d\n" (checksum (List.map snd counters));
   Buffer.contents buf
 
+(* Counter lines up to the checksum line, which must match them; then
+   [Perf.of_counters] checks the names, their order and their number. *)
 let parse text =
   match String.split_on_char '\n' text with
   | m :: lines when String.equal m magic ->
-    let p = Perf.create () in
-    let expect = fields p in
-    let rec go lines expect values =
-      match (lines, expect) with
-      | line :: rest, (name, _) :: expect_rest ->
-        ( match String.index_opt line ' ' with
-        | Some i when String.equal (String.sub line 0 i) name ->
-          let v = int_of_string (String.sub line (i + 1) (String.length line - i - 1)) in
-          go rest expect_rest (v :: values)
-        | Some _ | None -> None )
-      | line :: _, [] -> (
+    let rec go named = function
+      | line :: lines -> (
         match String.split_on_char ' ' line with
-        | [ "checksum"; c ] when int_of_string c = checksum (List.rev values) ->
-          Some (List.rev values)
-        | _ -> None )
-      | [], _ -> None
+        | [ "checksum"; c ] ->
+          let named = List.rev named in
+          if int_of_string c = checksum (List.map snd named) then Perf.of_counters named
+          else None
+        | [ name; v ] -> go ((name, int_of_string v) :: named) lines
+        | _ -> None)
+      | [] -> None
     in
-    ( match go lines expect [] with
-    | Some
-        [
-          cycles; instructions; branches; cond_branches; mispredicts; cond_mispredicts;
-          misfetches; history_divergences; replays; flushes; fetch_packets;
-          wrong_path_packets; icache_stall_cycles; frontend_stall_cycles;
-        ] ->
-      p.Perf.cycles <- cycles;
-      p.Perf.instructions <- instructions;
-      p.Perf.branches <- branches;
-      p.Perf.cond_branches <- cond_branches;
-      p.Perf.mispredicts <- mispredicts;
-      p.Perf.cond_mispredicts <- cond_mispredicts;
-      p.Perf.misfetches <- misfetches;
-      p.Perf.history_divergences <- history_divergences;
-      p.Perf.replays <- replays;
-      p.Perf.flushes <- flushes;
-      p.Perf.fetch_packets <- fetch_packets;
-      p.Perf.wrong_path_packets <- wrong_path_packets;
-      p.Perf.icache_stall_cycles <- icache_stall_cycles;
-      p.Perf.frontend_stall_cycles <- frontend_stall_cycles;
-      Some p
-    | Some _ | None -> None )
+    go [] lines
   | _ -> None
 
 let load k =

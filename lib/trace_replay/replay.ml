@@ -112,22 +112,12 @@ module Sim = struct
     let tok = Pipeline.predict pl ~pc:c.Btrace.c_pc ~max_len:1 in
     let stages = Pipeline.stages pl tok in
     let final = (stages.(Array.length stages - 1)).(0) in
-    let taken_pred =
-      match final.Types.o_taken with
-      | Some t -> t
-      | None -> Types.is_unconditional kind
-    in
-    let target_pred = Option.value final.Types.o_target ~default:(-1) in
-    let known_target = c.Btrace.c_target >= 0 in
+    let taken_pred = Types.replay_taken_pred final.Types.o_taken kind in
     let wrong =
-      taken_pred <> c.Btrace.c_taken
-      || (c.Btrace.c_taken
-         && Types.is_unconditional kind
-         && (not (Types.equal_branch_kind kind Types.Ret))
-         && known_target
-         && target_pred <> c.Btrace.c_target)
+      Types.replay_wrong kind ~taken_pred ~target_pred:final.Types.o_target
+        ~taken:c.Btrace.c_taken ~target:c.Btrace.c_target
     in
-    let target = if known_target then c.Btrace.c_target else 0 in
+    let target = if c.Btrace.c_target >= 0 then c.Btrace.c_target else 0 in
     s.slots.(0) <-
       Types.resolved_branch ~kind ~taken:taken_pred ~target:(if taken_pred then target else 0);
     let seq = Pipeline.fire pl tok ~slots:s.slots ~packet_len:1 in
@@ -213,13 +203,11 @@ let drive ?(max_branches = max_int) ?(max_insns = max_int) ?deadline ?observe ~d
     elapsed_s = Unix.gettimeofday () -. t0;
   }
 
-let run ?max_branches ?max_insns ?deadline ?observe ~design ~trace pl records =
-  drive ?max_branches ?max_insns ?deadline ?observe ~design ~trace (Sim.of_pipeline pl)
-    (of_records records)
+let run ?max_branches ~design ~trace pl records =
+  drive ?max_branches ~design ~trace (Sim.of_pipeline pl) (of_records records)
 
-let run_compiled ?max_branches ?max_insns ?deadline ?observe ~design ~trace eng records =
-  drive ?max_branches ?max_insns ?deadline ?observe ~design ~trace (Sim.of_engine eng)
-    (of_records records)
+let run_compiled ?max_branches ~design ~trace eng records =
+  drive ?max_branches ~design ~trace (Sim.of_engine eng) (of_records records)
 
 (* ------------------------------------------------------------------ *)
 (* Warmup checkpoints, built on the flat whole-design snapshots: a replay
@@ -252,8 +240,8 @@ let restore sim rd ck =
   Sim.restore sim ck.ck_slab;
   Reader.seek rd ck.ck_offset
 
-let warmup_compiled ?deadline ~branches ~design ~trace eng rd =
-  warmup ?deadline ~branches ~design ~trace (Sim.of_engine eng) rd
+let warmup_compiled ~branches ~design ~trace eng rd =
+  warmup ~branches ~design ~trace (Sim.of_engine eng) rd
 
 let restore_compiled eng rd ck = restore (Sim.of_engine eng) rd ck
 

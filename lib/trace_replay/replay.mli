@@ -209,9 +209,6 @@ val run_design_with_stats :
 
 val run :
   ?max_branches:int ->
-  ?max_insns:int ->
-  ?deadline:float ->
-  ?observe:(Btrace.cursor -> taken_pred:bool -> wrong:bool -> unit) ->
   design:string ->
   trace:string ->
   Cobra.Pipeline.t ->
@@ -221,9 +218,6 @@ val run :
 
 val run_compiled :
   ?max_branches:int ->
-  ?max_insns:int ->
-  ?deadline:float ->
-  ?observe:(Btrace.cursor -> taken_pred:bool -> wrong:bool -> unit) ->
   design:string ->
   trace:string ->
   Cobra_compile.Engine.t ->
@@ -232,7 +226,6 @@ val run_compiled :
 (** {!drive} on [Sim.of_engine]. *)
 
 val warmup_compiled :
-  ?deadline:float ->
   branches:int ->
   design:string ->
   trace:string ->

@@ -8,15 +8,15 @@ let run ?insns ?observe (design : Designs.t) (workload : Suite.entry) =
     (Replay.Sim.create `Interpreted design)
     (Replay.of_records (Btrace.of_stream ~max_insns:insns (workload.Suite.make ())))
 
-let comparison_report ?insns () =
+let comparison_report () =
   let workloads = List.map Suite.find [ "gcc"; "mcf"; "x264"; "leela"; "exchange2" ] in
   let rows =
     List.concat_map
       (fun w ->
         List.map
           (fun d ->
-            let sw = run ?insns d w in
-            let hw = Cobra_eval.Experiment.run ?insns d w in
+            let sw = run d w in
+            let hw = Cobra_eval.Experiment.run d w in
             let sw_acc = 100.0 *. Replay.accuracy sw in
             let hw_acc =
               100.0 *. Cobra_uarch.Perf.branch_accuracy hw.Cobra_eval.Experiment.perf

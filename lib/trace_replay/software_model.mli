@@ -27,6 +27,6 @@ val run :
     trace-based-style. The result is labelled with the design and workload
     names; [observe] is {!Replay.drive}'s per-branch hook. *)
 
-val comparison_report : ?insns:int -> unit -> string
+val comparison_report : unit -> string
 (** Per design x benchmark subset: software-model accuracy vs the
     hardware-guided core model's measured accuracy. *)

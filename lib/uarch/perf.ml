@@ -40,23 +40,44 @@ let branch_accuracy t =
   if t.branches = 0 then 1.0
   else 1.0 -. (float_of_int t.mispredicts /. float_of_int t.branches)
 
-let counters t =
+(* The one list of counters, in their stable order: name, read, write. *)
+let fields =
   [
-    ("cycles", t.cycles);
-    ("instructions", t.instructions);
-    ("branches", t.branches);
-    ("cond_branches", t.cond_branches);
-    ("mispredicts", t.mispredicts);
-    ("cond_mispredicts", t.cond_mispredicts);
-    ("misfetches", t.misfetches);
-    ("history_divergences", t.history_divergences);
-    ("replays", t.replays);
-    ("flushes", t.flushes);
-    ("fetch_packets", t.fetch_packets);
-    ("wrong_path_packets", t.wrong_path_packets);
-    ("icache_stall_cycles", t.icache_stall_cycles);
-    ("frontend_stall_cycles", t.frontend_stall_cycles);
+    ("cycles", (fun t -> t.cycles), fun t v -> t.cycles <- v);
+    ("instructions", (fun t -> t.instructions), fun t v -> t.instructions <- v);
+    ("branches", (fun t -> t.branches), fun t v -> t.branches <- v);
+    ("cond_branches", (fun t -> t.cond_branches), fun t v -> t.cond_branches <- v);
+    ("mispredicts", (fun t -> t.mispredicts), fun t v -> t.mispredicts <- v);
+    ("cond_mispredicts", (fun t -> t.cond_mispredicts), fun t v -> t.cond_mispredicts <- v);
+    ("misfetches", (fun t -> t.misfetches), fun t v -> t.misfetches <- v);
+    ( "history_divergences",
+      (fun t -> t.history_divergences),
+      fun t v -> t.history_divergences <- v );
+    ("replays", (fun t -> t.replays), fun t v -> t.replays <- v);
+    ("flushes", (fun t -> t.flushes), fun t v -> t.flushes <- v);
+    ("fetch_packets", (fun t -> t.fetch_packets), fun t v -> t.fetch_packets <- v);
+    ("wrong_path_packets", (fun t -> t.wrong_path_packets), fun t v -> t.wrong_path_packets <- v);
+    ( "icache_stall_cycles",
+      (fun t -> t.icache_stall_cycles),
+      fun t v -> t.icache_stall_cycles <- v );
+    ( "frontend_stall_cycles",
+      (fun t -> t.frontend_stall_cycles),
+      fun t v -> t.frontend_stall_cycles <- v );
   ]
+
+let counters t = List.map (fun (name, get, _) -> (name, get t)) fields
+
+let of_counters named =
+  let t = create () in
+  let rec fill fields named =
+    match (fields, named) with
+    | [], [] -> Some t
+    | (name, _, set) :: fields, (name', v) :: named when String.equal name name' ->
+      set t v;
+      fill fields named
+    | _ -> None
+  in
+  fill fields named
 
 let pp ppf t =
   Format.fprintf ppf

@@ -29,4 +29,8 @@ val branch_accuracy : t -> float
 val counters : t -> (string * int) list
 (** Every raw counter as a stable [(name, value)] list, for export. *)
 
+val of_counters : (string * int) list -> t option
+(** The inverse of {!counters}: [Some] the counters of a list that names
+    every counter once, in {!counters}' order; [None] otherwise. *)
+
 val pp : Format.formatter -> t -> unit

@@ -5,8 +5,8 @@
      component subsets and arbitration orders, random geometry knobs) and
      over streams with unknown targets: the compiled engine must agree with the
      interpreted pipeline branch-for-branch on direction and mispredict
-     decisions and end with a bit-identical snapshot slab, with shrinking
-     and COBRA_SEED replay hints via {!Prop};
+     decisions and end with a bit-identical snapshot slab, shrunk by QCheck
+     and replayed from COBRA_SEED through {!Prop};
    - over the same specs, the composer both engines share must produce the
      per-stage composites of [Golden.compose], the recursive reference
      semantics ([Crosscheck.compose]);
@@ -154,7 +154,8 @@ let shrink_tcase tc =
      else [])
   @ if tc.t_no_target then [ { tc with t_no_target = false } ] else []
 
-let tcase_arb = Prop.make ~shrink:shrink_tcase ~show:show_tcase gen_tcase
+let tcase_arb =
+  QCheck.make ~print:show_tcase ~shrink:(fun tc -> QCheck.Iter.of_list (shrink_tcase tc)) gen_tcase
 
 (* --- building and driving the twins --------------------------------------------- *)
 
@@ -256,8 +257,11 @@ let compile_equiv tc =
     Alcotest.fail "final snapshot slabs differ between interpreted and compiled"
 
 let test_random_topologies () =
-  Prop.check ~count:60 ~name:"compiled engine = interpreted pipeline on random topologies"
-    tcase_arb compile_equiv
+  Prop.check
+  @@ QCheck.Test.make ~count:60
+       ~name:"compiled engine = interpreted pipeline on random topologies" tcase_arb (fun tc ->
+         compile_equiv tc;
+         true)
 
 (* Both engines share the composer, so the property above cannot see its
    bugs: here it must match the golden recursive semantics. *)
@@ -269,8 +273,11 @@ let compose_equiv tc =
   if not v.Crosscheck.v_pass then Alcotest.fail v.Crosscheck.v_detail
 
 let test_random_composition () =
-  Prop.check ~count:60 ~name:"composer = golden composition on random topologies" tcase_arb
-    compose_equiv
+  Prop.check
+  @@ QCheck.Test.make ~count:60 ~name:"composer = golden composition on random topologies"
+       tcase_arb (fun tc ->
+         compose_equiv tc;
+         true)
 
 (* Both engines refuse the same malformed inputs with the same message:
    each builds its own composer and history buffers, so both must run the

@@ -634,8 +634,8 @@ let () =
         ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest prop_pipeline_ghist_matches_reference;
-          QCheck_alcotest.to_alcotest prop_lhist_push_restore_roundtrip;
-          QCheck_alcotest.to_alcotest prop_random_chain_topologies;
+          Prop.test_case prop_pipeline_ghist_matches_reference;
+          Prop.test_case prop_lhist_push_restore_roundtrip;
+          Prop.test_case prop_random_chain_topologies;
         ] );
     ]

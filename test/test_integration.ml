@@ -6,7 +6,6 @@ module Perf = Cobra_uarch.Perf
 module Config = Cobra_uarch.Config
 
 let check = Alcotest.check
-let qcheck = QCheck_alcotest.to_alcotest
 
 let run ?(config = Config.default) ?(insns = 15_000) (design : Cobra_eval.Designs.t) stream =
   let pl = Cobra_eval.Designs.pipeline design in
@@ -300,8 +299,8 @@ let () =
         ] );
       ( "properties",
         [
-          qcheck prop_runs_deterministic_across_designs;
-          qcheck prop_committed_instructions_exact;
+          Prop.test_case prop_runs_deterministic_across_designs;
+          Prop.test_case prop_committed_instructions_exact;
           Alcotest.test_case "history reproducible" `Quick
             test_ghist_restored_after_mispredict_storm;
           Alcotest.test_case "custom topology" `Quick test_mixed_custom_topology_end_to_end;

@@ -2,7 +2,6 @@ open Cobra_isa
 module P = Program
 
 let check = Alcotest.check
-let qcheck = QCheck_alcotest.to_alcotest
 
 let contains haystack needle =
   let n = String.length needle and m = String.length haystack in
@@ -151,8 +150,8 @@ type window_op = Peek | Next of int | Rewind of int | Release of int
    [Release k] at the base plus k, so a negative or large k aims outside
    the window. *)
 let window_op =
-  Prop.make
-    ~show:(function
+  QCheck.make
+    ~print:(function
       | Peek -> "peek"
       | Next k -> Printf.sprintf "next x%d" k
       | Rewind k -> Printf.sprintf "rewind cursor-%d" k
@@ -210,12 +209,14 @@ let prop_window (n, ops) =
       | Release k -> move "release" Trace.Window.release (!base + k) (fun p -> base := p));
       check Alcotest.int "position" !cursor (Trace.Window.position w);
       check Alcotest.int "events pulled" !needed !pulls)
-    ops
+    ops;
+  true
 
 let test_window_model () =
-  Prop.check ~name:"window against a list model"
-    (Prop.pair (Prop.int_range 0 300) (Prop.list ~max_len:300 window_op))
-    prop_window
+  Prop.check
+  @@ QCheck.Test.make ~name:"window against a list model"
+       QCheck.(pair (int_range 0 300) (list_of_size Gen.(0 -- 300) window_op))
+       prop_window
 
 let test_sfb_detection () =
   let branch ~pc ~target ~taken =
@@ -368,7 +369,7 @@ let () =
           Alcotest.test_case "call/ret" `Quick test_call_ret_events;
           Alcotest.test_case "pc coherence" `Quick test_next_pc_coherence;
           Alcotest.test_case "halt" `Quick test_halt_ends_stream;
-          qcheck prop_machine_deterministic;
+          Prop.test_case prop_machine_deterministic;
         ] );
       ( "streams",
         [

@@ -1,5 +1,5 @@
-(* Property tests over the component library, driven by the stdlib-only
-   {!Prop} harness (seeded, shrinking):
+(* Property tests over the component library, run through QCheck by the
+   seeded {!Prop} runner:
 
    - saturating counters never leave their declared bit-width;
    - every component honours the metadata-width contract at predict time;
@@ -52,19 +52,17 @@ let gselect ?(pc_bits = 6) ?(hist = 6) name =
 
 type counter_op = Inc | Dec | Upd of bool
 
-let op_arb = Prop.oneof [ Inc; Dec; Upd true; Upd false ]
-
 let show_op = function
   | Inc -> "Inc"
   | Dec -> "Dec"
   | Upd b -> Printf.sprintf "Upd %b" b
 
+let op_arb = QCheck.oneofl ~print:show_op [ Inc; Dec; Upd true; Upd false ]
+
 let test_counter_saturation () =
-  let case =
-    Prop.pair (Prop.int_range 1 8)
-      (Prop.list ~max_len:40 { op_arb with Prop.show = show_op })
-  in
-  Prop.check ~name:"unsigned counters stay in [0, 2^bits)" case (fun (bits, ops) ->
+  let case = QCheck.(pair (int_range 1 8) (list_of_size Gen.(0 -- 40) op_arb)) in
+  Prop.check
+  @@ QCheck.Test.make ~name:"unsigned counters stay in [0, 2^bits)" case (fun (bits, ops) ->
       let v = ref (Counter.weakly_not_taken ~bits) in
       check Alcotest.bool "initial value in range" true (Counter.is_valid ~bits !v);
       List.iter
@@ -82,13 +80,13 @@ let test_counter_saturation () =
       (* saturation is a fixpoint at both rails *)
       check Alcotest.int "increment saturates" (Counter.max_value ~bits)
         (Counter.increment ~bits (Counter.max_value ~bits));
-      check Alcotest.int "decrement saturates" 0 (Counter.decrement ~bits 0))
+      check Alcotest.int "decrement saturates" 0 (Counter.decrement ~bits 0);
+      true)
 
 let test_signed_counter_saturation () =
-  let case =
-    Prop.pair (Prop.int_range 2 8) (Prop.list ~max_len:40 (Prop.int_range (-3) 3))
-  in
-  Prop.check ~name:"signed counters stay in signed range" case (fun (bits, dirs) ->
+  let case = QCheck.(pair (int_range 2 8) (list_of_size Gen.(0 -- 40) (int_range (-3) 3))) in
+  Prop.check
+  @@ QCheck.Test.make ~name:"signed counters stay in signed range" case (fun (bits, dirs) ->
       let lo = Counter.signed_min ~bits and hi = Counter.signed_max ~bits in
       let v = ref 0 in
       List.iter
@@ -102,7 +100,8 @@ let test_signed_counter_saturation () =
       check Alcotest.int "positive rail is a fixpoint" hi
         (Counter.update_signed ~bits hi ~dir:1);
       check Alcotest.int "negative rail is a fixpoint" lo
-        (Counter.update_signed ~bits lo ~dir:(-1)))
+        (Counter.update_signed ~bits lo ~dir:(-1));
+      true)
 
 (* --- metadata-width contract ------------------------------------------------ *)
 
@@ -131,16 +130,15 @@ let component_zoo =
 
 let test_meta_width_contract () =
   let case =
-    Prop.pair
-      (Prop.oneof (List.map fst component_zoo))
-      (Prop.int_range 0 0x3FFF)
+    QCheck.(pair (oneofl ~print:Fun.id (List.map fst component_zoo)) (int_range 0 0x3FFF))
   in
   (* one long-lived instance per component: the contract must hold on a
      trained table too, not only on the reset state *)
   let instances = List.map (fun (n, mk) -> (n, mk ())) component_zoo in
   let st = Random.State.make [| 7 |] in
-  Prop.check ~name:"predict seals exactly meta_bits of metadata" case
-    (fun (name, _salt) ->
+  Prop.check
+  @@ QCheck.Test.make ~name:"predict seals exactly meta_bits of metadata" case
+       (fun (name, _salt) ->
       let c = List.assoc name instances in
       let ctx = random_ctx st in
       let pred_in = [ Array.make width Types.empty_opinion ] in
@@ -156,14 +154,15 @@ let test_meta_width_contract () =
           ~meta:(Bits.zero (c.Component.meta_bits + 1))
       with
       | () -> Alcotest.failf "%s accepted a %d-bit metadata buffer" name (c.Component.meta_bits + 1)
-      | exception Invalid_argument _ -> ())
+      | exception Invalid_argument _ -> true)
 
 (* --- storage accounting matches geometry ------------------------------------ *)
 
 let test_storage_matches_geometry () =
-  let case = Prop.pair (Prop.int_range 4 11) (Prop.int_range 1 4) in
-  Prop.check ~name:"storage bits follow the configured geometry" case
-    (fun (log2_entries, counter_bits) ->
+  let case = QCheck.(pair (int_range 4 11) (int_range 1 4)) in
+  Prop.check
+  @@ QCheck.Test.make ~name:"storage bits follow the configured geometry" case
+       (fun (log2_entries, counter_bits) ->
       let entries = 1 lsl log2_entries in
       let hbim =
         Hbim.make
@@ -188,7 +187,8 @@ let test_storage_matches_geometry () =
       in
       check Alcotest.int "doubling entries doubles storage"
         (2 * hbim.Component.storage.Storage.sram_bits)
-        hbim2.Component.storage.Storage.sram_bits)
+        hbim2.Component.storage.Storage.sram_bits;
+      true)
 
 (* --- update-after-repair idempotence ----------------------------------------- *)
 
@@ -253,43 +253,38 @@ type repair_case = {
   rc_suffix : (int * bool) list;  (** committed training after the excursion *)
 }
 
-let branch_arb =
-  let p = Prop.pair (Prop.int_range 0 7) Prop.bool in
-  {
-    Prop.gen = (fun st -> let i, b = p.Prop.gen st in (List.nth probe_pcs i, b));
-    Prop.show = (fun (pc, b) -> Printf.sprintf "(0x%x,%b)" pc b);
-    Prop.shrink = (fun _ -> []);
-  }
+let show_branch (pc, b) = Printf.sprintf "(0x%x,%b)" pc b
+let branch_gen = QCheck.Gen.(pair (oneofl probe_pcs) bool)
+let branch_arb = QCheck.make ~print:show_branch branch_gen
+
+(* Each branch list shrinks on its own, structurally; the excursion keeps
+   at least one wrong-path packet. *)
+let shrink_repair_case c =
+  let open QCheck.Iter in
+  let branches = QCheck.Shrink.list ?shrink:None in
+  map (fun p -> { c with rc_prefix = p }) (branches c.rc_prefix)
+  <+> map (fun w -> { c with rc_wrongs = w })
+        (filter (function [] -> false | _ :: _ -> true) (branches c.rc_wrongs))
+  <+> map (fun s -> { c with rc_suffix = s }) (branches c.rc_suffix)
 
 let repair_case_arb =
-  let comp = Prop.oneof (List.map fst repairable_zoo) in
-  let branches = Prop.list ~max_len:12 branch_arb in
-  let wrongs = Prop.list ~min_len:1 ~max_len:4 branch_arb in
-  {
-    Prop.gen =
-      (fun st ->
-        {
-          rc_comp = comp.Prop.gen st;
-          rc_prefix = branches.Prop.gen st;
-          rc_wrongs = wrongs.Prop.gen st;
-          rc_suffix = branches.Prop.gen st;
-        });
-    Prop.shrink =
-      (fun c ->
-        List.map (fun p -> { c with rc_prefix = p }) (branches.Prop.shrink c.rc_prefix)
-        @ List.map (fun w -> { c with rc_wrongs = w }) (wrongs.Prop.shrink c.rc_wrongs)
-        @ List.map (fun s -> { c with rc_suffix = s }) (branches.Prop.shrink c.rc_suffix));
-    Prop.show =
-      (fun c ->
-        Printf.sprintf "{comp=%s; prefix=%s; wrongs=%s; suffix=%s}" c.rc_comp
-          (branches.Prop.show c.rc_prefix)
-          (wrongs.Prop.show c.rc_wrongs)
-          (branches.Prop.show c.rc_suffix));
-  }
+  let branches n = QCheck.Gen.list_size n branch_gen in
+  let show = QCheck.Print.list show_branch in
+  QCheck.make ~shrink:shrink_repair_case
+    ~print:(fun c ->
+      Printf.sprintf "{comp=%s; prefix=%s; wrongs=%s; suffix=%s}" c.rc_comp
+        (show c.rc_prefix) (show c.rc_wrongs) (show c.rc_suffix))
+    (fun st ->
+      let rc_comp = QCheck.Gen.oneofl (List.map fst repairable_zoo) st in
+      let rc_prefix = branches QCheck.Gen.(0 -- 12) st in
+      let rc_wrongs = branches QCheck.Gen.(1 -- 4) st in
+      let rc_suffix = branches QCheck.Gen.(0 -- 12) st in
+      { rc_comp; rc_prefix; rc_wrongs; rc_suffix })
 
 let test_update_after_repair_idempotent () =
-  Prop.check ~count:60 ~name:"fire-then-repair leaves no trace in component state"
-    repair_case_arb (fun c ->
+  Prop.check
+  @@ QCheck.Test.make ~count:60 ~name:"fire-then-repair leaves no trace in component state"
+       repair_case_arb (fun c ->
       let mk = List.assoc c.rc_comp repairable_zoo in
       (* two fresh instances of the same component, same committed path; only
          [dirty] fires the wrong-path packets (which are then repaired) *)
@@ -311,7 +306,8 @@ let test_update_after_repair_idempotent () =
           check Alcotest.(option bool) (label ^ " direction") t1 t2;
           check Alcotest.(option bool) (label ^ " existence") b1 b2;
           check Alcotest.(option int) (label ^ " target") g1 g2)
-        probe_pcs)
+        probe_pcs;
+      true)
 
 (* --- differential: Pipeline vs Software_model on a gshare-only design -------- *)
 
@@ -383,9 +379,10 @@ let model_predictions branches =
   List.rev !preds
 
 let test_gshare_differential () =
-  let case = Prop.list ~max_len:300 branch_arb in
-  Prop.check ~count:30 ~name:"gshare: Pipeline == straight-line reference" case
-    (fun branches ->
+  let case = QCheck.list_of_size QCheck.Gen.(0 -- 300) branch_arb in
+  Prop.check
+  @@ QCheck.Test.make ~count:30 ~name:"gshare: Pipeline == straight-line reference" case
+       (fun branches ->
       let expected = reference_predictions branches in
       let got = model_predictions branches in
       List.iteri
@@ -393,7 +390,8 @@ let test_gshare_differential () =
           if e <> g then
             Alcotest.failf "branch %d of %d: reference %b, pipeline %b" i
               (List.length branches) e g)
-        (List.combine expected got))
+        (List.combine expected got);
+      true)
 
 (* --- trace-file serialization ------------------------------------------------ *)
 
@@ -427,17 +425,18 @@ let random_event st =
     next_pc = 4 * (1 + Random.State.int st 0xFFFFF);
   }
 
-let event_arb =
-  Prop.make ~show:Trace_file.event_to_string (fun st -> random_event st)
+let event_arb = QCheck.make ~print:Trace_file.event_to_string random_event
 
 let test_trace_file_roundtrip_prop () =
-  Prop.check ~name:"event_of_string inverts event_to_string" event_arb (fun ev ->
+  Prop.check
+  @@ QCheck.Test.make ~name:"event_of_string inverts event_to_string" event_arb (fun ev ->
       match Trace_file.event_of_string (Trace_file.event_to_string ev) with
       | Some ev' ->
         if ev <> ev' then
           Alcotest.failf "round trip changed the event: %s -> %s"
             (Trace_file.event_to_string ev)
-            (Trace_file.event_to_string ev')
+            (Trace_file.event_to_string ev');
+        true
       | None -> Alcotest.fail "serialized event parsed as blank")
 
 let malformed_lines =
@@ -459,12 +458,11 @@ let contains haystack needle =
   go 0
 
 let test_trace_file_rejection_prop () =
-  let case =
-    Prop.pair (Prop.int_range 0 6) (Prop.oneof malformed_lines)
-  in
+  let case = QCheck.(pair (int_range 0 6) (oneofl ~print:Fun.id malformed_lines)) in
   let st = Random.State.make [| 0xbad |] in
-  Prop.check ~name:"a malformed line fails naming its 1-based line number" case
-    (fun (n_before, bad) ->
+  Prop.check
+  @@ QCheck.Test.make ~name:"a malformed line fails naming its 1-based line number" case
+       (fun (n_before, bad) ->
       let events = List.init n_before (fun _ -> random_event st) in
       let path = Filename.temp_file "cobra_prop" ".trace" in
       Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
@@ -478,7 +476,8 @@ let test_trace_file_rejection_prop () =
           | exception Failure msg ->
             let expected = Printf.sprintf "line %d" (n_before + 1) in
             if not (contains msg expected) then
-              Alcotest.failf "error %S does not name %S" msg expected))
+              Alcotest.failf "error %S does not name %S" msg expected;
+            true))
 
 (* --- staged indexing: gshare and gselect as HBIM indexings --------------------- *)
 
@@ -491,8 +490,8 @@ type index_case = {
 }
 
 let index_case_arb ~a_range:(a_lo, a_hi) ~h_range:(h_lo, h_hi) =
-  Prop.make
-    ~show:(fun c ->
+  QCheck.make
+    ~print:(fun c ->
       Printf.sprintf "pc=0x%x slot=%d a=%d h=%d ghist=%s" c.ic_pc c.ic_slot c.ic_a c.ic_h
         (Bits.to_string c.ic_ghist))
     (fun st ->
@@ -508,9 +507,10 @@ let index_ctx ~pc ~ghist =
   Context.make ~pc ~fetch_width:width ~ghist ~lhists:(Array.make width (Bits.zero 8)) ()
 
 let test_gshare_indexing () =
-  Prop.check ~name:"Hash [Pc; Ghist h] = the gshare formula"
-    (index_case_arb ~a_range:(1, 20) ~h_range:(1, 64))
-    (fun c ->
+  Prop.check
+  @@ QCheck.Test.make ~name:"Hash [Pc; Ghist h] = the gshare formula"
+       (index_case_arb ~a_range:(1, 20) ~h_range:(1, 64))
+       (fun c ->
       let bits = c.ic_a and h = c.ic_h and slot = c.ic_slot in
       let ctx = index_ctx ~pc:c.ic_pc ~ghist:c.ic_ghist in
       let staged = Indexing.(index (Hash [ Pc; Ghist h ])) ~bits in
@@ -518,12 +518,14 @@ let test_gshare_indexing () =
         Hashing.pc_index ~pc:(Context.slot_pc ctx slot) ~bits
         lxor Hashing.folded_history c.ic_ghist ~len:h ~bits
       in
-      check Alcotest.int "index" expected (staged ctx ~slot))
+      check Alcotest.int "index" expected (staged ctx ~slot);
+      true)
 
 let test_gselect_indexing () =
-  Prop.check ~name:"Concat [(Pc, p); (Ghist h, h)] = the gselect formula"
-    (index_case_arb ~a_range:(0, 12) ~h_range:(0, 16))
-    (fun c ->
+  Prop.check
+  @@ QCheck.Test.make ~name:"Concat [(Pc, p); (Ghist h, h)] = the gselect formula"
+       (index_case_arb ~a_range:(0, 12) ~h_range:(0, 16))
+       (fun c ->
       let p = c.ic_a and h = c.ic_h and slot = c.ic_slot in
       let ctx = index_ctx ~pc:c.ic_pc ~ghist:c.ic_ghist in
       let staged = Indexing.(index (Concat [ (Pc, p); (Ghist h, h) ])) ~bits:(p + h) in
@@ -531,7 +533,8 @@ let test_gselect_indexing () =
         (Hashing.pc_index ~pc:(Context.slot_pc ctx slot) ~bits:p lsl h)
         lor Bits.extract_int c.ic_ghist ~lo:0 ~len:h
       in
-      check Alcotest.int "index" expected (staged ctx ~slot))
+      check Alcotest.int "index" expected (staged ctx ~slot);
+      true)
 
 (* The per-slot index runs once per slot per event; staging hoists the
    source-tree walk out of it, so a call must not allocate at all. *)

@@ -310,6 +310,23 @@ let test_json_parser_basics () =
   check Alcotest.bool "trailing garbage is an error" true
     (Result.is_error (Json.of_string "1 2"))
 
+(* With --json, the report is stdout's one document: a consumer pipes it
+   straight into a JSON parser. The summary line goes to stderr. *)
+let test_replay_json_stdout () =
+  let cobra = Filename.concat ".." (Filename.concat "bin" "cobra_cli.exe") in
+  let ((out_ic, _, err_ic) as p) =
+    Unix.open_process_args_full cobra
+      [| cobra; "replay"; "-d"; "B2"; "--stats"; "--json"; "fixtures/h2p_mix_256.trace" |]
+      (Unix.environment ())
+  in
+  let out = In_channel.input_all out_ic and err = In_channel.input_all err_ic in
+  check Alcotest.bool "exit 0" true (Unix.close_process_full p = Unix.WEXITED 0);
+  check Alcotest.bool "summary line on stderr" true
+    (String.starts_with ~prefix:"B2 on fixtures/h2p_mix_256.trace: 256 branches" err);
+  match Json.of_string out with
+  | Ok j -> check Alcotest.string "the report" "B2" (Json.str_member "design" j ~default:"")
+  | Error e -> Alcotest.failf "stdout is not one JSON document (%s):\n%s" e out
+
 (* --- bounded interval series -------------------------------------------------- *)
 
 let test_interval_bounded_and_lossless () =
@@ -530,6 +547,7 @@ let () =
           Alcotest.test_case "JSON" `Quick test_json_roundtrip;
           Alcotest.test_case "CSV" `Quick test_csv_roundtrip;
           Alcotest.test_case "JSON parser basics" `Quick test_json_parser_basics;
+          Alcotest.test_case "replay --stats --json stdout" `Quick test_replay_json_stdout;
         ] );
       ( "intervals",
         [ Alcotest.test_case "bounded and lossless" `Quick test_interval_bounded_and_lossless ]

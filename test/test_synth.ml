@@ -1,7 +1,6 @@
 open Cobra_synth
 
 let check = Alcotest.check
-let qcheck = QCheck_alcotest.to_alcotest
 
 (* --- SRAM compiler ------------------------------------------------------------ *)
 
@@ -101,7 +100,7 @@ let () =
           Alcotest.test_case "monotonic" `Quick test_sram_area_monotonic;
           Alcotest.test_case "dual port" `Quick test_sram_dual_port_penalty;
           Alcotest.test_case "macro splitting" `Quick test_sram_macro_splitting;
-          qcheck prop_sram_area_positive;
+          Prop.test_case prop_sram_area_positive;
         ] );
       ( "area",
         [

@@ -343,29 +343,27 @@ let small_buffer_equivalence () =
 (* --- property: text and binary encodings agree ------------------------------ *)
 
 let record_arb =
-  let kind_arb =
-    Prop.oneof
-      [ Cobra.Types.Cond; Cobra.Types.Jump; Cobra.Types.Call; Cobra.Types.Ret; Cobra.Types.Ind ]
-  in
-  let show r = Btrace.show_record r in
-  Prop.make ~show (fun st ->
-      let kind = kind_arb.Prop.gen st in
-      let taken = (match kind with Cobra.Types.Cond -> Prop.bool.Prop.gen st | _ -> true) in
-      let target =
-        if Prop.bool.Prop.gen st then Btrace.no_target
-        else (Prop.int_range 0 0xFFFFFF).Prop.gen st * 4
+  let open QCheck.Gen in
+  QCheck.make ~print:Btrace.show_record (fun st ->
+      let kind =
+        oneofl
+          [ Cobra.Types.Cond; Cobra.Types.Jump; Cobra.Types.Call; Cobra.Types.Ret; Cobra.Types.Ind ]
+          st
       in
+      let taken = (match kind with Cobra.Types.Cond -> bool st | _ -> true) in
+      let target = if bool st then Btrace.no_target else int_range 0 0xFFFFFF st * 4 in
       {
-        Btrace.b_pc = (Prop.int_range 0 0x3FFFFFF).Prop.gen st * 2;
+        Btrace.b_pc = int_range 0 0x3FFFFFF st * 2;
         b_taken = taken;
         b_kind = kind;
         b_target = target;
-        b_gap = (Prop.int_range 0 5000).Prop.gen st;
+        b_gap = int_range 0 5000 st;
       })
 
 let prop_text_binary_agree () =
-  Prop.check ~count:40 ~name:"text and binary encodings load back identically"
-    (Prop.list ~min_len:0 ~max_len:40 record_arb) (fun records ->
+  Prop.check
+  @@ QCheck.Test.make ~count:40 ~name:"text and binary encodings load back identically"
+       (QCheck.list_of_size QCheck.Gen.(0 -- 40) record_arb) (fun records ->
       with_temp (fun bin_path ->
           with_temp (fun text_path ->
               Writer.save ~format:Btrace.Binary bin_path records;
@@ -387,7 +385,8 @@ let prop_text_binary_agree () =
                     failwith
                       (Printf.sprintf "text drift: %s vs %s" (Btrace.show_record a)
                          (Btrace.show_record b)))
-                records from_text)))
+                records from_text;
+              true)))
 
 (* Property: cutting a valid binary stream anywhere, or flipping a
    continuation bit, never mis-decodes — the reader either stops cleanly at
@@ -395,9 +394,16 @@ let prop_text_binary_agree () =
    diagnostic. Complements the round-trip property above: that one pins the
    happy path, this one pins the failure mode. *)
 let prop_decoder_never_misdecodes () =
-  Prop.check ~count:60 ~name:"mutated binary streams never decode silently"
-    (Prop.pair (Prop.list ~min_len:1 ~max_len:8 record_arb) (Prop.int_range 0 1000))
-    (fun (records, salt) ->
+  (* a stream keeps at least one record while it shrinks *)
+  let records =
+    QCheck.(list_of_size Gen.(1 -- 8) record_arb)
+    |> QCheck.set_shrink (fun l ->
+           QCheck.Iter.filter (function [] -> false | _ :: _ -> true) (QCheck.Shrink.list l))
+  in
+  Prop.check
+  @@ QCheck.Test.make ~count:60 ~name:"mutated binary streams never decode silently"
+       QCheck.(pair records (int_range 0 1000))
+       (fun (records, salt) ->
       let buf = Buffer.create 64 in
       List.iter (Btrace.encode_record buf) records;
       let bytes = Buffer.to_bytes buf in
@@ -428,9 +434,10 @@ let prop_decoder_never_misdecodes () =
       let i = salt mod len in
       Bytes.set mutated i (Char.chr (Char.code (Bytes.get mutated i) lxor 0x80));
       match decode_all mutated len with
-      | `Complete _ | `Partial _ -> ()
+      | `Complete _ | `Partial _ -> true
       | exception Failure msg ->
-        if not (contains msg "byte") then failwith ("mutation diagnostic lacks offset: " ^ msg))
+        if not (contains msg "byte") then failwith ("mutation diagnostic lacks offset: " ^ msg);
+        true)
 
 (* --- replay vs full-pipeline equality ---------------------------------------- *)
 

@@ -2,7 +2,6 @@ open Cobra_uarch
 module Trace = Cobra_isa.Trace
 
 let check = Alcotest.check
-let qcheck = QCheck_alcotest.to_alcotest
 
 (* --- cache ------------------------------------------------------------------ *)
 
@@ -269,7 +268,7 @@ let () =
           Alcotest.test_case "hit after fill" `Quick test_cache_hit_after_fill;
           Alcotest.test_case "lru" `Quick test_cache_lru;
           Alcotest.test_case "prefetch" `Quick test_cache_prefetch;
-          qcheck prop_cache_never_negative;
+          Prop.test_case prop_cache_never_negative;
         ] );
       ( "mem_model",
         [
@@ -297,7 +296,7 @@ let () =
           Alcotest.test_case "mispredict penalty" `Quick test_core_mispredict_penalty_visible;
           Alcotest.test_case "serialize fetch costs" `Quick test_serialize_fetch_costs_ipc;
           Alcotest.test_case "memory-bound low ipc" `Quick test_memory_bound_workload_has_low_ipc;
-          qcheck prop_core_accuracy_in_range;
+          Prop.test_case prop_core_accuracy_in_range;
         ] );
       ("pins", List.map pin_case counter_pins);
     ]

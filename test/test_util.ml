@@ -1,7 +1,6 @@
 open Cobra_util
 
 let check = Alcotest.check
-let qcheck = QCheck_alcotest.to_alcotest
 
 (* --- Bits ---------------------------------------------------------------- *)
 
@@ -465,24 +464,24 @@ let () =
           Alcotest.test_case "extract" `Quick test_bits_extract;
           Alcotest.test_case "concat" `Quick test_bits_concat;
           Alcotest.test_case "fold_xor" `Quick test_bits_fold_xor;
-          qcheck prop_bits_string_roundtrip;
-          qcheck prop_bits_set_get;
-          qcheck prop_shift_in_window;
-          qcheck prop_shift_in_place;
+          Prop.test_case prop_bits_string_roundtrip;
+          Prop.test_case prop_bits_set_get;
+          Prop.test_case prop_shift_in_window;
+          Prop.test_case prop_shift_in_place;
           Alcotest.test_case "set_limb and blit" `Quick test_bits_set_limb;
         ] );
       ( "counter",
         [
           Alcotest.test_case "saturation" `Quick test_counter_saturation;
-          qcheck prop_counter_bounds;
-          qcheck prop_signed_counter_bounds;
+          Prop.test_case prop_counter_bounds;
+          Prop.test_case prop_signed_counter_bounds;
         ] );
       ( "hashing",
         [
           Alcotest.test_case "fold_int" `Quick test_fold_int;
-          qcheck prop_fold_in_range;
-          qcheck prop_fold_matches_full_width;
-          qcheck prop_folded_history_matches_reference;
+          Prop.test_case prop_fold_in_range;
+          Prop.test_case prop_fold_matches_full_width;
+          Prop.test_case prop_folded_history_matches_reference;
         ] );
       ( "circular_buffer",
         [
@@ -490,14 +489,14 @@ let () =
           Alcotest.test_case "full" `Quick test_cb_full;
           Alcotest.test_case "drop newer" `Quick test_cb_drop_newer;
           Alcotest.test_case "iter_from" `Quick test_cb_iter_from;
-          qcheck prop_cb_set_get;
+          Prop.test_case prop_cb_set_get;
         ] );
       ( "bitpack",
         [
           Alcotest.test_case "roundtrip" `Quick test_bitpack_roundtrip;
           Alcotest.test_case "overflow" `Quick test_bitpack_overflow;
-          qcheck prop_bitpack_roundtrip;
-          qcheck prop_packer_equivalence;
+          Prop.test_case prop_bitpack_roundtrip;
+          Prop.test_case prop_packer_equivalence;
           Alcotest.test_case "Packer zeros and composed words" `Quick test_packer_zeros_and_words;
           Alcotest.test_case "Packer width refused" `Quick test_packer_width_refused;
           Alcotest.test_case "Packer 0-bit field at a limb boundary" `Quick
@@ -511,7 +510,7 @@ let () =
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
-          qcheck prop_rng_bound;
+          Prop.test_case prop_rng_bound;
         ] );
       ( "env",
         [
