@@ -8,17 +8,17 @@ open Cobra_eval
 module Perf = Cobra_uarch.Perf
 
 let workloads = [ "x264"; "leela"; "exchange2"; "aliasing" ]
+let insns = 40_000
 
 let () =
   let entries = List.map Cobra_workloads.Suite.find workloads in
-  Format.printf "design exploration (%d instructions per run)@."
-    (Experiment.default_insns ());
+  Format.printf "design exploration (%d instructions per run)@." insns;
   Format.printf "%-10s %-12s %10s %8s %8s@." "design" "workload" "accuracy" "MPKI" "IPC";
   List.iter
     (fun (d : Designs.t) ->
       List.iter
         (fun w ->
-          let r = Experiment.run ~insns:40_000 d w in
+          let r = Experiment.run ~insns d w in
           Format.printf "%-10s %-12s %9.2f%% %8.2f %8.3f@." r.Experiment.design
             r.Experiment.workload
             (100.0 *. Perf.branch_accuracy r.Experiment.perf)
