@@ -31,15 +31,16 @@ let make_gshare ~name ~index_bits ~history_length ~fetch_width =
      update never re-reads the table *)
   let meta_bits = 2 * fetch_width in
   let packer = Bitpack.Packer.create ~owner:name ~width:meta_bits in
-  (* The host owns both buffers: [out] arrives all-silent and we fill the
-     slots we have an opinion on; [meta] is sealed from the packer. Slots
-     past [live_slots] are never used, so we skip them (zero metadata). *)
+  (* The host owns both buffers: [out] is a silent row of int-encoded
+     opinions and we set the direction of each slot we predict; [meta] is
+     sealed from the packer. Slots past [live_slots] are never used, so we
+     skip them (zero metadata). *)
   let predict ctx ~pred_in:_ ~out ~meta =
     let live = Context.live_bound ctx fetch_width in
     for slot = 0 to live - 1 do
       let c = table.(index ctx ~slot) in
       Bitpack.Packer.add packer c ~bits:2;
-      out.(slot) <- Types.direction_hint ~taken:(Counter.is_taken ~bits:2 c)
+      Row.set_taken out slot (Counter.is_taken ~bits:2 c)
     done;
     Bitpack.Packer.add_zeros packer ~bits:(2 * (fetch_width - live));
     Bitpack.Packer.finish_into packer meta

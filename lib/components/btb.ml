@@ -67,13 +67,9 @@ let make cfg =
         Bitpack.Packer.add packer (1 lor (Bitpack.field w ~bits:way_bits lsl 1)) ~bits:slot_bits;
         let off = entry_off (set_of pc) w in
         let kind = e_kind off in
-        out.(slot) <-
-          {
-            Types.o_branch = Some true;
-            o_kind = Some kind;
-            o_taken = (if Types.is_unconditional kind then Some true else None);
-            o_target = Some (e_target off);
-          }
+        if Types.is_unconditional kind then
+          Row.set_full out slot ~kind ~taken:true ~target:(e_target off)
+        else Row.set_branch out slot ~kind ~target:(e_target off)
       end
     done;
     Bitpack.Packer.add_zeros packer ~bits:((cfg.fetch_width - live) * slot_bits);

@@ -48,18 +48,19 @@ let make cfg =
   let meta_bits = cfg.fetch_width * slot_bits in
   let packer = Bitpack.Packer.create ~owner:cfg.name ~width:meta_bits in
   let predict (ctx : Context.t) ~pred_in ~out ~meta =
-    let base = match pred_in with [ p ] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
+    if Array.length pred_in <> 1 then invalid_arg (cfg.name ^ ": one predict_in");
+    let base = pred_in.(0) in
     Tagged.prepare bank ctx;
     let live = Context.live_bound ctx cfg.fetch_width in
     for slot = 0 to live - 1 do
       let e =
-        if Types.unconditional_in base slot then -1
+        if Row.unconditional base slot then -1
         else Tagged.lookup bank ctx ~slot ~pcv:(Tagged.pc_fold bank ctx ~slot) ~table:0
       in
       if e >= 0 then begin
         let c = Tagged.get bank e 0 in
         Bitpack.Packer.add packer (1 lor (Bitpack.field c ~bits:cb lsl 1)) ~bits:slot_bits;
-        out.(slot) <- Types.direction_hint ~taken:(c >= taken_at)
+        Row.set_taken out slot (c >= taken_at)
       end
       else Bitpack.Packer.add packer 0 ~bits:slot_bits
     done;

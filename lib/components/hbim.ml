@@ -33,14 +33,14 @@ let make cfg =
   let meta_bits = cfg.fetch_width * cb in
   let packer = Bitpack.Packer.create ~owner:cfg.name ~width:meta_bits in
   let predict ctx ~pred_in ~out ~meta =
-    let base = match pred_in with [ p ] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
+    if Array.length pred_in <> 1 then invalid_arg (cfg.name ^ ": one predict_in");
+    let base = pred_in.(0) in
     let live = Context.live_bound ctx cfg.fetch_width in
     for slot = 0 to live - 1 do
       let c = Slab.unsafe_get state (slot_index ctx ~slot) in
       Bitpack.Packer.add packer c ~bits:cb;
       (* never override a known always-taken direction (jump/call/ret) *)
-      if not (Types.unconditional_in base slot) then
-        out.(slot) <- Types.direction_hint ~taken:(c >= taken_at)
+      if not (Row.unconditional base slot) then Row.set_taken out slot (c >= taken_at)
     done;
     (* dead slots: keep the declared meta layout *)
     Bitpack.Packer.add_zeros packer ~bits:((cfg.fetch_width - live) * cb);

@@ -55,13 +55,8 @@ let make cfg =
       if t < 0 then Bitpack.Packer.add packer 0 ~bits:slot_bits
       else begin
         Bitpack.Packer.add packer (1 lor (Bitpack.field t ~bits:3 lsl 1)) ~bits:slot_bits;
-        out.(slot) <-
-          {
-            Types.o_branch = Some true;
-            o_kind = Some Types.Ind;
-            o_taken = Some true;
-            o_target = Some (e_target (Tagged.entry bank ctx ~slot ~pcv ~table:t));
-          }
+        Row.set_full out slot ~kind:Types.Ind ~taken:true
+          ~target:(e_target (Tagged.entry bank ctx ~slot ~pcv ~table:t))
       end
     done;
     (* dead slots: keep the declared meta layout *)

@@ -73,7 +73,7 @@ let make cfg =
         let offered =
           if e_conf off >= cfg.conf_threshold && e_p_count off > 0 then begin
             let taken = if e_c_count off >= e_p_count off then not (e_dir off) else e_dir off in
-            out.(slot) <- Types.direction_hint ~taken;
+            Row.set_taken out slot taken;
             if taken then 3 else 1
           end
           else 0

@@ -44,13 +44,13 @@ let make cfg =
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
   let clamp_sum s = min ((1 lsl sum_bits) - 1) (abs s) in
   let predict (ctx : Context.t) ~pred_in ~out ~meta =
-    let base = match pred_in with [ p ] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
+    if Array.length pred_in <> 1 then invalid_arg (cfg.name ^ ": one predict_in");
+    let base = pred_in.(0) in
     let fields = ref [] in
     for slot = 0 to cfg.fetch_width - 1 do
       let sum = dot ctx (index ctx ~slot) in
       fields := ((if sum >= 0 then 1 else 0), 1) :: (clamp_sum sum, sum_bits) :: !fields;
-      if not (Types.unconditional_in base slot) then
-        out.(slot) <- Types.direction_hint ~taken:(sum >= 0)
+      if not (Row.unconditional base slot) then Row.set_taken out slot (sum >= 0)
     done;
     Bitpack.store ~owner:cfg.name (Bitpack.pack ~width:meta_bits (List.rev !fields)) ~dst:meta
   in

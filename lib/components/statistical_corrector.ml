@@ -45,23 +45,22 @@ let make cfg =
   in
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
   let predict (ctx : Context.t) ~pred_in ~out ~meta =
-    let base =
-      match pred_in with
-      | [ p ] -> p
-      | _ -> invalid_arg (cfg.name ^ ": expected exactly one predict_in")
-    in
+    if Array.length pred_in <> 1 then invalid_arg (cfg.name ^ ": expected exactly one predict_in");
+    let base = pred_in.(0) in
     let fields = ref [] in
     for slot = 0 to cfg.fetch_width - 1 do
-      match base.(slot).Types.o_taken with
-      | None -> fields := (bias, cfg.counter_bits + 1) :: (0, 1) :: (0, 1) :: !fields
-      | Some incoming ->
+      if not (Row.taken_known base slot) then
+        fields := (bias, cfg.counter_bits + 1) :: (0, 1) :: (0, 1) :: !fields
+      else begin
+        let incoming = Row.taken base slot in
         let c = Slab.get state (index ctx ~slot ~incoming) in
         fields :=
           (c + bias, cfg.counter_bits + 1) :: ((if incoming then 1 else 0), 1) :: (1, 1)
           :: !fields;
         if -c > cfg.threshold then
           (* the counter has saturated against the incoming prediction *)
-          out.(slot) <- Types.direction_hint ~taken:(not incoming)
+          Row.set_taken out slot (not incoming)
+      end
     done;
     Bitpack.store ~owner:cfg.name (Bitpack.pack ~width:meta_bits (List.rev !fields)) ~dst:meta
   in

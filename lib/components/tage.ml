@@ -47,23 +47,23 @@ let make cfg =
       ~history:Tagged.Ghist (Array.of_list cfg.tables)
   in
   let state = Tagged.state bank in
-  (* The Rng.t is scratch: its authoritative state lives in the header
-     cells, loaded before and stored after every draw. *)
-  let rng = Rng.create ~seed:cfg.seed in
-  let store_rng () =
-    let s = Rng.state rng in
+  (* The generator's state lives in the header cells, split at bit 31 and
+     stepped in place: [Rng.chance] on a state loaded from them, without
+     an [Rng.t] whose every draw would box its state. *)
+  let store_rng s =
     Slab.set state 1 (Int64.to_int (Int64.logand s 0x7FFFFFFFL));
     Slab.set state 2 (Int64.to_int (Int64.shift_right_logical s 31))
   in
-  store_rng ();
+  store_rng (Rng.state (Rng.create ~seed:cfg.seed));
   let rng_chance p =
-    Rng.set_state rng
-      (Int64.logor
-         (Int64.of_int (Slab.get state 1))
-         (Int64.shift_left (Int64.of_int (Slab.get state 2)) 31));
-    let r = Rng.chance rng p in
-    store_rng ();
-    r
+    let s =
+      Rng.advance
+        (Int64.logor
+           (Int64.of_int (Slab.get state 1))
+           (Int64.shift_left (Int64.of_int (Slab.get state 2)) 31))
+    in
+    store_rng s;
+    Rng.unit_float (Rng.mix s) < p
   in
   let e_ctr e = Tagged.get bank e 0 in
   let e_u e = Tagged.get bank e 1 in
@@ -84,20 +84,14 @@ let make cfg =
   let meta_bits = cfg.fetch_width * slot_bits in
   let packer = Bitpack.Packer.create ~owner:cfg.name ~width:meta_bits in
   let predict (ctx : Context.t) ~pred_in ~out ~meta =
-    let base =
-      match pred_in with
-      | [ p ] -> p
-      | _ -> invalid_arg (cfg.name ^ ": expected exactly one predict_in")
-    in
+    if Array.length pred_in <> 1 then invalid_arg (cfg.name ^ ": expected exactly one predict_in");
+    let base = pred_in.(0) in
     Tagged.prepare bank ctx;
     let live = Context.live_bound ctx cfg.fetch_width in
     for slot = 0 to live - 1 do
       let pcv = Tagged.pc_fold bank ctx ~slot in
       let base_word =
-        match base.(slot).Types.o_taken with
-        | Some true -> 3
-        | Some false -> 1
-        | None -> 0
+        if not (Row.taken_known base slot) then 0 else if Row.taken base slot then 3 else 1
       in
       let provider = Tagged.longest_hit bank ctx ~slot ~pcv ~below:ntables in
       if provider < 0 then Bitpack.Packer.add packer (base_word lsl base_lo) ~bits:slot_bits
@@ -118,8 +112,7 @@ let make cfg =
           lor (Bitpack.field (e_u e) ~bits:ub lsl u_lo)
           lor (base_word lsl base_lo))
           ~bits:slot_bits;
-        if not (Types.unconditional_in base slot) then
-          out.(slot) <- Types.direction_hint ~taken:(ctr >= taken_at)
+        if not (Row.unconditional base slot) then Row.set_taken out slot (ctr >= taken_at)
       end
     done;
     (* dead slots: keep the declared meta layout *)

@@ -18,12 +18,9 @@ type config = {
 let default ~name =
   { name; latency = 3; entries = 1024; counter_bits = 2; history_length = 12; fetch_width = 4 }
 
-(* Returns the field itself: re-building [Some taken] would allocate a
-   fresh option per slot per predict. *)
-let dir_of (op : Types.opinion) = op.o_taken
-
 (* A sub-prediction's direction as a (valid, bit) field pair. *)
-let dir_word = function Some true -> 3 | Some false -> 1 | None -> 0
+let dir_word row slot =
+  if not (Row.taken_known row slot) then 0 else if Row.taken row slot then 3 else 1
 
 let make cfg =
   if not (Bitops.is_power_of_two cfg.entries) then
@@ -46,29 +43,22 @@ let make cfg =
   let meta_bits = cfg.fetch_width * slot_bits in
   let packer = Bitpack.Packer.create ~owner:cfg.name ~width:meta_bits in
   let predict (ctx : Context.t) ~pred_in ~out ~meta =
-    let p0, p1 =
-      match pred_in with
-      | [ a; b ] -> (a, b)
-      | l ->
-        invalid_arg
-          (Printf.sprintf "%s: tournament selector needs exactly 2 predict_in, got %d" cfg.name
-             (List.length l))
-    in
+    if Array.length pred_in <> 2 then
+      invalid_arg
+        (Printf.sprintf "%s: tournament selector needs exactly 2 predict_in, got %d" cfg.name
+           (Array.length pred_in));
+    let p0 = pred_in.(0) and p1 = pred_in.(1) in
     let live = Context.live_bound ctx cfg.fetch_width in
     for slot = 0 to live - 1 do
-      let d0 = dir_of p0.(slot) and d1 = dir_of p1.(slot) in
+      let d0 = dir_word p0 slot and d1 = dir_word p1 slot in
       let ctr = Slab.unsafe_get state (index ctx ~slot) in
       Bitpack.Packer.add packer
-        (dir_word d0 lor (dir_word d1 lsl 2) lor (Bitpack.field ctr ~bits:cb lsl 4))
+        (d0 lor (d1 lsl 2) lor (Bitpack.field ctr ~bits:cb lsl 4))
         ~bits:slot_bits;
       let chosen =
-        if ctr >= taken_at then (match d1 with Some _ -> d1 | None -> d0)
-        else match d0 with Some _ -> d0 | None -> d1
+        if ctr >= taken_at then (if d1 <> 0 then d1 else d0) else if d0 <> 0 then d0 else d1
       in
-      match chosen with
-      | Some taken when not (Types.unconditional_in p0 slot) ->
-        out.(slot) <- Types.direction_hint ~taken
-      | Some _ | None -> ()
+      if chosen <> 0 && not (Row.unconditional p0 slot) then Row.set_taken out slot (chosen = 3)
     done;
     (* dead slots: keep the declared meta layout *)
     Bitpack.Packer.add_zeros packer ~bits:((cfg.fetch_width - live) * slot_bits);

@@ -108,13 +108,7 @@ let make cfg =
           ~bits:slot_bits;
         let kind = e_kind i in
         let taken = Types.is_unconditional kind || ctr >= taken_at in
-        out.(slot) <-
-          {
-            Types.o_branch = Some true;
-            o_kind = Some kind;
-            o_taken = Some taken;
-            o_target = Some (e_target i);
-          }
+        Row.set_full out slot ~kind ~taken ~target:(e_target i)
       end
     done;
     Bitpack.Packer.add_zeros packer ~bits:((cfg.fetch_width - live) * slot_bits);

@@ -60,7 +60,8 @@ let make cfg =
   in
   let meta_bits = Bitpack.width_of (meta_layout cfg) in
   let predict (ctx : Context.t) ~pred_in ~out ~meta =
-    let base = match pred_in with [ p ] -> p | _ -> invalid_arg (cfg.name ^ ": one predict_in") in
+    if Array.length pred_in <> 1 then invalid_arg (cfg.name ^ ": one predict_in");
+    let base = pred_in.(0) in
     let fields = ref [] in
     for slot = 0 to cfg.fetch_width - 1 do
       let ch = Slab.unsafe_get state (choice_index ctx ~slot) in
@@ -75,7 +76,7 @@ let make cfg =
       fields :=
         ((if hit then ce_ctr off else 0), cfg.counter_bits) :: ((if hit then 1 else 0), 1)
         :: (ch, cfg.counter_bits) :: !fields;
-      if not (Types.unconditional_in base slot) then out.(slot) <- Types.direction_hint ~taken
+      if not (Row.unconditional base slot) then Row.set_taken out slot taken
     done;
     Bitpack.store ~owner:cfg.name (Bitpack.pack ~width:meta_bits (List.rev !fields)) ~dst:meta
   in

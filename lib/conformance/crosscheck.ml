@@ -95,12 +95,15 @@ let zoo_fetch_width = 4
 
 let zoo_packets arity sc = Fuzz.packets sc ~arity ~fetch_width:zoo_fetch_width
 
-(* One predict of a real component into fresh host buffers. *)
+(* One predict of a real component into fresh host buffers, on the
+   incoming predictions encoded into rows; its opinions come back
+   decoded. *)
 let predict_real (c : Component.t) (ctx : Context.t) ~pred_in =
-  let out = Types.no_prediction ~width:ctx.Context.fetch_width in
+  let out = Row.create ~width:ctx.Context.fetch_width in
   let meta = Bits.zero c.Component.meta_bits in
-  c.Component.predict ctx ~pred_in ~out ~meta;
-  (out, meta)
+  c.Component.predict ctx ~pred_in:(Array.of_list (List.map Row.of_prediction pred_in)) ~out
+    ~meta;
+  (Row.to_prediction out, meta)
 
 (* The events a fuzz packet drives after its predict, with [meta] from that
    predict. *)
@@ -183,7 +186,10 @@ let live_slots ~length ?(shapes = Fuzz.all_shapes) ~seed (packed : Golden.packed
           let computed = Types.equal_opinion op all_op && Bits.equal w all_w in
           if
             not
-              (computed || (slot >= k && op == Types.empty_opinion && Bits.popcount w = 0))
+              (computed
+              || slot >= k
+                 && Types.equal_opinion op Types.empty_opinion
+                 && Bits.popcount w = 0)
           then
             mismatch "live_slots=%d slot %d: %s: opinion %s word %s, all-live opinion %s word %s"
               k slot
@@ -199,8 +205,10 @@ let live_slots ~length ?(shapes = Fuzz.all_shapes) ~seed (packed : Golden.packed
 (* Both engines evaluate topologies through one [Composer], so the
    compiled-vs-interpreted differential cannot see its bugs: here every
    packet's per-stage composites must equal [Golden.compose] run over the
-   same context and component state, before the packet's events train the
-   components with the composer's metadata. *)
+   same context and component state. Then the live-slot pass: on the same
+   state, [eval] at every [live_slots = k] must match those composites on
+   the slots below [k] and be silent on the rest. The packet's events then
+   train the components with the all-live metadata. *)
 let compose ~length ?(shapes = Fuzz.all_shapes) ~seed ~name ~fetch_width make_topo =
   fuzz ~check:"compose" ~subject:name ~step:"packet" ~length ~shapes ~seed
     ~items:(fun sc -> Fuzz.packets sc ~arity:0 ~fetch_width)
@@ -212,7 +220,8 @@ let compose ~length ?(shapes = Fuzz.all_shapes) ~seed ~name ~fetch_width make_to
   Seq.iter
     (fun (pk : Fuzz.packet) ->
       let ctx = pk.Fuzz.pk_ctx in
-      let rows = Composer.eval composer ctx in
+      let all_live = Array.map Row.to_prediction (Composer.eval composer ctx) in
+      let metas = Array.map Bits.copy (Composer.metas composer) in
       let golden =
         Golden.compose ~fetch_width topo ~predict:(fun c ~pred_in ->
             fst (predict_real c ctx ~pred_in))
@@ -222,8 +231,24 @@ let compose ~length ?(shapes = Fuzz.all_shapes) ~seed ~name ~fetch_width make_to
           if not (Types.equal_prediction row golden.(s)) then
             mismatch "Fetch-%d composite: composer %s, golden %s" (s + 1) (show_prediction row)
               (show_prediction golden.(s)))
-        rows;
-      let metas = Composer.metas composer in
+        all_live;
+      for k = 1 to fetch_width - 1 do
+        let ctx_k =
+          Context.make ~pc:ctx.Context.pc ~fetch_width ~live_slots:k ~ghist:ctx.Context.ghist
+            ~lhists:ctx.Context.lhists ~phist:ctx.Context.phist ()
+        in
+        Array.iteri
+          (fun s row ->
+            for slot = 0 to fetch_width - 1 do
+              let want =
+                if slot < k then all_live.(s).(slot) else Types.empty_opinion
+              in
+              if not (Types.equal_opinion (Row.get row slot) want) then
+                mismatch "live_slots=%d Fetch-%d slot %d: composer %s, want %s" k (s + 1) slot
+                  (show_opinion (Row.get row slot)) (show_opinion want)
+            done)
+          (Composer.eval composer ctx_k)
+      done;
       Array.iteri (fun id c -> drive_real c pk metas.(id)) comps)
     packets
 
@@ -315,12 +340,15 @@ let repair_restore ~length ?(shapes = Fuzz.all_shapes) ~seed (design : Designs.t
          its decision is [Sim.step]'s replay verdict, from [Types] *)
       let kind = b.Btrace.b_kind in
       let tok = Pipeline.predict p_dirty ~pc:b.Btrace.b_pc ~max_len:1 in
-      let stages = Pipeline.stages p_dirty tok in
-      let final = (stages.(Array.length stages - 1)).(0) in
-      let taken_pred = Types.replay_taken_pred final.Types.o_taken kind in
+      let rows = Pipeline.rows p_dirty tok in
+      let final = rows.(Array.length rows - 1) in
+      let taken_pred =
+        Types.replay_taken_pred kind ~dir_known:(Row.taken_known final 0)
+          ~dir:(Row.taken final 0)
+      in
       let wrong =
-        Types.replay_wrong kind ~taken_pred ~target_pred:final.Types.o_target
-          ~taken:b.Btrace.b_taken ~target:b.Btrace.b_target
+        Types.replay_wrong kind ~taken_pred ~target_known:(Row.target_known final 0)
+          ~target_pred:(Row.target final 0) ~taken:b.Btrace.b_taken ~target:b.Btrace.b_target
       in
       differ ("clean pipeline", clean) ("excursion-disturbed pipeline", (taken_pred, wrong));
       let target = if b.Btrace.b_target >= 0 then b.Btrace.b_target else 0 in

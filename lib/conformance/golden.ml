@@ -1561,8 +1561,9 @@ let instantiate (P { model; _ }) =
         fun () -> state := saved);
   }
 
-(* The model stays pure; the adapter copies its fresh (prediction, meta)
-   pair into the host's buffers. *)
+(* The model stays pure; the adapter decodes the host's incoming rows for
+   it and encodes its fresh (prediction, meta) pair into the host's
+   buffers. *)
 let to_component (P { model; make_real; _ }) =
   let real = make_real () in
   let name = real.Component.name in
@@ -1572,12 +1573,13 @@ let to_component (P { model; make_real; _ }) =
     ~meta_bits:real.Component.meta_bits
     ~storage:real.Component.storage
     ~predict:(fun ctx ~pred_in ~out ~meta ->
+      let pred_in = Array.to_list (Array.map Row.to_prediction pred_in) in
       let pred, m = model.predict !state ctx ~pred_in in
-      if Array.length pred <> Array.length out then
+      if Array.length pred <> Row.width out then
         invalid_arg
           (Printf.sprintf "component %s returned %d opinions for a %d-slot packet" name
-             (Array.length pred) (Array.length out));
-      Array.blit pred 0 out 0 (Array.length pred);
+             (Array.length pred) (Row.width out));
+      Array.iteri (Row.set out) pred;
       Bitpack.store ~owner:name m ~dst:meta)
     ~fire:(fun ev -> state := model.fire !state ev)
     ~mispredict:(fun ev -> state := model.mispredict !state ev)

@@ -60,8 +60,8 @@ type t = {
   state : Cobra_util.Slab.t;
   predict :
     Context.t ->
-    pred_in:Types.prediction list ->
-    out:Types.prediction ->
+    pred_in:Row.t array ->
+    out:Row.t ->
     meta:Cobra_util.Bits.t ->
     unit;
   fire : event -> unit;

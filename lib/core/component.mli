@@ -22,23 +22,30 @@
     {b Caller-owned buffers.} The host owns every per-packet buffer, in the
     [predict(ip)] / [update(ip, taken)] style of ChampSim/CBP predictors:
 
-    - [out] arrives as a [fetch_width] array filled with
-      {!Types.empty_opinion}; the component writes its non-empty opinions
-      into it and leaves silent slots alone;
+    - [pred_in] holds the incoming composites, one {!Row.t} per source
+      (one for a node, one per sub-topology for an arbitration selector),
+      each [fetch_width] slots; they are the host's rows, read during
+      [predict] and never written;
+    - [out] arrives as a silent [fetch_width] {!Row.t}; the component
+      writes its opinions into the slots it has one on ({!Row.set_taken}
+      for a direction, {!Row.set_branch} or {!Row.set_full} for a target
+      provider) and leaves the other slots alone;
     - [meta] arrives exactly [meta_bits] wide; the component overwrites all
       of it, normally by sealing a {!Cobra_util.Bitpack.Packer} into it with
       [finish_into]. A component whose metadata is not [meta_bits] wide is
       refused on both engines with an [Invalid_argument] naming it and both
       widths;
-    - a handler keeps no reference to [out], [meta] or an [event] after it
-      returns: the {!Composer} both engines predict through reuses [out]
-      and [meta] for the next packet, and the compiled engine builds its
-      events once per component.
+    - a handler keeps no reference to [pred_in], [out], [meta] or an
+      [event] after it returns: the {!Composer} both engines predict
+      through reuses them for the next packet, and both engines build
+      their events once.
 
     {b Live slots.} A component may skip every slot at or past
     [ctx.live_slots] (see {!Context.t}): no opinion, zero metadata. Hot
     kernels pack one word per live slot and decode, in their event
-    handlers, only the slots they act on. *)
+    handlers, only the slots they act on. The composer reads only the live
+    slots of [out] and keeps the dead slots of every composite silent, so
+    [pred_in]'s dead slots are silent too. *)
 
 type event = {
   ctx : Context.t;  (** predict-time context (PC and histories) *)
@@ -91,8 +98,8 @@ type t = private {
           for stateless components); see {!snapshot}/{!restore} *)
   predict :
     Context.t ->
-    pred_in:Types.prediction list ->
-    out:Types.prediction ->
+    pred_in:Row.t array ->
+    out:Row.t ->
     meta:Cobra_util.Bits.t ->
     unit;
   fire : event -> unit;
@@ -111,8 +118,8 @@ val make :
   ?state:Cobra_util.Slab.t ->
   predict:
     (Context.t ->
-    pred_in:Types.prediction list ->
-    out:Types.prediction ->
+    pred_in:Row.t array ->
+    out:Row.t ->
     meta:Cobra_util.Bits.t ->
     unit) ->
   ?fire:(event -> unit) ->

@@ -1,17 +1,17 @@
 module Bits = Cobra_util.Bits
 
-(* One component evaluation. Registers index the bank of per-stage
-   composites; register 0 is the all-silent bottom. *)
+(* One component evaluation over owned rows: the component reads [pred_in]
+   (its sources' rows at its predict-in stage) and writes [out]; the step
+   then writes its register's rows [dst] from its first source's rows
+   [src]: a copy before its latency, its opinions merged over them from
+   its latency on. *)
 type step = {
   comp : Component.t;
   id : int;  (* position in [comps] *)
-  stage : int;  (* predict-in stage, [min latency depth - 1] *)
-  srcs : int array;  (* [predict_in] registers; the step overlays [srcs.(0)] *)
-  dst : int;
-  mutable pin_rows : Types.prediction array;  (* per source, the row [pin] holds *)
-  mutable pin : Types.prediction list;  (* the last [predict_in] *)
-  mutable alt_rows : Types.prediction array;
-  mutable alt : Types.prediction list;  (* the [predict_in] before [pin] *)
+  latency : int;
+  pred_in : Row.t array;
+  src : Row.t array;
+  dst : Row.t array;
 }
 
 type t = {
@@ -19,14 +19,13 @@ type t = {
   depth : int;
   width : int;
   steps : step array;  (* evaluation order *)
-  root : int;
-  regs : Types.prediction array array;
-      (* per register, its per-stage rows: each is a row of the source
-         register (stages before the latency, silent components) or one of
-         the register's own merge rows *)
-  merged : Types.prediction array array;  (* per register, its merge rows *)
-  outs : Types.prediction array;  (* per component id *)
+  regs : Row.t array array;  (* per register, its [depth] rows; 0 is the silent bottom *)
+  root : Row.t array;
+  outs : Row.t array;  (* per component id *)
   metas : Bits.t array;  (* per component id *)
+  mutable live : int;
+      (* the live bound of the last [eval]: every register row is silent at
+         and past it *)
 }
 
 let create ~fetch_width topo =
@@ -47,59 +46,49 @@ let create ~fetch_width topo =
     let rec find i = if comps.(i) == c then i else find (i + 1) in
     find 0
   in
-  let n_regs = ref 1 in
-  let schedule (c : Component.t) srcs acc =
-    let dst = !n_regs in
-    incr n_regs;
-    let step =
-      (* [[||]] is never a row, so the first [eval] builds a list *)
-      let rows () = Array.make (Array.length srcs) [||] in
+  let rows () = Array.init depth (fun _ -> Row.create ~width:fetch_width) in
+  (* Registers in allocation order, newest first; [walk] returns the
+     register holding its topology's composite. *)
+  let regs = ref [ rows () ] in
+  let steps = ref [] in
+  let schedule (c : Component.t) (srcs : Row.t array list) =
+    let dst = rows () in
+    regs := dst :: !regs;
+    let stage = min c.latency depth - 1 in
+    steps :=
       {
         comp = c;
         id = id_of c;
-        stage = min c.latency depth - 1;
-        srcs;
+        latency = c.latency;
+        pred_in = Array.of_list (List.map (fun src -> src.(stage)) srcs);
+        src = List.hd srcs;
         dst;
-        pin_rows = rows ();
-        pin = [];
-        alt_rows = rows ();
-        alt = [];
       }
-    in
-    (dst, step :: acc)
+      :: !steps;
+    dst
   in
-  (* [walk topo src acc] schedules [topo] over the composite in register
-     [src] and returns the register holding its result. *)
-  let rec walk topo src acc =
+  (* [walk topo src] schedules [topo] over the composite [src], in the
+     recursive semantics' evaluation order: [Override (hi, lo)] evaluates
+     [lo] first, an arbitration its sub-topologies head-first, then the
+     selector. *)
+  let rec walk topo src =
     match topo with
-    | Topology.Node c -> schedule c [| src |] acc
-    | Topology.Override (hi, lo) ->
-      let mid, acc = walk lo src acc in
-      walk hi mid acc
-    | Topology.Arbitrate (sel, subs) ->
-      let dsts, acc =
-        List.fold_left
-          (fun (dsts, acc) sub ->
-            let dst, acc = walk sub src acc in
-            (dst :: dsts, acc))
-          ([], acc) subs
-      in
-      schedule sel (Array.of_list (List.rev dsts)) acc
+    | Topology.Node c -> schedule c [ src ]
+    | Topology.Override (hi, lo) -> walk hi (walk lo src)
+    | Topology.Arbitrate (sel, subs) -> schedule sel (List.map (fun sub -> walk sub src) subs)
   in
-  let root, steps = walk topo 0 [] in
-  let row () = Types.no_prediction ~width:fetch_width in
-  let bottom = Array.make depth (row ()) in
+  let bottom = List.hd !regs in
+  let root = walk topo bottom in
   {
     comps;
     depth;
     width = fetch_width;
-    steps = Array.of_list (List.rev steps);
+    steps = Array.of_list (List.rev !steps);
+    regs = Array.of_list (List.rev !regs);
     root;
-    regs = Array.init !n_regs (fun r -> if r = 0 then bottom else Array.copy bottom);
-    merged =
-      Array.init !n_regs (fun r -> if r = 0 then [||] else Array.init depth (fun _ -> row ()));
-    outs = Array.map (fun _ -> row ()) comps;
+    outs = Array.map (fun _ -> Row.create ~width:fetch_width) comps;
     metas = Array.map (fun (c : Component.t) -> Bits.zero c.meta_bits) comps;
+    live = 0;
   }
 
 let components t = t.comps
@@ -107,89 +96,27 @@ let depth t = t.depth
 let metas t = t.metas
 let opinions t = t.outs
 
-let rec silent (pred : Types.prediction) i =
-  i >= Array.length pred || (pred.(i) == Types.empty_opinion && silent pred (i + 1))
-
-(* Stores into the composer's buffers skip a value that is already there:
-   the buffers live in the major heap, where every store of a boxed value
-   pays the write barrier, and from one branch to the next most slots and
-   rows do not change. *)
-let set_opinion (row : Types.prediction) i v = if row.(i) != v then row.(i) <- v
-let set_row (rows : Types.prediction array) s v = if rows.(s) != v then rows.(s) <- v
-
-(* [Types.merge ~strong ~weak] into [row], with its physical fast paths
-   (a merged opinion is a new record: it always differs). *)
-let merge_into (row : Types.prediction) ~(strong : Types.prediction) ~(weak : Types.prediction) =
-  for i = 0 to Array.length row - 1 do
-    let s = strong.(i) and w = weak.(i) in
-    if s == Types.empty_opinion then set_opinion row i w
-    else if w == Types.empty_opinion then set_opinion row i s
-    else row.(i) <- Types.merge_opinion ~strong:s ~weak:w
-  done
-
-(* Stages [s..] of the overlay of [pred] onto [src] into [dst]. [prev_w]
-   and [prev_m] are the weak row and the result of the last merged stage:
-   a stage whose weak row is [prev_w] again shares [prev_m]. They start as
-   [pred], which is never a row. *)
-let rec overlay dst merged src pred ~latency s prev_w prev_m =
-  if s < Array.length src then begin
-    let w = src.(s) in
-    if s + 1 < latency then begin
-      set_row dst s w;
-      overlay dst merged src pred ~latency (s + 1) prev_w prev_m
-    end
-    else if w == prev_w then begin
-      set_row dst s prev_m;
-      overlay dst merged src pred ~latency (s + 1) prev_w prev_m
-    end
-    else begin
-      let m = merged.(s) in
-      merge_into m ~strong:pred ~weak:w;
-      set_row dst s m;
-      overlay dst merged src pred ~latency (s + 1) w m
-    end
-  end
-
-let rec same_rows regs st rows k =
-  k >= Array.length st.srcs
-  || (regs.(st.srcs.(k)).(st.stage) == rows.(k) && same_rows regs st rows (k + 1))
-
-(* The step's [predict_in]: one of its last two lists while its rows are
-   physically the same (their contents are read at [predict], not
-   captured), a new list otherwise. A source's row flips between two
-   arrays as the components below it fall silent and speak again, hence
-   two. *)
-let predict_in regs st =
-  if not (same_rows regs st st.pin_rows 0) then begin
-    let rows = st.alt_rows and pin = st.alt in
-    st.alt_rows <- st.pin_rows;
-    st.alt <- st.pin;
-    st.pin_rows <- rows;
-    st.pin <-
-      (if same_rows regs st rows 0 then pin
-       else begin
-         for k = 0 to Array.length st.srcs - 1 do
-           rows.(k) <- regs.(st.srcs.(k)).(st.stage)
-         done;
-         Array.to_list rows
-       end)
-  end;
-  st.pin
-
 let eval t ctx =
-  let steps = t.steps and regs = t.regs in
+  let live = Context.live_bound ctx t.width in
+  (* Slots that were live last time and are dead now: silence them in every
+     register; the steps below write only the live ones. *)
+  if live < t.live then
+    for r = 1 to Array.length t.regs - 1 do
+      let rows = t.regs.(r) in
+      for s = 0 to t.depth - 1 do
+        Row.clear_from rows.(s) live t.live
+      done
+    done;
+  t.live <- live;
+  let steps = t.steps in
   for k = 0 to Array.length steps - 1 do
     let st = steps.(k) in
     let out = t.outs.(st.id) in
-    for i = 0 to t.width - 1 do
-      set_opinion out i Types.empty_opinion
-    done;
-    st.comp.Component.predict ctx ~pred_in:(predict_in regs st) ~out ~meta:t.metas.(st.id);
-    let src = regs.(st.srcs.(0)) and dst = regs.(st.dst) in
-    if silent out 0 then
-      for s = 0 to t.depth - 1 do
-        set_row dst s src.(s)
-      done
-    else overlay dst t.merged.(st.dst) src out ~latency:st.comp.Component.latency 0 out out
+    Row.clear out;
+    st.comp.Component.predict ctx ~pred_in:st.pred_in ~out ~meta:t.metas.(st.id);
+    for s = 0 to t.depth - 1 do
+      if s + 1 < st.latency then Row.blit ~src:st.src.(s) ~dst:st.dst.(s) ~len:live
+      else Row.merge_into ~strong:out ~weak:st.src.(s) ~dst:st.dst.(s) ~len:live
+    done
   done;
-  regs.(t.root)
+  t.root

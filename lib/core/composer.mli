@@ -6,21 +6,22 @@
     component, in the recursive semantics' evaluation order
     ([Override (hi, lo)] evaluates [lo] first; arbitration sub-topologies
     run head-first, then the selector), so a component whose [predict] has
-    side effects behaves as it would under a recursive walk. Each step reads
-    its [predict_in] off stage [min latency depth - 1] of its source
-    composites and overlays its opinions onto the first source — the
-    running composite below a node, or an arbitration's default sub-path:
-    stages before its latency show the source through, and from its latency
-    on its set fields override ({!Types.merge}). A silent component shows
-    every stage through.
+    side effects behaves as it would under a recursive walk. Each step
+    writes one register: [depth] {!Row.t}s the register owns. A step's
+    [pred_in] is its sources' rows at stage [min latency depth - 1] — the
+    running composite below a node, or each sub-topology's composite for an
+    arbitration selector — so every step's [pred_in] array is built once, at
+    [create]. The step's register rows show its first source through before
+    its latency and, from its latency on, its opinions merged over the
+    source ({!Row.merge_into}, which decodes to {!Types.merge}).
 
-    Every buffer is the composer's own, allocated once: a register bank of
-    per-stage rows, one opinion vector and one metadata vector per
-    component. A stage whose row below is physically the row below the
-    previous merged stage shares that stage's merge, so a latency-1
-    component over the all-silent bottom merges once, not once per stage.
-    Physical emptiness ([== Types.empty_opinion]) is preserved per slot,
-    exactly as {!Types.merge} preserves it. *)
+    Every buffer is the composer's own, allocated at [create]: the
+    registers' rows, one opinion row and one metadata vector per component.
+    [eval] copies and merges only the packet's live slots
+    ({!Context.live_bound}) with int operations, and keeps the dead slots of
+    every register row silent; a component's own [out] row is cleared before
+    its [predict], whatever it writes. No [eval] allocates, and no store it
+    makes pays the write barrier. *)
 
 type t
 
@@ -30,13 +31,12 @@ val create : fetch_width:int -> Topology.t -> t
     (naming the component and both widths): it would leave slots
     unpredicted, or write past the packet. *)
 
-val eval : t -> Context.t -> Types.prediction array
+val eval : t -> Context.t -> Row.t array
 (** Run every component's [predict] on [ctx] and return the root's
     per-stage composites: [(eval t ctx).(d-1)] is the prediction at
-    Fetch-[d]. The array and its rows are the composer's buffers, valid
-    until the next [eval]: copy what must outlive it. A component's
-    [pred_in] list holds such rows and may be the same list from one
-    [eval] to the next, so it too is read at [predict], not kept. *)
+    Fetch-[d]. Slots at or past [ctx]'s live bound are silent. The array and
+    its rows are the composer's buffers, rewritten by the next [eval]: copy
+    what must outlive it. *)
 
 val components : t -> Component.t array
 (** [Topology.components] order; a component's position is its id. *)
@@ -49,7 +49,8 @@ val metas : t -> Cobra_util.Bits.t array
     id and exactly its declared width. Overwritten in place by every
     [eval]. *)
 
-val opinions : t -> Types.prediction array
-(** Each component's own opinion vector from the last {!eval}, indexed by
-    component id — what an observer attributes predictions to. Overwritten
-    in place by every [eval]. *)
+val opinions : t -> Row.t array
+(** Each component's own opinion row from the last {!eval}, indexed by
+    component id — what an observer attributes predictions to. A component
+    that computes its dead slots leaves those opinions here, though no
+    composite reads them. Overwritten in place by every [eval]. *)

@@ -2,8 +2,8 @@ type entry = {
   mutable e_token : int;
   e_ctx : Context.t;
   e_metas : Cobra_util.Bits.t array;
-  e_stages : Types.prediction array;
-  mutable e_raw : Types.prediction array option;
+  e_stages : Row.t array;
+  mutable e_raw : Row.t array option;
   e_predicted : Types.resolved array;
   e_actual : Types.resolved array;
   e_effective : Types.resolved array;
@@ -16,6 +16,7 @@ type entry = {
   mutable e_lhist_len : int;
   e_fire_evs : Component.event array;
   e_update_evs : Component.event array;
+  e_mispredict_evs : Component.event array array;
 }
 
 let dir_bits e = List.init e.e_dir_len (fun i -> e.e_dir_bits.(i))
@@ -62,17 +63,12 @@ let dequeue t =
   t.head <- t.head + 1;
   e
 
-let drop_newer_than t seq f =
-  let keep_until = min t.next (max t.head (seq + 1)) in
-  for s = t.next - 1 downto keep_until do
-    f t.ring.(s mod t.capacity)
-  done;
-  t.next <- keep_until
+let next_seq t = t.next
 
-let iter_from t seq f =
-  for s = max seq t.head to t.next - 1 do
-    f s t.ring.(s mod t.capacity)
-  done
+let drop_newest t =
+  if length t = 0 then invalid_arg "History_file.drop_newest: empty";
+  t.next <- t.next - 1;
+  t.ring.(t.next mod t.capacity)
 
 (* 48-bit PCs, 3-bit kinds; a slot stores predicted and resolved outcomes. *)
 let slot_bits = 2 * (1 + 3 + 1 + 48)

@@ -20,8 +20,8 @@ type entry = {
   mutable e_token : int;  (** the pipeline's handle while the packet is pending *)
   e_ctx : Context.t;  (** the packet's predict-time context, its own buffers *)
   e_metas : Cobra_util.Bits.t array;  (** indexed by component id *)
-  e_stages : Types.prediction array;  (** [e_stages.(d-1)] is the Fetch-[d] composite *)
-  mutable e_raw : Types.prediction array option;
+  e_stages : Row.t array;  (** [e_stages.(d-1)] is the Fetch-[d] composite *)
+  mutable e_raw : Row.t array option;
       (** per-component raw predictions, indexed by component id; recorded
           only while an observer is attached at predict time (into the rows
           of the record's last observed packet, when it has one) *)
@@ -54,6 +54,9 @@ type entry = {
   e_fire_evs : Component.event array;
       (** per component, over [e_predicted] — the [fire] and [repair] events *)
   e_update_evs : Component.event array;  (** per component, over [e_effective] *)
+  e_mispredict_evs : Component.event array array;
+      (** per culprit slot, per component: the [mispredict] events over
+          [e_effective], each naming its slot as the culprit *)
 }
 
 val dir_bits : entry -> bool list
@@ -83,13 +86,13 @@ val dequeue : t -> entry
 (** Pop the oldest entry (commit order). Raises [Invalid_argument] when
     empty. *)
 
-val drop_newer_than : t -> int -> (entry -> unit) -> unit
-(** [drop_newer_than t seq f] squashes every entry with a sequence number
-    above [seq], handing each to [f], youngest first. *)
+val next_seq : t -> int
+(** The sequence number the next {!enqueue} gets: one past the newest live
+    entry. The live entries are [oldest_seq t .. next_seq t - 1]. *)
 
-val iter_from : t -> int -> (int -> entry -> unit) -> unit
-(** [iter_from t seq f] visits live entries from [seq] (inclusive, clamped
-    to the head) to the newest, in age order — the repair forwards-walk. *)
+val drop_newest : t -> entry
+(** Pop the newest entry (a squash walks back youngest first). Raises
+    [Invalid_argument] when empty. *)
 
 val storage : t -> Storage.t
 (** Bit-accurate cost of the structure: per entry, the PC, the history

@@ -127,7 +127,6 @@ let storage t =
    vectors, undo log and the event records over them. *)
 let new_record t : History_file.entry =
   let fw = t.cfg.fetch_width in
-  let row () = Types.no_prediction ~width:fw in
   let ctx =
     Context.make ~pc:0 ~fetch_width:fw ~ghist:(Bits.zero t.cfg.ghist_bits)
       ~lhists:(Array.init fw (fun _ -> Bits.zero t.cfg.lhist_bits))
@@ -136,14 +135,14 @@ let new_record t : History_file.entry =
   let metas = Array.map (fun (c : Component.t) -> Bits.zero c.meta_bits) t.comps in
   let predicted = Array.make fw Types.no_branch in
   let effective = Array.make fw Types.no_branch in
-  let events slots =
-    Array.map (fun meta -> { Component.ctx; meta; slots; culprit = None }) metas
+  let events ?culprit slots =
+    Array.map (fun meta -> { Component.ctx; meta; slots; culprit }) metas
   in
   {
     e_token = -1;
     e_ctx = ctx;
     e_metas = metas;
-    e_stages = Array.init t.depth (fun _ -> row ());
+    e_stages = Array.init t.depth (fun _ -> Row.create ~width:fw);
     e_raw = None;
     e_predicted = predicted;
     e_actual = Array.make fw Types.no_branch;
@@ -157,6 +156,7 @@ let new_record t : History_file.entry =
     e_lhist_len = 0;
     e_fire_evs = events predicted;
     e_update_evs = events effective;
+    e_mispredict_evs = Array.init fw (fun slot -> events ~culprit:slot effective);
   }
 
 (* [stack] with room for an [n+1]th record. *)
@@ -221,21 +221,16 @@ let rec path_find_slot (slots : Types.resolved array) len i =
 let path_of_slots slots ~packet_len = path_find_slot slots (min packet_len (Array.length slots)) 0
 
 (* The path implied by a stage composite at predict time: the first slot
-   predicted as a taken branch, read straight off the opinions (what
+   predicted as a taken branch, read straight off the row (what
    [path_of_slots] would see through the predicted resolved view, without
-   materialising that view). *)
-let rec path_find_op (pred : Types.prediction) len i =
+   materialising that view); an unknown target folds as 0. *)
+let rec path_find_row row len i =
   if i >= len then -1
-  else
-    let op = pred.(i) in
-    if
-      (match op.Types.o_branch with Some true -> true | Some false | None -> false)
-      && match op.Types.o_taken with Some true -> true | Some false | None -> false
-    then path_fold (match op.Types.o_target with Some tgt -> tgt | None -> 0)
-    else path_find_op pred len (i + 1)
+  else if Row.branch row i && Row.taken row i then
+    path_fold (if Row.target_known row i then Row.target row i else 0)
+  else path_find_row row len (i + 1)
 
-let path_of_prediction (pred : Types.prediction) ~packet_len =
-  path_find_op pred (min packet_len (Array.length pred)) 0
+let path_of_prediction row ~packet_len = path_find_row row (min packet_len (Row.width row)) 0
 
 (* Direction bits implied by per-slot outcomes: one bit per conditional
    branch, stopping after the first taken slot. *)
@@ -271,17 +266,12 @@ let unwind_lhist t (e : History_file.entry) =
   done;
   e.e_lhist_len <- 0
 
-(* Slots of [pred] within [packet_len] that look like conditional branches
+(* Slots of [row] within [packet_len] that look like conditional branches
    push a speculative bit into the local history of their own PC. *)
-let push_lhists_of_prediction t e ~pc ~packet_len (pred : Types.prediction) =
-  for i = 0 to min packet_len (Array.length pred) - 1 do
-    let (op : Types.opinion) = pred.(i) in
-    if
-      (match op.o_branch with Some true -> true | Some false | None -> false)
-      && match op.o_kind with None | Some Types.Cond -> true | Some _ -> false
-    then
-      push_lhist t e ~pc:(pc + (4 * i))
-        (match op.o_taken with Some true -> true | Some false | None -> false)
+let push_lhists_of_prediction t e ~pc ~packet_len row =
+  for i = 0 to min packet_len (Row.width row) - 1 do
+    if Row.branch row i && not (Row.unconditional row i) then
+      push_lhist t e ~pc:(pc + (4 * i)) (Row.taken row i)
   done
 
 (* Local-history pushes for the conditional branches of a slot vector, up
@@ -322,33 +312,34 @@ let predict t ~pc ~max_len =
   speculate t ~reg:t.phist ~dst:ctx.phist shift_path;
   (* The composer's buffers are overwritten by the next predict: the record
      keeps copies of its rows and metadata, and of the raw opinions only
-     while an observer is attached. A recycled record's row usually holds
-     the opinion already, and skipping that store skips its write barrier. *)
+     while an observer is attached. *)
+  let fw = t.cfg.fetch_width in
   let stages = Composer.eval t.composer ctx in
   for d = 0 to t.depth - 1 do
-    let src = stages.(d) and dst = e.e_stages.(d) in
-    for i = 0 to t.cfg.fetch_width - 1 do
-      let v = src.(i) in
-      if dst.(i) != v then dst.(i) <- v
-    done
+    Row.blit ~src:stages.(d) ~dst:e.e_stages.(d) ~len:fw
   done;
   let metas = Composer.metas t.composer in
   for id = 0 to Array.length metas - 1 do
     Bits.blit ~src:metas.(id) ~dst:e.e_metas.(id)
   done;
-  (match (t.observer, e.e_raw) with
-  | None, _ -> e.e_raw <- None
-  | Some _, None -> e.e_raw <- Some (Array.map Array.copy (Composer.opinions t.composer))
-  | Some _, Some rows ->
-    Array.iteri (fun id row -> Array.blit row 0 rows.(id) 0 t.cfg.fetch_width)
-      (Composer.opinions t.composer));
+  (match t.observer with
+  | None -> e.e_raw <- None
+  | Some _ ->
+    let opinions = Composer.opinions t.composer in
+    let rows =
+      match e.e_raw with
+      | Some rows -> rows
+      | None -> Array.map (fun _ -> Row.create ~width:fw) opinions
+    in
+    Array.iteri (fun id row -> Row.blit ~src:row ~dst:rows.(id) ~len:fw) opinions;
+    e.e_raw <- Some rows);
   let stage1 = e.e_stages.(0) in
-  let packet_len = Types.packet_len stage1 ~max_len in
+  let packet_len = Row.packet_len stage1 ~max_len in
   let token = t.next_token in
   t.next_token <- token + 1;
   e.e_token <- token;
   e.e_packet_len <- 0;
-  e.e_dir_len <- Types.direction_bits_into stage1 ~packet_len e.e_dir_bits;
+  e.e_dir_len <- Row.direction_bits_into stage1 ~packet_len e.e_dir_bits;
   e.e_path <- path_of_prediction stage1 ~packet_len;
   e.e_lhist_len <- 0;
   push_lhists_of_prediction t e ~pc ~packet_len stage1;
@@ -366,7 +357,8 @@ let rec pending_index pending n token i =
 
 let find_pending t token = t.pending.(pending_index t.pending t.n_pending token 0)
 
-let stages t token = (find_pending t token).e_stages
+let rows t token = (find_pending t token).e_stages
+let stages t token = Array.map Row.to_prediction (rows t token)
 let context t token = (find_pending t token).e_ctx
 let applied_dir_bits t token = History_file.dir_bits (find_pending t token)
 
@@ -463,24 +455,28 @@ let mispredict t ~seq ~slot resolved =
      mispredict update runs after the walk so the corrected state it writes
      is final — younger packets' restored speculative state must not
      clobber it. *)
-  History_file.iter_from t.hf (seq + 1) (fun yseq (e : History_file.entry) ->
-      for id = 0 to Array.length t.comps - 1 do
-        t.comps.(id).repair e.e_fire_evs.(id)
-      done;
-      match t.observer with Some f -> f (Repaired { seq = yseq }) | None -> ());
+  for yseq = seq + 1 to History_file.next_seq t.hf - 1 do
+    let e = History_file.get t.hf yseq in
+    for id = 0 to Array.length t.comps - 1 do
+      t.comps.(id).repair e.e_fire_evs.(id)
+    done;
+    match t.observer with Some f -> f (Repaired { seq = yseq }) | None -> ()
+  done;
   (* Fast update for the offending packet. *)
   set_effective t entry;
-  let culprit = Some slot in
+  let evs = entry.e_mispredict_evs.(slot) in
   for id = 0 to Array.length t.comps - 1 do
-    t.comps.(id).mispredict { (entry.e_update_evs.(id)) with culprit }
+    t.comps.(id).mispredict evs.(id)
   done;
   (match t.observer with
   | Some f -> f (Mispredicted { seq; slot; actual = resolved; entry })
   | None -> ());
   squash_all_pending t;
-  History_file.drop_newer_than t.hf seq (fun e ->
-      unwind_lhist t e;
-      release t e);
+  while History_file.next_seq t.hf > seq + 1 do
+    let e = History_file.drop_newest t.hf in
+    unwind_lhist t e;
+    release t e
+  done;
   (* The packet is cut at the culprit: younger slots were squashed (either
      the branch was taken, or the not-taken refetch starts a new packet).
      Its history bits — global, path and local — are recomputed from the

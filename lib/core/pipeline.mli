@@ -111,9 +111,17 @@ val predict : t -> pc:int -> max_len:int -> token
 (** Query the pipeline for the packet starting at [pc] containing up to
     [max_len] slots ([1 <= max_len <= fetch_width]). *)
 
+val rows : t -> token -> Row.t array
+(** [ (rows t tok).(d-1) ] is the composite prediction at Fetch-[d]: the
+    packet record's own rows, valid until the packet retires. Reading them
+    allocates nothing; slots at or past the packet's [max_len] are
+    silent. *)
+
 val stages : t -> token -> Types.prediction array
-(** [ (stages t tok).(d-1) ] is the composite prediction at Fetch-[d]: the
-    packet record's rows, valid until the packet retires. *)
+(** {!rows}, decoded into fresh opinion arrays: a copy for readers that want
+    {!Types.opinion} records (tests, the conformance kit, the benchmark's
+    written-out replay loop). It allocates on every call; the engines and the
+    core read {!rows}. *)
 
 val context : t -> token -> Context.t
 (** The packet record's context, valid until the packet retires. *)

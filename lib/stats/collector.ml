@@ -3,6 +3,7 @@ module Topology = Cobra.Topology
 module Types = Cobra.Types
 module Component = Cobra.Component
 module History_file = Cobra.History_file
+module Row = Cobra.Row
 
 let n_events = List.length Component.all_event_kinds
 
@@ -89,23 +90,18 @@ let incr_tbl tbl key =
 
 (* --- provenance over recorded raw predictions --------------------------- *)
 
-let opinion_at raw cid slot =
-  let p = (raw : Types.prediction array).(cid) in
-  if slot < Array.length p then p.(slot) else Types.empty_opinion
-
 (* First component in priority order with a direction opinion for [slot]. *)
-let dir_winner raw prio ~slot =
+let dir_winner (raw : Row.t array) prio ~slot =
   let rec go = function
     | [] -> None
-    | cid :: rest -> (
-      match (opinion_at raw cid slot).Types.o_taken with
-      | Some d -> Some (cid, d, rest)
-      | None -> go rest)
+    | cid :: rest ->
+      if Row.taken_known raw.(cid) slot then Some (cid, Row.taken raw.(cid) slot, rest)
+      else go rest
   in
   go prio
 
-let target_provider raw prio ~slot =
-  List.find_opt (fun cid -> (opinion_at raw cid slot).Types.o_target <> None) prio
+let target_provider (raw : Row.t array) prio ~slot =
+  List.find_opt (fun cid -> Row.target_known raw.(cid) slot) prio
 
 (* --- lifecycle ---------------------------------------------------------- *)
 
@@ -211,10 +207,9 @@ and t_mispredicted t e ~slot actual =
     | Some raw ->
       let acted = e.e_predicted.(slot) in
       let final = e.e_stages.(Array.length e.e_stages - 1) in
-      let final_op = if slot < Array.length final then final.(slot) else Types.empty_opinion in
       if acted.Types.r_taken <> actual.Types.r_taken then begin
         (* direction mispredict *)
-        match final_op.Types.o_taken with
+        match if Row.taken_known final slot then Some (Row.taken final slot) else None with
         | Some d when d = acted.Types.r_taken -> (
           (* the composite drove the wrong direction: the chain's direction
              winner caused it *)
@@ -226,7 +221,7 @@ and t_mispredicted t e ~slot actual =
       end
       else begin
         (* direction agreed; the target was wrong *)
-        match final_op.Types.o_target with
+        match if Row.target_known final slot then Some (Row.target final slot) else None with
         | Some tgt when tgt = acted.Types.r_target -> (
           match target_provider raw t.final_prio ~slot with
           | Some cid -> t.comps.(cid).Component.name

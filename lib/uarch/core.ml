@@ -1,5 +1,6 @@
 module Pipeline = Cobra.Pipeline
 module Types = Cobra.Types
+module Row = Cobra.Row
 module Trace = Cobra_isa.Trace
 module Cb = Cobra_util.Circular_buffer
 
@@ -62,6 +63,7 @@ type t = {
       (* per-fire predicted-outcome slots handed to [Pipeline.fire], which
          copies the records into the history file but never keeps the array
          itself, so one [width]-sized buffer serves every fire *)
+  dir_scratch : bool array;  (* a stage row's direction bits, read by [stage_dir_bits] *)
   scoreboard : int array;
   alu_busy : int array;
   mem_busy : int array;
@@ -100,6 +102,7 @@ let create ?(decode = fun _ -> None) cfg pl stream =
     rob = Cb.create ~capacity:cfg.Config.rob_entries;
     pending_branches = [];
     fire_scratch = Array.make width Types.no_branch;
+    dir_scratch = Array.make width false;
     scoreboard = Array.make 32 0;
     alu_busy = Array.make cfg.Config.int_alus 0;
     mem_busy = Array.make cfg.Config.mem_ports 0;
@@ -118,23 +121,24 @@ let set_sampler t s = t.sampler <- s
 (* Interpret a stage composite as a fetch redirection decision, with the
    return-address stack supplying targets for predicted returns. *)
 let decide t pkt ~stage =
-  let comp = (Pipeline.stages t.pl pkt.tok).(stage - 1) in
-  let nf = Types.next_fetch comp ~pc:pkt.fp_pc ~max_len:pkt.max_len in
-  let fallthrough = pkt.fp_pc + (4 * pkt.max_len) in
-  match nf.Types.taken_slot with
-  | None -> { d_slot = None; d_len = nf.Types.packet_len; d_next = fallthrough }
-  | Some i ->
-    let target = Option.value nf.Types.next_pc ~default:fallthrough in
+  let comp = (Pipeline.rows t.pl pkt.tok).(stage - 1) in
+  let i = Row.taken_slot comp ~max_len:pkt.max_len in
+  if i < 0 then
+    { d_slot = None; d_len = Row.packet_len comp ~max_len:pkt.max_len;
+      d_next = pkt.fp_pc + (4 * pkt.max_len) }
+  else
     let target =
-      if comp.(i).Types.o_kind = Some Types.Ret then
-        Option.value (Ras.peek t.ras) ~default:target
-      else target
+      match Row.kind comp i with
+      | Types.Ret when Row.kind_known comp i ->
+        Option.value (Ras.peek t.ras) ~default:(Row.target comp i)
+      | _ -> Row.target comp i
     in
-    { d_slot = Some i; d_len = nf.Types.packet_len; d_next = target }
+    { d_slot = Some i; d_len = i + 1; d_next = target }
 
 let stage_dir_bits t pkt ~stage ~len =
-  let comp = (Pipeline.stages t.pl pkt.tok).(stage - 1) in
-  Types.direction_bits comp ~packet_len:len
+  let comp = (Pipeline.rows t.pl pkt.tok).(stage - 1) in
+  let n = Row.direction_bits_into comp ~packet_len:len t.dir_scratch in
+  List.init n (fun i -> t.dir_scratch.(i))
 
 let apply_decision pkt d =
   pkt.acted_slot <- d.d_slot;
@@ -317,11 +321,10 @@ let corrected_decision t pkt =
   let d = walk 0 in
   (d, !misfetch || d.d_next <> pkt.acted_next)
 
-let opinion_resolved (op : Types.opinion) ~taken ~target =
-  if op.Types.o_branch = Some true then
-    Types.resolved_branch
-      ~kind:(Option.value op.Types.o_kind ~default:Types.Cond)
-      ~taken ~target
+(* A wrong-path slot with no instruction behind it holds whatever branch
+   the final composite believed in, of kind [Cond] when it knew none. *)
+let opinion_resolved row i ~taken ~target =
+  if Row.branch row i then Types.resolved_branch ~kind:(Row.kind row i) ~taken ~target
   else Types.no_branch
 
 (* Build the predicted per-slot outcomes handed to Pipeline.fire: branch
@@ -340,21 +343,21 @@ let fire_slots t pkt (d : decision) ~comp =
            match ev.Trace.branch with
            | Some info -> Types.resolved_branch ~kind:info.Trace.kind ~taken ~target
            | None -> Types.no_branch)
-         | Junk -> opinion_resolved comp.(i) ~taken ~target)
+         | Junk -> opinion_resolved comp i ~taken ~target)
   done;
   slots
 
+let ras_event t pkt i = function
+  | Types.Call -> Ras.push t.ras (pkt.fp_pc + (4 * (i + 1)))
+  | Types.Ret -> ignore (Ras.pop t.ras)
+  | Types.Cond | Types.Jump | Types.Ind -> ()
+
 let update_ras t pkt (d : decision) ~comp =
   for i = 0 to d.d_len - 1 do
-    let kind =
-      match pkt.contents.(i) with
-      | Real ev | Decoded ev -> Option.map (fun b -> b.Trace.kind) ev.Trace.branch
-      | Junk -> if comp.(i).Types.o_branch = Some true then comp.(i).Types.o_kind else None
-    in
-    match kind with
-    | Some Types.Call -> Ras.push t.ras (pkt.fp_pc + (4 * (i + 1)))
-    | Some Types.Ret -> ignore (Ras.pop t.ras)
-    | Some (Types.Cond | Types.Jump | Types.Ind) | None -> ()
+    match pkt.contents.(i) with
+    | Real ev | Decoded ev -> (
+      match ev.Trace.branch with Some b -> ras_event t pkt i b.Trace.kind | None -> ())
+    | Junk -> if Row.branch comp i && Row.kind_known comp i then ras_event t pkt i (Row.kind comp i)
   done
 
 let fb_room t n = Queue.length t.fb + n <= t.cfg.Config.fetch_buffer
@@ -398,7 +401,7 @@ let try_fire t pkt =
         squash_younger_inflight t pkt;
       Trace.Window.rewind t.stream (pkt.first + d.d_len)
     end;
-    let comp = (Pipeline.stages t.pl pkt.tok).(t.depth - 1) in
+    let comp = (Pipeline.rows t.pl pkt.tok).(t.depth - 1) in
     let slots = fire_slots t pkt d ~comp in
     let packet_len = max 1 d.d_len in
     (* Without history management (VI-B's "none") the packet's Fetch-1

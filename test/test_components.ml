@@ -165,7 +165,9 @@ let constant_direction ~name ~taken =
   Component.make ~name ~family:Component.Static ~fetch_width:width ~latency:2 ~meta_bits:0
     ~storage:Storage.zero
     ~predict:(fun _ ~pred_in:_ ~out ~meta:_ ->
-      Array.iteri (fun i _ -> out.(i) <- { Types.empty_opinion with o_taken = Some taken }) out)
+      for i = 0 to width - 1 do
+        Row.set_taken out i taken
+      done)
     ()
 
 let test_tourney_learns_better_side () =
@@ -301,16 +303,16 @@ let test_tagged_alloc_free () =
   in
   List.iter
     (fun (c : Component.t) ->
-      let out = Types.no_prediction ~width in
+      let out = Row.create ~width in
       let meta = Bits.zero c.Component.meta_bits in
-      let pred_in = [ Types.no_prediction ~width ] in
+      let pred_in = [| Row.create ~width |] in
       let events =
         Array.map (fun (ctx, slots) -> { Component.ctx; meta; slots; culprit = None }) stream
       in
       let run () =
         for i = 0 to Array.length events - 1 do
           let ev = events.(i) in
-          Array.fill out 0 width Types.empty_opinion;
+          Row.clear out;
           c.Component.predict ev.Component.ctx ~pred_in ~out ~meta;
           c.Component.update ev
         done

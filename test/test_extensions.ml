@@ -183,13 +183,15 @@ let test_ittage_silent_without_indirects () =
 
 let test_static_always () =
   let c = Static_pred.always ~name:"AT" ~taken:true ~fetch_width:width () in
-  let pred = Types.no_prediction ~width in
+  let out = Row.create ~width in
   c.Component.predict
     (Context.make ~pc:0 ~fetch_width:width ~ghist:(Bits.zero 8)
        ~lhists:(Array.make width (Bits.zero 4)) ())
-    ~pred_in:[ Types.no_prediction ~width ] ~out:pred ~meta:(Bits.zero 0);
+    ~pred_in:[| Row.create ~width |] ~out ~meta:(Bits.zero 0);
   check Alcotest.int "no metadata" 0 c.Component.meta_bits;
-  Array.iter (fun op -> check Alcotest.(option bool) "taken" (Some true) op.Types.o_taken) pred
+  Array.iter
+    (fun op -> check Alcotest.(option bool) "taken" (Some true) op.Types.o_taken)
+    (Row.to_prediction out)
 
 let test_static_btfn () =
   let c = Static_pred.btfn ~name:"BTFN" ~fetch_width:width () in
@@ -200,8 +202,9 @@ let test_static_btfn () =
     Context.make ~pc:0x1000 ~fetch_width:width ~ghist:(Bits.zero 8)
       ~lhists:(Array.make width (Bits.zero 4)) ()
   in
-  let pred = Types.no_prediction ~width in
-  c.Component.predict ctx ~pred_in:[ base ] ~out:pred ~meta:(Bits.zero 0);
+  let out = Row.create ~width in
+  c.Component.predict ctx ~pred_in:[| Row.of_prediction base |] ~out ~meta:(Bits.zero 0);
+  let pred = Row.to_prediction out in
   check Alcotest.(option bool) "backward taken" (Some true) pred.(0).Types.o_taken;
   check Alcotest.(option bool) "forward not taken" (Some false) pred.(1).Types.o_taken;
   check Alcotest.(option bool) "no target, no opinion" None pred.(2).Types.o_taken

@@ -141,16 +141,16 @@ let test_meta_width_contract () =
        (fun (name, _salt) ->
       let c = List.assoc name instances in
       let ctx = random_ctx st in
-      let pred_in = [ Array.make width Types.empty_opinion ] in
+      let pred_in = [| Row.create ~width |] in
       (* the host's buffer of the declared width is accepted... *)
-      let out = Types.no_prediction ~width in
+      let out = Row.create ~width in
       c.Component.predict ctx ~pred_in ~out ~meta:(Bits.zero c.Component.meta_bits);
       check Alcotest.int
         (Printf.sprintf "%s opinion vector width" name)
-        width (Array.length out);
+        width (Row.width out);
       (* ...and one of any other width is refused *)
       match
-        c.Component.predict ctx ~pred_in ~out:(Types.no_prediction ~width)
+        c.Component.predict ctx ~pred_in ~out:(Row.create ~width)
           ~meta:(Bits.zero (c.Component.meta_bits + 1))
       with
       | () -> Alcotest.failf "%s accepted a %d-bit metadata buffer" name (c.Component.meta_bits + 1)

@@ -30,9 +30,11 @@ let assert_verdict (v : Crosscheck.verdict) =
 (* --- per-component: restore (snapshot t) mid-script -------------------------- *)
 
 let drive_packet (c : Component.t) (pk : Fuzz.packet) =
-  let p = Types.no_prediction ~width in
+  let p = Row.create ~width in
   let meta = Bits.zero c.Component.meta_bits in
-  c.Component.predict pk.Fuzz.pk_ctx ~pred_in:pk.Fuzz.pk_pred_in ~out:p ~meta;
+  c.Component.predict pk.Fuzz.pk_ctx
+    ~pred_in:(Array.of_list (List.map Row.of_prediction pk.Fuzz.pk_pred_in))
+    ~out:p ~meta;
   let ev culprit =
     { Component.ctx = pk.Fuzz.pk_ctx; meta; slots = pk.Fuzz.pk_slots; culprit }
   in
@@ -67,7 +69,7 @@ let test_component_snapshot packed () =
       if i >= half then begin
         let pa, ma = drive_packet a pk in
         let pb, mb = drive_packet b pk in
-        if not (Types.equal_prediction pa pb) then
+        if not (Row.equal pa pb) then
           Alcotest.failf "%s: packet %d: prediction diverged after restore"
             a.Component.name i;
         if not (Bits.equal ma mb) then
