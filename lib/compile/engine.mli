@@ -21,10 +21,13 @@
     - the history file holds at most one entry, so the ring buffer reduces
       to a sequence counter and the per-branch metadata array;
     - every per-branch buffer is the engine's own, allocated once: one
-      context ({!Cobra.Context.reset} per step), the composer's register
-      bank and per-component opinion and metadata vectors, the event
-      records built over them, and the global/path/local history buffers,
-      shifted in place after each step's events are dispatched.
+      context ({!Cobra.Context.reset} per step), the composer's rows and
+      per-component opinion rows and metadata vectors, the event records
+      built over them, and the global/path/local history buffers, shifted
+      in place after each step's events are dispatched; the step's
+      predicted and resolved outcomes come from the engine's table of
+      interned records ({!Cobra.Types.outcome}), so a step allocates
+      nothing once every outcome of the trace has been seen.
 
     Predictions, metadata, counters and snapshot slabs are bit-identical to
     the interpreted [Pipeline] run under the same protocol; the
