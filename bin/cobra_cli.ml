@@ -110,22 +110,8 @@ let list_cmd =
   let show_components () =
     Printf.printf "sub-component library:\n";
     List.iter
-      (fun (name, desc) -> Printf.printf "  %-10s %s\n" name desc)
-      [
-        ("HBIM", "counter table indexed by PC/ghist/lhist/phist/hash/concat (gshare, gselect)");
-        ("BTB", "set-associative branch target buffer, 2-cycle");
-        ("UBTB", "small fully-associative micro-BTB, 1-cycle");
-        ("GTAG", "partially-tagged global-history counter table");
-        ("TAGE", "multi-table tagged geometric-history predictor");
-        ("LOOP", "loop trip-count predictor with speculative counting + repair");
-        ("TOURNEY", "tournament selector over two predict_in inputs");
-        ("YAGS", "taken/not-taken exception caches (extension)");
-        ("PERCEPTRON", "history-dot-weights predictor (extension)");
-        ("GEHL", "geometric-history adder tree of signed counters, O-GEHL (extension)");
-        ("ITTAGE", "tagged indirect-target predictor (extension)");
-        ("SC", "statistical corrector (extension)");
-        ("STATIC", "always-taken / BTFN static predictors");
-      ]
+      (fun { Cobra_components.Catalogue.kind; doc; _ } -> Printf.printf "  %-10s %s\n" kind doc)
+      Cobra_components.Catalogue.all
   in
   let show_env () =
     Printf.printf "environment knobs (default, value set or -, meaning):\n";

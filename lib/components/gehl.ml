@@ -1,4 +1,5 @@
 module Bitpack = Cobra_util.Bitpack
+module Bits = Cobra_util.Bits
 module Counter = Cobra_util.Counter
 module Hashing = Cobra_util.Hashing
 module Slab = Cobra_util.Slab
@@ -28,10 +29,6 @@ let default ~name =
 let storage_bits cfg =
   List.length cfg.history_lengths * (1 lsl cfg.table_bits) * cfg.counter_bits
 
-(* Metadata: per slot, each table's counter biased into unsigned range. *)
-let slot_layout cfg = List.map (fun _ -> cfg.counter_bits + 1) cfg.history_lengths
-let meta_layout cfg = List.concat_map (fun _ -> slot_layout cfg) (List.init cfg.fetch_width Fun.id)
-
 let make cfg =
   let ntables = List.length cfg.history_lengths in
   if ntables < 1 then invalid_arg (cfg.name ^ ": no tables");
@@ -48,48 +45,45 @@ let make cfg =
       lxor Hashing.folded_history ctx.ghist ~len:lengths.(table) ~bits:cfg.table_bits
       lxor Hashing.fold_int (Hashing.mix2 table 41) ~width:62 ~bits:cfg.table_bits
   in
-  let meta_bits = Bitpack.width_of (meta_layout cfg) in
+  (* Metadata: per slot, each table's counter biased into unsigned range, in
+     ascending table order (bank 0 first). *)
+  let field_bits = cfg.counter_bits + 1 in
+  let meta_bits = cfg.fetch_width * ntables * field_bits in
+  let packer = Bitpack.Packer.create ~owner:cfg.name ~width:meta_bits in
   let predict (ctx : Context.t) ~pred_in ~out ~meta =
     if Array.length pred_in <> 1 then invalid_arg (cfg.name ^ ": one predict_in");
     let base = pred_in.(0) in
-    let fields = ref [] in
     for slot = 0 to cfg.fetch_width - 1 do
       let sum = ref 0 in
-      (* ascending table order: update's List.iteri pairs field [t] with
-         bank [t], so the pack order must match *)
       for t = 0 to ntables - 1 do
         let c = Slab.get state ((t * bank_size) + index ctx ~slot ~table:t) in
         sum := !sum + c;
-        fields := (c + bias, cfg.counter_bits + 1) :: !fields
+        Bitpack.Packer.add packer (c + bias) ~bits:field_bits
       done;
       if not (Row.unconditional base slot) then Row.set_taken out slot (!sum >= 0)
     done;
-    Bitpack.store ~owner:cfg.name (Bitpack.pack ~width:meta_bits (List.rev !fields)) ~dst:meta
+    Bitpack.Packer.finish_into packer meta
+  in
+  let counter (ev : Component.event) ~slot ~table =
+    Bits.extract_int ev.meta ~lo:(((slot * ntables) + table) * field_bits) ~len:field_bits - bias
   in
   let update (ev : Component.event) =
-    let fields = Bitpack.unpack ev.meta (meta_layout cfg) in
-    let rec per_slot slot = function
-      | [] -> ()
-      | rest ->
-        let counters = List.filteri (fun i _ -> i < ntables) rest in
-        let rest' = List.filteri (fun i _ -> i >= ntables) rest in
-        let (r : Types.resolved) = ev.slots.(slot) in
-        if Types.cond_branch r then begin
-          let counters = List.map (fun c -> c - bias) counters in
-          let sum = List.fold_left ( + ) 0 counters in
-          let predicted = sum >= 0 in
-          if predicted <> r.r_taken || abs sum <= cfg.threshold then
-            List.iteri
-              (fun t c ->
-                Slab.set state
-                  ((t * bank_size) + index ev.ctx ~slot ~table:t)
-                  (Counter.update_signed ~bits:cfg.counter_bits c
-                     ~dir:(if r.r_taken then 1 else -1)))
-              counters
-        end;
-        per_slot (slot + 1) rest'
-    in
-    per_slot 0 fields
+    for slot = 0 to cfg.fetch_width - 1 do
+      let (r : Types.resolved) = ev.slots.(slot) in
+      if Types.cond_branch r then begin
+        let sum = ref 0 in
+        for t = 0 to ntables - 1 do
+          sum := !sum + counter ev ~slot ~table:t
+        done;
+        if (!sum >= 0) <> r.r_taken || abs !sum <= cfg.threshold then
+          for t = 0 to ntables - 1 do
+            Slab.set state
+              ((t * bank_size) + index ev.ctx ~slot ~table:t)
+              (Counter.update_signed ~bits:cfg.counter_bits (counter ev ~slot ~table:t)
+                 ~dir:(if r.r_taken then 1 else -1))
+          done
+      end
+    done
   in
   Component.make ~name:cfg.name ~family:Component.Perceptron ~latency:cfg.latency ~meta_bits
     ~fetch_width:cfg.fetch_width ~storage:(Storage.make ~sram_bits:(storage_bits cfg) ())

@@ -24,6 +24,7 @@ type 'a model = {
 type packed =
   | P : {
       model : 'a model;
+      kind : string;
       make_real : unit -> Component.t;
       storage_bits : int;
     }
@@ -164,6 +165,7 @@ let hbim (cfg : C.Hbim.config) =
       model =
         counter_table ~name:cfg.name ~fetch_width:cfg.fetch_width
           ~counter_bits:cfg.counter_bits ~index;
+      kind = "HBIM";
       make_real = (fun () -> C.Hbim.make cfg);
       storage_bits = cfg.entries * cfg.counter_bits;
     }
@@ -254,6 +256,7 @@ let gtag (cfg : C.Gtag.config) =
                 && e.gt_tag >= 0
                 && e.gt_tag < 1 lsl cfg.tag_bits);
         };
+      kind = "GTAG";
       make_real = (fun () -> C.Gtag.make cfg);
       storage_bits = cfg.entries * (1 + cfg.tag_bits + cb);
     }
@@ -333,6 +336,7 @@ let gehl (cfg : C.Gehl.config) =
             check_cells ~name:cfg.name ~what:"signed counter"
               (fun c -> c >= Counter.signed_min ~bits:cb && c <= Counter.signed_max ~bits:cb);
         };
+      kind = "GEHL";
       make_real = (fun () -> C.Gehl.make cfg);
       storage_bits = ntables * (1 lsl cfg.table_bits) * cb;
     }
@@ -453,6 +457,7 @@ let yags (cfg : C.Yags.config) =
                 in
                 (match cache_ok st.y_t with Error _ as e -> e | Ok () -> cache_ok st.y_nt));
         };
+      kind = "YAGS";
       make_real = (fun () -> C.Yags.make cfg);
       storage_bits =
         ((1 lsl cfg.choice_bits) * cb)
@@ -537,6 +542,7 @@ let perceptron (cfg : C.Perceptron.config) =
                        && v <= Counter.signed_max ~bits:cfg.weight_bits)
                      w);
         };
+      kind = "PERCEPTRON";
       make_real = (fun () -> C.Perceptron.make cfg);
       storage_bits = (1 lsl cfg.table_bits) * n_weights * cfg.weight_bits;
     }
@@ -612,6 +618,7 @@ let tourney (cfg : C.Tourney.config) =
             check_cells ~name:cfg.name ~what:"chooser counter"
               (fun c -> Counter.is_valid ~bits:cb c);
         };
+      kind = "TOURNEY";
       make_real = (fun () -> C.Tourney.make cfg);
       storage_bits = cfg.entries * cb;
     }
@@ -684,6 +691,7 @@ let statistical_corrector (cfg : C.Statistical_corrector.config) =
               (fun c ->
                 c >= Counter.signed_min ~bits:(cb + 1) && c <= Counter.signed_max ~bits:(cb + 1));
         };
+      kind = "SC";
       make_real = (fun () -> C.Statistical_corrector.make cfg);
       storage_bits = (1 lsl cfg.index_bits) * (cb + 1);
     }
@@ -886,6 +894,7 @@ let tage (cfg : C.Tage.config) =
                     && e.tg_u <= Counter.max_value ~bits:ub)
                   st.tg_banks);
         };
+      kind = "TAGE";
       make_real = (fun () -> C.Tage.make cfg);
       storage_bits =
         List.fold_left
@@ -1023,6 +1032,7 @@ let ittage (cfg : C.Ittage.config) =
                 && e.it_conf <= Counter.max_value ~bits:cfg.confidence_bits
                 && e.it_target >= 0);
         };
+      kind = "ITTAGE";
       make_real = (fun () -> C.Ittage.make cfg);
       storage_bits =
         List.fold_left
@@ -1210,6 +1220,7 @@ let loop_pred (cfg : C.Loop_pred.config) =
                 && e.lp_c >= 0 && e.lp_c <= count_max
                 && e.lp_conf >= 0 && e.lp_conf <= conf_max);
         };
+      kind = "LOOP";
       make_real = (fun () -> C.Loop_pred.make cfg);
       storage_bits = cfg.entries * (1 + cfg.tag_bits + (2 * cfg.count_bits) + cfg.conf_bits + 1);
     }
@@ -1324,6 +1335,7 @@ let btb (cfg : C.Btb.config) =
                   (fun i -> i >= 0 && i < cfg.ways)
                   st.bt_rr);
         };
+      kind = "BTB";
       make_real = (fun () -> C.Btb.make cfg);
       storage_bits =
         (cfg.sets * cfg.ways * (1 + cfg.tag_bits + btb_target_bits + 3))
@@ -1467,6 +1479,7 @@ let ubtb (cfg : C.Ubtb.config) =
                   (fun e -> Counter.is_valid ~bits:cb e.ub_ctr && e.ub_target >= 0)
                   st.ub_entries);
         };
+      kind = "UBTB";
       make_real = (fun () -> C.Ubtb.make cfg);
       storage_bits = cfg.entries * (1 + ubtb_tag_bits + ubtb_target_bits + 3 + cb);
     }
@@ -1493,6 +1506,7 @@ let static_always ~name ~taken ~fetch_width =
           update = keep;
           invariant = (fun () -> ok);
         };
+      kind = "STATIC";
       make_real = (fun () -> C.Static_pred.always ~name ~taken ~fetch_width ());
       storage_bits = 0;
     }
@@ -1524,6 +1538,7 @@ let static_btfn ~name ~fetch_width =
           update = keep;
           invariant = (fun () -> ok);
         };
+      kind = "STATIC";
       make_real = (fun () -> C.Static_pred.btfn ~name ~fetch_width ());
       storage_bits = 0;
     }

@@ -36,6 +36,8 @@ type 'a model = {
 type packed =
   | P : {
       model : 'a model;
+      kind : string;
+          (** the {!Cobra_components.Catalogue} kind [make_real] instantiates *)
       make_real : unit -> Component.t;
       storage_bits : int;
           (** expected [Storage.total_bits] of the real component, recomputed
@@ -101,9 +103,9 @@ val compose :
     latency and overrides the first sub-topology's. *)
 
 val zoo : unit -> packed list
-(** One deliberately small-tabled instance of every component: heavy
-    aliasing, frequent allocation and fast saturation, which is what the
-    lockstep fuzz check wants. *)
+(** Deliberately small-tabled instances, at least one of every
+    {!Cobra_components.Catalogue} kind: heavy aliasing, frequent allocation
+    and fast saturation, which is what the lockstep fuzz check wants. *)
 
 val twin_design : Cobra_eval.Designs.t -> Cobra_eval.Designs.t
 (** The same topology and pipeline configuration as a reference design, with

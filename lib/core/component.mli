@@ -79,7 +79,11 @@ type family =
   | Perceptron
   | Corrector
   | Static
-(** Broad structural family, used by the area model for grouping. *)
+(** Broad structural family. Its readers: [Designs.direction_state_kb]
+    counts the storage of every family but the BTBs as direction state,
+    {!Topology.spec} prints it into every result-cache key, and a
+    [Selector] is fed two incoming rows where a component runs alone (the
+    benchmark's per-component layer, the catalogue's tier-1 check). *)
 
 val pp_family : Format.formatter -> family -> unit
 

@@ -15,9 +15,9 @@ type expect =
 
 type t = {
   t_name : string;
+  t_kind : string option;
   t_family : string;
   t_doc : string;
-  t_demo : bool;
   t_make : unit -> Topology.t;
   t_config : Pipeline.config;
   t_expect : string -> expect;
@@ -106,64 +106,55 @@ let alias_expect ~index_bits =
 
 (* --- component targets ----------------------------------------------------------- *)
 
+(* A target built from library components, [kind] being the catalogue kind
+   it probes (its topology may carry other components in support). *)
+let component ?(expect = fun _ -> Informational) ~kind ~name ~family ~doc make =
+  {
+    t_name = name;
+    t_kind = Some kind;
+    t_family = family;
+    t_doc = doc;
+    t_make = make;
+    t_config = std_config;
+    t_expect = expect;
+  }
+
 let bim_target =
   let index_bits = 6 in
-  {
-    t_name = "BIM";
-    t_family = "bimodal";
-    t_doc = "PC-indexed 2-bit counters, 64 entries";
-    t_demo = false;
-    t_make =
-      (fun () ->
-        Topology.node
-          (Hbim.make
-             { (Hbim.default ~name:"BIM" ~indexing:Indexing.Pc) with entries = 1 lsl index_bits }));
-    t_config = std_config;
-    t_expect =
-      (function
+  component ~kind:"HBIM" ~name:"BIM" ~family:"bimodal" ~doc:"PC-indexed 2-bit counters, 64 entries"
+    ~expect:(function
       | "alias" -> alias_expect ~index_bits
       | "phase" -> Rising (counter_phase_edge ~counter_bits:2)
-      | _ -> Informational);
-  }
+      | _ -> Informational)
+    (fun () ->
+      Topology.node
+        (Hbim.make
+           { (Hbim.default ~name:"BIM" ~indexing:Indexing.Pc) with entries = 1 lsl index_bits }))
 
 let gbim_target =
   let h = 6 in
-  {
-    t_name = "GBIM";
-    t_family = "gshare-like";
-    t_doc = "ghist[6]-indexed 2-bit counters, 64 entries (fold injective)";
-    t_demo = false;
-    t_make =
-      (fun () ->
-        Topology.node
-          (Hbim.make
-             { (Hbim.default ~name:"GBIM" ~indexing:(Indexing.Ghist h)) with entries = 1 lsl h }));
-    t_config = std_config;
-    t_expect = history_expect ~h;
-  }
+  component ~kind:"HBIM" ~name:"GBIM" ~family:"gshare-like"
+    ~doc:"ghist[6]-indexed 2-bit counters, 64 entries (fold injective)" ~expect:(history_expect ~h)
+    (fun () ->
+      Topology.node
+        (Hbim.make
+           { (Hbim.default ~name:"GBIM" ~indexing:(Indexing.Ghist h)) with entries = 1 lsl h }))
 
 let lbim_target =
   let h = 8 in
-  {
-    t_name = "LBIM";
-    t_family = "local";
-    t_doc = "lhist[8]-indexed 2-bit counters, 256 entries";
-    t_demo = false;
-    t_make =
-      (fun () ->
-        Topology.node
-          (Hbim.make
-             { (Hbim.default ~name:"LBIM" ~indexing:(Indexing.Lhist h)) with entries = 1 lsl h }));
-    t_config = std_config;
-    t_expect =
-      (function
+  component ~kind:"HBIM" ~name:"LBIM" ~family:"local"
+    ~doc:"lhist[8]-indexed 2-bit counters, 256 entries"
+    ~expect:(function
       (* single-PC probes make local history = global history; the cross-PC
          correlated pair is exactly what local history cannot see *)
       | "ladder" -> Edge (h + 1)
       | "loop" -> Edge (h + 2)
       | "phase" -> Rising 4
-      | _ -> Informational);
-  }
+      | _ -> Informational)
+    (fun () ->
+      Topology.node
+        (Hbim.make
+           { (Hbim.default ~name:"LBIM" ~indexing:(Indexing.Lhist h)) with entries = 1 lsl h }))
 
 let gshare_small ~name ~index_bits ~history_length =
   Hbim.make
@@ -175,27 +166,15 @@ let gshare_small ~name ~index_bits ~history_length =
 
 let gshare6_target =
   let h = 6 in
-  {
-    t_name = "GSHARE6";
-    t_family = "gshare-like";
-    t_doc = "gshare, 6-bit history xor 6-bit index (64 entries)";
-    t_demo = false;
-    t_make = (fun () -> Topology.node (gshare_small ~name:"GSHARE" ~index_bits:h ~history_length:h));
-    t_config = std_config;
-    t_expect = history_expect ~h;
-  }
+  component ~kind:"HBIM" ~name:"GSHARE6" ~family:"gshare-like"
+    ~doc:"gshare, 6-bit history xor 6-bit index (64 entries)" ~expect:(history_expect ~h)
+    (fun () -> Topology.node (gshare_small ~name:"GSHARE" ~index_bits:h ~history_length:h))
 
 let gshare12_target =
   let h = 12 in
-  {
-    t_name = "GSHARE12";
-    t_family = "gshare-like";
-    t_doc = "default gshare geometry: 12-bit history, 4K entries";
-    t_demo = false;
-    t_make = (fun () -> Topology.node (gshare_small ~name:"GSHARE" ~index_bits:h ~history_length:h));
-    t_config = std_config;
-    t_expect = history_expect ~h;
-  }
+  component ~kind:"HBIM" ~name:"GSHARE12" ~family:"gshare-like"
+    ~doc:"default gshare geometry: 12-bit history, 4K entries" ~expect:(history_expect ~h)
+    (fun () -> Topology.node (gshare_small ~name:"GSHARE" ~index_bits:h ~history_length:h))
 
 let missized_target =
   (* The fidelity-oracle demo: *declares* the default 12-bit geometry (so
@@ -205,193 +184,109 @@ let missized_target =
     gshare12_target with
     t_name = "GSHARE!missized";
     t_doc = "demo: declares 12 history bits, built with 8 - must fail the ladder";
-    t_demo = true;
     t_make =
       (fun () -> Topology.node (gshare_small ~name:"GSHARE" ~index_bits:12 ~history_length:8));
   }
 
 let gselect_target =
   let h = 4 in
-  {
-    t_name = "GSELECT";
-    t_family = "gshare-like";
-    t_doc = "gselect, 3 PC bits ++ 4 history bits";
-    t_demo = false;
-    t_make =
-      (fun () ->
-        Topology.node
-          (Hbim.make
-             {
-               (Hbim.default ~name:"GSELECT" ~indexing:Indexing.(Concat [ (Pc, 3); (Ghist h, h) ]))
-               with
-               Hbim.entries = 1 lsl (3 + h);
-             }));
-    t_config = std_config;
-    t_expect = history_expect ~h;
-  }
+  component ~kind:"HBIM" ~name:"GSELECT" ~family:"gshare-like"
+    ~doc:"gselect, 3 PC bits ++ 4 history bits" ~expect:(history_expect ~h)
+    (fun () ->
+      Topology.node
+        (Hbim.make
+           {
+             (Hbim.default ~name:"GSELECT" ~indexing:Indexing.(Concat [ (Pc, 3); (Ghist h, h) ]))
+             with
+             Hbim.entries = 1 lsl (3 + h);
+           }))
 
+(* History-indexed tagging mixes 10 history bits into index and tag, so on
+   shuffled multi-site streams the working set is sites x histories -
+   neither the corr edge nor the tag envelope has a clean analytical form.
+   Measured and reported, not gated. *)
 let gtag_target =
-  (* History-indexed tagging mixes 10 history bits into index and tag, so
-     on shuffled multi-site streams the working set is sites x histories -
-     neither the corr edge nor the tag envelope has a clean analytical
-     form. Measured and reported, not gated. *)
-  {
-    t_name = "GTAG";
-    t_family = "tagged";
-    t_doc = "partially-tagged global table, 64 entries, 10-bit history, 5-bit tags";
-    t_demo = false;
-    t_make =
-      (fun () ->
-        Topology.node
-          (Gtag.make
-             {
-               (Gtag.default ~name:"GTAG") with
-               Gtag.entries = 64;
-               tag_bits = 5;
-               history_length = 10;
-             }));
-    t_config = std_config;
-    t_expect = (fun _ -> Informational);
-  }
+  component ~kind:"GTAG" ~name:"GTAG" ~family:"tagged"
+    ~doc:"partially-tagged global table, 64 entries, 10-bit history, 5-bit tags" (fun () ->
+      Topology.node
+        (Gtag.make
+           {
+             (Gtag.default ~name:"GTAG") with
+             Gtag.entries = 64;
+             tag_bits = 5;
+             history_length = 10;
+           }))
 
 let gtag0_target =
   let entries = 64 in
-  {
-    t_name = "GTAG0";
-    t_family = "tagged";
-    t_doc = "PC-only tagged table (history length 0), 64 entries, 8-bit tags";
-    t_demo = false;
-    t_make =
-      (fun () ->
-        Topology.node
-          (Gtag.make
-             {
-               (Gtag.default ~name:"GTAG0") with
-               Gtag.entries;
-               tag_bits = 8;
-               history_length = 0;
-             }));
-    t_config = std_config;
-    t_expect =
-      (function
+  component ~kind:"GTAG" ~name:"GTAG0" ~family:"tagged"
+    ~doc:"PC-only tagged table (history length 0), 64 entries, 8-bit tags"
+    ~expect:(function
       (* with history out of the index the probe's contiguous sites are
          collision-free through E, then contested pairwise: accuracy holds
          at exactly E and collapses within E/8 beyond it *)
       | "tag" -> Envelope { lo = entries; hi = 2 * entries }
-      | _ -> Informational);
-  }
+      | _ -> Informational)
+    (fun () ->
+      Topology.node
+        (Gtag.make
+           { (Gtag.default ~name:"GTAG0") with Gtag.entries; tag_bits = 8; history_length = 0 }))
 
 let tage_target =
   let h = 64 in
-  {
-    t_name = "TAGE";
-    t_family = "tage-like";
-    t_doc = "default TAGE: 7 tables, histories 4..64";
-    t_demo = false;
-    t_make = (fun () -> Topology.node (Tage.make (Tage.default ~name:"TAGE")));
-    t_config = std_config;
-    t_expect =
-      (function
-      | "corr" -> Edge (h + 1)
-      | _ -> Informational);
-  }
+  component ~kind:"TAGE" ~name:"TAGE" ~family:"tage-like"
+    ~doc:"default TAGE: 7 tables, histories 4..64"
+    ~expect:(function "corr" -> Edge (h + 1) | _ -> Informational)
+    (fun () -> Topology.node (Tage.make (Tage.default ~name:"TAGE")))
 
 let loop_target =
   let count_bits = 10 in
-  {
-    t_name = "LOOP";
-    t_family = "loop";
-    t_doc = "loop predictor, 256 entries, 10-bit trip counters";
-    t_demo = false;
-    t_make = (fun () -> Topology.node (Loop_pred.make (Loop_pred.default ~name:"LOOP")));
-    t_config = std_config;
-    t_expect =
-      (function
+  component ~kind:"LOOP" ~name:"LOOP" ~family:"loop"
+    ~doc:"loop predictor, 256 entries, 10-bit trip counters"
+    ~expect:(function
       (* the iteration counter saturates at 2^count_bits - 1 and a saturated
          count is ambiguous (the real trip count could be anything larger),
          so the longest learnable trip count is 2^count_bits - 2 and the
          first mispredicting period is exactly 2^count_bits *)
       | "loop" -> Zero_miss (1 lsl count_bits)
-      | _ -> Informational);
-  }
+      | _ -> Informational)
+    (fun () -> Topology.node (Loop_pred.make (Loop_pred.default ~name:"LOOP")))
 
 let perc_target =
   let h = 12 in
-  {
-    t_name = "PERC";
-    t_family = "perceptron";
-    t_doc = "perceptron over 12 history bits";
-    t_demo = false;
-    t_make =
-      (fun () ->
-        Topology.node
-          (Perceptron.make
-             { (Perceptron.default ~name:"PERC") with Perceptron.history_length = h }));
-    t_config = std_config;
-    t_expect =
-      (function
+  component ~kind:"PERCEPTRON" ~name:"PERC" ~family:"perceptron"
+    ~doc:"perceptron over 12 history bits"
+    ~expect:(function
       (* the single carried bit is linearly separable; the de Bruijn ladder
          (a parity-like function of the window) is not *)
       | "corr" -> Edge (h + 1)
-      | _ -> Informational);
-  }
+      | _ -> Informational)
+    (fun () ->
+      Topology.node
+        (Perceptron.make { (Perceptron.default ~name:"PERC") with Perceptron.history_length = h }))
 
 let gehl_target =
   let h = 8 in
-  {
-    t_name = "GEHL";
-    t_family = "gehl";
-    t_doc = "O-GEHL, 4 tables, histories 0/2/4/8";
-    t_demo = false;
-    t_make =
-      (fun () ->
-        Topology.node
-          (Gehl.make
-             {
-               (Gehl.default ~name:"GEHL") with
-               Gehl.table_bits = 7;
-               history_lengths = [ 0; 2; 4; 8 ];
-             }));
-    t_config = std_config;
-    t_expect =
-      (function
-      | "corr" -> Edge (h + 1)
-      | _ -> Informational);
-  }
+  component ~kind:"GEHL" ~name:"GEHL" ~family:"gehl" ~doc:"O-GEHL, 4 tables, histories 0/2/4/8"
+    ~expect:(function "corr" -> Edge (h + 1) | _ -> Informational)
+    (fun () ->
+      Topology.node
+        (Gehl.make
+           {
+             (Gehl.default ~name:"GEHL") with
+             Gehl.table_bits = 7;
+             history_lengths = [ 0; 2; 4; 8 ];
+           }))
 
 let yags_target =
-  {
-    t_name = "YAGS";
-    t_family = "tagged";
-    t_doc = "YAGS choice table + exception caches";
-    t_demo = false;
-    t_make = (fun () -> Topology.node (Yags.make (Yags.default ~name:"YAGS")));
-    t_config = std_config;
-    t_expect = (fun _ -> Informational);
-  }
+  component ~kind:"YAGS" ~name:"YAGS" ~family:"tagged" ~doc:"YAGS choice table + exception caches"
+    (fun () -> Topology.node (Yags.make (Yags.default ~name:"YAGS")))
 
 let tourney_target =
   let hg = 6 and hl = 8 in
-  {
-    t_name = "TOURNEY68";
-    t_family = "composite";
-    t_doc = "tournament selector over GBIM(ghist 6) and LBIM(lhist 8)";
-    t_demo = false;
-    t_make =
-      (fun () ->
-        let gbim =
-          Hbim.make
-            { (Hbim.default ~name:"GBIM" ~indexing:(Indexing.Ghist hg)) with entries = 1 lsl hg }
-        in
-        let lbim =
-          Hbim.make
-            { (Hbim.default ~name:"LBIM" ~indexing:(Indexing.Lhist hl)) with entries = 1 lsl hl }
-        in
-        let sel = Tourney.make (Tourney.default ~name:"TOURNEY") in
-        Topology.arbitrate sel [ Topology.node gbim; Topology.node lbim ]);
-    t_config = std_config;
-    t_expect =
-      (function
+  component ~kind:"TOURNEY" ~name:"TOURNEY68" ~family:"composite"
+    ~doc:"tournament selector over GBIM(ghist 6) and LBIM(lhist 8)"
+    ~expect:(function
       (* the selector should ride whichever side can see the phenomenon:
          local history reaches order 8 on the single-PC ladder, global
          history alone captures the cross-PC pair (edge 7). No loop edge:
@@ -400,93 +295,63 @@ let tourney_target =
          1 - 1/T >= 0.9 for T >= 10, so the composite never collapses. *)
       | "ladder" -> Edge (max hg hl + 1)
       | "corr" -> Edge (hg + 1)
-      | _ -> Informational);
-  }
+      | _ -> Informational)
+    (fun () ->
+      let gbim =
+        Hbim.make
+          { (Hbim.default ~name:"GBIM" ~indexing:(Indexing.Ghist hg)) with entries = 1 lsl hg }
+      in
+      let lbim =
+        Hbim.make
+          { (Hbim.default ~name:"LBIM" ~indexing:(Indexing.Lhist hl)) with entries = 1 lsl hl }
+      in
+      let sel = Tourney.make (Tourney.default ~name:"TOURNEY") in
+      Topology.arbitrate sel [ Topology.node gbim; Topology.node lbim ])
 
 let sc_target =
-  {
-    t_name = "SC";
-    t_family = "corrector";
-    t_doc = "statistical corrector over a 6/6 gshare";
-    t_demo = false;
-    t_make =
-      (fun () ->
-        let sc = Statistical_corrector.make (Statistical_corrector.default ~name:"SC") in
-        Topology.over sc
-          (Topology.node (gshare_small ~name:"GSHARE" ~index_bits:6 ~history_length:6)));
-    t_config = std_config;
-    t_expect = (fun _ -> Informational);
-  }
+  component ~kind:"SC" ~name:"SC" ~family:"corrector" ~doc:"statistical corrector over a 6/6 gshare"
+    (fun () ->
+      let sc = Statistical_corrector.make (Statistical_corrector.default ~name:"SC") in
+      Topology.over sc
+        (Topology.node (gshare_small ~name:"GSHARE" ~index_bits:6 ~history_length:6)))
 
 let btb_target =
-  {
-    t_name = "BTB";
-    t_family = "target-only";
-    t_doc = "branch target buffer alone (no direction opinions)";
-    t_demo = false;
-    t_make = (fun () -> Topology.node (Btb.make (Btb.default ~name:"BTB")));
-    t_config = std_config;
-    t_expect = (fun _ -> Informational);
-  }
+  component ~kind:"BTB" ~name:"BTB" ~family:"target-only"
+    ~doc:"branch target buffer alone (no direction opinions)" (fun () ->
+      Topology.node (Btb.make (Btb.default ~name:"BTB")))
 
 let ubtb_target =
-  {
-    t_name = "UBTB";
-    t_family = "target-only";
-    t_doc = "micro-BTB alone (no direction opinions)";
-    t_demo = false;
-    t_make = (fun () -> Topology.node (Ubtb.make (Ubtb.default ~name:"UBTB")));
-    t_config = std_config;
-    t_expect = (fun _ -> Informational);
-  }
+  component ~kind:"UBTB" ~name:"UBTB" ~family:"target-only"
+    ~doc:"micro-BTB alone (no direction opinions)" (fun () ->
+      Topology.node (Ubtb.make (Ubtb.default ~name:"UBTB")))
 
 let ittage_target =
-  {
-    t_name = "ITTAGE";
-    t_family = "target-only";
-    t_doc = "indirect-target TAGE (silent on conditional streams)";
-    t_demo = false;
-    t_make = (fun () -> Topology.node (Ittage.make (Ittage.default ~name:"ITTAGE")));
-    t_config = std_config;
-    t_expect = (fun _ -> Informational);
-  }
+  component ~kind:"ITTAGE" ~name:"ITTAGE" ~family:"target-only"
+    ~doc:"indirect-target TAGE (silent on conditional streams)" (fun () ->
+      Topology.node (Ittage.make (Ittage.default ~name:"ITTAGE")))
 
 let always_target =
-  {
-    t_name = "ALWAYS";
-    t_family = "static";
-    t_doc = "static always-taken";
-    t_demo = false;
-    t_make =
-      (fun () -> Topology.node (Static_pred.always ~name:"ALWAYS" ~taken:true ~fetch_width:fw ()));
-    t_config = std_config;
-    t_expect =
-      (function
+  component ~kind:"STATIC" ~name:"ALWAYS" ~family:"static" ~doc:"static always-taken"
+    ~expect:(function
       (* a de Bruijn cycle is exactly half taken: always-taken must sit at
          0.500 on every ladder level - a flat exact model *)
       | "ladder" -> Flat { acc = 0.5; tol = 0.02 }
-      | _ -> Informational);
-  }
+      | _ -> Informational)
+    (fun () -> Topology.node (Static_pred.always ~name:"ALWAYS" ~taken:true ~fetch_width:fw ()))
 
 let btfn_target =
-  {
-    t_name = "BTFN";
-    t_family = "static";
-    t_doc = "backward-taken/forward-not-taken (needs targets; silent here)";
-    t_demo = false;
-    t_make = (fun () -> Topology.node (Static_pred.btfn ~name:"BTFN" ~fetch_width:fw ()));
-    t_config = std_config;
-    t_expect = (fun _ -> Informational);
-  }
+  component ~kind:"STATIC" ~name:"BTFN" ~family:"static"
+    ~doc:"backward-taken/forward-not-taken (needs targets; silent here)" (fun () ->
+      Topology.node (Static_pred.btfn ~name:"BTFN" ~fetch_width:fw ()))
 
 (* --- design targets -------------------------------------------------------------- *)
 
 let of_design ?(expect = fun _ -> Informational) ~family ~doc (d : Cobra_eval.Designs.t) =
   {
     t_name = d.Cobra_eval.Designs.name;
+    t_kind = None;
     t_family = family;
     t_doc = doc;
-    t_demo = false;
     t_make = d.Cobra_eval.Designs.make;
     t_config = d.Cobra_eval.Designs.pipeline_config;
     t_expect = expect;
@@ -522,7 +387,7 @@ let tourney_design_target =
       | "corr" -> Edge 15
       | _ -> Informational)
 
-(* --- catalogue ------------------------------------------------------------------- *)
+(* --- target lists ---------------------------------------------------------------- *)
 
 let components =
   [

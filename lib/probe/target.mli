@@ -28,9 +28,11 @@ type expect =
 
 type t = {
   t_name : string;
+  t_kind : string option;
+      (** the {!Cobra_components.Catalogue} kind a component target probes;
+          [None] for a design *)
   t_family : string;
   t_doc : string;
-  t_demo : bool;  (** excluded from [--all]; exists to fail on purpose *)
   t_make : unit -> Cobra.Topology.t;
   t_config : Cobra.Pipeline.config;
   t_expect : string -> expect;  (** probe name -> expectation *)
@@ -40,6 +42,8 @@ val pipeline : t -> Cobra.Pipeline.t
 (** Fresh pipeline elaborated from the target's topology and config. *)
 
 val components : t list
+(** At least one target per {!Cobra_components.Catalogue} kind. *)
+
 val designs : t list
 
 val all : t list

@@ -60,12 +60,15 @@ let run_perfs ?(label = "runner") ?progress specs =
     | None -> Progress.create ~label ~total:n ()
   in
   let use_cache = Cache.enabled () in
+  (* a job exports its statistics report (COBRA_STATS) as it runs, so
+     while reports are on, a cached result must not stand in for the run *)
+  let consult = use_cache && not Cobra_util.Env.(get stats) in
   let keys = Array.map (fun j -> Cache.key j.key) arr in
   let cached = Array.make n false in
   let thunk i () =
     let j = arr.(i) in
     let k = keys.(i) in
-    match if use_cache then Cache.load k else None with
+    match if consult then Cache.load k else None with
     | Some perf ->
       cached.(i) <- true;
       Progress.emit progress (Progress.Cache_hit { job = i; key = Cache.hex k });

@@ -42,7 +42,8 @@ val run_perfs :
   ?label:string -> ?progress:Progress.t -> job list -> (Cobra_uarch.Perf.t, error) result list
 (** Run a grid of jobs through the pool ({!Pool.default_jobs} workers),
     consulting and populating the cache around each one, and emitting
-    telemetry. A job that raises is retried once. Results come back in
+    telemetry. With [COBRA_STATS] on, the cache is populated but not
+    consulted: every job runs, and so exports its report. A job that raises is retried once. Results come back in
     submission order. When [progress] is supplied the caller owns it (and
     its [finish]); otherwise one is created per call. *)
 

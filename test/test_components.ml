@@ -279,11 +279,48 @@ let test_loop_repair_restores_count () =
   check Alcotest.bool "recovers and predicts exits" true
     (List.for_all (fun p -> p = Some false) late)
 
-(* Steady-state allocation of the tagged kernels over a conditional-branch
-   stream: once warm, one packet's predict + update allocates nothing. The
-   stream's contexts, events and buffers are built up front, so only the
-   components' own work is counted. *)
-let test_tagged_alloc_free () =
+(* --- the catalogue: every kind covered, every default instance sound ----------- *)
+
+module Golden = Cobra_conformance.Golden
+module Target = Cobra_probe.Target
+
+(* Every catalogued kind has a member of [named] (name, kind), and every
+   member's kind is catalogued; each failure names the kind. *)
+let covers ~what named =
+  let kinds = List.map (fun (e : Catalogue.entry) -> e.Catalogue.kind) Catalogue.all in
+  check Alcotest.(list string) ("every kind has a " ^ what) []
+    (List.filter_map
+       (fun kind ->
+         if List.exists (fun (_, k) -> String.equal k kind) named then None
+         else Some (Printf.sprintf "component kind %s has no %s" kind what))
+       kinds
+    @ List.filter_map
+        (fun (name, kind) ->
+          if List.mem kind kinds then None
+          else Some (Printf.sprintf "%s %s names kind %s, which is not catalogued" what name kind))
+        named)
+
+let test_golden_twins () =
+  covers ~what:"golden twin"
+    (List.map (fun (Golden.P { kind; _ } as p) -> (Golden.packed_name p, kind)) (Golden.zoo ()))
+
+let test_probe_targets () =
+  covers ~what:"probe target"
+    (List.map
+       (fun (t : Target.t) ->
+         match t.Target.t_kind with
+         | Some kind -> (t.Target.t_name, kind)
+         | None -> Alcotest.failf "probe target %s names no kind" t.Target.t_name)
+       Target.components)
+
+(* Each kind's default instance, and the path-history ITTAGE, accounts
+   storage exactly when it keeps state, and once warm one packet's predict,
+   fire and update allocate nothing. The stream's contexts, events and
+   buffers are built up front, so only the components' own work is
+   counted. The incoming rows hold directions (a selector gets two, which
+   disagree on every slot), so correctors and selectors take their full
+   paths. *)
+let test_default_instances () =
   let rng = Random.State.make [| 7 |] in
   let stream =
     Array.init 512 (fun _ ->
@@ -301,31 +338,52 @@ let test_tagged_alloc_free () =
           Types.resolved_branch ~kind:Types.Cond ~taken:(Random.State.bool rng) ~target:0x5000;
         (ctx, slots))
   in
-  List.iter
-    (fun (c : Component.t) ->
-      let out = Row.create ~width in
-      let meta = Bits.zero c.Component.meta_bits in
-      let pred_in = [| Row.create ~width |] in
-      let events =
-        Array.map (fun (ctx, slots) -> { Component.ctx; meta; slots; culprit = None }) stream
-      in
-      let run () =
-        for i = 0 to Array.length events - 1 do
-          let ev = events.(i) in
-          Row.clear out;
-          c.Component.predict ev.Component.ctx ~pred_in ~out ~meta;
-          c.Component.update ev
-        done
-      in
-      run ();
-      let w0 = Gc.minor_words () in
-      run ();
-      check (Alcotest.float 0.) (c.Component.name ^ " minor words") 0. (Gc.minor_words () -. w0))
-    [
-      Ittage.make (Ittage.default ~name:"ITTAGE");
-      Ittage.make { (Ittage.default ~name:"ITTAGE_PATH") with use_path_history = true };
-      Gtag.make (Gtag.default ~name:"GTAG");
-    ]
+  let faults (c : Component.t) =
+    let name = c.Component.name in
+    let stateful = Component.state_cells c > 0 in
+    let out = Row.create ~width in
+    let meta = Bits.zero c.Component.meta_bits in
+    let pred_in =
+      Array.init
+        (if c.Component.family = Component.Selector then 2 else 1)
+        (fun i ->
+          let row = Row.create ~width in
+          for slot = 0 to width - 1 do
+            Row.set_taken row slot ((slot + i) mod 2 = 0)
+          done;
+          row)
+    in
+    let events =
+      Array.map (fun (ctx, slots) -> { Component.ctx; meta; slots; culprit = None }) stream
+    in
+    let run () =
+      for i = 0 to Array.length events - 1 do
+        let ev = events.(i) in
+        Row.clear out;
+        c.Component.predict ev.Component.ctx ~pred_in ~out ~meta;
+        c.Component.fire ev;
+        c.Component.update ev
+      done
+    in
+    run ();
+    let w0 = Gc.minor_words () in
+    run ();
+    let words = (Gc.minor_words () -. w0) /. float_of_int (Array.length events) in
+    (if stateful = (Storage.total_bits c.Component.storage > 0) then []
+     else
+       [
+         (name
+         ^ if stateful then " keeps state but accounts no storage"
+           else " accounts storage but keeps no state");
+       ])
+    @
+    if words = 0. then []
+    else [ Printf.sprintf "%s allocates %.1f minor words per packet" name words ]
+  in
+  check Alcotest.(list string) "default instances" []
+    (List.concat_map faults
+       (List.map (fun (e : Catalogue.entry) -> e.Catalogue.make ()) Catalogue.all
+       @ [ Ittage.make { (Ittage.default ~name:"ITTAGE_PATH") with use_path_history = true } ]))
 
 let () =
   Alcotest.run "cobra_components"
@@ -355,10 +413,12 @@ let () =
           Alcotest.test_case "silent on miss" `Quick test_gtag_silent_on_miss;
           Alcotest.test_case "learns" `Quick test_gtag_learns_with_history;
         ] );
-      ( "tagged",
+      ( "catalogue",
         [
-          Alcotest.test_case "ITTAGE and GTAG allocate nothing per packet" `Quick
-            test_tagged_alloc_free;
+          Alcotest.test_case "every kind has a golden twin" `Quick test_golden_twins;
+          Alcotest.test_case "every kind has a probe target" `Quick test_probe_targets;
+          Alcotest.test_case "default instance storage and allocation" `Quick
+            test_default_instances;
         ] );
       ( "tourney",
         [ Alcotest.test_case "learns better side" `Quick test_tourney_learns_better_side ] );

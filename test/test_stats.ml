@@ -426,6 +426,32 @@ let test_export_named_per_job () =
     [ ("-j 1", serial); ("-j 2", parallel) ];
   check Alcotest.(list string) "the same names at -j 1 and -j 2" serial parallel
 
+(* A run answered from the result cache used to skip its export: with the
+   cache on, a second [sweep ras] wrote no report at all. Both passes must
+   write the same eight files. *)
+let test_export_on_warm_cache () =
+  let cache = fresh_dir () in
+  let exported () =
+    let d = fresh_dir () in
+    with_env
+      [
+        ("COBRA_STATS", "1");
+        ("COBRA_STATS_DIR", d);
+        ("COBRA_CACHE", "1");
+        ("COBRA_CACHE_DIR", cache);
+        ("COBRA_JOBS", "1");
+        ("COBRA_PROGRESS", "0");
+      ]
+      (fun () ->
+        ignore
+          ((List.find (fun (s : Sweeps.t) -> s.Sweeps.name = "ras") Sweeps.all).Sweeps.run
+             ~insns:2_000 ()));
+    List.sort compare (Array.to_list (Sys.readdir d))
+  in
+  let cold = exported () in
+  check Alcotest.int "cold cache: JSON + CSV per job" 8 (List.length cold);
+  check Alcotest.(list string) "warm cache: the same reports" cold (exported ())
+
 let test_sink_publishes () =
   let seen = ref [] in
   let prev = Stats.Sink.current () in
@@ -556,6 +582,7 @@ let () =
         [
           Alcotest.test_case "COBRA_STATS gating" `Quick test_stats_env_gating;
           Alcotest.test_case "one report per job" `Quick test_export_named_per_job;
+          Alcotest.test_case "warm cache still exports" `Quick test_export_on_warm_cache;
           Alcotest.test_case "sink publication" `Quick test_sink_publishes;
           Alcotest.test_case "observer lifecycle" `Quick test_observer_off_by_default;
         ] );
