@@ -313,77 +313,91 @@ let test_probe_targets () =
          | None -> Alcotest.failf "probe target %s names no kind" t.Target.t_name)
        Target.components)
 
-(* Each kind's default instance, and the path-history ITTAGE, accounts
-   storage exactly when it keeps state, and once warm one packet's predict,
-   fire and update allocate nothing. The stream's contexts, events and
-   buffers are built up front, so only the components' own work is
-   counted. The incoming rows hold directions (a selector gets two, which
-   disagree on every slot), so correctors and selectors take their full
-   paths. *)
-let test_default_instances () =
+(* A conditional-branch stream of 512 packets. Its contexts, events and
+   buffers are built up front, so an allocation count over it measures only
+   the components' own work. *)
+let packet_stream =
   let rng = Random.State.make [| 7 |] in
-  let stream =
-    Array.init 512 (fun _ ->
-        let ctx =
-          Context.make
-            ~pc:(0x4000 + (16 * Random.State.int rng 64))
-            ~fetch_width:width
-            ~ghist:(Bits.init 64 (fun _ -> Random.State.bool rng))
-            ~lhists:(Array.init width (fun _ -> Bits.zero 16))
-            ~phist:(Bits.init 16 (fun _ -> Random.State.bool rng))
-            ()
-        in
-        let slots = Array.make width Types.no_branch in
-        slots.(Random.State.int rng width) <-
-          Types.resolved_branch ~kind:Types.Cond ~taken:(Random.State.bool rng) ~target:0x5000;
-        (ctx, slots))
+  Array.init 512 (fun _ ->
+      let ctx =
+        Context.make
+          ~pc:(0x4000 + (16 * Random.State.int rng 64))
+          ~fetch_width:width
+          ~ghist:(Bits.init 64 (fun _ -> Random.State.bool rng))
+          ~lhists:(Array.init width (fun _ -> Bits.zero 16))
+          ~phist:(Bits.init 16 (fun _ -> Random.State.bool rng))
+          ()
+      in
+      let slots = Array.make width Types.no_branch in
+      slots.(Random.State.int rng width) <-
+        Types.resolved_branch ~kind:Types.Cond ~taken:(Random.State.bool rng) ~target:0x5000;
+      (ctx, slots))
+
+(* Once warm, one packet's predict, fire and update allocate nothing; the
+   fault names the component otherwise. The incoming rows hold directions
+   (a selector gets two, which disagree on every slot), so correctors and
+   selectors take their full paths. *)
+let alloc_faults (c : Component.t) =
+  let out = Row.create ~width in
+  let meta = Bits.zero c.Component.meta_bits in
+  let pred_in =
+    Array.init
+      (if c.Component.family = Component.Selector then 2 else 1)
+      (fun i ->
+        let row = Row.create ~width in
+        for slot = 0 to width - 1 do
+          Row.set_taken row slot ((slot + i) mod 2 = 0)
+        done;
+        row)
   in
-  let faults (c : Component.t) =
-    let name = c.Component.name in
-    let stateful = Component.state_cells c > 0 in
-    let out = Row.create ~width in
-    let meta = Bits.zero c.Component.meta_bits in
-    let pred_in =
-      Array.init
-        (if c.Component.family = Component.Selector then 2 else 1)
-        (fun i ->
-          let row = Row.create ~width in
-          for slot = 0 to width - 1 do
-            Row.set_taken row slot ((slot + i) mod 2 = 0)
-          done;
-          row)
-    in
-    let events =
-      Array.map (fun (ctx, slots) -> { Component.ctx; meta; slots; culprit = None }) stream
-    in
-    let run () =
-      for i = 0 to Array.length events - 1 do
-        let ev = events.(i) in
-        Row.clear out;
-        c.Component.predict ev.Component.ctx ~pred_in ~out ~meta;
-        c.Component.fire ev;
-        c.Component.update ev
-      done
-    in
-    run ();
-    let w0 = Gc.minor_words () in
-    run ();
-    let words = (Gc.minor_words () -. w0) /. float_of_int (Array.length events) in
-    (if stateful = (Storage.total_bits c.Component.storage > 0) then []
-     else
+  let events =
+    Array.map (fun (ctx, slots) -> { Component.ctx; meta; slots; culprit = None }) packet_stream
+  in
+  let run () =
+    for i = 0 to Array.length events - 1 do
+      let ev = events.(i) in
+      Row.clear out;
+      c.Component.predict ev.Component.ctx ~pred_in ~out ~meta;
+      c.Component.fire ev;
+      c.Component.update ev
+    done
+  in
+  run ();
+  let w0 = Gc.minor_words () in
+  run ();
+  let words = (Gc.minor_words () -. w0) /. float_of_int (Array.length events) in
+  if words = 0. then []
+  else [ Printf.sprintf "%s allocates %.1f minor words per packet" c.Component.name words ]
+
+(* The tagged kernels, the path-history ITTAGE among them. *)
+let test_tagged_alloc_free () =
+  check Alcotest.(list string) "tagged kernels" []
+    (List.concat_map alloc_faults
        [
-         (name
-         ^ if stateful then " keeps state but accounts no storage"
-           else " accounts storage but keeps no state");
+         Ittage.make (Ittage.default ~name:"ITTAGE");
+         Ittage.make { (Ittage.default ~name:"ITTAGE_PATH") with use_path_history = true };
+         Gtag.make (Gtag.default ~name:"GTAG");
        ])
-    @
-    if words = 0. then []
-    else [ Printf.sprintf "%s allocates %.1f minor words per packet" name words ]
+
+(* Each kind's default instance accounts storage exactly when it keeps
+   state, and allocates nothing per warm packet. *)
+let test_default_instances () =
+  let storage_faults (c : Component.t) =
+    let stateful = Component.state_cells c > 0 in
+    if stateful = (Storage.total_bits c.Component.storage > 0) then []
+    else
+      [
+        (c.Component.name
+        ^ if stateful then " keeps state but accounts no storage"
+          else " accounts storage but keeps no state");
+      ]
   in
   check Alcotest.(list string) "default instances" []
-    (List.concat_map faults
-       (List.map (fun (e : Catalogue.entry) -> e.Catalogue.make ()) Catalogue.all
-       @ [ Ittage.make { (Ittage.default ~name:"ITTAGE_PATH") with use_path_history = true } ]))
+    (List.concat_map
+       (fun (e : Catalogue.entry) ->
+         let c = e.Catalogue.make () in
+         storage_faults c @ alloc_faults c)
+       Catalogue.all)
 
 let () =
   Alcotest.run "cobra_components"
@@ -413,7 +427,12 @@ let () =
           Alcotest.test_case "silent on miss" `Quick test_gtag_silent_on_miss;
           Alcotest.test_case "learns" `Quick test_gtag_learns_with_history;
         ] );
-      ( "catalogue",
+      ( "tagged",
+        [
+          Alcotest.test_case "ITTAGE and GTAG allocate nothing per packet" `Quick
+            test_tagged_alloc_free;
+        ] );
+      ( "kinds",
         [
           Alcotest.test_case "every kind has a golden twin" `Quick test_golden_twins;
           Alcotest.test_case "every kind has a probe target" `Quick test_probe_targets;

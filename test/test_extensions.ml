@@ -209,6 +209,21 @@ let test_static_btfn () =
   check Alcotest.(option bool) "forward not taken" (Some false) pred.(1).Types.o_taken;
   check Alcotest.(option bool) "no target, no opinion" None pred.(2).Types.o_taken
 
+let test_extension_storage_positive () =
+  List.iter
+    (fun (name, c) ->
+      check Alcotest.bool (name ^ " storage") true
+        (Storage.total_bits c.Component.storage > 0))
+    [
+      ("gshare", gshare ~name:"G");
+      ("gselect", gselect ~name:"GS");
+      ("yags", Yags.make (Yags.default ~name:"Y"));
+      ("perceptron", Perceptron.make (Perceptron.default ~name:"P"));
+      ("sc", Statistical_corrector.make (Statistical_corrector.default ~name:"S"));
+      ("gehl", Gehl.make (Gehl.default ~name:"GE"));
+      ("ittage", Ittage.make (Ittage.default ~name:"IT"));
+    ]
+
 let () =
   Alcotest.run "cobra_extensions"
     [
@@ -230,4 +245,6 @@ let () =
           Alcotest.test_case "always" `Quick test_static_always;
           Alcotest.test_case "btfn" `Quick test_static_btfn;
         ] );
+      ( "storage",
+        [ Alcotest.test_case "positive" `Quick test_extension_storage_positive ] );
     ]
