@@ -26,13 +26,11 @@ let run_with_stats ?insns ?config (design : Designs.t) (workload : Cobra_workloa
          Cobra_stats.Collector.sample coll ~insns:p.Cobra_uarch.Perf.instructions
            ~cycles:p.Cobra_uarch.Perf.cycles ~mispredicts:p.Cobra_uarch.Perf.mispredicts));
   let perf = Cobra_uarch.Core.run core ~max_insns:insns in
-  Cobra_stats.Collector.flush coll ~insns:perf.Cobra_uarch.Perf.instructions
-    ~cycles:perf.Cobra_uarch.Perf.cycles ~mispredicts:perf.Cobra_uarch.Perf.mispredicts;
-  Cobra_stats.Collector.detach coll;
   let report =
-    Cobra_stats.Collector.report ~design:design.Designs.name
-      ~workload:workload.Cobra_workloads.Suite.name
-      ~perf:(Cobra_uarch.Perf.counters perf) coll
+    Cobra_stats.Collector.report coll ~insns:perf.Cobra_uarch.Perf.instructions
+      ~cycles:perf.Cobra_uarch.Perf.cycles ~mispredicts:perf.Cobra_uarch.Perf.mispredicts
+      ~design:design.Designs.name ~workload:workload.Cobra_workloads.Suite.name
+      ~perf:(Cobra_uarch.Perf.counters perf)
   in
   ( { design = design.Designs.name; workload = workload.Cobra_workloads.Suite.name; perf },
     report )
@@ -48,17 +46,17 @@ let variant config =
        (fun field -> not (List.mem field base))
        (String.split_on_char ';' (Cobra_uarch.Config.spec config)))
 
+(* A run with COBRA_STATS on: collect, export to COBRA_STATS_DIR (an
+   export that fails raises) and hand the report back. *)
+let run_exported ~insns ~config design workload =
+  let result, report = run_with_stats ~insns ~config design workload in
+  Cobra_stats.Export.write ~variant:(variant config) ~dir:Cobra_util.Env.(get stats_dir) report;
+  (result, report)
+
 let run ?insns ?(config = Cobra_uarch.Config.default) (design : Designs.t)
     (workload : Cobra_workloads.Suite.entry) =
   let insns = match insns with Some n -> n | None -> default_insns () in
-  if Cobra_util.Env.(get stats) then begin
-    let result, report = run_with_stats ~insns ~config design workload in
-    let variant = variant config in
-    (try ignore (Cobra_stats.Export.write ~variant ~dir:Cobra_util.Env.(get stats_dir) report)
-     with Sys_error _ | Unix.Unix_error _ -> ());
-    Cobra_stats.Sink.publish report;
-    result
-  end
+  if Cobra_util.Env.(get stats) then fst (run_exported ~insns ~config design workload)
   else begin
     (* stats disabled: the collection machinery is never elaborated *)
     let _pl, core = elaborate ~config design workload in
@@ -94,7 +92,11 @@ let to_runner_job j =
     Cobra_runner.key = job_key j;
     run =
       (fun () ->
-        (run ~insns:j.job_insns ~config:j.job_config j.job_design j.job_workload).perf);
+        let insns = j.job_insns and config = j.job_config in
+        if Cobra_util.Env.(get stats) then
+          let result, report = run_exported ~insns ~config j.job_design j.job_workload in
+          (result.perf, Some report)
+        else ((run ~insns ~config j.job_design j.job_workload).perf, None));
   }
 
 (* A grid is its jobs in submission order and how to build its value from

@@ -29,12 +29,14 @@ val run :
   Cobra_workloads.Suite.entry ->
   result
 (** A single run in the calling domain, bypassing pool and cache. When
-    [COBRA_STATS] is enabled, a {!Cobra_stats.Collector} rides along: the
-    report is exported to [COBRA_STATS_DIR] as JSON + CSV and published to
-    {!Cobra_stats.Sink} (the parallel runner forwards it into its telemetry
-    stream). The report keeps the 20 hardest branches and samples the
-    interval series every 1000 instructions. With stats disabled no
-    collection machinery is elaborated.
+    [COBRA_STATS] is enabled, a {!Cobra_stats.Collector} rides along and
+    the report is exported to [COBRA_STATS_DIR] as JSON + CSV; a directory
+    that cannot be made or written raises [Failure] naming it, so the run
+    stops rather than losing its report. In a grid ({!run_jobs}) each job
+    hands its report to the runner with its counters, and the runner
+    announces it as a [stats] event. The report keeps the 20 hardest
+    branches and samples the interval series every 1000 instructions.
+    With stats disabled no collection machinery is elaborated.
 
     The pipeline is the design's own ([Designs.t]'s [pipeline_config]);
     the core configuration is the only per-run choice. The export is named
@@ -50,8 +52,8 @@ val run_with_stats :
   Cobra_workloads.Suite.entry ->
   result * Cobra_stats.Report.t
 (** Like {!run} but always collects statistics (regardless of
-    [COBRA_STATS]) and returns the report instead of exporting or
-    publishing it — the entry point for tests and the [cobra stats] CLI. *)
+    [COBRA_STATS]) and returns the report instead of exporting it — the
+    entry point for tests and the [cobra stats] CLI. *)
 
 type job
 (** One grid cell: a design/workload pair plus its configuration, ready to

@@ -16,7 +16,7 @@ let pp_error ppf e =
 
 type job = {
   key : string list;
-  run : unit -> Cobra_uarch.Perf.t;
+  run : unit -> Cobra_uarch.Perf.t * Cobra_stats.Report.t option;
 }
 
 (* A failing job gets one retry. *)
@@ -74,7 +74,17 @@ let run_perfs ?(label = "runner") ?progress specs =
       Progress.emit progress (Progress.Cache_hit { job = i; key = Cache.hex k });
       perf
     | None ->
-      let perf = j.run () in
+      let perf, report = j.run () in
+      Option.iter
+        (fun r ->
+          Progress.emit progress
+            (Progress.Stats
+               {
+                 design = r.Cobra_stats.Report.design;
+                 workload = r.Cobra_stats.Report.workload;
+                 summary = Cobra_stats.Report.summary r;
+               }))
+        report;
       (if use_cache then
          match Cache.store k perf with
          | Ok () -> ()
@@ -83,29 +93,8 @@ let run_perfs ?(label = "runner") ?progress specs =
              (Progress.Store_error { job = i; key = Cache.hex k; message }));
       perf
   in
-  (* Forward statistics reports published by jobs (when COBRA_STATS is on)
-     into this grid's telemetry stream, chaining to any sink already
-     installed by an outer orchestrator. *)
-  let prev_sink = Cobra_stats.Sink.current () in
-  Cobra_stats.Sink.set
-    (Some
-       (fun r ->
-         Progress.emit progress
-           (Progress.Stats
-              {
-                design = r.Cobra_stats.Report.design;
-                workload = r.Cobra_stats.Report.workload;
-                summary = Cobra_stats.Report.summary r;
-              });
-         match prev_sink with Some f -> f r | None -> ()));
   let results =
-    Fun.protect
-      ~finally:(fun () -> Cobra_stats.Sink.set prev_sink)
-      (fun () ->
-        map_reporting progress
-          ~key:(fun i -> Cache.hex keys.(i))
-          ~cached
-          (List.init n (fun i -> thunk i)))
+    map_reporting progress ~key:(fun i -> Cache.hex keys.(i)) ~cached (List.init n thunk)
   in
   if owned then Progress.finish progress;
   results

@@ -33,17 +33,22 @@ type job = {
   key : string list;
       (** cache spec: everything the result depends on (topology spec,
           workload, configs, insn count, ...) *)
-  run : unit -> Cobra_uarch.Perf.t;
+  run : unit -> Cobra_uarch.Perf.t * Cobra_stats.Report.t option;
       (** must elaborate all mutable state (pipeline, core, stream) itself,
-          so that a retry restarts clean and parallel jobs share nothing *)
+          so that a retry restarts clean and parallel jobs share nothing.
+          Returns the counters and, when the run collected one, its
+          statistics report, which {!run_perfs} announces as a [stats]
+          event; only the counters are cached *)
 }
 
 val run_perfs :
   ?label:string -> ?progress:Progress.t -> job list -> (Cobra_uarch.Perf.t, error) result list
 (** Run a grid of jobs through the pool ({!Pool.default_jobs} workers),
     consulting and populating the cache around each one, and emitting
-    telemetry. With [COBRA_STATS] on, the cache is populated but not
-    consulted: every job runs, and so exports its report. A job that raises is retried once. Results come back in
+    telemetry: a job that returns a report has it announced as a [stats]
+    event between its [start] and [finish]. With [COBRA_STATS] on, the
+    cache is populated but not consulted: every job runs, and so exports
+    its report. A job that raises is retried once. Results come back in
     submission order. When [progress] is supplied the caller owns it (and
     its [finish]); otherwise one is created per call. *)
 

@@ -258,15 +258,8 @@ let create pl =
   attach_observer t;
   t
 
-let detach t = Pipeline.set_observer t.pl None
-
 let sample t ~insns ~cycles ~mispredicts =
   Interval.sample t.interval ~insns ~cycles ~mispredicts
-
-let flush t ~insns ~cycles ~mispredicts =
-  Interval.flush t.interval ~insns ~cycles ~mispredicts
-
-let total_mispredicts t = t.total_mispredicts
 
 let buckets t =
   (* component buckets first (in pipeline order), then pseudo-buckets *)
@@ -282,7 +275,9 @@ let buckets t =
   in
   comp_buckets @ pseudo
 
-let report ?(design = "") ?(workload = "") ?(perf = []) t =
+let report t ~insns ~cycles ~mispredicts ~design ~workload ~perf =
+  Interval.flush t.interval ~insns ~cycles ~mispredicts;
+  Pipeline.set_observer t.pl None;
   let components =
     Array.to_list
       (Array.mapi

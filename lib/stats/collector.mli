@@ -1,7 +1,8 @@
 (** The pipeline observer: attaches to {!Cobra.Pipeline.set_observer} and
     accumulates per-component event counters, per-mispredict attribution,
     arbitration tallies, the hard-branch table and (via {!sample}) the
-    interval series.
+    interval series. One lifecycle: {!create} attaches, {!sample} runs on
+    every cycle, and {!report} closes the run, detaches and snapshots.
 
     {b Attribution invariant}: every [Mispredicted] observation lands in
     exactly one bucket — a component name, or one of the pseudo-buckets
@@ -29,20 +30,20 @@ val create : Cobra.Pipeline.t -> t
 (** Builds the collector and attaches it as the pipeline's observer. Its
     interval series starts at 1000 instructions per bucket. *)
 
-val detach : t -> unit
-(** Detach from the pipeline (collection stops; accumulated state remains
-    readable). *)
-
 val sample : t -> insns:int -> cycles:int -> mispredicts:int -> unit
 (** Feed cumulative run counters into the interval series (wire this to the
     host core's per-cycle sampler). *)
 
-val flush : t -> insns:int -> cycles:int -> mispredicts:int -> unit
-(** Close the final partial interval bucket. *)
-
-val total_mispredicts : t -> int
-val buckets : t -> (string * int) list
-
-val report : ?design:string -> ?workload:string -> ?perf:(string * int) list -> t -> Report.t
-(** Snapshot everything into an exportable report; its branch table keeps
-    the 20 hardest branches. *)
+val report :
+  t ->
+  insns:int ->
+  cycles:int ->
+  mispredicts:int ->
+  design:string ->
+  workload:string ->
+  perf:(string * int) list ->
+  Report.t
+(** End the run: close the final partial interval bucket at the run's
+    final counters, detach from the pipeline, and snapshot everything into
+    a report of [design] on [workload] carrying the run's [perf] counters.
+    Its branch table keeps the 20 hardest branches. *)

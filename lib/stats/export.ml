@@ -25,10 +25,14 @@ let basename ?(variant = "") (r : Report.t) =
     (if variant = "" then "" else "__" ^ sanitize variant)
 
 let write ?variant ~dir r =
-  ensure_dir dir;
+  let fail reason =
+    failwith (Printf.sprintf "cannot write the statistics report to %s: %s" dir reason)
+  in
   let base = Filename.concat dir (basename ?variant r) in
-  let json_path = base ^ ".json" in
-  let csv_path = base ^ ".csv" in
-  write_file json_path (Json.to_string (Report.to_json r) ^ "\n");
-  write_file csv_path (Report.to_csv r);
-  (json_path, csv_path)
+  try
+    ensure_dir dir;
+    write_file (base ^ ".json") (Json.to_string (Report.to_json r) ^ "\n");
+    write_file (base ^ ".csv") (Report.to_csv r)
+  with
+  | Sys_error m -> fail m
+  | Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)

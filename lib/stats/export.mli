@@ -1,11 +1,9 @@
 (** Report file export. *)
 
-val write : ?variant:string -> dir:string -> Report.t -> string * string
+val write : ?variant:string -> dir:string -> Report.t -> unit
 (** Write [<design>__<workload>.json] and [.csv] into [dir] (created when
     missing), atomically via temp-file + rename — safe under the parallel
     runner. A non-empty [variant] names what sets the run apart from
     others of the same design and workload: the stem becomes
-    [<design>__<workload>__<variant>]. Returns [(json_path, csv_path)]. *)
-
-val basename : ?variant:string -> Report.t -> string
-(** The sanitized file stem {!write} uses. *)
+    [<design>__<workload>__<variant>]. A directory that cannot be made or
+    written raises [Failure] naming [dir] and the system error. *)

@@ -26,7 +26,6 @@ let create ?(capacity = 512) ~width () =
   }
 
 let width t = t.width
-let length t = t.n
 
 (* When the buffer is full, coalesce adjacent pairs and double the bucket
    width: the series keeps covering the whole run at half the resolution,

@@ -28,7 +28,6 @@ val flush : t -> insns:int -> cycles:int -> mispredicts:int -> unit
 val width : t -> int
 (** Current bucket width in instructions (grows by doubling). *)
 
-val length : t -> int
 val points : t -> point list
 
 val ipc : point -> float

@@ -280,13 +280,9 @@ let run_design_with_stats ?max_branches ?max_insns ?deadline (d : Cobra_eval.Des
         drive ?max_branches ?max_insns ?deadline ~observe
           ~design:d.Cobra_eval.Designs.name ~trace:path (Sim.of_pipeline pl) (Reader.read rd))
   in
-  Cobra_stats.Collector.flush coll ~insns:res.instructions ~cycles:0
-    ~mispredicts:res.mispredicts;
-  Cobra_stats.Collector.detach coll;
   let report =
-    Cobra_stats.Collector.report ~design:res.design
-      ~workload:(Filename.basename path)
+    Cobra_stats.Collector.report coll ~insns:res.instructions ~cycles:0
+      ~mispredicts:res.mispredicts ~design:res.design ~workload:(Filename.basename path)
       ~perf:(Cobra_uarch.Perf.counters (to_perf res))
-      coll
   in
   (res, report)

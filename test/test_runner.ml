@@ -215,7 +215,7 @@ let test_store_failure_reaches_telemetry () =
         (fun () ->
           let events = Filename.concat (fresh_dir ()) "events.jsonl" in
           let progress = Progress.create ~label:"t" ~events_path:events ~live:false ~total:1 () in
-          let jobs = [ { Runner.key = [ "telemetry-store" ]; run = sample_perf } ] in
+          let jobs = [ { Runner.key = [ "telemetry-store" ]; run = (fun () -> (sample_perf (), None)) } ] in
           let results = Runner.run_perfs ~progress jobs in
           Progress.finish progress;
           (* the job itself still succeeds: a dead cache is not a dead run *)

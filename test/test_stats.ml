@@ -1,7 +1,8 @@
 (* Tests for the Cobra_stats subsystem: the attribution invariant across
    every design, the JSON and CSV emitters (read back through [Json] and
    against a golden string), bounded interval series, export gating via
-   COBRA_STATS, and the Progress rate/ETA guards on degenerate inputs. *)
+   COBRA_STATS and its failure, the stats event of each grid job, and the
+   Progress rate/ETA guards on degenerate inputs. *)
 
 module Stats = Cobra_stats
 module Json = Cobra_stats.Json
@@ -452,26 +453,86 @@ let test_export_on_warm_cache () =
   check Alcotest.int "cold cache: JSON + CSV per job" 8 (List.length cold);
   check Alcotest.(list string) "warm cache: the same reports" cold (exported ())
 
-let test_sink_publishes () =
-  let seen = ref [] in
-  let prev = Stats.Sink.current () in
-  Stats.Sink.set (Some (fun r -> seen := r.Report.design :: !seen));
-  Fun.protect
-    ~finally:(fun () -> Stats.Sink.set prev)
-    (fun () ->
-      with_env [ ("COBRA_STATS", "1"); ("COBRA_STATS_DIR", fresh_dir ()) ] (fun () ->
-          ignore
-            (Experiment.run ~insns:1_000 (Designs.find "B2")
-               (Cobra_workloads.Suite.find "loop7"))));
-  check Alcotest.(list string) "report published to the sink" [ "B2" ] !seen
+let two_cells () =
+  let w = Cobra_workloads.Suite.find "loop7" in
+  Experiment.all
+    (List.map
+       (fun name -> Experiment.cell (Experiment.job ~insns:1_000 (Designs.find name) w))
+       [ "B2"; "GShare" ])
+
+(* A job hands its report to the runner with its counters, and the runner
+   announces it in the job's own telemetry, between its start and finish. *)
+let test_stats_events_per_cell () =
+  let d = fresh_dir () in
+  let events = Filename.concat d "events.jsonl" in
+  with_env
+    [
+      ("COBRA_STATS", "1");
+      ("COBRA_STATS_DIR", d);
+      ("COBRA_EVENTS", events);
+      ("COBRA_CACHE", "0");
+      ("COBRA_JOBS", "1");
+      ("COBRA_PROGRESS", "0");
+    ]
+    (fun () -> ignore (Experiment.run_jobs (two_cells ())));
+  let parsed =
+    List.map
+      (fun l ->
+        match Json.of_string l with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "events line is not valid JSON (%s): %s" e l)
+      (In_channel.with_open_text events In_channel.input_lines)
+  in
+  let event j = Json.str_member "event" j ~default:"" in
+  check
+    Alcotest.(list string)
+    "one stats line inside each job"
+    [ "start"; "stats"; "finish"; "start"; "stats"; "finish"; "summary" ]
+    (List.map event parsed);
+  check
+    Alcotest.(list (pair string string))
+    "each stats line names its cell"
+    [ ("B2", "loop7"); ("GShare", "loop7") ]
+    (List.filter_map
+       (fun j ->
+         if event j = "stats" then
+           Some (Json.str_member "design" j ~default:"", Json.str_member "workload" j ~default:"")
+         else None)
+       parsed)
+
+(* A report that cannot be written stops the grid: COBRA_STATS_DIR below a
+   regular file cannot be made. *)
+let test_unwritable_dir_stops_grid () =
+  let file = Filename.temp_file "cobra_not_a_dir" ".txt" in
+  let dir = Filename.concat file "stats" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) (fun () ->
+      with_env
+        [
+          ("COBRA_STATS", "1");
+          ("COBRA_STATS_DIR", dir);
+          ("COBRA_CACHE", "0");
+          ("COBRA_JOBS", "2");
+          ("COBRA_PROGRESS", "0");
+        ]
+        (fun () ->
+          match Experiment.run_jobs (two_cells ()) with
+          | _ -> Alcotest.fail "the grid finished without writing its reports"
+          | exception Failure msg ->
+            List.iter
+              (fun part ->
+                check Alcotest.bool (Printf.sprintf "%S names %s" msg part) true
+                  (contains msg part))
+              [ "B2"; "loop7"; dir ]))
 
 let test_observer_off_by_default () =
   let pl = Designs.pipeline (Designs.find "Tourney") in
   check Alcotest.bool "fresh pipeline is unobserved" false (Cobra.Pipeline.observed pl);
   let c = Stats.Collector.create pl in
   check Alcotest.bool "collector attaches" true (Cobra.Pipeline.observed pl);
-  Stats.Collector.detach c;
-  check Alcotest.bool "detach removes the observer" false (Cobra.Pipeline.observed pl)
+  ignore
+    (Stats.Collector.report c ~insns:0 ~cycles:0 ~mispredicts:0 ~design:"Tourney"
+       ~workload:"" ~perf:[]);
+  check Alcotest.bool "report removes the observer" false (Cobra.Pipeline.observed pl)
 
 (* --- Progress rate/ETA guards -------------------------------------------------- *)
 
@@ -583,7 +644,9 @@ let () =
           Alcotest.test_case "COBRA_STATS gating" `Quick test_stats_env_gating;
           Alcotest.test_case "one report per job" `Quick test_export_named_per_job;
           Alcotest.test_case "warm cache still exports" `Quick test_export_on_warm_cache;
-          Alcotest.test_case "sink publication" `Quick test_sink_publishes;
+          Alcotest.test_case "stats event per cell" `Quick test_stats_events_per_cell;
+          Alcotest.test_case "unwritable directory stops the grid" `Quick
+            test_unwritable_dir_stops_grid;
           Alcotest.test_case "observer lifecycle" `Quick test_observer_off_by_default;
         ] );
       ( "progress",
